@@ -1166,19 +1166,16 @@ let micro_cache () =
     ]
 
 (* micro-jit: the native specialization tier. Phases: (1) chunked
-   walk — the PR-1 exec workload — interpreted vs the specialized
-   object's one-call-per-chunk walk_hash; (2) lane walk — the PR-3
-   batched workload — interpreted materialization vs the object's
-   block filler; (3) latencies: cold emit+gcc compile, warm dlopen of
-   the published .so, and the cache-served steady state where the
-   handle is already resident in the Service.Native tier; (4) a
-   deliberate bigint-headroom fallback, reconciled against the
+   walk — the exec workload — interpreted vs the specialized object's
+   one-call-per-chunk walk_hash; (2) latencies: cold emit+gcc
+   compile, warm dlopen of the published .so, and the cache-served
+   steady state where the handle is already resident in the
+   Service.Native tier; (3) a deliberate bigint-headroom fallback, reconciled against the
    jit.compile/jit.load/jit.fallback counters and the tier's own
    served/fallback stats. The headline gate is native >= 2x
    interpreted ns/iter on the chunked walk. *)
 let micro_jit () =
   let n = env_int "BENCH_JIT_N" 1000 in
-  let lanes = env_int "BENCH_JIT_LANES" 8 in
   let chunk = env_int "BENCH_JIT_CHUNK" 4096 in
   header (Printf.sprintf "micro-jit: interpreted vs native walk (correlation, N=%d)" n);
   Emit.ensure_writable "BENCH_jit.json";
@@ -1192,8 +1189,7 @@ let micro_jit () =
     Emit.write ~path:"BENCH_jit.json" ~artifact:"micro-jit"
       [ ("compiler", Emit.Str (Jit.Abi.cc ()));
         ("compiler_available", Emit.Bool false);
-        ("native_speedup_ok", Emit.Bool false);
-        ("lanes_speedup_ok", Emit.Bool false)
+        ("native_speedup_ok", Emit.Bool false)
       ]
   end
   else begin
@@ -1248,20 +1244,8 @@ let micro_jit () =
     in
     let interp_walk = walk_ns rc_interp in
     let native_walk = walk_ns rc_native in
-    (* (2) PR-3 workload: the §VI-A lane walk; native routes block
-       materialization through the object's row-major filler *)
-    let lanes_ns rc =
-      let s =
-        Ompsim.Calibrate.time_best ~reps:3 (fun () ->
-            R.walk_lanes rc ~pc:1 ~len:trip ~vlength:lanes (fun ~base:_ ~count buf ->
-                sink := !sink + count + buf.(0).(0)))
-      in
-      s *. 1e9 /. float_of_int trip
-    in
-    let interp_lanes = lanes_ns rc_interp in
-    let native_lanes = lanes_ns rc_native in
     ignore !sink;
-    (* (3) latencies: cold emit+compile in a fresh dir, warm dlopen of
+    (* (2) latencies: cold emit+compile in a fresh dir, warm dlopen of
        the published object, and the tier-resident steady state *)
     let fp = plan.Service.Plan.fingerprint in
     let inv = plan.Service.Plan.inversion in
@@ -1288,7 +1272,7 @@ let micro_jit () =
       done;
       (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int steady_reps
     in
-    (* (4) bigint-headroom fallback: same plan, a parameter value whose
+    (* (3) bigint-headroom fallback: same plan, a parameter value whose
        intermediates would wrap native ints — the tier must refuse the
        backend and count the fallback *)
     let big = 3_000_000_000 in
@@ -1308,16 +1292,11 @@ let micro_jit () =
       && tier.Service.Native.fallbacks = 1
     in
     let walk_speedup = interp_walk /. native_walk in
-    let lanes_speedup = interp_lanes /. native_lanes in
-    Printf.printf "%d collapsed iterations, chunk %d, %d lanes\n" trip chunk lanes;
+    Printf.printf "%d collapsed iterations, chunk %d\n" trip chunk;
     Printf.printf "%-44s %10.2f\n" "interpreted walk (ns/iter)" interp_walk;
     Printf.printf "%-44s %10.2f\n" "native walk_hash (ns/iter)" native_walk;
-    Printf.printf "%-44s %10.2f\n" "interpreted lane walk (ns/iter)" interp_lanes;
-    Printf.printf "%-44s %10.2f\n" "native lane walk (ns/iter)" native_lanes;
     Printf.printf "%-44s %9.1fx %s\n" "walk speedup (gate: >= 2x)" walk_speedup
       (if walk_speedup >= 2.0 then "ok" else "BELOW TARGET");
-    Printf.printf "%-44s %9.1fx %s\n" "lane speedup (gate: >= 1.1x)" lanes_speedup
-      (if lanes_speedup >= 1.1 then "ok" else "BELOW TARGET");
     Printf.printf "%-44s %10.1f ms\n" "cold emit+compile latency" cold_ms;
     Printf.printf "%-44s %10.2f ms\n" "warm .so load latency" warm_ms;
     Printf.printf "%-44s %10.0f ns\n" "cache-served attach (steady state)" steady_ns;
@@ -1332,21 +1311,15 @@ let micro_jit () =
         ("n", Emit.Int n);
         ("iterations", Emit.Int trip);
         ("chunk", Emit.Int chunk);
-        ("lanes", Emit.Int lanes);
         ("compiler", Emit.Str (Jit.Abi.cc ()));
         ("compiler_available", Emit.Bool true);
         ( "ns_per_iter",
           Emit.Obj
             [ ("interpreted_walk", Emit.F (interp_walk, 2));
-              ("native_walk", Emit.F (native_walk, 2));
-              ("interpreted_lanes", Emit.F (interp_lanes, 2));
-              ("native_lanes", Emit.F (native_lanes, 2))
+              ("native_walk", Emit.F (native_walk, 2))
             ] );
-        ( "speedup",
-          Emit.Obj
-            [ ("walk", Emit.F (walk_speedup, 2)); ("lanes", Emit.F (lanes_speedup, 2)) ] );
+        ("speedup", Emit.Obj [ ("walk", Emit.F (walk_speedup, 2)) ]);
         ("native_speedup_ok", Emit.Bool (walk_speedup >= 2.0));
-        ("lanes_speedup_ok", Emit.Bool (lanes_speedup >= 1.1));
         ( "latency",
           Emit.Obj
             [ ("cold_compile_ms", Emit.F (cold_ms, 2));

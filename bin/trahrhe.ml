@@ -315,13 +315,6 @@ let schedule_conv =
   let print fmt s = Format.pp_print_string fmt (Ompsim.Schedule.to_string s) in
   Arg.conv (parse, print)
 
-(* order-independent checksum of an iteration tuple, so concurrent
-   chunk execution sums to the same value as the serial reference *)
-let iter_hash idx =
-  let h = ref 0 in
-  Array.iter (fun v -> h := (!h * 1000003) + v) idx;
-  !h
-
 let exec_run kernel size threads schedule lanes repeat native reduce faults retries deadline_ms trace stats =
   with_obsv ~trace ~stats @@ fun () ->
   match
@@ -378,106 +371,59 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
     | Error e ->
       Printf.eprintf "inversion failed: %s\n" e;
       1
-    | Ok (plan, renaming) ->
+    | Ok (plan, renaming) -> (
       let param =
         Service.Fingerprint.canonical_param renaming (Kernels.Kernel.param_of k ~n)
       in
-      let rc, native_reason =
-        if native then Service.Native.recovery_explain (Service.Native.default ()) plan ~param
-        else (Service.Plan.recovery plan ~param, None)
-      in
+      let opts = { Service.Exec.threads; schedule; lanes; repeat; retries; native; reduce } in
+      let rc, native_reason = Service.Exec.recovery plan ~param opts in
       let trip = Trahrhe.Recovery.trip_count rc in
-      match reduce with
-      | Some op -> (
-        (* parallel reduction over the collapsed range: per-worker
-           partials, deterministic combine tree, checked exactly
-           against the serial fold *)
-        let show = function
-          | `Int v -> string_of_int v
-          | `Rat q -> Zmath.Rat.to_string q
-        in
-        let values_equal a b =
-          match (a, b) with
-          | `Int x, `Int y -> x = y
-          | `Rat x, `Rat y -> Zmath.Rat.compare x y = 0
-          | _ -> false
-        in
-        let cnest = plan.Service.Plan.inversion.Trahrhe.Inversion.nest in
-        let serial =
-          match op with
-          | Trahrhe.Nest.Sum ->
-            let acc = ref 0 in
-            Trahrhe.Nest.iterate cnest ~param (fun idx ->
-                acc := !acc + Trahrhe.Recovery.reduce_value_int rc idx);
-            `Int !acc
-          | _ -> (
-            let acc = ref None in
-            Trahrhe.Nest.iterate cnest ~param (fun idx ->
-                let v = Trahrhe.Recovery.reduce_value_rat rc idx in
-                acc := Some (match !acc with None -> v | Some a -> Trahrhe.Nest.op_apply op a v));
-            match (!acc, Trahrhe.Nest.op_neutral op) with
-            | Some q, _ -> `Rat q
-            | None, Some q -> `Rat q
-            | None, None ->
-              prerr_endline "min/max reduction over an empty iteration space";
-              exit 1)
-        in
-        let run_region combine body =
-          if resilient then
-            Ompsim.Par.reduce_resilient ~retries ?deadline_ms ~faults:fault_cfg ~nthreads:threads
-              ~schedule ~n:trip ~combine body
-            |> Result.map_error Ompsim.Par.describe_error
-          else Ok (Ompsim.Par.reduce_chunks ~nthreads:threads ~schedule ~n:trip ~combine body)
-        in
-        let run_once () =
-          match op with
-          | Trahrhe.Nest.Sum ->
-            run_region ( + ) (fun ~thread:_ ~start ~len ->
-                Trahrhe.Recovery.walk_reduce_sum rc ~pc:(start + 1) ~len)
-            |> Result.map (fun o -> `Int (Option.value ~default:0 o))
-          | _ ->
-            run_region (Trahrhe.Nest.op_apply op) (fun ~thread:_ ~start ~len ->
-                Trahrhe.Recovery.walk_reduce_rat rc ~pc:(start + 1) ~len)
-            |> Result.map (fun o ->
-                   match (o, Trahrhe.Nest.op_neutral op) with
-                   | Some q, _ -> `Rat q
-                   | None, Some q -> `Rat q
-                   | None, None -> `Rat Zmath.Rat.zero)
-        in
-        let t0 = Unix.gettimeofday () in
-        let rec run_repeats r =
-          if r > repeat then Ok ()
-          else begin
-            match run_once () with
-            | Error msg -> Error msg
-            | Ok v when not (values_equal v serial) ->
-              Error
-                (Printf.sprintf "REDUCTION MISMATCH on run %d/%d: parallel %s vs serial %s" r
-                   repeat (show v) (show serial))
-            | Ok _ -> run_repeats (r + 1)
-          end
-        in
-        let result = run_repeats 1 in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        match result with
-        | Error msg ->
-          print_endline msg;
-          1
-        | Ok () ->
+      let show = function
+        | Service.Exec.Int v -> string_of_int v
+        | Service.Exec.Rat q -> Zmath.Rat.to_string q
+      in
+      match
+        Service.Exec.run ~faults:fault_cfg ?deadline_ms ~supervised:resilient rc
+          ~nest:plan.Service.Plan.inversion.Trahrhe.Inversion.nest ~param opts
+      with
+      | Error Service.Exec.Empty_extremum ->
+        prerr_endline "min/max reduction over an empty iteration space";
+        1
+      | Error (Service.Exec.Raised { exn; _ }) -> raise exn
+      | Error (Service.Exec.Region { error; _ }) ->
+        print_endline (Ompsim.Par.describe_error error);
+        1
+      | Error (Service.Exec.Mismatch { run; parallel; serial }) ->
+        Printf.printf "%s MISMATCH on run %d/%d: parallel %s vs serial %s\n"
+          (if reduce = None then "CHECKSUM" else "REDUCTION")
+          run repeat (show parallel) (show serial);
+        1
+      | Ok { Service.Exec.reference; run_times } ->
+        let elapsed = Array.fold_left ( +. ) 0.0 run_times in
+        let runs = if repeat > 1 then Printf.sprintf " x%d runs" repeat else "" in
+        (match reduce with
+        | Some op ->
           Printf.printf
             "kernel %s, n=%d, %d threads, schedule(%s), reduce(%s): %d collapsed iterations%s in \
              %.4fs\n"
             k.Kernels.Kernel.name n threads
             (Ompsim.Schedule.to_string schedule)
-            (Trahrhe.Nest.op_to_string op) trip
-            (if repeat > 1 then Printf.sprintf " x%d runs" repeat else "")
-            elapsed;
-          if native then
-            Printf.eprintf "  native backend: %s\n%!"
-              (match native_reason with
-              | None -> "engaged"
-              | Some reason -> Printf.sprintf "interpreted fallback (%s)" reason);
-          report_recovery_kinds plan.Service.Plan.inversion rc;
+            (Trahrhe.Nest.op_to_string op) trip runs elapsed
+        | None ->
+          Printf.printf
+            "kernel %s, n=%d, %d threads, schedule(%s)%s: %d collapsed iterations%s in %.4fs\n"
+            k.Kernels.Kernel.name n threads
+            (Ompsim.Schedule.to_string schedule)
+            (if lanes > 1 then Printf.sprintf ", %d lanes" lanes else "")
+            trip runs elapsed);
+        if native then
+          Printf.eprintf "  native backend: %s\n%!"
+            (match native_reason with
+            | None -> "engaged"
+            | Some reason -> Printf.sprintf "interpreted fallback (%s)" reason);
+        report_recovery_kinds plan.Service.Plan.inversion rc;
+        (match reduce with
+        | Some _ ->
           if Obsv.Control.enabled () then begin
             Printf.printf "  reduce: %d partials, %d combines\n"
               (Obsv.Metrics.total Ompsim.Stats.reduce_partials)
@@ -489,125 +435,43 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
                 (Obsv.Metrics.total Ompsim.Stats.dnc_grain_chunks)
             | _ -> ()
           end;
-          Printf.printf "reduction ok (%s)\n" (show serial);
-          0)
-      | None ->
-      (* padded per-worker partial checksums: one writer per slot *)
-      let stride = 16 in
-      let partial = Array.make (threads * stride) 0 in
-      let body ~thread ~start ~len =
-        let cell = thread * stride in
-        if native then
-          (* one call per chunk: the specialized object's walk_hash
-             when the backend engaged, the interpreted fold otherwise *)
-          partial.(cell) <- partial.(cell) + Trahrhe.Recovery.walk_hash rc ~pc:(start + 1) ~len
-        else if lanes > 1 then
-          (* §VI-A batched body: one hash per lane of each lockstep block *)
-          Trahrhe.Recovery.walk_lanes rc ~pc:(start + 1) ~len ~vlength:lanes
-            (fun ~base:_ ~count buf ->
-              let d = Array.length buf in
-              for l = 0 to count - 1 do
-                let h = ref 0 in
-                for k = 0 to d - 1 do
-                  h := (!h * 1000003) + buf.(k).(l)
-                done;
-                partial.(cell) <- partial.(cell) + !h
-              done)
-        else
-          Trahrhe.Recovery.walk rc ~pc:(start + 1) ~len (fun idx ->
-              partial.(cell) <- partial.(cell) + iter_hash idx)
-      in
-      (* serial reference, once: the plan's canonical nest enumerates
-         the same integer tuples as the kernel's own *)
-      let serial_sum = ref 0 in
-      Trahrhe.Nest.iterate plan.Service.Plan.inversion.Trahrhe.Inversion.nest ~param (fun idx ->
-          serial_sum := !serial_sum + iter_hash idx);
-      let run_times = Array.make repeat 0.0 in
-      let t0 = Unix.gettimeofday () in
-      let rec run_repeats r =
-        if r > repeat then Ok ()
-        else begin
-          Array.fill partial 0 (Array.length partial) 0;
-          let rt0 = Unix.gettimeofday () in
-          let outcome =
-            if resilient then
-              Ompsim.Par.run_resilient ~retries ?deadline_ms ~faults:fault_cfg ~nthreads:threads
-                ~schedule ~n:trip body
-            else begin
-              Ompsim.Par.parallel_for_chunks ~nthreads:threads ~schedule ~n:trip body;
-              Ok ()
-            end
-          in
-          run_times.(r - 1) <- Unix.gettimeofday () -. rt0;
-          match outcome with
-          | Error err -> Error (Ompsim.Par.describe_error err)
-          | Ok () ->
-            let parallel_sum = ref 0 in
-            for t = 0 to threads - 1 do
-              parallel_sum := !parallel_sum + partial.(t * stride)
-            done;
-            if !parallel_sum <> !serial_sum then
-              Error
-                (Printf.sprintf "CHECKSUM MISMATCH on run %d/%d: parallel %d vs serial %d" r
-                   repeat !parallel_sum !serial_sum)
-            else run_repeats (r + 1)
-        end
-      in
-      let result = run_repeats 1 in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      (match result with
-      | Error msg ->
-        print_endline msg;
-        1
-      | Ok () ->
-        Printf.printf
-          "kernel %s, n=%d, %d threads, schedule(%s)%s: %d collapsed iterations%s in %.4fs\n"
-          k.Kernels.Kernel.name n threads
-          (Ompsim.Schedule.to_string schedule)
-          (if lanes > 1 then Printf.sprintf ", %d lanes" lanes else "")
-          trip
-          (if repeat > 1 then Printf.sprintf " x%d runs" repeat else "")
-          elapsed;
-        if native then
-          Printf.eprintf "  native backend: %s\n%!"
-            (match native_reason with
-            | None -> "engaged"
-            | Some reason -> Printf.sprintf "interpreted fallback (%s)" reason);
-        report_recovery_kinds plan.Service.Plan.inversion rc;
-        if repeat > 1 then begin
-          (* per-run wall times, not just the aggregate: min/median make
-             warm-up effects and scheduling noise visible *)
-          Array.iteri
-            (fun i t -> Printf.eprintf "  run %2d/%d: %.4fs\n" (i + 1) repeat t)
-            run_times;
-          let sorted = Array.copy run_times in
-          Array.sort compare sorted;
-          let median =
-            if repeat mod 2 = 1 then sorted.(repeat / 2)
-            else (sorted.((repeat / 2) - 1) +. sorted.(repeat / 2)) /. 2.0
-          in
-          Printf.eprintf "  run wall time: min %.4fs, median %.4fs\n%!" sorted.(0) median
-        end;
-        (match Obsv.Metrics.per_slot Ompsim.Stats.par_iterations with
-        | [] -> ()
-        | cells ->
-          List.iter
-            (fun (slot, iters) ->
-              Printf.printf "  worker %2d: %4d chunks %10d iterations\n" slot
-                (Obsv.Metrics.get Ompsim.Stats.par_chunks ~slot)
-                iters)
-            cells;
-          Printf.printf "  iteration imbalance (max/mean): %.3f\n"
-            (Obsv.Metrics.imbalance Ompsim.Stats.par_iterations));
-        if resilient && Obsv.Control.enabled () then
-          Printf.printf
-            "  faults: %d injected, %d stalls, %d retries, %d cancellations, %d serial fallbacks\n"
-            (Obsv.Metrics.total Ompsim.Stats.faults_injected)
-            (Obsv.Metrics.total Ompsim.Stats.fault_stalls)
-            (Obsv.Metrics.total Ompsim.Stats.chunk_retries)
-            (Obsv.Metrics.total Ompsim.Stats.regions_cancelled)
-            (Obsv.Metrics.total Ompsim.Stats.serial_fallbacks);
-        Printf.printf "checksum ok (%d)\n" !serial_sum;
+          Printf.printf "reduction ok (%s)\n" (show reference)
+        | None ->
+          if repeat > 1 then begin
+            (* per-run wall times, not just the aggregate: min/median
+               make warm-up effects and scheduling noise visible *)
+            Array.iteri
+              (fun i t -> Printf.eprintf "  run %2d/%d: %.4fs\n" (i + 1) repeat t)
+              run_times;
+            let sorted = Array.copy run_times in
+            Array.sort compare sorted;
+            let median =
+              if repeat mod 2 = 1 then sorted.(repeat / 2)
+              else (sorted.((repeat / 2) - 1) +. sorted.(repeat / 2)) /. 2.0
+            in
+            Printf.eprintf "  run wall time: min %.4fs, median %.4fs\n%!" sorted.(0) median
+          end;
+          (match Obsv.Metrics.per_slot Ompsim.Stats.par_iterations with
+          | [] -> ()
+          | cells ->
+            List.iter
+              (fun (slot, iters) ->
+                Printf.printf "  worker %2d: %4d chunks %10d iterations\n" slot
+                  (Obsv.Metrics.get Ompsim.Stats.par_chunks ~slot)
+                  iters)
+              cells;
+            Printf.printf "  iteration imbalance (max/mean): %.3f\n"
+              (Obsv.Metrics.imbalance Ompsim.Stats.par_iterations));
+          if resilient && Obsv.Control.enabled () then
+            Printf.printf
+              "  faults: %d injected, %d stalls, %d retries, %d cancellations, %d serial \
+               fallbacks\n"
+              (Obsv.Metrics.total Ompsim.Stats.faults_injected)
+              (Obsv.Metrics.total Ompsim.Stats.fault_stalls)
+              (Obsv.Metrics.total Ompsim.Stats.chunk_retries)
+              (Obsv.Metrics.total Ompsim.Stats.regions_cancelled)
+              (Obsv.Metrics.total Ompsim.Stats.serial_fallbacks);
+          Printf.printf "checksum ok (%s)\n" (show reference));
         0))
 
 let exec_cmd =
@@ -704,8 +568,9 @@ let exec_cmd =
       & opt (some int) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
-            "Cancel the region cooperatively once $(docv) milliseconds have elapsed (remaining \
-             chunks are reported, not executed); implies supervised execution.")
+            "Cancel execution cooperatively once $(docv) milliseconds have elapsed (remaining \
+             chunks are reported, not executed); the budget covers all $(b,--repeat) runs \
+             together. Implies supervised execution.")
   in
   Cmd.v
     (Cmd.info "exec"

@@ -113,7 +113,7 @@ let total_degree bp =
    walk routed through it) *)
 let c_bigint_fallback = Obsv.Metrics.create "recovery.bigint_fallback"
 
-(* walks and block fills served by a native (.so) backend *)
+(* chunks served by a native (.so) backend *)
 let c_jit_hits = Obsv.Metrics.create "jit.hit"
 
 (* per-level recovery ledger: how many level recoveries went through a
@@ -125,13 +125,9 @@ let c_inv_numeric = Obsv.Metrics.create "inversion.numeric"
 let numeric_recoveries () = Obsv.Metrics.total c_inv_numeric
 let closed_form_recoveries () = Obsv.Metrics.total c_inv_closed
 
-type flat_lanes = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type native = {
   n_walk_hash : pc:int -> len:int -> int;
   n_recover : pc:int -> int array -> unit;
-  n_fill_block : pc:int -> int array array -> int;
-  n_fill_flat : pc:int -> width:int -> flat_lanes -> int;
   n_reduce_sum : pc:int -> len:int -> int;
 }
 
@@ -593,158 +589,220 @@ let first t =
   done;
   idx
 
-(* ---------------- incremental chunk walk (§V, compiled) ---------------- *)
+(* ---------------- the chunk engine (§V, §VI-A) ---------------- *)
 
-(* cached per-level bounds over the walker's index array; level q > 0
-   additionally carries difference-table steppers along the parent
-   variable q-1, so the carry idx.(q-1) += 1 updates both bounds in
-   O(degree) additions. Shared by [walk_from] and [walk_lanes_from]. *)
-let bound_cache t idx =
+(* the chunk's payload shape: one callback per iteration, or lockstep
+   blocks of consecutive ranks materialized into a structure-of-arrays
+   buffer ([lanes.(k).(l)] is level k of lane l; the block width is the
+   buffer's row length) *)
+type shape =
+  | Scalar of (int array -> unit)
+  | Lanes of int array array * (base:int -> count:int -> int array array -> unit)
+
+(* [Stdlib.min] is polymorphic: on the lane shape's per-block and
+   per-run bounds it would cost a [compare] call each *)
+let imin (a : int) b = if a <= b then a else b
+
+(* the step phase of one chunk: drive [shape] over [len] iterations
+   starting from [idx] (the chunk's one recovery, rank [pc]), stopping
+   early at the end of the space; returns the iterations visited.
+   Per-level bounds are cached over [idx]. On the compiled pipeline
+   level q > 0 additionally carries difference-table steppers along
+   the parent variable q-1, so a carry updates its bounds in O(degree)
+   additions; the overflow-safe and flat-term pipelines re-evaluate the
+   bound polynomials instead (bigint evaluators in safe mode) — the
+   same values [increment] computes. *)
+let step t idx ~pc ~len shape =
   let d = t.d in
   let lo = Array.make d 0 and hi = Array.make d 0 in
-  let lo_st = Array.make d None and hi_st = Array.make d None in
-  let build q =
-    let lookup s = idx.(s) in
-    let ls = H.Stepper.make t.hlo.(q) ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
-    let hs = H.Stepper.make t.hup.(q) ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
-    lo_st.(q) <- Some ls;
-    hi_st.(q) <- Some hs;
-    lo.(q) <- H.Stepper.value ls;
-    hi.(q) <- H.Stepper.value hs
+  let build, step_bounds =
+    if t.safe || not t.compiled then begin
+      let eval q =
+        lo.(q) <- lower_bound t ~level:q idx;
+        hi.(q) <- upper_bound t ~level:q idx
+      in
+      (eval, eval)
+    end
+    else begin
+      let lo_st = Array.make d None and hi_st = Array.make d None in
+      let build q =
+        let lookup s = idx.(s) in
+        let ls = H.Stepper.make t.hlo.(q) ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
+        let hs = H.Stepper.make t.hup.(q) ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
+        lo_st.(q) <- Some ls;
+        hi_st.(q) <- Some hs;
+        lo.(q) <- H.Stepper.value ls;
+        hi.(q) <- H.Stepper.value hs
+      in
+      let step_one bound st q =
+        match st.(q) with
+        | Some s ->
+          H.Stepper.step s;
+          bound.(q) <- H.Stepper.value s
+        | None -> ()
+      in
+      (build, fun q -> step_one lo lo_st q; step_one hi hi_st q)
+    end
   in
   lo.(0) <- lower_bound t ~level:0 idx;
   hi.(0) <- upper_bound t ~level:0 idx;
   for q = 1 to d - 1 do
     build q
   done;
-  let step_bounds q =
-    (match lo_st.(q) with
-    | Some s ->
-      H.Stepper.step s;
-      lo.(q) <- H.Stepper.value s
-    | None -> ());
-    match hi_st.(q) with
-    | Some s ->
-      H.Stepper.step s;
-      hi.(q) <- H.Stepper.value s
-    | None -> ()
+  (* the carry: advance level k, or the nearest outer level that is not
+     exhausted, resetting every deeper level to its lower bound; false
+     at the end of the space. The direct child steps its bound tables
+     along the advanced index; deeper levels saw their whole prefix
+     change and are rebuilt. *)
+  let rec carry k =
+    if k < 0 then false
+    else if idx.(k) + 1 < hi.(k) then begin
+      idx.(k) <- idx.(k) + 1;
+      if k + 1 < d then begin
+        step_bounds (k + 1);
+        idx.(k + 1) <- lo.(k + 1);
+        for q = k + 2 to d - 1 do
+          build q;
+          idx.(q) <- lo.(q)
+        done
+      end;
+      true
+    end
+    else carry (k - 1)
   in
-  (lo, hi, build, step_bounds)
-
-(* the walk after the chunk's one recovery: drive [f] over [len]
-   iterations starting from [idx] (which the caller recovered) *)
-let walk_from t idx ~len f =
-  if t.safe || not t.compiled then begin
-    (* fallback: polynomial-re-evaluating increment (routed through
-       the bigint evaluators in overflow-safe mode) *)
+  let inner = d - 1 in
+  let remaining = ref len in
+  (match shape with
+  | Scalar f ->
     f idx;
-    let remaining = ref (len - 1) in
-    while !remaining > 0 && increment t idx do
+    decr remaining;
+    while !remaining > 0 && carry inner do
       f idx;
       decr remaining
     done
-  end
-  else begin
-    let d = t.d in
-    let lo, hi, build, step_bounds = bound_cache t idx in
-    let advance () =
-      let rec go k =
-        if k < 0 then false
-        else if idx.(k) + 1 < hi.(k) then begin
-          idx.(k) <- idx.(k) + 1;
-          if k + 1 < d then begin
-            (* direct child: step its bound tables along idx.(k) *)
-            step_bounds (k + 1);
-            idx.(k + 1) <- lo.(k + 1);
-            (* deeper levels: their whole prefix changed — rebuild *)
-            for q = k + 2 to d - 1 do
-              build q;
-              idx.(q) <- lo.(q)
-            done
-          end;
-          true
-        end
-        else go (k - 1)
-      in
-      go (d - 1)
-    in
-    f idx;
-    let remaining = ref (len - 1) in
-    while !remaining > 0 && advance () do
-      f idx;
-      decr remaining
-    done
-  end
+  | Lanes (lanes, f) ->
+    (* lockstep runs along the innermost level: consecutive ranks
+       share the outer prefix, filled by [Array.fill]; the inner lane
+       values just count up — no per-iteration closure call *)
+    let vlength = Array.length lanes.(0) and ilanes = lanes.(inner) in
+    let base = ref pc and alive = ref true in
+    while !remaining > 0 && !alive do
+      let want = imin vlength !remaining in
+      let count = ref 0 in
+      while !count < want && !alive do
+        let run = imin (want - !count) (hi.(inner) - idx.(inner)) in
+        for k = 0 to inner - 1 do
+          Array.fill lanes.(k) !count run idx.(k)
+        done;
+        let v0 = idx.(inner) in
+        for r = 0 to run - 1 do
+          ilanes.(!count + r) <- v0 + r
+        done;
+        count := !count + run;
+        idx.(inner) <- v0 + run;
+        if idx.(inner) >= hi.(inner) && not (carry (inner - 1)) then alive := false
+      done;
+      f ~base:!base ~count:!count lanes;
+      base := !base + !count;
+      remaining := !remaining - !count
+    done);
+  len - !remaining
 
-let walk_uninstrumented t ~pc ~len f =
-  if len > 0 then walk_from t (recover_guarded t pc) ~len f
+(* the engine: the chunk's one recovery, then the step phase *)
+let engine t ~pc ~len shape = step t (recover_guarded t pc) ~pc ~len shape
 
-(* obsv: per-chunk counters + the recovery-vs-stepping time split. The
-   per-iteration path is identical to the uninstrumented walk — the
-   only disabled-mode cost is the [Control.enabled] branch below. *)
+(* obsv: per-chunk counters, the [recovery.walk] span and the
+   recovery-vs-stepping time split *)
 let c_walks = Obsv.Metrics.create "recovery.walks"
 let c_iterations = Obsv.Metrics.create "recovery.iterations"
 let c_recover_ns = Obsv.Metrics.create "recovery.recover_ns"
 let c_step_ns = Obsv.Metrics.create "recovery.step_ns"
 
-let walk t ~pc ~len f =
-  if not (Obsv.Control.enabled ()) then walk_uninstrumented t ~pc ~len f
-  else if len > 0 then begin
-    Obsv.Metrics.incr_here c_walks;
-    Obsv.Metrics.add_here c_iterations len;
-    if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
-    Obsv.Trace.with_span "recovery.walk"
-      ~args:[ ("pc", Obsv.Trace.Int pc); ("len", Obsv.Trace.Int len) ]
-      (fun () ->
-        let t0 = Obsv.Clock.now_ns () in
-        let idx = recover_guarded t pc in
-        let t1 = Obsv.Clock.now_ns () in
-        Obsv.Metrics.add_here c_recover_ns (t1 - t0);
-        walk_from t idx ~len f;
-        Obsv.Metrics.add_here c_step_ns (Obsv.Clock.now_ns () - t1))
-  end
+(* the one instrumentation wrapper every public chunk entry runs
+   through. [native], when given, replaces the whole chunk with one
+   call into the specialized object (which clamps at the end of the
+   space like the engine does). With the layer off, the only cost over
+   the bare engine is the [Control.enabled] branch. *)
+let chunk ?native t ~pc ~len shape =
+  if len > 0 then
+    if not (Obsv.Control.enabled ()) then begin
+      match native with Some run -> run () | None -> ignore (engine t ~pc ~len shape)
+    end
+    else begin
+      Obsv.Metrics.incr_here c_walks;
+      if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
+      Obsv.Trace.with_span "recovery.walk"
+        ~args:[ ("pc", Obsv.Trace.Int pc); ("len", Obsv.Trace.Int len) ]
+        (fun () ->
+          match native with
+          | Some run ->
+            Obsv.Metrics.incr_here c_jit_hits;
+            run ();
+            let visited = if pc < 1 || pc > t.trip then 0 else min len (t.trip - pc + 1) in
+            Obsv.Metrics.add_here c_iterations visited
+          | None ->
+            let t0 = Obsv.Clock.now_ns () in
+            let idx = recover_guarded t pc in
+            let t1 = Obsv.Clock.now_ns () in
+            Obsv.Metrics.add_here c_recover_ns (t1 - t0);
+            let visited = step t idx ~pc ~len shape in
+            Obsv.Metrics.add_here c_step_ns (Obsv.Clock.now_ns () - t1);
+            Obsv.Metrics.add_here c_iterations visited)
+    end
 
-(* ---------------- collapsed checksum walk ---------------- *)
+(* ---------------- payloads ---------------- *)
 
-(* the execution payload of [trahrhe exec] and the service: the order-
-   independent sum of per-iteration index hashes over a chunk. Promoted
-   to a first-class operation so a native backend can compute the whole
-   reduction in one call instead of one callback per iteration. *)
-let iter_hash d idx =
+let walk t ~pc ~len f = chunk t ~pc ~len (Scalar f)
+let walk_uninstrumented t ~pc ~len f = if len > 0 then ignore (engine t ~pc ~len (Scalar f))
+
+(* the checksum payload of [trahrhe exec] and the service: the order-
+   independent sum of per-iteration index hashes, so concurrent chunks
+   sum to the serial reference *)
+let hash_mix h v = (h * 1000003) + v
+
+let iter_hash idx =
   let h = ref 0 in
-  for k = 0 to d - 1 do
-    h := (!h * 1000003) + idx.(k)
+  for k = 0 to Array.length idx - 1 do
+    h := hash_mix !h idx.(k)
   done;
   !h
 
-let walk_hash_interp t ~pc ~len =
-  let acc = ref 0 in
-  walk_from t (recover_guarded t pc) ~len (fun idx -> acc := !acc + iter_hash t.d idx);
-  !acc
-
-let walk_hash_uninstrumented t ~pc ~len =
-  if len <= 0 then 0
-  else begin
-    match t.native with
-    | Some nat -> nat.n_walk_hash ~pc ~len
-    | None -> walk_hash_interp t ~pc ~len
-  end
+let lane_hash lanes l =
+  let h = ref 0 in
+  for k = 0 to Array.length lanes - 1 do
+    h := hash_mix !h lanes.(k).(l)
+  done;
+  !h
 
 let walk_hash t ~pc ~len =
-  if not (Obsv.Control.enabled ()) then walk_hash_uninstrumented t ~pc ~len
-  else if len <= 0 then 0
-  else begin
-    Obsv.Metrics.incr_here c_walks;
-    Obsv.Metrics.add_here c_iterations len;
-    if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
-    match t.native with
-    | Some nat ->
-      Obsv.Metrics.incr_here c_jit_hits;
-      nat.n_walk_hash ~pc ~len
-    | None -> walk_hash_interp t ~pc ~len
-  end
+  let acc = ref 0 in
+  chunk t ~pc ~len
+    ?native:(Option.map (fun nat () -> acc := nat.n_walk_hash ~pc ~len) t.native)
+    (Scalar (fun idx -> acc := !acc + iter_hash idx));
+  !acc
 
-(* ---------------- reduction walks ---------------- *)
+let make_lanes t vlength = Array.init t.d (fun _ -> Array.make vlength 0)
+
+let walk_lanes t ~pc ~len ~vlength f =
+  if vlength <= 0 then invalid_arg "Recovery.walk_lanes: vlength must be positive";
+  chunk t ~pc ~len (Lanes (make_lanes t vlength, f))
+
+let recover_block t ~pc lanes =
+  if Array.length lanes <> t.d then
+    invalid_arg "Recovery.recover_block: lanes must have one row per nest level";
+  let width = Array.length lanes.(0) in
+  Array.iter
+    (fun row ->
+      if Array.length row <> width then
+        invalid_arg "Recovery.recover_block: ragged lanes buffer")
+    lanes;
+  let filled = ref 0 in
+  if width > 0 && pc >= 1 && pc <= t.trip then
+    chunk t ~pc ~len:(min width (t.trip - pc + 1))
+      (Lanes (lanes, fun ~base:_ ~count _ -> filled := count));
+  !filled
+
+(* ---------------- reduction payloads ---------------- *)
 
 let reduction t = t.inv.Inversion.nest.Nest.reduce
 
@@ -758,11 +816,12 @@ let reduce_comp t =
    native-int wraparound commutes with every + and *: the result is
    the exact value mod 2^63 — the same residue the JIT's u64
    accumulator yields after [Val_long] truncation. *)
-let reduce_value_int t idx =
-  let rc = reduce_comp t in
-  if t.safe then eval_bpoly rc.bval (fun s -> idx.(s))
-  else if t.compiled then H.eval rc.hval (fun s -> idx.(s))
-  else eval_cpoly rc.cval (fun s -> idx.(s))
+let value_int t rc =
+  if t.safe then fun idx -> eval_bpoly rc.bval (fun s -> idx.(s))
+  else if t.compiled then fun idx -> H.eval rc.hval (fun s -> idx.(s))
+  else fun idx -> eval_cpoly rc.cval (fun s -> idx.(s))
+
+let reduce_value_int t idx = value_int t (reduce_comp t) idx
 
 (* exact rational evaluation, for the {+, x, min, max} generic engine *)
 let reduce_rat_eval t rc =
@@ -780,259 +839,24 @@ let reduce_rat_eval t rc =
 
 let reduce_value_rat t idx = reduce_rat_eval t (reduce_comp t) idx
 
-let reduce_sum_interp t rc ~pc ~len =
-  let eval =
-    if t.safe then fun idx -> eval_bpoly rc.bval (fun s -> idx.(s))
-    else if t.compiled then fun idx -> H.eval rc.hval (fun s -> idx.(s))
-    else fun idx -> eval_cpoly rc.cval (fun s -> idx.(s))
-  in
-  let acc = ref 0 in
-  walk_from t (recover_guarded t pc) ~len (fun idx -> acc := !acc + eval idx);
-  !acc
-
 let walk_reduce_sum t ~pc ~len =
   let rc = reduce_comp t in
   if rc.r_op <> Nest.Sum then invalid_arg "Recovery.walk_reduce_sum: clause is not a sum";
-  if len <= 0 then 0
-  else begin
-    let obsv = Obsv.Control.enabled () in
-    if obsv then begin
-      Obsv.Metrics.incr_here c_walks;
-      Obsv.Metrics.add_here c_iterations len;
-      if t.safe then Obsv.Metrics.incr_here c_bigint_fallback
-    end;
-    match t.native with
-    | Some nat ->
-      if obsv then Obsv.Metrics.incr_here c_jit_hits;
-      nat.n_reduce_sum ~pc ~len
-    | None -> reduce_sum_interp t rc ~pc ~len
-  end
+  let eval = value_int t rc and acc = ref 0 in
+  chunk t ~pc ~len
+    ?native:(Option.map (fun nat () -> acc := nat.n_reduce_sum ~pc ~len) t.native)
+    (Scalar (fun idx -> acc := !acc + eval idx));
+  !acc
 
 let walk_reduce_rat t ~pc ~len =
   let rc = reduce_comp t in
   if len <= 0 then invalid_arg "Recovery.walk_reduce_rat: empty chunk";
-  let eval = reduce_rat_eval t rc in
-  let acc = ref Q.zero and seeded = ref false in
-  walk t ~pc ~len (fun idx ->
-      let v = eval idx in
-      if !seeded then acc := Nest.op_apply rc.r_op !acc v
-      else begin
-        acc := v;
-        seeded := true
-      end);
-  if not !seeded then invalid_arg "Recovery.walk_reduce_rat: pc outside the iteration space";
-  !acc
-
-(* ---------------- batched lane-walk (§VI-A) ---------------- *)
-
-(* drive [f] over [len] iterations starting from the recovered [idx],
-   materialized into [lanes] (structure-of-arrays: lanes.(k).(l) is
-   level k of lane l) in blocks of at most [vlength] consecutive ranks.
-   The innermost level is filled in lockstep runs — outer levels by
-   [Array.fill] of the shared prefix, the inner lane values by a
-   counting loop — so most lanes cost a couple of int stores and no
-   per-iteration closure call; carries reuse the finite-difference
-   bound cache of the scalar walk. *)
-let walk_lanes_from t idx ~pc0 ~len ~vlength ~lanes f =
-  let d = t.d in
-  let base = ref pc0 and remaining = ref len and alive = ref true in
-  if t.safe || not t.compiled then
-    (* fallback: polynomial-re-evaluating increment fills the lanes
-       (bigint evaluators in overflow-safe mode) *)
-    while !remaining > 0 && !alive do
-      let want = min vlength !remaining in
-      let count = ref 0 in
-      let cont = ref true in
-      while !count < want && !cont do
-        for k = 0 to d - 1 do
-          lanes.(k).(!count) <- idx.(k)
-        done;
-        incr count;
-        if not (increment t idx) then begin
-          alive := false;
-          cont := false
-        end
-      done;
-      f ~base:!base ~count:!count lanes;
-      base := !base + !count;
-      remaining := !remaining - !count
-    done
-  else begin
-    let lo, hi, build, step_bounds = bound_cache t idx in
-    let inner = d - 1 in
-    (* carry past the exhausted innermost level; false at end of space *)
-    let advance_outer () =
-      let rec go k =
-        if k < 0 then false
-        else if idx.(k) + 1 < hi.(k) then begin
-          idx.(k) <- idx.(k) + 1;
-          step_bounds (k + 1);
-          idx.(k + 1) <- lo.(k + 1);
-          for q = k + 2 to d - 1 do
-            build q;
-            idx.(q) <- lo.(q)
-          done;
-          true
-        end
-        else go (k - 1)
-      in
-      go (d - 2)
-    in
-    let ilanes = lanes.(inner) in
-    while !remaining > 0 && !alive do
-      let want = min vlength !remaining in
-      let count = ref 0 in
-      while !count < want && !alive do
-        (* lockstep run along the innermost level: consecutive ranks
-           share the outer prefix, the inner index just counts up *)
-        let run = min (want - !count) (hi.(inner) - idx.(inner)) in
-        for k = 0 to inner - 1 do
-          Array.fill lanes.(k) !count run idx.(k)
-        done;
-        let v0 = idx.(inner) in
-        for r = 0 to run - 1 do
-          ilanes.(!count + r) <- v0 + r
-        done;
-        count := !count + run;
-        idx.(inner) <- v0 + run;
-        if idx.(inner) >= hi.(inner) && not (advance_outer ()) then alive := false
-      done;
-      f ~base:!base ~count:!count lanes;
-      base := !base + !count;
-      remaining := !remaining - !count
-    done
-  end
-
-let make_lanes t vlength = Array.init t.d (fun _ -> Array.make vlength 0)
-
-(* native lane fill, batched: one [.so] recovery fills many windows'
-   worth of lanes in a single call, sliced into [vlength] blocks for
-   the callback here. Fetching window-by-window would pay a
-   binary-search recovery plus an FFI crossing every [vlength]
-   iterations — more than the interpreted incremental walk costs; the
-   batch amortizes both. A fetch shorter than the buffer means the
-   iteration space ended. *)
-let native_batch_windows = 64
-
-(* Per-domain scratch for the batched window buffer. Recovery values
-   are immutable and shared across worker domains, so the scratch is
-   keyed to the domain, not the plan: each worker reuses one buffer
-   across every chunk of a parallel region instead of allocating
-   [windows * vlength] words per chunk (the allocation used to cancel
-   out the native fill's advantage — the lane-block path benched at
-   parity with the interpreter). The buffer is *taken* for the
-   duration of the walk (the key is emptied, then restored), so a lane
-   callback that reenters a native lane walk on the same domain gets a
-   fresh buffer instead of clobbering the batch being sliced. *)
-let empty_flat : flat_lanes = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
-
-let native_scratch : flat_lanes Domain.DLS.key = Domain.DLS.new_key (fun () -> empty_flat)
-
-let acquire_scratch ~size =
-  let big = Domain.DLS.get native_scratch in
-  if Bigarray.Array1.dim big >= size then begin
-    Domain.DLS.set native_scratch empty_flat;
-    big
-  end
-  else Bigarray.Array1.create Bigarray.int Bigarray.c_layout size
-
-let walk_lanes_native nat ~pc ~len ~vlength ~lanes f =
-  let d = Array.length lanes in
-  let windows = min native_batch_windows (1 + ((len - 1) / vlength)) in
-  let width = windows * vlength in
-  let big = acquire_scratch ~size:(d * width) in
-  let base = ref pc and remaining = ref len and alive = ref true in
-  while !remaining > 0 && !alive do
-    let filled = nat.n_fill_flat ~pc:!base ~width big in
-    if filled = 0 then alive := false
-    else begin
-      let avail = min filled !remaining in
-      let off = ref 0 in
-      while !off < avail do
-        let count = min vlength (avail - !off) in
-        (* windows are a handful of words per level: a manual copy of
-           untagged bigarray words beats both [Array.blit]'s
-           out-of-line C call and the boxing a value-array staging
-           buffer would pay *)
-        for k = 0 to d - 1 do
-          let dst = lanes.(k) in
-          let row = (k * width) + !off in
-          for l = 0 to count - 1 do
-            Array.unsafe_set dst l (Bigarray.Array1.unsafe_get big (row + l))
-          done
-        done;
-        f ~base:(!base + !off) ~count lanes;
-        off := !off + count
-      done;
-      base := !base + avail;
-      remaining := !remaining - avail;
-      if filled < width then alive := false
-    end
-  done;
-  (* cache the buffer for the domain's next chunk (not restored when a
-     callback raised — the next walk then simply allocates afresh) *)
-  Domain.DLS.set native_scratch big
-
-let walk_lanes_uninstrumented t ~pc ~len ~vlength f =
-  if vlength <= 0 then invalid_arg "Recovery.walk_lanes: vlength must be positive";
-  if len > 0 then begin
-    match t.native with
-    | Some nat -> walk_lanes_native nat ~pc ~len ~vlength ~lanes:(make_lanes t vlength) f
-    | None ->
-      walk_lanes_from t (recover_guarded t pc) ~pc0:pc ~len ~vlength ~lanes:(make_lanes t vlength) f
-  end
-
-let c_lane_blocks = Obsv.Metrics.create "recovery.lane_blocks"
-
-let walk_lanes t ~pc ~len ~vlength f =
-  if not (Obsv.Control.enabled ()) then walk_lanes_uninstrumented t ~pc ~len ~vlength f
-  else begin
-    if vlength <= 0 then invalid_arg "Recovery.walk_lanes: vlength must be positive";
-    if len > 0 then begin
-      Obsv.Metrics.incr_here c_walks;
-      if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
-      Obsv.Trace.with_span "recovery.walk_lanes"
-        ~args:
-          [ ("pc", Obsv.Trace.Int pc); ("len", Obsv.Trace.Int len);
-            ("vlength", Obsv.Trace.Int vlength) ]
-        (fun () ->
-          let counted ~base ~count lanes =
-            Obsv.Metrics.incr_here c_lane_blocks;
-            Obsv.Metrics.add_here c_iterations count;
-            f ~base ~count lanes
-          in
-          match t.native with
-          | Some nat ->
-            Obsv.Metrics.incr_here c_jit_hits;
-            walk_lanes_native nat ~pc ~len ~vlength ~lanes:(make_lanes t vlength) counted
-          | None ->
-            let t0 = Obsv.Clock.now_ns () in
-            let idx = recover_guarded t pc in
-            let t1 = Obsv.Clock.now_ns () in
-            Obsv.Metrics.add_here c_recover_ns (t1 - t0);
-            walk_lanes_from t idx ~pc0:pc ~len ~vlength ~lanes:(make_lanes t vlength) counted;
-            Obsv.Metrics.add_here c_step_ns (Obsv.Clock.now_ns () - t1))
-    end
-  end
-
-let recover_block t ~pc lanes =
-  if Array.length lanes <> t.d then
-    invalid_arg "Recovery.recover_block: lanes must have one row per nest level";
-  let width = Array.length lanes.(0) in
-  Array.iter
-    (fun row ->
-      if Array.length row <> width then
-        invalid_arg "Recovery.recover_block: ragged lanes buffer")
-    lanes;
-  let filled = ref 0 in
-  if width > 0 && pc >= 1 && pc <= t.trip then begin
-    match t.native with
-    | Some nat ->
-      if Obsv.Control.enabled () then Obsv.Metrics.incr_here c_jit_hits;
-      filled := nat.n_fill_block ~pc lanes
-    | None ->
-      let len = min width (t.trip - pc + 1) in
-      walk_lanes_from t (recover_guarded t pc) ~pc0:pc ~len ~vlength:width ~lanes
-        (fun ~base:_ ~count _ -> filled := count)
-  end;
-  !filled
+  let eval = reduce_rat_eval t rc and acc = ref None in
+  chunk t ~pc ~len
+    (Scalar
+       (fun idx ->
+         let v = eval idx in
+         acc := Some (match !acc with None -> v | Some a -> Nest.op_apply rc.r_op a v)));
+  match !acc with
+  | Some q -> q
+  | None -> invalid_arg "Recovery.walk_reduce_rat: pc outside the iteration space"

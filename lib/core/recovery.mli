@@ -16,8 +16,18 @@
       degree <= 4 restriction (extension; also the fallback the library
       uses when symbolic inversion fails).
 
-    It also implements the §V incremental walk ([increment]) used to
-    advance indices cheaply after one costly recovery per chunk.
+    {b One chunk engine.} Every chunk entry point — {!walk},
+    {!walk_hash}, {!walk_lanes}, {!recover_block}, {!walk_reduce_sum},
+    {!walk_reduce_rat} — is a payload over one private engine: the
+    paper's §V scheme of one {!recover_guarded} at the chunk's first
+    rank, then a carry over cached per-level bounds (difference-table
+    steppers on the compiled pipeline, re-evaluated polynomials on the
+    fallbacks) in a scalar shape (one callback per iteration) or a
+    lane-block shape (§VI-A lockstep blocks). One instrumentation
+    wrapper records every entry's counters and span. A native backend
+    ({!attach_native}) replaces a whole chunk of {!walk_hash} or
+    {!walk_reduce_sum} with one call into the specialized object.
+    {!increment} is the same §V step as a standalone primitive.
 
     {b Overflow-safe mode.} The native-int pipelines are exact only
     while their scaled intermediates fit 63 bits. {!make} precomputes
@@ -28,10 +38,11 @@
     ({!overflow_guarded}): every ranking/bound evaluation routes
     through exact bigint arithmetic, {!recover_guarded} degrades to
     {!recover_binsearch} (the closed forms' floats are hopeless at
-    such sizes), and the walks take the re-evaluating increment path —
-    slower, but exact instead of silently wrapped. The
-    [recovery.bigint_fallback] counter records both the {!make}
-    detection and each walk routed through the safe path.
+    such sizes), and the engine re-evaluates bounds instead of
+    stepping difference tables — slower, but exact instead of
+    silently wrapped. The [recovery.bigint_fallback] counter records
+    both the {!make} detection and each chunk routed through the safe
+    path.
 
     A {!t} is immutable after {!make}: all recovery and bound queries
     are safe to call concurrently from multiple domains (the parallel
@@ -43,35 +54,25 @@ type t
     shared object provides, already bound to this recovery's parameter
     values. [n_walk_hash ~pc ~len] is the whole checksum reduction of
     {!walk_hash} in one call; [n_recover ~pc idx] writes the recovered
-    indices of rank [pc] into [idx]; [n_fill_block ~pc lanes] is the
-    one-block SoA fill of {!recover_block} (returns lanes filled, 0
-    when [pc] is outside the space); [n_reduce_sum ~pc ~len] is the
+    indices of rank [pc] into [idx]; [n_reduce_sum ~pc ~len] is the
     whole int64 sum reduction of {!walk_reduce_sum} in one call (the
     shared object always exports the symbol — it returns 0 when the
     plan's nest carries no clause, and is only routed to when it
-    does). All four must agree bit-for-bit with the interpreted
+    does). All three must agree bit-for-bit with the interpreted
     implementations — the QCheck oracle checks this on random nests. *)
-type flat_lanes = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Row-major off-heap lane buffer: level [k]'s value for the [l]-th
-    rank of a fill at stride [width] lives at [k * width + l]. The
-    native fill writes it directly from C — untagged words, no staging
-    copy — which is what makes the batched lane walk beat the
-    interpreted incremental fill. *)
-
 type native = {
   n_walk_hash : pc:int -> len:int -> int;
   n_recover : pc:int -> int array -> unit;
-  n_fill_block : pc:int -> int array array -> int;
-  n_fill_flat : pc:int -> width:int -> flat_lanes -> int;
   n_reduce_sum : pc:int -> len:int -> int;
 }
 
-(** [attach_native t nat] returns a recovery that routes {!walk_hash},
-    {!walk_lanes} and {!recover_block} through the native backend.
-    Refused (returns [t] unchanged) on an {!overflow_guarded} recovery:
-    the specialized int64 C would wrap exactly where the bigint path is
-    required, so PR-4 overflow mode stays interpreted. Callers detect
-    the refusal with {!native_enabled} and count it as a jit fallback. *)
+(** [attach_native t nat] returns a recovery that routes {!walk_hash}
+    and {!walk_reduce_sum} through the native backend (every other
+    entry point stays interpreted). Refused (returns [t] unchanged) on
+    an {!overflow_guarded} recovery: the specialized int64 C would
+    wrap exactly where the bigint path is required, so overflow mode
+    stays interpreted. Callers detect the refusal with
+    {!native_enabled} and count it as a jit fallback. *)
 val attach_native : t -> native -> t
 
 (** [native_enabled t] is [true] when a native backend is attached. *)
@@ -191,29 +192,45 @@ val rank_stepper : t -> level:int -> start:int -> int array -> Polymath.Horner.S
     [f] receives the walker's internal index array; it must not retain
     or mutate it.
 
-    When the observability layer is on ({!Obsv.Control.enabled}), each
-    call additionally bumps the [recovery.walks]/[recovery.iterations]
-    counters, splits its time into [recovery.recover_ns] (the one
-    closed-form recovery) vs [recovery.step_ns] (the incremental
-    stepping), and records a [recovery.walk] trace span. When it is
-    off, the only added cost over {!walk_uninstrumented} is one
-    flag check per call. *)
+    When the observability layer is on ({!Obsv.Control.enabled}),
+    every chunk entry point ({!walk}, {!walk_hash}, {!walk_lanes},
+    {!recover_block}, {!walk_reduce_sum}, {!walk_reduce_rat}) records
+    the same ledger per call: [recovery.walks] +1,
+    [recovery.iterations] + the iterations actually visited, a
+    [recovery.walk] trace span, and — on the interpreted engine — the
+    [recovery.recover_ns] (the one recovery) vs [recovery.step_ns]
+    (the stepping) time split; a chunk served by the native backend
+    bumps [jit.hit] once instead. When the layer is off, the only
+    added cost over {!walk_uninstrumented} is one flag check per
+    call. *)
 val walk : t -> pc:int -> len:int -> (int array -> unit) -> unit
+
+(** [walk_uninstrumented] is {!walk} without the instrumentation
+    wrapper — the bare engine, kept as the reference the overhead
+    micro-bench ([bench/main.exe -- micro-obsv]) compares {!walk}
+    against. Prefer {!walk} everywhere else. *)
+val walk_uninstrumented : t -> pc:int -> len:int -> (int array -> unit) -> unit
+
+(** [iter_hash idx] is the checksum hash of one iteration tuple:
+    [fold h = h*1000003 + idx.(k)] from [h = 0] (native-int
+    wraparound). Summed over a chunk it is order-independent, so
+    concurrent chunks sum to the serial reference. *)
+val iter_hash : int array -> int
+
+(** [lane_hash lanes l] is {!iter_hash} of lane [l] of a
+    structure-of-arrays block (as delivered by {!walk_lanes}). *)
+val lane_hash : int array array -> int -> int
 
 (** [walk_hash t ~pc ~len] is the collapsed checksum walk — the
     execution payload of [trahrhe exec] and the service as a
     first-class operation: one recovery at rank [pc], then the sum
-    (native-int wraparound) of [fold h = h*1000003 + idx.(k)] over the
-    next [len] iterations, stopping at the end of the space. With a
-    native backend attached ({!attach_native}) the whole reduction runs
-    in the specialized [.so] — one C call per chunk, no per-iteration
-    callback — and bumps the [jit.hit] counter; otherwise it is
-    equivalent to accumulating over {!walk}. *)
+    (native-int wraparound) of {!iter_hash} over the next [len]
+    iterations, stopping at the end of the space. With a native
+    backend attached ({!attach_native}) the whole reduction runs in
+    the specialized [.so] — one C call per chunk, no per-iteration
+    callback; otherwise it is equivalent to accumulating over
+    {!walk}. *)
 val walk_hash : t -> pc:int -> len:int -> int
-
-(** [walk_hash_uninstrumented] is {!walk_hash} minus the observability
-    check, as {!walk_uninstrumented} is to {!walk}. *)
-val walk_hash_uninstrumented : t -> pc:int -> len:int -> int
 
 (** {2 Reduction walks}
 
@@ -254,12 +271,6 @@ val walk_reduce_sum : t -> pc:int -> len:int -> int
     iteration space. *)
 val walk_reduce_rat : t -> pc:int -> len:int -> Zmath.Rat.t
 
-(** [walk_uninstrumented] is {!walk} with the observability check
-    compiled out of the call — the reference the overhead micro-bench
-    ([bench/main.exe -- micro-obsv]) compares {!walk} against. Prefer
-    {!walk} everywhere else. *)
-val walk_uninstrumented : t -> pc:int -> len:int -> (int array -> unit) -> unit
-
 (** [walk_lanes t ~pc ~len ~vlength f] is the §VI-A batched lane-walk:
     ONE costly recovery at the collapsed index [pc], then the next
     [len] iterations are delivered in blocks of up to [vlength]
@@ -281,16 +292,9 @@ val walk_uninstrumented : t -> pc:int -> len:int -> (int array -> unit) -> unit
     micro-lanes] tracks it).
 
     [f] receives the walker's internal buffer; it must not retain or
-    mutate it. With observability on, counts [recovery.lane_blocks] /
-    [recovery.iterations] and records a [recovery.walk_lanes] span
-    with the same recover-vs-step time split as {!walk}.
+    mutate it. Instrumented like {!walk}.
     @raise Invalid_argument when [vlength <= 0]. *)
 val walk_lanes :
-  t -> pc:int -> len:int -> vlength:int -> (base:int -> count:int -> int array array -> unit) -> unit
-
-(** [walk_lanes_uninstrumented] is {!walk_lanes} minus the
-    observability check, as {!walk_uninstrumented} is to {!walk}. *)
-val walk_lanes_uninstrumented :
   t -> pc:int -> len:int -> vlength:int -> (base:int -> count:int -> int array array -> unit) -> unit
 
 (** [recover_block t ~pc lanes] is the one-block §VI-A primitive:

@@ -319,62 +319,5 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
                  C.If { cond = "omp_rem <= 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
                @ carry ~after_exhausted:[] } ]
       @ [ C.Raw "return omp_acc;" ]);
-    (* one-block SoA lane fill (row-major buffer, one row per level) *)
-    fn buf ~ret:i64 ~name:"ompsim_block"
-      ~args:
-        (Printf.sprintf "const %s *omp_P, %s omp_pc, %s omp_width, %s *omp_buf" i64 i64 i64 i64)
-      ([ C.Decl { ty = i64; name = Printf.sprintf "omp_x[%d]" d; init = None };
-         C.Decl { ty = i64; name = Printf.sprintf "omp_lo[%d]" d; init = None };
-         C.Decl { ty = i64; name = Printf.sprintf "omp_hi[%d]" d; init = None };
-         C.Decl { ty = i64; name = "omp_trip"; init = Some "ompsim_trip(omp_P)" };
-         C.Decl { ty = i64; name = "omp_len"; init = None };
-         C.Decl { ty = i64; name = "omp_n"; init = Some "0" };
-         C.If
-           { cond = "omp_width <= 0 || omp_pc < 1 || omp_pc > omp_trip";
-             then_ = [ C.Raw "return 0;" ];
-             else_ = [] };
-         C.Assign ("omp_len", "omp_trip - omp_pc + 1");
-         C.If
-           { cond = "omp_len > omp_width";
-             then_ = [ C.Assign ("omp_len", "omp_width") ];
-             else_ = [] };
-         C.Raw "ompsim_recover(omp_P, omp_pc, omp_x);";
-         rebound_all;
-         C.For
-           { init = "";
-             cond = "";
-             step = "";
-             body =
-               [ C.Decl
-                   { ty = i64;
-                     name = "omp_run";
-                     init = Some (Printf.sprintf "omp_hi[%d] - omp_x[%d]" (d - 1) (d - 1)) };
-                 C.If
-                   { cond = "omp_run > omp_len - omp_n";
-                     then_ = [ C.Assign ("omp_run", "omp_len - omp_n") ];
-                     else_ = [] } ]
-               @ List.init (d - 1) (fun k ->
-                     C.For
-                       { init = Printf.sprintf "%s omp_r = 0" i64;
-                         cond = "omp_r < omp_run";
-                         step = "omp_r++";
-                         body =
-                           [ C.Raw
-                               (Printf.sprintf
-                                  "omp_buf[%d * omp_width + omp_n + omp_r] = omp_x[%d];" k k)
-                           ] })
-               @ [ C.For
-                     { init = Printf.sprintf "%s omp_r = 0" i64;
-                       cond = "omp_r < omp_run";
-                       step = "omp_r++";
-                       body =
-                         [ C.Raw
-                             (Printf.sprintf
-                                "omp_buf[%d * omp_width + omp_n + omp_r] = omp_x[%d] + omp_r;"
-                                (d - 1) (d - 1)) ] };
-                   C.Raw "omp_n += omp_run;";
-                   C.If { cond = "omp_n >= omp_len"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
-               @ carry ~after_exhausted:[] } ]
-      @ [ C.Raw "return omp_n;" ]);
     Ok (Buffer.contents buf)
   with Error msg -> Result.Error ("jit emit: " ^ msg)

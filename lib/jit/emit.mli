@@ -22,8 +22,8 @@
       [pc];
     - [ompsim_walk_hash(P, pc, len)] — one recovery + incremental
       walk accumulating the collapsed checksum over [len] ranks;
-    - [ompsim_block(P, pc, width, buf)] — one-block SoA lane fill
-      (row-major, one row per level), returning lanes filled.
+    - [ompsim_reduce_sum(P, pc, len)] — the same walk accumulating the
+      nest's reduction value (0 when the nest carries no clause).
 
     The inversion must be a canonical plan ([x0..], [p0..]): any
     variable that is not an emittable C identifier is rejected with

@@ -8,8 +8,9 @@
  * ompsim_jit_walk_hash releases the OCaml runtime for the duration of
  * the native walk: the C code touches only its own stack and the
  * parameter copy, and a long chunk must not delay other domains'
- * stop-the-world collections. The block/recover stubs write into
- * OCaml arrays, so they keep the runtime and stay short instead.
+ * stop-the-world collections (ompsim_jit_reduce_sum likewise). The
+ * recover stub writes into an OCaml array, so it keeps the runtime
+ * and stays short instead.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -18,7 +19,6 @@
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
-#include <caml/bigarray.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
 #include <caml/signals.h>
@@ -36,7 +36,6 @@ typedef struct {
   void (*recover)(const int64_t *, int64_t, int64_t *);
   uint64_t (*walk_hash)(const int64_t *, int64_t, int64_t);
   uint64_t (*reduce_sum)(const int64_t *, int64_t, int64_t);
-  int64_t (*block)(const int64_t *, int64_t, int64_t, int64_t *);
 } jit_handle;
 
 #define Handle_val(v) (*(jit_handle **)Data_abstract_val(v))
@@ -74,11 +73,9 @@ CAMLprim value ompsim_jit_open(value vpath)
     (uint64_t (*)(const int64_t *, int64_t, int64_t))dlsym(dl, "ompsim_walk_hash");
   h->reduce_sum =
     (uint64_t (*)(const int64_t *, int64_t, int64_t))dlsym(dl, "ompsim_reduce_sum");
-  h->block =
-    (int64_t (*)(const int64_t *, int64_t, int64_t, int64_t *))dlsym(dl, "ompsim_block");
   if (h->abi == NULL || h->fingerprint == NULL || h->depth == NULL || h->nparams == NULL
       || h->trip == NULL || h->recover == NULL || h->walk_hash == NULL
-      || h->reduce_sum == NULL || h->block == NULL) {
+      || h->reduce_sum == NULL) {
     dlclose(dl);
     free(h);
     caml_failwith("ompsim jit: missing symbol in shared object");
@@ -180,57 +177,4 @@ CAMLprim value ompsim_jit_recover(value vh, value vp, value vpc, value vidx)
   h->recover(P, (int64_t)Long_val(vpc), X);
   for (k = 0; k < d; k++) Field(vidx, k) = Val_long((intnat)X[k]);
   return Val_unit;
-}
-
-CAMLprim value ompsim_jit_block(value vh, value vp, value vpc, value vlanes)
-{
-  jit_handle *h = get_handle(vh);
-  int64_t P[OMPSIM_JIT_MAX_PARAMS];
-  int64_t *buf;
-  intnat width, n;
-  int d, k;
-  copy_params(vp, P);
-  d = (int)h->depth();
-  if (d < 1 || Wosize_val(vlanes) != (uintnat)d)
-    caml_invalid_argument("ompsim jit: lanes rows != depth");
-  width = (intnat)Wosize_val(Field(vlanes, 0));
-  for (k = 1; k < d; k++)
-    if ((intnat)Wosize_val(Field(vlanes, k)) != width)
-      caml_invalid_argument("ompsim jit: ragged lanes buffer");
-  if (width == 0) return Val_long(0);
-  buf = malloc(sizeof(int64_t) * (size_t)d * (size_t)width);
-  if (buf == NULL) caml_failwith("ompsim jit: out of memory");
-  n = (intnat)h->block(P, (int64_t)Long_val(vpc), (int64_t)width, buf);
-  if (n < 0 || n > width) n = 0; /* defensive: a broken .so must not corrupt lanes */
-  for (k = 0; k < d; k++) {
-    value row = Field(vlanes, k);
-    intnat l;
-    for (l = 0; l < n; l++) Field(row, l) = Val_long((intnat)buf[k * width + l]);
-  }
-  free(buf);
-  return Val_long(n);
-}
-
-/* Flat variant for the batched lane walk: the .so's ompsim_block
- * already writes a row-major int64 buffer, and an int-kind Bigarray
- * stores untagged intnat words — on 64-bit those layouts coincide, so
- * the generated code can fill the caller's buffer directly with no
- * staging malloc and no per-element boxing. Bigarray data is
- * off-heap, so handing the pointer to C is safe without pinning. */
-CAMLprim value ompsim_jit_block_flat(value vh, value vp, value vpc, value vwidth, value vba)
-{
-  jit_handle *h = get_handle(vh);
-  int64_t P[OMPSIM_JIT_MAX_PARAMS];
-  intnat width = Long_val(vwidth);
-  intnat n;
-  int d;
-  copy_params(vp, P);
-  d = (int)h->depth();
-  if (d < 1 || width <= 0 || Caml_ba_array_val(vba)->num_dims != 1
-      || Caml_ba_array_val(vba)->dim[0] < (intnat)d * width)
-    caml_invalid_argument("ompsim jit: flat lanes buffer too small");
-  n = (intnat)h->block(P, (int64_t)Long_val(vpc), (int64_t)width,
-                       (int64_t *)Caml_ba_data_val(vba));
-  if (n < 0 || n > width) n = 0; /* defensive, as above */
-  return Val_long(n);
 }

@@ -10,12 +10,6 @@ external raw_trip : handle -> int array -> int = "ompsim_jit_trip"
 external raw_recover : handle -> int array -> int -> int array -> unit = "ompsim_jit_recover"
 external raw_walk_hash : handle -> int array -> int -> int -> int = "ompsim_jit_walk_hash"
 external raw_reduce_sum : handle -> int array -> int -> int -> int = "ompsim_jit_reduce_sum"
-external raw_block : handle -> int array -> int -> int array array -> int = "ompsim_jit_block"
-
-type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-external raw_block_flat : handle -> int array -> int -> int -> flat -> int
-  = "ompsim_jit_block_flat"
 
 let depth = raw_depth
 let params = raw_params
@@ -24,23 +18,6 @@ let trip h ps = raw_trip h ps
 let walk_hash h ps ~pc ~len = raw_walk_hash h ps pc len
 let reduce_sum h ps ~pc ~len = raw_reduce_sum h ps pc len
 let recover h ps ~pc idx = raw_recover h ps pc idx
-
-let fill_block h ps ~pc lanes =
-  let d = raw_depth h in
-  if Array.length lanes <> d then
-    invalid_arg "Jit.Native.fill_block: lanes must have one row per nest level";
-  let width = if d = 0 then 0 else Array.length lanes.(0) in
-  Array.iter
-    (fun row ->
-      if Array.length row <> width then invalid_arg "Jit.Native.fill_block: ragged lanes buffer")
-    lanes;
-  if width = 0 then 0 else raw_block h ps pc lanes
-
-let fill_block_flat h ps ~pc ~width buf =
-  if width <= 0 then invalid_arg "Jit.Native.fill_block_flat: width must be positive";
-  if Bigarray.Array1.dim buf < raw_depth h * width then
-    invalid_arg "Jit.Native.fill_block_flat: buffer shorter than depth * width";
-  raw_block_flat h ps pc width buf
 
 (* load-time validation: an object built by another ABI or for another
    plan is an error here — callers treat it as a silent cache miss *)

@@ -47,23 +47,3 @@ val reduce_sum : handle -> int array -> pc:int -> len:int -> int
     into [idx] (length >= depth).
     @raise Invalid_argument on an undersized buffer. *)
 val recover : handle -> int array -> pc:int -> int array -> unit
-
-(** [fill_block h ps ~pc lanes] fills the SoA buffer with consecutive
-    ranks from [pc]; same contract as
-    {!Trahrhe.Recovery.recover_block}.
-    @raise Invalid_argument on a misshapen buffer. *)
-val fill_block : handle -> int array -> pc:int -> int array array -> int
-
-(** A flat row-major lane buffer: level [k]'s value for the [l]-th rank
-    of a fill at stride [width] lives at index [k * width + l]. An
-    int-kind Bigarray stores untagged machine words off-heap, so the
-    specialized C fills it directly — no staging copy, no boxing. *)
-type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(** [fill_block_flat h ps ~pc ~width buf] fills up to [width]
-    consecutive ranks from [pc] into [buf] at stride [width], one row
-    per nest level; returns ranks filled (0 when [pc] is outside the
-    space).
-    @raise Invalid_argument when [width <= 0] or [buf] is shorter than
-    [depth * width]. *)
-val fill_block_flat : handle -> int array -> pc:int -> width:int -> flat -> int

@@ -366,7 +366,7 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
   (* per-slot success ranges: one writer per cell, merged after join.
      The list heads live 16 slots apart so two workers' per-chunk
      conses never fight over one cache line (same padding discipline
-     as the engine's partial-checksum arrays). *)
+     as the reduction partials below). *)
   let dr_stride = 16 in
   let done_ranges = Array.make (nthreads * dr_stride) [] in
   let cancel () =

@@ -1,0 +1,134 @@
+module N = Trahrhe.Nest
+module R = Trahrhe.Recovery
+module Q = Zmath.Rat
+module Par = Ompsim.Par
+
+type opts = {
+  threads : int;
+  schedule : Ompsim.Schedule.t;
+  lanes : int;
+  repeat : int;
+  retries : int;
+  native : bool;
+  reduce : N.red_op option;
+}
+
+type value = Int of int | Rat of Q.t
+
+let value_equal a b =
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Rat x, Rat y -> Q.compare x y = 0
+  | _ -> false
+
+type failure =
+  | Empty_extremum
+  | Region of { run : int; error : Par.region_error }
+  | Raised of { run : int; exn : exn }
+  | Mismatch of { run : int; parallel : value; serial : value }
+
+type outcome = { reference : value; run_times : float array }
+
+let recovery ?native plan ~param opts =
+  if opts.native then
+    Native.recovery_explain (match native with Some nt -> nt | None -> Native.default ()) plan ~param
+  else (Plan.recovery plan ~param, None)
+
+(* the extremum of an empty space has no value: min/max carry no
+   neutral element *)
+let rat_result op = function
+  | Some q -> Some q
+  | None -> N.op_neutral op
+
+(* serial reference: the plain left fold over the canonical nest in
+   iteration order — the value every parallel run must equal bit for
+   bit. [None] only for min/max over an empty space. *)
+let serial rc nest ~param opts =
+  match opts.reduce with
+  | None ->
+    let acc = ref 0 in
+    N.iterate nest ~param (fun idx -> acc := !acc + R.iter_hash idx);
+    Some (Int !acc)
+  | Some N.Sum ->
+    let acc = ref 0 in
+    N.iterate nest ~param (fun idx -> acc := !acc + R.reduce_value_int rc idx);
+    Some (Int !acc)
+  | Some op ->
+    let acc = ref None in
+    N.iterate nest ~param (fun idx ->
+        let v = R.reduce_value_rat rc idx in
+        acc := Some (match !acc with None -> v | Some a -> N.op_apply op a v));
+    Option.map (fun q -> Rat q) (rat_result op !acc)
+
+(* the checksum chunk body: one [walk_hash] call per chunk (a single
+   native call when the backend engaged), or the §VI-A lane walk
+   hashing each lane of its lockstep blocks *)
+let checksum_body rc opts =
+  if opts.lanes > 1 && not opts.native then fun ~thread:_ ~start ~len ->
+    let acc = ref 0 in
+    R.walk_lanes rc ~pc:(start + 1) ~len ~vlength:opts.lanes (fun ~base:_ ~count buf ->
+        for l = 0 to count - 1 do
+          acc := !acc + R.lane_hash buf l
+        done);
+    !acc
+  else fun ~thread:_ ~start ~len -> R.walk_hash rc ~pc:(start + 1) ~len
+
+(* one parallel run: every payload, the checksum included, is a
+   reduction over the chunk partition — per-worker partials and the
+   deterministic combine tree of [Par.reduce_chunks], supervised
+   through [Par.reduce_resilient] when the front end asks for it *)
+let parallel ?faults ?deadline_ms ~supervised rc opts =
+  let n = R.trip_count rc in
+  let region combine body =
+    if supervised then
+      Par.reduce_resilient ~retries:opts.retries ?deadline_ms ?faults ~nthreads:opts.threads
+        ~schedule:opts.schedule ~n ~combine body
+    else Ok (Par.reduce_chunks ~nthreads:opts.threads ~schedule:opts.schedule ~n ~combine body)
+  in
+  let ints body = Result.map (fun o -> Int (Option.value ~default:0 o)) (region ( + ) body) in
+  match opts.reduce with
+  | None -> ints (checksum_body rc opts)
+  | Some N.Sum -> ints (fun ~thread:_ ~start ~len -> R.walk_reduce_sum rc ~pc:(start + 1) ~len)
+  | Some op ->
+    region (N.op_apply op) (fun ~thread:_ ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
+    |> Result.map (fun o ->
+           (* unreachable [None]: the serial reference rejects an empty min/max first *)
+           Rat (Option.value ~default:Q.zero (rat_result op o)))
+
+let run ?faults ?deadline_ms ?started ~supervised rc ~nest ~param opts =
+  match serial rc nest ~param opts with
+  | None -> Error Empty_extremum
+  | Some reference ->
+    let started = match started with Some t -> t | None -> Unix.gettimeofday () in
+    let trip = R.trip_count rc in
+    let run_times = Array.make opts.repeat 0.0 in
+    (* the deadline budget covers all [repeat] runs: each run gets
+       whatever of it remains *)
+    let remaining () =
+      Option.map
+        (fun ms -> max 0 (ms - int_of_float ((Unix.gettimeofday () -. started) *. 1e3)))
+        deadline_ms
+    in
+    let rec go r =
+      if r > opts.repeat then Ok { reference; run_times }
+      else
+        match remaining () with
+        | Some 0 ->
+          (* spent before the run starts: what a region cancelled
+             before its first chunk reports *)
+          let unrecovered = if trip > 0 then [ (0, trip) ] else [] in
+          Error
+            (Region
+               { run = r;
+                 error = { Par.reason = Par.Deadline_expired; failures = []; unrecovered } })
+        | budget -> (
+          let t0 = Unix.gettimeofday () in
+          match parallel ?faults ?deadline_ms:budget ~supervised rc opts with
+          | exception exn -> Error (Raised { run = r; exn })
+          | Error error -> Error (Region { run = r; error })
+          | Ok v ->
+            run_times.(r - 1) <- Unix.gettimeofday () -. t0;
+            if value_equal v reference then go (r + 1)
+            else Error (Mismatch { run = r; parallel = v; serial = reference }))
+    in
+    go 1

@@ -106,8 +106,6 @@ let recovery_explain t (plan : Plan.t) ~param =
         ( R.attach_native rc
             { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
               n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
-              n_fill_block = (fun ~pc lanes -> Jit.Native.fill_block h ps ~pc lanes);
-              n_fill_flat = (fun ~pc ~width buf -> Jit.Native.fill_block_flat h ps ~pc ~width buf);
               n_reduce_sum = (fun ~pc ~len -> Jit.Native.reduce_sum h ps ~pc ~len) },
           None )
       end

@@ -4,19 +4,9 @@ module Q = Zmath.Rat
 module N = Trahrhe.Nest
 module R = Trahrhe.Recovery
 
-type exec_opts = {
-  threads : int;
-  schedule : Ompsim.Schedule.t;
-  lanes : int;
-  repeat : int;
-  retries : int;
-  native : bool;
-  reduce : N.red_op option;
-}
-
 type request =
   | Compile of { label : string; nest : N.t }
-  | Exec of { label : string; nest : N.t; param : string -> int; opts : exec_opts }
+  | Exec of { label : string; nest : N.t; param : string -> int; opts : Exec.opts }
   | Health
   | Shutdown
 
@@ -280,7 +270,7 @@ let parse_request_uncached line =
     let label = Option.value ~default:name (List.assoc_opt "label" fields) in
     Ok
       (Some
-         (Exec { label; nest; param; opts = { threads; schedule; lanes; repeat; retries; native; reduce } }))
+         (Exec { label; nest; param; opts = { Exec.threads; schedule; lanes; repeat; retries; native; reduce } }))
   | op :: _ -> Error (Printf.sprintf "unknown operation %S (compile | exec | health | shutdown)" op)
 
 (* Parsed request lines, memoized by the line itself. Clients of a
@@ -337,133 +327,9 @@ let error_json ~op ~label e =
   Printf.sprintf {|{"op":"%s","label":"%s","status":"error","error":"%s"}|} op (json_escape label)
     (json_escape e)
 
-(* order-independent checksum of one iteration tuple (same hash as
-   [trahrhe exec], so responses are comparable across front ends) *)
-let iter_hash idx =
-  let h = ref 0 in
-  Array.iter (fun v -> h := (!h * 1000003) + v) idx;
-  !h
-
-(* how one parallel execution failed: the deadline is distinguished so
-   the serve loop can count [serve.timeout] without string matching *)
-type run_failure = Run_timeout | Run_error of string
-
-(* one parallel execution of the collapsed nest; returns the checksum.
-   A deadline (the per-request timeout) routes through the PR-4
-   supervised region, whose cooperative cancellation token every
-   schedule polls at chunk granularity. *)
-let run_once ?deadline_ms rc opts =
-  let trip = R.trip_count rc in
-  let stride = 16 in
-  let partial = Array.make (opts.threads * stride) 0 in
-  let body ~thread ~start ~len =
-    let cell = thread * stride in
-    if opts.native then
-      (* the whole chunk reduction in one call: native when a backend
-         is attached, the equivalent interpreted fold otherwise *)
-      partial.(cell) <- partial.(cell) + R.walk_hash rc ~pc:(start + 1) ~len
-    else if opts.lanes > 1 then
-      R.walk_lanes rc ~pc:(start + 1) ~len ~vlength:opts.lanes (fun ~base:_ ~count buf ->
-          let d = Array.length buf in
-          for l = 0 to count - 1 do
-            let h = ref 0 in
-            for k = 0 to d - 1 do
-              h := (!h * 1000003) + buf.(k).(l)
-            done;
-            partial.(cell) <- partial.(cell) + !h
-          done)
-    else R.walk rc ~pc:(start + 1) ~len (fun idx -> partial.(cell) <- partial.(cell) + iter_hash idx)
-  in
-  let outcome =
-    try
-      if opts.retries > 0 || deadline_ms <> None then
-        Ompsim.Par.run_resilient ~retries:opts.retries ?deadline_ms ~nthreads:opts.threads
-          ~schedule:opts.schedule ~n:trip body
-        |> Result.map_error (fun (e : Ompsim.Par.region_error) ->
-               match e.Ompsim.Par.reason with
-               | Ompsim.Par.Deadline_expired -> Run_timeout
-               | Ompsim.Par.Chunk_failed -> Run_error (Ompsim.Par.describe_error e))
-      else begin
-        Ompsim.Par.parallel_for_chunks ~nthreads:opts.threads ~schedule:opts.schedule ~n:trip body;
-        Ok ()
-      end
-    with e -> Error (Run_error (Printexc.to_string e))
-  in
-  Result.map
-    (fun () ->
-      let sum = ref 0 in
-      for t = 0 to opts.threads - 1 do
-        sum := !sum + partial.(t * stride)
-      done;
-      !sum)
-    outcome
-
-(* ---- parallel reductions over the collapsed range ---- *)
-
-(* a reduction result: int64 path for sum (native-able), exact
-   rationals for prod/min/max *)
-type reduce_value = Rint of int | Rrat of Q.t
-
-let reduce_value_json = function
-  | Rint n -> string_of_int n
-  | Rrat q -> Printf.sprintf {|"%s"|} (json_escape (Q.to_string q))
-
-let reduce_value_equal a b =
-  match (a, b) with
-  | Rint x, Rint y -> x = y
-  | Rrat x, Rrat y -> Q.compare x y = 0
-  | _ -> false
-
-(* serial reference: the plain left fold over the canonical nest in
-   iteration order — the value every parallel combine tree must equal
-   bit for bit. [None] only for min/max over an empty space. *)
-let serial_reduce rc nest ~cparam ~op =
-  match op with
-  | N.Sum ->
-    let acc = ref 0 in
-    N.iterate nest ~param:cparam (fun idx -> acc := !acc + R.reduce_value_int rc idx);
-    Some (Rint !acc)
-  | _ ->
-    let acc = ref None in
-    N.iterate nest ~param:cparam (fun idx ->
-        let v = R.reduce_value_rat rc idx in
-        acc := Some (match !acc with None -> v | Some a -> N.op_apply op a v));
-    (match (!acc, N.op_neutral op) with
-    | Some q, _ -> Some (Rrat q)
-    | None, Some q -> Some (Rrat q)
-    | None, None -> None)
-
-(* one parallel reduction over the collapsed range: per-worker
-   partials, deterministic combine tree (Par.reduce_chunks), with the
-   same resilient/deadline routing as the checksum path *)
-let run_reduce ?deadline_ms rc ~op opts =
-  let trip = R.trip_count rc in
-  let region combine body =
-    try
-      if opts.retries > 0 || deadline_ms <> None then
-        Ompsim.Par.reduce_resilient ~retries:opts.retries ?deadline_ms ~nthreads:opts.threads
-          ~schedule:opts.schedule ~n:trip ~combine body
-        |> Result.map_error (fun (e : Ompsim.Par.region_error) ->
-               match e.Ompsim.Par.reason with
-               | Ompsim.Par.Deadline_expired -> Run_timeout
-               | Ompsim.Par.Chunk_failed -> Run_error (Ompsim.Par.describe_error e))
-      else
-        Ok
-          (Ompsim.Par.reduce_chunks ~nthreads:opts.threads ~schedule:opts.schedule ~n:trip
-             ~combine body)
-    with e -> Error (Run_error (Printexc.to_string e))
-  in
-  match op with
-  | N.Sum ->
-    region ( + ) (fun ~thread:_ ~start ~len -> R.walk_reduce_sum rc ~pc:(start + 1) ~len)
-    |> Result.map (fun o -> Rint (Option.value ~default:0 o))
-  | _ ->
-    region (N.op_apply op) (fun ~thread:_ ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
-    |> Result.map (fun o ->
-           match (o, N.op_neutral op) with
-           | Some q, _ -> Rrat q
-           | None, Some q -> Rrat q
-           | None, None -> Rrat Q.zero (* unreachable: callers reject empty min/max upfront *))
+let exec_value_json = function
+  | Exec.Int n -> string_of_int n
+  | Exec.Rat q -> Printf.sprintf {|"%s"|} (json_escape (Q.to_string q))
 
 (* the shutdown acknowledgement carries the cache totals so clients
    (and the accounting block) see hit rates without a separate op *)
@@ -553,40 +419,20 @@ let handle_full ?native ?deadline_ms cache req =
     | Ok (plan, _) -> (compile_json ~label plan, true, false))
   | Exec { label; nest; param; opts } -> (
     let err e = (error_json ~op:"exec" ~label e, false, false) in
-    (* the deadline budget covers all [repeat] parallel executions of
-       this request: each run gets whatever of it remains. The message
-       is deterministic (no elapsed time), keeping responses
-       byte-stable across runs that time out. *)
-    let t_start = Unix.gettimeofday () in
-    let remaining () =
-      Option.map
-        (fun ms -> max 0 (ms - int_of_float ((Unix.gettimeofday () -. t_start) *. 1e3)))
-        deadline_ms
-    in
-    let timeout () =
-      ( error_json ~op:"exec" ~label
-          (Printf.sprintf "request deadline expired (timeout %dms)" (Option.get deadline_ms)),
-        false,
-        true )
-    in
+    (* the deadline budget covers the whole request from here, all
+       [repeat] runs included. The message is deterministic (no
+       elapsed time), keeping responses byte-stable across runs that
+       time out. *)
+    let started = Unix.gettimeofday () in
     match Cache.find_or_compile cache nest with
     | Error e -> err e
     | Ok (plan, renaming) -> (
       (* the plan was compiled from the canonical nest, so both the
          recovery and the serial reference run under canonical names *)
-      match
-        let cparam = Fingerprint.canonical_param renaming param in
-        let rc, native_why =
-          if opts.native then
-            let nt = match native with Some nt -> nt | None -> Native.default () in
-            Native.recovery_explain nt plan ~param:cparam
-          else (Plan.recovery plan ~param:cparam, None)
-        in
-        (rc, native_why, cparam)
-      with
+      let cparam = Fingerprint.canonical_param renaming param in
+      match Exec.recovery ?native plan ~param:cparam opts with
       | exception Invalid_argument e -> err e
-      | rc, native_why, cparam -> (
-        let trip = R.trip_count rc in
+      | rc, native_why -> (
         (* "native" reports whether the backend actually engaged —
            false under fallback, which CI's no-gcc job asserts on —
            and on fallback "native_error" carries the reason,
@@ -599,69 +445,40 @@ let handle_full ?native ?deadline_ms cache req =
             | _ -> Printf.sprintf {|,"native":%b|} (R.native_enabled rc)
           else ""
         in
-        match opts.reduce with
-        | Some op -> (
-          let cnest = plan.Plan.inversion.Trahrhe.Inversion.nest in
-          match serial_reduce rc cnest ~cparam ~op with
-          | None -> err "min/max reduction over an empty iteration space"
-          | Some reference ->
-            let rec runs r =
-              if r > opts.repeat then Ok ()
-              else
-                match remaining () with
-                | Some 0 -> Error Run_timeout
-                | budget -> (
-                  match run_reduce ?deadline_ms:budget rc ~op opts with
-                  | Error Run_timeout -> Error Run_timeout
-                  | Error (Run_error e) ->
-                    Error (Run_error (Printf.sprintf "run %d/%d: %s" r opts.repeat e))
-                  | Ok v when not (reduce_value_equal v reference) ->
-                    Error
-                      (Run_error
-                         (Printf.sprintf "reduction mismatch on run %d/%d: parallel %s vs serial %s"
-                            r opts.repeat (reduce_value_json v) (reduce_value_json reference)))
-                  | Ok _ -> runs (r + 1))
-            in
-            (match runs 1 with
-            | Error Run_timeout -> timeout ()
-            | Error (Run_error e) -> err e
-            | Ok () ->
-              ( Printf.sprintf
-                  {|{"op":"exec","label":"%s","status":"ok","fingerprint":"%s","trip":%d,"reduce":"%s","result":%s,"repeat":%d%s}|}
-                  (json_escape label) plan.Plan.fingerprint trip (N.op_to_string op)
-                  (reduce_value_json reference) opts.repeat native_field,
-                true,
-                false )))
-        | None ->
-          let serial = ref 0 in
-          N.iterate plan.Plan.inversion.Trahrhe.Inversion.nest ~param:cparam (fun idx ->
-              serial := !serial + iter_hash idx);
-          let rec runs r =
-            if r > opts.repeat then Ok ()
-            else
-              match remaining () with
-              | Some 0 -> Error Run_timeout
-              | budget -> (
-                match run_once ?deadline_ms:budget rc opts with
-                | Error Run_timeout -> Error Run_timeout
-                | Error (Run_error e) ->
-                  Error (Run_error (Printf.sprintf "run %d/%d: %s" r opts.repeat e))
-                | Ok sum when sum <> !serial ->
-                  Error
-                    (Run_error
-                       (Printf.sprintf "checksum mismatch on run %d/%d: parallel %d vs serial %d" r
-                          opts.repeat sum !serial))
-                | Ok _ -> runs (r + 1))
+        (* supervised only when the request asks for it: retries or a
+           deadline *)
+        let supervised = opts.retries > 0 || deadline_ms <> None in
+        let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
+        match Exec.run ?deadline_ms ~started ~supervised rc ~nest ~param:cparam opts with
+        | Ok { Exec.reference; _ } ->
+          let result =
+            match opts.reduce with
+            | Some op ->
+              Printf.sprintf {|"reduce":"%s","result":%s|} (N.op_to_string op)
+                (exec_value_json reference)
+            | None -> Printf.sprintf {|"checksum":%s|} (exec_value_json reference)
           in
-          (match runs 1 with
-          | Error Run_timeout -> timeout ()
-          | Error (Run_error e) -> err e
-          | Ok () ->
-            ( Printf.sprintf
-                {|{"op":"exec","label":"%s","status":"ok","fingerprint":"%s","trip":%d,"checksum":%d,"repeat":%d%s}|}
-                (json_escape label) plan.Plan.fingerprint trip !serial opts.repeat native_field,
-              true,
-              false )))))
+          ( Printf.sprintf
+              {|{"op":"exec","label":"%s","status":"ok","fingerprint":"%s","trip":%d,%s,"repeat":%d%s}|}
+              (json_escape label) plan.Plan.fingerprint (R.trip_count rc) result opts.repeat
+              native_field,
+            true,
+            false )
+        | Error Exec.Empty_extremum -> err "min/max reduction over an empty iteration space"
+        | Error (Exec.Region { error = { Ompsim.Par.reason = Ompsim.Par.Deadline_expired; _ }; _ }) ->
+          ( error_json ~op:"exec" ~label
+              (Printf.sprintf "request deadline expired (timeout %dms)" (Option.get deadline_ms)),
+            false,
+            true )
+        | Error (Exec.Region { run; error }) ->
+          err (Printf.sprintf "run %d/%d: %s" run opts.repeat (Ompsim.Par.describe_error error))
+        | Error (Exec.Raised { run; exn }) ->
+          err (Printf.sprintf "run %d/%d: %s" run opts.repeat (Printexc.to_string exn))
+        | Error (Exec.Mismatch { run; parallel; serial }) ->
+          err
+            (Printf.sprintf "%s mismatch on run %d/%d: parallel %s vs serial %s"
+               (if opts.reduce = None then "checksum" else "reduction")
+               run opts.repeat (exec_value_json parallel) (exec_value_json serial)))))
 
 let handle ?native ?deadline_ms cache req =
   let line, ok, _ = handle_full ?native ?deadline_ms cache req in
@@ -768,30 +585,6 @@ let run_batch ?cache ?native ?(workers = 4) ic oc =
   if !err_count = 0 then 0 else 1
 
 (* ---- socket front end ---- *)
-
-let serve_connection ?native cache ic oc =
-  let respond line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> `Eof
-    | line -> (
-      match parse_request line with
-      | Ok None -> loop ()
-      | Error e ->
-        respond (error_json ~op:"parse" ~label:"-" e);
-        loop ()
-      | Ok (Some Shutdown) ->
-        respond (shutdown_json cache);
-        `Shutdown
-      | Ok (Some req) ->
-        respond (fst (handle ?native cache req));
-        loop ())
-  in
-  loop ()
 
 (* ---- non-blocking multi-client event loop ---- *)
 

@@ -65,26 +65,13 @@
     and, on fallback, ["native_error"] with the reason (including the
     first ~2 KB of the C compiler's stderr on a compile failure). *)
 
-type exec_opts = {
-  threads : int;  (** domains for the parallel region (default 4) *)
-  schedule : Ompsim.Schedule.t;  (** default [Static] *)
-  lanes : int;  (** §VI-A lane width; 1 = per-iteration walk *)
-  repeat : int;  (** executions of the region per request (default 1) *)
-  retries : int;  (** > 0 routes through [Par.run_resilient] *)
-  native : bool;  (** route walks through the native backend ({!Native}) *)
-  reduce : Trahrhe.Nest.red_op option;
-      (** run the region as a parallel reduction instead of the
-          checksum walk; the parser already rewrote [nest]'s clause to
-          match, so the plan is content-addressed with it *)
-}
-
 type request =
   | Compile of { label : string; nest : Trahrhe.Nest.t }
   | Exec of {
       label : string;
       nest : Trahrhe.Nest.t;
       param : string -> int;  (** valuation in the nest's own names *)
-      opts : exec_opts;
+      opts : Exec.opts;  (** the parser's defaults: 4 threads, [Static], 1 lane, 1 run *)
     }
   | Health
   | Shutdown
@@ -95,9 +82,10 @@ val parse_request : string -> (request option, string) result
 
 (** [handle cache r] serves one request and returns its JSON response
     line together with whether the request succeeded. [Exec] compiles
-    (or fetches) the plan, runs the collapsed nest [repeat] times on
-    OCaml domains reusing one recovery, and checks every run against a
-    serial reference computed once. With [opts.native], the recovery
+    (or fetches) the plan and hands it to {!Exec.run}, which runs the
+    collapsed nest [repeat] times on OCaml domains reusing one
+    recovery, and checks every run against a serial reference computed
+    once. With [opts.native], the recovery
     comes from [native] (default: {!Native.default}) and each chunk's
     checksum is one [walk_hash] call — a single native invocation when
     the backend engaged, the equivalent interpreted fold otherwise.
@@ -106,7 +94,7 @@ val parse_request : string -> (request option, string) result
     share it, measured from entry): when it expires the response is a
     deterministic [status:"error"] line naming the timeout, so the
     byte-stability contract above still holds. Parallel runs are
-    supervised through [Par.run_resilient], which stops launching
+    supervised through [Par.reduce_resilient], which stops launching
     chunks once the deadline passes; [compile] requests are never
     deadlined (the symbolic pipeline is not cancellable mid-flight). *)
 val handle : ?native:Native.t -> ?deadline_ms:int -> Cache.t -> request -> string * bool
@@ -122,12 +110,6 @@ val handle : ?native:Native.t -> ?deadline_ms:int -> Cache.t -> request -> strin
     1 otherwise. *)
 val run_batch :
   ?cache:Cache.t -> ?native:Native.t -> ?workers:int -> in_channel -> out_channel -> int
-
-(** [serve_connection cache ic oc] serves one connection's requests
-    sequentially until end-of-stream or a [shutdown] request,
-    flushing each response line as it is written. *)
-val serve_connection :
-  ?native:Native.t -> Cache.t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
 
 type serve_config = {
   max_clients : int;

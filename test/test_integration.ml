@@ -241,12 +241,16 @@ let test_fused_c () =
   let fu =
     Trahrhe.Fusion.fuse [ Trahrhe.Inversion.invert_exn tri; Trahrhe.Inversion.invert_exn rhomb ]
   in
+  (* fused segments run concurrently in one parallel loop, so they
+     must be independent (Fusion's precondition): the rhomboid writes
+     its own array [r], folded into the printed checksum after the
+     region in both programs *)
   let loop_fused =
     Codegen.C_print.to_string ~indent:1
       (Codegen.Xforms.fused fu
          ~bodies:
            [ [ Codegen.C_ast.Raw "a[i][j] += 1.0;" ];
-             [ Codegen.C_ast.Raw "a[u % N][v % N] += 2.0;" ] ])
+             [ Codegen.C_ast.Raw "r[u % N][v % N] += 2.0;" ] ])
   in
   let loop_orig =
     {|  for (i = 0; i < N; i++)
@@ -254,12 +258,18 @@ let test_fused_c () =
       a[i][j] += 1.0;
   for (i = 0; i < N; i++)
     for (j = i; j < i + N; j++)
-      a[i % N][j % N] += 2.0;
+      r[i % N][j % N] += 2.0;
 |}
   in
+  let with_r loop =
+    "  {\n  static double r[N][N];\n" ^ loop
+    ^ "  for (i = 0; i < N; i++) for (j = 0; j < N; j++) a[i][j] += 3.0 * r[i][j];\n  }\n"
+  in
   with_temp_dir (fun dir ->
-      let reference = compile_and_run dir "fused_ref" (template ~n:57 ~loop:loop_orig) in
-      let got = compile_and_run dir "fused_got" (template ~n:57 ~loop:("  {\n" ^ loop_fused ^ "  }\n")) in
+      let reference = compile_and_run dir "fused_ref" (template ~n:57 ~loop:(with_r loop_orig)) in
+      let got =
+        compile_and_run dir "fused_got" (template ~n:57 ~loop:(with_r ("  {\n" ^ loop_fused ^ "  }\n")))
+      in
       Alcotest.(check string) "fused output matches" reference got)
 
 let test_imperfect_c () =

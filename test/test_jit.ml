@@ -53,15 +53,13 @@ let test_emit_source () =
       (fun needle ->
         if not (contains needle) then Alcotest.failf "emitted C lacks %S:\n%s" needle src)
       [ "ompsim_abi"; "ompsim_fingerprint"; "ompsim_depth"; "ompsim_params"; "ompsim_trip";
-        "ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum"; "ompsim_block"; "deadbeef" ]
+        "ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum"; "deadbeef" ]
 
 let test_specialize_and_identity () =
   require_gcc ();
   let _inv, h = specialize_exn (Lazy.force triangular_nest) in
   Alcotest.(check int) "depth" 2 (Jit.Native.depth h);
   Alcotest.(check int) "params" 1 (Jit.Native.params h)
-
-let iter_hash idx = Array.fold_left (fun h v -> (h * 1000003) + v) 0 idx
 
 let test_native_matches_interpreted () =
   require_gcc ();
@@ -88,40 +86,20 @@ let test_native_matches_interpreted () =
       while !pc <= trip do
         let len = min chunk (trip - !pc + 1) in
         let interp = ref 0 in
-        R.walk rc ~pc:!pc ~len (fun i -> interp := !interp + iter_hash i);
+        R.walk rc ~pc:!pc ~len (fun i -> interp := !interp + R.iter_hash i);
         let native = Jit.Native.walk_hash h ps ~pc:!pc ~len in
         Alcotest.(check int) (Printf.sprintf "walk_hash pc=%d len=%d" !pc len) !interp native;
         pc := !pc + len
       done;
       (* an overrunning len must clamp to the end of the space *)
       let interp = ref 0 in
-      R.walk rc ~pc:1 ~len:(trip + 100) (fun i -> interp := !interp + iter_hash i);
+      R.walk rc ~pc:1 ~len:(trip + 100) (fun i -> interp := !interp + R.iter_hash i);
       Alcotest.(check int) "walk_hash overrun" !interp
         (Jit.Native.walk_hash h ps ~pc:1 ~len:(trip + 100)))
     [ 1; 3; 7; 64; trip ];
   (* out-of-range pcs contribute nothing *)
   Alcotest.(check int) "pc=0" 0 (Jit.Native.walk_hash h ps ~pc:0 ~len:5);
-  Alcotest.(check int) "pc>trip" 0 (Jit.Native.walk_hash h ps ~pc:(trip + 1) ~len:5);
-  (* block fill vs recover_block *)
-  List.iter
-    (fun width ->
-      let lanes_n = Array.init 2 (fun _ -> Array.make width 0) in
-      let lanes_i = Array.init 2 (fun _ -> Array.make width 0) in
-      let pc = ref 1 in
-      while !pc <= trip do
-        let fn = Jit.Native.fill_block h ps ~pc:!pc lanes_n in
-        let fi = R.recover_block rc ~pc:!pc lanes_i in
-        Alcotest.(check int) (Printf.sprintf "block count pc=%d w=%d" !pc width) fi fn;
-        for k = 0 to 1 do
-          for l = 0 to fi - 1 do
-            Alcotest.(check int)
-              (Printf.sprintf "block lane pc=%d w=%d k=%d l=%d" !pc width k l)
-              lanes_i.(k).(l) lanes_n.(k).(l)
-          done
-        done;
-        pc := !pc + max 1 fn
-      done)
-    [ 1; 4; 9 ]
+  Alcotest.(check int) "pc>trip" 0 (Jit.Native.walk_hash h ps ~pc:(trip + 1) ~len:5)
 
 let test_attach_native () =
   require_gcc ();
@@ -133,8 +111,6 @@ let test_attach_native () =
   let nat =
     { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
       n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
-      n_fill_block = (fun ~pc lanes -> Jit.Native.fill_block h ps ~pc lanes);
-      n_fill_flat = (fun ~pc ~width buf -> Jit.Native.fill_block_flat h ps ~pc ~width buf);
       n_reduce_sum = (fun ~pc ~len -> Jit.Native.reduce_sum h ps ~pc ~len) }
   in
   let rcn = R.attach_native rc nat in

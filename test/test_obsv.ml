@@ -185,6 +185,100 @@ let test_pipeline_spans () =
         (fun n -> Alcotest.(check bool) n true (List.mem n names))
         [ "pipeline.ranking"; "pipeline.inversion" ])
 
+(* -------- One counter ledger across every chunk entry point -------- *)
+
+module R = Trahrhe.Recovery
+
+(* every public chunk entry, interpreted and native-attached alike,
+   books one [recovery.walks] per chunk, the iterations it actually
+   visited (clamped at the end of the space), and one [jit.hit] when
+   the chunk ran in the specialized object *)
+let test_walk_ledger () =
+  let nest = correlation_nest () in
+  let with_clause op =
+    Trahrhe.Nest.with_reduce nest
+      (Some { Trahrhe.Nest.op; value = Trahrhe.Nest.default_reduce_value nest })
+  in
+  let n = 30 in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ompsim-test-ledger-%d" (Unix.getpid ()))
+  in
+  let recoveries label nest =
+    let inv = Trahrhe.Inversion.invert_exn nest in
+    let rc = R.make inv ~param:(fun _ -> n) in
+    let native =
+      if not (Jit.Abi.functional ()) then []
+      else
+        match Jit.Compile.specialize ~dir ~fingerprint:("ledger" ^ label) inv with
+        | Error e -> Alcotest.failf "specialize %s: %s" label e
+        | Ok h ->
+          let ps = [| n |] in
+          [ R.attach_native rc
+              { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
+                n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
+                n_reduce_sum = (fun ~pc ~len -> Jit.Native.reduce_sum h ps ~pc ~len) } ]
+    in
+    rc :: native
+  in
+  let plain = recoveries "plain" nest in
+  let summed = recoveries "sum" (with_clause Trahrhe.Nest.Sum) in
+  let minned = recoveries "min" (with_clause Trahrhe.Nest.Min) in
+  let total name = match M.find name with Some c -> M.total c | None -> 0 in
+  (* [routed]: the entry point a native backend serves *)
+  let entries =
+    [ ("walk", plain, false, fun rc ~pc ~len -> R.walk rc ~pc ~len ignore);
+      ("walk_hash", plain, true, fun rc ~pc ~len -> ignore (R.walk_hash rc ~pc ~len));
+      ( "walk_lanes",
+        plain,
+        false,
+        fun rc ~pc ~len -> R.walk_lanes rc ~pc ~len ~vlength:8 (fun ~base:_ ~count:_ _ -> ()) );
+      ( "recover_block",
+        plain,
+        false,
+        fun rc ~pc ~len -> ignore (R.recover_block rc ~pc (Array.init 2 (fun _ -> Array.make len 0)))
+      );
+      ("walk_reduce_sum", summed, true, fun rc ~pc ~len -> ignore (R.walk_reduce_sum rc ~pc ~len));
+      ("walk_reduce_rat", minned, false, fun rc ~pc ~len -> ignore (R.walk_reduce_rat rc ~pc ~len))
+    ]
+  in
+  with_obsv (fun () ->
+      List.iter
+        (fun (name, rcs, routed, entry) ->
+          List.iter
+            (fun rc ->
+              let native = routed && R.native_enabled rc in
+              let trip = R.trip_count rc in
+              (* an interior chunk, a one-iteration chunk, and one the
+                 end of the space clamps *)
+              List.iter
+                (fun (pc, len) ->
+                  let label what =
+                    Printf.sprintf "%s%s pc=%d len=%d: %s" name
+                      (if R.native_enabled rc then " (native attached)" else "")
+                      pc len what
+                  in
+                  let walks = total "recovery.walks" and iters = total "recovery.iterations" in
+                  let hits = total "jit.hit" in
+                  entry rc ~pc ~len;
+                  Alcotest.(check int) (label "recovery.walks") (walks + 1) (total "recovery.walks");
+                  Alcotest.(check int) (label "recovery.iterations")
+                    (iters + min len (trip - pc + 1))
+                    (total "recovery.iterations");
+                  Alcotest.(check int) (label "jit.hit")
+                    (hits + if native then 1 else 0)
+                    (total "jit.hit"))
+                [ (trip / 3, 57); (trip / 2, 1); (trip - 9, 64) ])
+            rcs)
+        entries;
+      let spans = List.filter (fun (n, _, _) -> n = "recovery.walk") (T.span_totals ()) in
+      let chunks =
+        List.fold_left (fun acc (_, rcs, _, _) -> acc + (3 * List.length rcs)) 0 entries
+      in
+      match spans with
+      | [ (_, count, _) ] -> Alcotest.(check int) "one recovery.walk span per chunk" chunks count
+      | _ -> Alcotest.fail "recovery.walk spans missing")
+
 (* -------- Validator rejects malformed traces -------- *)
 
 let doc evs = Printf.sprintf {|{"traceEvents":[%s]}|} (String.concat "," evs)
@@ -283,6 +377,7 @@ let suites =
         Alcotest.test_case "span nesting depth" `Quick test_trace_nesting_depth;
         Alcotest.test_case "span totals" `Quick test_span_totals;
         Alcotest.test_case "golden trace from a parallel walk" `Quick test_trace_golden;
+        Alcotest.test_case "one walk ledger across payloads" `Quick test_walk_ledger;
         Alcotest.test_case "pipeline stage spans" `Quick test_pipeline_spans ] );
     ( "obsv.trace_check",
       [ Alcotest.test_case "malformed traces rejected" `Quick test_validator_negative;

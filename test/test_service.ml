@@ -790,11 +790,11 @@ let test_parse_exec_opts () =
   match parse_ok "exec params=N=25 levels=i=0..N,j=i..N threads=2 schedule=dynamic:2 lanes=8 repeat=3 retries=1" with
   | Server.Exec { param; opts; _ } ->
     Alcotest.(check int) "param value" 25 (param "N");
-    Alcotest.(check int) "threads" 2 opts.Server.threads;
-    Alcotest.(check int) "lanes" 8 opts.Server.lanes;
-    Alcotest.(check int) "repeat" 3 opts.Server.repeat;
-    Alcotest.(check int) "retries" 1 opts.Server.retries;
-    Alcotest.(check bool) "schedule" true (opts.Server.schedule = Ompsim.Schedule.Dynamic 2)
+    Alcotest.(check int) "threads" 2 opts.Service.Exec.threads;
+    Alcotest.(check int) "lanes" 8 opts.Service.Exec.lanes;
+    Alcotest.(check int) "repeat" 3 opts.Service.Exec.repeat;
+    Alcotest.(check int) "retries" 1 opts.Service.Exec.retries;
+    Alcotest.(check bool) "schedule" true (opts.Service.Exec.schedule = Ompsim.Schedule.Dynamic 2)
   | _ -> Alcotest.fail "expected Exec"
 
 let test_parse_shutdown () =
@@ -836,7 +836,7 @@ let test_handle_compile () =
   then Alcotest.failf "response lacks the nest fingerprint: %s" response
 
 let default_opts =
-  { Server.threads = 2;
+  { Service.Exec.threads = 2;
     schedule = Ompsim.Schedule.Static;
     lanes = 1;
     repeat = 2;
