@@ -23,8 +23,7 @@
       a small absolute floor for scheduler noise), nobody may lose a
       response, and the victim must never be throttled.
 
-   Afterwards the breaker counters, cache stats, serve_stats and the
-   obsv jit.breaker.* / cache.* / serve.throttled metrics must
+   Afterwards the counter ledger (jit.timeout, serve_stats) must
    reconcile exactly against the client-side ground truth. *)
 
 module Server = Service.Server
@@ -95,7 +94,6 @@ type store_result = {
   digest_match_recompile : bool;  (** healed plan == pre-corruption plan *)
   digest_match_hit : bool;
   clean_disk_hit : bool;  (** third start serves the healed entry from disk *)
-  janitor_total : int;  (** sum over all three startups, for the obsv ledger *)
 }
 
 let store_chaos ~seed =
@@ -109,7 +107,6 @@ let store_chaos ~seed =
     | Ok (plan, _) -> Digest.to_hex (Digest.string (Service.Plan.encode plan))
     | Error e -> failwith ("micro-chaos: seed compile failed: " ^ e)
   in
-  let s1 = Cache.stats cache1 in
   (* a second writer is kill -9'd mid-append to its private dot-temp:
      the canonical torn-write crash the janitor exists for *)
   let script =
@@ -148,8 +145,9 @@ let store_chaos ~seed =
   (* epoch 2: restart over the crashed store. The janitor must sweep
      the orphaned temp and the stale lock; the first request must
      quarantine the corrupt entry and recompile — never serve it *)
+  let since2 = Obsv.Metrics.snapshot () in
   let cache2 = Cache.create ~capacity:8 ~dir:(Some dir) () in
-  let s2_start = Cache.stats cache2 in
+  let janitor_restart = Obsv.Metrics.since since2 Service.Stats.cache_janitor in
   let tmp_swept = not (Sys.file_exists tmp_path) in
   let lock_swept = not (Sys.file_exists lock_path) in
   let digest2 =
@@ -157,27 +155,27 @@ let store_chaos ~seed =
     | Ok (plan, _) -> Digest.to_hex (Digest.string (Service.Plan.encode plan))
     | Error e -> failwith ("micro-chaos: post-crash compile failed: " ^ e)
   in
-  let s2 = Cache.stats cache2 in
+  let quarantined = Obsv.Metrics.since since2 Service.Stats.cache_quarantined in
   let bad_exists = Sys.file_exists (Filename.concat dir (fp ^ ".bad")) in
   (* epoch 3: the healed entry must be a clean disk hit (this start's
      janitor also clears the quarantine file) *)
+  let since3 = Obsv.Metrics.snapshot () in
   let cache3 = Cache.create ~capacity:8 ~dir:(Some dir) () in
   let digest3 =
     match Cache.find_or_compile cache3 nest with
     | Ok (plan, _) -> Digest.to_hex (Digest.string (Service.Plan.encode plan))
     | Error e -> failwith ("micro-chaos: healed read failed: " ^ e)
   in
-  let s3 = Cache.stats cache3 in
-  { janitor_restart = s2_start.Cache.janitor_removed;
+  let counted3 = Obsv.Metrics.since since3 in
+  { janitor_restart;
     tmp_swept;
     lock_swept;
-    quarantined = s2.Cache.quarantined;
+    quarantined;
     bad_exists;
     digest_match_recompile = digest2 = digest0;
     digest_match_hit = digest3 = digest0;
-    clean_disk_hit = s3.Cache.disk_hits = 1 && s3.Cache.quarantined = 0;
-    janitor_total =
-      s1.Cache.janitor_removed + s2.Cache.janitor_removed + s3.Cache.janitor_removed
+    clean_disk_hit =
+      counted3 Service.Stats.cache_disk_hits = 1 && counted3 Service.Stats.cache_quarantined = 0
   }
 
 (* ---------------- scenario 3: wedged toolchain ---------------- *)
@@ -205,6 +203,7 @@ let wedged_chaos () =
   write_file cc "#!/bin/sh\ncase \"$1\" in --version) echo wedged-cc 1.0; exit 0;; esac\nsleep 600\n";
   Unix.chmod cc 0o755;
   let breaker = Jit.Breaker.create ~threshold:2 ~cooldown_ms:(2 * timeout_ms) () in
+  let since = Obsv.Metrics.snapshot () in
   let inv = Trahrhe.Inversion.invert_exn (Lazy.force tri_nest) in
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -262,9 +261,9 @@ let wedged_chaos () =
     reject_instant = rejected && t3 <= 100.0;
     gcc_available;
     recovered;
-    opens = Jit.Breaker.opens breaker;
-    rejections = Jit.Breaker.rejections breaker;
-    probes = Jit.Breaker.probes breaker;
+    opens = Obsv.Metrics.since since Jit.Stats.breaker_opens;
+    rejections = Obsv.Metrics.since since Jit.Stats.breaker_rejects;
+    probes = Obsv.Metrics.since since Jit.Stats.breaker_probes;
     final_state = Jit.Breaker.state_name (Jit.Breaker.state breaker)
   }
 
@@ -481,17 +480,7 @@ let run () =
   let seed = env_int "BENCH_CHAOS_SEED" 42 in
   header (Printf.sprintf "micro-chaos: crash/corruption/wedge/flood recovery gates (seed %d)" seed);
   Emit.ensure_writable "BENCH_chaos.json";
-  Obsv.Control.with_enabled true @@ fun () ->
-  let metric name =
-    match Obsv.Metrics.find name with Some m -> Obsv.Metrics.total m | None -> 0
-  in
-  let quarantined0 = metric "cache.quarantined" in
-  let janitor0 = metric "cache.janitor" in
-  let throttled0 = metric "serve.throttled" in
-  let opens0 = metric "jit.breaker.open" in
-  let rejects0 = metric "jit.breaker.reject" in
-  let probes0 = metric "jit.breaker.probe" in
-  let timeouts0 = metric "jit.timeout" in
+  let since = Obsv.Metrics.snapshot () in
 
   let st = store_chaos ~seed in
   let kill9_ok =
@@ -533,17 +522,11 @@ let run () =
     f.p99_unloaded_us f.p99_loaded_us f.p99_bound_us f.p99_ok f.flood_overloads f.lost f.health_ok
     (if flood_ok then "ok" else "FAIL");
 
-  (* the ledger: client-side ground truth = serve_stats = obsv *)
+  (* the ledger against client-side ground truth *)
   let victim_total = (2 * f.victim_reqs) + 1 (* warm-up *) in
   let reconciled =
-    metric "cache.quarantined" - quarantined0 = st.quarantined
-    && metric "cache.janitor" - janitor0 = st.janitor_total
-    && metric "serve.throttled" - throttled0 = f.stats.Server.throttled
-    && f.stats.Server.throttled = f.flood_overloads + f.victim_overloads
-    && metric "jit.breaker.open" - opens0 = w.opens
-    && metric "jit.breaker.reject" - rejects0 = w.rejections
-    && metric "jit.breaker.probe" - probes0 = w.probes
-    && metric "jit.timeout" - timeouts0 = 2
+    f.stats.Server.throttled = f.flood_overloads + f.victim_overloads
+    && Obsv.Metrics.since since Jit.Stats.timeouts = 2
     && f.stats.Server.responses = victim_total + f.flood_reqs + 2 (* health + shutdown *)
     && f.stats.Server.requests = victim_total + (f.flood_reqs - f.flood_overloads) + 1
     && f.stats.Server.error_responses = f.flood_overloads
@@ -551,7 +534,7 @@ let run () =
     && f.stats.Server.dropped = 0
     && f.stats.Server.inflight_final = 0
   in
-  Printf.printf "counters reconcile (ground truth = stats = obsv): %s\n%!"
+  Printf.printf "counters reconcile (ground truth = ledger): %s\n%!"
     (if reconciled then "ok" else "MISMATCH");
   let chaos_ok = kill9_ok && corrupt_ok && wedged_ok && flood_ok && reconciled in
   Printf.printf "chaos: %s\n%!" (if chaos_ok then "ALL GATES PASS" else "GATE FAILURES");
@@ -570,8 +553,7 @@ let run () =
           [ ("quarantined", Emit.Int st.quarantined);
             ("bad_file_present", Emit.Bool st.bad_exists);
             ("recompiled_identical", Emit.Bool st.digest_match_recompile);
-            ("healed_disk_hit", Emit.Bool st.clean_disk_hit);
-            ("janitor_total", Emit.Int st.janitor_total)
+            ("healed_disk_hit", Emit.Bool st.clean_disk_hit)
           ] );
       ( "wedged_cc",
         Emit.Obj

@@ -511,7 +511,8 @@ let micro_pool () =
     ]
 
 (* overhead and imbalance of the observability layer itself: the §V
-   walk loop with instrumentation absent / disabled / enabled, then a
+   walk loop with instrumentation absent / counters only (tracing
+   off: the [walk_disabled_*] rows) / tracing on, then a
    real instrumented parallel execution whose per-worker counters give
    the imbalance histogram; also emits TRACE_obsv.json for CI's
    Chrome-trace validation *)
@@ -556,10 +557,11 @@ let micro_obsv () =
     (fun (name, ns) -> Printf.printf "%-46s %10.2f\n" name ns)
     [ ("walk_uninstrumented, one chunk", bare_full);
       ("walk_uninstrumented, 512-chunks", bare_chunked);
-      ("walk, obsv disabled, one chunk", disabled_full);
-      ("walk, obsv disabled, 512-chunks", disabled_chunked);
-      ("walk, obsv enabled, 512-chunks", enabled_chunked) ];
-  Printf.printf "disabled overhead: %+.2f%% (one chunk), %+.2f%% (512-chunks); enabled tracing: %+.2f%%\n"
+      ("walk, tracing off (counters on), one chunk", disabled_full);
+      ("walk, tracing off (counters on), 512-chunks", disabled_chunked);
+      ("walk, tracing on, 512-chunks", enabled_chunked) ];
+  Printf.printf
+    "counters-on overhead: %+.2f%% (one chunk), %+.2f%% (512-chunks); enabled tracing: %+.2f%%\n"
     (pct disabled_full bare_full) (pct disabled_chunked bare_chunked)
     (pct enabled_chunked bare_chunked);
   (* instrumented parallel runs: per-worker chunk/iteration histogram *)
@@ -601,6 +603,7 @@ let micro_obsv () =
       ("n", Emit.Int n);
       ("iterations", Emit.Int trip);
       ("chunk", Emit.Int chunk);
+      ("walk_disabled_means", Emit.Str "tracing off, counters on");
       ( "ns_per_iter",
         Emit.Obj
           [ ("walk_uninstrumented_full", Emit.F (bare_full, 2));
@@ -788,16 +791,13 @@ let micro_steal () =
      stolen, exactly once *)
   let truth = (n + chunk - 1) / chunk in
   let pops, steals, retries, par_chunks =
-    Obsv.Control.with_enabled true (fun () ->
-        Ompsim.Stats.reset ();
-        run_sched (Sched.Work_stealing chunk) ();
-        ( Obsv.Metrics.total Ompsim.Stats.ws_local_pops,
-          Obsv.Metrics.total Ompsim.Stats.ws_steals,
-          Obsv.Metrics.total Ompsim.Stats.ws_steal_retries,
-          Obsv.Metrics.total Ompsim.Stats.par_chunks ))
+    Ompsim.Stats.reset ();
+    run_sched (Sched.Work_stealing chunk) ();
+    ( Obsv.Metrics.total Ompsim.Stats.ws_local_pops,
+      Obsv.Metrics.total Ompsim.Stats.ws_steals,
+      Obsv.Metrics.total Ompsim.Stats.ws_steal_retries,
+      Obsv.Metrics.total Ompsim.Stats.par_chunks )
   in
-  Obsv.Trace.clear ();
-  Ompsim.Stats.reset ();
   let reconciled = pops + steals = truth && par_chunks = truth in
   Printf.printf
     "ws counters: %d local pops + %d steals = %d (ground truth %d chunks, %d CAS retries) %s\n"
@@ -927,16 +927,15 @@ let micro_fault () =
           done;
           !best
         in
-        (* counters from one instrumented run of the same region *)
+        (* counters from one more run of the same region *)
         let injected, retried, cancelled, fallbacks, iters =
-          Obsv.Control.with_enabled true (fun () ->
-              Ompsim.Stats.reset ();
-              run_resilient ~retries faults ();
-              ( Obsv.Metrics.total Ompsim.Stats.faults_injected,
-                Obsv.Metrics.total Ompsim.Stats.chunk_retries,
-                Obsv.Metrics.total Ompsim.Stats.regions_cancelled,
-                Obsv.Metrics.total Ompsim.Stats.serial_fallbacks,
-                Obsv.Metrics.total Ompsim.Stats.par_iterations ))
+          Ompsim.Stats.reset ();
+          run_resilient ~retries faults ();
+          ( Obsv.Metrics.total Ompsim.Stats.faults_injected,
+            Obsv.Metrics.total Ompsim.Stats.chunk_retries,
+            Obsv.Metrics.total Ompsim.Stats.regions_cancelled,
+            Obsv.Metrics.total Ompsim.Stats.serial_fallbacks,
+            Obsv.Metrics.total Ompsim.Stats.par_iterations )
         in
         let sum_ok = checksum () = expected in
         let counters_ok =
@@ -960,8 +959,6 @@ let micro_fault () =
           ])
       rates
   in
-  Obsv.Trace.clear ();
-  Ompsim.Stats.reset ();
   Emit.write ~path:"BENCH_fault.json" ~artifact:"micro-fault"
     [ ("n", Emit.Int n);
       ("chunk", Emit.Int chunk);
@@ -984,9 +981,9 @@ let micro_fault () =
    ample cache, timing the misses; (2) warm — re-request every nest,
    timing pure in-memory hits (the ISSUE acceptance wants warm >= 20x
    cold); (3) a Zipf-ish skewed workload against a deliberately
-   undersized cache, with a per-request outcome log rebuilt from
-   sequential stats deltas — the log must reconcile exactly against
-   both the cache's always-on counters and the Obsv cache.* metrics;
+   undersized cache, with a per-request outcome log (a request that
+   ran the compiler was a miss) that must reconcile exactly against
+   the cache.* counters;
    (4) single-flight — concurrent requests for one fresh fingerprint
    with an artificially slow compile must dedup to exactly one miss. *)
 let micro_cache () =
@@ -1012,15 +1009,19 @@ let micro_cache () =
     f ();
     (Unix.gettimeofday () -. t0) *. 1e9
   in
-  let request cache nest =
-    match Service.Cache.find_or_compile cache nest with
+  let request ?compile cache nest =
+    match Service.Cache.find_or_compile ?compile cache nest with
     | Ok _ -> ()
     | Error e -> failwith ("plan compile failed: " ^ e)
   in
-  Obsv.Control.with_enabled true @@ fun () ->
-  Ompsim.Stats.reset ();
+  (* each phase reads its own slice of the process-wide cache ledger *)
+  let phase_counts since =
+    let d = Obsv.Metrics.since since in
+    Service.Stats.(d cache_hits, d cache_misses, d singleflight_waits, d cache_evictions)
+  in
   (* (1)+(2) cold misses then warm hits on an ample cache *)
   let ample = Service.Cache.create ~capacity:(2 * nnests) ~dir:None () in
+  let since = Obsv.Metrics.snapshot () in
   let cold_total = time_ns (fun () -> Array.iter (request ample) nests) in
   let warm_rounds = 5 in
   let warm_total =
@@ -1032,16 +1033,22 @@ let micro_cache () =
   let cold_ns = cold_total /. float_of_int nnests in
   let warm_ns = warm_total /. float_of_int (warm_rounds * nnests) in
   let warm_speedup = cold_ns /. warm_ns in
-  let ample_stats = Service.Cache.stats ample in
+  let ample_hits, ample_misses, _, _ = phase_counts since in
   Printf.printf "%-38s %12.0f ns\n" "cold compile (miss)" cold_ns;
   Printf.printf "%-38s %12.0f ns\n" "warm lookup (memory hit)" warm_ns;
   Printf.printf "%-38s %11.1fx\n" "warm speedup" warm_speedup;
   (* (3) Zipf-ish workload against an undersized cache: quadratically
      skewed toward nest 0, so popular plans stay resident and the tail
-     churns through evictions; the outcome of every request is logged
-     from the always-on stats deltas *)
+     churns through evictions; every request's outcome is logged on
+     the client side — one request at a time, so a request that ran
+     the compiler was a miss and any other was a hit *)
   let small = Service.Cache.create ~capacity:(max 2 (nnests / 4)) ~dir:None () in
-  let log_hits = ref 0 and log_misses = ref 0 and log_waits = ref 0 in
+  let since = Obsv.Metrics.snapshot () in
+  let log_misses = ref 0 in
+  let logged_compile nest =
+    incr log_misses;
+    Service.Plan.compile nest
+  in
   let state = ref 12345 in
   let zipf_time =
     time_ns (fun () ->
@@ -1049,26 +1056,22 @@ let micro_cache () =
           state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
           let u = float_of_int !state /. 1073741824.0 in
           let idx = min (nnests - 1) (int_of_float (float_of_int nnests *. u *. u)) in
-          let before = Service.Cache.stats small in
-          request small nests.(idx);
-          let after = Service.Cache.stats small in
-          if after.Service.Cache.hits > before.Service.Cache.hits then incr log_hits
-          else if after.Service.Cache.misses > before.Service.Cache.misses then incr log_misses
-          else incr log_waits
+          request ~compile:logged_compile small nests.(idx)
         done)
   in
-  let zs = Service.Cache.stats small in
-  let hit_ratio = float_of_int zs.Service.Cache.hits /. float_of_int reqs in
+  let log_hits = reqs - !log_misses in
+  let zipf_hits, zipf_misses, zipf_waits, zipf_evictions = phase_counts since in
+  let hit_ratio = float_of_int zipf_hits /. float_of_int reqs in
   Printf.printf
     "zipf workload: %d requests, %d hits (%.1f%%), %d misses, %d evictions, %.0f ns/request\n" reqs
-    zs.Service.Cache.hits (100.0 *. hit_ratio) zs.Service.Cache.misses
-    zs.Service.Cache.evictions
+    zipf_hits (100.0 *. hit_ratio) zipf_misses zipf_evictions
     (zipf_time /. float_of_int reqs);
   (* (4) single-flight: 4 workers race for one fresh fingerprint whose
      compile is slowed enough that every follower arrives in time *)
   let sf = Service.Cache.create ~capacity:8 ~dir:None () in
   let sf_nest = nest_of_seed (nnests + 1) in
   let sf_workers = 4 in
+  let since = Obsv.Metrics.snapshot () in
   let slow_compile nest =
     Unix.sleepf 0.02;
     Service.Plan.compile nest
@@ -1077,52 +1080,16 @@ let micro_cache () =
       match Service.Cache.find_or_compile ~compile:slow_compile sf sf_nest with
       | Ok _ -> ()
       | Error e -> failwith ("single-flight compile failed: " ^ e));
-  let ss = Service.Cache.stats sf in
-  let dedup = ss.Service.Cache.singleflight_waits in
+  let _, sf_compiles, dedup, _ = phase_counts since in
   Printf.printf "single-flight: %d concurrent requests -> %d compile, %d deduplicated\n" sf_workers
-    ss.Service.Cache.misses dedup;
-  (* reconciliation: request log vs always-on stats vs Obsv metrics *)
-  let total_stats c =
-    let s = Service.Cache.stats c in
-    ( s.Service.Cache.hits,
-      s.Service.Cache.misses,
-      s.Service.Cache.singleflight_waits,
-      s.Service.Cache.evictions )
-  in
-  let sum3 (a1, b1, c1, d1) (a2, b2, c2, d2) = (a1 + a2, b1 + b2, c1 + c2, d1 + d2) in
-  let hits_all, misses_all, waits_all, evicts_all =
-    List.fold_left sum3 (0, 0, 0, 0) (List.map total_stats [ ample; small; sf ])
-  in
-  let metric name =
-    match Obsv.Metrics.find name with Some m -> Obsv.Metrics.total m | None -> -1
-  in
-  let log_ok =
-    !log_hits = zs.Service.Cache.hits
-    && !log_misses = zs.Service.Cache.misses
-    && !log_waits = zs.Service.Cache.singleflight_waits
-    && !log_hits + !log_misses + !log_waits = reqs
-  in
-  let obsv_ok =
-    metric "cache.hit" = hits_all
-    && metric "cache.miss" = misses_all
-    && metric "cache.singleflight_wait" = waits_all
-    && metric "cache.evict" = evicts_all
-  in
-  let sf_ok = ss.Service.Cache.misses = 1 && dedup = sf_workers - 1 in
-  let ample_ok =
-    ample_stats.Service.Cache.misses = nnests
-    && ample_stats.Service.Cache.hits = warm_rounds * nnests
-  in
-  let reconciled = log_ok && obsv_ok && sf_ok && ample_ok in
-  Printf.printf "counters reconcile (request log = cache stats = obsv cache.*): %s\n"
+    sf_compiles dedup;
+  (* reconciliation: client-side truth vs the cache.* ledger *)
+  let log_ok = log_hits = zipf_hits && !log_misses = zipf_misses && zipf_waits = 0 in
+  let sf_ok = sf_compiles = 1 && dedup = sf_workers - 1 in
+  let ample_ok = ample_misses = nnests && ample_hits = warm_rounds * nnests in
+  let reconciled = log_ok && sf_ok && ample_ok in
+  Printf.printf "counters reconcile (request log = cache.* ledger): %s\n"
     (if reconciled then "ok" else "MISMATCH");
-  (* snapshot the metric totals BEFORE the reset below zeroes them *)
-  let m_hit = metric "cache.hit" in
-  let m_miss = metric "cache.miss" in
-  let m_evict = metric "cache.evict" in
-  let m_wait = metric "cache.singleflight_wait" in
-  Obsv.Trace.clear ();
-  Ompsim.Stats.reset ();
   Emit.write ~path:"BENCH_cache.json" ~artifact:"micro-cache"
     [ ("nests", Emit.Int nnests);
       ("requests", Emit.Int reqs);
@@ -1138,30 +1105,20 @@ let micro_cache () =
         Emit.Obj
           [ ("capacity", Emit.Int (Service.Cache.capacity small));
             ("requests", Emit.Int reqs);
-            ("hits", Emit.Int zs.Service.Cache.hits);
-            ("misses", Emit.Int zs.Service.Cache.misses);
-            ("evictions", Emit.Int zs.Service.Cache.evictions);
+            ("hits", Emit.Int zipf_hits);
+            ("misses", Emit.Int zipf_misses);
+            ("evictions", Emit.Int zipf_evictions);
             ("hit_ratio", Emit.F (hit_ratio, 4))
           ] );
       ( "singleflight",
         Emit.Obj
           [ ("concurrent_requests", Emit.Int sf_workers);
-            ("compiles", Emit.Int ss.Service.Cache.misses);
+            ("compiles", Emit.Int sf_compiles);
             ("deduplicated", Emit.Int dedup)
           ] );
       ( "request_log",
         Emit.Obj
-          [ ("hits", Emit.Int !log_hits);
-            ("misses", Emit.Int !log_misses);
-            ("singleflight_waits", Emit.Int !log_waits)
-          ] );
-      ( "obsv_counters",
-        Emit.Obj
-          [ ("cache_hit", Emit.Int m_hit);
-            ("cache_miss", Emit.Int m_miss);
-            ("cache_evict", Emit.Int m_evict);
-            ("cache_singleflight_wait", Emit.Int m_wait)
-          ] );
+          [ ("hits", Emit.Int log_hits); ("misses", Emit.Int !log_misses) ] );
       ("reconciled", Emit.Bool reconciled)
     ]
 
@@ -1171,8 +1128,7 @@ let micro_cache () =
    compile, warm dlopen of the published .so, and the cache-served
    steady state where the handle is already resident in the
    Service.Native tier; (3) a deliberate bigint-headroom fallback, reconciled against the
-   jit.compile/jit.load/jit.fallback counters and the tier's own
-   served/fallback stats. The headline gate is native >= 2x
+   jit.compile/jit.load/jit.fallback/native.served counters. The headline gate is native >= 2x
    interpreted ns/iter on the chunked walk. *)
 let micro_jit () =
   let n = env_int "BENCH_JIT_N" 1000 in
@@ -1208,14 +1164,7 @@ let micro_jit () =
       | Error e -> failwith ("plan compile failed: " ^ e)
     in
     let cparam = Service.Fingerprint.canonical_param renaming (K.param_of corr ~n) in
-    Obsv.Control.with_enabled true @@ fun () ->
-    Ompsim.Stats.reset ();
-    let metric name =
-      match Obsv.Metrics.find name with Some m -> Obsv.Metrics.total m | None -> 0
-    in
-    let compiles0 = metric "jit.compile" in
-    let loads0 = metric "jit.load" in
-    let fallbacks0 = metric "jit.fallback" in
+    let since = Obsv.Metrics.snapshot () in
     (* first attach cold-compiles the object into the cache dir *)
     let attach_ms =
       let t0 = Unix.gettimeofday () in
@@ -1279,18 +1228,14 @@ let micro_jit () =
     let rc_big = Service.Native.recovery nt plan ~param:(fun _ -> big) in
     if R.native_enabled rc_big then failwith "overflow-guarded nest accepted a native backend";
     if not (R.overflow_guarded rc_big) then failwith "expected an overflow-guarded recovery";
-    let compiles = metric "jit.compile" - compiles0 in
-    let loads = metric "jit.load" - loads0 in
-    let fallbacks = metric "jit.fallback" - fallbacks0 in
-    let tier = Service.Native.stats nt in
+    let compiles = Obsv.Metrics.since since Jit.Stats.compiles in
+    let loads = Obsv.Metrics.since since Jit.Stats.loads in
+    let fallbacks = Obsv.Metrics.since since Jit.Stats.fallbacks in
+    let served = Obsv.Metrics.since since Service.Stats.native_served in
     (* compiles: tier cold + bench cold; loads: the warm dlopen only
-       (cold-path loads ride the compile); tier: one attach per
-       successful recovery call, one refused *)
-    let reconciled =
-      compiles = 2 && loads = 1 && fallbacks = 1
-      && tier.Service.Native.served = 1 + steady_reps
-      && tier.Service.Native.fallbacks = 1
-    in
+       (cold-path loads ride the compile); served: one attach per
+       successful recovery call; fallbacks: the one refused *)
+    let reconciled = compiles = 2 && loads = 1 && fallbacks = 1 && served = 1 + steady_reps in
     let walk_speedup = interp_walk /. native_walk in
     Printf.printf "%d collapsed iterations, chunk %d\n" trip chunk;
     Printf.printf "%-44s %10.2f\n" "interpreted walk (ns/iter)" interp_walk;
@@ -1301,11 +1246,9 @@ let micro_jit () =
     Printf.printf "%-44s %10.2f ms\n" "warm .so load latency" warm_ms;
     Printf.printf "%-44s %10.0f ns\n" "cache-served attach (steady state)" steady_ns;
     Printf.printf
-      "counters reconcile (jit.compile=%d jit.load=%d jit.fallback=%d served=%d/%d): %s\n" compiles
-      loads fallbacks tier.Service.Native.served tier.Service.Native.fallbacks
+      "counters reconcile (jit.compile=%d jit.load=%d jit.fallback=%d native.served=%d): %s\n"
+      compiles loads fallbacks served
       (if reconciled then "ok" else "MISMATCH");
-    Obsv.Trace.clear ();
-    Ompsim.Stats.reset ();
     Emit.write ~path:"BENCH_jit.json" ~artifact:"micro-jit"
       [ ("kernel", Emit.Str "correlation");
         ("n", Emit.Int n);
@@ -1332,8 +1275,7 @@ let micro_jit () =
             [ ("jit_compile", Emit.Int compiles);
               ("jit_load", Emit.Int loads);
               ("jit_fallback", Emit.Int fallbacks);
-              ("tier_served", Emit.Int tier.Service.Native.served);
-              ("tier_fallbacks", Emit.Int tier.Service.Native.fallbacks)
+              ("native_served", Emit.Int served)
             ] );
         ("reconciled", Emit.Bool reconciled)
       ]
@@ -1562,7 +1504,6 @@ let micro_reduce () =
   let grain = 16 in
   let leaves = List.length (Sched.dnc_leaves ~grain ~n:trip_s) in
   let dnc_reconciled =
-    Obsv.Control.with_enabled true @@ fun () ->
     let total = Obsv.Metrics.total in
     let splits0 = total Ompsim.Stats.dnc_splits in
     let chunks0 = total Ompsim.Stats.dnc_grain_chunks in
@@ -1579,8 +1520,6 @@ let micro_reduce () =
   Printf.printf "%-44s %10s\n"
     (Printf.sprintf "dnc counters = dnc_leaves (%d leaves)" leaves)
     (if dnc_reconciled then "ok" else "MISMATCH");
-  Obsv.Trace.clear ();
-  Ompsim.Stats.reset ();
   Emit.write ~path:"BENCH_reduce.json" ~artifact:"micro-reduce"
     [ ("kernel", Emit.Str "ltmp triangle + sum clause");
       ("n", Emit.Int n);
@@ -1884,14 +1823,8 @@ let micro_serve () =
     let sorted = List.sort (fun (_, _, _, a, _) (_, _, _, b, _) -> compare a b) runs in
     List.nth sorted (trials / 2)
   in
-  Obsv.Control.with_enabled true @@ fun () ->
-  let metric name =
-    match Obsv.Metrics.find name with Some m -> Obsv.Metrics.total m | None -> 0
-  in
-  let accept0 = metric "serve.accept" in
-  let timeout0 = metric "serve.timeout" in
-  let rejected0 = metric "serve.rejected" in
-  let inflight0 = metric "service.inflight" in
+  let since = Obsv.Metrics.snapshot () in
+  let counted = Obsv.Metrics.since since in
   let cache = Service.Cache.create ~capacity:(2 * nnests) ~dir:None () in
   let config =
     { Server.default_serve_config with
@@ -1971,7 +1904,6 @@ let micro_serve () =
   let sent_total = !total_sent + 1 in
   let oks_total = !total_oks + 1 in
   let conns_total = !total_conns + 1 in
-  let cs = Service.Cache.stats cache in
   (* several registry kernels canonicalize to the same iteration space
      (alpha-renaming erases their differences), so the cold sweep
      compiles one plan per DISTINCT fingerprint, not one per kernel *)
@@ -1986,17 +1918,15 @@ let micro_serve () =
     stats.Server.requests = sent_total
     && stats.Server.ok_responses = oks_total
     && stats.Server.connections = conns_total
-    && stats.Server.connections = metric "serve.accept" - accept0
-    && stats.Server.timeouts = metric "serve.timeout" - timeout0
-    && stats.Server.rejected = metric "serve.rejected" - rejected0
-    && stats.Server.requests = metric "service.inflight" - inflight0
+    && stats.Server.requests = counted Service.Stats.inflight_admissions
     && stats.Server.inflight_final = 0
     && stats.Server.dropped = 0
-    && cs.Service.Cache.hits + cs.Service.Cache.misses + cs.Service.Cache.singleflight_waits
+    && counted Service.Stats.cache_hits + counted Service.Stats.cache_misses
+       + counted Service.Stats.singleflight_waits
        = sent_total - 1 (* every request but [shutdown] touched the cache *)
-    && cs.Service.Cache.misses = distinct_plans
+    && counted Service.Stats.cache_misses = distinct_plans
   in
-  Printf.printf "counters reconcile (serve_stats = request log = obsv serve.*): %s\n"
+  Printf.printf "counters reconcile (serve_stats = request log = ledger): %s\n"
     (if reconciled then "ok" else "MISMATCH");
   let baseline_rps =
     match phases with (1, _, _, _, rps, _) :: _ -> rps | _ -> cold_rps
@@ -2063,8 +1993,8 @@ let micro_serve () =
             ("rejected", Emit.Int stats.Server.rejected);
             ("dropped", Emit.Int stats.Server.dropped);
             ("max_concurrent", Emit.Int stats.Server.max_concurrent);
-            ("cache_hits", Emit.Int cs.Service.Cache.hits);
-            ("cache_misses", Emit.Int cs.Service.Cache.misses)
+            ("cache_hits", Emit.Int (counted Service.Stats.cache_hits));
+            ("cache_misses", Emit.Int (counted Service.Stats.cache_misses))
           ] );
       ("reconciled", Emit.Bool reconciled)
     ]
@@ -2146,7 +2076,6 @@ let micro_invert () =
       (K.inversion deep).Trahrhe.Inversion.recoveries
   in
   let reconciled =
-    Obsv.Control.with_enabled true @@ fun () ->
     let n0 = R.numeric_recoveries () and c0 = R.closed_form_recoveries () in
     for pc = 1 to dtrip do
       sink := !sink + (R.recover_guarded rc_d pc).(0)

@@ -451,7 +451,10 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
             in
             Printf.eprintf "  run wall time: min %.4fs, median %.4fs\n%!" sorted.(0) median
           end;
+          (* the per-worker table is a --stats/--trace report: the
+             counters themselves are always on *)
           (match Obsv.Metrics.per_slot Ompsim.Stats.par_iterations with
+          | _ when not (Obsv.Control.enabled ()) -> ()
           | [] -> ()
           | cells ->
             List.iter

@@ -262,7 +262,7 @@ let make ?(compiled = true) (inv : Inversion.t) ~param =
   Option.iter consider breduce;
   let headroom = B.mul (B.mul !worst !bmax) (B.pow (B.of_int 2) (!deg + 1)) in
   let safe = B.compare headroom (B.pow (B.of_int 2) 61) >= 0 in
-  if safe && Obsv.Control.enabled () then Obsv.Metrics.incr_here c_bigint_fallback;
+  if safe then Obsv.Metrics.incr_here c_bigint_fallback;
   let zero_poly = P.const Q.zero in
   let cpoly_of p = compile_poly ~slot (if safe then zero_poly else fold_params p) in
   let horner_of p = H.compile ~slot (if safe then zero_poly else fold_params p) in
@@ -497,11 +497,9 @@ let adjust_level t idx pc k =
   idx.(k) <- !v
 
 let count_level_kind t k =
-  if Obsv.Control.enabled () then begin
-    match t.inv.Inversion.recoveries.(k) with
-    | Inversion.Numeric _ -> Obsv.Metrics.incr_here c_inv_numeric
-    | Inversion.Root _ | Inversion.Last _ -> Obsv.Metrics.incr_here c_inv_closed
-  end
+  match t.inv.Inversion.recoveries.(k) with
+  | Inversion.Numeric _ -> Obsv.Metrics.incr_here c_inv_numeric
+  | Inversion.Root _ | Inversion.Last _ -> Obsv.Metrics.incr_here c_inv_closed
 
 let recover_binsearch t pc =
   let idx = Array.make t.d 0 in
@@ -711,44 +709,49 @@ let step t idx ~pc ~len shape =
 (* the engine: the chunk's one recovery, then the step phase *)
 let engine t ~pc ~len shape = step t (recover_guarded t pc) ~pc ~len shape
 
-(* obsv: per-chunk counters, the [recovery.walk] span and the
-   recovery-vs-stepping time split *)
+(* the walk ledger: per-chunk counters, always on; the traced run adds
+   the [recovery.walk] span and the recovery-vs-stepping time split *)
 let c_walks = Obsv.Metrics.create "recovery.walks"
 let c_iterations = Obsv.Metrics.create "recovery.iterations"
 let c_recover_ns = Obsv.Metrics.create "recovery.recover_ns"
 let c_step_ns = Obsv.Metrics.create "recovery.step_ns"
 
+(* one chunk, returning the iterations it visited. [native], when
+   given, replaces the whole chunk with one call into the specialized
+   object (which clamps at the end of the space like the engine does).
+   [timed] splits the interpreted chunk's time into its recovery and
+   stepping phases. *)
+let run_chunk ~timed ?native t ~pc ~len shape =
+  match native with
+  | Some run ->
+    Obsv.Metrics.incr_here c_jit_hits;
+    run ();
+    if pc < 1 || pc > t.trip then 0 else min len (t.trip - pc + 1)
+  | None when timed ->
+    let t0 = Obsv.Clock.now_ns () in
+    let idx = recover_guarded t pc in
+    let t1 = Obsv.Clock.now_ns () in
+    Obsv.Metrics.add_here c_recover_ns (t1 - t0);
+    let visited = step t idx ~pc ~len shape in
+    Obsv.Metrics.add_here c_step_ns (Obsv.Clock.now_ns () - t1);
+    visited
+  | None -> engine t ~pc ~len shape
+
 (* the one instrumentation wrapper every public chunk entry runs
-   through. [native], when given, replaces the whole chunk with one
-   call into the specialized object (which clamps at the end of the
-   space like the engine does). With the layer off, the only cost over
-   the bare engine is the [Control.enabled] branch. *)
+   through *)
 let chunk ?native t ~pc ~len shape =
-  if len > 0 then
-    if not (Obsv.Control.enabled ()) then begin
-      match native with Some run -> run () | None -> ignore (engine t ~pc ~len shape)
-    end
-    else begin
-      Obsv.Metrics.incr_here c_walks;
-      if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
-      Obsv.Trace.with_span "recovery.walk"
-        ~args:[ ("pc", Obsv.Trace.Int pc); ("len", Obsv.Trace.Int len) ]
-        (fun () ->
-          match native with
-          | Some run ->
-            Obsv.Metrics.incr_here c_jit_hits;
-            run ();
-            let visited = if pc < 1 || pc > t.trip then 0 else min len (t.trip - pc + 1) in
-            Obsv.Metrics.add_here c_iterations visited
-          | None ->
-            let t0 = Obsv.Clock.now_ns () in
-            let idx = recover_guarded t pc in
-            let t1 = Obsv.Clock.now_ns () in
-            Obsv.Metrics.add_here c_recover_ns (t1 - t0);
-            let visited = step t idx ~pc ~len shape in
-            Obsv.Metrics.add_here c_step_ns (Obsv.Clock.now_ns () - t1);
-            Obsv.Metrics.add_here c_iterations visited)
-    end
+  if len > 0 then begin
+    Obsv.Metrics.incr_here c_walks;
+    if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
+    let visited =
+      if not (Obsv.Control.enabled ()) then run_chunk ~timed:false ?native t ~pc ~len shape
+      else
+        Obsv.Trace.with_span "recovery.walk"
+          ~args:[ ("pc", Obsv.Trace.Int pc); ("len", Obsv.Trace.Int len) ]
+          (fun () -> run_chunk ~timed:true ?native t ~pc ~len shape)
+    in
+    Obsv.Metrics.add_here c_iterations visited
+  end
 
 (* ---------------- payloads ---------------- *)
 

@@ -133,8 +133,7 @@ val recover : t -> int -> int array
     [rank_prefix ik <= pc < rank_prefix (ik+1)]. [Numeric] levels skip
     the adjustment pass — their seeded bracket search already proves
     that inequality. Bumps the [inversion.numeric] /
-    [inversion.closed_form] per-level counters when observability is
-    enabled. *)
+    [inversion.closed_form] per-level counters. *)
 val recover_guarded : t -> int -> int array
 
 (** [recover_binsearch t pc] recovers indices exactly with binary
@@ -192,17 +191,17 @@ val rank_stepper : t -> level:int -> start:int -> int array -> Polymath.Horner.S
     [f] receives the walker's internal index array; it must not retain
     or mutate it.
 
-    When the observability layer is on ({!Obsv.Control.enabled}),
-    every chunk entry point ({!walk}, {!walk_hash}, {!walk_lanes},
+    Every chunk entry point ({!walk}, {!walk_hash}, {!walk_lanes},
     {!recover_block}, {!walk_reduce_sum}, {!walk_reduce_rat}) records
     the same ledger per call: [recovery.walks] +1,
-    [recovery.iterations] + the iterations actually visited, a
-    [recovery.walk] trace span, and — on the interpreted engine — the
-    [recovery.recover_ns] (the one recovery) vs [recovery.step_ns]
-    (the stepping) time split; a chunk served by the native backend
-    bumps [jit.hit] once instead. When the layer is off, the only
-    added cost over {!walk_uninstrumented} is one flag check per
-    call. *)
+    [recovery.iterations] + the iterations actually visited, and
+    [jit.hit] +1 when the native backend served the chunk. When the
+    observability layer is on ({!Obsv.Control.enabled}) the call also
+    gets a [recovery.walk] trace span and, on the interpreted engine,
+    the [recovery.recover_ns] (the one recovery) vs [recovery.step_ns]
+    (the stepping) time split. With the layer off, the cost over
+    {!walk_uninstrumented} is the counter writes and one flag check
+    per call. *)
 val walk : t -> pc:int -> len:int -> (int array -> unit) -> unit
 
 (** [walk_uninstrumented] is {!walk} without the instrumentation

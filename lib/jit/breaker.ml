@@ -9,9 +9,6 @@ type t = {
   mutable consecutive : int;
   mutable opened_at : float;
   mutable probing : bool;  (* a half-open probe is in flight *)
-  mutable opens : int;
-  mutable rejections : int;
-  mutable probes : int;
 }
 
 let env_int name default =
@@ -41,10 +38,7 @@ let create ?threshold ?cooldown_ms ?now_ms () =
     st = Closed;
     consecutive = 0;
     opened_at = 0.;
-    probing = false;
-    opens = 0;
-    rejections = 0;
-    probes = 0 }
+    probing = false }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -56,14 +50,12 @@ let acquire t =
   | Closed -> true
   | Half_open ->
     if t.probing then begin
-      t.rejections <- t.rejections + 1;
-      Stats.incr Stats.breaker_rejects;
+      Obsv.Metrics.incr_here Stats.breaker_rejects;
       false
     end
     else begin
       t.probing <- true;
-      t.probes <- t.probes + 1;
-      Stats.incr Stats.breaker_probes;
+      Obsv.Metrics.incr_here Stats.breaker_probes;
       true
     end
   | Open ->
@@ -71,19 +63,17 @@ let acquire t =
       (* cooldown over: this caller becomes the half-open probe *)
       t.st <- Half_open;
       t.probing <- true;
-      t.probes <- t.probes + 1;
-      Stats.incr Stats.breaker_probes;
+      Obsv.Metrics.incr_here Stats.breaker_probes;
       true
     end
     else begin
-      t.rejections <- t.rejections + 1;
-      Stats.incr Stats.breaker_rejects;
+      Obsv.Metrics.incr_here Stats.breaker_rejects;
       false
     end
 
 let success t =
   locked t @@ fun () ->
-  if t.st <> Closed then Stats.incr Stats.breaker_closes;
+  if t.st <> Closed then Obsv.Metrics.incr_here Stats.breaker_closes;
   t.st <- Closed;
   t.probing <- false;
   t.consecutive <- 0
@@ -92,8 +82,7 @@ let open_now t =
   t.st <- Open;
   t.probing <- false;
   t.opened_at <- t.now_ms ();
-  t.opens <- t.opens + 1;
-  Stats.incr Stats.breaker_opens
+  Obsv.Metrics.incr_here Stats.breaker_opens
 
 let failure t =
   locked t @@ fun () ->
@@ -105,8 +94,5 @@ let failure t =
 
 let state t = locked t @@ fun () -> t.st
 let failures t = locked t @@ fun () -> t.consecutive
-let opens t = locked t @@ fun () -> t.opens
-let rejections t = locked t @@ fun () -> t.rejections
-let probes t = locked t @@ fun () -> t.probes
 
 let state_name = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"

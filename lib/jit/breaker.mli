@@ -16,10 +16,9 @@
 
     Thread-safe; all transitions happen under an internal mutex. The
     clock is injectable so tests and the chaos harness drive
-    transitions deterministically. Counters are always-on (the
-    [health] verb and BENCH_chaos.json reconcile against them); the
-    [jit.breaker.*] observability metrics mirror them when tracing is
-    enabled. *)
+    transitions deterministically. Transitions, rejections and probes
+    are counted in the process-wide [jit.breaker.*] metrics
+    ({!Stats}), which the [health] verb reports. *)
 
 type t
 
@@ -50,15 +49,6 @@ val state : t -> state
 
 (** current consecutive-failure streak *)
 val failures : t -> int
-
-(** times the breaker transitioned to [Open] (including re-opens) *)
-val opens : t -> int
-
-(** attempts rejected while open / probe-occupied *)
-val rejections : t -> int
-
-(** half-open probes granted *)
-val probes : t -> int
 
 (** [state_name s] is ["closed"], ["open"] or ["half-open"]. *)
 val state_name : state -> string

@@ -47,7 +47,7 @@ let compile_so ~src_path ~out_path =
   match r.Subproc.outcome with
   | Subproc.Exited 0 -> Ok ()
   | Subproc.Timed_out ->
-    Stats.incr Stats.timeouts;
+    Obsv.Metrics.incr_here Stats.timeouts;
     Error (Printf.sprintf "%s %s (OMPSIM_JIT_TIMEOUT_MS=%d)" cc (Subproc.describe r) timeout_ms)
   | _ ->
     let diagnostics = stderr_excerpt r.Subproc.stderr in
@@ -72,7 +72,7 @@ let fresh_compile ~dir ~fingerprint ~src =
     | Ok () ->
       let path = Filename.concat dir (so_name fingerprint) in
       Unix.rename tmp_so path;
-      Stats.incr Stats.compiles;
+      Obsv.Metrics.incr_here Stats.compiles;
       Ok path
   with Sys_error e | Unix.Unix_error (_, _, e) -> Error ("jit compile: " ^ e)
 
@@ -123,7 +123,7 @@ let specialize ?dir ?breaker ~fingerprint inv =
          through to a fresh compile that overwrites the bad entry *)
       match Native.load ~path ~fingerprint with
       | Ok h ->
-        Stats.incr Stats.loads;
+        Obsv.Metrics.incr_here Stats.loads;
         Some h
       | Error _ -> None
     end

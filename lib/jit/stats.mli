@@ -1,5 +1,6 @@
-(** Observability counters of the JIT tier ([jit.hit] lives in
-    {!Trahrhe.Recovery}, next to the walks it counts):
+(** Always-on {!Obsv.Metrics} counters of the JIT tier ([jit.hit]
+    lives in {!Trahrhe.Recovery}, next to the walks it counts; the
+    service's [native.served] in {!Service.Stats}):
     - [jit.compile] — fresh gcc compiles of a specialized object;
     - [jit.load] — warm [.so] loads served from the cache directory;
     - [jit.fallback] — native requests that fell back to the
@@ -19,9 +20,3 @@ val breaker_opens : Obsv.Metrics.t
 val breaker_closes : Obsv.Metrics.t
 val breaker_rejects : Obsv.Metrics.t
 val breaker_probes : Obsv.Metrics.t
-
-(** [incr m] bumps [m] when the observability layer is enabled. *)
-val incr : Obsv.Metrics.t -> unit
-
-(** [fallback ()] is [incr fallbacks]. *)
-val fallback : unit -> unit

@@ -1,11 +1,14 @@
-(** Global on/off switch of the observability layer.
+(** Global on/off switch of the tracing half of the observability
+    layer.
 
     Initialized from the [OMPSIM_TRACE] environment variable ([1],
     [true], [yes] or [on] enable it; anything else, or unset, leaves
-    it off). Every instrumentation site in the tree checks this flag
-    first, so a disabled run costs one atomic load and a predictable
-    branch per instrumented call — never a clock read or an
-    allocation. *)
+    it off). The switch gates only what costs a clock read or an
+    allocation: {!Trace} spans, instants and Chrome counter samples,
+    and the counters that sum clock deltas ([recovery.recover_ns],
+    [recovery.step_ns], [pool.idle_ns]). Every other {!Metrics}
+    counter is written unconditionally, so the ledger is the same
+    with the switch on or off. *)
 
 (** [enabled ()] is the current state of the switch. *)
 val enabled : unit -> bool

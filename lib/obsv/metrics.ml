@@ -60,6 +60,11 @@ let all () =
 let find n = List.find_opt (fun t -> t.name = n) (all ())
 let reset_all () = List.iter reset (all ())
 
+type snapshot = (t * int) list
+
+let snapshot () = List.map (fun t -> (t, total t)) (all ())
+let since s t = total t - Option.value (List.assq_opt t s) ~default:0
+
 let summary () =
   let b = Buffer.create 256 in
   Buffer.add_string b

@@ -14,7 +14,8 @@
     bursts of a single region.
 
     Counters register themselves globally at creation so reports and
-    resets can enumerate them. *)
+    resets can enumerate them. Writes are unconditional: the
+    {!Control} switch gates spans and clock reads, not this ledger. *)
 
 type t
 
@@ -65,6 +66,17 @@ val all : unit -> t list
 
 val find : string -> t option
 val reset_all : unit -> unit
+
+(** The totals of every registered counter at one instant. *)
+type snapshot
+
+val snapshot : unit -> snapshot
+
+(** [since s c] is how far [c] advanced after [s] was taken (its whole
+    total when [c] was created later). Readers of the ledger take a
+    snapshot and report deltas instead of resetting counters other
+    readers share. *)
+val since : snapshot -> t -> int
 
 (** [summary ()] renders every counter with a non-zero total: name,
     total, active slot count, min/max per active slot, imbalance. *)

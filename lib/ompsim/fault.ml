@@ -126,10 +126,10 @@ let busy_wait_us us =
 
 let inject cfg ~start ~len ~attempt =
   if decide_stall cfg ~start ~attempt then begin
-    if Obsv.Control.enabled () then Obsv.Metrics.incr_here Stats.fault_stalls;
+    Obsv.Metrics.incr_here Stats.fault_stalls;
     busy_wait_us cfg.stall_us
   end;
   if decide cfg ~start ~attempt && budget_allows cfg then begin
-    if Obsv.Control.enabled () then Obsv.Metrics.incr_here Stats.faults_injected;
+    Obsv.Metrics.incr_here Stats.faults_injected;
     raise (Injected { start; len; attempt })
   end

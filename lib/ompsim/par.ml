@@ -22,15 +22,17 @@ let run_workers ~nthreads worker =
     | Pool -> Pool.run ~nthreads worker
     | Spawn -> Pool.run_spawned ~nthreads worker
 
-(* obsv wrapper: count chunks/iterations on the executing slot and put
-   a span around each chunk; whether a region is instrumented is
-   decided once at entry so its counters stay self-consistent *)
-let instrument_chunks f ~thread ~start ~len =
+(* count chunks/iterations on the executing slot; when the region was
+   entered traced ([spans], decided once so its trace stays balanced),
+   also put a span around each chunk *)
+let count_chunks ~spans f ~thread ~start ~len =
   Obsv.Metrics.incr Stats.par_chunks ~slot:thread;
   Obsv.Metrics.add Stats.par_iterations ~slot:thread len;
-  Obsv.Trace.with_span "par.chunk"
-    ~args:[ ("slot", Obsv.Trace.Int thread); ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
-    (fun () -> f ~thread ~start ~len)
+  if not spans then f ~thread ~start ~len
+  else
+    Obsv.Trace.with_span "par.chunk"
+      ~args:[ ("slot", Obsv.Trace.Int thread); ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
+      (fun () -> f ~thread ~start ~len)
 
 (* work-stealing execution: chunks are dealt round-robin into
    per-worker Chase-Lev deques up front; a worker drains its own deque
@@ -42,7 +44,7 @@ let instrument_chunks f ~thread ~start ~len =
    region's setup is a refill of live cells, not an allocation *)
 let ws_deque_cache : int Deque.t array Atomic.t = Atomic.make [||]
 
-let run_work_stealing ~nthreads ~chunk ~n ~obsv ~stop f =
+let run_work_stealing ~nthreads ~chunk ~n ~stop f =
   (* chunks are dealt round-robin by INDEX — chunk [c] covers
      [c*chunk, min ((c+1)*chunk, n)) and belongs to worker
      [c mod nthreads] — so the deques hold unboxed ints and nothing is
@@ -81,7 +83,7 @@ let run_work_stealing ~nthreads ~chunk ~n ~obsv ~stop f =
         let k = Deque.pop_batch my buf in
         if k > 0 then begin
           if not (stop ()) then begin
-            if obsv then Obsv.Metrics.add Stats.ws_local_pops ~slot:t k;
+            Obsv.Metrics.add Stats.ws_local_pops ~slot:t k;
             for i = 0 to k - 1 do
               exec t buf.(i)
             done
@@ -102,12 +104,12 @@ let run_work_stealing ~nthreads ~chunk ~n ~obsv ~stop f =
                 while !continue do
                   match Deque.steal victim with
                   | Deque.Stolen c ->
-                    if obsv then Obsv.Metrics.incr Stats.ws_steals ~slot:t;
+                    Obsv.Metrics.incr Stats.ws_steals ~slot:t;
                     progressed := true;
                     exec t c;
                     if stop () then continue := false
                   | Deque.Retry ->
-                    if obsv then Obsv.Metrics.incr Stats.ws_steal_retries ~slot:t;
+                    Obsv.Metrics.incr Stats.ws_steal_retries ~slot:t;
                     contended := true;
                     continue := false
                   | Deque.Empty -> continue := false
@@ -117,9 +119,7 @@ let run_work_stealing ~nthreads ~chunk ~n ~obsv ~stop f =
             if not (!progressed || !contended) then idle := true
           done
         in
-        if obsv then
-          Obsv.Trace.with_span "par.ws.steal" ~args:[ ("slot", Obsv.Trace.Int t) ] steal_phase
-        else steal_phase ()
+        Obsv.Trace.with_span "par.ws.steal" ~args:[ ("slot", Obsv.Trace.Int t) ] steal_phase
       end);
   (* all workers have joined: the deques are quiescent and empty *)
   Atomic.set ws_deque_cache deques
@@ -139,7 +139,7 @@ let run_work_stealing ~nthreads ~chunk ~n ~obsv ~stop f =
    [log2 n + 1 <= 63], so capacity 128 deques can never overfill (a
    worker drains its own deque before stealing, and a stolen subtree's
    descent starts from an empty private run). *)
-let run_dnc ~nthreads ~grain ~n ~obsv ~stop f =
+let run_dnc ~nthreads ~grain ~n ~stop f =
   if grain <= 0 then invalid_arg "Par: dnc grain";
   if n > 0 then begin
     let deques = Array.init nthreads (fun _ -> Deque.create ~capacity:128 ~dummy:0) in
@@ -158,7 +158,7 @@ let run_dnc ~nthreads ~grain ~n ~obsv ~stop f =
           else begin
             let start, len = Schedule.dnc_interval ~n id in
             if len <= grain then begin
-              if obsv then Obsv.Metrics.incr Stats.dnc_grain_chunks ~slot:t;
+              Obsv.Metrics.incr Stats.dnc_grain_chunks ~slot:t;
               (match f ~thread:t ~start ~len with
               | () -> ()
               | exception e ->
@@ -169,7 +169,7 @@ let run_dnc ~nthreads ~grain ~n ~obsv ~stop f =
               resolve ()
             end
             else begin
-              if obsv then Obsv.Metrics.incr Stats.dnc_splits ~slot:t;
+              Obsv.Metrics.incr Stats.dnc_splits ~slot:t;
               ignore (Atomic.fetch_and_add pending 1);
               Deque.push my ((2 * id) + 1);
               Deque.push my (2 * id)
@@ -188,11 +188,11 @@ let run_dnc ~nthreads ~grain ~n ~obsv ~stop f =
                 if not !progressed then
                   match Deque.steal deques.((t + i) mod nthreads) with
                   | Deque.Stolen id ->
-                    if obsv then Obsv.Metrics.incr Stats.ws_steals ~slot:t;
+                    Obsv.Metrics.incr Stats.ws_steals ~slot:t;
                     progressed := true;
                     exec_node id
                   | Deque.Retry ->
-                    if obsv then Obsv.Metrics.incr Stats.ws_steal_retries ~slot:t;
+                    Obsv.Metrics.incr Stats.ws_steal_retries ~slot:t;
                     contended := true
                   | Deque.Empty -> ()
               done;
@@ -207,7 +207,7 @@ let run_dnc ~nthreads ~grain ~n ~obsv ~stop f =
    granularity on every schedule — once it reads true, no further
    chunk is claimed or executed by this region (chunks already being
    executed finish). The plain path passes a constant [false]. *)
-let run_schedule ~stop ~nthreads ~schedule ~n ~obsv f =
+let run_schedule ~stop ~nthreads ~schedule ~n f =
   match schedule with
   | Schedule.Static ->
     let blocks = Schedule.static_blocks ~nthreads ~n in
@@ -254,26 +254,24 @@ let run_schedule ~stop ~nthreads ~schedule ~n ~obsv f =
         done)
   | Schedule.Work_stealing c ->
     if c <= 0 then invalid_arg "Par: work-stealing chunk";
-    run_work_stealing ~nthreads ~chunk:c ~n ~obsv ~stop f
-  | Schedule.Dnc g -> run_dnc ~nthreads ~grain:g ~n ~obsv ~stop f
+    run_work_stealing ~nthreads ~chunk:c ~n ~stop f
+  | Schedule.Dnc g -> run_dnc ~nthreads ~grain:g ~n ~stop f
 
 let never_stop () = false
 
 let parallel_for_chunks ~nthreads ~schedule ~n f =
   if nthreads <= 0 then invalid_arg "Par.parallel_for_chunks";
-  let obsv = Obsv.Control.enabled () in
-  let f = if obsv then instrument_chunks f else f in
-  let dispatch () = run_schedule ~stop:never_stop ~nthreads ~schedule ~n ~obsv f in
-  if not obsv then dispatch ()
-  else begin
-    Obsv.Metrics.incr Stats.par_regions ~slot:0;
+  Obsv.Metrics.incr Stats.par_regions ~slot:0;
+  let spans = Obsv.Control.enabled () in
+  let dispatch () = run_schedule ~stop:never_stop ~nthreads ~schedule ~n (count_chunks ~spans f) in
+  if not spans then dispatch ()
+  else
     Obsv.Trace.with_span "par.region"
       ~args:
         [ ("n", Obsv.Trace.Int n);
           ("threads", Obsv.Trace.Int nthreads);
           ("schedule", Obsv.Trace.Str (Schedule.to_string schedule)) ]
       dispatch
-  end
 
 let parallel_for ~nthreads ~schedule ~n f =
   parallel_for_chunks ~nthreads ~schedule ~n (fun ~thread:_ ~start ~len ->
@@ -346,7 +344,6 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
   (* [?faults] is itself an option: [~faults:None] explicitly disables
      injection for this region, absence defers to the global config *)
   let faults = match faults with Some given -> given | None -> Fault.get () in
-  let obsv = Obsv.Control.enabled () in
   let stop = Atomic.make false in
   let deadline_hit = Atomic.make false in
   let deadline_ns =
@@ -370,11 +367,10 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
   let dr_stride = 16 in
   let done_ranges = Array.make (nthreads * dr_stride) [] in
   let cancel () =
-    if Atomic.compare_and_set stop false true then
-      if obsv then begin
-        Obsv.Metrics.incr_here Stats.regions_cancelled;
-        Obsv.Trace.instant "par.cancel"
-      end
+    if Atomic.compare_and_set stop false true then begin
+      Obsv.Metrics.incr_here Stats.regions_cancelled;
+      Obsv.Trace.instant "par.cancel"
+    end
   in
   let expired () =
     match deadline_ns with
@@ -393,10 +389,8 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
   let record_success ~thread ~start ~len =
     let cell = thread * dr_stride in
     done_ranges.(cell) <- (start, len) :: done_ranges.(cell);
-    if obsv then begin
-      Obsv.Metrics.incr Stats.par_chunks ~slot:thread;
-      Obsv.Metrics.add Stats.par_iterations ~slot:thread len
-    end
+    Obsv.Metrics.incr Stats.par_chunks ~slot:thread;
+    Obsv.Metrics.add Stats.par_iterations ~slot:thread len
   in
   (* cold path: first attempt already failed, run the bounded retry
      loop with backoff, then capture the structured failure *)
@@ -406,11 +400,9 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
     while !running do
       if !attempt < retries && not (Atomic.get stop) then begin
         incr attempt;
-        if obsv then begin
-          Obsv.Metrics.incr Stats.chunk_retries ~slot:thread;
-          Obsv.Trace.instant "par.retry"
-            ~args:[ ("start", Obsv.Trace.Int start); ("attempt", Obsv.Trace.Int !attempt) ]
-        end;
+        Obsv.Metrics.incr Stats.chunk_retries ~slot:thread;
+        Obsv.Trace.instant "par.retry"
+          ~args:[ ("start", Obsv.Trace.Int start); ("attempt", Obsv.Trace.Int !attempt) ];
         backoff_wait !attempt;
         match
           (match faults with
@@ -445,18 +437,17 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
       | () -> record_success ~thread ~start ~len
       | exception e -> retry_loop ~thread ~start ~len e
   in
-  let body () = run_schedule ~stop:(fun () -> Atomic.get stop) ~nthreads ~schedule ~n ~obsv supervise in
-  (if not obsv then body ()
-   else begin
-     Obsv.Metrics.incr Stats.par_regions ~slot:0;
+  let body () = run_schedule ~stop:(fun () -> Atomic.get stop) ~nthreads ~schedule ~n supervise in
+  Obsv.Metrics.incr Stats.par_regions ~slot:0;
+  (if not (Obsv.Control.enabled ()) then body ()
+   else
      Obsv.Trace.with_span "par.resilient"
        ~args:
          [ ("n", Obsv.Trace.Int n);
            ("threads", Obsv.Trace.Int nthreads);
            ("schedule", Obsv.Trace.Str (Schedule.to_string schedule));
            ("retries", Obsv.Trace.Int retries) ]
-       body
-   end);
+       body);
   if (not (Atomic.get stop)) && Atomic.get failures = [] then
     (* fast path: never cancelled and nothing failed — the schedule
        loop ran to completion, so every chunk of [0,n) was claimed and
@@ -484,20 +475,15 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
     let leftover = ref [] and fallback_failures = ref [] in
     List.iter
       (fun (start, len) ->
-        if obsv then Obsv.Metrics.incr Stats.serial_fallbacks ~slot:0;
-        let body () = f ~thread:0 ~start ~len in
+        Obsv.Metrics.incr Stats.serial_fallbacks ~slot:0;
         match
-          if obsv then
-            Obsv.Trace.with_span "par.fallback.serial"
-              ~args:[ ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
-              body
-          else body ()
+          Obsv.Trace.with_span "par.fallback.serial"
+            ~args:[ ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
+            (fun () -> f ~thread:0 ~start ~len)
         with
         | () ->
-          if obsv then begin
-            Obsv.Metrics.incr Stats.par_chunks ~slot:0;
-            Obsv.Metrics.add Stats.par_iterations ~slot:0 len
-          end
+          Obsv.Metrics.incr Stats.par_chunks ~slot:0;
+          Obsv.Metrics.add Stats.par_iterations ~slot:0 len
         | exception e ->
           let backtrace = Printexc.get_raw_backtrace () in
           fallback_failures :=
@@ -525,7 +511,7 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
    [combine] is associative, and equals the serial left fold exactly. *)
 let rd_stride = 16
 
-let combine_partials ~obsv ~nthreads ~combine cells =
+let combine_partials ~nthreads ~combine cells =
   let all = ref [] in
   for t = nthreads - 1 downto 0 do
     all := List.rev_append cells.(t * rd_stride) !all
@@ -540,7 +526,7 @@ let combine_partials ~obsv ~nthreads ~combine cells =
         let half = !len / 2 in
         for i = 0 to half - 1 do
           arr.(i) <- combine arr.(2 * i) arr.((2 * i) + 1);
-          if obsv then Obsv.Metrics.incr Stats.reduce_combines ~slot:0
+          Obsv.Metrics.incr Stats.reduce_combines ~slot:0
         done;
         if !len land 1 = 1 then arr.(half) <- arr.(!len - 1);
         len := half + (!len land 1)
@@ -548,28 +534,24 @@ let combine_partials ~obsv ~nthreads ~combine cells =
       arr.(0)
     in
     Some
-      (if obsv then
-         Obsv.Trace.with_span "par.reduce.combine"
-           ~args:[ ("partials", Obsv.Trace.Int (Array.length arr)) ]
-           fold
-       else fold ())
+      (Obsv.Trace.with_span "par.reduce.combine"
+         ~args:[ ("partials", Obsv.Trace.Int (Array.length arr)) ]
+         fold)
 
-let reduce_body ~obsv cells f ~thread ~start ~len =
+let reduce_body cells f ~thread ~start ~len =
   let v = f ~thread ~start ~len in
   let cell = thread * rd_stride in
   cells.(cell) <- (start, v) :: cells.(cell);
-  if obsv then Obsv.Metrics.incr Stats.reduce_partials ~slot:thread
+  Obsv.Metrics.incr Stats.reduce_partials ~slot:thread
 
 let reduce_chunks ~nthreads ~schedule ~n ~combine f =
   if nthreads <= 0 then invalid_arg "Par.reduce_chunks";
-  let obsv = Obsv.Control.enabled () in
   let cells = Array.make (nthreads * rd_stride) [] in
-  parallel_for_chunks ~nthreads ~schedule ~n (reduce_body ~obsv cells f);
-  combine_partials ~obsv ~nthreads ~combine cells
+  parallel_for_chunks ~nthreads ~schedule ~n (reduce_body cells f);
+  combine_partials ~nthreads ~combine cells
 
 let reduce_resilient ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n ~combine f =
   if nthreads <= 0 then invalid_arg "Par.reduce_resilient";
-  let obsv = Obsv.Control.enabled () in
   let cells = Array.make (nthreads * rd_stride) [] in
   (* the partial cons sits AFTER the chunk body, and synthetic faults
      fire BEFORE it: a failed attempt contributes nothing, a retried
@@ -577,6 +559,6 @@ let reduce_resilient ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n ~combi
      gap ranges contribute partials keyed by their own starts — a
      different partition of [0,n), but the same fold for any
      associative [combine] *)
-  match run_resilient ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n (reduce_body ~obsv cells f) with
-  | Ok () -> Ok (combine_partials ~obsv ~nthreads ~combine cells)
+  match run_resilient ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n (reduce_body cells f) with
+  | Ok () -> Ok (combine_partials ~nthreads ~combine cells)
   | Error e -> Error e

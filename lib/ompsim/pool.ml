@@ -64,10 +64,8 @@ let worker_loop latch w slot =
       Obsv.Metrics.add Stats.pool_idle_ns ~slot (Obsv.Clock.now_ns () - idle_from);
     (match job with
     | Some f ->
-      if Obsv.Control.enabled () then begin
-        Obsv.Metrics.incr Stats.pool_dispatches ~slot;
-        Obsv.Trace.name_thread (Printf.sprintf "pool worker %d" slot)
-      end;
+      Obsv.Metrics.incr Stats.pool_dispatches ~slot;
+      if Obsv.Control.enabled () then Obsv.Trace.name_thread (Printf.sprintf "pool worker %d" slot);
       (try f slot with e -> record_failure latch slot e);
       arrive latch
     | None -> ());
@@ -196,7 +194,7 @@ let run ~nthreads f =
     if not (Mutex.try_lock p.dispatch) then begin
       (* nested/concurrent parallel region: don't queue behind the
          outer dispatch (deadlock); spawn short-lived domains instead *)
-      if Obsv.Control.enabled () then Obsv.Metrics.incr Stats.pool_fallbacks ~slot:0;
+      Obsv.Metrics.incr Stats.pool_fallbacks ~slot:0;
       run_spawned ~nthreads f
     end
     else begin

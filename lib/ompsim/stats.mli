@@ -1,8 +1,9 @@
 (** First-class runtime metrics of the execution engine.
 
-    All counters are {!Obsv.Metrics} per-slot counters and are only
-    written when {!Obsv.Control.enabled} — a disabled run never touches
-    them. Slots are the logical worker slots of a parallel region
+    All counters are {!Obsv.Metrics} per-slot counters, written
+    whether or not {!Obsv.Control.enabled} is set; only [pool_idle_ns],
+    which needs a clock read per wait, is written just when it is.
+    Slots are the logical worker slots of a parallel region
     (slot 0 = the dispatching domain), so per-slot values are the
     imbalance histogram the paper's collapsing is meant to flatten. *)
 

@@ -5,18 +5,6 @@ type node = {
   mutable next : node option;
 }
 
-type stats = {
-  hits : int;
-  disk_hits : int;
-  misses : int;
-  evictions : int;
-  singleflight_waits : int;
-  quarantined : int;
-  lock_waits : int;
-  lock_steals : int;
-  janitor_removed : int;
-}
-
 type t = {
   capacity : int;
   dir : string option;
@@ -25,18 +13,7 @@ type t = {
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used *)
   inflight : Plan.t Single_flight.t;
-  mutable hits : int;
-  mutable disk_hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable singleflight_waits : int;
-  mutable quarantined : int;
-  mutable lock_waits : int;
-  mutable lock_steals : int;
-  mutable janitor_removed : int;
 }
-
-let obsv_incr metric = if Obsv.Control.enabled () then Obsv.Metrics.incr_here metric
 
 (* ---- startup janitor ----
 
@@ -89,14 +66,7 @@ let sweep t =
   | None -> 0
   | Some dir ->
     let n = sweep_dir dir in
-    if n > 0 then begin
-      Mutex.lock t.mutex;
-      t.janitor_removed <- t.janitor_removed + n;
-      Mutex.unlock t.mutex;
-      for _ = 1 to n do
-        obsv_incr Stats.cache_janitor
-      done
-    end;
+    Obsv.Metrics.add_here Stats.cache_janitor n;
     n
 
 let create ?(capacity = 256) ?dir () =
@@ -108,16 +78,7 @@ let create ?(capacity = 256) ?dir () =
       tbl = Hashtbl.create 64;
       head = None;
       tail = None;
-      inflight = Single_flight.create ();
-      hits = 0;
-      disk_hits = 0;
-      misses = 0;
-      evictions = 0;
-      singleflight_waits = 0;
-      quarantined = 0;
-      lock_waits = 0;
-      lock_steals = 0;
-      janitor_removed = 0 }
+      inflight = Single_flight.create () }
   in
   ignore (sweep t);
   t
@@ -156,43 +117,14 @@ let insert t fp plan =
       | Some victim ->
         unlink t victim;
         Hashtbl.remove t.tbl victim.key;
-        t.evictions <- t.evictions + 1;
-        obsv_incr Stats.cache_evictions
+        Obsv.Metrics.incr_here Stats.cache_evictions
       | None -> ()
     end
   end
 
-let record_hit t ~disk =
-  t.hits <- t.hits + 1;
-  obsv_incr Stats.cache_hits;
-  if disk then begin
-    t.disk_hits <- t.disk_hits + 1;
-    obsv_incr Stats.cache_disk_hits
-  end
-
-let record_miss t =
-  t.misses <- t.misses + 1;
-  obsv_incr Stats.cache_misses
-
-(* the three below are called with the mutex NOT held *)
-
-let record_quarantine t =
-  Mutex.lock t.mutex;
-  t.quarantined <- t.quarantined + 1;
-  Mutex.unlock t.mutex;
-  obsv_incr Stats.cache_quarantined
-
-let record_lock_wait t =
-  Mutex.lock t.mutex;
-  t.lock_waits <- t.lock_waits + 1;
-  Mutex.unlock t.mutex;
-  obsv_incr Stats.cache_lock_waits
-
-let record_lock_steal t =
-  Mutex.lock t.mutex;
-  t.lock_steals <- t.lock_steals + 1;
-  Mutex.unlock t.mutex;
-  obsv_incr Stats.cache_lock_steals
+let record_hit ~disk =
+  Obsv.Metrics.incr_here Stats.cache_hits;
+  if disk then Obsv.Metrics.incr_here Stats.cache_disk_hits
 
 (* ---- disk tier (no lock held; failures are misses or no-ops) ---- *)
 
@@ -203,11 +135,11 @@ let bad_path dir fp = Filename.concat dir (fp ^ ".bad")
 (* a corrupt entry is moved aside, never deleted (the .bad copy is
    the post-mortem evidence; the next startup janitor reclaims it)
    and never re-served *)
-let quarantine t dir fp =
+let quarantine dir fp =
   let src = plan_path dir fp in
   (try Sys.rename src (bad_path dir fp)
    with Sys_error _ -> ( try Sys.remove src with Sys_error _ -> ()));
-  record_quarantine t
+  Obsv.Metrics.incr_here Stats.cache_quarantined
 
 let disk_load t fp =
   match t.dir with
@@ -228,7 +160,7 @@ let disk_load t fp =
          miss, silently overwritten by the recompile. *)
       match Envelope.unwrap content with
       | Error `Corrupt ->
-        quarantine t dir fp;
+        quarantine dir fp;
         None
       | Ok payload -> (
         match Plan.decode payload with
@@ -272,15 +204,14 @@ let find_or_compile ?(compile = Plan.compile) t nest =
   Mutex.lock t.mutex;
   match lookup t fp with
   | Some plan ->
-    record_hit t ~disk:false;
+    record_hit ~disk:false;
     Mutex.unlock t.mutex;
     Ok (plan, renaming)
   | None -> (
     match Single_flight.join t.inflight fp with
     | Some fl ->
       (* single-flight follower: park until the winner publishes *)
-      t.singleflight_waits <- t.singleflight_waits + 1;
-      obsv_incr Stats.singleflight_waits;
+      Obsv.Metrics.incr_here Stats.singleflight_waits;
       let r = Single_flight.await fl ~mutex:t.mutex in
       Mutex.unlock t.mutex;
       with_renaming r
@@ -321,9 +252,9 @@ let find_or_compile ?(compile = Plan.compile) t nest =
                 Error (`Unavailable e)
             in
             (match lk with
-            | Ok l when Lockfile.contended l -> record_lock_wait t
+            | Ok l when Lockfile.contended l -> Obsv.Metrics.incr_here Stats.cache_lock_waits
             | Ok _ -> ()
-            | Error `Timeout -> record_lock_steal t
+            | Error `Timeout -> Obsv.Metrics.incr_here Stats.cache_lock_steals
             | Error (`Unavailable _) -> ());
             Fun.protect
               ~finally:(fun () -> match lk with Ok l -> Lockfile.release l | Error _ -> ())
@@ -337,30 +268,14 @@ let find_or_compile ?(compile = Plan.compile) t nest =
       in
       Mutex.lock t.mutex;
       (match origin with
-      | `Disk -> record_hit t ~disk:true
-      | `Compiled | `Failed -> record_miss t);
+      | `Disk -> record_hit ~disk:true
+      | `Compiled | `Failed -> Obsv.Metrics.incr_here Stats.cache_misses);
       (match result with Ok plan -> insert t fp plan | Error _ -> ());
       (* publish, then forget the flight: a failed compile reaches its
          waiters but poisons nothing — the next request retries *)
       Single_flight.publish t.inflight fp fl result;
       Mutex.unlock t.mutex;
       with_renaming result)
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    { hits = t.hits;
-      disk_hits = t.disk_hits;
-      misses = t.misses;
-      evictions = t.evictions;
-      singleflight_waits = t.singleflight_waits;
-      quarantined = t.quarantined;
-      lock_waits = t.lock_waits;
-      lock_steals = t.lock_steals;
-      janitor_removed = t.janitor_removed }
-  in
-  Mutex.unlock t.mutex;
-  s
 
 let size t =
   Mutex.lock t.mutex;
@@ -370,19 +285,3 @@ let size t =
 
 let capacity t = t.capacity
 let dir t = t.dir
-
-let clear t =
-  Mutex.lock t.mutex;
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.hits <- 0;
-  t.disk_hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.singleflight_waits <- 0;
-  t.quarantined <- 0;
-  t.lock_waits <- 0;
-  t.lock_steals <- 0;
-  t.janitor_removed <- 0;
-  Mutex.unlock t.mutex

@@ -8,7 +8,7 @@
 
     Disk robustness: an entry whose envelope fails to verify (torn
     write, bit rot, foreign bytes) is {e quarantined} — moved to
-    [<fingerprint>.bad], counted in [quarantined], recompiled — never
+    [<fingerprint>.bad], counted in [cache.quarantined], recompiled — never
     silently re-served; an entry that verifies but no longer decodes
     (older format version) is an ordinary miss and is overwritten.
     Fresh compiles into a shared store are serialized {e across
@@ -16,7 +16,7 @@
     the loser of the race finds the winner's entry on a double-checked
     probe and serves it as a disk hit. A crashed holder's lock is
     reclaimed by the kernel; a wedged holder is abandoned after
-    [OMPSIM_CACHE_LOCK_TIMEOUT_MS] (counted in [lock_steals]).
+    [OMPSIM_CACHE_LOCK_TIMEOUT_MS] (counted in [cache.lock_steal]).
     {!create} runs a startup janitor ({!sweep}) that removes orphaned
     dot-temps of dead writers, stale [.lock]s and [.bad] files.
 
@@ -28,27 +28,17 @@
     again.
 
     All operations are thread-safe; the per-request critical sections
-    take one mutex and never hold it across a compile or disk I/O. *)
+    take one mutex and never hold it across a compile or disk I/O.
+
+    The cache keeps no counters of its own: it books every event in
+    the process-wide [cache.*] metrics ({!Stats}), which are always
+    on. Per request exactly one of [cache.hit]/[cache.miss]/
+    [cache.singleflight_wait] advances (under the cache's mutex), and
+    [cache.disk_hit <= cache.hit]. The robustness counters ride along
+    without disturbing that invariant: a quarantined entry also counts
+    as the miss that recompiles it. *)
 
 type t
-
-(** Always-on counters (independent of {!Obsv.Control}); with the
-    observability layer enabled the [cache.*] {!Stats} metrics advance
-    in lockstep. Per request exactly one of [hits]/[misses]/
-    [singleflight_waits] advances, and [disk_hits <= hits]. The
-    robustness counters ride along without disturbing that invariant:
-    a quarantined entry also counts as the miss that recompiles it. *)
-type stats = {
-  hits : int;
-  disk_hits : int;
-  misses : int;
-  evictions : int;
-  singleflight_waits : int;
-  quarantined : int;  (** corrupt disk entries moved to [.bad] *)
-  lock_waits : int;  (** cross-process lock acquisitions that contended *)
-  lock_steals : int;  (** lock timeouts abandoned on a live holder *)
-  janitor_removed : int;  (** orphaned files swept at startup *)
-}
 
 (** [create ()] makes a cache. [capacity] (default 256) bounds the
     in-memory tier; [dir] (default: [OMPSIM_PLAN_CACHE] when set)
@@ -87,15 +77,9 @@ val find_or_compile :
   Trahrhe.Nest.t ->
   (Plan.t * Fingerprint.renaming, string) result
 
-val stats : t -> stats
-
 (** [size t] is the current in-memory entry count ([<= capacity]). *)
 val size : t -> int
 
 val capacity : t -> int
 val dir : t -> string option
 
-(** [clear t] empties the in-memory tier (the disk tier is untouched)
-    and zeroes {!stats}. Waits for no one: only call when no request
-    is in flight. *)
-val clear : t -> unit

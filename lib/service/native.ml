@@ -1,15 +1,11 @@
 module R = Trahrhe.Recovery
 
-type stats = { served : int; fallbacks : int }
-
 type t = {
   dir : string option;
   mutex : Mutex.t;
   tbl : (string, (Jit.Native.handle, string) result) Hashtbl.t;
   flights : Jit.Native.handle Single_flight.t;
   breaker : Jit.Breaker.t;
-  mutable served : int;
-  mutable fallbacks : int;
   mutable last_error : string option;
 }
 
@@ -21,8 +17,6 @@ let create ?dir ?breaker () =
     tbl = Hashtbl.create 16;
     flights = Single_flight.create ();
     breaker;
-    served = 0;
-    fallbacks = 0;
     last_error = None }
 
 let default_t = lazy (create ())
@@ -68,28 +62,17 @@ let handle_for t fp inv =
       Mutex.unlock t.mutex;
       result)
 
-let note_served t =
-  Mutex.lock t.mutex;
-  t.served <- t.served + 1;
-  Mutex.unlock t.mutex
-
-let note_fallback t =
-  Mutex.lock t.mutex;
-  t.fallbacks <- t.fallbacks + 1;
-  Mutex.unlock t.mutex;
-  Jit.Stats.fallback ()
-
 let recovery_explain t (plan : Plan.t) ~param =
   let rc = Plan.recovery plan ~param in
   if R.overflow_guarded rc then begin
     (* PR-4 overflow mode stays interpreted: int64 C would wrap *)
-    note_fallback t;
+    Obsv.Metrics.incr_here Jit.Stats.fallbacks;
     (rc, Some "overflow-guarded nest stays interpreted")
   end
   else begin
     match handle_for t plan.Plan.fingerprint plan.Plan.inversion with
     | Error e ->
-      note_fallback t;
+      Obsv.Metrics.incr_here Jit.Stats.fallbacks;
       (rc, Some e)
     | Ok h ->
       let ps =
@@ -98,11 +81,11 @@ let recovery_explain t (plan : Plan.t) ~param =
       in
       (* cheap end-to-end cross-check before trusting the object *)
       if Jit.Native.trip h ps <> R.trip_count rc then begin
-        note_fallback t;
+        Obsv.Metrics.incr_here Jit.Stats.fallbacks;
         (rc, Some "native trip-count cross-check mismatch")
       end
       else begin
-        note_served t;
+        Obsv.Metrics.incr_here Stats.native_served;
         ( R.attach_native rc
             { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
               n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
@@ -119,17 +102,9 @@ let last_error t =
   Mutex.unlock t.mutex;
   e
 
-let stats t =
-  Mutex.lock t.mutex;
-  let s = { served = t.served; fallbacks = t.fallbacks } in
-  Mutex.unlock t.mutex;
-  s
-
 let clear t =
   Mutex.lock t.mutex;
   Hashtbl.iter (fun _ r -> match r with Ok h -> Jit.Native.close h | Error _ -> ()) t.tbl;
   Hashtbl.reset t.tbl;
-  t.served <- 0;
-  t.fallbacks <- 0;
   t.last_error <- None;
   Mutex.unlock t.mutex

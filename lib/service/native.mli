@@ -19,8 +19,6 @@
 
 type t
 
-type stats = { served : int; fallbacks : int }
-
 (** [create ()] makes a handle cache over [dir] (default:
     [OMPSIM_PLAN_CACHE] when set, else a temp directory chosen by
     {!Jit.Compile.specialize}). [breaker] (default a fresh
@@ -44,8 +42,8 @@ val breaker : t -> Jit.Breaker.t
     count), and bound to the canonical parameter values. On any
     failure — no compiler, compile error, overflow-guarded nest,
     cross-check mismatch — the interpreted recovery is returned
-    unchanged and [jit.fallback] is counted; probe with
-    {!Trahrhe.Recovery.native_enabled}. *)
+    unchanged and [jit.fallback] is counted ([native.served] when the
+    backend attaches); probe with {!Trahrhe.Recovery.native_enabled}. *)
 val recovery : t -> Plan.t -> param:(string -> int) -> Trahrhe.Recovery.t
 
 (** [recovery_explain t plan ~param] is {!recovery} plus the fallback
@@ -59,8 +57,6 @@ val recovery_explain :
 (** [last_error t] is the most recent specialize failure (breaker
     rejections included), for the [health] report. *)
 val last_error : t -> string option
-
-val stats : t -> stats
 
 (** [clear t] closes every cached handle and forgets all entries
     (including cached failures). Only call when no recovery obtained

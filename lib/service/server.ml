@@ -333,27 +333,28 @@ let exec_value_json = function
 
 (* the shutdown acknowledgement carries the cache totals so clients
    (and the accounting block) see hit rates without a separate op *)
-let shutdown_json cache =
-  let s = Cache.stats cache in
+let shutdown_json () =
   Printf.sprintf {|{"op":"shutdown","status":"ok","cache":{"hits":%d,"misses":%d}}|}
-    s.Cache.hits s.Cache.misses
+    (Obsv.Metrics.total Stats.cache_hits) (Obsv.Metrics.total Stats.cache_misses)
 
 (* the liveness probe: breaker state, cache health, inflight depth.
    Deliberately NOT byte-stable across runs — it reports live state,
    which is its whole job; tooling that diffs responses must exclude
    it like the shutdown acknowledgement *)
-let health_json ?native ?(inflight = 0) cache =
+let health_json ?native ?(inflight = 0) () =
   let nt = match native with Some nt -> nt | None -> Native.default () in
   let b = Native.breaker nt in
-  let s = Cache.stats cache in
-  let ns = Native.stats nt in
+  let total = Obsv.Metrics.total in
   Printf.sprintf
     {|{"op":"health","status":"ok","breaker":{"state":"%s","consecutive_failures":%d,"opens":%d,"rejections":%d,"probes":%d},"cache":{"hits":%d,"disk_hits":%d,"misses":%d,"evictions":%d,"singleflight_waits":%d,"quarantined":%d,"lock_waits":%d,"lock_steals":%d,"janitor_removed":%d},"native":{"served":%d,"fallbacks":%d%s},"inversion":{"numeric":%d,"closed_form":%d},"inflight":%d}|}
     (Jit.Breaker.state_name (Jit.Breaker.state b))
-    (Jit.Breaker.failures b) (Jit.Breaker.opens b) (Jit.Breaker.rejections b)
-    (Jit.Breaker.probes b) s.Cache.hits s.Cache.disk_hits s.Cache.misses s.Cache.evictions
-    s.Cache.singleflight_waits s.Cache.quarantined s.Cache.lock_waits s.Cache.lock_steals
-    s.Cache.janitor_removed ns.Native.served ns.Native.fallbacks
+    (Jit.Breaker.failures b)
+    (total Jit.Stats.breaker_opens) (total Jit.Stats.breaker_rejects)
+    (total Jit.Stats.breaker_probes) (total Stats.cache_hits) (total Stats.cache_disk_hits)
+    (total Stats.cache_misses) (total Stats.cache_evictions) (total Stats.singleflight_waits)
+    (total Stats.cache_quarantined) (total Stats.cache_lock_waits)
+    (total Stats.cache_lock_steals) (total Stats.cache_janitor) (total Stats.native_served)
+    (total Jit.Stats.fallbacks)
     (match Native.last_error nt with
     | None -> ""
     | Some e -> Printf.sprintf {|,"last_error":"%s"|} (json_escape e))
@@ -411,8 +412,8 @@ let compile_json ~label plan =
    deadline, so the serve loop can count [serve.timeout] exactly *)
 let handle_full ?native ?deadline_ms cache req =
   match req with
-  | Shutdown -> (shutdown_json cache, true, false)
-  | Health -> (health_json ?native cache, true, false)
+  | Shutdown -> (shutdown_json (), true, false)
+  | Health -> (health_json ?native (), true, false)
   | Compile { label; nest } -> (
     match Cache.find_or_compile cache nest with
     | Error e -> (error_json ~op:"compile" ~label e, false, false)
@@ -486,13 +487,25 @@ let handle ?native ?deadline_ms cache req =
 
 (* ---- batch front end ---- *)
 
+(* the run's slice of the ledger, for the stderr summaries *)
+let cache_summary since =
+  let d = Obsv.Metrics.since since in
+  Printf.sprintf "plan cache: %d hits (%d disk), %d misses, %d single-flight waits"
+    (d Stats.cache_hits) (d Stats.cache_disk_hits) (d Stats.cache_misses)
+    (d Stats.singleflight_waits)
+
+let native_summary ~front since =
+  let served = Obsv.Metrics.since since Stats.native_served in
+  let fallbacks = Obsv.Metrics.since since Jit.Stats.fallbacks in
+  if served + fallbacks > 0 then
+    Printf.eprintf "%s: native: %d served, %d interpreted fallbacks\n%!" front served fallbacks
+
 type item = Blank | Ready of string * bool | Todo of request | Stop
 
 let run_batch ?cache ?native ?(workers = 4) ic oc =
   let cache = match cache with Some c -> c | None -> Cache.default () in
   let native = match native with Some nt -> nt | None -> Native.default () in
-  let before = Cache.stats cache in
-  let before_native = Native.stats native in
+  let since = Obsv.Metrics.snapshot () in
   let lines =
     let rec read acc = match input_line ic with
       | line -> read (line :: acc)
@@ -537,15 +550,12 @@ let run_batch ?cache ?native ?(workers = 4) ic oc =
           if j < njobs then begin
             let i = jobs.(j) in
             let lvl = 1 + Atomic.fetch_and_add level 1 in
-            if Obsv.Control.enabled () then begin
-              Obsv.Metrics.incr_here Stats.inflight_admissions;
-              Obsv.Trace.counter "service.inflight" lvl
-            end;
+            Obsv.Metrics.incr_here Stats.inflight_admissions;
+            Obsv.Trace.counter "service.inflight" lvl;
             (match items.(i) with
             | Todo req -> results.(i) <- Some (handle ~native cache req)
             | Blank | Ready _ | Stop -> ());
-            let after = Atomic.fetch_and_add level (-1) - 1 in
-            if Obsv.Control.enabled () then Obsv.Trace.counter "service.inflight" after;
+            Obsv.Trace.counter "service.inflight" (Atomic.fetch_and_add level (-1) - 1);
             pull ()
           end
         in
@@ -562,26 +572,16 @@ let run_batch ?cache ?native ?(workers = 4) ic oc =
       match item with
       | Blank -> ()
       | Ready (line, ok) -> emit (line, ok)
-      | Stop -> emit (shutdown_json cache, true)
+      | Stop -> emit (shutdown_json (), true)
       | Todo _ -> (
         match results.(i) with
         | Some r -> emit r
         | None -> emit (error_json ~op:"batch" ~label:(Printf.sprintf "line:%d" (i + 1)) "request was not served", false)))
     items;
   flush oc;
-  let s = Cache.stats cache in
-  Printf.eprintf
-    "batch: %d requests, %d ok, %d errors; plan cache: %d hits (%d disk), %d misses, %d single-flight waits\n%!"
-    (!ok_count + !err_count) !ok_count !err_count
-    (s.Cache.hits - before.Cache.hits)
-    (s.Cache.disk_hits - before.Cache.disk_hits)
-    (s.Cache.misses - before.Cache.misses)
-    (s.Cache.singleflight_waits - before.Cache.singleflight_waits);
-  let ns = Native.stats native in
-  let served = ns.Native.served - before_native.Native.served in
-  let fallbacks = ns.Native.fallbacks - before_native.Native.fallbacks in
-  if served + fallbacks > 0 then
-    Printf.eprintf "batch: native: %d served, %d interpreted fallbacks\n%!" served fallbacks;
+  Printf.eprintf "batch: %d requests, %d ok, %d errors; %s\n%!" (!ok_count + !err_count) !ok_count
+    !err_count (cache_summary since);
+  native_summary ~front:"batch" since;
   if !err_count = 0 then 0 else 1
 
 (* ---- socket front end ---- *)
@@ -660,38 +660,26 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
   | Some r when r <= 0. -> invalid_arg "Server.serve: rate_limit must be positive"
   | _ -> ());
   if config.service_quantum < 1 then invalid_arg "Server.serve: service_quantum must be positive";
-  let before = Cache.stats cache in
-  let before_native = Native.stats nt in
-  (* run accounting *)
-  let accepted = ref 0 in
+  (* run accounting: the loop's own tallies, plus the [serve.*]
+     ledger read as deltas over the loop's life *)
+  let since = Obsv.Metrics.snapshot () in
+  let counted = Obsv.Metrics.since since in
   let requests = ref 0 in
   let ok_responses = ref 0 in
   let error_responses = ref 0 in
-  let timeouts = ref 0 in
-  let rejected = ref 0 in
-  let throttled = ref 0 in
   let health_served = ref 0 in
   let dropped = ref 0 in
   let max_concurrent = ref 0 in
   let inflight = ref 0 in
-  let obsv () = Obsv.Control.enabled () in
   let summary how =
-    let s = Cache.stats cache in
     Printf.eprintf
       "serve (%s): %d connection(s), %d request(s), %d ok, %d errors (%d timeouts, %d rejected, \
-       %d throttled); plan cache: %d hits (%d disk), %d misses, %d single-flight waits\n\
+       %d throttled); %s\n\
        %!"
-      how !accepted !requests !ok_responses !error_responses !timeouts !rejected !throttled
-      (s.Cache.hits - before.Cache.hits)
-      (s.Cache.disk_hits - before.Cache.disk_hits)
-      (s.Cache.misses - before.Cache.misses)
-      (s.Cache.singleflight_waits - before.Cache.singleflight_waits);
-    let ns = Native.stats nt in
-    let served = ns.Native.served - before_native.Native.served in
-    let fallbacks = ns.Native.fallbacks - before_native.Native.fallbacks in
-    if served + fallbacks > 0 then
-      Printf.eprintf "serve (%s): native: %d served, %d interpreted fallbacks\n%!" how served
-        fallbacks
+      how (counted Stats.serve_accepts) !requests !ok_responses !error_responses
+      (counted Stats.serve_timeouts) (counted Stats.serve_rejected)
+      (counted Stats.serve_throttled) (cache_summary since);
+    native_summary ~front:(Printf.sprintf "serve (%s)" how) since
   in
   match
     (match Unix.lstat socket with
@@ -769,7 +757,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
         incr requests;
         incr inflight;
         c.inflight <- c.inflight + 1;
-        if obsv () then Obsv.Metrics.incr_here Stats.inflight_admissions
+        Obsv.Metrics.incr_here Stats.inflight_admissions
       in
       let note_settled c =
         decr inflight;
@@ -803,7 +791,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
          work it annotates *)
       let last_traced = ref 0 in
       let trace_inflight () =
-        if obsv () && !inflight <> !last_traced then begin
+        if Obsv.Control.enabled () && !inflight <> !last_traced then begin
           last_traced := !inflight;
           Obsv.Trace.counter "service.inflight" !inflight
         end
@@ -844,8 +832,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
             if not c.reject_sent then begin
               c.reject_sent <- true;
               c.closing <- true;
-              incr rejected;
-              if obsv () then Obsv.Metrics.incr_here Stats.serve_rejected;
+              Obsv.Metrics.incr_here Stats.serve_rejected;
               Queue.push
                 (Queued_response
                    ( error_json ~op:"parse" ~label:"-"
@@ -870,7 +857,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
               Framing.drop c.framer;
               incr health_served;
               Queue.push
-                (Queued_response (health_json ~native:nt ~inflight:!inflight cache, true))
+                (Queued_response (health_json ~native:nt ~inflight:!inflight (), true))
                 c.work
             | Ok (Some Shutdown) ->
               (* the stop switch is exempt from rate limiting and the
@@ -888,8 +875,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
                   Queue.push (Queued_request req) c.work
                 end
                 else begin
-                  incr throttled;
-                  if obsv () then Obsv.Metrics.incr_here Stats.serve_throttled;
+                  Obsv.Metrics.incr_here Stats.serve_throttled;
                   Queue.push (Queued_response (overload_json req, false)) c.work
                 end
               end)
@@ -944,7 +930,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
             service_step budget c
           | Some (Queued_request Shutdown) ->
             note_settled c;
-            emit c (shutdown_json cache) true;
+            emit c (shutdown_json ()) true;
             (* like the batch front end, a connection's own input after
                its [shutdown] is dropped; everyone else drains normally *)
             clear_work c;
@@ -955,10 +941,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
               handle_full ~native:nt ?deadline_ms:config.request_timeout_ms cache req
             in
             note_settled c;
-            if timed_out then begin
-              incr timeouts;
-              if obsv () then Obsv.Metrics.incr_here Stats.serve_timeouts
-            end;
+            if timed_out then Obsv.Metrics.incr_here Stats.serve_timeouts;
             emit c line ok;
             service_step (budget - 1) c
       in
@@ -968,8 +951,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
           match Unix.accept fd with
           | client, _ ->
             Unix.set_nonblock client;
-            incr accepted;
-            if obsv () then Obsv.Metrics.incr_here Stats.serve_accepts;
+            Obsv.Metrics.incr_here Stats.serve_accepts;
             conns :=
               { fd = client;
                 framer = Framing.create ~max_line:config.max_line ();
@@ -1071,17 +1053,17 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
       let how = !stopped_by in
       finish (match how with `Signal -> "signal" | `Shutdown -> "shutdown");
       Ok
-        { connections = !accepted;
+        { connections = counted Stats.serve_accepts;
           requests = !requests;
           responses = !ok_responses + !error_responses;
           ok_responses = !ok_responses;
           error_responses = !error_responses;
-          timeouts = !timeouts;
-          rejected = !rejected;
+          timeouts = counted Stats.serve_timeouts;
+          rejected = counted Stats.serve_rejected;
           dropped = !dropped;
           max_concurrent = !max_concurrent;
           inflight_final = !inflight;
-          throttled = !throttled;
+          throttled = counted Stats.serve_throttled;
           health_probes = !health_served;
           stopped_by = how }
     with Unix.Unix_error (e, fn, _) ->

@@ -41,17 +41,20 @@
       rationals and report the result as a JSON string. Example:
       [exec kernel=utma n=50 threads=4 schedule=dnc:2 reduce=sum].
     - [health] reports liveness and robustness state in one JSON
-      line: the compile circuit breaker ([state]/[consecutive_failures]/
-      [opens]/[rejections]/[probes]), the plan cache's counters
-      (including [quarantined], [lock_waits], [lock_steals],
-      [janitor_removed]), the native backend's served/fallback totals
-      (plus its [last_error] when one is recorded), and the serve
-      loop's current admitted depth ([inflight]). Under [serve] it is
+      line: the compile circuit breaker's state
+      ([state]/[consecutive_failures]), and from the process-wide
+      counter ledger ({!Stats}, {!Jit.Stats}) its [opens]/
+      [rejections]/[probes], the plan cache's counters (including
+      [quarantined], [lock_waits], [lock_steals], [janitor_removed]),
+      the native backend's served/fallback totals (plus its
+      [last_error] when one is recorded) and the [inversion] level
+      counts; then the serve loop's current admitted depth
+      ([inflight]). Under [serve] it is
       answered at admission time, bypassing the admission cap and the
       rate limiter, so it works exactly when the server is saturated;
       it is deliberately {e not} byte-stable.
     - [shutdown] stops a server loop (and ends a batch early); its
-      acknowledgement carries the cache's [hits]/[misses] totals.
+      acknowledgement carries the [cache.hit]/[cache.miss] totals.
 
     Every request yields exactly one JSON response line. Responses are
     deterministic — they carry no timings and no cache state, so two
@@ -200,9 +203,9 @@ type serve_stats = {
     every admitted request, flush every response (bounded by
     [drain_timeout_ms]), then unlink the socket, restore the previous
     signal dispositions, and write the accounting summary to stderr.
-    The returned {!serve_stats} reconciles against the obsv counters
-    ([serve.accept], [serve.timeout], [serve.rejected],
-    [service.inflight]) when observability is on. *)
+    Its [connections], [timeouts], [rejected] and [throttled] are the
+    loop's deltas of the [serve.*] counters ({!Stats}), so they assume
+    one serve loop per process. *)
 val serve :
   ?cache:Cache.t ->
   ?native:Native.t ->

@@ -1,12 +1,14 @@
-(** Service-layer {!Obsv.Metrics} counters.
+(** Service-layer {!Obsv.Metrics} counters: the one ledger of the
+    plan cache, the native tier and the serve loop.
 
     Like {!Ompsim.Stats}, these register globally at module link time,
-    are written only when {!Obsv.Control.enabled}, and reset with
-    {!Obsv.Metrics.reset_all} (so [Ompsim.Stats.reset] covers them).
-    The cache additionally keeps its own always-on counters
-    ({!Cache.stats}) for the batch summary, which must not depend on
-    the observability switch; when the switch is on the two agree
-    exactly — the [micro-cache] bench reconciles them. *)
+    are written whether or not {!Obsv.Control.enabled} is set, and
+    reset with {!Obsv.Metrics.reset_all} (so [Ompsim.Stats.reset]
+    covers them). They are process-wide: every {!Cache.t} and
+    {!Native.t} in the process books into the same counters. The
+    [health] and [shutdown] responses report their totals; the batch
+    and serve summaries report their deltas over the run
+    ({!Obsv.Metrics.since}). *)
 
 val cache_hits : Obsv.Metrics.t
 (** [cache.hit]: requests satisfied without a compile — in-memory LRU
@@ -71,3 +73,8 @@ val cache_lock_steals : Obsv.Metrics.t
 val cache_janitor : Obsv.Metrics.t
 (** [cache.janitor]: orphaned files ([.tmp] temps of dead writers,
     stale [.lock]s, quarantined [.bad]s) removed by the startup sweep *)
+
+val native_served : Obsv.Metrics.t
+(** [native.served]: recoveries handed out with the native backend
+    attached; fallbacks to the interpreted walk are [jit.fallback]
+    ({!Jit.Stats.fallbacks}) *)

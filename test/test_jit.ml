@@ -256,6 +256,7 @@ let must_reject b msg =
   if Jit.Breaker.acquire b then Alcotest.failf "%s: acquire allowed" msg
 
 let test_breaker_opens_at_threshold () =
+  let since = Obsv.Metrics.snapshot () in
   let now, _advance = fake_clock 0. in
   let b = Jit.Breaker.create ~threshold:3 ~cooldown_ms:1000 ~now_ms:now () in
   Alcotest.(check bool) "starts closed" true (Jit.Breaker.state b = Jit.Breaker.Closed);
@@ -267,10 +268,10 @@ let test_breaker_opens_at_threshold () =
   must_acquire b "third attempt";
   Jit.Breaker.failure b;
   Alcotest.(check bool) "open at threshold" true (Jit.Breaker.state b = Jit.Breaker.Open);
-  Alcotest.(check int) "one open transition" 1 (Jit.Breaker.opens b);
+  Alcotest.(check int) "one open transition" 1 (Obsv.Metrics.since since Jit.Stats.breaker_opens);
   must_reject b "open rejects";
   must_reject b "open keeps rejecting";
-  Alcotest.(check int) "rejections counted" 2 (Jit.Breaker.rejections b)
+  Alcotest.(check int) "rejections counted" 2 (Obsv.Metrics.since since Jit.Stats.breaker_rejects)
 
 let test_breaker_success_resets_streak () =
   let now, _advance = fake_clock 0. in
@@ -288,6 +289,7 @@ let test_breaker_success_resets_streak () =
     (Jit.Breaker.state b = Jit.Breaker.Closed)
 
 let test_breaker_half_open_probe () =
+  let since = Obsv.Metrics.snapshot () in
   let now, advance = fake_clock 0. in
   let b = Jit.Breaker.create ~threshold:1 ~cooldown_ms:1000 ~now_ms:now () in
   must_acquire b "first";
@@ -299,12 +301,13 @@ let test_breaker_half_open_probe () =
   must_acquire b "cooldown elapsed: probe slot";
   Alcotest.(check bool) "half-open" true (Jit.Breaker.state b = Jit.Breaker.Half_open);
   must_reject b "probe slot is exclusive";
-  Alcotest.(check int) "one probe granted" 1 (Jit.Breaker.probes b);
+  Alcotest.(check int) "one probe granted" 1 (Obsv.Metrics.since since Jit.Stats.breaker_probes);
   Jit.Breaker.success b;
   Alcotest.(check bool) "probe success closes" true (Jit.Breaker.state b = Jit.Breaker.Closed);
   must_acquire b "closed again"
 
 let test_breaker_probe_failure_reopens () =
+  let since = Obsv.Metrics.snapshot () in
   let now, advance = fake_clock 0. in
   let b = Jit.Breaker.create ~threshold:1 ~cooldown_ms:1000 ~now_ms:now () in
   must_acquire b "first";
@@ -313,7 +316,7 @@ let test_breaker_probe_failure_reopens () =
   must_acquire b "probe";
   Jit.Breaker.failure b;
   Alcotest.(check bool) "probe failure reopens" true (Jit.Breaker.state b = Jit.Breaker.Open);
-  Alcotest.(check int) "two open transitions" 2 (Jit.Breaker.opens b);
+  Alcotest.(check int) "two open transitions" 2 (Obsv.Metrics.since since Jit.Stats.breaker_opens);
   must_reject b "cooling down again";
   advance 1001.;
   must_acquire b "second probe";

@@ -94,6 +94,27 @@ let test_trace_disabled_noop () =
           T.counter "n" 1);
       Alcotest.(check int) "no events recorded" 0 (T.event_count ()))
 
+(* the switch gates spans and clock reads, never the counter ledger *)
+let test_counters_without_layer () =
+  Obsv.Control.with_enabled false (fun () ->
+      T.clear ();
+      let inv = Trahrhe.Inversion.invert_exn (correlation_nest ()) in
+      let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> 40) in
+      let trip = Trahrhe.Recovery.trip_count rc in
+      let chunk = 64 in
+      let since = M.snapshot () in
+      let counted name =
+        match M.find name with Some c -> M.since since c | None -> Alcotest.failf "no %s" name
+      in
+      Ompsim.Par.parallel_for_chunks ~nthreads:2 ~schedule:(Ompsim.Schedule.Dynamic chunk) ~n:trip
+        (fun ~thread:_ ~start ~len -> Trahrhe.Recovery.walk rc ~pc:(start + 1) ~len ignore);
+      let chunks = (trip + chunk - 1) / chunk in
+      Alcotest.(check int) "par.chunks" chunks (counted "par.chunks");
+      Alcotest.(check int) "recovery.walks" chunks (counted "recovery.walks");
+      Alcotest.(check int) "recovery.iterations = trip" trip (counted "recovery.iterations");
+      Alcotest.(check int) "no trace events" 0 (T.event_count ());
+      Alcotest.(check int) "no clock reads" 0 (counted "recovery.recover_ns"))
+
 let test_trace_toggle () =
   with_obsv (fun () ->
       (* whether a span records is decided at entry: toggling inside
@@ -371,6 +392,8 @@ let suites =
         Alcotest.test_case "summary" `Quick test_metrics_summary ] );
     ( "obsv.trace",
       [ Alcotest.test_case "disabled is a no-op" `Quick test_trace_disabled_noop;
+        Alcotest.test_case "counters count with the layer off, spans do not" `Quick
+          test_counters_without_layer;
         Alcotest.test_case "mid-span toggle stays balanced" `Quick test_trace_toggle;
         Alcotest.test_case "span closes on exception" `Quick test_trace_exception_safety;
         Alcotest.test_case "JSON string escaping" `Quick test_trace_escaping;

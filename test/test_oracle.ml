@@ -466,6 +466,8 @@ let follower_plan cache nest =
     Service.Plan.compile n
   in
   let results = Array.make 2 (Error "unset") in
+  let since = Obsv.Metrics.snapshot () in
+  let waits () = Obsv.Metrics.since since Service.Stats.singleflight_waits in
   let domains =
     Array.init 2 (fun r ->
         Domain.spawn (fun () ->
@@ -473,7 +475,7 @@ let follower_plan cache nest =
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while
-    (Service.Cache.stats cache).Service.Cache.singleflight_waits < 1
+    waits () < 1
     && Unix.gettimeofday () < deadline
   do
     Unix.sleepf 0.0005
@@ -483,7 +485,7 @@ let follower_plan cache nest =
   Condition.broadcast opened;
   Mutex.unlock gate;
   Array.iter Domain.join domains;
-  if (Service.Cache.stats cache).Service.Cache.singleflight_waits <> 1 then
+  if waits () <> 1 then
     QCheck.Test.fail_reportf "single-flight: expected exactly one follower";
   results
 
@@ -517,10 +519,11 @@ let check_case_cached (nest, nval) =
   (match Service.Cache.find_or_compile mem nest with
   | Error e -> QCheck.Test.fail_reportf "memory miss path failed: %s" e
   | Ok _ -> ());
+  let since = Obsv.Metrics.snapshot () in
   (match Service.Cache.find_or_compile mem nest with
   | Error e -> QCheck.Test.fail_reportf "memory hit path failed: %s" e
   | Ok (plan, rn) ->
-    if (Service.Cache.stats mem).Service.Cache.hits <> 1 then
+    if Obsv.Metrics.since since Service.Stats.cache_hits <> 1 then
       QCheck.Test.fail_reportf "second lookup was not a memory hit";
     run_plan ~what:"memory hit" plan rn);
   (* disk hit: a fresh cache (cold memory) over a populated store *)
@@ -629,8 +632,8 @@ let prop_native_matches_interpreted =
    [.so] must read as a silent miss — a cold tier recompiles and
    serves an exact native walk, mirroring the plan store's
    corrupt-entry behavior — while a bigint-headroom parameter refuses
-   the backend; both reconcile against jit.compile / jit.fallback and
-   the tier's own served/fallback counts. *)
+   the backend; both reconcile against jit.compile / jit.fallback /
+   native.served. *)
 let test_native_store_recovery () =
   if not (Jit.Abi.functional ()) then Alcotest.skip ();
   let module R = Trahrhe.Recovery in
@@ -658,11 +661,12 @@ let test_native_store_recovery () =
   in
   let compiles0 = metric "jit.compile" in
   let fallbacks0 = metric "jit.fallback" in
+  let served0 = metric "native.served" in
   (* populate the store *)
   let t1 = Service.Native.create ~dir:(Some dir) () in
   let rc1 = Service.Native.recovery t1 plan ~param:cparam in
   Alcotest.(check bool) "first attach engages" true (R.native_enabled rc1);
-  let t1_stats = Service.Native.stats t1 in
+  let t1_served = metric "native.served" in
   (* unmap before clobbering: overwriting a dlopen'd object in place
      scribbles on live text pages *)
   Service.Native.clear t1;
@@ -684,14 +688,12 @@ let test_native_store_recovery () =
   let rc_big = Service.Native.recovery t2 plan ~param:(fun _ -> 3_000_000_000) in
   Alcotest.(check bool) "overflow-guarded stays interpreted" false (R.native_enabled rc_big);
   Alcotest.(check bool) "overflow guard engaged" true (R.overflow_guarded rc_big);
-  (* reconciliation: populate + recompile, exactly one fallback, and
-     the tier's own accounting agrees *)
+  (* reconciliation: populate + recompile, exactly one fallback, one
+     native attach per tier *)
   Alcotest.(check int) "jit.compile counts both compiles" (compiles0 + 2) (metric "jit.compile");
   Alcotest.(check int) "jit.fallback counts the refusal" (fallbacks0 + 1) (metric "jit.fallback");
-  Alcotest.(check int) "first tier served" 1 t1_stats.Service.Native.served;
-  let s = Service.Native.stats t2 in
-  Alcotest.(check int) "tier served" 1 s.Service.Native.served;
-  Alcotest.(check int) "tier fallbacks" 1 s.Service.Native.fallbacks;
+  Alcotest.(check int) "first tier served" (served0 + 1) t1_served;
+  Alcotest.(check int) "tier served" (t1_served + 1) (metric "native.served");
   Service.Native.clear t2
 
 (* -------- Numeric inversion differentials (ISSUE 10) -------- *)
@@ -896,11 +898,12 @@ let test_deep_plan_roundtrip_native () =
   (match Service.Cache.find_or_compile (Service.Cache.create ~dir:(Some dir) ()) nest with
   | Error e -> Alcotest.failf "disk populate failed: %s" e
   | Ok _ -> ());
-  let cache2 = Service.Cache.create ~dir:(Some dir) () in
-  match Service.Cache.find_or_compile cache2 nest with
+  let since = Obsv.Metrics.snapshot () in
+  match Service.Cache.find_or_compile (Service.Cache.create ~dir:(Some dir) ()) nest with
   | Error e -> Alcotest.failf "disk reload failed: %s" e
   | Ok (plan, rn) ->
-    Alcotest.(check int) "served from disk" 1 (Service.Cache.stats cache2).Service.Cache.disk_hits;
+    Alcotest.(check int) "served from disk" 1
+      (Obsv.Metrics.since since Service.Stats.cache_disk_hits);
     Alcotest.(check bool) "codec round-trip preserved the plan" true
       (Service.Plan.equal fresh plan);
     let cparam = Service.Fingerprint.canonical_param rn param in

@@ -250,14 +250,20 @@ let get_plan = function
   | Ok (plan, _) -> plan
   | Error e -> Alcotest.failf "cache lookup failed: %s" e
 
-let check_stats what ~hits ~disk_hits ~misses ~evictions ~waits (s : Cache.stats) =
-  Alcotest.(check int) (what ^ ": hits") hits s.Cache.hits;
-  Alcotest.(check int) (what ^ ": disk hits") disk_hits s.Cache.disk_hits;
-  Alcotest.(check int) (what ^ ": misses") misses s.Cache.misses;
-  Alcotest.(check int) (what ^ ": evictions") evictions s.Cache.evictions;
-  Alcotest.(check int) (what ^ ": single-flight waits") waits s.Cache.singleflight_waits
+(* caches book into the process-wide [cache.*] ledger, so a test reads
+   the counters' advance since its own snapshot *)
+let counted since = Obsv.Metrics.since since
+
+let check_stats what ~hits ~disk_hits ~misses ~evictions ~waits since =
+  let d = counted since in
+  Alcotest.(check int) (what ^ ": hits") hits (d Service.Stats.cache_hits);
+  Alcotest.(check int) (what ^ ": disk hits") disk_hits (d Service.Stats.cache_disk_hits);
+  Alcotest.(check int) (what ^ ": misses") misses (d Service.Stats.cache_misses);
+  Alcotest.(check int) (what ^ ": evictions") evictions (d Service.Stats.cache_evictions);
+  Alcotest.(check int) (what ^ ": single-flight waits") waits (d Service.Stats.singleflight_waits)
 
 let test_cache_hit_miss () =
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:None () in
   let calls = ref 0 in
   let compile = counting_compile calls in
@@ -266,10 +272,11 @@ let test_cache_hit_miss () =
   Alcotest.(check int) "compiled once" 1 !calls;
   Alcotest.(check bool) "same plan" true (Plan.equal p1 p2);
   check_stats "after hit" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0
-    (Cache.stats cache);
+    since;
   Alcotest.(check int) "one entry" 1 (Cache.size cache)
 
 let test_cache_alpha_hit () =
+  let since = Obsv.Metrics.snapshot () in
   (* alpha-equivalent nests share the entry: second lookup is a hit *)
   let cache = Cache.create ~capacity:4 ~dir:None () in
   let calls = ref 0 in
@@ -277,9 +284,10 @@ let test_cache_alpha_hit () =
   ignore (get_plan (Cache.find_or_compile ~compile cache (tri ~iv:"i" ~jv:"j" ~pv:"N")));
   ignore (get_plan (Cache.find_or_compile ~compile cache (tri ~iv:"a" ~jv:"b" ~pv:"M")));
   Alcotest.(check int) "compiled once for both spellings" 1 !calls;
-  check_stats "alpha" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 (Cache.stats cache)
+  check_stats "alpha" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 since
 
 let test_cache_lru_eviction () =
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:2 ~dir:None () in
   let calls = ref 0 in
   let compile = counting_compile calls in
@@ -292,8 +300,7 @@ let test_cache_lru_eviction () =
   (* A B   <- the hit refreshes A, so B is now least-recent *)
   req 2;
   (* C A, B evicted *)
-  check_stats "after eviction" ~hits:1 ~disk_hits:0 ~misses:3 ~evictions:1 ~waits:0
-    (Cache.stats cache);
+  check_stats "after eviction" ~hits:1 ~disk_hits:0 ~misses:3 ~evictions:1 ~waits:0 since;
   Alcotest.(check int) "bounded" 2 (Cache.size cache);
   req 0;
   Alcotest.(check int) "A survived (refreshed by its hit)" 3 !calls;
@@ -301,6 +308,7 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "B was the LRU victim" 4 !calls
 
 let test_cache_failure_not_cached () =
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:None () in
   let attempts = ref 0 in
   let flaky nest =
@@ -313,7 +321,7 @@ let test_cache_failure_not_cached () =
   Alcotest.(check int) "nothing cached after failure" 0 (Cache.size cache);
   ignore (get_plan (Cache.find_or_compile ~compile:flaky cache (nest_of_seed 0)));
   Alcotest.(check int) "retried, not poisoned" 2 !attempts;
-  check_stats "flaky" ~hits:0 ~disk_hits:0 ~misses:2 ~evictions:0 ~waits:0 (Cache.stats cache)
+  check_stats "flaky" ~hits:0 ~disk_hits:0 ~misses:2 ~evictions:0 ~waits:0 since
 
 (* Deterministic single-flight: the injected compile parks on a gate
    that the test only opens after the cache reports every follower
@@ -331,6 +339,7 @@ let singleflight ~nrequests ~compile_of_gate cache nest =
     compile_of_gate nest
   in
   let results = Array.make nrequests (Error "unset") in
+  let since = Obsv.Metrics.snapshot () in
   let domains =
     Array.init nrequests (fun r ->
         Domain.spawn (fun () ->
@@ -338,7 +347,7 @@ let singleflight ~nrequests ~compile_of_gate cache nest =
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while
-    (Cache.stats cache).Cache.singleflight_waits < nrequests - 1
+    counted since Service.Stats.singleflight_waits < nrequests - 1
     && Unix.gettimeofday () < deadline
   do
     Unix.sleepf 0.001
@@ -351,6 +360,7 @@ let singleflight ~nrequests ~compile_of_gate cache nest =
   results
 
 let test_cache_singleflight () =
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:None () in
   let calls = ref 0 in
   let results =
@@ -362,10 +372,10 @@ let test_cache_singleflight () =
   Array.iter
     (fun r -> Alcotest.(check bool) "every caller got the plan" true (Plan.equal fresh (get_plan r)))
     results;
-  check_stats "single-flight" ~hits:0 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:3
-    (Cache.stats cache)
+  check_stats "single-flight" ~hits:0 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:3 since
 
 let test_cache_singleflight_failure () =
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:None () in
   let results =
     singleflight ~nrequests:3 ~compile_of_gate:(fun _ -> Error "boom") cache (nest_of_seed 0)
@@ -378,7 +388,7 @@ let test_cache_singleflight_failure () =
     results;
   Alcotest.(check int) "failure cached nothing" 0 (Cache.size cache);
   check_stats "single-flight failure" ~hits:0 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:2
-    (Cache.stats cache);
+    since;
   (* the flight is gone: a later request compiles afresh and succeeds *)
   let calls = ref 0 in
   ignore (get_plan (Cache.find_or_compile ~compile:(counting_compile calls) cache (nest_of_seed 0)));
@@ -413,13 +423,13 @@ let test_disk_roundtrip () =
   let p = get_plan (Cache.find_or_compile writer nest) in
   Alcotest.(check bool) "entry on disk" true (Sys.file_exists (plan_file dir nest));
   (* a fresh cache (cold memory) restores the identical plan from disk *)
+  let since = Obsv.Metrics.snapshot () in
   let reader = Cache.create ~capacity:4 ~dir:(Some dir) () in
   let calls = ref 0 in
   let p' = get_plan (Cache.find_or_compile ~compile:(counting_compile calls) reader nest) in
   Alcotest.(check int) "no recompile" 0 !calls;
   Alcotest.(check bool) "identical plan" true (Plan.equal p p');
-  check_stats "disk hit" ~hits:1 ~disk_hits:1 ~misses:0 ~evictions:0 ~waits:0
-    (Cache.stats reader);
+  check_stats "disk hit" ~hits:1 ~disk_hits:1 ~misses:0 ~evictions:0 ~waits:0 since;
   (* and the disk hit landed in memory: next lookup skips the disk *)
   Sys.remove (plan_file dir nest);
   ignore (get_plan (Cache.find_or_compile ~compile:(counting_compile calls) reader nest));
@@ -437,14 +447,14 @@ let test_disk_corrupt_entry () =
   let oc = open_out path in
   output_string oc "total garbage, not a plan\n";
   close_out oc;
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:(Some dir) () in
   let calls = ref 0 in
   let p = get_plan (Cache.find_or_compile ~compile:(counting_compile calls) cache nest) in
   Alcotest.(check int) "corrupt entry recompiled" 1 !calls;
-  check_stats "corrupt" ~hits:0 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0
-    (Cache.stats cache);
+  check_stats "corrupt" ~hits:0 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 since;
   (* the corrupt bytes were quarantined, not silently overwritten *)
-  Alcotest.(check int) "quarantine counted" 1 (Cache.stats cache).Cache.quarantined;
+  Alcotest.(check int) "quarantine counted" 1 (counted since Service.Stats.cache_quarantined);
   let bad = Filename.concat dir (Fp.hash nest ^ ".bad") in
   Alcotest.(check bool) "corrupt bytes preserved in .bad" true (Sys.file_exists bad);
   Alcotest.(check string)
@@ -483,11 +493,13 @@ let test_disk_stale_version () =
      old-format path (ordinary miss), not the corruption path *)
   output_string oc (Service.Envelope.wrap stale);
   close_out oc;
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:(Some dir) () in
   let calls = ref 0 in
   ignore (get_plan (Cache.find_or_compile ~compile:(counting_compile calls) cache nest));
   Alcotest.(check int) "stale version treated as a miss" 1 !calls;
-  Alcotest.(check int) "stale version is not corruption" 0 (Cache.stats cache).Cache.quarantined
+  Alcotest.(check int) "stale version is not corruption" 0
+    (counted since Service.Stats.cache_quarantined)
 
 let test_disk_wrong_fingerprint () =
   with_temp_dir @@ fun dir ->
@@ -576,9 +588,10 @@ let test_janitor_sweep () =
   let oc = open_out published in
   output_string oc (Env.wrap "payload");
   close_out oc;
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:(Some dir) () in
   Alcotest.(check int)
-    "dead temps + .bad + stale lock swept" 4 (Cache.stats cache).Cache.janitor_removed;
+    "dead temps + .bad + stale lock swept" 4 (counted since Service.Stats.cache_janitor);
   Alcotest.(check bool) "dead writer's .tmp gone" false (Sys.file_exists dead_tmp);
   Alcotest.(check bool) "dead writer's .c gone" false (Sys.file_exists dead_src);
   Alcotest.(check bool) ".bad reclaimed" false (Sys.file_exists bad);
@@ -635,6 +648,7 @@ let test_native_transient_failure_not_pinned () =
   match Plan.compile (nest_of_seed 0) with
   | Error e -> Alcotest.failf "plan compile failed: %s" e
   | Ok plan ->
+    let since = Obsv.Metrics.snapshot () in
     let tier = Service.Native.create ~dir:(Some dir) () in
     let param _ = 8 in
     with_env [ ("OMPSIM_JIT_CC", Filename.concat dir "no-such-cc") ] (fun () ->
@@ -645,9 +659,9 @@ let test_native_transient_failure_not_pinned () =
     (match Service.Native.recovery_explain tier plan ~param with
     | _, Some e -> Alcotest.failf "recovered toolchain left pinned to fallback: %s" e
     | _, None -> ());
-    let s = Service.Native.stats tier in
-    Alcotest.(check int) "served natively after recovery" 1 s.Service.Native.served;
-    Alcotest.(check int) "one fallback during the outage" 1 s.Service.Native.fallbacks;
+    Alcotest.(check int) "served natively after recovery" 1
+      (counted since Service.Stats.native_served);
+    Alcotest.(check int) "one fallback during the outage" 1 (counted since Jit.Stats.fallbacks);
     Service.Native.clear tier
 
 (* ---------------------------------------------------------------- *)
@@ -845,6 +859,7 @@ let default_opts =
     reduce = None }
 
 let test_handle_exec () =
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:4 ~dir:None () in
   let nest = tri ~iv:"i" ~jv:"j" ~pv:"N" in
   (* exclusive upper bounds: i in [0, 6), j in [i, 7), so the trip
@@ -860,7 +875,7 @@ let test_handle_exec () =
      hit) must produce the identical line *)
   let response2, _ = Server.handle cache request in
   Alcotest.(check string) "cache hit response identical" response response2;
-  check_stats "handle" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 (Cache.stats cache)
+  check_stats "handle" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 since
 
 let test_run_batch () =
   let input =
@@ -874,6 +889,7 @@ let test_run_batch () =
         "compile kernel=utma label=ignored-after-shutdown"
       ]
   in
+  let since = Obsv.Metrics.snapshot () in
   let cache = Cache.create ~capacity:8 ~dir:None () in
   let in_path = Filename.temp_file "ompsim-batch" ".in" in
   let out_path = Filename.temp_file "ompsim-batch" ".out" in
@@ -905,9 +921,10 @@ let test_run_batch () =
       if not (contains ~needle:{|"op":"shutdown"|} (List.nth lines 4)) then
         Alcotest.failf "last response should acknowledge shutdown: %s" (List.nth lines 4);
       (* labels one and three are the same kernel: one miss, one hit *)
-      let s = Cache.stats cache in
-      Alcotest.(check int) "two distinct plans compiled" 2 s.Cache.misses;
-      Alcotest.(check int) "repeat request hit" 1 (s.Cache.hits + s.Cache.singleflight_waits))
+      let d = counted since in
+      Alcotest.(check int) "two distinct plans compiled" 2 (d Service.Stats.cache_misses);
+      Alcotest.(check int) "repeat request hit" 1
+        (d Service.Stats.cache_hits + d Service.Stats.singleflight_waits))
 
 let suites =
   [ ( "service.codec",
