@@ -409,17 +409,15 @@ let micro () =
 
 (* per-iteration cost of the strategies for executing a collapsed
    chunk: full recovery each iteration (the naive scheme), §V
-   incrementation with per-step polynomial re-evaluation of the bounds
-   (flat-term and Horner pipelines), and the compiled walk whose carries
-   advance the bounds by finite-difference tables *)
+   incrementation with per-step Horner re-evaluation of the bounds, and
+   the walk whose carries advance the bounds by finite-difference
+   tables *)
 let micro_recovery () =
   header "micro-recovery: ns/iter walking the collapsed correlation nest (N=1000)";
   Emit.ensure_writable "BENCH_recovery.json";
   let n = 1000 in
   let corr = Option.get (Kernels.Registry.find "correlation") in
-  let inv = K.inversion corr in
   let rc = K.recovery corr ~n in
-  let rc_flat = Trahrhe.Recovery.make ~compiled:false inv ~param:(K.param_of corr ~n) in
   let trip = Trahrhe.Recovery.trip_count rc in
   let sink = ref 0 in
   let time_ns f =
@@ -432,7 +430,7 @@ let micro_recovery () =
           sink := !sink + (Trahrhe.Recovery.recover_guarded rc pc).(0)
         done)
   in
-  let increment_with rc =
+  let increment_horner =
     time_ns (fun () ->
         let idx = Trahrhe.Recovery.first rc in
         for _ = 1 to trip do
@@ -440,8 +438,6 @@ let micro_recovery () =
           ignore (Trahrhe.Recovery.increment rc idx)
         done)
   in
-  let increment_flat = increment_with rc_flat in
-  let increment_horner = increment_with rc in
   let fdiff_walk =
     time_ns (fun () -> Trahrhe.Recovery.walk rc ~pc:1 ~len:trip (fun idx -> sink := !sink + idx.(0)))
   in
@@ -450,9 +446,8 @@ let micro_recovery () =
   List.iter
     (fun (name, ns) -> Printf.printf "%-54s %10.1f\n" name ns)
     [ ("guarded closed-form recovery at every iteration", recover_each);
-      ("§V increment, flat-term bound re-evaluation", increment_flat);
       ("§V increment, Horner bound re-evaluation", increment_horner);
-      ("compiled walk, finite-difference bound stepping", fdiff_walk) ];
+      ("walk, finite-difference bound stepping", fdiff_walk) ];
   Printf.printf "walk vs re-evaluating increment: %.1fx; walk vs naive recovery: %.1fx\n"
     (increment_horner /. fdiff_walk)
     (recover_each /. fdiff_walk);
@@ -463,15 +458,13 @@ let micro_recovery () =
       ( "ns_per_iter",
         Emit.Obj
           [ ("recover_each", Emit.F (recover_each, 2));
-            ("increment_flat_terms", Emit.F (increment_flat, 2));
             ("increment_horner", Emit.F (increment_horner, 2));
             ("fdiff_walk", Emit.F (fdiff_walk, 2))
           ] );
       ( "speedup",
         Emit.Obj
           [ ("walk_vs_increment_horner", Emit.F (increment_horner /. fdiff_walk, 3));
-            ("walk_vs_recover_each", Emit.F (recover_each /. fdiff_walk, 3));
-            ("horner_vs_flat_increment", Emit.F (increment_flat /. increment_horner, 3))
+            ("walk_vs_recover_each", Emit.F (recover_each /. fdiff_walk, 3))
           ] )
     ]
 

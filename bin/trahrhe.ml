@@ -376,7 +376,12 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
         Service.Fingerprint.canonical_param renaming (Kernels.Kernel.param_of k ~n)
       in
       let opts = { Service.Exec.threads; schedule; lanes; repeat; retries; native; reduce } in
-      let rc, native_reason = Service.Exec.recovery plan ~param opts in
+      let rc, native_reason =
+        try Service.Exec.recovery plan ~param opts
+        with Invalid_argument e ->
+          prerr_endline e;
+          exit 1
+      in
       let trip = Trahrhe.Recovery.trip_count rc in
       let show = function
         | Service.Exec.Int v -> string_of_int v

@@ -5,55 +5,9 @@ module Q = Zmath.Rat
 module B = Zmath.Bigint
 module E = Symx.Expr
 
-(* Fallback representation: polynomial compiled to native-int term
-   evaluation; value = (sum_t coeff_t * prod (slot ^ exp)) / den,
-   exactly. The default pipeline compiles to Horner forms instead
-   (Polymath.Horner) — this flat form is kept as a cross-checking
-   fallback, selectable with [make ~compiled:false]. *)
-type cpoly = { den : int; cterms : (int * (int * int) array) array }
-
 (* slot assignment: level k -> k, pc -> depth *)
 
-let compile_poly ~slot p =
-  let den = Zmath.Bigint.to_int_exn (P.denominator_lcm p) in
-  let scaled = P.scale (Q.of_int den) p in
-  let cterms =
-    P.terms scaled
-    |> List.map (fun (c, m) ->
-           let coeff = Zmath.Bigint.to_int_exn (Q.to_bigint_exn c) in
-           let exps =
-             Polymath.Monomial.to_list m
-             |> List.map (fun (x, e) -> (slot x, e))
-             |> Array.of_list
-           in
-           (coeff, exps))
-    |> Array.of_list
-  in
-  { den; cterms }
-
-(* binary exponentiation: O(log e) multiplications instead of the old
-   O(e) repeated-multiplication loop *)
-let ipow base e =
-  let rec go acc b e =
-    if e = 0 then acc else go (if e land 1 = 1 then acc * b else acc) (b * b) (e lsr 1)
-  in
-  go 1 base e
-
-let eval_cpoly cp lookup =
-  let acc = ref 0 in
-  Array.iter
-    (fun (coeff, exps) ->
-      let v = ref coeff in
-      Array.iter (fun (slot, e) -> v := !v * ipow (lookup slot) e) exps;
-      acc := !acc + !v)
-    cp.cterms;
-  if cp.den = 1 then !acc
-  else begin
-    assert (!acc mod cp.den = 0);
-    !acc / cp.den
-  end
-
-(* Overflow-safe twin of [cpoly]: the same scaled flat-term form with
+(* Overflow-safe form of a polynomial: the scaled flat-term form with
    bigint coefficients and bigint accumulation, immune to native-int
    wraparound at any nest size. Results (ranks, bounds) still fit the
    native int — it is the *intermediates* (coefficient * index powers)
@@ -131,15 +85,19 @@ type native = {
   n_reduce_sum : pc:int -> len:int -> int;
 }
 
-(* compiled forms of a nest's reduction value polynomial: the same
-   safe/compiled/flat evaluation triple as the ranking, plus the
+(* one polynomial role compiled once into both of its evaluators: the
+   Horner form for the native-int hot path (and its finite-difference
+   steppers), the bigint form for overflow-safe mode. Under [safe] the
+   Horner form is a zero placeholder: the scaled coefficients alone may
+   exceed the native range. *)
+type poly = { horner : H.t; exact : bpoly }
+
+(* a nest's reduction clause: its compiled value polynomial, plus the
    parameter-substituted polynomial itself for exact rational folds *)
 type reduce_comp = {
   r_op : Nest.red_op;
   r_poly : P.t;  (** parameter-substituted value, vars = level vars *)
-  cval : cpoly;
-  bval : bpoly;
-  hval : H.t;
+  value : poly;
 }
 
 (* compiled support for one Numeric level: the parameter-folded
@@ -159,22 +117,13 @@ type t = {
   d : int;
   param : string -> int;
   trip : int;
-  compiled : bool;  (** Horner pipeline (default) vs flat-term fallback *)
   safe : bool;
       (** overflow-safe mode: native-int intermediates could wrap at
-          this nest size, so every evaluation routes through [bpoly] *)
-  crank : cpoly;
-  cr_sub : cpoly array;
-  clo : cpoly array;  (** inclusive lower bounds, vars = outer levels *)
-  cup : cpoly array;  (** exclusive upper bounds *)
-  brank : bpoly;
-  br_sub : bpoly array;
-  blo : bpoly array;
-  bup : bpoly array;
-  hrank : H.t;
-  hr_sub : H.t array;
-  hlo : H.t array;
-  hup : H.t array;
+          this nest size, so every evaluation routes through [exact] *)
+  rank_poly : poly;
+  r_sub : poly array;
+  lo : poly array;  (** inclusive lower bounds, vars = outer levels *)
+  up : poly array;  (** exclusive upper bounds *)
   root_envs : (int array -> int -> string -> Complex.t) array;
       (** env builder for level k: takes idx prefix and pc *)
   numeric : numeric_level option array;
@@ -185,7 +134,7 @@ type t = {
       (** specialized [.so] backend, attached per-plan by the JIT tier *)
 }
 
-let make ?(compiled = true) (inv : Inversion.t) ~param =
+let make (inv : Inversion.t) ~param =
   let nest = inv.Inversion.nest in
   let d = Nest.depth nest in
   let vars = Array.of_list (Nest.level_vars nest) in
@@ -209,20 +158,30 @@ let make ?(compiled = true) (inv : Inversion.t) ~param =
   let trip =
     let tp = fold_params inv.Inversion.trip_count in
     match P.is_const tp with
-    | Some c -> Zmath.Bigint.to_int_exn (Q.to_bigint_exn c)
+    | Some c -> (
+      match B.to_int (Q.to_bigint_exn c) with
+      | Some trip -> trip
+      | None -> invalid_arg "Recovery.make: trip count exceeds the native int range")
     | None -> invalid_arg "Recovery.make: trip count not constant under the given parameters"
   in
   if trip < 0 then invalid_arg "Recovery.make: negative trip count";
   let levels = Array.of_list nest.Nest.levels in
-  (* bigint twins first: they exist at any size, and the overflow
-     threshold below decides whether the native-int pipelines may be
-     compiled at all (their scaled coefficients alone can exceed the
-     native range for huge parameters) *)
-  let bpoly_of p = compile_bpoly ~slot (fold_params p) in
-  let brank = bpoly_of inv.Inversion.ranking in
-  let br_sub = Array.map bpoly_of inv.Inversion.r_sub in
-  let blo = Array.map (fun (l : Nest.level) -> bpoly_of (A.to_poly l.lower)) levels in
-  let bup = Array.map (fun (l : Nest.level) -> bpoly_of (A.to_poly l.upper)) levels in
+  (* bigint forms first: they exist at any size, and the overflow
+     threshold below decides whether the Horner forms may be compiled
+     at all (their scaled coefficients alone can exceed the native
+     range for huge parameters) *)
+  let stage p =
+    let folded = fold_params p in
+    (folded, compile_bpoly ~slot folded)
+  in
+  let s_rank = stage inv.Inversion.ranking in
+  let s_sub = Array.map stage inv.Inversion.r_sub in
+  let s_lo = Array.map (fun (l : Nest.level) -> stage (A.to_poly l.lower)) levels in
+  let s_up = Array.map (fun (l : Nest.level) -> stage (A.to_poly l.upper)) levels in
+  (* the reduction value is evaluated at every iteration point by the
+     same evaluators, so it participates in the overflow analysis on
+     equal footing with the rankings and bounds *)
+  let s_val = Option.map (fun (r : Nest.reduction) -> stage r.Nest.value) nest.Nest.reduce in
   (* Per-nest overflow threshold, precomputed from the polynomial
      coefficients (derivation in DESIGN.md "Fault tolerance"):
      1. bound each level's index magnitude inductively — |idx_k| is at
@@ -238,51 +197,32 @@ let make ?(compiled = true) (inv : Inversion.t) ~param =
   mag.(d) <- B.of_int (max 1 trip);
   let bmax = ref mag.(d) in
   for k = 0 to d - 1 do
-    let m_lo = term_magnitude blo.(k) mag and m_up = term_magnitude bup.(k) mag in
+    let m_lo = term_magnitude (snd s_lo.(k)) mag and m_up = term_magnitude (snd s_up.(k)) mag in
     let m = B.add (if B.compare m_lo m_up >= 0 then m_lo else m_up) B.one in
     mag.(k) <- m;
     if B.compare m !bmax > 0 then bmax := m
   done;
   let worst = ref B.zero and deg = ref 0 in
-  let consider bp =
+  let consider (_, bp) =
     let w = term_magnitude bp mag in
     if B.compare w !worst > 0 then worst := w;
     deg := max !deg (total_degree bp)
   in
-  consider brank;
-  Array.iter consider br_sub;
-  Array.iter consider blo;
-  Array.iter consider bup;
-  (* the reduction value is evaluated at every iteration point by the
-     same native-int pipelines, so it participates in the overflow
-     analysis on equal footing with the rankings and bounds *)
-  let breduce =
-    Option.map (fun (r : Nest.reduction) -> bpoly_of r.Nest.value) nest.Nest.reduce
-  in
-  Option.iter consider breduce;
+  consider s_rank;
+  Array.iter consider s_sub;
+  Array.iter consider s_lo;
+  Array.iter consider s_up;
+  Option.iter consider s_val;
   let headroom = B.mul (B.mul !worst !bmax) (B.pow (B.of_int 2) (!deg + 1)) in
   let safe = B.compare headroom (B.pow (B.of_int 2) 61) >= 0 in
   if safe then Obsv.Metrics.incr_here c_bigint_fallback;
   let zero_poly = P.const Q.zero in
-  let cpoly_of p = compile_poly ~slot (if safe then zero_poly else fold_params p) in
-  let horner_of p = H.compile ~slot (if safe then zero_poly else fold_params p) in
-  let crank = cpoly_of inv.Inversion.ranking in
-  let cr_sub = Array.map cpoly_of inv.Inversion.r_sub in
-  let clo = Array.map (fun (l : Nest.level) -> cpoly_of (A.to_poly l.lower)) levels in
-  let cup = Array.map (fun (l : Nest.level) -> cpoly_of (A.to_poly l.upper)) levels in
-  let hrank = horner_of inv.Inversion.ranking in
-  let hr_sub = Array.map horner_of inv.Inversion.r_sub in
-  let hlo = Array.map (fun (l : Nest.level) -> horner_of (A.to_poly l.lower)) levels in
-  let hup = Array.map (fun (l : Nest.level) -> horner_of (A.to_poly l.upper)) levels in
+  let form (folded, exact) =
+    { horner = H.compile ~slot (if safe then zero_poly else folded); exact }
+  in
   let reduce =
-    match (nest.Nest.reduce, breduce) with
-    | Some r, Some bval ->
-      Some
-        { r_op = r.Nest.op;
-          r_poly = fold_params r.Nest.value;
-          cval = cpoly_of r.Nest.value;
-          bval;
-          hval = horner_of r.Nest.value }
+    match (nest.Nest.reduce, s_val) with
+    | Some r, Some ((r_poly, _) as sv) -> Some { r_op = r.Nest.op; r_poly; value = form sv }
     | _ -> None
   in
   let root_envs =
@@ -305,7 +245,7 @@ let make ?(compiled = true) (inv : Inversion.t) ~param =
           (* scale by the denominator lcm: the univariate coefficients
              of the scaled polynomial have integer coefficients, hence
              integer values at the (integer) recovered prefixes, so the
-             native-int pipeline may evaluate them exactly *)
+             Horner forms evaluate them exactly *)
           let lcm = P.denominator_lcm folded in
           let scaled = P.scale (Q.of_bigint lcm) folded in
           let u = P.as_univariate var scaled in
@@ -319,9 +259,8 @@ let make ?(compiled = true) (inv : Inversion.t) ~param =
               fun idx -> Array.map (P.eval_float (fun x -> float_of_int idx.(slot x))) univ
             end
             else begin
-              let cps = Array.map (compile_poly ~slot) univ in
-              fun idx ->
-                Array.map (fun cp -> float_of_int (eval_cpoly cp (fun s -> idx.(s)))) cps
+              let hs = Array.map (H.compile ~slot) univ in
+              fun idx -> Array.map (fun h -> float_of_int (H.eval h (fun s -> idx.(s)))) hs
             end
           in
           Some
@@ -332,12 +271,22 @@ let make ?(compiled = true) (inv : Inversion.t) ~param =
         | Inversion.Root _ | Inversion.Last _ -> None)
       inv.Inversion.recoveries
   in
-  { inv; d; param; trip; compiled; safe; crank; cr_sub; clo; cup; brank; br_sub; blo; bup;
-    hrank; hr_sub; hlo; hup; root_envs; numeric; reduce; native = None }
+  { inv;
+    d;
+    param;
+    trip;
+    safe;
+    rank_poly = form s_rank;
+    r_sub = Array.map form s_sub;
+    lo = Array.map form s_lo;
+    up = Array.map form s_up;
+    root_envs;
+    numeric;
+    reduce;
+    native = None }
 
 let depth t = t.d
 let trip_count t = t.trip
-let compiled t = t.compiled
 let overflow_guarded t = t.safe
 
 (* overflow-guarded nests refuse the native backend: the specialized C
@@ -354,29 +303,16 @@ let native_recover t pc =
     nat.n_recover ~pc idx;
     Some idx
 
-let rank t idx =
-  if t.safe then eval_bpoly t.brank (fun s -> idx.(s))
-  else if t.compiled then H.eval t.hrank (fun s -> idx.(s))
-  else eval_cpoly t.crank (fun s -> idx.(s))
+(* the one evaluator every polynomial role goes through *)
+let eval t p lookup = if t.safe then eval_bpoly p.exact lookup else H.eval p.horner lookup
+
+let rank t idx = eval t t.rank_poly (fun s -> idx.(s))
 
 let rank_prefix t ~level v prefix =
-  let lookup s = if s = level then v else prefix.(s) in
-  if t.safe then eval_bpoly t.br_sub.(level) lookup
-  else if t.compiled then H.eval t.hr_sub.(level) lookup
-  else eval_cpoly t.cr_sub.(level) lookup
+  eval t t.r_sub.(level) (fun s -> if s = level then v else prefix.(s))
 
-let lower_bound t ~level prefix =
-  if t.safe then eval_bpoly t.blo.(level) (fun s -> prefix.(s))
-  else if t.compiled then H.eval t.hlo.(level) (fun s -> prefix.(s))
-  else eval_cpoly t.clo.(level) (fun s -> prefix.(s))
-
-let upper_bound t ~level prefix =
-  if t.safe then eval_bpoly t.bup.(level) (fun s -> prefix.(s))
-  else if t.compiled then H.eval t.hup.(level) (fun s -> prefix.(s))
-  else eval_cpoly t.cup.(level) (fun s -> prefix.(s))
-
-let rank_stepper t ~level ~start prefix =
-  H.Stepper.make t.hr_sub.(level) ~slot:level ~start ~lookup:(fun s -> prefix.(s))
+let lower_bound t ~level prefix = eval t t.lo.(level) (fun s -> prefix.(s))
+let upper_bound t ~level prefix = eval t t.up.(level) (fun s -> prefix.(s))
 
 (* largest v in [lo, hi] with rank_prefix v <= pc, probing outward
    from a seed: the float-Newton enclosure is almost always within one
@@ -469,10 +405,12 @@ let adjust_level t idx pc k =
   let lo = lower_bound t ~level:k idx in
   let hi = upper_bound t ~level:k idx - 1 in
   let v = ref (max lo (min hi idx.(k))) in
-  if t.compiled && not t.safe then begin
+  if not t.safe then begin
     (* difference-table scan: each probe of the monotone substituted
        ranking costs O(degree) additions instead of a full re-evaluation *)
-    let st = rank_stepper t ~level:k ~start:!v idx in
+    let st =
+      H.Stepper.make t.r_sub.(k).horner ~slot:k ~start:!v ~lookup:(fun s -> idx.(s))
+    in
     let continue = ref (!v < hi) in
     while !continue do
       H.Stepper.step st;
@@ -604,29 +542,28 @@ let imin (a : int) b = if a <= b then a else b
 (* the step phase of one chunk: drive [shape] over [len] iterations
    starting from [idx] (the chunk's one recovery, rank [pc]), stopping
    early at the end of the space; returns the iterations visited.
-   Per-level bounds are cached over [idx]. On the compiled pipeline
-   level q > 0 additionally carries difference-table steppers along
-   the parent variable q-1, so a carry updates its bounds in O(degree)
-   additions; the overflow-safe and flat-term pipelines re-evaluate the
-   bound polynomials instead (bigint evaluators in safe mode) — the
-   same values [increment] computes. *)
+   Per-level bounds are cached over [idx]. Level q > 0 additionally
+   carries difference-table steppers along the parent variable q-1, so
+   a carry updates its bounds in O(degree) additions; overflow-safe
+   mode re-evaluates the bound polynomials through their bigint forms
+   instead — the same values [increment] computes. *)
 let step t idx ~pc ~len shape =
   let d = t.d in
   let lo = Array.make d 0 and hi = Array.make d 0 in
   let build, step_bounds =
-    if t.safe || not t.compiled then begin
-      let eval q =
+    if t.safe then begin
+      let reeval q =
         lo.(q) <- lower_bound t ~level:q idx;
         hi.(q) <- upper_bound t ~level:q idx
       in
-      (eval, eval)
+      (reeval, reeval)
     end
     else begin
       let lo_st = Array.make d None and hi_st = Array.make d None in
       let build q =
         let lookup s = idx.(s) in
-        let ls = H.Stepper.make t.hlo.(q) ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
-        let hs = H.Stepper.make t.hup.(q) ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
+        let ls = H.Stepper.make t.lo.(q).horner ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
+        let hs = H.Stepper.make t.up.(q).horner ~slot:(q - 1) ~start:idx.(q - 1) ~lookup in
         lo_st.(q) <- Some ls;
         hi_st.(q) <- Some hs;
         lo.(q) <- H.Stepper.value ls;
@@ -819,10 +756,7 @@ let reduce_comp t =
    native-int wraparound commutes with every + and *: the result is
    the exact value mod 2^63 — the same residue the JIT's u64
    accumulator yields after [Val_long] truncation. *)
-let value_int t rc =
-  if t.safe then fun idx -> eval_bpoly rc.bval (fun s -> idx.(s))
-  else if t.compiled then fun idx -> H.eval rc.hval (fun s -> idx.(s))
-  else fun idx -> eval_cpoly rc.cval (fun s -> idx.(s))
+let value_int t rc idx = eval t rc.value (fun s -> idx.(s))
 
 let reduce_value_int t idx = value_int t (reduce_comp t) idx
 

@@ -1,10 +1,13 @@
 (** Runtime index recovery — the OCaml analogue of the code the tool
     generates in C.
 
-    A {!t} is an inversion specialized to concrete parameter values,
-    with the ranking machinery compiled down to native-int Horner-free
-    term evaluation (exact, since ranking values fit 63 bits for all
-    realistic sizes). Three recovery strategies are provided:
+    A {!t} is an inversion specialized to concrete parameter values.
+    {!make} compiles every ranking, substituted ranking, bound and
+    clause-value polynomial once into two evaluators: a native-int
+    Horner form ({!Polymath.Horner}, with finite-difference steppers)
+    for the hot path, and an exact bigint form for overflow-safe mode
+    (below). One evaluator picks between them per recovery. Three
+    recovery strategies are provided:
 
     - {!recover}: the paper's closed forms — complex floating
       evaluation + [floor] per level (Figures 3/7);
@@ -21,25 +24,24 @@
     {!walk_reduce_rat} — is a payload over one private engine: the
     paper's §V scheme of one {!recover_guarded} at the chunk's first
     rank, then a carry over cached per-level bounds (difference-table
-    steppers on the compiled pipeline, re-evaluated polynomials on the
-    fallbacks) in a scalar shape (one callback per iteration) or a
-    lane-block shape (§VI-A lockstep blocks). One instrumentation
+    steppers, or re-evaluated bigint polynomials in overflow-safe mode)
+    in a scalar shape (one callback per iteration) or a lane-block
+    shape (§VI-A lockstep blocks). One instrumentation
     wrapper records every entry's counters and span. A native backend
     ({!attach_native}) replaces a whole chunk of {!walk_hash} or
     {!walk_reduce_sum} with one call into the specialized object.
     {!increment} is the same §V step as a standalone primitive.
 
-    {b Overflow-safe mode.} The native-int pipelines are exact only
-    while their scaled intermediates fit 63 bits. {!make} precomputes
+    {b Overflow-safe mode.} The Horner forms are exact only while
+    their scaled intermediates fit 63 bits. {!make} precomputes
     a per-nest threshold from the polynomial coefficients (an
     inductive magnitude bound per index level, then a worst-case
     intermediate bound — derivation in DESIGN.md); when the bound
     reaches the native range the recovery flips to overflow-safe mode
-    ({!overflow_guarded}): every ranking/bound evaluation routes
-    through exact bigint arithmetic, {!recover_guarded} degrades to
-    {!recover_binsearch} (the closed forms' floats are hopeless at
-    such sizes), and the engine re-evaluates bounds instead of
-    stepping difference tables — slower, but exact instead of
+    ({!overflow_guarded}): every evaluation routes through the bigint
+    forms, {!recover_guarded} degrades to {!recover_binsearch} (the
+    closed forms' floats are hopeless at such sizes), and the engine
+    re-evaluates bounds instead of stepping difference tables — slower, but exact instead of
     silently wrapped. The [recovery.bigint_fallback] counter records
     both the {!make} detection and each chunk routed through the safe
     path.
@@ -83,19 +85,14 @@ val native_enabled : t -> bool
     differential tests compare against {!recover_guarded}. *)
 val native_recover : t -> int -> int array option
 
-(** [make inv ~param] specializes an inversion to parameter values.
-    [compiled] (default [true]) selects the Horner/finite-difference
-    evaluation pipeline ({!Polymath.Horner}); [~compiled:false] keeps
-    the flat term-by-term fallback (same results, used for
-    cross-checking and as a reference in benchmarks).
-    @raise Invalid_argument when a needed parameter is missing or the
-    trip count is negative. *)
-val make : ?compiled:bool -> Inversion.t -> param:(string -> int) -> t
+(** [make inv ~param] specializes an inversion to parameter values,
+    compiling each polynomial role once into its Horner and bigint
+    forms and deciding {!overflow_guarded} from their coefficients.
+    @raise Invalid_argument when a needed parameter is missing, or the
+    trip count is negative or exceeds the native int range. *)
+val make : Inversion.t -> param:(string -> int) -> t
 
 val depth : t -> int
-
-(** [compiled t] tells which evaluation pipeline {!make} selected. *)
-val compiled : t -> bool
 
 (** [overflow_guarded t] is [true] when {!make}'s coefficient analysis
     found that native-int intermediates could wrap at this nest size,
@@ -171,13 +168,6 @@ val increment : t -> int array -> bool
     minimum).
     @raise Failure when the domain is empty. *)
 val first : t -> int array
-
-(** [rank_stepper t ~level ~start prefix] is a finite-difference
-    stepper over the monotone substituted ranking
-    [v -> rank_prefix t ~level v prefix], positioned at [v = start]:
-    each subsequent probe costs O(degree) integer additions. Only
-    meaningful on a [compiled] recovery. *)
-val rank_stepper : t -> level:int -> start:int -> int array -> Polymath.Horner.Stepper.t
 
 (** [walk t ~pc ~len f] performs ONE costly recovery at the 1-based
     collapsed index [pc] and then visits the next [len] iterations in

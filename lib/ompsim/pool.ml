@@ -75,15 +75,18 @@ let worker_loop latch w slot =
 let fresh_worker () =
   { mutex = Mutex.create (); cond = Condition.create (); job = None; stop = false }
 
-let shutdown_pool p =
+let stop_and_join workers domains =
   Array.iter
     (fun w ->
       Mutex.lock w.mutex;
       w.stop <- true;
       Condition.signal w.cond;
       Mutex.unlock w.mutex)
-    p.workers;
-  Array.iter Domain.join p.domains;
+    workers;
+  Array.iter Domain.join domains
+
+let shutdown_pool p =
+  stop_and_join p.workers p.domains;
   p.workers <- [||];
   p.domains <- [||]
 
@@ -96,9 +99,32 @@ let shutdown () =
 
 let at_exit_registered = ref false
 
+(* grow [p] by [extra] workers, all or nothing: when a spawn fails
+   (the runtime's domain limit) the workers already spawned are
+   stopped and joined, leaving the pool as it was, and the failure is
+   re-raised *)
+let grow p extra =
+  let cur = Array.length p.workers in
+  let spawned = ref [] in
+  match
+    Array.iteri
+      (fun i w ->
+        let slot = cur + i + 1 in
+        spawned := Domain.spawn (fun () -> worker_loop p.latch w slot) :: !spawned)
+      extra
+  with
+  | () ->
+    p.workers <- Array.append p.workers extra;
+    p.domains <- Array.append p.domains (Array.of_list (List.rev !spawned))
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    stop_and_join (Array.sub extra 0 (List.length !spawned)) (Array.of_list !spawned);
+    Printexc.raise_with_backtrace e bt
+
 (* get the pool, growing it to at least [capacity] workers *)
 let get ~capacity =
   Mutex.lock pool_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock pool_lock) @@ fun () ->
   let p =
     match !the_pool with
     | Some p -> p
@@ -117,19 +143,7 @@ let get ~capacity =
       p
   in
   let cur = Array.length p.workers in
-  if capacity > cur then begin
-    let extra = Array.init (capacity - cur) (fun _ -> fresh_worker ()) in
-    let extra_domains =
-      Array.mapi
-        (fun i w ->
-          let slot = cur + i + 1 in
-          Domain.spawn (fun () -> worker_loop p.latch w slot))
-        extra
-    in
-    p.workers <- Array.append p.workers extra;
-    p.domains <- Array.append p.domains extra_domains
-  end;
-  Mutex.unlock pool_lock;
+  if capacity > cur then grow p (Array.init (capacity - cur) (fun _ -> fresh_worker ()));
   p
 
 let size () =

@@ -10,7 +10,10 @@
 
     The pool is created lazily on the first multi-threaded dispatch
     and grows on demand when a region requests more workers than are
-    alive; it is shut down automatically at process exit. Worker
+    alive; growth is all or nothing — when the runtime refuses a
+    domain, the workers spawned for that growth are joined, the pool
+    keeps its previous size and {!run} re-raises the spawn failure. It
+    is shut down automatically at process exit. Worker
     [slot] numbers are stable: worker [j] always runs as slot [j]
     (the calling domain is slot 0).
 

@@ -23,6 +23,10 @@ let is_ident s =
 
 let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
+(* a decimal literal that fits the native int; over-long ones are
+   rejected as bad terms rather than raising *)
+let int_literal s = if is_digits s then int_of_string_opt s else None
+
 let ( let* ) = Result.bind
 
 (* bound grammar: ['-'] term (('+'|'-') term)*, term = INT['*'IDENT] | IDENT *)
@@ -63,16 +67,17 @@ let parse_affine s =
       List.iter
         (fun (sg, a) ->
           if !atom_err = None then
+            let reject () = atom_err := Some (Printf.sprintf "bad term %S in bound %S" a s) in
             match String.index_opt a '*' with
-            | Some k ->
-              let c = String.sub a 0 k in
+            | Some k -> (
               let v = String.sub a (k + 1) (String.length a - k - 1) in
-              if is_digits c && is_ident v then add_coeff v (Q.of_int (sg * int_of_string c))
-              else atom_err := Some (Printf.sprintf "bad term %S in bound %S" a s)
-            | None ->
-              if is_digits a then const := Q.add !const (Q.of_int (sg * int_of_string a))
-              else if is_ident a then add_coeff a (Q.of_int sg)
-              else atom_err := Some (Printf.sprintf "bad term %S in bound %S" a s))
+              match int_literal (String.sub a 0 k) with
+              | Some c when is_ident v -> add_coeff v (Q.of_int (sg * c))
+              | _ -> reject ())
+            | None -> (
+              match int_literal a with
+              | Some c -> const := Q.add !const (Q.of_int (sg * c))
+              | None -> if is_ident a then add_coeff a (Q.of_int sg) else reject ()))
         (List.rev !atoms);
       match !atom_err with
       | Some e -> Error e

@@ -328,7 +328,11 @@ let test_cli_smoke () =
     (fun args ->
       let rc = Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" cli args) in
       Alcotest.(check bool) ("trahrhe " ^ args ^ " fails") true (rc <> 0))
-    [ "info --kernel no_such_kernel"; "emit"; "simulate" ]
+    [ "info --kernel no_such_kernel"; "emit"; "simulate" ];
+  (* a trip count beyond the native int range is reported, not raised
+     (an uncaught exception would exit 125) *)
+  Alcotest.(check int) "trahrhe exec past the int range exits 1" 1
+    (Sys.command (Printf.sprintf "%s exec --kernel utma -n 10000000000 -t 1 > /dev/null 2>&1" cli))
 
 let test_tiled_collapse_c () =
   require_gcc ();

@@ -504,6 +504,19 @@ let test_pool_exception_propagates () =
           hits.(q) <- hits.(q) + 1);
       Alcotest.(check bool) "usable after failure" true (Array.for_all (fun h -> h = 1) hits))
 
+let test_pool_failed_growth () =
+  (* a region wider than the runtime's domain limit cannot grow the
+     pool: the spawn failure reaches the caller, the partial growth is
+     joined, and the next region runs on the pool as it was *)
+  let before = Ompsim.Pool.size () in
+  (match Ompsim.Pool.run ~nthreads:1000 (fun _ -> ()) with
+  | () -> Alcotest.fail "1000 domains exceed the runtime's domain limit"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "pool size unchanged" before (Ompsim.Pool.size ());
+  let hits = Array.make 2 0 in
+  Ompsim.Pool.run ~nthreads:2 (fun t -> hits.(t) <- hits.(t) + 1);
+  Alcotest.(check (array int)) "next region runs" [| 1; 1 |] hits
+
 let test_ws_counter_soak () =
   (* many work-stealing regions of varying shape with observability on:
      every dealt chunk is popped locally or stolen, exactly once — the
@@ -592,5 +605,7 @@ let suites =
         Alcotest.test_case "pool = spawn results" `Quick test_backends_identical_results;
         Alcotest.test_case "pool reuse and growth" `Quick test_pool_reuse_and_growth;
         Alcotest.test_case "pool exception propagation" `Quick test_pool_exception_propagates;
+        Alcotest.test_case "failed pool growth leaves the pool usable" `Quick
+          test_pool_failed_growth;
         Alcotest.test_case "ws counters reconcile (soak)" `Quick test_ws_counter_soak;
         Alcotest.test_case "nested region does not deadlock" `Quick test_pool_nested_region ] ) ]

@@ -858,7 +858,10 @@ let test_serve_garbage_bytes () =
         "exec kernel=\x7fnope\n";
         "compile\n";
         "health extra=1\n";
-        "exec kernel=utma n=\x00\n" ];
+        "exec kernel=utma n=\x00\n";
+        (* an over-long bound literal; a trip count beyond the int range *)
+        "compile params=N levels=i=0..99999999999999999999999\n";
+        "exec kernel=utma n=10000000000 threads=1\n" ];
     (* binary junk with no terminator, then an abrupt close *)
     let fd = connect socket in
     send_all fd "\xff\xfe\xfd";

@@ -834,6 +834,7 @@ let test_parse_rejects () =
       ("compile params=N", "levels");
       ("compile params=N levels=i=0..N n=4", "n");
       ("compile params=N levels=i=0*..N", "bad term");
+      ("compile params=N levels=i=0..99999999999999999999999", "bad term");
       ("compile params=N levels=i=0..N+", "dangling sign");
       ("compile params=N levels=i=0toN", "LOWER..UPPER");
       ("exec params=N levels=i=0..N", "value for parameter");
@@ -875,7 +876,13 @@ let test_handle_exec () =
      hit) must produce the identical line *)
   let response2, _ = Server.handle cache request in
   Alcotest.(check string) "cache hit response identical" response response2;
-  check_stats "handle" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 since
+  check_stats "handle" ~hits:1 ~disk_hits:0 ~misses:1 ~evictions:0 ~waits:0 since;
+  (* a trip count beyond the native int range is an error response,
+     not an exception out of the handler *)
+  let huge, ok = Server.handle cache (parse_ok "exec kernel=utma n=10000000000 threads=1") in
+  Alcotest.(check bool) "huge trip refused" false ok;
+  if not (contains ~needle:"trip count exceeds the native int range" huge) then
+    Alcotest.failf "huge trip response: %s" huge
 
 let test_run_batch () =
   let input =

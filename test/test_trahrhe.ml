@@ -328,26 +328,68 @@ let test_recovery_missing_param () =
        false
      with Failure _ -> true)
 
-let test_recovery_compiled_matches_flat () =
-  (* the Horner pipeline (default) and the flat-term fallback must give
-     identical recoveries, bounds and ranks everywhere *)
+let test_recovery_trip_overflow () =
+  (* correlation's N(N-1)/2 collapsed iterations leave the native int
+     range at N = 10^10: [make] refuses with its documented exception *)
+  let inv = Trahrhe.Inversion.invert_exn (correlation_nest ()) in
+  Alcotest.check_raises "trip beyond int range"
+    (Invalid_argument "Recovery.make: trip count exceeds the native int range") (fun () ->
+      ignore (Trahrhe.Recovery.make inv ~param:(fun _ -> 10_000_000_000)))
+
+let test_recovery_horner_matches_exact () =
+  (* every native-int Horner evaluation — recovery, rank, bounds and
+     substituted rankings — must equal exact bigint/rational evaluation
+     of the nest's own polynomials at every rank *)
   List.iter
     (fun (name, nest, n) ->
       let inv = Trahrhe.Inversion.invert_exn nest in
       let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> n) in
-      let rf = Trahrhe.Recovery.make ~compiled:false inv ~param:(fun _ -> n) in
-      Alcotest.(check bool) (name ^ ": pipeline flags") true
-        (Trahrhe.Recovery.compiled rc && not (Trahrhe.Recovery.compiled rf));
-      Alcotest.(check int) (name ^ ": trips") (Trahrhe.Recovery.trip_count rc)
-        (Trahrhe.Recovery.trip_count rf);
+      let levels = Array.of_list nest.Trahrhe.Nest.levels in
+      let vars = Array.map (fun (l : Trahrhe.Nest.level) -> l.Trahrhe.Nest.var) levels in
+      (* level vars 0..upto-1 read [idx], everything else is a parameter *)
+      let env idx ~upto x =
+        let rec find j =
+          if j >= upto then Q.of_int n else if vars.(j) = x then Q.of_int idx.(j) else find (j + 1)
+        in
+        find 0
+      in
+      let exact_int what q =
+        if not (Q.is_integer q) then Alcotest.failf "%s: %s is not an integer" what (Q.to_string q);
+        Zmath.Bigint.to_int_exn (Q.to_bigint_exn q)
+      in
       for pc = 1 to Trahrhe.Recovery.trip_count rc do
         let g = Trahrhe.Recovery.recover_guarded rc pc in
-        let gf = Trahrhe.Recovery.recover_guarded rf pc in
-        if g <> gf then Alcotest.failf "%s pc=%d: guarded horner <> flat" name pc;
-        let b = Trahrhe.Recovery.recover_binsearch rc pc in
-        if g <> b then Alcotest.failf "%s pc=%d: guarded <> binsearch on horner" name pc;
-        if Trahrhe.Recovery.rank rc g <> Trahrhe.Recovery.rank rf g then
-          Alcotest.failf "%s pc=%d: rank horner <> flat" name pc
+        if g <> Trahrhe.Recovery.recover_binsearch rc pc then
+          Alcotest.failf "%s pc=%d: guarded <> binsearch" name pc;
+        let exact_rank = Trahrhe.Ranking.rank_at nest ~param:(fun _ -> n) g in
+        if Zmath.Bigint.of_int (Trahrhe.Recovery.rank rc g) <> exact_rank then
+          Alcotest.failf "%s pc=%d: rank %d, exact %s" name pc (Trahrhe.Recovery.rank rc g)
+            (Zmath.Bigint.to_string exact_rank);
+        Array.iteri
+          (fun k (l : Trahrhe.Nest.level) ->
+            let where what = Printf.sprintf "%s pc=%d level %d %s" name pc k what in
+            let check what got q =
+              let want = exact_int (where what) q in
+              if got <> want then Alcotest.failf "%s: %d, exact %d" (where what) got want
+            in
+            check "lower bound"
+              (Trahrhe.Recovery.lower_bound rc ~level:k g)
+              (A.eval (env g ~upto:k) l.Trahrhe.Nest.lower);
+            check "upper bound"
+              (Trahrhe.Recovery.upper_bound rc ~level:k g)
+              (A.eval (env g ~upto:k) l.Trahrhe.Nest.upper);
+            (* the recovered index and its successor: the two probes
+               that bracket [pc] in every recovery strategy *)
+            List.iter
+              (fun v ->
+                let probe = Array.copy g in
+                probe.(k) <- v;
+                check
+                  (Printf.sprintf "rank_prefix at %d" v)
+                  (Trahrhe.Recovery.rank_prefix rc ~level:k v g)
+                  (P.eval (env probe ~upto:(k + 1)) inv.Trahrhe.Inversion.r_sub.(k)))
+              [ g.(k); g.(k) + 1 ])
+          levels
       done)
     [ ("correlation", correlation_nest (), 12); ("fig6", fig6_nest (), 9) ]
 
@@ -648,7 +690,9 @@ let suites =
         Alcotest.test_case "increment walks domain" `Quick test_recovery_increment_walks_domain;
         Alcotest.test_case "empty domain" `Quick test_recovery_empty_domain;
         Alcotest.test_case "missing parameter" `Quick test_recovery_missing_param;
-        Alcotest.test_case "horner matches flat fallback" `Quick test_recovery_compiled_matches_flat;
+        Alcotest.test_case "trip count beyond int range" `Quick test_recovery_trip_overflow;
+        Alcotest.test_case "horner matches the exact reference" `Quick
+          test_recovery_horner_matches_exact;
         Alcotest.test_case "fdiff walk matches increment" `Quick test_recovery_walk_matches_increment;
         Alcotest.test_case "lane-walk matches walk (\xc2\xa7VI-A)" `Quick
           test_recovery_walk_lanes_matches_walk;
