@@ -1404,7 +1404,7 @@ let micro_reduce () =
               let pc = ref 1 in
               while !pc <= trip do
                 let len = min chunk (trip - !pc + 1) in
-                sink := !sink + R.walk_reduce_sum rc ~pc:!pc ~len;
+                sink := !sink + R.walk_reduce_int rc ~pc:!pc ~len;
                 pc := !pc + len
               done)
         in
@@ -1414,8 +1414,8 @@ let micro_reduce () =
       let native = reduce_ns rc_native in
       ignore !sink;
       (* the native accumulator must agree bit for bit *)
-      let vi = R.walk_reduce_sum rc_interp ~pc:1 ~len:trip in
-      let vn = R.walk_reduce_sum rc_native ~pc:1 ~len:trip in
+      let vi = R.walk_reduce_int rc_interp ~pc:1 ~len:trip in
+      let vn = R.walk_reduce_int rc_native ~pc:1 ~len:trip in
       if vi <> vn then failwith (Printf.sprintf "native reduce %d <> interpreted %d" vn vi);
       Printf.printf "%-44s %10.2f\n" "interpreted clause fold (ns/iter)" interp;
       Printf.printf "%-44s %10.2f\n" "native reduce_sum (ns/iter)" native;
@@ -1429,7 +1429,7 @@ let micro_reduce () =
      nothing here is allowed to move a bit *)
   let _, rc_s = reduced n_sweep in
   let trip_s = R.trip_count rc_s in
-  let serial_s_value = R.walk_reduce_sum rc_s ~pc:1 ~len:trip_s in
+  let serial_s_value = R.walk_reduce_int rc_s ~pc:1 ~len:trip_s in
   let sweep_cases = ref 0 in
   let sweep_ok = ref true in
   let check where = function
@@ -1443,7 +1443,7 @@ let micro_reduce () =
       sweep_ok := false;
       Printf.printf "  sweep EMPTY at %s\n" where
   in
-  let body ~thread:_ ~start ~len = R.walk_reduce_sum rc_s ~pc:(start + 1) ~len in
+  let body ~thread:_ ~start ~len = R.walk_reduce_int rc_s ~pc:(start + 1) ~len in
   let faults = Some { Ompsim.Fault.default with p = 0.3; seed = 0x5eed } in
   let sweep_schedules =
     [ Sched.Static; Sched.Static_chunk 3; Sched.Dynamic 2; Sched.Guided 2;

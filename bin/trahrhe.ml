@@ -387,10 +387,11 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
         | Service.Exec.Int v -> string_of_int v
         | Service.Exec.Rat q -> Zmath.Rat.to_string q
       in
-      match
-        Service.Exec.run ~faults:fault_cfg ?deadline_ms ~supervised:resilient rc
-          ~nest:plan.Service.Plan.inversion.Trahrhe.Inversion.nest ~param opts
-      with
+      (* one invocation, one reference: the CLI walks it every time *)
+      let reference =
+        Service.Exec.serial rc ~nest:plan.Service.Plan.inversion.Trahrhe.Inversion.nest ~param opts
+      in
+      match Service.Exec.run ~faults:fault_cfg ?deadline_ms ~supervised:resilient ~reference rc opts with
       | Error Service.Exec.Empty_extremum ->
         prerr_endline "min/max reduction over an empty iteration space";
         1

@@ -776,13 +776,27 @@ let reduce_rat_eval t rc =
 
 let reduce_value_rat t idx = reduce_rat_eval t (reduce_comp t) idx
 
-let walk_reduce_sum t ~pc ~len =
+(* the native-int fold of the clause: a wrapping sum (one native call
+   per chunk when the backend is attached), or min/max, which are exact
+   only below [make]'s 2^61 headroom and so refuse a guarded recovery.
+   Every clause value is then below 2^61 in magnitude, so [max_int]
+   (resp. [min_int]) is a seed the chunk's first value always replaces. *)
+let walk_reduce_int t ~pc ~len =
   let rc = reduce_comp t in
-  if rc.r_op <> Nest.Sum then invalid_arg "Recovery.walk_reduce_sum: clause is not a sum";
   let eval = value_int t rc and acc = ref 0 in
-  chunk t ~pc ~len
-    ?native:(Option.map (fun nat () -> acc := nat.n_reduce_sum ~pc ~len) t.native)
-    (Scalar (fun idx -> acc := !acc + eval idx));
+  (match rc.r_op with
+  | Nest.Sum ->
+    chunk t ~pc ~len
+      ?native:(Option.map (fun nat () -> acc := nat.n_reduce_sum ~pc ~len) t.native)
+      (Scalar (fun idx -> acc := !acc + eval idx))
+  | Nest.Min | Nest.Max ->
+    if t.safe then invalid_arg "Recovery.walk_reduce_int: min/max on an overflow-guarded recovery";
+    if len <= 0 || pc < 1 || pc > t.trip then
+      invalid_arg "Recovery.walk_reduce_int: empty chunk or pc outside the iteration space";
+    let pick = if rc.r_op = Nest.Min then Int.min else Int.max in
+    acc := (if rc.r_op = Nest.Min then max_int else min_int);
+    chunk t ~pc ~len (Scalar (fun idx -> acc := pick !acc (eval idx)))
+  | Nest.Prod -> invalid_arg "Recovery.walk_reduce_int: clause is a product");
   !acc
 
 let walk_reduce_rat t ~pc ~len =

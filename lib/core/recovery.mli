@@ -20,7 +20,7 @@
       uses when symbolic inversion fails).
 
     {b One chunk engine.} Every chunk entry point — {!walk},
-    {!walk_hash}, {!walk_lanes}, {!recover_block}, {!walk_reduce_sum},
+    {!walk_hash}, {!walk_lanes}, {!recover_block}, {!walk_reduce_int},
     {!walk_reduce_rat} — is a payload over one private engine: the
     paper's §V scheme of one {!recover_guarded} at the chunk's first
     rank, then a carry over cached per-level bounds (difference-table
@@ -28,8 +28,8 @@
     in a scalar shape (one callback per iteration) or a lane-block
     shape (§VI-A lockstep blocks). One instrumentation
     wrapper records every entry's counters and span. A native backend
-    ({!attach_native}) replaces a whole chunk of {!walk_hash} or
-    {!walk_reduce_sum} with one call into the specialized object.
+    ({!attach_native}) replaces a whole chunk of {!walk_hash} or a
+    [Sum] {!walk_reduce_int} with one call into the specialized object.
     {!increment} is the same §V step as a standalone primitive.
 
     {b Overflow-safe mode.} The Horner forms are exact only while
@@ -57,7 +57,7 @@ type t
     values. [n_walk_hash ~pc ~len] is the whole checksum reduction of
     {!walk_hash} in one call; [n_recover ~pc idx] writes the recovered
     indices of rank [pc] into [idx]; [n_reduce_sum ~pc ~len] is the
-    whole int64 sum reduction of {!walk_reduce_sum} in one call (the
+    whole int64 sum reduction of a [Sum] {!walk_reduce_int} in one call (the
     shared object always exports the symbol — it returns 0 when the
     plan's nest carries no clause, and is only routed to when it
     does). All three must agree bit-for-bit with the interpreted
@@ -69,7 +69,7 @@ type native = {
 }
 
 (** [attach_native t nat] returns a recovery that routes {!walk_hash}
-    and {!walk_reduce_sum} through the native backend (every other
+    and a [Sum] {!walk_reduce_int} through the native backend (every other
     entry point stays interpreted). Refused (returns [t] unchanged) on
     an {!overflow_guarded} recovery: the specialized int64 C would
     wrap exactly where the bigint path is required, so overflow mode
@@ -182,7 +182,7 @@ val first : t -> int array
     or mutate it.
 
     Every chunk entry point ({!walk}, {!walk_hash}, {!walk_lanes},
-    {!recover_block}, {!walk_reduce_sum}, {!walk_reduce_rat}) records
+    {!recover_block}, {!walk_reduce_int}, {!walk_reduce_rat}) records
     the same ledger per call: [recovery.walks] +1,
     [recovery.iterations] + the iterations actually visited, and
     [jit.hit] +1 when the native backend served the chunk. When the
@@ -235,7 +235,7 @@ val reduction : t -> Nest.reduction option
     coefficients, so wraparound commutes with every operation: the
     result is the exact value mod 2^63 — the same residue the JIT's
     u64 accumulator yields after [Val_long] truncation, which is what
-    makes {!walk_reduce_sum} bit-identical across the interpreted and
+    makes a [Sum] {!walk_reduce_int} bit-identical across the interpreted and
     native backends even past overflow. *)
 val reduce_value_int : t -> int array -> int
 
@@ -244,18 +244,28 @@ val reduce_value_int : t -> int array -> int
     {+, x, min, max} engine and of serial reference folds. *)
 val reduce_value_rat : t -> int array -> Zmath.Rat.t
 
-(** [walk_reduce_sum t ~pc ~len] is the int64 sum reduction over the
-    chunk: one recovery at rank [pc], then the wrapping native-int sum
-    of {!reduce_value_int} over the next [len] iterations (0 when
-    [len <= 0]). With a native backend attached the whole chunk runs
-    in the specialized [.so] ([jit.hit]).
-    @raise Invalid_argument when the clause is not a [Sum]. *)
-val walk_reduce_sum : t -> pc:int -> len:int -> int
+(** [walk_reduce_int t ~pc ~len] folds the clause's operator over the
+    native-int values ({!reduce_value_int}) of the chunk: one recovery
+    at rank [pc], then the next [len] iterations.
+    - [Sum]: the wrapping native-int sum (0 when [len <= 0]). With a
+      native backend attached the whole chunk runs in the specialized
+      [.so] ([jit.hit]).
+    - [Min]/[Max]: the exact extremum, seeded with the chunk's first
+      value. Exact because on a recovery that is not
+      {!overflow_guarded}, {!make}'s headroom analysis bounds every
+      clause value below 2^61, so no evaluation wraps. Equals
+      {!walk_reduce_rat} over the same range.
+    @raise Invalid_argument when the clause is a [Prod], or for
+    [Min]/[Max] when the recovery is {!overflow_guarded}, [len <= 0]
+    or [pc] lies outside the iteration space. *)
+val walk_reduce_int : t -> pc:int -> len:int -> int
 
 (** [walk_reduce_rat t ~pc ~len] folds the clause's operator over the
     exact rational values of the next [len] iterations, seeded with
     the first value (so it serves min/max, which have no neutral
     element). Equals the serial left fold over the same range exactly.
+    The fold of [Prod], and of [Min]/[Max] on an {!overflow_guarded}
+    recovery, where {!walk_reduce_int} would wrap.
     @raise Invalid_argument when [len <= 0] or [pc] lies outside the
     iteration space. *)
 val walk_reduce_rat : t -> pc:int -> len:int -> Zmath.Rat.t

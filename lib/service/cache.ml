@@ -1,17 +1,24 @@
-type node = {
+(* a bounded LRU over string keys: plans by fingerprint, and serial
+   references by {!Exec.reference_key} *)
+type 'a node = {
   key : string;
-  plan : Plan.t;
-  mutable prev : node option;
-  mutable next : node option;
+  value : 'a;
+  mutable prev : 'a node option;
+  mutable next : 'a node option;
+}
+
+type 'a lru = {
+  tbl : (string, 'a node) Hashtbl.t;
+  mutable head : 'a node option;  (* most recently used *)
+  mutable tail : 'a node option;  (* least recently used *)
 }
 
 type t = {
   capacity : int;
   dir : string option;
   mutex : Mutex.t;
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;  (* most recently used *)
-  mutable tail : node option;  (* least recently used *)
+  plans : Plan.t lru;
+  refs : Exec.value option lru;
   inflight : Plan.t Single_flight.t;
 }
 
@@ -69,15 +76,16 @@ let sweep t =
     Obsv.Metrics.add_here Stats.cache_janitor n;
     n
 
+let new_lru () = { tbl = Hashtbl.create 64; head = None; tail = None }
+
 let create ?(capacity = 256) ?dir () =
   let dir = match dir with Some d -> d | None -> Sys.getenv_opt "OMPSIM_PLAN_CACHE" in
   let t =
     { capacity = max 1 capacity;
       dir;
       mutex = Mutex.create ();
-      tbl = Hashtbl.create 64;
-      head = None;
-      tail = None;
+      plans = new_lru ();
+      refs = new_lru ();
       inflight = Single_flight.create () }
   in
   ignore (sweep t);
@@ -88,38 +96,38 @@ let default () = Lazy.force default_cache
 
 (* ---- LRU plumbing; every call below holds t.mutex ---- *)
 
-let unlink t node =
-  (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
-  (match node.next with Some s -> s.prev <- node.prev | None -> t.tail <- node.prev);
+let unlink l node =
+  (match node.prev with Some p -> p.next <- node.next | None -> l.head <- node.next);
+  (match node.next with Some s -> s.prev <- node.prev | None -> l.tail <- node.prev);
   node.prev <- None;
   node.next <- None
 
-let push_front t node =
-  node.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
+let push_front l node =
+  node.next <- l.head;
+  (match l.head with Some h -> h.prev <- Some node | None -> l.tail <- Some node);
+  l.head <- Some node
 
-let lookup t fp =
-  match Hashtbl.find_opt t.tbl fp with
+let lookup l key =
+  match Hashtbl.find_opt l.tbl key with
   | None -> None
   | Some node ->
-    unlink t node;
-    push_front t node;
-    Some node.plan
+    unlink l node;
+    push_front l node;
+    Some node.value
 
-let insert t fp plan =
-  if not (Hashtbl.mem t.tbl fp) then begin
-    let node = { key = fp; plan; prev = None; next = None } in
-    Hashtbl.replace t.tbl fp node;
-    push_front t node;
-    if Hashtbl.length t.tbl > t.capacity then begin
-      match t.tail with
-      | Some victim ->
-        unlink t victim;
-        Hashtbl.remove t.tbl victim.key;
-        Obsv.Metrics.incr_here Stats.cache_evictions
-      | None -> ()
-    end
+(* true when the insert evicted the least-recent entry *)
+let insert t l key value =
+  if Hashtbl.mem l.tbl key then false
+  else begin
+    let node = { key; value; prev = None; next = None } in
+    Hashtbl.replace l.tbl key node;
+    push_front l node;
+    match l.tail with
+    | Some victim when Hashtbl.length l.tbl > t.capacity ->
+      unlink l victim;
+      Hashtbl.remove l.tbl victim.key;
+      true
+    | _ -> false
   end
 
 let record_hit ~disk =
@@ -202,7 +210,7 @@ let find_or_compile ?(compile = Plan.compile) t nest =
   let canonical, renaming, fp = Fingerprint.canonicalize_cached nest in
   let with_renaming = Result.map (fun p -> (p, renaming)) in
   Mutex.lock t.mutex;
-  match lookup t fp with
+  match lookup t.plans fp with
   | Some plan ->
     record_hit ~disk:false;
     Mutex.unlock t.mutex;
@@ -270,16 +278,37 @@ let find_or_compile ?(compile = Plan.compile) t nest =
       (match origin with
       | `Disk -> record_hit ~disk:true
       | `Compiled | `Failed -> Obsv.Metrics.incr_here Stats.cache_misses);
-      (match result with Ok plan -> insert t fp plan | Error _ -> ());
+      (match result with
+      | Ok plan -> if insert t t.plans fp plan then Obsv.Metrics.incr_here Stats.cache_evictions
+      | Error _ -> ());
       (* publish, then forget the flight: a failed compile reaches its
          waiters but poisons nothing — the next request retries *)
       Single_flight.publish t.inflight fp fl result;
       Mutex.unlock t.mutex;
       with_renaming result)
 
+(* the memo never holds the lock across the walk: two concurrent misses
+   on one key both compute (the same value) and the second insert is a
+   no-op *)
+let reference t key compute =
+  Mutex.lock t.mutex;
+  let memo = lookup t.refs key in
+  Mutex.unlock t.mutex;
+  match memo with
+  | Some r ->
+    Obsv.Metrics.incr_here Stats.reference_hits;
+    r
+  | None ->
+    Obsv.Metrics.incr_here Stats.reference_misses;
+    let r = compute () in
+    Mutex.lock t.mutex;
+    ignore (insert t t.refs key r);
+    Mutex.unlock t.mutex;
+    r
+
 let size t =
   Mutex.lock t.mutex;
-  let n = Hashtbl.length t.tbl in
+  let n = Hashtbl.length t.plans.tbl in
   Mutex.unlock t.mutex;
   n
 

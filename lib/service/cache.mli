@@ -27,6 +27,9 @@
     not} cached — the next request for that fingerprint compiles
     again.
 
+    Beside the plans, the cache memoizes each plan's serial exec
+    references ({!reference}) in a second LRU of the same capacity.
+
     All operations are thread-safe; the per-request critical sections
     take one mutex and never hold it across a compile or disk I/O.
 
@@ -77,7 +80,18 @@ val find_or_compile :
   Trahrhe.Nest.t ->
   (Plan.t * Fingerprint.renaming, string) result
 
-(** [size t] is the current in-memory entry count ([<= capacity]). *)
+(** [reference t key compute] is the serial reference memoized under
+    [key] ({!Exec.reference_key}), or [compute ()] — computed without
+    the cache's lock held, then memoized — on a miss. [None] (an empty
+    min/max) is memoized like any value. The memo is an LRU of
+    {!capacity} entries beside the plans' (so its memory is bounded
+    like theirs) and books [exec.reference.hit]/[exec.reference.miss]
+    ({!Stats}). Only the value is reused: every run is still checked
+    against it. Domain-safe; two concurrent misses on one key both
+    compute. *)
+val reference : t -> string -> (unit -> Exec.value option) -> Exec.value option
+
+(** [size t] is the current in-memory plan count ([<= capacity]). *)
 val size : t -> int
 
 val capacity : t -> int

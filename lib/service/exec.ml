@@ -42,8 +42,10 @@ let rat_result op = function
 
 (* serial reference: the plain left fold over the canonical nest in
    iteration order — the value every parallel run must equal bit for
-   bit. [None] only for min/max over an empty space. *)
-let serial rc nest ~param opts =
+   bit. [None] only for min/max over an empty space. Independent of
+   the collapsed walk: [Nest.iterate] with rational bounds, and min/max
+   in exact rationals. *)
+let serial rc ~nest ~param opts =
   match opts.reduce with
   | None ->
     let acc = ref 0 in
@@ -73,6 +75,16 @@ let checksum_body rc opts =
     !acc
   else fun ~thread:_ ~start ~len -> R.walk_hash rc ~pc:(start + 1) ~len
 
+(* the reference depends on the plan, the canonical parameter values
+   and the payload only: schedule, threads, lanes, native, repeat and
+   retries never change it (the plan fingerprint covers the clause) *)
+let reference_key plan ~param opts =
+  let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
+  String.concat "/"
+    [ plan.Plan.fingerprint;
+      String.concat "," (List.map (fun p -> string_of_int (param p)) nest.N.params);
+      (match opts.reduce with None -> "checksum" | Some op -> N.op_to_string op) ]
+
 (* one parallel run: every payload, the checksum included, is a
    reduction over the chunk partition — per-worker partials and the
    deterministic combine tree of [Par.reduce_chunks], supervised
@@ -85,18 +97,25 @@ let parallel ?faults ?deadline_ms ~supervised rc opts =
         ~schedule:opts.schedule ~n ~combine body
     else Ok (Par.reduce_chunks ~nthreads:opts.threads ~schedule:opts.schedule ~n ~combine body)
   in
-  let ints body = Result.map (fun o -> Int (Option.value ~default:0 o)) (region ( + ) body) in
+  let ints combine body = Result.map (Option.value ~default:0) (region combine body) in
+  let int_walk ~thread:_ ~start ~len = R.walk_reduce_int rc ~pc:(start + 1) ~len in
+  (* an empty space reduces to [None]: 0 for the sums. Min/max over
+     an empty space never get here (the reference rejects them first),
+     so their defaults are unreachable. *)
   match opts.reduce with
-  | None -> ints (checksum_body rc opts)
-  | Some N.Sum -> ints (fun ~thread:_ ~start ~len -> R.walk_reduce_sum rc ~pc:(start + 1) ~len)
+  | None -> ints ( + ) (checksum_body rc opts) |> Result.map (fun v -> Int v)
+  | Some N.Sum -> ints ( + ) int_walk |> Result.map (fun v -> Int v)
+  | Some ((N.Min | N.Max) as op) when not (R.overflow_guarded rc) ->
+    (* exact in native ints below [make]'s headroom; rendered as the
+       same rational the serial fold yields *)
+    ints (if op = N.Min then Int.min else Int.max) int_walk
+    |> Result.map (fun v -> Rat (Q.of_int v))
   | Some op ->
     region (N.op_apply op) (fun ~thread:_ ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
-    |> Result.map (fun o ->
-           (* unreachable [None]: the serial reference rejects an empty min/max first *)
-           Rat (Option.value ~default:Q.zero (rat_result op o)))
+    |> Result.map (fun o -> Rat (Option.value ~default:Q.zero (rat_result op o)))
 
-let run ?faults ?deadline_ms ?started ~supervised rc ~nest ~param opts =
-  match serial rc nest ~param opts with
+let run ?faults ?deadline_ms ?started ~supervised ~reference rc opts =
+  match reference with
   | None -> Error Empty_extremum
   | Some reference ->
     let started = match started with Some t -> t | None -> Unix.gettimeofday () in

@@ -1,14 +1,21 @@
 (** One exec runner, shared by [trahrhe exec] and the service's [exec]
     verb: the serial reference, the chunk-body choice, plain vs
     supervised region routing, and the repeat loop with its exact
-    mismatch check. Front ends keep only their rendering.
+    mismatch check. Front ends keep only their rendering, and the
+    choice of where the reference comes from: the CLI computes it per
+    invocation, the service memoizes it per plan x parameters x
+    payload ({!reference_key}, {!Cache.reference}).
 
     Every payload runs as a reduction over the collapsed range
     ({!Ompsim.Par.reduce_chunks}): the checksum is a [( + )] reduction
     of per-chunk {!Trahrhe.Recovery.walk_hash} sums (or lane hashes
-    under [lanes > 1]), [reduce=sum] of
-    {!Trahrhe.Recovery.walk_reduce_sum}, and [prod]/[min]/[max] of
-    {!Trahrhe.Recovery.walk_reduce_rat} in exact rationals. *)
+    under [lanes > 1]); [reduce=sum|min|max] one of
+    {!Trahrhe.Recovery.walk_reduce_int} partials in native ints; and
+    [prod], or [min]/[max] on an overflow-guarded recovery, one of
+    {!Trahrhe.Recovery.walk_reduce_rat} partials in exact rationals.
+    A native-int [min]/[max] is exact because the recovery's headroom
+    analysis bounds every clause value below 2^61; it is rendered as
+    the same rational. *)
 
 type opts = {
   threads : int;  (** domains for the parallel region *)
@@ -54,24 +61,37 @@ val recovery :
   opts ->
   Trahrhe.Recovery.t * string option
 
-(** [run ~supervised rc ~nest ~param opts] computes the serial
-    reference over [nest] (the plan's canonical nest, under [param]),
-    then executes the collapsed region [opts.repeat] times on [rc],
-    checking each run's value exactly against the reference. With
-    [supervised] the region runs under
-    {!Ompsim.Par.reduce_resilient} with [opts.retries], [faults]
-    (passed through: absent defers to [OMPSIM_FAULTS]) and the
-    deadline; otherwise under {!Ompsim.Par.reduce_chunks}.
-    [deadline_ms] budgets all runs together, measured from [started]
-    (default: the start of the first run). Stops at the first failing
-    run. *)
+(** [serial rc ~nest ~param opts] is the serial reference: the plain
+    left fold of the payload over [nest] (the plan's canonical nest,
+    under [param]) in iteration order, independent of the collapsed
+    walk — {!Trahrhe.Nest.iterate}, with [prod]/[min]/[max] in exact
+    rationals. [None] only for [min]/[max] over an empty space. *)
+val serial :
+  Trahrhe.Recovery.t -> nest:Trahrhe.Nest.t -> param:(string -> int) -> opts -> value option
+
+(** [reference_key plan ~param opts] names {!serial}'s result: the plan
+    fingerprint (which covers the reduction clause), the values of the
+    plan's canonical parameters under [param], and the payload
+    (checksum or reduce op). Schedule, threads, lanes, native, repeat
+    and retries are not part of it: they never change the reference. *)
+val reference_key : Plan.t -> param:(string -> int) -> opts -> string
+
+(** [run ~supervised ~reference rc opts] executes the collapsed region
+    [opts.repeat] times on [rc], checking each run's value exactly
+    against [reference] ({!serial}'s result, fresh or memoized; [None]
+    fails with [Empty_extremum] before any run). With [supervised] the
+    region runs under {!Ompsim.Par.reduce_resilient} with
+    [opts.retries], [faults] (passed through: absent defers to
+    [OMPSIM_FAULTS]) and the deadline; otherwise under
+    {!Ompsim.Par.reduce_chunks}. [deadline_ms] budgets all runs
+    together, measured from [started] (default: the start of the first
+    run). Stops at the first failing run. *)
 val run :
   ?faults:Ompsim.Fault.t option ->
   ?deadline_ms:int ->
   ?started:float ->
   supervised:bool ->
+  reference:value option ->
   Trahrhe.Recovery.t ->
-  nest:Trahrhe.Nest.t ->
-  param:(string -> int) ->
   opts ->
   (outcome, failure) result

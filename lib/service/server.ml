@@ -455,7 +455,11 @@ let handle_full ?native ?deadline_ms cache req =
            deadline *)
         let supervised = opts.retries > 0 || deadline_ms <> None in
         let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
-        match Exec.run ?deadline_ms ~started ~supervised rc ~nest ~param:cparam opts with
+        let reference =
+          Cache.reference cache (Exec.reference_key plan ~param:cparam opts) (fun () ->
+              Exec.serial rc ~nest ~param:cparam opts)
+        in
+        match Exec.run ?deadline_ms ~started ~supervised ~reference rc opts with
         | Ok { Exec.reference; _ } ->
           let result =
             match opts.reduce with
@@ -495,9 +499,10 @@ let handle ?native ?deadline_ms cache req =
 (* the run's slice of the ledger, for the stderr summaries *)
 let cache_summary since =
   let d = Obsv.Metrics.since since in
-  Printf.sprintf "plan cache: %d hits (%d disk), %d misses, %d single-flight waits"
+  Printf.sprintf
+    "plan cache: %d hits (%d disk), %d misses, %d single-flight waits; exec reference: %d hits, %d misses"
     (d Stats.cache_hits) (d Stats.cache_disk_hits) (d Stats.cache_misses)
-    (d Stats.singleflight_waits)
+    (d Stats.singleflight_waits) (d Stats.reference_hits) (d Stats.reference_misses)
 
 let native_summary ~front since =
   let served = Obsv.Metrics.since since Stats.native_served in

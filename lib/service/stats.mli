@@ -1,5 +1,6 @@
 (** Service-layer {!Obsv.Metrics} counters: the one ledger of the
-    plan cache, the native tier and the serve loop.
+    plan cache, the serial-reference memo, the native tier and the
+    serve loop.
 
     Like {!Ompsim.Stats}, these register globally at module link time,
     are written whether or not {!Obsv.Control.enabled} is set, and
@@ -78,3 +79,12 @@ val native_served : Obsv.Metrics.t
 (** [native.served]: recoveries handed out with the native backend
     attached; fallbacks to the interpreted walk are [jit.fallback]
     ({!Jit.Stats.fallbacks}) *)
+
+val reference_hits : Obsv.Metrics.t
+(** [exec.reference.hit]: [exec] requests whose serial reference came
+    from the memo ({!Cache.reference}) instead of a serial walk *)
+
+val reference_misses : Obsv.Metrics.t
+(** [exec.reference.miss]: [exec] requests that walked the space
+    serially for their reference (and memoized it) — per [exec] that
+    reaches its region, exactly one of hit/miss advances *)

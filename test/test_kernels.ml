@@ -182,7 +182,7 @@ let test_parallel_execution_matches_serial () =
 let test_reduction_kernels () =
   (* the reduction kernels carry a declared clause whose serial fold
      must agree with (a) the hand-written reference loops, (b) the
-     recovery's per-chunk walk_reduce_sum, and (c) the parallel
+     recovery's per-chunk walk_reduce_int, and (c) the parallel
      reduce_chunks combine tree under every schedule *)
   List.iter
     (fun name ->
@@ -201,15 +201,15 @@ let test_reduction_kernels () =
         (k.K.serial_original ~n)
         (float_of_int !serial);
       Alcotest.(check int)
-        (name ^ ": one-shot walk_reduce_sum = serial")
+        (name ^ ": one-shot walk_reduce_int = serial")
         !serial
-        (Trahrhe.Recovery.walk_reduce_sum rc ~pc:1 ~len:trip);
+        (Trahrhe.Recovery.walk_reduce_int rc ~pc:1 ~len:trip);
       List.iter
         (fun schedule ->
           let r =
             Ompsim.Par.reduce_chunks ~nthreads:4 ~schedule ~n:trip ~combine:( + )
               (fun ~thread:_ ~start ~len ->
-                Trahrhe.Recovery.walk_reduce_sum rc ~pc:(start + 1) ~len)
+                Trahrhe.Recovery.walk_reduce_int rc ~pc:(start + 1) ~len)
           in
           Alcotest.(check (option int))
             (Printf.sprintf "%s: %s parallel reduction = serial" name

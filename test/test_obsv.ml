@@ -259,7 +259,8 @@ let test_walk_ledger () =
         false,
         fun rc ~pc ~len -> ignore (R.recover_block rc ~pc (Array.init 2 (fun _ -> Array.make len 0)))
       );
-      ("walk_reduce_sum", summed, true, fun rc ~pc ~len -> ignore (R.walk_reduce_sum rc ~pc ~len));
+      ("walk_reduce_int", summed, true, fun rc ~pc ~len -> ignore (R.walk_reduce_int rc ~pc ~len));
+      ("walk_reduce_int min", minned, false, fun rc ~pc ~len -> ignore (R.walk_reduce_int rc ~pc ~len));
       ("walk_reduce_rat", minned, false, fun rc ~pc ~len -> ignore (R.walk_reduce_rat rc ~pc ~len))
     ]
   in

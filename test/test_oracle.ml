@@ -231,7 +231,8 @@ let check_case_resilient (nest, nval) =
    fold — exactly, for every operator, every schedule (D&C included),
    both backends, the batched lane-walk feeding the fold, and with
    fault injection armed. Sum folds in wrapped native ints (the JIT's
-   contract); prod/min/max fold in exact rationals. *)
+   contract), min/max in native ints below the recovery's headroom;
+   prod folds in exact rationals. *)
 
 let red_ops = [ N.Sum; N.Prod; N.Min; N.Max ]
 let red_schedules = schedules @ [ Ompsim.Schedule.Dnc 2 ]
@@ -263,17 +264,21 @@ let serial_reduce nest rc ~param ~op =
 
 let run_reduce ~where ?faults ?lanes ~schedule ~op ~depth rc trip expect =
   let module R = Trahrhe.Recovery in
+  (* the service's routing: sum always, and min/max unless the
+     recovery is overflow-guarded, fold in native ints *)
+  let int_fold = op = N.Sum || (op <> N.Prod && not (R.overflow_guarded rc)) in
   let combine a b =
     match (a, b) with
-    | Rint x, Rint y -> Rint (x + y)
+    | Rint x, Rint y ->
+      Rint (match op with N.Min -> Int.min x y | N.Max -> Int.max x y | _ -> x + y)
     | Rrat x, Rrat y -> Rrat (N.op_apply op x y)
     | _ -> QCheck.Test.fail_reportf "%s: mixed partial representations" where
   in
   let body ~thread:_ ~start ~len =
-    match (op, lanes) with
-    | N.Sum, None -> Rint (R.walk_reduce_sum rc ~pc:(start + 1) ~len)
-    | _, None -> Rrat (R.walk_reduce_rat rc ~pc:(start + 1) ~len)
-    | _, Some vlength ->
+    match lanes with
+    | None when int_fold -> Rint (R.walk_reduce_int rc ~pc:(start + 1) ~len)
+    | None -> Rrat (R.walk_reduce_rat rc ~pc:(start + 1) ~len)
+    | Some vlength ->
       (* the §VI-A batched walk feeding the fold: evaluate the clause
          lane by lane and fold locally, one partial per chunk *)
       let idx = Array.make depth 0 in
@@ -284,9 +289,7 @@ let run_reduce ~where ?faults ?lanes ~schedule ~op ~depth rc trip expect =
               idx.(k) <- lanes.(k).(l)
             done;
             let v =
-              match op with
-              | N.Sum -> Rint (R.reduce_value_int rc idx)
-              | _ -> Rrat (R.reduce_value_rat rc idx)
+              if int_fold then Rint (R.reduce_value_int rc idx) else Rrat (R.reduce_value_rat rc idx)
             in
             acc := Some (match !acc with None -> v | Some a -> combine a v)
           done);
@@ -308,6 +311,8 @@ let run_reduce ~where ?faults ?lanes ~schedule ~op ~depth rc trip expect =
   match result with
   | None -> QCheck.Test.fail_reportf "%s: empty reduction over trip count %d" where trip
   | Some v ->
+    (* an int extremum is compared as the rational it renders as *)
+    let v = match (op, v) with (N.Min | N.Max), Rint x -> Rrat (Q.of_int x) | _ -> v in
     if not (red_equal v expect) then
       QCheck.Test.fail_reportf "%s: reduced to %s, serial fold is %s" where (red_to_string v)
         (red_to_string expect)
@@ -696,6 +701,75 @@ let test_native_store_recovery () =
   Alcotest.(check int) "tier served" (t1_served + 1) (metric "native.served");
   Service.Native.clear t2
 
+(* Overflow-guarded min/max: on a guarded recovery the clause values
+   may pass the native range, so min/max must keep folding in exact
+   rationals. [walk_reduce_int] refuses them; [walk_reduce_rat] on the
+   store test's big-parameter triangle equals the exact fold over
+   binary-searched indices; and a small nest whose clause alone trips
+   the guard reduces through [Service.Exec] to extrema past [max_int]. *)
+let test_guarded_minmax_rational () =
+  let module R = Trahrhe.Recovery in
+  let tri =
+    N.make ~params:[ "N" ]
+      [ { N.var = "i"; lower = A.const Q.zero; upper = A.var "N" };
+        { N.var = "j"; lower = A.var "i"; upper = A.make [ ("N", Q.one) ] Q.one } ]
+  in
+  let with_op op value nest = N.with_reduce nest (Some { N.op; value }) in
+  List.iter
+    (fun op ->
+      let opname = N.op_to_string op in
+      (* the triangle at N = 3e9: [rc_big] of the store test *)
+      let nest = with_op op (N.default_reduce_value tri) tri in
+      let rc_big = R.make (Trahrhe.Inversion.invert_exn nest) ~param:(fun _ -> 3_000_000_000) in
+      Alcotest.(check bool) (opname ^ ": guard engaged") true (R.overflow_guarded rc_big);
+      (match R.walk_reduce_int rc_big ~pc:1 ~len:4 with
+      | _ -> Alcotest.failf "%s: walk_reduce_int folded a guarded recovery" opname
+      | exception Invalid_argument _ -> ());
+      let pc = (R.trip_count rc_big / 2) + 17 and len = 40 in
+      let expect = ref None in
+      for r = pc to pc + len - 1 do
+        let v = R.reduce_value_rat rc_big (R.recover_binsearch rc_big r) in
+        expect := Some (match !expect with None -> v | Some a -> N.op_apply op a v)
+      done;
+      Alcotest.(check string) (opname ^ ": guarded chunk = exact fold")
+        (Q.to_string (Option.get !expect))
+        (Q.to_string (R.walk_reduce_rat rc_big ~pc ~len));
+      (* value = 2^60 * i + j: the clause alone reaches the guard *)
+      let value =
+        Polymath.Polynomial.add
+          (Polymath.Polynomial.scale (Q.of_int (1 lsl 60)) (Polymath.Polynomial.var "i"))
+          (Polymath.Polynomial.var "j")
+      in
+      let nest = with_op op value tri in
+      let param _ = 9 in
+      let rc = R.make (Trahrhe.Inversion.invert_exn nest) ~param in
+      Alcotest.(check bool) (opname ^ ": clause trips the guard") true (R.overflow_guarded rc);
+      let opts =
+        { Service.Exec.threads = 3;
+          schedule = Ompsim.Schedule.Dynamic 2;
+          lanes = 1;
+          repeat = 2;
+          retries = 0;
+          native = false;
+          reduce = Some op }
+      in
+      let reference = Service.Exec.serial rc ~nest ~param opts in
+      (* i in [0, 9), j in [i, 10): max = 2^63 + 9, past the int range; min = 0 *)
+      let exact =
+        if op = N.Max then Q.add (Q.mul (Q.of_int (1 lsl 60)) (Q.of_int 8)) (Q.of_int 9)
+        else Q.zero
+      in
+      (match reference with
+      | Some (Service.Exec.Rat q) ->
+        Alcotest.(check string) (opname ^ ": exact serial extremum") (Q.to_string exact)
+          (Q.to_string q)
+      | _ -> Alcotest.failf "%s: serial reference is not a rational" opname);
+      match Service.Exec.run ~supervised:false ~reference rc opts with
+      | Ok _ -> ()
+      | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: guarded parallel fold wrapped" opname
+      | Error _ -> Alcotest.failf "%s: guarded exec failed" opname)
+    [ N.Min; N.Max ]
+
 (* -------- Numeric inversion differentials (ISSUE 10) -------- *)
 
 (* Depth 5-7 simplicial nests and the deep registry kernels: the
@@ -959,6 +1033,8 @@ let suites =
         QCheck_alcotest.to_alcotest ~rand prop_native_matches_interpreted;
         Alcotest.test_case "corrupt .so is a silent miss (recompile + fallback counters)" `Quick
           test_native_store_recovery;
+        Alcotest.test_case "overflow-guarded min/max fold in exact rationals" `Quick
+          test_guarded_minmax_rational;
         Alcotest.test_case "depth 5-7 numeric walks = enumeration (backends x schedules x lanes)"
           `Quick test_deep_numeric_walks;
         Alcotest.test_case "forced numeric = closed form bit-for-bit" `Quick

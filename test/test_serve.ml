@@ -725,14 +725,16 @@ let test_serve_rate_limited_flood () =
    the caps, so the probe answers within roughly one loop turn. *)
 let test_serve_health_exempt_at_saturation () =
   (* requests sized to a couple hundred ms each (the serial reference
-     dominates and is not deadlined), so a pipelined flood holds the
+     dominates and is not deadlined; every flood request binds its own
+     N, so each one misses the reference memo and walks it), so a
+     pipelined flood holds the
      admission counter at the cap for ~2s of short loop turns. The
      loop is single-threaded and requests execute inline, so even an
      exempt probe waits out the request in flight when it arrives —
      the discriminator is relative, not absolute: exempt health
      answers within a couple of request-times, capped health waits
      for nearly the whole backlog. *)
-  let slow = "exec params=N=2000 levels=i=0..N,j=i..N threads=2 label=slow" in
+  let slow n = Printf.sprintf "exec params=N=%d levels=i=0..N,j=i..N threads=2 label=slow" n in
   let nslow = 10 in
   let config =
     { Server.default_serve_config with
@@ -749,10 +751,10 @@ let test_serve_health_exempt_at_saturation () =
     let flood = connect socket in
     (* warm the plan cache through the probe so no request in the
        timed window pays the one-off symbolic compile *)
-    send_all probe (slow ^ "\n");
+    send_all probe (slow 2000 ^ "\n");
     ignore (recv_lines probe 1);
     let t0 = Unix.gettimeofday () in
-    send_all flood (String.concat "\n" (List.init nslow (fun _ -> slow)) ^ "\n");
+    send_all flood (String.concat "\n" (List.init nslow (fun k -> slow (2001 + k))) ^ "\n");
     (* let the server frame the flood before probing *)
     Unix.sleepf 0.05;
     send_all probe "health\n";

@@ -884,6 +884,127 @@ let test_handle_exec () =
   if not (contains ~needle:"trip count exceeds the native int range" huge) then
     Alcotest.failf "huge trip response: %s" huge
 
+(* the raw JSON value of a top-level scalar field of a response *)
+let json_field name resp =
+  let needle = Printf.sprintf {|"%s":|} name in
+  let nl = String.length needle and rl = String.length resp in
+  let rec find i =
+    if i + nl > rl then Alcotest.failf "no %s field in %s" name resp
+    else if String.sub resp i nl = needle then i + nl
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop j = if j >= rl || resp.[j] = ',' || resp.[j] = '}' then j else stop (j + 1) in
+  String.sub resp start (stop start - start)
+
+let check_reference what ~hits ~misses since =
+  let d = counted since in
+  Alcotest.(check int) (what ^ ": reference hits") hits (d Service.Stats.reference_hits);
+  Alcotest.(check int) (what ^ ": reference misses") misses (d Service.Stats.reference_misses)
+
+(* the serial reference is memoized per plan x parameters x payload:
+   schedule, lanes, native, threads and repeat variants reuse it, and
+   the response stays byte-identical *)
+let test_exec_reference_memo () =
+  let cache = Cache.create ~capacity:8 ~dir:None () in
+  let exec line =
+    let resp, ok = Server.handle cache (parse_ok line) in
+    if not ok then Alcotest.failf "%s failed: %s" line resp;
+    resp
+  in
+  let base = "exec kernel=covariance_reduce n=12 threads=2 reduce=max" in
+  let since = Obsv.Metrics.snapshot () in
+  let first = exec base in
+  check_reference "first exec" ~hits:0 ~misses:1 since;
+  let since = Obsv.Metrics.snapshot () in
+  Alcotest.(check string) "repeat is byte-identical" first (exec base);
+  check_reference "repeat" ~hits:1 ~misses:0 since;
+  let since = Obsv.Metrics.snapshot () in
+  List.iter
+    (fun variant ->
+      Alcotest.(check string) (variant ^ ": same result") (json_field "result" first)
+        (json_field "result" (exec (base ^ " " ^ variant))))
+    [ "schedule=dnc:4 lanes=8"; "schedule=ws:16"; "native=1"; "repeat=3"; "retries=1" ];
+  check_reference "run-option variants" ~hits:5 ~misses:0 since;
+  let since = Obsv.Metrics.snapshot () in
+  let checksum = exec "exec kernel=covariance_reduce n=12 threads=2" in
+  ignore (exec "exec kernel=covariance_reduce n=13 threads=2 reduce=max");
+  let minned = exec "exec kernel=covariance_reduce n=12 threads=2 reduce=min" in
+  check_reference "checksum, other n, other op" ~hits:0 ~misses:3 since;
+  if json_field "result" minned = json_field "result" first then
+    Alcotest.failf "min and max share a result: %s" minned;
+  ignore (json_field "checksum" checksum);
+  (* an empty min/max memoizes its [None]: the repeat still answers
+     the empty-extremum error, now from the memo *)
+  let since = Obsv.Metrics.snapshot () in
+  let empty = parse_ok "exec params=N=0 levels=i=0..N,j=i..N threads=2 reduce=max" in
+  let r1, ok1 = Server.handle cache empty in
+  let r2, ok2 = Server.handle cache empty in
+  Alcotest.(check bool) "empty max fails" false (ok1 || ok2);
+  Alcotest.(check string) "empty max repeat identical" r1 r2;
+  if not (contains ~needle:"empty iteration space" r2) then
+    Alcotest.failf "empty max response: %s" r2;
+  check_reference "empty extremum" ~hits:1 ~misses:1 since
+
+(* the memo is an LRU of the cache's capacity: past it, the oldest
+   reference is walked again, to the same answer *)
+let test_exec_reference_eviction () =
+  let cache = Cache.create ~capacity:2 ~dir:None () in
+  let exec n =
+    let resp, ok = Server.handle cache (parse_ok (Printf.sprintf "exec kernel=utma n=%d threads=2" n)) in
+    if not ok then Alcotest.failf "n=%d failed: %s" n resp;
+    resp
+  in
+  let since = Obsv.Metrics.snapshot () in
+  let r10 = exec 10 in
+  ignore (exec 11);
+  ignore (exec 12);
+  check_reference "three sizes" ~hits:0 ~misses:3 since;
+  let since = Obsv.Metrics.snapshot () in
+  Alcotest.(check string) "evicted reference recomputed identically" r10 (exec 10);
+  check_reference "evicted n=10" ~hits:0 ~misses:1 since;
+  let since = Obsv.Metrics.snapshot () in
+  ignore (exec 12);
+  check_reference "n=12 still memoized" ~hits:1 ~misses:0 since
+
+(* a memo hit only supplies the value: every run is still checked
+   against it, so a wrong reference is a mismatch — handed to the run
+   loop directly, and planted in the memo under the server's own key *)
+let test_exec_reference_checked_on_hit () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let line = "exec kernel=covariance_reduce n=12 threads=2 reduce=max" in
+  match parse_ok line with
+  | Server.Exec { nest; param; opts; _ } -> (
+    let plan, renaming =
+      match Cache.find_or_compile cache nest with
+      | Ok x -> x
+      | Error e -> Alcotest.failf "compile: %s" e
+    in
+    let cparam = Fp.canonical_param renaming param in
+    let rc, _ = Service.Exec.recovery plan ~param:cparam opts in
+    let right =
+      Service.Exec.serial rc ~nest:plan.Plan.inversion.Trahrhe.Inversion.nest ~param:cparam opts
+    in
+    let wrong =
+      match right with
+      | Some (Service.Exec.Rat q) -> Some (Service.Exec.Rat (Q.add q Q.one))
+      | _ -> Alcotest.fail "max reference is not a rational"
+    in
+    (match Service.Exec.run ~supervised:false ~reference:right rc opts with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "the right reference must pass");
+    (match Service.Exec.run ~supervised:false ~reference:wrong rc opts with
+    | Error (Service.Exec.Mismatch { run = 1; _ }) -> ()
+    | _ -> Alcotest.fail "a wrong reference must be a mismatch on run 1");
+    ignore (Cache.reference cache (Service.Exec.reference_key plan ~param:cparam opts) (fun () -> wrong));
+    let since = Obsv.Metrics.snapshot () in
+    let resp, ok = Server.handle cache (parse_ok line) in
+    check_reference "planted reference" ~hits:1 ~misses:0 since;
+    Alcotest.(check bool) "planted wrong reference fails" false ok;
+    if not (contains ~needle:"reduction mismatch on run 1/1" resp) then
+      Alcotest.failf "planted reference response: %s" resp)
+  | _ -> Alcotest.fail "expected Exec"
+
 let test_run_batch () =
   let input =
     String.concat "\n"
@@ -983,6 +1104,12 @@ let suites =
         Alcotest.test_case "malformed requests rejected with context" `Quick test_parse_rejects;
         Alcotest.test_case "handle compile response" `Quick test_handle_compile;
         Alcotest.test_case "handle exec: trip, checksum, determinism" `Quick test_handle_exec;
+        Alcotest.test_case "exec reference memo: hits, misses, identical" `Quick
+          test_exec_reference_memo;
+        Alcotest.test_case "exec reference memo: bounded LRU" `Quick
+          test_exec_reference_eviction;
+        Alcotest.test_case "exec reference memo: hits still checked" `Quick
+          test_exec_reference_checked_on_hit;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch
       ] )
   ]
