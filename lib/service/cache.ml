@@ -20,6 +20,7 @@ type t = {
   plans : Plan.t lru;
   refs : Exec.value option lru;
   inflight : Plan.t Single_flight.t;
+  ref_flights : Exec.value option Single_flight.t;
 }
 
 (* ---- startup janitor ----
@@ -86,7 +87,8 @@ let create ?(capacity = 256) ?dir () =
       mutex = Mutex.create ();
       plans = new_lru ();
       refs = new_lru ();
-      inflight = Single_flight.create () }
+      inflight = Single_flight.create ();
+      ref_flights = Single_flight.create () }
   in
   ignore (sweep t);
   t
@@ -287,24 +289,48 @@ let find_or_compile ?(compile = Plan.compile) t nest =
       Mutex.unlock t.mutex;
       with_renaming result)
 
-(* the memo never holds the lock across the walk: two concurrent misses
-   on one key both compute (the same value) and the second insert is a
-   no-op *)
+(* a miss walks once per key, with the lock released: concurrent misses
+   on one key park on the walker's flight, as plans do, and count as
+   hits ([exec.reference.miss] counts walks). A walk that raises
+   re-raises in its caller and poisons nothing; a parked waiter then
+   walks for itself. *)
 let reference t key compute =
-  Mutex.lock t.mutex;
-  let memo = lookup t.refs key in
-  Mutex.unlock t.mutex;
-  match memo with
-  | Some r ->
+  let hit r =
     Obsv.Metrics.incr_here Stats.reference_hits;
     r
-  | None ->
+  in
+  let walk () =
     Obsv.Metrics.incr_here Stats.reference_misses;
-    let r = compute () in
-    Mutex.lock t.mutex;
-    ignore (insert t t.refs key r);
+    compute ()
+  in
+  Mutex.lock t.mutex;
+  match lookup t.refs key with
+  | Some r ->
     Mutex.unlock t.mutex;
-    r
+    hit r
+  | None -> (
+    match Single_flight.join t.ref_flights key with
+    | Some fl -> (
+      let r = Single_flight.await fl ~mutex:t.mutex in
+      Mutex.unlock t.mutex;
+      match r with Ok r -> hit r | Error _ -> walk ())
+    | None ->
+      let fl = Single_flight.enter t.ref_flights key in
+      Mutex.unlock t.mutex;
+      let publish result =
+        Mutex.lock t.mutex;
+        (match result with Ok r -> ignore (insert t t.refs key r) | Error _ -> ());
+        Single_flight.publish t.ref_flights key fl result;
+        Mutex.unlock t.mutex
+      in
+      match walk () with
+      | r ->
+        publish (Ok r);
+        r
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        publish (Error (Printexc.to_string e));
+        Printexc.raise_with_backtrace e bt)
 
 let size t =
   Mutex.lock t.mutex;

@@ -87,8 +87,11 @@ val find_or_compile :
     {!capacity} entries beside the plans' (so its memory is bounded
     like theirs) and books [exec.reference.hit]/[exec.reference.miss]
     ({!Stats}). Only the value is reused: every run is still checked
-    against it. Domain-safe; two concurrent misses on one key both
-    compute. *)
+    against it. Domain-safe and single-flighted like the plans:
+    concurrent misses on one key park on the first one's [compute ()]
+    and count as hits, so [exec.reference.miss] counts walks. A
+    [compute] that raises re-raises in its caller and memoizes
+    nothing; a parked waiter then computes for itself. *)
 val reference : t -> string -> (unit -> Exec.value option) -> Exec.value option
 
 (** [size t] is the current in-memory plan count ([<= capacity]). *)

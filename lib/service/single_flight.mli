@@ -1,5 +1,5 @@
 (** Keyed single-flight duplicate suppression, shared by the plan
-    cache and the native-handle cache.
+    cache, the exec-reference memo and the native-handle cache.
 
     A flight is one in-progress computation for a key. The first
     requester {!enter}s, computes with the owner's mutex {e released},

@@ -1005,6 +1005,44 @@ let test_exec_reference_checked_on_hit () =
       Alcotest.failf "planted reference response: %s" resp)
   | _ -> Alcotest.fail "expected Exec"
 
+(* concurrent misses on one key walk once; the rest park on that walk
+   and count as hits. The walk sleeps so the callers overlap, but one
+   that arrives after it finished hits the memo, so the counts hold
+   either way. A walk that raises memoizes nothing: its caller sees the
+   exception, and a caller parked on it walks for itself. *)
+let test_exec_reference_single_flight () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let walks = Atomic.make 0 in
+  let slow v () =
+    Atomic.incr walks;
+    Unix.sleepf 0.2;
+    v
+  in
+  let answer = Some (Service.Exec.Int 42) in
+  let since = Obsv.Metrics.snapshot () in
+  let callers =
+    List.init 4 (fun _ -> Domain.spawn (fun () -> Cache.reference cache "k" (slow answer)))
+  in
+  List.iter
+    (fun d -> if Domain.join d <> answer then Alcotest.fail "a caller got another value")
+    callers;
+  Alcotest.(check int) "one walk for four callers" 1 (Atomic.get walks);
+  check_reference "concurrent misses" ~hits:3 ~misses:1 since;
+  let since = Obsv.Metrics.snapshot () in
+  let failing =
+    Domain.spawn (fun () ->
+        Cache.reference cache "bad" (fun () ->
+            Unix.sleepf 0.2;
+            failwith "walk failed"))
+  in
+  Unix.sleepf 0.05;
+  let parked = Cache.reference cache "bad" (fun () -> answer) in
+  (match Domain.join failing with
+  | _ -> Alcotest.fail "a raising walk must re-raise in its caller"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "the parked caller walked for itself" true (parked = answer);
+  check_reference "raising walk" ~hits:0 ~misses:2 since
+
 let test_run_batch () =
   let input =
     String.concat "\n"
@@ -1110,6 +1148,8 @@ let suites =
           test_exec_reference_eviction;
         Alcotest.test_case "exec reference memo: hits still checked" `Quick
           test_exec_reference_checked_on_hit;
+        Alcotest.test_case "exec reference memo: one walk per key" `Quick
+          test_exec_reference_single_flight;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch
       ] )
   ]
