@@ -28,7 +28,8 @@
     again.
 
     Beside the plans, the cache memoizes each plan's serial exec
-    references ({!reference}) in a second LRU of the same capacity.
+    references ({!reference}) in a second LRU of the same capacity,
+    single-flighted per key like the plans.
 
     All operations are thread-safe; the per-request critical sections
     take one mutex and never hold it across a compile or disk I/O.
