@@ -31,19 +31,7 @@ module Cache = Service.Cache
 module A = Polymath.Affine
 module Q = Zmath.Rat
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> default)
-  | None -> default
-
-let header s =
-  Printf.printf "== %s ==\n%!" s
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec at i j = j = nl || (hay.[i + j] = needle.[j] && at i (j + 1)) in
-  let rec find i = i + nl <= hl && (at i 0 || find (i + 1)) in
-  find 0
+open Common
 
 let read_file path =
   let ic = open_in_bin path in
@@ -57,10 +45,7 @@ let write_file path s =
   close_out oc
 
 let fresh_dir tag =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ompsim-chaos-%s-%d" tag (Unix.getpid ()))
-  in
+  let d = temp_path ("chaos-" ^ tag) in
   (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   Array.iter (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ()) (Sys.readdir d);
   d
@@ -198,7 +183,7 @@ type wedged_result = {
 
 let wedged_chaos () =
   let dir = fresh_dir "jit" in
-  let timeout_ms = max 100 (env_int "BENCH_CHAOS_TIMEOUT_MS" 500) in
+  let timeout_ms = 500 in
   let cc = Filename.concat dir "wedged-cc" in
   write_file cc "#!/bin/sh\ncase \"$1\" in --version) echo wedged-cc 1.0; exit 0;; esac\nsleep 600\n";
   Unix.chmod cc 0o755;
@@ -284,15 +269,10 @@ type flood_result = {
   stats : Server.serve_stats;
 }
 
-let flood_chaos () =
-  let victim_reqs = max 20 (env_int "BENCH_CHAOS_VICTIM_REQS" 200) in
-  let window = max 4 (env_int "BENCH_CHAOS_FLOOD_WINDOW" 32) in
-  let rate = float_of_int (max 100 (env_int "BENCH_CHAOS_RATE" 2000)) in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ompsim-chaos-%d.sock" (Unix.getpid ()))
-  in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+let flood_chaos ~victim_reqs ~window =
+  let victim_reqs = max 20 victim_reqs and window = max 4 window in
+  let rate = 2000.0 in
+  let socket = socket_path "chaos" in
   let cache = Cache.create ~capacity:32 ~dir:None () in
   let config =
     { Server.default_serve_config with
@@ -306,62 +286,8 @@ let flood_chaos () =
       service_quantum = 8 }
   in
   let server = Domain.spawn (fun () -> Server.serve ~cache ~config ~socket ()) in
-  let rec wait_ready tries =
-    if not (Sys.file_exists socket) then
-      if tries = 0 then failwith "micro-chaos: server socket never appeared"
-      else begin
-        Unix.sleepf 0.01;
-        wait_ready (tries - 1)
-      end
-  in
-  wait_ready 500;
-  let connect () =
-    let rec go tries =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX socket) with
-      | () -> fd
-      | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
-        Unix.close fd;
-        Unix.sleepf 0.01;
-        go (tries - 1)
-    in
-    go 500
-  in
-  let send_all fd s =
-    let n = String.length s in
-    let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-    go 0
-  in
-  let make_reader fd =
-    let buf = Buffer.create 4096 in
-    let pos = ref 0 in
-    let chunk = Bytes.create 4096 in
-    fun () ->
-      let rec next () =
-        let s = Buffer.contents buf in
-        match String.index_from_opt s !pos '\n' with
-        | Some i ->
-          let line = String.sub s !pos (i - !pos) in
-          pos := i + 1;
-          if !pos = String.length s then begin
-            Buffer.clear buf;
-            pos := 0
-          end;
-          line
-        | None -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> failwith "micro-chaos: unexpected EOF"
-          | r ->
-            Buffer.add_subbytes buf chunk 0 r;
-            next ())
-      in
-      next ()
-  in
+  wait_ready socket;
   let req = "compile kernel=utma\n" in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
   (* the victim: strictly paced at rate/4 so the limiter never fires
      for it; each request is blocking request/response *)
   let victim_overloads = ref 0 in
@@ -379,7 +305,7 @@ let flood_chaos () =
     Array.sort compare lats;
     lats
   in
-  let victim_fd = connect () in
+  let victim_fd = connect socket in
   let victim_read = make_reader victim_fd in
   (* warm the plan so both phases measure cache hits *)
   send_all victim_fd req;
@@ -392,7 +318,7 @@ let flood_chaos () =
   let started = Atomic.make false in
   let flooder =
     Domain.spawn (fun () ->
-        let fd = connect () in
+        let fd = connect socket in
         let read_line = make_reader fd in
         let batch = Buffer.create (window * String.length req) in
         for _ = 1 to window do
@@ -432,7 +358,7 @@ let flood_chaos () =
   Unix.close victim_fd;
   (* health must answer even right after the flood, with the full
      robustness ledger in one line *)
-  let health_fd = connect () in
+  let health_fd = connect socket in
   let health_read = make_reader health_fd in
   send_all health_fd "health\n";
   let health_line = health_read () in
@@ -458,7 +384,7 @@ let flood_chaos () =
      one CPU, so a couple of timeslices of tail are the OS, not the
      loop. Starvation — the failure this gate exists for — is orders
      of magnitude above either bound. *)
-  let floor_us = float_of_int (env_int "BENCH_CHAOS_P99_FLOOR_US" 10000) in
+  let floor_us = 10000.0 in
   let p99_bound = Float.max (3.0 *. p99_unloaded) floor_us in
   { victim_reqs;
     flood_reqs = flood_sent;
@@ -477,7 +403,9 @@ let flood_chaos () =
 (* ---------------- driver ---------------- *)
 
 let run () =
-  let seed = env_int "BENCH_CHAOS_SEED" 42 in
+  let seed = 42 in
+  let victim_reqs = env_int "BENCH_CHAOS_VICTIM_REQS" 200 in
+  let window = env_int "BENCH_CHAOS_FLOOD_WINDOW" 32 in
   header (Printf.sprintf "micro-chaos: crash/corruption/wedge/flood recovery gates (seed %d)" seed);
   Emit.ensure_writable "BENCH_chaos.json";
   let since = Obsv.Metrics.snapshot () in
@@ -511,7 +439,7 @@ let run () =
     w.gcc_available w.final_state
     (if wedged_ok then "ok" else "FAIL");
 
-  let f = flood_chaos () in
+  let f = flood_chaos ~victim_reqs ~window in
   let flood_ok =
     f.p99_ok && f.lost = 0 && f.victim_overloads = 0 && f.flood_overloads > 0 && f.health_ok
     && f.stats.Server.dropped = 0

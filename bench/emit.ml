@@ -5,7 +5,7 @@
    structure, the escaping, the schema version and the git provenance
    stamp. [write] injects "artifact"/"schema_version"/"git" as the
    leading fields so every artifact stays greppable the same way
-   (CI matches on ["schema_version": N] literally). *)
+   (CI's artifact check matches ["schema_version": N] literally). *)
 
 type t =
   | Obj of (string * t) list
@@ -17,7 +17,7 @@ type t =
   | G of float  (* shortest %g rendering, for rates like 0.02 *)
 
 (* bump when the shape of any BENCH_*.json changes *)
-let schema_version = 3
+let schema_version = 4
 
 (* hardware context: perf numbers are meaningless across machines
    without it, and the reduction/steal artifacts gate on parallel

@@ -5,9 +5,8 @@
    iteration space by cheap incrementation (§V) — here via
    Recovery.walk, whose bound updates use compiled finite-difference
    tables. Regions are dispatched to the warm persistent domain pool
-   (Ompsim.Pool); the pre-pool spawn-per-region path is kept for
-   comparison. All schedules and both backends must produce the exact
-   same matrix as the sequential nest.
+   (Ompsim.Pool). Every schedule must produce the exact same matrix as
+   the sequential nest.
 
    Run with: dune exec examples/parallel_domains.exe *)
 
@@ -34,32 +33,27 @@ let () =
     done
   done;
 
-  let run backend schedule =
+  let run schedule =
     let a = Array.make (n * n) 0.0 in
     let t0 = Unix.gettimeofday () in
-    Ompsim.Par.with_backend backend (fun () ->
-        Ompsim.Par.parallel_for_chunks ~nthreads:8 ~schedule ~n:trip
-          (fun ~thread:_ ~start ~len ->
-            (* pc ranges are 1-based; one costly recovery per chunk,
-               then finite-difference-stepped incrementation *)
-            Trahrhe.Recovery.walk rc ~pc:(start + 1) ~len (fun idx ->
-                let i = idx.(0) and j = idx.(1) in
-                a.((i * n) + j) <- float_of_int ((i * j) mod 101) /. 7.0)));
+    Ompsim.Par.parallel_for_chunks ~nthreads:8 ~schedule ~n:trip (fun ~thread:_ ~start ~len ->
+        (* pc ranges are 1-based; one costly recovery per chunk, then
+           finite-difference-stepped incrementation *)
+        Trahrhe.Recovery.walk rc ~pc:(start + 1) ~len (fun idx ->
+            let i = idx.(0) and j = idx.(1) in
+            a.((i * n) + j) <- float_of_int ((i * j) mod 101) /. 7.0));
     let dt = Unix.gettimeofday () -. t0 in
     (a, dt)
   in
   List.iter
-    (fun (backend, bname) ->
-      List.iter
-        (fun schedule ->
-          let a, dt = run backend schedule in
-          Printf.printf "  %-5s schedule(%-11s): %s in %.1f ms\n" bname
-            (Ompsim.Schedule.to_string schedule)
-            (if a = reference then "exact match with sequential nest" else "MISMATCH")
-            (1000.0 *. dt))
-        [ Ompsim.Schedule.Static;
-          Ompsim.Schedule.Static_chunk 1024;
-          Ompsim.Schedule.Dynamic 512;
-          Ompsim.Schedule.Guided 256 ])
-    [ (Ompsim.Par.Pool, "pool"); (Ompsim.Par.Spawn, "spawn") ];
+    (fun schedule ->
+      let a, dt = run schedule in
+      Printf.printf "  schedule(%-11s): %s in %.1f ms\n"
+        (Ompsim.Schedule.to_string schedule)
+        (if a = reference then "exact match with sequential nest" else "MISMATCH")
+        (1000.0 *. dt))
+    [ Ompsim.Schedule.Static;
+      Ompsim.Schedule.Static_chunk 1024;
+      Ompsim.Schedule.Dynamic 512;
+      Ompsim.Schedule.Guided 256 ];
   Printf.printf "persistent pool workers alive: %d\n" (Ompsim.Pool.size ())

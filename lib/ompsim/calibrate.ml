@@ -28,15 +28,3 @@ let default_recovery = 80.0
    own index arithmetic; its marginal cost is one extra compare+reset
    per iteration, a few percent of one work unit *)
 let default_increment = 0.02
-
-let measure_region_overhead ?(calls = 200) ?(warmup = 3) ~backend ~nthreads () =
-  if calls <= 0 then invalid_arg "Calibrate.measure_region_overhead";
-  Par.with_backend backend (fun () ->
-      let region () =
-        Par.parallel_for ~nthreads ~schedule:Schedule.Static ~n:nthreads (fun _ -> ())
-      in
-      for _ = 1 to warmup do
-        region ()
-      done;
-      let s = time (fun () -> for _ = 1 to calls do region () done) in
-      s *. 1e9 /. float_of_int calls)

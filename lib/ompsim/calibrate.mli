@@ -23,13 +23,3 @@ val default_dispatch : float
 val default_fork_join : float
 val default_recovery : float
 val default_increment : float
-
-(** [measure_region_overhead ?calls ?warmup ~backend ~nthreads ()]
-    measures the per-call overhead, in nanoseconds, of an (almost)
-    empty [Par.parallel_for] region on the given backend — i.e. the
-    real fork/join (spawn) or dispatch (pool) cost on this machine.
-    [warmup] (default 3) untimed calls precede the [calls] (default
-    200) timed ones, so lazy pool creation is not billed. The previous
-    backend is restored afterwards. *)
-val measure_region_overhead :
-  ?calls:int -> ?warmup:int -> backend:Par.backend -> nthreads:int -> unit -> float

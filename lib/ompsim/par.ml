@@ -1,27 +1,3 @@
-type backend = Pool | Spawn
-
-let default_backend =
-  match Sys.getenv_opt "OMPSIM_BACKEND" with
-  | Some ("spawn" | "SPAWN" | "Spawn") -> Spawn
-  | _ -> Pool
-
-let backend = ref default_backend
-
-let with_backend b f =
-  let saved = !backend in
-  backend := b;
-  Fun.protect ~finally:(fun () -> backend := saved) f
-
-(* hand the per-slot worker function to warm pool domains (default) or
-   to freshly spawned ones (the pre-pool path, kept behind the flag);
-   both re-raise a worker failure with its original backtrace *)
-let run_workers ~nthreads worker =
-  if nthreads = 1 then worker 0
-  else
-    match !backend with
-    | Pool -> Pool.run ~nthreads worker
-    | Spawn -> Pool.run_spawned ~nthreads worker
-
 (* count chunks/iterations on the executing slot; when the region was
    entered traced ([spans], decided once so its trace stays balanced),
    also put a span around each chunk *)
@@ -71,7 +47,7 @@ let run_work_stealing ~nthreads ~chunk ~n ~stop f =
     let start = c * chunk in
     f ~thread:t ~start ~len:(min chunk (n - start))
   in
-  run_workers ~nthreads (fun t ->
+  Pool.run ~nthreads (fun t ->
       let my = deques.(t) in
       (* owner drain by batches: one bottom-fence per up to 32 chunks.
          A cancelled region keeps popping without executing — the
@@ -145,7 +121,7 @@ let run_dnc ~nthreads ~grain ~n ~stop f =
     let deques = Array.init nthreads (fun _ -> Deque.create ~capacity:128 ~dummy:0) in
     let pending = Atomic.make 1 in
     Deque.push deques.(0) 1;
-    run_workers ~nthreads (fun t ->
+    Pool.run ~nthreads (fun t ->
         let my = deques.(t) in
         let resolve () = ignore (Atomic.fetch_and_add pending (-1)) in
         (* a cancelled region keeps popping without splitting or
@@ -211,20 +187,20 @@ let run_schedule ~stop ~nthreads ~schedule ~n f =
   match schedule with
   | Schedule.Static ->
     let blocks = Schedule.static_blocks ~nthreads ~n in
-    run_workers ~nthreads (fun t ->
+    Pool.run ~nthreads (fun t ->
         let start, len = blocks.(t) in
         if len > 0 && not (stop ()) then f ~thread:t ~start ~len)
   | Schedule.Static_chunk c ->
     if c <= 0 then invalid_arg "Par: static chunk";
     let lists = Schedule.round_robin_chunks ~chunk:c ~nthreads ~n in
-    run_workers ~nthreads (fun t ->
+    Pool.run ~nthreads (fun t ->
         List.iter
           (fun (start, len) -> if not (stop ()) then f ~thread:t ~start ~len)
           lists.(t))
   | Schedule.Dynamic c ->
     if c <= 0 then invalid_arg "Par: dynamic chunk";
     let next = Atomic.make 0 in
-    run_workers ~nthreads (fun t ->
+    Pool.run ~nthreads (fun t ->
         let continue = ref true in
         while !continue do
           if stop () then continue := false
@@ -237,7 +213,7 @@ let run_schedule ~stop ~nthreads ~schedule ~n f =
   | Schedule.Guided c ->
     if c <= 0 then invalid_arg "Par: guided chunk";
     let next = Atomic.make 0 in
-    run_workers ~nthreads (fun t ->
+    Pool.run ~nthreads (fun t ->
         let continue = ref true in
         while !continue do
           if stop () then continue := false

@@ -2,22 +2,21 @@
 
     This is the execution counterpart of {!Sim}: an OpenMP-like
     [parallel for] whose schedules match {!Schedule}'s assignment
-    exactly. On the single-core container it demonstrates correctness
-    (iterations are distributed and executed exactly once) rather than
-    speedup; on a multicore machine it parallelizes for real.
+    exactly. On the 2-CPU container it demonstrates correctness
+    (iterations are distributed and executed exactly once) more than
+    speedup; on a larger multicore machine it parallelizes for real.
 
     Iterations must be independent — the same precondition the paper's
     transformation requires of the loops being collapsed.
 
-    Execution backend: by default workers are dispatched to the warm
-    persistent {!Pool} (no per-region domain creation); the original
-    spawn-per-region path is kept behind {!backend} and the
-    [OMPSIM_BACKEND=spawn] environment variable. Both backends assign
-    identical chunks to identical slot numbers, so results are
-    bit-identical across backends and schedules — except
-    [Work_stealing], whose chunk-to-worker mapping is inherently
-    racy (the multiset of chunks executed is still exactly the
-    schedule's chunk list, each chunk exactly once).
+    Workers are dispatched to the warm persistent {!Pool} (no
+    per-region domain creation); a region opened while the pool is busy
+    (a nested region) runs on freshly spawned domains instead. Either
+    way identical chunks go to identical slot numbers, so results are
+    bit-identical across schedules — except [Work_stealing], whose
+    chunk-to-worker mapping is inherently racy (the multiset of chunks
+    executed is still exactly the schedule's chunk list, each chunk
+    exactly once).
 
     [Schedule.Work_stealing c] is executed on per-worker Chase–Lev
     deques ({!Deque}): chunks are dealt round-robin up front, a worker
@@ -37,18 +36,6 @@
     executed leaves are counted in {!Stats.dnc_splits} /
     {!Stats.dnc_grain_chunks} (steals still bill to
     {!Stats.ws_steals}). *)
-
-(** [Pool] (default): dispatch to the persistent domain pool.
-    [Spawn]: spawn and join fresh domains per parallel region. *)
-type backend = Pool | Spawn
-
-(** Current backend. Initialized from [OMPSIM_BACKEND] ([spawn]
-    selects {!Spawn}; anything else, or unset, selects {!Pool}). *)
-val backend : backend ref
-
-(** [with_backend b f] runs [f ()] with {!backend} set to [b],
-    restoring the previous backend afterwards (also on exceptions). *)
-val with_backend : backend -> (unit -> 'a) -> 'a
 
 (** [parallel_for ~nthreads ~schedule ~n f] runs [f q] for every
     [q] in [0..n-1] across [nthreads] domains. *)
@@ -156,8 +143,9 @@ val run_resilient :
     span): the bracketing is keyed by chunk position in the collapsed
     range, never by worker arrival order, so for an associative
     [combine] the result is bit-for-bit identical across schedules,
-    backends, worker counts and fault/retry histories — exactly equal
-    to the serial left fold over the chunk partials. *)
+    pooled or spawned workers, worker counts and fault/retry
+    histories — exactly equal to the serial left fold over the chunk
+    partials. *)
 
 (** [reduce_chunks ~nthreads ~schedule ~n ~combine f] reduces
     [f ~thread ~start ~len] over the chunk partition of [0..n-1].

@@ -33,11 +33,10 @@
 val run : nthreads:int -> (int -> unit) -> unit
 
 (** [run_spawned ~nthreads f] is {!run} on freshly spawned domains
-    instead of the pool — the nested-region fallback and the
-    [OMPSIM_BACKEND=spawn] reference path. Same failure contract as
-    {!run} (first failure wins, original backtrace preserved), and the
-    calling domain always joins every spawned domain, even when
-    [f 0] itself raises. *)
+    instead of the pool — the nested-region fallback. Same failure
+    contract as {!run} (first failure wins, original backtrace
+    preserved), and the calling domain always joins every spawned
+    domain, even when [f 0] itself raises. *)
 val run_spawned : nthreads:int -> (int -> unit) -> unit
 
 (** [size ()] is the number of live pool workers (0 before the first

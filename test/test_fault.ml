@@ -132,14 +132,15 @@ let test_resilient_all_schedules () =
         ~label:(Sched.to_string schedule)
         ~schedule ~nthreads:4 ~n:997 ~faults ~retries:3 ())
     all_schedules;
-  (* n = 0 and n = 1 corners, and the spawn backend *)
+  (* n = 0 and n = 1 corners, and a nested region, whose chunks run
+     on spawned domains *)
   check_exactly_once ~label:"empty" ~schedule:(Sched.Dynamic 4) ~nthreads:2 ~n:0 ~faults
     ~retries:1 ();
   check_exactly_once ~label:"single" ~schedule:Sched.Static ~nthreads:3 ~n:1 ~faults ~retries:3
     ();
-  Par.with_backend Par.Spawn (fun () ->
-      check_exactly_once ~label:"spawn backend" ~schedule:(Sched.Dynamic 16) ~nthreads:3 ~n:500
-        ~faults ~retries:3 ())
+  Test_ompsim.in_nested_region
+    (check_exactly_once ~label:"nested, spawned" ~schedule:(Sched.Dynamic 16) ~nthreads:3 ~n:500
+       ~faults ~retries:3)
 
 exception Poison of int
 
@@ -298,10 +299,11 @@ let test_invalid_args () =
 
 exception Kernel_bug
 
-let test_backtrace_preserved backend () =
-  (* a kernel exception crossing the pool join must keep its original
+let test_backtrace_preserved ~nested () =
+  (* a kernel exception crossing the pool join — or, in a nested
+     region, the spawned domains' join — must keep its original
      backtrace (Printexc.raise_with_backtrace in Pool) *)
-  Par.with_backend backend (fun () ->
+  (if nested then Test_ompsim.in_nested_region else fun f -> f ()) (fun () ->
       match
         Par.parallel_for_chunks ~nthreads:4 ~schedule:(Sched.Dynamic 8) ~n:200
           (fun ~thread:_ ~start ~len:_ ->
@@ -359,6 +361,6 @@ let suites =
         Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
         Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
         Alcotest.test_case "backtrace preserved (pool)" `Quick
-          (test_backtrace_preserved Par.Pool);
-        Alcotest.test_case "backtrace preserved (spawn)" `Quick
-          (test_backtrace_preserved Par.Spawn) ] ) ]
+          (test_backtrace_preserved ~nested:false);
+        Alcotest.test_case "backtrace preserved (nested, spawned)" `Quick
+          (test_backtrace_preserved ~nested:true) ] ) ]

@@ -180,6 +180,54 @@ let test_stale_so_recompiles () =
        fingerprint);
     Jit.Native.close h
 
+(* The jit.* / native.served ledger against a known sequence: a
+   tier's first attach compiles and every successful attach is served;
+   specializing into a fresh directory compiles, doing it again there
+   only loads the published object; a parameter past the native
+   headroom falls back. *)
+let test_ledger_reconciles () =
+  require_gcc ();
+  let root =
+    Printf.sprintf "%s-ledger-%.0f" (Lazy.force tmp_dir) (Unix.gettimeofday () *. 1e6)
+  in
+  let tier_dir = Filename.concat root "tier" and cold_dir = Filename.concat root "cold" in
+  let cache = Service.Cache.create ~capacity:4 ~dir:(Some tier_dir) () in
+  let plan, renaming =
+    match Service.Cache.find_or_compile cache (Lazy.force triangular_nest) with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "plan compile failed: %s" e
+  in
+  let cparam = Service.Fingerprint.canonical_param renaming (fun _ -> 40) in
+  let since = Obsv.Metrics.snapshot () in
+  let counted = Obsv.Metrics.since since in
+  let tier = Service.Native.create ~dir:(Some tier_dir) () in
+  let attaches = 5 in
+  for _ = 1 to attaches do
+    Alcotest.(check bool) "attach engages" true
+      (R.native_enabled (Service.Native.recovery tier plan ~param:cparam))
+  done;
+  Alcotest.(check int) "tier compiled once" 1 (counted Jit.Stats.compiles);
+  Alcotest.(check int) "every attach served" attaches (counted Service.Stats.native_served);
+  let specialize what =
+    match
+      Jit.Compile.specialize ~dir:cold_dir ~fingerprint:plan.Service.Plan.fingerprint
+        plan.Service.Plan.inversion
+    with
+    | Ok h -> Jit.Native.close h
+    | Error e -> Alcotest.failf "%s specialize failed: %s" what e
+  in
+  specialize "cold";
+  specialize "warm";
+  Alcotest.(check int) "cold specialize compiles" 2 (counted Jit.Stats.compiles);
+  (* loads count only the warm dlopen: a compile's own load rides it *)
+  Alcotest.(check int) "warm specialize only loads" 1 (counted Jit.Stats.loads);
+  let big = Service.Native.recovery tier plan ~param:(fun _ -> 3_000_000_000) in
+  Alcotest.(check bool) "past the headroom stays interpreted" false (R.native_enabled big);
+  Alcotest.(check bool) "overflow guard engaged" true (R.overflow_guarded big);
+  Alcotest.(check int) "the refusal is one fallback" 1 (counted Jit.Stats.fallbacks);
+  Alcotest.(check int) "a refusal is not served" attaches (counted Service.Stats.native_served);
+  Service.Native.clear tier
+
 let test_load_missing () =
   match Jit.Native.load ~path:"/nonexistent/ompsim.so" ~fingerprint:"x" with
   | Ok _ -> Alcotest.fail "loading a missing path succeeded"
@@ -404,6 +452,7 @@ let suites =
         Alcotest.test_case "native = interpreted" `Quick test_native_matches_interpreted;
         Alcotest.test_case "attach_native routing" `Quick test_attach_native;
         Alcotest.test_case "corrupt/stale .so recompiles" `Quick test_stale_so_recompiles;
+        Alcotest.test_case "jit ledger reconciles" `Quick test_ledger_reconciles;
         Alcotest.test_case "load missing path" `Quick test_load_missing ] );
     ( "jit.subproc",
       [ Alcotest.test_case "exit code + stream capture" `Quick test_subproc_exit_and_capture;

@@ -402,11 +402,21 @@ let test_par_single_thread () =
   Ompsim.Par.parallel_for ~nthreads:1 ~schedule:Sched.Static ~n (fun q -> sum := !sum + q);
   Alcotest.(check int) "sequential sum" (n * (n - 1) / 2) !sum
 
-(* -------- Par backends: persistent pool vs spawn-per-region -------- *)
+(* -------- Par on the persistent pool -------- *)
 
-let backend_name = function Ompsim.Par.Pool -> "pool" | Ompsim.Par.Spawn -> "spawn"
+(* [in_nested_region f] runs [f ()] on slot 0 of a live pool region.
+   The pool is busy, so every region [f] opens falls back to
+   [Pool.run_spawned], the path Par takes for nested regions; the
+   helper fails unless that fallback fired. *)
+let in_nested_region f =
+  let fallbacks () = Obsv.Metrics.total Ompsim.Stats.pool_fallbacks in
+  let before = fallbacks () in
+  let result = ref None in
+  Ompsim.Pool.run ~nthreads:2 (fun t -> if t = 0 then result := Some (f ()));
+  if fallbacks () = before then Alcotest.fail "the inner region did not run on spawned domains";
+  Option.get !result
 
-let test_par_coverage_adversarial backend () =
+let test_par_coverage_adversarial () =
   (* every schedule must execute each index exactly once, including
      empty loops, single iterations and more threads than work *)
   List.iter
@@ -414,15 +424,13 @@ let test_par_coverage_adversarial backend () =
       List.iter
         (fun schedule ->
           let hits = Array.make (max 1 n) 0 in
-          Ompsim.Par.with_backend backend (fun () ->
-              Ompsim.Par.parallel_for ~nthreads ~schedule ~n (fun q -> hits.(q) <- hits.(q) + 1));
+          Ompsim.Par.parallel_for ~nthreads ~schedule ~n (fun q -> hits.(q) <- hits.(q) + 1);
           let ok = ref true in
           for q = 0 to n - 1 do
             if hits.(q) <> 1 then ok := false
           done;
           Alcotest.(check bool)
-            (Printf.sprintf "%s n=%d t=%d %s: exactly once" (backend_name backend) n nthreads
-               (Sched.to_string schedule))
+            (Printf.sprintf "n=%d t=%d %s: exactly once" n nthreads (Sched.to_string schedule))
             true !ok)
         [ Sched.Static;
           Sched.Static_chunk 1;
@@ -435,74 +443,61 @@ let test_par_coverage_adversarial backend () =
           Sched.Work_stealing 7 ])
     [ (0, 4); (1, 4); (3, 8); (5, 2); (97, 3); (1000, 5) ]
 
-let test_par_chunks_disjoint backend () =
+let test_par_chunks_disjoint () =
   (* chunks handed out by dynamic/guided must partition 0..n-1 *)
   List.iter
     (fun schedule ->
       let n = 613 in
       let hits = Array.make n 0 in
-      Ompsim.Par.with_backend backend (fun () ->
-          Ompsim.Par.parallel_for_chunks ~nthreads:5 ~schedule ~n
-            (fun ~thread:_ ~start ~len ->
-              for q = start to start + len - 1 do
-                hits.(q) <- hits.(q) + 1
-              done));
+      Ompsim.Par.parallel_for_chunks ~nthreads:5 ~schedule ~n (fun ~thread:_ ~start ~len ->
+          for q = start to start + len - 1 do
+            hits.(q) <- hits.(q) + 1
+          done);
       Alcotest.(check bool)
-        (Printf.sprintf "%s %s: chunk partition" (backend_name backend) (Sched.to_string schedule))
+        (Printf.sprintf "%s: chunk partition" (Sched.to_string schedule))
         true
         (Array.for_all (fun h -> h = 1) hits))
     [ Sched.Dynamic 17; Sched.Guided 3; Sched.Static_chunk 11; Sched.Work_stealing 9 ]
 
-let test_backends_identical_results () =
-  (* both backends assign the same chunks to the same slots, so a pure
-     per-index computation gives bit-identical outputs *)
+let test_schedules_match_direct () =
+  (* a pure per-index computation run through every schedule gives
+     exactly the directly computed array *)
   let n = 2000 in
-  let run backend schedule =
-    let a = Array.make n 0 in
-    Ompsim.Par.with_backend backend (fun () ->
-        Ompsim.Par.parallel_for_chunks ~nthreads:4 ~schedule ~n
-          (fun ~thread:_ ~start ~len ->
-            for q = start to start + len - 1 do
-              a.(q) <- q * q mod 7919
-            done));
-    a
-  in
+  let f q = q * q mod 7919 in
+  let direct = Array.init n f in
   List.iter
     (fun schedule ->
-      Alcotest.(check bool)
-        (Sched.to_string schedule ^ ": pool = spawn")
-        true
-        (run Ompsim.Par.Pool schedule = run Ompsim.Par.Spawn schedule))
+      let a = Array.make n 0 in
+      Ompsim.Par.parallel_for_chunks ~nthreads:4 ~schedule ~n (fun ~thread:_ ~start ~len ->
+          for q = start to start + len - 1 do
+            a.(q) <- f q
+          done);
+      Alcotest.(check (array int)) (Sched.to_string schedule ^ ": = direct") direct a)
     [ Sched.Static; Sched.Static_chunk 64; Sched.Dynamic 32; Sched.Guided 16;
       Sched.Work_stealing 32 ]
 
 let test_pool_reuse_and_growth () =
-  Ompsim.Par.with_backend Ompsim.Par.Pool (fun () ->
-      (* repeated dispatches with varying widths: workers are reused and
-         the pool grows monotonically on demand *)
-      for round = 1 to 40 do
-        let nthreads = 1 + (round mod 8) in
-        let n = 100 + round in
-        let sum = Atomic.make 0 in
-        Ompsim.Par.parallel_for ~nthreads ~schedule:(Sched.Dynamic 9) ~n (fun q ->
-            ignore (Atomic.fetch_and_add sum q));
-        Alcotest.(check int)
-          (Printf.sprintf "round %d sum" round)
-          (n * (n - 1) / 2)
-          (Atomic.get sum)
-      done;
-      Alcotest.(check bool) "pool kept at most 7 workers alive" true (Ompsim.Pool.size () <= 7))
+  (* repeated dispatches with varying widths: workers are reused and
+     the pool grows monotonically on demand *)
+  for round = 1 to 40 do
+    let nthreads = 1 + (round mod 8) in
+    let n = 100 + round in
+    let sum = Atomic.make 0 in
+    Ompsim.Par.parallel_for ~nthreads ~schedule:(Sched.Dynamic 9) ~n (fun q ->
+        ignore (Atomic.fetch_and_add sum q));
+    Alcotest.(check int) (Printf.sprintf "round %d sum" round) (n * (n - 1) / 2) (Atomic.get sum)
+  done;
+  Alcotest.(check bool) "pool kept at most 7 workers alive" true (Ompsim.Pool.size () <= 7)
 
 let test_pool_exception_propagates () =
-  Ompsim.Par.with_backend Ompsim.Par.Pool (fun () ->
-      Alcotest.check_raises "body failure reaches the caller" (Failure "boom") (fun () ->
-          Ompsim.Par.parallel_for ~nthreads:4 ~schedule:(Sched.Dynamic 1) ~n:16 (fun q ->
-              if q = 7 then failwith "boom"));
-      (* the pool survives a failed region *)
-      let hits = Array.make 16 0 in
-      Ompsim.Par.parallel_for ~nthreads:4 ~schedule:Sched.Static ~n:16 (fun q ->
-          hits.(q) <- hits.(q) + 1);
-      Alcotest.(check bool) "usable after failure" true (Array.for_all (fun h -> h = 1) hits))
+  Alcotest.check_raises "body failure reaches the caller" (Failure "boom") (fun () ->
+      Ompsim.Par.parallel_for ~nthreads:4 ~schedule:(Sched.Dynamic 1) ~n:16 (fun q ->
+          if q = 7 then failwith "boom"));
+  (* the pool survives a failed region *)
+  let hits = Array.make 16 0 in
+  Ompsim.Par.parallel_for ~nthreads:4 ~schedule:Sched.Static ~n:16 (fun q ->
+      hits.(q) <- hits.(q) + 1);
+  Alcotest.(check bool) "usable after failure" true (Array.for_all (fun h -> h = 1) hits)
 
 let test_pool_failed_growth () =
   (* a region wider than the runtime's domain limit cannot grow the
@@ -549,12 +544,11 @@ let test_ws_counter_soak () =
 let test_pool_nested_region () =
   (* a parallel region opened from inside a pool worker must not
      deadlock: the inner dispatch falls back to spawned domains *)
-  Ompsim.Par.with_backend Ompsim.Par.Pool (fun () ->
-      let total = Atomic.make 0 in
-      Ompsim.Par.parallel_for ~nthreads:2 ~schedule:Sched.Static ~n:2 (fun _ ->
-          Ompsim.Par.parallel_for ~nthreads:2 ~schedule:Sched.Static ~n:8 (fun _ ->
-              ignore (Atomic.fetch_and_add total 1)));
-      Alcotest.(check int) "all inner iterations ran" 16 (Atomic.get total))
+  let total = Atomic.make 0 in
+  Ompsim.Par.parallel_for ~nthreads:2 ~schedule:Sched.Static ~n:2 (fun _ ->
+      Ompsim.Par.parallel_for ~nthreads:2 ~schedule:Sched.Static ~n:8 (fun _ ->
+          ignore (Atomic.fetch_and_add total 1)));
+  Alcotest.(check int) "all inner iterations ran" 16 (Atomic.get total)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -594,15 +588,9 @@ let suites =
       [ Alcotest.test_case "all schedules cover exactly once" `Quick test_par_covers_exactly_once;
         Alcotest.test_case "chunk partition" `Quick test_par_chunks_partition;
         Alcotest.test_case "single thread" `Quick test_par_single_thread;
-        Alcotest.test_case "adversarial coverage, pool" `Quick
-          (test_par_coverage_adversarial Ompsim.Par.Pool);
-        Alcotest.test_case "adversarial coverage, spawn" `Quick
-          (test_par_coverage_adversarial Ompsim.Par.Spawn);
-        Alcotest.test_case "chunk disjointness, pool" `Quick
-          (test_par_chunks_disjoint Ompsim.Par.Pool);
-        Alcotest.test_case "chunk disjointness, spawn" `Quick
-          (test_par_chunks_disjoint Ompsim.Par.Spawn);
-        Alcotest.test_case "pool = spawn results" `Quick test_backends_identical_results;
+        Alcotest.test_case "adversarial coverage, pool" `Quick test_par_coverage_adversarial;
+        Alcotest.test_case "chunk disjointness, pool" `Quick test_par_chunks_disjoint;
+        Alcotest.test_case "schedules = direct results" `Quick test_schedules_match_direct;
         Alcotest.test_case "pool reuse and growth" `Quick test_pool_reuse_and_growth;
         Alcotest.test_case "pool exception propagation" `Quick test_pool_exception_propagates;
         Alcotest.test_case "failed pool growth leaves the pool usable" `Quick

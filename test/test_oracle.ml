@@ -2,7 +2,8 @@
    (ISSUE 2): for random valid non-rectangular nests, walking the
    collapsed range chunk-by-chunk must reproduce the nest's
    lexicographic enumeration exactly — same multiset, same order, each
-   iteration exactly once — on every execution backend and schedule. *)
+   iteration exactly once — under every schedule, in top-level regions
+   (pool workers) and nested ones (spawned domains). *)
 
 module A = Polymath.Affine
 module Q = Zmath.Rat
@@ -52,7 +53,9 @@ let gen_case : (N.t * int) QCheck.Gen.t =
 let print_case (nest, nval) = Format.asprintf "N = %d,@ %a" nval N.pp nest
 let arb_case = QCheck.make ~print:print_case gen_case
 
-let backends = [ (Ompsim.Par.Pool, "pool"); (Ompsim.Par.Spawn, "spawn") ]
+(* where a region runs: top level, on the pool's workers, or nested
+   inside a busy pool region, on spawned domains *)
+let placements = [ ((fun f -> f ()), "pool"); (Test_ompsim.in_nested_region, "nested") ]
 
 let schedules =
   [ Ompsim.Schedule.Static; Ompsim.Schedule.Static_chunk 3; Ompsim.Schedule.Dynamic 2;
@@ -65,7 +68,7 @@ let vlengths = [ 1; 4; 8; 32 ]
 let idx_to_string idx =
   "(" ^ String.concat "," (List.map string_of_int (Array.to_list idx)) ^ ")"
 
-(* One backend x schedule run: collapse, hand out chunks of the flat
+(* One placement x schedule run: collapse, hand out chunks of the flat
    range, recover + walk each chunk, and record what rank saw which
    index. Any deviation from [reference] is reported with enough
    context to replay. *)
@@ -200,10 +203,10 @@ let check_case (nest, nval) =
         (Array.length reference);
     if trip = 0 then QCheck.Test.fail_reportf "generator produced an empty nest";
     List.iter
-      (fun (backend, bname) ->
-        Ompsim.Par.with_backend backend (fun () ->
+      (fun (place, bname) ->
+        place (fun () ->
             List.iter (fun schedule -> run_one ~bname ~schedule rc reference trip) schedules))
-      backends;
+      placements;
     List.iter (fun vlength -> run_lanes ~vlength rc reference trip) vlengths;
     true
 
@@ -229,7 +232,7 @@ let check_case_resilient (nest, nval) =
 (* Reduction differential: attach a reduction clause to the same
    random nests and check the parallel combine tree against the serial
    fold — exactly, for every operator, every schedule (D&C included),
-   both backends, the batched lane-walk feeding the fold, and with
+   a nested region on spawned domains, the batched lane-walk feeding the fold, and with
    fault injection armed. Sum folds in wrapped native ints (the JIT's
    contract), min/max in native ints below the recovery's headroom;
    prod folds in exact rationals. *)
@@ -343,11 +346,12 @@ let check_case_reduce (nest, nval) =
               ~where:(Printf.sprintf "reduce %s / %s / faults" opname sname)
               ~faults ~schedule ~op ~depth rc trip expect)
           red_schedules;
-        (* spawn backend: the combine tree is keyed by chunk position,
-           so a different worker topology must not change a bit *)
-        Ompsim.Par.with_backend Ompsim.Par.Spawn (fun () ->
+        (* nested region on spawned domains: the combine tree is keyed
+           by chunk position, so a different worker topology must not
+           change a bit *)
+        Test_ompsim.in_nested_region (fun () ->
             run_reduce
-              ~where:(Printf.sprintf "reduce %s / spawn / dnc" opname)
+              ~where:(Printf.sprintf "reduce %s / nested / dnc" opname)
               ~schedule:(Ompsim.Schedule.Dnc 1) ~op ~depth rc trip expect);
         List.iter
           (fun vlength ->
@@ -776,8 +780,8 @@ let test_guarded_minmax_rational () =
    outermost level equation has degree >= 5, past the radical cap, so
    level 0 recovers through certified root isolation
    (Inversion.Numeric). The collapsed walk must still reproduce the
-   exact lexicographic enumeration on every backend, schedule and lane
-   width — the same bar the closed-form nests clear. *)
+   exact lexicographic enumeration in every placement, schedule and
+   lane width — the same bar the closed-form nests clear. *)
 
 let simplex_nest depth =
   let levels =
@@ -1007,9 +1011,8 @@ let test_deep_plan_roundtrip_native () =
     end;
     Service.Native.clear tier
 
-(* 200 random nests; each runs on both backends and all five
-   schedules, plus the serial lane-walk at every width, so >= 200
-   nests per backend as the issue requires. The seed is pinned:
+(* 200 random nests; each runs in both placements under all five
+   schedules, plus the serial lane-walk at every width. The seed is pinned:
    identical nests every run, no flaking. *)
 let prop_walk_matches_enumeration =
   QCheck.Test.make ~name:"collapsed walk = lexicographic enumeration (200 nests)" ~count:200
@@ -1035,7 +1038,7 @@ let suites =
           test_native_store_recovery;
         Alcotest.test_case "overflow-guarded min/max fold in exact rationals" `Quick
           test_guarded_minmax_rational;
-        Alcotest.test_case "depth 5-7 numeric walks = enumeration (backends x schedules x lanes)"
+        Alcotest.test_case "depth 5-7 numeric walks = enumeration (placements x schedules x lanes)"
           `Quick test_deep_numeric_walks;
         Alcotest.test_case "forced numeric = closed form bit-for-bit" `Quick
           test_forced_numeric_matches_closed_form;
