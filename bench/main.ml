@@ -1,4 +1,4 @@
-(* Benchmark driver: regenerates every table and figure of the paper's
+(* Benchmark entry point: regenerates every table and figure of the paper's
    evaluation (§VII), the ablations, and the hot-path artifacts.
 
      dune exec bench/main.exe              # everything, every artifact

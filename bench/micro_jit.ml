@@ -52,7 +52,7 @@ let run () =
     let rc_interp = Service.Plan.recovery plan ~param:cparam in
     let trip = R.trip_count rc_interp in
     let sink = ref 0 in
-    (* (1) PR-1 workload: the chunked walk, exactly as exec runs it —
+    (* (1) the exec workload: the chunked walk, exactly as exec runs it —
        one walk_hash call per chunk *)
     let walk_ns rc =
       best_ns_per_iter ~reps:3 ~iters:trip (fun () ->

@@ -1,7 +1,7 @@
 open Common
 
 (* micro-serve: the non-blocking multi-client serve loop. One server
-   (event loop + plan cache) in its own domain; a client driver issues
+   (event loop + plan cache) in its own domain; a client harness sends
    Zipf-skewed compile requests over the kernel registry and measures
    per-request round-trip latency. Phases: (1) cold — a single
    blocking client touches every kernel for the first time, so each
