@@ -4,7 +4,7 @@ open Common
 (* §VI-A batched lane-walk vs the per-iteration walk callback: same
    kernel, same chunking, the body reduced to one add per iteration so
    the difference is pure delivery mechanism (closure call per
-   iteration vs Array.fill runs + one closure call per block) *)
+   iteration vs run-filled blocks + one closure call per block) *)
 let run () =
   let n = env_int "BENCH_LANES_N" 1000 in
   header (Printf.sprintf "micro-lanes: walk vs walk_lanes ns/iter (correlation, N=%d)" n);

@@ -500,54 +500,53 @@ let isolate_level ?max_width t idx ~pc ~level =
     let hi = Q.of_int (upper_bound t ~level idx) in
     Some (Rootsolve.Isolate.isolate ?max_width p ~lo ~hi)
 
-let increment t idx =
-  let rec go k =
-    if k < 0 then false
-    else begin
-      let next = idx.(k) + 1 in
-      if next < upper_bound t ~level:k idx then begin
-        idx.(k) <- next;
-        for q = k + 1 to t.d - 1 do
-          idx.(q) <- lower_bound t ~level:q idx
-        done;
-        true
-      end
-      else go (k - 1)
-    end
-  in
-  go (t.d - 1)
+(* the §V step on re-evaluated bounds: [advance k] advances level k, or
+   the nearest outer level that is not exhausted; [settle q] resets
+   levels q.. to their lower bounds, carrying one level up past an
+   empty row. Both are false past the end of the space. *)
+let rec advance t idx k =
+  if k < 0 then false
+  else if idx.(k) + 1 < upper_bound t ~level:k idx then begin
+    idx.(k) <- idx.(k) + 1;
+    settle t idx (k + 1)
+  end
+  else advance t idx (k - 1)
+
+and settle t idx q =
+  if q >= t.d then true
+  else begin
+    idx.(q) <- lower_bound t ~level:q idx;
+    if idx.(q) < upper_bound t ~level:q idx then settle t idx (q + 1) else advance t idx (q - 1)
+  end
+
+let increment t idx = advance t idx (t.d - 1)
 
 let first t =
   if t.trip = 0 then failwith "Recovery.first: empty iteration domain";
   let idx = Array.make t.d 0 in
-  for k = 0 to t.d - 1 do
-    idx.(k) <- lower_bound t ~level:k idx
-  done;
+  ignore (settle t idx 0);
   idx
 
 (* ---------------- the chunk engine (§V, §VI-A) ---------------- *)
 
-(* the chunk's payload shape: one callback per iteration, or lockstep
-   blocks of consecutive ranks materialized into a structure-of-arrays
-   buffer ([lanes.(k).(l)] is level k of lane l; the block width is the
-   buffer's row length) *)
-type shape =
-  | Scalar of (int array -> unit)
-  | Lanes of int array array * (base:int -> count:int -> int array array -> unit)
+(* A chunk is delivered as innermost runs: [run idx v0 count] is the
+   [count >= 1] consecutive iterations [idx.(0..d-2), v] for v in
+   [v0, v0 + count), with [idx.(d-1) = v0] on entry. The fold may
+   overwrite [idx.(d-1)] (the carry resets it) but no outer level. *)
 
-(* [Stdlib.min] is polymorphic: on the lane shape's per-block and
-   per-run bounds it would cost a [compare] call each *)
+(* [Stdlib.min] is polymorphic: on the per-run and per-block bounds it
+   would cost a [compare] call each *)
 let imin (a : int) b = if a <= b then a else b
 
-(* the step phase of one chunk: drive [shape] over [len] iterations
-   starting from [idx] (the chunk's one recovery, rank [pc]), stopping
-   early at the end of the space; returns the iterations visited.
-   Per-level bounds are cached over [idx]. Level q > 0 additionally
-   carries difference-table steppers along the parent variable q-1, so
-   a carry updates its bounds in O(degree) additions; overflow-safe
-   mode re-evaluates the bound polynomials through their bigint forms
-   instead — the same values [increment] computes. *)
-let step t idx ~pc ~len shape =
+(* the step phase of one chunk: hand [run] the innermost runs of the
+   [len] iterations starting at [idx] (the chunk's one recovery),
+   stopping early at the end of the space; returns the iterations
+   visited. Per-level bounds are cached over [idx]. Level q > 0
+   additionally carries difference-table steppers along the parent
+   variable q-1, so a carry updates its bounds in O(degree) additions;
+   overflow-safe mode re-evaluates the bound polynomials through their
+   bigint forms instead — the same values [increment] computes. *)
+let step t idx ~len run =
   let d = t.d in
   let lo = Array.make d 0 and hi = Array.make d 0 in
   let build, step_bounds =
@@ -585,66 +584,37 @@ let step t idx ~pc ~len shape =
     build q
   done;
   (* the carry: advance level k, or the nearest outer level that is not
-     exhausted, resetting every deeper level to its lower bound; false
-     at the end of the space. The direct child steps its bound tables
-     along the advanced index; deeper levels saw their whole prefix
-     change and are rebuilt. *)
+     exhausted, then descend, resetting each deeper level to its lower
+     bound; false at the end of the space. The direct child steps its
+     bound tables along the advanced index; deeper levels saw their
+     whole prefix change and are rebuilt. An empty row (lo >= hi) at
+     level q holds no iteration, so the carry resumes at level q-1:
+     the walk never stands on an empty row at any level. *)
   let rec carry k =
     if k < 0 then false
     else if idx.(k) + 1 < hi.(k) then begin
       idx.(k) <- idx.(k) + 1;
-      if k + 1 < d then begin
-        step_bounds (k + 1);
-        idx.(k + 1) <- lo.(k + 1);
-        for q = k + 2 to d - 1 do
-          build q;
-          idx.(q) <- lo.(q)
-        done
-      end;
-      true
+      descend k (k + 1)
     end
     else carry (k - 1)
+  and descend k q =
+    if q >= d then true
+    else begin
+      if q = k + 1 then step_bounds q else build q;
+      idx.(q) <- lo.(q);
+      if lo.(q) < hi.(q) then descend k (q + 1) else carry (q - 1)
+    end
   in
   let inner = d - 1 in
-  let remaining = ref len in
-  (match shape with
-  | Scalar f ->
-    f idx;
-    decr remaining;
-    while !remaining > 0 && carry inner do
-      f idx;
-      decr remaining
-    done
-  | Lanes (lanes, f) ->
-    (* lockstep runs along the innermost level: consecutive ranks
-       share the outer prefix, filled by [Array.fill]; the inner lane
-       values just count up — no per-iteration closure call *)
-    let vlength = Array.length lanes.(0) and ilanes = lanes.(inner) in
-    let base = ref pc and alive = ref true in
-    while !remaining > 0 && !alive do
-      let want = imin vlength !remaining in
-      let count = ref 0 in
-      while !count < want && !alive do
-        let run = imin (want - !count) (hi.(inner) - idx.(inner)) in
-        for k = 0 to inner - 1 do
-          Array.fill lanes.(k) !count run idx.(k)
-        done;
-        let v0 = idx.(inner) in
-        for r = 0 to run - 1 do
-          ilanes.(!count + r) <- v0 + r
-        done;
-        count := !count + run;
-        idx.(inner) <- v0 + run;
-        if idx.(inner) >= hi.(inner) && not (carry (inner - 1)) then alive := false
-      done;
-      f ~base:!base ~count:!count lanes;
-      base := !base + !count;
-      remaining := !remaining - !count
-    done);
+  let remaining = ref len and alive = ref true in
+  while !alive do
+    let v0 = idx.(inner) in
+    let count = imin !remaining (hi.(inner) - v0) in
+    run idx v0 count;
+    remaining := !remaining - count;
+    alive := !remaining > 0 && carry (inner - 1)
+  done;
   len - !remaining
-
-(* the engine: the chunk's one recovery, then the step phase *)
-let engine t ~pc ~len shape = step t (recover_guarded t pc) ~pc ~len shape
 
 (* the walk ledger: per-chunk counters, always on; the traced run adds
    the [recovery.walk] span and the recovery-vs-stepping time split *)
@@ -653,47 +623,102 @@ let c_iterations = Obsv.Metrics.create "recovery.iterations"
 let c_recover_ns = Obsv.Metrics.create "recovery.recover_ns"
 let c_step_ns = Obsv.Metrics.create "recovery.step_ns"
 
-(* one chunk, returning the iterations it visited. [native], when
-   given, replaces the whole chunk with one call into the specialized
-   object (which clamps at the end of the space like the engine does).
-   [timed] splits the interpreted chunk's time into its recovery and
-   stepping phases. *)
-let run_chunk ~timed ?native t ~pc ~len shape =
-  match native with
-  | Some run ->
-    Obsv.Metrics.incr_here c_jit_hits;
-    run ();
-    if pc < 1 || pc > t.trip then 0 else min len (t.trip - pc + 1)
-  | None when timed ->
+(* the interpreted chunk: the one recovery, then the step phase; no
+   iteration when [pc] lies outside the space. [timed] splits its time
+   into the two phases. *)
+let engine ~timed t ~pc ~len run =
+  if pc < 1 || pc > t.trip then 0
+  else if not timed then step t (recover_guarded t pc) ~len run
+  else begin
     let t0 = Obsv.Clock.now_ns () in
     let idx = recover_guarded t pc in
     let t1 = Obsv.Clock.now_ns () in
     Obsv.Metrics.add_here c_recover_ns (t1 - t0);
-    let visited = step t idx ~pc ~len shape in
+    let visited = step t idx ~len run in
     Obsv.Metrics.add_here c_step_ns (Obsv.Clock.now_ns () - t1);
     visited
-  | None -> engine t ~pc ~len shape
+  end
+
+(* one chunk, returning the iterations it visited. [native], when
+   given, replaces the whole chunk with one call into the specialized
+   object (which clamps at the end of the space like the engine does). *)
+let run_chunk ~timed ?native t ~pc ~len run =
+  match native with
+  | Some call ->
+    Obsv.Metrics.incr_here c_jit_hits;
+    call ();
+    if pc < 1 || pc > t.trip then 0 else imin len (t.trip - pc + 1)
+  | None -> engine ~timed t ~pc ~len run
 
 (* the one instrumentation wrapper every public chunk entry runs
    through *)
-let chunk ?native t ~pc ~len shape =
+let chunk ?native t ~pc ~len run =
   if len > 0 then begin
     Obsv.Metrics.incr_here c_walks;
     if t.safe then Obsv.Metrics.incr_here c_bigint_fallback;
     let visited =
-      if not (Obsv.Control.enabled ()) then run_chunk ~timed:false ?native t ~pc ~len shape
+      if not (Obsv.Control.enabled ()) then run_chunk ~timed:false ?native t ~pc ~len run
       else
         Obsv.Trace.with_span "recovery.walk"
           ~args:[ ("pc", Obsv.Trace.Int pc); ("len", Obsv.Trace.Int len) ]
-          (fun () -> run_chunk ~timed:true ?native t ~pc ~len shape)
+          (fun () -> run_chunk ~timed:true ?native t ~pc ~len run)
     in
     Obsv.Metrics.add_here c_iterations visited
   end
 
+(* ---------------- the two adapters ---------------- *)
+
+(* per-iteration: [f] once per iteration of each run *)
+let per_iteration f idx v0 count =
+  let inner = Array.length idx - 1 in
+  for v = v0 to v0 + count - 1 do
+    idx.(inner) <- v;
+    f idx
+  done
+
+(* §VI-A lanes: runs packed into lockstep blocks of consecutive ranks
+   in a structure-of-arrays buffer ([lanes.(k).(l)] is level k of lane
+   l; the block width is the buffer's row length). A run's prefix is
+   the same for all its lanes and its inner values count up, so no
+   lane costs a closure call. A block goes to [f] once full or once it
+   holds the chunk's last iteration: the engine visits exactly
+   [min len (trip - pc + 1)] of them. *)
+let lane_blocks t lanes ~pc ~len f =
+  let vlength = Array.length lanes.(0) and inner = t.d - 1 in
+  let ilanes = lanes.(inner) in
+  let left = ref (imin len (t.trip - pc + 1)) and base = ref pc and fill = ref 0 in
+  fun idx v0 count ->
+    let v = ref v0 and n = ref count in
+    while !n > 0 do
+      let c = !fill in
+      let take = imin !n (vlength - c) in
+      for k = 0 to inner - 1 do
+        let row = lanes.(k) and x = idx.(k) in
+        for l = c to c + take - 1 do
+          row.(l) <- x
+        done
+      done;
+      let off = !v - c in
+      for l = c to c + take - 1 do
+        ilanes.(l) <- off + l
+      done;
+      fill := c + take;
+      v := !v + take;
+      n := !n - take;
+      left := !left - take;
+      if !fill = vlength || !left = 0 then begin
+        f ~base:!base ~count:!fill lanes;
+        base := !base + !fill;
+        fill := 0
+      end
+    done
+
 (* ---------------- payloads ---------------- *)
 
-let walk t ~pc ~len f = chunk t ~pc ~len (Scalar f)
-let walk_uninstrumented t ~pc ~len f = if len > 0 then ignore (engine t ~pc ~len (Scalar f))
+let walk t ~pc ~len f = chunk t ~pc ~len (per_iteration f)
+
+let walk_uninstrumented t ~pc ~len f =
+  if len > 0 then ignore (engine ~timed:false t ~pc ~len (per_iteration f))
 
 (* the checksum payload of [trahrhe exec] and the service: the order-
    independent sum of per-iteration index hashes, so concurrent chunks
@@ -707,25 +732,47 @@ let iter_hash idx =
   done;
   !h
 
-let lane_hash lanes l =
-  let h = ref 0 in
-  for k = 0 to Array.length lanes - 1 do
-    h := hash_mix !h lanes.(k).(l)
+(* lanes in pairs, so two lanes' multiply chains overlap; an odd last
+   lane is hashed twice and counted once *)
+let block_hash lanes ~count =
+  let d = Array.length lanes and acc = ref 0 and l = ref 0 in
+  while !l < count do
+    let l0 = !l in
+    let l1 = if l0 + 1 < count then l0 + 1 else l0 in
+    let h0 = ref 0 and h1 = ref 0 in
+    for k = 0 to d - 1 do
+      let row = lanes.(k) in
+      h0 := hash_mix !h0 row.(l0);
+      h1 := hash_mix !h1 row.(l1)
+    done;
+    acc := !acc + !h0 + if l1 > l0 then !h1 else 0;
+    l := l0 + 2
   done;
-  !h
+  !acc
 
+(* per run, the outer-prefix hash is folded once; each iteration then
+   adds [hash_mix prefix v] *)
 let walk_hash t ~pc ~len =
-  let acc = ref 0 in
+  let acc = ref 0 and inner = t.d - 1 in
   chunk t ~pc ~len
     ?native:(Option.map (fun nat () -> acc := nat.n_walk_hash ~pc ~len) t.native)
-    (Scalar (fun idx -> acc := !acc + iter_hash idx));
+    (fun idx v0 count ->
+      let h = ref 0 in
+      for k = 0 to inner - 1 do
+        h := hash_mix !h idx.(k)
+      done;
+      let base = hash_mix !h 0 and a = ref !acc in
+      for v = v0 to v0 + count - 1 do
+        a := !a + base + v
+      done;
+      acc := !a);
   !acc
 
 let make_lanes t vlength = Array.init t.d (fun _ -> Array.make vlength 0)
 
 let walk_lanes t ~pc ~len ~vlength f =
   if vlength <= 0 then invalid_arg "Recovery.walk_lanes: vlength must be positive";
-  chunk t ~pc ~len (Lanes (make_lanes t vlength, f))
+  chunk t ~pc ~len (lane_blocks t (make_lanes t vlength) ~pc ~len f)
 
 let recover_block t ~pc lanes =
   if Array.length lanes <> t.d then
@@ -737,9 +784,10 @@ let recover_block t ~pc lanes =
         invalid_arg "Recovery.recover_block: ragged lanes buffer")
     lanes;
   let filled = ref 0 in
-  if width > 0 && pc >= 1 && pc <= t.trip then
-    chunk t ~pc ~len:(min width (t.trip - pc + 1))
-      (Lanes (lanes, fun ~base:_ ~count _ -> filled := count));
+  if width > 0 && pc >= 1 && pc <= t.trip then begin
+    let len = imin width (t.trip - pc + 1) in
+    chunk t ~pc ~len (lane_blocks t lanes ~pc ~len (fun ~base:_ ~count _ -> filled := count))
+  end;
   !filled
 
 (* ---------------- reduction payloads ---------------- *)
@@ -776,6 +824,31 @@ let reduce_rat_eval t rc =
 
 let reduce_value_rat t idx = reduce_rat_eval t (reduce_comp t) idx
 
+(* the native-int fold of one run's clause values into [acc]. Off the
+   overflow guard, a difference table along the inner index steps the
+   value in O(degree) additions once the run outlasts the table's
+   [degree + 1] samples (all inside the run, so within [make]'s
+   headroom); guarded recoveries evaluate every value exactly. *)
+let fold_run_int t rc op acc =
+  let inner = t.d - 1 and h = rc.value.horner in
+  let stepped = if t.safe then max_int else H.degree_in_slot h inner + 1 in
+  fun idx v0 count ->
+    let a = ref !acc in
+    if count > stepped then begin
+      let st = H.Stepper.make h ~slot:inner ~start:v0 ~lookup:(fun s -> idx.(s)) in
+      a := op !a (H.Stepper.value st);
+      for _ = 2 to count do
+        H.Stepper.step st;
+        a := op !a (H.Stepper.value st)
+      done
+    end
+    else
+      for v = v0 to v0 + count - 1 do
+        idx.(inner) <- v;
+        a := op !a (value_int t rc idx)
+      done;
+    acc := !a
+
 (* the native-int fold of the clause: a wrapping sum (one native call
    per chunk when the backend is attached), or min/max, which are exact
    only below [make]'s 2^61 headroom and so refuse a guarded recovery.
@@ -783,19 +856,19 @@ let reduce_value_rat t idx = reduce_rat_eval t (reduce_comp t) idx
    (resp. [min_int]) is a seed the chunk's first value always replaces. *)
 let walk_reduce_int t ~pc ~len =
   let rc = reduce_comp t in
-  let eval = value_int t rc and acc = ref 0 in
+  let acc = ref 0 in
   (match rc.r_op with
   | Nest.Sum ->
     chunk t ~pc ~len
       ?native:(Option.map (fun nat () -> acc := nat.n_reduce_sum ~pc ~len) t.native)
-      (Scalar (fun idx -> acc := !acc + eval idx))
+      (fold_run_int t rc ( + ) acc)
   | Nest.Min | Nest.Max ->
     if t.safe then invalid_arg "Recovery.walk_reduce_int: min/max on an overflow-guarded recovery";
     if len <= 0 || pc < 1 || pc > t.trip then
       invalid_arg "Recovery.walk_reduce_int: empty chunk or pc outside the iteration space";
     let pick = if rc.r_op = Nest.Min then Int.min else Int.max in
     acc := (if rc.r_op = Nest.Min then max_int else min_int);
-    chunk t ~pc ~len (Scalar (fun idx -> acc := pick !acc (eval idx)))
+    chunk t ~pc ~len (fold_run_int t rc pick acc)
   | Nest.Prod -> invalid_arg "Recovery.walk_reduce_int: clause is a product");
   !acc
 
@@ -804,8 +877,7 @@ let walk_reduce_rat t ~pc ~len =
   if len <= 0 then invalid_arg "Recovery.walk_reduce_rat: empty chunk";
   let eval = reduce_rat_eval t rc and acc = ref None in
   chunk t ~pc ~len
-    (Scalar
-       (fun idx ->
+    (per_iteration (fun idx ->
          let v = eval idx in
          acc := Some (match !acc with None -> v | Some a -> Nest.op_apply rc.r_op a v)));
   match !acc with

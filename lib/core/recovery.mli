@@ -25,9 +25,12 @@
     paper's §V scheme of one {!recover_guarded} at the chunk's first
     rank, then a carry over cached per-level bounds (difference-table
     steppers, or re-evaluated bigint polynomials in overflow-safe mode)
-    in a scalar shape (one callback per iteration) or a lane-block
-    shape (§VI-A lockstep blocks). One instrumentation
-    wrapper records every entry's counters and span. A native backend
+    that hands the chunk out as innermost runs — a fixed outer prefix
+    plus an interval of the inner index — and never stands on an empty
+    row. {!walk_hash} and {!walk_reduce_int} fold whole runs; a
+    per-iteration adapter serves {!walk} and {!walk_reduce_rat}, and a
+    lane adapter packs runs into §VI-A lockstep blocks. One
+    instrumentation wrapper records every entry's counters and span. A native backend
     ({!attach_native}) replaces a whole chunk of {!walk_hash} or a
     [Sum] {!walk_reduce_int} with one call into the specialized object.
     {!increment} is the same §V step as a standalone primitive.
@@ -160,8 +163,8 @@ val closed_form_recoveries : unit -> int
 
 (** [increment t idx] advances [idx] in place to the next iteration in
     lexicographic order, recomputing inner lower bounds as the original
-    nest would (§V incrementation); returns [false] when [idx] was the
-    last iteration. *)
+    nest would (§V incrementation) and skipping empty rows at every
+    level; returns [false] when [idx] was the last iteration. *)
 val increment : t -> int array -> bool
 
 (** [first t] is the first iteration (the nest's lexicographic
@@ -173,10 +176,11 @@ val first : t -> int array
     collapsed index [pc] and then visits the next [len] iterations in
     lexicographic order, calling [f idx] on each (stopping early at the
     end of the iteration space). This is the §V per-chunk scheme as a
-    library routine: the innermost advance is a single compare + add
-    against cached bounds, and a carry at level [k] updates level
-    [k+1]'s bounds by difference tables instead of re-evaluating their
-    polynomials.
+    library routine: the engine hands out innermost runs over cached
+    bounds, [f] is called once per iteration of each run, and a carry
+    at level [k] updates level [k+1]'s bounds by difference tables
+    instead of re-evaluating their polynomials. Empty rows are skipped,
+    at every level.
 
     [f] receives the walker's internal index array; it must not retain
     or mutate it.
@@ -206,9 +210,10 @@ val walk_uninstrumented : t -> pc:int -> len:int -> (int array -> unit) -> unit
     concurrent chunks sum to the serial reference. *)
 val iter_hash : int array -> int
 
-(** [lane_hash lanes l] is {!iter_hash} of lane [l] of a
-    structure-of-arrays block (as delivered by {!walk_lanes}). *)
-val lane_hash : int array array -> int -> int
+(** [block_hash lanes ~count] is the sum of {!iter_hash} over lanes
+    [0, count) of a structure-of-arrays block (as delivered by
+    {!walk_lanes}), each lane hashed on its own. *)
+val block_hash : int array array -> count:int -> int
 
 (** [walk_hash t ~pc ~len] is the collapsed checksum walk — the
     execution payload of [trahrhe exec] and the service as a
@@ -284,9 +289,9 @@ val walk_reduce_rat : t -> pc:int -> len:int -> Zmath.Rat.t
     0. Lane [l] of a block holds rank [base + l]: consecutive ranks
     per block, i.e. exactly the §VI-B [Gpu.Coalesced] warp mapping
     when [vlength] is the warp width. Because consecutive ranks share
-    their outer-index prefix, outer levels are filled by [Array.fill]
-    runs and the innermost level by a counting loop — no per-iteration
-    closure call, which is where the speedup of the lane-walk over the
+    their outer-index prefix, each innermost run fills the outer levels
+    with one value and the innermost level by a counting loop — no
+    per-iteration closure call, which is where the speedup of the lane-walk over the
     per-iteration {!walk} callback comes from ([bench/main.exe --
     micro-lanes] tracks it).
 

@@ -180,22 +180,39 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
           step = "omp_q++";
           body = [ C.Raw "omp_rebound(omp_P, omp_x, omp_lo, omp_hi, omp_q);" ] }
     in
-    let carry ~after_exhausted =
-      [ C.Raw (Printf.sprintf "omp_x[%d] += omp_run;" (d - 1));
-        C.Decl { ty = "int"; name = "omp_k"; init = Some (string_of_int (d - 2)) };
+    (* after a run: advance the nearest outer level that is not
+       exhausted, then descend, resetting each deeper level to its
+       lower bound; an empty row (lo >= hi) at level q resumes the
+       advance at level q-1, so no run starts on an empty row. Leaves
+       the caller's loop at the end of the space. *)
+    let carry =
+      [ C.Decl { ty = "int"; name = "omp_k"; init = Some (string_of_int (d - 2)) };
+        C.Decl { ty = "int"; name = "omp_q"; init = Some (string_of_int d) };
         C.While
-          { cond = "omp_k >= 0 && omp_x[omp_k] + 1 >= omp_hi[omp_k]";
-            body = [ C.Raw "omp_k--;" ] };
-        C.If { cond = "omp_k < 0"; then_ = [ C.Raw "break;" ]; else_ = [] };
-        C.Raw "omp_x[omp_k] += 1;";
-        C.For
-          { init = "int omp_q = omp_k + 1";
-            cond = Printf.sprintf "omp_q < %d" d;
-            step = "omp_q++";
+          { cond = "omp_k >= 0";
             body =
-              [ C.Raw "omp_rebound(omp_P, omp_x, omp_lo, omp_hi, omp_q);";
-                C.Raw "omp_x[omp_q] = omp_lo[omp_q];" ] } ]
-      @ after_exhausted
+              [ C.If
+                  { cond = "omp_x[omp_k] + 1 >= omp_hi[omp_k]";
+                    then_ = [ C.Raw "omp_k--;" ];
+                    else_ =
+                      [ C.Raw "omp_x[omp_k] += 1;";
+                        C.For
+                          { init = "omp_q = omp_k + 1";
+                            cond = Printf.sprintf "omp_q < %d" d;
+                            step = "omp_q++";
+                            body =
+                              [ C.Raw "omp_rebound(omp_P, omp_x, omp_lo, omp_hi, omp_q);";
+                                C.Raw "omp_x[omp_q] = omp_lo[omp_q];";
+                                C.If
+                                  { cond = "omp_x[omp_q] >= omp_hi[omp_q]";
+                                    then_ = [ C.Raw "break;" ];
+                                    else_ = [] } ] };
+                        C.If
+                          { cond = Printf.sprintf "omp_q >= %d" d;
+                            then_ = [ C.Raw "break;" ];
+                            else_ = [] };
+                        C.Assign ("omp_k", "omp_q - 1") ] } ] };
+        C.If { cond = "omp_k < 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
     in
     (* one-recovery chunk walk accumulating the collapsed checksum:
        outer-prefix hash is hoisted out of each innermost lockstep run *)
@@ -252,7 +269,7 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
                          ] };
                    C.Raw "omp_rem -= omp_run;";
                    C.If { cond = "omp_rem <= 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
-               @ carry ~after_exhausted:[] } ]
+               @ carry } ]
       @ [ C.Raw "return omp_acc;" ]);
     (* reduction value and the native int64 sum walk: always exported —
        the dlopen shim resolves every symbol — evaluating the clause's
@@ -317,7 +334,7 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
                        ] };
                  C.Raw "omp_rem -= omp_run;";
                  C.If { cond = "omp_rem <= 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
-               @ carry ~after_exhausted:[] } ]
+               @ carry } ]
       @ [ C.Raw "return omp_acc;" ]);
     Ok (Buffer.contents buf)
   with Error msg -> Result.Error ("jit emit: " ^ msg)

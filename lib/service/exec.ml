@@ -69,9 +69,7 @@ let checksum_body rc opts =
   if opts.lanes > 1 && not opts.native then fun ~thread:_ ~start ~len ->
     let acc = ref 0 in
     R.walk_lanes rc ~pc:(start + 1) ~len ~vlength:opts.lanes (fun ~base:_ ~count buf ->
-        for l = 0 to count - 1 do
-          acc := !acc + R.lane_hash buf l
-        done);
+        acc := !acc + R.block_hash buf ~count);
     !acc
   else fun ~thread:_ ~start ~len -> R.walk_hash rc ~pc:(start + 1) ~len
 

@@ -8,8 +8,9 @@
 
     Every payload runs as a reduction over the collapsed range
     ({!Ompsim.Par.reduce_chunks}): the checksum is a [( + )] reduction
-    of per-chunk {!Trahrhe.Recovery.walk_hash} sums (or lane hashes
-    under [lanes > 1]); [reduce=sum|min|max] one of
+    of per-chunk {!Trahrhe.Recovery.walk_hash} sums (or
+    {!Trahrhe.Recovery.block_hash} sums of lane blocks under
+    [lanes > 1]); [reduce=sum|min|max] one of
     {!Trahrhe.Recovery.walk_reduce_int} partials in native ints; and
     [prod], or [min]/[max] on an overflow-guarded recovery, one of
     {!Trahrhe.Recovery.walk_reduce_rat} partials in exact rationals.

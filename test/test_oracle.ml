@@ -9,16 +9,22 @@ module A = Polymath.Affine
 module Q = Zmath.Rat
 module N = Trahrhe.Nest
 
-let var_names = [| "i"; "j"; "k" |]
+let var_names = [| "i"; "j"; "k"; "l" |]
 
-(* The generated family is valid and non-empty by construction:
-   constants are >= 0 and every outer-iterator coefficient is +1, so
-   each index value is >= 0 inductively; each level's extent
-   (upper - lower) is >= 1 on every reachable prefix — a constant in
+(* The generated family is valid by construction: constants are >= 0
+   and every outer-iterator coefficient is +1, so each index value is
+   >= 0 inductively; each level's extent (upper - lower) is >= 0 on
+   every reachable prefix. Mostly the extent is >= 1 — a constant in
    1..4, [N + e] with N >= 4, or [outer + e] with e >= 1 and
-   outer >= 0. Dependence degree is bounded by the depth (<= 3), well
-   inside the method's degree-4 closed-form range. *)
-let gen_case : (N.t * int) QCheck.Gen.t =
+   outer >= 0. The staircase level [x_k = x_(k-1) .. U - 1], below a
+   level [x_(k-1) = L .. U], has extent [U - 1 - x_(k-1)], which is 0
+   at the last value of every [x_(k-1)] row (e.g. [k = j..i] under
+   [j = 0..i+1] is empty at j = i). A constant-extent level appended
+   below the generated ones turns such empty rows into empty middle
+   rows. Draws whose space is empty or whose nest does not invert are
+   redrawn. Dependence degree is bounded by 3, well inside the
+   method's degree-4 closed-form range. *)
+let gen_shape : (N.t * int) QCheck.Gen.t =
   let open QCheck.Gen in
   int_range 1 3 >>= fun depth ->
   int_range 4 8 >>= fun nval ->
@@ -44,11 +50,33 @@ let gen_case : (N.t * int) QCheck.Gen.t =
     frequency extent_gens >>= fun extent ->
     return { N.var = var_names.(k); lower; upper = A.add lower extent }
   in
+  let staircase k (prev : N.level) =
+    { N.var = var_names.(k);
+      lower = A.var prev.N.var;
+      upper = A.add_const (Q.of_int (-1)) prev.N.upper }
+  in
   let rec build k acc =
     if k = depth then return (List.rev acc)
-    else gen_level k >>= fun l -> build (k + 1) (l :: acc)
+    else
+      (match acc with
+      | prev :: _ -> frequency [ (2, gen_level k); (1, return (staircase k prev)) ]
+      | [] -> gen_level k)
+      >>= fun l -> build (k + 1) (l :: acc)
   in
-  build 0 [] >>= fun levels -> return (N.make ~params:[ "N" ] levels, nval)
+  build 0 [] >>= fun levels ->
+  frequency
+    [ (2, return []);
+      ( 1,
+        int_range 1 3 >>= fun c ->
+        return [ { N.var = var_names.(depth); lower = A.const Q.zero; upper = A.const (Q.of_int c) } ]
+      ) ]
+  >>= fun tail -> return (N.make ~params:[ "N" ] (levels @ tail), nval)
+
+let rec gen_case st =
+  let ((nest, nval) as case) = gen_shape st in
+  let nonempty = ref false in
+  N.iterate nest ~param:(fun _ -> nval) (fun _ -> nonempty := true);
+  if !nonempty && Result.is_ok (Trahrhe.Inversion.invert nest) then case else gen_case st
 
 let print_case (nest, nval) = Format.asprintf "N = %d,@ %a" nval N.pp nest
 let arb_case = QCheck.make ~print:print_case gen_case
@@ -637,6 +665,220 @@ let prop_native_matches_interpreted =
   QCheck.Test.make ~name:"native specialized walk = interpreted walk (100 nests)" ~count:100
     arb_case check_case_native
 
+(* Run-structured chunks: the engine hands each chunk to its payload
+   as innermost runs, so a chunk may start or end mid-run, exactly at
+   a run end, or span several runs (and the empty rows between them).
+   For arbitrary partitions of [1..trip] — all length 1, a seeded mix
+   of run-aligned and random lengths, and the whole space — every
+   chunk payload combined over the partition equals the serial fold
+   over [Nest.iterate], and [recovery.iterations] grows by exactly the
+   trip count per payload. [first]/[increment] enumerate the same
+   iterations. *)
+let partitions st ~trip ~run_ends =
+  let mixed =
+    let rec go start acc =
+      if start > trip then List.rev acc
+      else begin
+        let stop =
+          match Random.State.int st 3 with
+          | 0 ->
+            (* end exactly at a run end, zero to two runs ahead *)
+            let ends = List.filter (fun e -> e >= start) run_ends in
+            let skip = Random.State.int st 3 in
+            List.nth ends (min skip (List.length ends - 1))
+          | 1 -> start
+          | _ -> start + Random.State.int st (1 + (trip / 3))
+        in
+        let stop = min stop trip in
+        go (stop + 1) ((start, stop - start + 1) :: acc)
+      end
+    in
+    go 1 []
+  in
+  [ ("ones", List.init trip (fun r -> (r + 1, 1))); ("mixed", mixed); ("whole", [ (1, trip) ]) ]
+
+let check_case_partitions ((nest, nval), seed) =
+  let module R = Trahrhe.Recovery in
+  let param _ = nval in
+  let iterations () =
+    match Obsv.Metrics.find "recovery.iterations" with Some m -> Obsv.Metrics.total m | None -> 0
+  in
+  let recovery op =
+    let nest = N.with_reduce nest (Some { N.op; value = N.default_reduce_value nest }) in
+    R.make (Trahrhe.Inversion.invert_exn nest) ~param
+  in
+  let rc_sum = recovery N.Sum and rc_min = recovery N.Min and rc_max = recovery N.Max in
+  let buf = ref [] in
+  N.iterate nest ~param (fun idx -> buf := Array.copy idx :: !buf);
+  let reference = Array.of_list (List.rev !buf) in
+  let trip = Array.length reference in
+  if R.trip_count rc_sum <> trip then
+    QCheck.Test.fail_reportf "trip count %d, nest enumerates %d" (R.trip_count rc_sum) trip;
+  let depth = N.depth nest in
+  let same_prefix a b =
+    let rec go k = k >= depth - 1 || (a.(k) = b.(k) && go (k + 1)) in
+    go 0
+  in
+  let run_ends =
+    List.filter
+      (fun r -> r = trip || not (same_prefix reference.(r - 1) reference.(r)))
+      (List.init trip (fun r -> r + 1))
+  in
+  (* the standalone §V step walks the same space *)
+  let idx = R.first rc_sum in
+  Array.iteri
+    (fun r want ->
+      if idx <> want then
+        QCheck.Test.fail_reportf "first/increment: rank %d at %s, nest enumerates %s" (r + 1)
+          (idx_to_string idx) (idx_to_string want);
+      if R.increment rc_sum idx <> (r + 1 < trip) then
+        QCheck.Test.fail_reportf "increment past rank %d of %d" (r + 1) trip)
+    reference;
+  let fold f init = Array.fold_left (fun acc idx -> f acc idx) init reference in
+  let value idx = R.reduce_value_int rc_sum idx in
+  let payloads =
+    [ ("walk_hash", ( + ), fold (fun a idx -> a + R.iter_hash idx) 0, fun ~pc ~len ->
+        R.walk_hash rc_sum ~pc ~len);
+      ( "walk",
+        ( + ),
+        fold (fun a idx -> a + R.iter_hash idx) 0,
+        fun ~pc ~len ->
+          let acc = ref 0 in
+          R.walk rc_sum ~pc ~len (fun idx -> acc := !acc + R.iter_hash idx);
+          !acc );
+      ( "walk_lanes 3",
+        ( + ),
+        fold (fun a idx -> a + R.iter_hash idx) 0,
+        fun ~pc ~len ->
+          let acc = ref 0 in
+          R.walk_lanes rc_sum ~pc ~len ~vlength:3 (fun ~base:_ ~count lanes ->
+              acc := !acc + R.block_hash lanes ~count);
+          !acc );
+      ("sum", ( + ), fold (fun a idx -> a + value idx) 0, fun ~pc ~len ->
+        R.walk_reduce_int rc_sum ~pc ~len);
+      ("min", Int.min, fold (fun a idx -> Int.min a (value idx)) max_int, fun ~pc ~len ->
+        R.walk_reduce_int rc_min ~pc ~len);
+      ("max", Int.max, fold (fun a idx -> Int.max a (value idx)) min_int, fun ~pc ~len ->
+        R.walk_reduce_int rc_max ~pc ~len) ]
+  in
+  let st = Random.State.make [| seed |] in
+  List.iter
+    (fun (pname, chunks) ->
+      List.iter
+        (fun (name, combine, serial, walk) ->
+          let before = iterations () in
+          let got =
+            List.fold_left
+              (fun acc (pc, len) ->
+                let v = walk ~pc ~len in
+                match acc with None -> Some v | Some a -> Some (combine a v))
+              None chunks
+          in
+          if got <> Some serial then
+            QCheck.Test.fail_reportf "%s over %s chunks: %s, serial fold %d" name pname
+              (match got with Some v -> string_of_int v | None -> "nothing")
+              serial;
+          if iterations () - before <> trip then
+            QCheck.Test.fail_reportf "%s over %s chunks: recovery.iterations +%d, trip %d" name
+              pname
+              (iterations () - before)
+              trip)
+        payloads)
+    (partitions st ~trip ~run_ends);
+  true
+
+let prop_partitions_match_serial =
+  QCheck.Test.make ~name:"run-structured chunks = serial fold for any partition (200 nests)"
+    ~count:200
+    (QCheck.pair arb_case QCheck.small_nat)
+    check_case_partitions
+
+(* Empty-row reproducers: under [j = 0..i+1], the row [k = j..i] is
+   empty at j = i, and with [l = 0..3] appended that is an empty
+   middle row. Every payload (checksum per-iteration and lanes, sum,
+   prod, min, max) must equal the serial reference under every
+   schedule, interpreted and, with a working compiler, native. *)
+let empty_row_nests () =
+  let lvl var lower upper = { N.var; lower; upper } in
+  let d3 =
+    [ lvl "i" (A.const Q.zero) (A.var "N");
+      lvl "j" (A.const Q.zero) (A.make [ ("i", Q.one) ] Q.one);
+      lvl "k" (A.var "j") (A.var "i") ]
+  in
+  [ ("depth 3", N.make ~params:[ "N" ] d3);
+    ("depth 4", N.make ~params:[ "N" ] (d3 @ [ lvl "l" (A.const Q.zero) (A.const (Q.of_int 3)) ]))
+  ]
+
+(* one compiled reproducer: every schedule x tier (x lane width for
+   the interpreted checksum) answers the serial reference *)
+let check_empty_rows ~where tier plan ~canonical ~param op =
+  let rc = Service.Plan.recovery plan ~param in
+  let tiers =
+    ("interpreted", rc)
+    :: (if Jit.Abi.functional () then [ ("native", Service.Native.recovery tier plan ~param) ]
+        else [])
+  in
+  let base =
+    { Service.Exec.threads = 3;
+      schedule = Ompsim.Schedule.Static;
+      lanes = 1;
+      repeat = 1;
+      retries = 0;
+      native = false;
+      reduce = op }
+  in
+  let reference = Service.Exec.serial rc ~nest:canonical ~param base in
+  List.iter
+    (fun (tname, rc) ->
+      let native = tname = "native" in
+      if native && not (Trahrhe.Recovery.native_enabled rc) then
+        Alcotest.failf "%s: native backend did not attach" where;
+      List.iter
+        (fun schedule ->
+          List.iter
+            (fun lanes ->
+              let where =
+                Printf.sprintf "%s / %s / %s / lanes %d" where tname
+                  (Ompsim.Schedule.to_string schedule)
+                  lanes
+              in
+              match
+                Service.Exec.run ~supervised:false ~reference rc { base with schedule; lanes; native }
+              with
+              | Ok _ -> ()
+              | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: mismatch" where
+              | Error _ -> Alcotest.failf "%s: run failed" where)
+            (if op = None && not native then [ 1; 4 ] else [ 1 ]))
+        red_schedules)
+    tiers
+
+let test_empty_row_reproducers () =
+  let _, tier = Lazy.force native_tier in
+  List.iter
+    (fun (name, nest) ->
+      List.iter
+        (fun op ->
+          let where =
+            Printf.sprintf "%s / %s" name
+              (match op with None -> "checksum" | Some op -> N.op_to_string op)
+          in
+          let nest =
+            match op with
+            | None -> nest
+            | Some op -> N.with_reduce nest (Some { N.op; value = N.default_reduce_value nest })
+          in
+          let canonical, renaming = Service.Fingerprint.canonicalize nest in
+          let param = Service.Fingerprint.canonical_param renaming (fun _ -> 9) in
+          match Service.Plan.compile canonical with
+          | Ok plan -> check_empty_rows ~where tier plan ~canonical ~param op
+          | Error _ when Trahrhe.Inversion.force_numeric_default () ->
+            (* forced-numeric inversion rejects this tetrahedron shape:
+               an open compile gap, not a walk defect *)
+            ()
+          | Error e -> Alcotest.failf "%s: plan compile failed: %s" where e)
+        [ None; Some N.Sum; Some N.Prod; Some N.Min; Some N.Max ])
+    (empty_row_nests ())
+
 (* Store-recovery differential (ISSUE 6): corrupting the published
    [.so] must read as a silent miss — a cold tier recompiles and
    serves an exact native walk, mirroring the plan store's
@@ -1034,6 +1276,9 @@ let suites =
           test_dnc_counter_soak;
         QCheck_alcotest.to_alcotest ~rand prop_cached_plan_matches;
         QCheck_alcotest.to_alcotest ~rand prop_native_matches_interpreted;
+        QCheck_alcotest.to_alcotest ~rand prop_partitions_match_serial;
+        Alcotest.test_case "empty rows: every payload x schedule x tier = serial" `Quick
+          test_empty_row_reproducers;
         Alcotest.test_case "corrupt .so is a silent miss (recompile + fallback counters)" `Quick
           test_native_store_recovery;
         Alcotest.test_case "overflow-guarded min/max fold in exact rationals" `Quick
