@@ -291,9 +291,9 @@ val walk_reduce_rat : t -> pc:int -> len:int -> Zmath.Rat.t
     when [vlength] is the warp width. Because consecutive ranks share
     their outer-index prefix, each innermost run fills the outer levels
     with one value and the innermost level by a counting loop — no
-    per-iteration closure call, which is where the speedup of the lane-walk over the
-    per-iteration {!walk} callback comes from ([bench/main.exe --
-    micro-lanes] tracks it).
+    per-iteration closure call. Both ride the same innermost runs as
+    the per-iteration {!walk}; [bench/main.exe -- micro-lanes]
+    compares the two.
 
     [f] receives the walker's internal buffer; it must not retain or
     mutate it. Instrumented like {!walk}.

@@ -183,9 +183,10 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
     (* after a run: advance the nearest outer level that is not
        exhausted, then descend, resetting each deeper level to its
        lower bound; an empty row (lo >= hi) at level q resumes the
-       advance at level q-1, so no run starts on an empty row. Leaves
-       the caller's loop at the end of the space. *)
-    let carry =
+       advance at level q-1, so no run starts on an empty row. Returns
+       0 at the end of the space. *)
+    fn buf ~ret:"static int" ~name:"omp_carry"
+      ~args:(Printf.sprintf "const %s *omp_P, %s *omp_x, %s *omp_lo, %s *omp_hi" i64 i64 i64 i64)
       [ C.Decl { ty = "int"; name = "omp_k"; init = Some (string_of_int (d - 2)) };
         C.Decl { ty = "int"; name = "omp_q"; init = Some (string_of_int d) };
         C.While
@@ -209,10 +210,15 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
                                     else_ = [] } ] };
                         C.If
                           { cond = Printf.sprintf "omp_q >= %d" d;
-                            then_ = [ C.Raw "break;" ];
+                            then_ = [ C.Raw "return 1;" ];
                             else_ = [] };
                         C.Assign ("omp_k", "omp_q - 1") ] } ] };
-        C.If { cond = "omp_k < 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
+        C.Raw "return 0;" ];
+    let carry =
+      [ C.If
+          { cond = "!omp_carry(omp_P, omp_x, omp_lo, omp_hi)";
+            then_ = [ C.Raw "break;" ];
+            else_ = [] } ]
     in
     (* one-recovery chunk walk accumulating the collapsed checksum:
        outer-prefix hash is hoisted out of each innermost lockstep run *)
