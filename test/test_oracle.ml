@@ -734,21 +734,21 @@ let check_case_partitions ((nest, nval), seed) =
       if R.increment rc_sum idx <> (r + 1 < trip) then
         QCheck.Test.fail_reportf "increment past rank %d of %d" (r + 1) trip)
     reference;
-  let fold f init = Array.fold_left (fun acc idx -> f acc idx) init reference in
+  let fold f init = Array.fold_left f init reference in
   let value idx = R.reduce_value_int rc_sum idx in
+  let hashes = fold (fun a idx -> a + R.iter_hash idx) 0 in
   let payloads =
-    [ ("walk_hash", ( + ), fold (fun a idx -> a + R.iter_hash idx) 0, fun ~pc ~len ->
-        R.walk_hash rc_sum ~pc ~len);
+    [ ("walk_hash", ( + ), hashes, fun ~pc ~len -> R.walk_hash rc_sum ~pc ~len);
       ( "walk",
         ( + ),
-        fold (fun a idx -> a + R.iter_hash idx) 0,
+        hashes,
         fun ~pc ~len ->
           let acc = ref 0 in
           R.walk rc_sum ~pc ~len (fun idx -> acc := !acc + R.iter_hash idx);
           !acc );
       ( "walk_lanes 3",
         ( + ),
-        fold (fun a idx -> a + R.iter_hash idx) 0,
+        hashes,
         fun ~pc ~len ->
           let acc = ref 0 in
           R.walk_lanes rc_sum ~pc ~len ~vlength:3 (fun ~base:_ ~count lanes ->
