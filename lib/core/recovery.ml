@@ -732,21 +732,15 @@ let iter_hash idx =
   done;
   !h
 
-(* lanes in pairs, so two lanes' multiply chains overlap; an odd last
-   lane is hashed twice and counted once *)
+(* the sum of [iter_hash] over a block's first [count] lanes *)
 let block_hash lanes ~count =
-  let d = Array.length lanes and acc = ref 0 and l = ref 0 in
-  while !l < count do
-    let l0 = !l in
-    let l1 = if l0 + 1 < count then l0 + 1 else l0 in
-    let h0 = ref 0 and h1 = ref 0 in
+  let d = Array.length lanes and acc = ref 0 in
+  for l = 0 to count - 1 do
+    let h = ref 0 in
     for k = 0 to d - 1 do
-      let row = lanes.(k) in
-      h0 := hash_mix !h0 row.(l0);
-      h1 := hash_mix !h1 row.(l1)
+      h := hash_mix !h lanes.(k).(l)
     done;
-    acc := !acc + !h0 + if l1 > l0 then !h1 else 0;
-    l := l0 + 2
+    acc := !acc + !h
   done;
   !acc
 

@@ -21,10 +21,10 @@ let var_names = [| "i"; "j"; "k"; "l" |]
    at the last value of every [x_(k-1)] row (e.g. [k = j..i] under
    [j = 0..i+1] is empty at j = i). A constant-extent level appended
    below the generated ones turns such empty rows into empty middle
-   rows. Draws whose space is empty or whose nest does not invert are
-   redrawn. Dependence degree is bounded by 3, well inside the
+   rows. [gen_shape] also says whether it drew either of these two
+   levels. Dependence degree is bounded by 3, well inside the
    method's degree-4 closed-form range. *)
-let gen_shape : (N.t * int) QCheck.Gen.t =
+let gen_shape : (N.t * int * bool) QCheck.Gen.t =
   let open QCheck.Gen in
   int_range 1 3 >>= fun depth ->
   int_range 4 8 >>= fun nval ->
@@ -59,24 +59,37 @@ let gen_shape : (N.t * int) QCheck.Gen.t =
     if k = depth then return (List.rev acc)
     else
       (match acc with
-      | prev :: _ -> frequency [ (2, gen_level k); (1, return (staircase k prev)) ]
-      | [] -> gen_level k)
-      >>= fun l -> build (k + 1) (l :: acc)
+      | (prev, _) :: _ ->
+        frequency
+          [ (2, gen_level k >>= fun l -> return (l, false));
+            (1, return (staircase k prev, true)) ]
+      | [] -> gen_level k >>= fun l -> return (l, false))
+      >>= fun (l, stair) -> build (k + 1) ((l, stair) :: acc)
   in
-  build 0 [] >>= fun levels ->
+  build 0 [] >>= fun drawn ->
+  let levels = List.map fst drawn and stair = List.exists snd drawn in
   frequency
     [ (2, return []);
       ( 1,
         int_range 1 3 >>= fun c ->
         return [ { N.var = var_names.(depth); lower = A.const Q.zero; upper = A.const (Q.of_int c) } ]
       ) ]
-  >>= fun tail -> return (N.make ~params:[ "N" ] (levels @ tail), nval)
+  >>= fun tail -> return (N.make ~params:[ "N" ] (levels @ tail), nval, stair || tail <> [])
 
+(* Plain draws are returned as drawn: they are non-empty by
+   construction and must invert, which the properties assert. Only a
+   draw with a staircase or appended level is redrawn when its space
+   is empty or its nest does not invert (shapes outside the closed-form
+   range are ROADMAP item 2). Plain draws are frequent, so the
+   redrawing ends. *)
 let rec gen_case st =
-  let ((nest, nval) as case) = gen_shape st in
-  let nonempty = ref false in
-  N.iterate nest ~param:(fun _ -> nval) (fun _ -> nonempty := true);
-  if !nonempty && Result.is_ok (Trahrhe.Inversion.invert nest) then case else gen_case st
+  let nest, nval, novel = gen_shape st in
+  let keep () =
+    let nonempty = ref false in
+    N.iterate nest ~param:(fun _ -> nval) (fun _ -> nonempty := true);
+    !nonempty && Result.is_ok (Trahrhe.Inversion.invert nest)
+  in
+  if (not novel) || keep () then (nest, nval) else gen_case st
 
 let print_case (nest, nval) = Format.asprintf "N = %d,@ %a" nval N.pp nest
 let arb_case = QCheck.make ~print:print_case gen_case
