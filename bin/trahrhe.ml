@@ -349,21 +349,8 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
        supervised region; otherwise the plain unsupervised path runs *)
     let resilient = fault_cfg <> None || retries > 0 || deadline_ms <> None in
     (* a reduction request rewrites the nest's clause BEFORE the cache
-       lookup so the clause participates in content addressing: the
-       value polynomial is the kernel's declared clause when it has
-       one, the canonical default otherwise *)
-    let nest =
-      match reduce with
-      | None -> k.Kernels.Kernel.nest
-      | Some op ->
-        let base = k.Kernels.Kernel.nest in
-        let value =
-          match base.Trahrhe.Nest.reduce with
-          | Some r -> r.Trahrhe.Nest.value
-          | None -> Trahrhe.Nest.default_reduce_value base
-        in
-        Trahrhe.Nest.with_reduce base (Some { Trahrhe.Nest.op; value })
-    in
+       lookup so the clause participates in content addressing *)
+    let nest = Trahrhe.Nest.with_reduce_op k.Kernels.Kernel.nest reduce in
     (* compile once through the plan cache (warm OMPSIM_PLAN_CACHE dirs
        skip the symbolic pipeline entirely); the recovery and the
        serial reference are then reused across every --repeat run *)

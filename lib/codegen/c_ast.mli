@@ -11,6 +11,7 @@ type stmt =
   | If of { cond : string; then_ : stmt list; else_ : stmt list }
   | For of { init : string; cond : string; step : string; body : stmt list }
   | While of { cond : string; body : stmt list }
+  | Do_while of { body : stmt list; cond : string }  (** [do { body } while (cond);] *)
   | Pragma of string  (** emitted as [#pragma ...] at column 0 *)
   | Comment of string
   | Block of stmt list  (** braces without a header *)

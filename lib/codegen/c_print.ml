@@ -34,6 +34,10 @@ let to_string ?(indent = 0) stmts =
       line lvl (Printf.sprintf "while (%s) {" cond);
       List.iter (go (lvl + 1)) body;
       line lvl "}"
+    | Do_while { body; cond } ->
+      line lvl "do {";
+      List.iter (go (lvl + 1)) body;
+      line lvl (Printf.sprintf "} while (%s);" cond)
     | Pragma p -> Buffer.add_string buf (Printf.sprintf "#pragma %s\n" p)
     | Comment c -> line lvl (Printf.sprintf "/* %s */" c)
     | Block body ->

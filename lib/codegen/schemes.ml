@@ -53,6 +53,33 @@ let guard_stmts ~ty (inv : Trahrhe.Inversion.t) k =
           { cond = Printf.sprintf "%s > %s && %s > %s" v lb (Cemit.emit_poly_int r_sub ~ty) pc;
             body = [ Raw (v ^ "--;") ] } ] ]
 
+(* exact recovery of level k: the largest v in [lower, upper) with
+   r_sub_k(prefix, v) <= pc, by bracketed binary search over the
+   monotone substituted ranking *)
+let search_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) k =
+  let ty = config.counter_ty in
+  let l = (nest_levels inv).(k) in
+  let var = l.Trahrhe.Nest.var in
+  let pc = inv.Trahrhe.Inversion.pc_var in
+  let r_sub = inv.Trahrhe.Inversion.r_sub.(k) in
+  let a = Printf.sprintf "nlo_%s" var
+  and b = Printf.sprintf "nhi_%s" var
+  and mid = Printf.sprintf "nmid_%s" var in
+  let r_at_mid = P.subst var (P.var mid) r_sub in
+  [ Comment (Printf.sprintf "exact recovery of %s: binary search on the monotone ranking" var);
+    Block
+      [ Decl { ty; name = a; init = Some (bound_expr ~ty l.Trahrhe.Nest.lower) };
+        Decl
+          { ty; name = b; init = Some (Printf.sprintf "(%s) - 1" (bound_expr ~ty l.Trahrhe.Nest.upper)) };
+        While
+          { cond = Printf.sprintf "%s < %s" a b;
+            body =
+              [ Decl { ty; name = mid; init = Some (Printf.sprintf "%s + (%s - %s + 1) / 2" a b a) };
+                Raw
+                  (Printf.sprintf "if (%s <= %s) %s = %s; else %s = %s - 1;"
+                     (Cemit.emit_poly_int r_at_mid ~ty) pc a mid b mid) ] };
+        Raw (Printf.sprintf "%s = %s;" var a) ] ]
+
 let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
   let ty = config.counter_ty in
   Array.to_list inv.Trahrhe.Inversion.recoveries
@@ -70,63 +97,45 @@ let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
                else [])
          | Trahrhe.Inversion.Last { var; poly } ->
            [ Assign (var, Cemit.emit_poly_int poly ~ty) ]
-         | Trahrhe.Inversion.Numeric { var; r_sub_index } ->
-           (* no radical closed form at this degree: emit the bracketed
-              binary search over the monotone substituted ranking —
-              largest value with r_sub(prefix, v) <= pc. Exact by
-              construction, so the guarded config adds nothing. *)
-           let levels = nest_levels inv in
-           let l = levels.(r_sub_index) in
-           let pc = inv.Trahrhe.Inversion.pc_var in
-           let r_sub = inv.Trahrhe.Inversion.r_sub.(r_sub_index) in
-           let a = Printf.sprintf "nlo_%s" var
-           and b = Printf.sprintf "nhi_%s" var
-           and mid = Printf.sprintf "nmid_%s" var in
-           let r_at_mid = P.subst var (P.var mid) r_sub in
-           [ Comment
-               (Printf.sprintf "numeric recovery of %s: binary search on the monotone ranking"
-                  var);
-             Block
-               [ Decl { ty; name = a; init = Some (bound_expr ~ty l.Trahrhe.Nest.lower) };
-                 Decl
-                   { ty;
-                     name = b;
-                     init =
-                       Some (Printf.sprintf "(%s) - 1" (bound_expr ~ty l.Trahrhe.Nest.upper))
-                   };
-                 While
-                   { cond = Printf.sprintf "%s < %s" a b;
-                     body =
-                       [ Decl
-                           { ty;
-                             name = mid;
-                             init = Some (Printf.sprintf "%s + (%s - %s + 1) / 2" a b a) };
-                         Raw
-                           (Printf.sprintf "if (%s <= %s) %s = %s; else %s = %s - 1;"
-                              (Cemit.emit_poly_int r_at_mid ~ty) pc a mid b mid) ] };
-                 Raw (Printf.sprintf "%s = %s;" var a) ] ])
+         | Trahrhe.Inversion.Numeric { r_sub_index; _ } ->
+           (* no radical closed form at this degree; the search is exact
+              by construction, so the guarded config adds nothing *)
+           search_stmts ~config inv r_sub_index)
 
-let increment_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
+(* advance level q, or the nearest outer level that is not exhausted,
+   then reset level q+1 to its lower bound; an empty row at level q+1
+   resumes the advance at level q, so the indices never stand on an
+   empty row. Every loop also stops once level 0 leaves its range, the
+   end of the space. *)
+let exhausted ~ty (l : Trahrhe.Nest.level) = Printf.sprintf "%s >= %s" l.var (bound_expr ~ty l.upper)
+
+let carry_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) q =
   let ty = config.counter_ty in
   let levels = nest_levels inv in
-  let d = Array.length levels in
-  (* v_{d-1}++; cascading overflow checks outward, resets inward *)
-  let rec cascade k =
-    let l = levels.(k) in
-    let bump = Raw (l.Trahrhe.Nest.var ^ "++;") in
-    if k = 0 then [ bump ]
-    else
-      [ bump;
-        If
-          { cond =
-              Printf.sprintf "%s >= %s" l.Trahrhe.Nest.var
-                (bound_expr ~ty l.Trahrhe.Nest.upper);
-            then_ =
-              cascade (k - 1)
-              @ [ Assign (l.Trahrhe.Nest.var, bound_expr ~ty l.Trahrhe.Nest.lower) ];
-            else_ = [] } ]
+  let l0 = levels.(0) in
+  let in_space = Printf.sprintf "%s < %s" l0.var (bound_expr ~ty l0.upper) in
+  let rec carry q =
+    let l = levels.(q) and next = levels.(q + 1) in
+    [ Do_while
+        { body =
+            Raw (l.var ^ "++;")
+            :: (if q = 0 then [] else [ If { cond = exhausted ~ty l; then_ = carry (q - 1); else_ = [] } ])
+            @ [ Assign (next.var, bound_expr ~ty next.lower) ];
+          cond = Printf.sprintf "%s && %s" (exhausted ~ty next) in_space } ]
   in
-  cascade (d - 1)
+  carry q
+
+let increment_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
+  let levels = nest_levels inv in
+  let d = Array.length levels in
+  let l = levels.(d - 1) in
+  Raw (l.var ^ "++;")
+  :: (if d = 1 then []
+      else
+        [ If
+            { cond = exhausted ~ty:config.counter_ty l;
+              then_ = carry_stmts ~config inv (d - 2);
+              else_ = [] } ])
 
 let index_decls ~config (inv : Trahrhe.Inversion.t) =
   if not config.declare_indices then []

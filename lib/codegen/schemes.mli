@@ -39,8 +39,23 @@ val trip_count_expr : Trahrhe.Inversion.t -> ty:string -> string
     sequence ([i1 = floor(...); ...; ic = exact formula]). *)
 val recovery_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
 
+(** [search_stmts ?config inv k] recovers level [k] exactly: the
+    largest value in the level's range whose substituted ranking
+    [r_sub.(k)] does not exceed [pc], by bracketed binary search. The
+    levels above [k] must already hold their values. It is the
+    recovery of a [Numeric] level. *)
+val search_stmts : ?config:config -> Trahrhe.Inversion.t -> int -> C_ast.stmt list
+
+(** [carry_stmts ?config inv q] advances level [q] (or the nearest outer
+    level that is not exhausted) and resets level [q+1] to its lower
+    bound, skipping empty rows at every level; it stops once level 0
+    leaves its range. Levels deeper than [q+1] are the caller's. *)
+val carry_stmts : ?config:config -> Trahrhe.Inversion.t -> int -> C_ast.stmt list
+
 (** [increment_stmts ?config inv] is the §V incrementation advancing
-    the indices to the next iteration as the original nest would. *)
+    the indices to the next iteration as the original nest would: the
+    innermost index steps, and {!carry_stmts} takes over at the end of
+    its row. *)
 val increment_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
 
 val naive : ?config:config -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list

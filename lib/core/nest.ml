@@ -76,6 +76,12 @@ let default_reduce_value n =
   List.fold_left P.add (P.const Q.one)
     (List.mapi (fun k v -> P.scale (Q.of_int (k + 1)) (P.var v)) (level_vars n))
 
+let with_reduce_op n = function
+  | None -> n
+  | Some op ->
+    let value = match n.reduce with Some r -> r.value | None -> default_reduce_value n in
+    with_reduce n (Some { op; value })
+
 let prefix n c =
   if c < 1 || c > depth n then invalid_arg "Nest.prefix";
   (* the reduction value may mention inner iterators being dropped;

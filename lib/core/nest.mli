@@ -59,6 +59,11 @@ val with_reduce : t -> reduction option -> t
     [1 + sum_k (k+1)*x_k]. *)
 val default_reduce_value : t -> Polymath.Polynomial.t
 
+(** [with_reduce_op n op] is the nest a [reduce=op] request runs: [n]
+    itself for [None], else [n] reducing [op] over its declared clause
+    value, or over {!default_reduce_value} when it declares none. *)
+val with_reduce_op : t -> red_op option -> t
+
 val depth : t -> int
 
 (** [level_vars n] is the list of iterator names, outermost first. *)

@@ -1,17 +1,18 @@
 (** C source generation for plan-specialized shared objects.
 
     [source inv ~fingerprint] emits a self-contained C translation
-    unit specializing the inversion's recovery functions, bound
-    steppers and collapsed checksum loop, built on the
-    {!Codegen.C_ast} / {!Codegen.C_print} machinery and
-    {!Symx.Cemit.emit_poly_int}'s exact scaled-integer polynomial
-    forms. All arithmetic is [int64] — no floating point anywhere —
-    and the recovery is the per-level binary search of
-    {!Trahrhe.Recovery.recover_binsearch}, so results are bit-for-bit
-    identical to the interpreted pipelines (int64 wraparound truncated
-    to OCaml's 63-bit ints agrees with native-int wraparound, and the
-    emitter is only used on nests that passed the overflow-headroom
-    check).
+    unit from {!Codegen.Schemes}' own emitters: the exact level search
+    ({!Codegen.Schemes.search_stmts}) recovers every level, and the
+    chunk walkers step from row to row with the empty-row-safe carry
+    ({!Codegen.Schemes.carry_stmts}) — the same C the paper schemes
+    run. The canonical names ([p0..], [x0..], [pc]) become C locals
+    bound from the ABI's arrays. All arithmetic is [int64]
+    ({!Symx.Cemit.emit_poly_int}'s exact scaled-integer forms, no
+    floating point), so results are bit-for-bit those of
+    {!Trahrhe.Recovery.recover_guarded} and the interpreted walks
+    (int64 wraparound truncated to OCaml's 63-bit ints agrees with
+    native-int wraparound, and the emitter is only used on nests that
+    passed the overflow-headroom check).
 
     Exported symbols (the ABI, version {!Abi.version}):
     - [ompsim_abi], [ompsim_fingerprint], [ompsim_depth],
@@ -20,8 +21,9 @@
       vector [P];
     - [ompsim_recover(P, pc, idx)] — exact index recovery of rank
       [pc];
-    - [ompsim_walk_hash(P, pc, len)] — one recovery + incremental
-      walk accumulating the collapsed checksum over [len] ranks;
+    - [ompsim_walk_hash(P, pc, len)] — one recovery, then innermost
+      runs accumulating the collapsed checksum over [len] ranks (the
+      outer-prefix hash hoisted once per run);
     - [ompsim_reduce_sum(P, pc, len)] — the same walk accumulating the
       nest's reduction value (0 when the nest carries no clause).
 

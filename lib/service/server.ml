@@ -258,20 +258,8 @@ let parse_request_uncached line =
         | None -> Error (Printf.sprintf "reduce needs sum|prod|min|max, got %S" s))
     in
     (* a reduce request rewrites the nest's clause BEFORE the cache
-       lookup, so the clause participates in content addressing: the
-       value polynomial is the nest's declared clause when it has one,
-       the canonical default otherwise *)
-    let nest =
-      match reduce with
-      | None -> nest
-      | Some op ->
-        let value =
-          match nest.N.reduce with
-          | Some r -> r.N.value
-          | None -> N.default_reduce_value nest
-        in
-        N.with_reduce nest (Some { N.op; value })
-    in
+       lookup, so the clause participates in content addressing *)
+    let nest = N.with_reduce_op nest reduce in
     let label = Option.value ~default:name (List.assoc_opt "label" fields) in
     Ok
       (Some
@@ -606,10 +594,16 @@ type serve_config = {
   rate_burst : int;
   request_timeout_ms : int option;
   max_line : int;
-  max_write_buffer : int;
-  drain_timeout_ms : int;
   service_quantum : int;
 }
+
+(* a connection whose unflushed output exceeds this stops being read:
+   a slow reader throttles itself, not the loop *)
+let max_write_buffer = 256 * 1024
+
+(* on shutdown/signal, how long to keep flushing in-flight responses
+   before force-closing laggards *)
+let drain_timeout_ms = 5_000
 
 let default_serve_config =
   { max_clients = 64;
@@ -619,8 +613,6 @@ let default_serve_config =
     rate_burst = 8;
     request_timeout_ms = None;
     max_line = Framing.default_max_line;
-    max_write_buffer = 256 * 1024;
-    drain_timeout_ms = 5_000;
     service_quantum = 4 }
 
 type serve_stats = {
@@ -754,7 +746,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
         if not !draining then begin
           draining := true;
           stopped_by := how;
-          drain_deadline := Unix.gettimeofday () +. (float_of_int config.drain_timeout_ms /. 1e3)
+          drain_deadline := Unix.gettimeofday () +. (float_of_int drain_timeout_ms /. 1e3)
         end
       in
       let out_pending c = Buffer.length c.out - c.sent in
@@ -1018,7 +1010,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
           let readable_wanted c =
             (not !draining) && (not c.closing)
             && (not (Framing.overflowed c.framer))
-            && out_pending c < config.max_write_buffer
+            && out_pending c < max_write_buffer
             && ((not (Framing.has_line c.framer))
                || (!inflight < config.max_inflight
                   && c.inflight < config.max_inflight_per_client))

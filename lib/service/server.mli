@@ -147,13 +147,6 @@ type serve_config = {
   request_timeout_ms : int option;
       (** per-request deadline passed to {!handle} (default [None]) *)
   max_line : int;  (** framer line bound (default {!Framing.default_max_line}) *)
-  max_write_buffer : int;
-      (** a connection whose unflushed output exceeds this stops being
-          read — a slow reader throttles itself, not the loop
-          (default 256 KiB) *)
-  drain_timeout_ms : int;
-      (** on shutdown/signal, how long to keep flushing in-flight
-          responses before force-closing laggards (default 5000) *)
   service_quantum : int;
       (** requests served per connection per loop turn (default 4):
           the fairness/throughput dial. A pipelining client gets at
@@ -200,9 +193,9 @@ type serve_stats = {
 
     Returns after a client sends [shutdown], or on SIGINT/SIGTERM;
     both paths drain gracefully: stop accepting and reading, serve
-    every admitted request, flush every response (bounded by
-    [drain_timeout_ms]), then unlink the socket, restore the previous
-    signal dispositions, and write the accounting summary to stderr.
+    every admitted request, flush every response (for at most 5 s),
+    then unlink the socket, restore the previous signal dispositions,
+    and write the accounting summary to stderr.
     Its [connections], [timeouts], [rejected] and [throttled] are the
     loop's deltas of the [serve.*] counters ({!Stats}), so they assume
     one serve loop per process. *)

@@ -9,7 +9,9 @@ for (long pc = 1; pc <= ((long)N*N + (long)N)/2; pc++) {
   /* statements(indices) */;
   j++;
   if (j >= (long)N) {
-    i++;
-    j = (long)i;
+    do {
+      i++;
+      j = (long)i;
+    } while (j >= (long)N && i < (long)N);
   }
 }

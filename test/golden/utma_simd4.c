@@ -16,8 +16,10 @@ for (long pc = 1; pc <= ((long)N*N + (long)N)/2; pc += 4) {
     T_j[v - pc] = j;
     j++;
     if (j >= (long)N) {
-      i++;
-      j = (long)i;
+      do {
+        i++;
+        j = (long)i;
+      } while (j >= (long)N && i < (long)N);
     }
   }
 #pragma omp simd

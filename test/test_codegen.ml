@@ -136,11 +136,15 @@ let test_counter_type_config () =
   check_contains "typed decls" "int64_t i;" s
 
 let test_increment_stmts_depth3 () =
+  (* k = j..i-1 is empty at j = i: the carry must step past that row
+     instead of running the body at k = j = i (i from 1, so that
+     forced-numeric inversion, which cannot certify an empty first
+     slice, still inverts it) *)
   let nest =
     Trahrhe.Nest.make ~params:[ "N" ]
-      [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 };
+      [ { var = "i"; lower = aff [] 1; upper = aff [ ("N", 1) ] 0 };
         { var = "j"; lower = aff [] 0; upper = aff [ ("i", 1) ] 1 };
-        { var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("i", 1) ] 1 } ]
+        { var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("i", 1) ] 0 } ]
   in
   let inv = Trahrhe.Inversion.invert_exn nest in
   let s = C_print.to_string (Schemes.increment_stmts inv) in
@@ -148,7 +152,10 @@ let test_increment_stmts_depth3 () =
   check_contains "middle cascade" "j++;" s;
   check_contains "outer bump" "i++;" s;
   (* resets happen after the outward cascade, with the new outer values *)
-  check_contains "k reset to j" "k = (long)j;" s
+  check_contains "k reset to j" "k = (long)j;" s;
+  (* an empty row resumes one level up; level 0 leaving its range ends it *)
+  check_contains "empty k row advances j" "} while (k >= (long)i && i < (long)N);" s;
+  check_contains "empty j row advances i" "} while (j >= (long)i + (long)1 && i < (long)N);" s
 
 let test_imperfect_sink () =
   let nest =
