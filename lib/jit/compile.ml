@@ -34,7 +34,10 @@ let is_plan_error e = has_prefix plan_prefix e
    the wall clock (SIGKILL of the whole compiler process group on
    expiry), a doubled rusage cap bounds CPU spinning, and the first
    ~2KB of stderr ride along in the failure instead of a discarded
-   log file. *)
+   log file. Loops are 32-byte aligned: a walker's innermost run loop
+   is four instructions, and where default placement let it straddle a
+   32-byte fetch boundary it ran ~1.7x slower (utma's walk_hash at
+   n=1500: 0.9 vs 1.6 ms on a Xeon). *)
 let compile_so ~src_path ~out_path =
   let cc = Abi.cc () in
   let timeout_ms = Subproc.default_timeout_ms () in
@@ -42,7 +45,7 @@ let compile_so ~src_path ~out_path =
     Subproc.run ~timeout_ms
       ~cpu_s:(2 * ((timeout_ms + 999) / 1000))
       cc
-      [ "-O2"; "-shared"; "-fPIC"; "-o"; out_path; src_path ]
+      [ "-O2"; "-falign-loops=32"; "-shared"; "-fPIC"; "-o"; out_path; src_path ]
   in
   match r.Subproc.outcome with
   | Subproc.Exited 0 -> Ok ()
