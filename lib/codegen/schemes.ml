@@ -102,13 +102,13 @@ let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
               by construction, so the guarded config adds nothing *)
            search_stmts ~config inv r_sub_index)
 
+let exhausted ~ty (l : Trahrhe.Nest.level) = Printf.sprintf "%s >= %s" l.var (bound_expr ~ty l.upper)
+
 (* advance level q, or the nearest outer level that is not exhausted,
    then reset level q+1 to its lower bound; an empty row at level q+1
    resumes the advance at level q, so the indices never stand on an
    empty row. Every loop also stops once level 0 leaves its range, the
    end of the space. *)
-let exhausted ~ty (l : Trahrhe.Nest.level) = Printf.sprintf "%s >= %s" l.var (bound_expr ~ty l.upper)
-
 let carry_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) q =
   let ty = config.counter_ty in
   let levels = nest_levels inv in
