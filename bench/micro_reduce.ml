@@ -59,12 +59,13 @@ let run () =
   let time_schedule ~nthreads schedule =
     Ompsim.Calibrate.time_best ~reps:3 (fun () ->
         match
-          Ompsim.Par.reduce_chunks ~nthreads ~schedule ~n:trip ~combine:( + ) (fun ~thread:_ ->
-              chunk_partial)
+          Ompsim.Par.reduce ~faults:None ~nthreads ~schedule ~n:trip ~combine:( + )
+            (fun ~thread:_ -> chunk_partial)
         with
-        | Some v when v = serial_value -> ()
-        | Some v -> failwith (Printf.sprintf "reduction mismatch: %d vs serial %d" v serial_value)
-        | None -> failwith "empty reduction")
+        | Ok (Some v) when v = serial_value -> ()
+        | Ok (Some v) -> failwith (Printf.sprintf "reduction mismatch: %d vs serial %d" v serial_value)
+        | Ok None -> failwith "empty reduction"
+        | Error e -> failwith (Ompsim.Par.describe_error e))
   in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let machine_domains = Domain.recommended_domain_count () in

@@ -335,19 +335,18 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
       prerr_endline "--repeat needs a positive integer";
       exit 1
     end;
-    let fault_cfg =
-      match faults with
-      | Some spec -> (
-        match Ompsim.Fault.of_spec spec with
-        | Ok cfg -> Some cfg
-        | Error e ->
-          prerr_endline e;
-          exit 1)
-      | None -> Ompsim.Fault.get ()
+    (* --faults overrides the region's fault config; absent, it
+       defers to OMPSIM_FAULTS *)
+    let faults =
+      Option.map
+        (fun spec ->
+          match Ompsim.Fault.of_spec spec with
+          | Ok cfg -> Some cfg
+          | Error e ->
+            prerr_endline e;
+            exit 1)
+        faults
     in
-    (* any fault-tolerance knob routes execution through the
-       supervised region; otherwise the plain unsupervised path runs *)
-    let resilient = fault_cfg <> None || retries > 0 || deadline_ms <> None in
     (* a reduction request rewrites the nest's clause BEFORE the cache
        lookup so the clause participates in content addressing *)
     let nest = Trahrhe.Nest.with_reduce_op k.Kernels.Kernel.nest reduce in
@@ -378,7 +377,7 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
       let reference =
         Service.Exec.serial rc ~nest:plan.Service.Plan.inversion.Trahrhe.Inversion.nest ~param opts
       in
-      match Service.Exec.run ~faults:fault_cfg ?deadline_ms ~supervised:resilient ~reference rc opts with
+      match Service.Exec.run ?faults ?deadline_ms ~reference rc opts with
       | Error Service.Exec.Empty_extremum ->
         prerr_endline "min/max reduction over an empty iteration space";
         1
@@ -458,7 +457,7 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
               cells;
             Printf.printf "  iteration imbalance (max/mean): %.3f\n"
               (Obsv.Metrics.imbalance Ompsim.Stats.par_iterations));
-          if resilient && Obsv.Control.enabled () then
+          if Obsv.Control.enabled () then
             Printf.printf
               "  faults: %d injected, %d stalls, %d retries, %d cancellations, %d serial \
                fallbacks\n"
@@ -545,7 +544,7 @@ let exec_cmd =
       & opt (some string) None
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
-            "Arm deterministic fault injection and run the region supervised. $(docv) is either \
+            "Arm deterministic fault injection in the region. $(docv) is either \
              an on-switch (1/on) or key=value fields: p=PROB (per-chunk failure probability), \
              seed=S, stall=PROB, stall_us=US, max=K (injection budget). Same spec grammar as \
              the OMPSIM_FAULTS environment variable.")
@@ -556,7 +555,7 @@ let exec_cmd =
       & info [ "retries" ] ~docv:"R"
           ~doc:
             "Retry a failing chunk up to $(docv) times (with backoff) before cancelling the \
-             region; implies supervised execution.")
+             region.")
   in
   let deadline_ms =
     Arg.(
@@ -566,7 +565,7 @@ let exec_cmd =
           ~doc:
             "Cancel execution cooperatively once $(docv) milliseconds have elapsed (remaining \
              chunks are reported, not executed); the budget covers all $(b,--repeat) runs \
-             together. Implies supervised execution.")
+             together.")
   in
   Cmd.v
     (Cmd.info "exec"

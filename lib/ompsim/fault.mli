@@ -1,6 +1,6 @@
 (** Deterministic, seeded fault injection for the execution runtime.
 
-    The fault-tolerance machinery of {!Par.run_resilient} (retry,
+    The fault-tolerance machinery of {!Par.reduce} (retry,
     cancellation, serial fallback) is only as trustworthy as the test
     pressure behind it — this module supplies that pressure. A fault
     {!t} describes a synthetic failure model: with probability [p] a
@@ -17,19 +17,20 @@
     faults that eventually pass, while [p = 1] models a hard-poisoned
     range that only the injection-free serial fallback can recover.
 
-    Injection is *opt-in per call site*: nothing in the runtime
-    consults the global configuration except {!Par.run_resilient},
-    which captures it once at region entry and calls {!inject} at each
-    chunk-attempt start. The plain {!Par.parallel_for_chunks} path
-    never checks it, so arming [OMPSIM_FAULTS] cannot break
-    non-resilient code — the same compile-out discipline as
-    {!Obsv.Control}: disabled means one [Atomic.get] on region entry,
-    zero per-chunk cost.
+    Nothing in the runtime consults the global configuration except
+    {!Par.reduce}, the one region engine, which captures it once at
+    region entry and calls {!inject} at each chunk-attempt start.
+    Every region is supervised, so an armed [OMPSIM_FAULTS] reaches
+    every region that does not opt out with [~faults:None] (the
+    raw-loop adapters {!Par.parallel_for_chunks} and
+    {!Par.parallel_for} do) — and every such region recovers.
+    Disarmed means one [Atomic.get] on region entry and no per-chunk
+    injection work.
 
     Faults are injected at the *start* of an attempt, before the chunk
     body runs, so a failed attempt has performed no work and a retry
     is safe even for kernels that accumulate (the retry contract of
-    {!Par.run_resilient} only requires idempotence for exceptions the
+    {!Par.reduce} only requires idempotence for exceptions the
     kernel itself raises mid-chunk). *)
 
 type t = {
@@ -85,8 +86,8 @@ val decide : t -> start:int -> attempt:int -> bool
 (** [inject cfg ~start ~len ~attempt] plays one chunk attempt against
     the fault model: possibly busy-waits [stall_us], then possibly
     raises {!Injected}. Bumps {!Stats.faults_injected} /
-    {!Stats.fault_stalls} when the observability layer is on.
-    Call sites: the supervised chunk loop of {!Par.run_resilient};
+    {!Stats.fault_stalls} (the counters are always written).
+    Call site: the supervised chunk loop of {!Par.reduce};
     the serial fallback deliberately does not call it. *)
 val inject : t -> start:int -> len:int -> attempt:int -> unit
 

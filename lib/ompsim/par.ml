@@ -1,15 +1,3 @@
-(* count chunks/iterations on the executing slot; when the region was
-   entered traced ([spans], decided once so its trace stays balanced),
-   also put a span around each chunk *)
-let count_chunks ~spans f ~thread ~start ~len =
-  Obsv.Metrics.incr Stats.par_chunks ~slot:thread;
-  Obsv.Metrics.add Stats.par_iterations ~slot:thread len;
-  if not spans then f ~thread ~start ~len
-  else
-    Obsv.Trace.with_span "par.chunk"
-      ~args:[ ("slot", Obsv.Trace.Int thread); ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
-      (fun () -> f ~thread ~start ~len)
-
 (* work-stealing execution: chunks are dealt round-robin into
    per-worker Chase-Lev deques up front; a worker drains its own deque
    with owner pops (no shared state touched), then turns thief and
@@ -53,7 +41,7 @@ let run_work_stealing ~nthreads ~chunk ~n ~stop f =
          A cancelled region keeps popping without executing — the
          deques must still end empty so the region can cache them back
          for a later [refill] (unexecuted chunks surface as coverage
-         gaps, which the resilient caller re-runs serially). *)
+         gaps, which the region re-runs serially). *)
       let buf = Array.make 32 0 in
       let rec drain () =
         let k = Deque.pop_batch my buf in
@@ -128,20 +116,15 @@ let run_dnc ~nthreads ~grain ~n ~stop f =
            executing: resolving a node un-pends its entire subtree
            (children were never pushed), so siblings drain fast and
            unexecuted ranges surface as coverage gaps for the
-           resilient caller *)
+           serial fallback. [f] is the engine's supervised chunk,
+           which never raises, so every node is resolved. *)
         let exec_node id =
           if stop () then resolve ()
           else begin
             let start, len = Schedule.dnc_interval ~n id in
             if len <= grain then begin
               Obsv.Metrics.incr Stats.dnc_grain_chunks ~slot:t;
-              (match f ~thread:t ~start ~len with
-              | () -> ()
-              | exception e ->
-                (* keep the pending count exact so sibling workers can
-                   still reach quiescence and the join can re-raise *)
-                resolve ();
-                raise e);
+              f ~thread:t ~start ~len;
               resolve ()
             end
             else begin
@@ -178,11 +161,10 @@ let run_dnc ~nthreads ~grain ~n ~stop f =
         done)
   end
 
-(* schedule dispatch, shared by the plain and the resilient paths.
-   [stop] is the cooperative cancellation token, polled at chunk-claim
-   granularity on every schedule — once it reads true, no further
-   chunk is claimed or executed by this region (chunks already being
-   executed finish). The plain path passes a constant [false]. *)
+(* schedule dispatch. [stop] is the region's cooperative cancellation
+   token, polled at chunk-claim granularity on every schedule — once it
+   reads true, no further chunk is claimed or executed by this region
+   (chunks already being executed finish). *)
 let run_schedule ~stop ~nthreads ~schedule ~n f =
   match schedule with
   | Schedule.Static ->
@@ -233,29 +215,7 @@ let run_schedule ~stop ~nthreads ~schedule ~n f =
     run_work_stealing ~nthreads ~chunk:c ~n ~stop f
   | Schedule.Dnc g -> run_dnc ~nthreads ~grain:g ~n ~stop f
 
-let never_stop () = false
-
-let parallel_for_chunks ~nthreads ~schedule ~n f =
-  if nthreads <= 0 then invalid_arg "Par.parallel_for_chunks";
-  Obsv.Metrics.incr Stats.par_regions ~slot:0;
-  let spans = Obsv.Control.enabled () in
-  let dispatch () = run_schedule ~stop:never_stop ~nthreads ~schedule ~n (count_chunks ~spans f) in
-  if not spans then dispatch ()
-  else
-    Obsv.Trace.with_span "par.region"
-      ~args:
-        [ ("n", Obsv.Trace.Int n);
-          ("threads", Obsv.Trace.Int nthreads);
-          ("schedule", Obsv.Trace.Str (Schedule.to_string schedule)) ]
-      dispatch
-
-let parallel_for ~nthreads ~schedule ~n f =
-  parallel_for_chunks ~nthreads ~schedule ~n (fun ~thread:_ ~start ~len ->
-      for q = start to start + len - 1 do
-        f q
-      done)
-
-(* ---------------- supervised (resilient) regions ---------------- *)
+(* ---------------------- the region engine ---------------------- *)
 
 type chunk_failure = {
   start : int;
@@ -305,18 +265,97 @@ let backoff_wait attempt =
     Domain.cpu_relax ()
   done
 
-(* holes of [0,n) not covered by the sorted disjoint [ranges] *)
-let uncovered ~n ranges =
+(* Partials live in per-worker cells padded 16 slots apart (one writer
+   per cell, no locks, no false sharing on the hot path). Each entry is
+   [(start, len, partial)] for one successful chunk, so the cells are
+   both the reduction's partials and the region's coverage ledger. *)
+let stride = 16
+
+(* [cell] split into maximal monotone runs, each pushed onto [acc] in
+   ascending order. A worker records its chunks newest first, so one
+   that claims increasing starts leaves one descending run; a
+   work-stealing thief's steals, taken from victims' tails, leave
+   ascending ones. *)
+let runs_of acc cell =
+  (* [run] holds the current run reversed: ascending when the cell
+     descends there ([down]), descending otherwise *)
+  let close run down = if down then run else List.rev run in
+  let rec go acc run down = function
+    | [] -> close run down :: acc
+    | ((s, _, _) as c) :: rest -> (
+      match run with
+      | [ (r, _, _) ] -> go acc (c :: run) ((s : int) < r) rest
+      | (r, _, _) :: _ when (s : int) < r = down -> go acc (c :: run) down rest
+      | _ -> go (close run down :: acc) [ c ] true rest)
+  in
+  match cell with [] -> acc | c :: rest -> go acc [ c ] true rest
+
+(* tail-recursive merge of two ascending runs *)
+let merge a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], r | r, [] -> List.rev_append acc r
+    | ((x, _, _) as p) :: a', ((y, _, _) as q) :: b' ->
+      if (x : int) < y then go (p :: acc) a' b else go (q :: acc) a b'
+  in
+  go [] a b
+
+(* every recorded chunk, sorted by start — a total order fixed by the
+   chunk partition, never by worker arrival. A natural merge sort over
+   the cells' runs: the usual one run per worker costs one pass per
+   merge level, not a full sort. *)
+let collect ~nthreads cells =
+  let runs = ref [] in
+  for t = 0 to nthreads - 1 do
+    runs := runs_of !runs cells.(t * stride)
+  done;
+  let rec pairs acc = function
+    | a :: b :: rest -> pairs (merge a b :: acc) rest
+    | rest -> List.rev_append rest acc
+  in
+  let rec all = function [] -> [] | [ r ] -> r | rs -> all (pairs [] rs) in
+  all !runs
+
+(* holes of [0,n) not covered by the sorted disjoint [parts] *)
+let uncovered ~n parts =
   let rec go pos = function
     | [] -> if pos < n then [ (pos, n - pos) ] else []
-    | (s, l) :: rest ->
+    | (s, l, _) :: rest ->
       if s > pos then (pos, s - pos) :: go (s + l) rest else go (max pos (s + l)) rest
   in
-  go 0 ranges
+  go 0 parts
 
-let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
-  if nthreads <= 0 then invalid_arg "Par.run_resilient";
-  if retries < 0 then invalid_arg "Par.run_resilient: negative retries";
+(* a binary combine tree over ADJACENT positions of the sorted
+   partials: the bracketing depends only on the partial count, so the
+   result is bit-for-bit schedule-independent whenever [combine] is
+   associative, and equals the serial left fold exactly *)
+let combine_partials ~combine = function
+  | [] -> None
+  | (_, _, v0) :: _ as parts ->
+    let arr = Array.make (List.length parts) v0 in
+    List.iteri (fun i (_, _, v) -> arr.(i) <- v) parts;
+    let fold () =
+      let len = ref (Array.length arr) in
+      while !len > 1 do
+        let half = !len / 2 in
+        for i = 0 to half - 1 do
+          arr.(i) <- combine arr.(2 * i) arr.((2 * i) + 1)
+        done;
+        if !len land 1 = 1 then arr.(half) <- arr.(!len - 1);
+        len := half + (!len land 1)
+      done;
+      arr.(0)
+    in
+    (* the tree applies [combine] once per partial but the first *)
+    Obsv.Metrics.add Stats.reduce_combines ~slot:0 (Array.length arr - 1);
+    Some
+      (Obsv.Trace.with_span "par.reduce.combine"
+         ~args:[ ("partials", Obsv.Trace.Int (Array.length arr)) ]
+         fold)
+
+let reduce ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n ~combine f =
+  if nthreads <= 0 then invalid_arg "Par.reduce";
+  if retries < 0 then invalid_arg "Par.reduce: negative retries";
   (* [?faults] is itself an option: [~faults:None] explicitly disables
      injection for this region, absence defers to the global config *)
   let faults = match faults with Some given -> given | None -> Fault.get () in
@@ -325,7 +364,7 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
   let deadline_ns =
     match deadline_ms with
     | Some ms when ms >= 0 -> Some (Obsv.Clock.now_ns () + (ms * 1_000_000))
-    | Some _ -> invalid_arg "Par.run_resilient: negative deadline"
+    | Some _ -> invalid_arg "Par.reduce: negative deadline"
     | None -> None
   in
   let failures = Atomic.make [] in
@@ -336,12 +375,7 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
     in
     go ()
   in
-  (* per-slot success ranges: one writer per cell, merged after join.
-     The list heads live 16 slots apart so two workers' per-chunk
-     conses never fight over one cache line (same padding discipline
-     as the reduction partials below). *)
-  let dr_stride = 16 in
-  let done_ranges = Array.make (nthreads * dr_stride) [] in
+  let cells = Array.make (nthreads * stride) [] in
   let cancel () =
     if Atomic.compare_and_set stop false true then begin
       Obsv.Metrics.incr_here Stats.regions_cancelled;
@@ -356,39 +390,48 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
       true
     | _ -> false
   in
-  (* the supervision wrapper: injection point, bounded retry with
-     backoff, failure capture. A failed attempt is re-run in place —
-     safe when chunks are idempotent (exactly the property the
-     paper's independent-iterations precondition gives a collapsed
-     chunk); synthetic faults fire before the body, so they never
-     leave a chunk half-done. *)
-  let record_success ~thread ~start ~len =
-    let cell = thread * dr_stride in
-    done_ranges.(cell) <- (start, len) :: done_ranges.(cell);
-    Obsv.Metrics.incr Stats.par_chunks ~slot:thread;
-    Obsv.Metrics.add Stats.par_iterations ~slot:thread len
+  (* whether chunks get spans is decided once, so the trace stays
+     balanced even if the switch flips mid-region *)
+  let spans = Obsv.Control.enabled () in
+  (* one chunk attempt: the injection point, then the body. Synthetic
+     faults fire before the body, so a failed attempt has done no work
+     and contributes no partial. *)
+  let attempt ~thread ~start ~len k =
+    (match faults with Some cfg -> Fault.inject cfg ~start ~len ~attempt:k | None -> ());
+    if not spans then f ~thread ~start ~len
+    else
+      Obsv.Trace.with_span "par.chunk"
+        ~args:
+          [ ("slot", Obsv.Trace.Int thread); ("start", Obsv.Trace.Int start);
+            ("len", Obsv.Trace.Int len) ]
+        (fun () -> f ~thread ~start ~len)
   in
-  (* cold path: first attempt already failed, run the bounded retry
-     loop with backoff, then capture the structured failure *)
+  let record ~thread ~start ~len v =
+    let cell = thread * stride in
+    cells.(cell) <- (start, len, v) :: cells.(cell);
+    Obsv.Metrics.incr Stats.par_chunks ~slot:thread;
+    Obsv.Metrics.add Stats.par_iterations ~slot:thread len;
+    Obsv.Metrics.incr Stats.reduce_partials ~slot:thread
+  in
+  (* cold path: the first attempt failed. A failed attempt is re-run in
+     place — safe when chunks are idempotent, exactly the property the
+     paper's independent-iterations precondition gives a collapsed
+     chunk — up to [retries] times with backoff; then the structured
+     failure is captured and the region cancelled. *)
   let retry_loop ~thread ~start ~len first_error =
-    let attempt = ref 0 and running = ref true in
+    let k = ref 0 and running = ref true in
     let error = ref first_error and backtrace = ref (Printexc.get_raw_backtrace ()) in
     while !running do
-      if !attempt < retries && not (Atomic.get stop) then begin
-        incr attempt;
+      if !k < retries && not (Atomic.get stop) then begin
+        incr k;
         Obsv.Metrics.incr Stats.chunk_retries ~slot:thread;
         Obsv.Trace.instant "par.retry"
-          ~args:[ ("start", Obsv.Trace.Int start); ("attempt", Obsv.Trace.Int !attempt) ];
-        backoff_wait !attempt;
-        match
-          (match faults with
-          | Some cfg -> Fault.inject cfg ~start ~len ~attempt:!attempt
-          | None -> ());
-          f ~thread ~start ~len
-        with
-        | () ->
+          ~args:[ ("start", Obsv.Trace.Int start); ("attempt", Obsv.Trace.Int !k) ];
+        backoff_wait !k;
+        match attempt ~thread ~start ~len !k with
+        | v ->
           running := false;
-          record_success ~thread ~start ~len
+          record ~thread ~start ~len v
         | exception e ->
           backtrace := Printexc.get_raw_backtrace ();
           error := e
@@ -396,7 +439,7 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
       else begin
         running := false;
         push_failure
-          { start; len; worker = thread; attempts = !attempt + 1; error = !error;
+          { start; len; worker = thread; attempts = !k + 1; error = !error;
             backtrace = !backtrace };
         cancel ()
       end
@@ -404,137 +447,75 @@ let run_resilient ?(retries = 0) ?deadline_ms ?faults ~nthreads ~schedule ~n f =
   in
   let supervise ~thread ~start ~len =
     if (not (Atomic.get stop)) && not (expired ()) then
-      match
-        (match faults with
-        | Some cfg -> Fault.inject cfg ~start ~len ~attempt:0
-        | None -> ());
-        f ~thread ~start ~len
-      with
-      | () -> record_success ~thread ~start ~len
+      match attempt ~thread ~start ~len 0 with
+      | v -> record ~thread ~start ~len v
       | exception e -> retry_loop ~thread ~start ~len e
   in
   let body () = run_schedule ~stop:(fun () -> Atomic.get stop) ~nthreads ~schedule ~n supervise in
   Obsv.Metrics.incr Stats.par_regions ~slot:0;
-  (if not (Obsv.Control.enabled ()) then body ()
+  (if not spans then body ()
    else
-     Obsv.Trace.with_span "par.resilient"
+     Obsv.Trace.with_span "par.region"
        ~args:
          [ ("n", Obsv.Trace.Int n);
            ("threads", Obsv.Trace.Int nthreads);
            ("schedule", Obsv.Trace.Str (Schedule.to_string schedule));
            ("retries", Obsv.Trace.Int retries) ]
        body);
-  if (not (Atomic.get stop)) && Atomic.get failures = [] then
-    (* fast path: never cancelled and nothing failed — the schedule
-       loop ran to completion, so every chunk of [0,n) was claimed and
-       its supervise call returned (retried chunks included). Coverage
-       is complete by construction; skip the O(chunks log chunks)
-       range merge so an undisturbed region pays no post-join cost. *)
-    Ok ()
+  let parts = collect ~nthreads cells in
+  if not (Atomic.get stop) then
+    (* never cancelled (a failure or an expired deadline always
+       cancels): the schedule loop ran to completion, so every chunk of
+       [0,n) was claimed and recorded (retried chunks included) —
+       coverage is complete by construction *)
+    Ok (combine_partials ~combine parts)
   else begin
-  let covered =
-    let acc = ref [] in
-    for t = 0 to nthreads - 1 do
-      acc := List.rev_append done_ranges.(t * dr_stride) !acc
-    done;
-    List.sort (fun ((a : int), _) (b, _) -> compare a b) !acc
-  in
-  let gaps = uncovered ~n covered in
-  let failures = List.rev (Atomic.get failures) in
-  if Atomic.get deadline_hit then Error { reason = Deadline_expired; failures; unrecovered = gaps }
-  else if gaps = [] then Ok ()
-  else begin
-    (* serial fallback: re-execute only the uncovered ranges, on the
-       calling domain, with fault injection suppressed — under the
-       transient-fault model a re-run succeeds; a genuinely poisoned
-       kernel fails again here and surfaces in the structured error *)
-    let leftover = ref [] and fallback_failures = ref [] in
-    List.iter
-      (fun (start, len) ->
-        Obsv.Metrics.incr Stats.serial_fallbacks ~slot:0;
-        match
-          Obsv.Trace.with_span "par.fallback.serial"
-            ~args:[ ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
-            (fun () -> f ~thread:0 ~start ~len)
-        with
-        | () ->
-          Obsv.Metrics.incr Stats.par_chunks ~slot:0;
-          Obsv.Metrics.add Stats.par_iterations ~slot:0 len
-        | exception e ->
-          let backtrace = Printexc.get_raw_backtrace () in
-          fallback_failures :=
-            { start; len; worker = 0; attempts = 1; error = e; backtrace } :: !fallback_failures;
-          leftover := (start, len) :: !leftover)
-      gaps;
-    if !leftover = [] then Ok ()
-    else
-      Error
-        { reason = Chunk_failed;
-          failures = failures @ List.rev !fallback_failures;
-          unrecovered = List.rev !leftover }
-  end
+    let gaps = uncovered ~n parts in
+    let failures = List.rev (Atomic.get failures) in
+    if Atomic.get deadline_hit then Error { reason = Deadline_expired; failures; unrecovered = gaps }
+    else begin
+      (* serial fallback: re-execute only the uncovered ranges, on the
+         calling domain, with fault injection suppressed — under the
+         transient-fault model a re-run succeeds; a genuinely poisoned
+         kernel fails again here and surfaces in the structured error.
+         Each recovered range adds one partial keyed by its own start:
+         a coarser partition of [0,n), the same fold for any
+         associative [combine]. *)
+      let leftover = ref [] and fallback_failures = ref [] in
+      List.iter
+        (fun (start, len) ->
+          Obsv.Metrics.incr Stats.serial_fallbacks ~slot:0;
+          match
+            Obsv.Trace.with_span "par.fallback.serial"
+              ~args:[ ("start", Obsv.Trace.Int start); ("len", Obsv.Trace.Int len) ]
+              (fun () -> f ~thread:0 ~start ~len)
+          with
+          | v -> record ~thread:0 ~start ~len v
+          | exception e ->
+            let backtrace = Printexc.get_raw_backtrace () in
+            fallback_failures :=
+              { start; len; worker = 0; attempts = 1; error = e; backtrace } :: !fallback_failures;
+            leftover := (start, len) :: !leftover)
+        gaps;
+      if !leftover = [] then Ok (combine_partials ~combine (collect ~nthreads cells))
+      else
+        Error
+          { reason = Chunk_failed;
+            failures = failures @ List.rev !fallback_failures;
+            unrecovered = List.rev !leftover }
+    end
   end
 
-(* ---------------------- parallel reductions ---------------------- *)
+let parallel_for_chunks ~nthreads ~schedule ~n f =
+  match reduce ~faults:None ~nthreads ~schedule ~n ~combine:(fun () () -> ()) f with
+  | Ok _ -> ()
+  | Error { failures; _ } ->
+    (* no deadline, so an error always names a failed chunk *)
+    let first = List.hd failures in
+    Printexc.raise_with_backtrace first.error first.backtrace
 
-(* Partial accumulators live in per-worker cells padded 16 slots apart
-   (one writer per cell, no locks, no false sharing on the hot path).
-   After the join the partials are sorted by chunk start — a total
-   order determined by the schedule's chunk partition, never by worker
-   arrival — and folded by a binary combine tree over ADJACENT
-   positions. The bracketing therefore depends only on the partial
-   count, so the result is bit-for-bit schedule-independent whenever
-   [combine] is associative, and equals the serial left fold exactly. *)
-let rd_stride = 16
-
-let combine_partials ~nthreads ~combine cells =
-  let all = ref [] in
-  for t = nthreads - 1 downto 0 do
-    all := List.rev_append cells.(t * rd_stride) !all
-  done;
-  match List.sort (fun ((a : int), _) (b, _) -> compare a b) !all with
-  | [] -> None
-  | parts ->
-    let arr = Array.of_list (List.map snd parts) in
-    let fold () =
-      let len = ref (Array.length arr) in
-      while !len > 1 do
-        let half = !len / 2 in
-        for i = 0 to half - 1 do
-          arr.(i) <- combine arr.(2 * i) arr.((2 * i) + 1);
-          Obsv.Metrics.incr Stats.reduce_combines ~slot:0
-        done;
-        if !len land 1 = 1 then arr.(half) <- arr.(!len - 1);
-        len := half + (!len land 1)
-      done;
-      arr.(0)
-    in
-    Some
-      (Obsv.Trace.with_span "par.reduce.combine"
-         ~args:[ ("partials", Obsv.Trace.Int (Array.length arr)) ]
-         fold)
-
-let reduce_body cells f ~thread ~start ~len =
-  let v = f ~thread ~start ~len in
-  let cell = thread * rd_stride in
-  cells.(cell) <- (start, v) :: cells.(cell);
-  Obsv.Metrics.incr Stats.reduce_partials ~slot:thread
-
-let reduce_chunks ~nthreads ~schedule ~n ~combine f =
-  if nthreads <= 0 then invalid_arg "Par.reduce_chunks";
-  let cells = Array.make (nthreads * rd_stride) [] in
-  parallel_for_chunks ~nthreads ~schedule ~n (reduce_body cells f);
-  combine_partials ~nthreads ~combine cells
-
-let reduce_resilient ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n ~combine f =
-  if nthreads <= 0 then invalid_arg "Par.reduce_resilient";
-  let cells = Array.make (nthreads * rd_stride) [] in
-  (* the partial cons sits AFTER the chunk body, and synthetic faults
-     fire BEFORE it: a failed attempt contributes nothing, a retried
-     chunk contributes exactly once, and the serial fallback's merged
-     gap ranges contribute partials keyed by their own starts — a
-     different partition of [0,n), but the same fold for any
-     associative [combine] *)
-  match run_resilient ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n (reduce_body cells f) with
-  | Ok () -> Ok (combine_partials ~nthreads ~combine cells)
-  | Error e -> Error e
+let parallel_for ~nthreads ~schedule ~n f =
+  parallel_for_chunks ~nthreads ~schedule ~n (fun ~thread:_ ~start ~len ->
+      for q = start to start + len - 1 do
+        f q
+      done)

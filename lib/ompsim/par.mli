@@ -9,6 +9,11 @@
     Iterations must be independent — the same precondition the paper's
     transformation requires of the loops being collapsed.
 
+    Every region runs through one engine, {!reduce}: a supervised
+    reduction over the schedule's chunk partition.
+    {!parallel_for_chunks} and {!parallel_for} are thin adapters over
+    it for raw loops.
+
     Workers are dispatched to the warm persistent {!Pool} (no
     per-region domain creation); a region opened while the pool is busy
     (a nested region) runs on freshly spawned domains instead. Either
@@ -37,20 +42,7 @@
     {!Stats.dnc_grain_chunks} (steals still bill to
     {!Stats.ws_steals}). *)
 
-(** [parallel_for ~nthreads ~schedule ~n f] runs [f q] for every
-    [q] in [0..n-1] across [nthreads] domains. *)
-val parallel_for : nthreads:int -> schedule:Schedule.t -> n:int -> (int -> unit) -> unit
-
-(** [parallel_for_chunks ~nthreads ~schedule ~n f] hands out whole
-    chunks: [f ~thread ~start ~len], letting the §V schemes perform
-    one costly recovery per chunk then increment. A worker exception
-    propagates to the caller after the region drains, with its
-    original backtrace — for structured failures, retries and
-    cancellation use {!run_resilient}. *)
-val parallel_for_chunks :
-  nthreads:int -> schedule:Schedule.t -> n:int -> (thread:int -> start:int -> len:int -> unit) -> unit
-
-(** {2 Supervised (resilient) regions} *)
+(** {2 The region} *)
 
 (** One chunk that kept failing: the range, the worker that gave up on
     it, how many attempts were made, and the last exception with the
@@ -81,92 +73,63 @@ type region_error = {
     unrecovered ranges. *)
 val describe_error : region_error -> string
 
-(** [run_resilient ~nthreads ~schedule ~n f] is
-    {!parallel_for_chunks} under supervision:
+(** [reduce ~nthreads ~schedule ~n ~combine f] runs one parallel
+    region over [0..n-1] and reduces [f ~thread ~start ~len] over its
+    chunk partition. It is the only region engine: every region is a
+    reduction, and every region is supervised.
 
+    {b Partials.} Each successful chunk records [(start, len, partial)]
+    in a per-worker cell padded one cache line apart — no sharing, no
+    locks on the hot path ({!Stats.reduce_partials}). The same cells
+    are the region's coverage ledger. After the join the partials are
+    sorted by chunk start and folded by a deterministic binary combine
+    tree over adjacent positions ({!Stats.reduce_combines},
+    [par.reduce.combine] span). The bracketing is keyed by chunk
+    position in the collapsed range, never by worker arrival order, so
+    for an associative [combine] the result is bit-for-bit identical
+    across schedules, pooled or spawned workers, worker counts and
+    fault/retry histories — exactly equal to the serial left fold over
+    the chunk partials. [None] only when [n <= 0] (no chunks, and
+    reduction operators need not have a neutral element — min/max).
+
+    {b Supervision.}
     - every chunk attempt may first be failed or stalled by the
       captured {!Fault} configuration ([?faults], defaulting to
-      {!Fault.get} — the [OMPSIM_FAULTS] environment spec);
+      {!Fault.get} — the [OMPSIM_FAULTS] environment spec;
+      [~faults:None] disables injection for this region);
     - a failing chunk is retried in place up to [retries] times
       (default 0) with exponential backoff — sound when chunks are
       idempotent, which independent iterations (the collapsing
-      precondition) guarantee for pure kernels;
+      precondition) guarantee for pure kernels. A failed attempt
+      contributes no partial; a retried chunk contributes exactly once;
     - when a chunk exhausts its retries, or [deadline_ms] elapses, a
       cooperative cancellation token is raised; every schedule —
       including the work-stealing deque path — polls it at chunk-claim
       granularity, so siblings stop promptly and unclaimed work is
       abandoned (the ws deques are still drained so their cache stays
       reusable);
-    - after the join, ranges not covered by a successful chunk are
+    - after the join, ranges no recorded partial covers are
       re-executed *serially* on the calling domain with fault
-      injection suppressed ({!Stats.serial_fallbacks}) — unless the
-      deadline expired, in which case the gaps are reported instead
-      of recovered.
+      injection suppressed ({!Stats.serial_fallbacks}), each adding
+      one partial keyed by its own start — a coarser partition of
+      [0,n), the identical fold for an associative [combine]. When the
+      deadline expired, the gaps are reported instead of recovered.
 
-    The result is all-or-error: [Ok ()] means every index in [0..n-1]
-    was executed exactly once by a successful attempt; [Error e]
-    carries the structured failures and the exact unrecovered ranges.
+    The result is all-or-error: [Ok] means every index in [0..n-1] was
+    executed exactly once by a successful attempt; [Error e] carries
+    the structured failures and the exact unrecovered ranges.
 
-    With the observability layer on, successful chunks are counted in
+    Successful chunks are counted in
     {!Stats.par_chunks}/{!Stats.par_iterations} (so an [Ok] region's
     iteration total reconciles to [n] exactly even across retries and
     fallback), retries in {!Stats.chunk_retries}, cancellations in
-    {!Stats.regions_cancelled}, and the region gets a
-    [par.resilient] span with [par.retry]/[par.cancel] instants and
-    [par.fallback.serial] spans.
-
-    With no faults armed, no deadline and [retries = 0], the only
-    overhead over {!parallel_for_chunks} is the per-chunk supervision
-    (an [Atomic.get] and a success-list cons) — [bench/main.exe --
-    micro-fault] keeps it honest.
+    {!Stats.regions_cancelled}. With the observability layer on, the
+    region gets a [par.region] span (args [n], [threads], [schedule],
+    [retries]), each chunk attempt a [par.chunk] span, and failures
+    [par.retry]/[par.cancel] instants and [par.fallback.serial] spans.
     @raise Invalid_argument when [nthreads <= 0], [retries < 0] or
     [deadline_ms < 0]. *)
-val run_resilient :
-  ?retries:int ->
-  ?deadline_ms:int ->
-  ?faults:Fault.t option ->
-  nthreads:int ->
-  schedule:Schedule.t ->
-  n:int ->
-  (thread:int -> start:int -> len:int -> unit) ->
-  (unit, region_error) result
-
-(** {2 Parallel reductions}
-
-    A reduction region hands out chunks like {!parallel_for_chunks},
-    but each chunk returns a partial value instead of writing shared
-    state. Partials accumulate in per-worker cells padded one cache
-    line apart — no sharing, no locks on the hot path
-    ({!Stats.reduce_partials}). After the join they are sorted by
-    chunk start and folded by a deterministic binary combine tree over
-    adjacent positions ({!Stats.reduce_combines}, [par.reduce.combine]
-    span): the bracketing is keyed by chunk position in the collapsed
-    range, never by worker arrival order, so for an associative
-    [combine] the result is bit-for-bit identical across schedules,
-    pooled or spawned workers, worker counts and fault/retry
-    histories — exactly equal to the serial left fold over the chunk
-    partials. *)
-
-(** [reduce_chunks ~nthreads ~schedule ~n ~combine f] reduces
-    [f ~thread ~start ~len] over the chunk partition of [0..n-1].
-    [None] only when [n <= 0] (no chunks, and reduction operators
-    need not have a neutral element — min/max).
-    @raise Invalid_argument when [nthreads <= 0]. *)
-val reduce_chunks :
-  nthreads:int ->
-  schedule:Schedule.t ->
-  n:int ->
-  combine:('a -> 'a -> 'a) ->
-  (thread:int -> start:int -> len:int -> 'a) ->
-  'a option
-
-(** [reduce_resilient] is {!reduce_chunks} under {!run_resilient}'s
-    supervision: a failed chunk attempt contributes no partial, a
-    retried chunk contributes exactly once, and serial-fallback ranges
-    contribute partials keyed by their own starts — a coarser
-    partition of [0,n), but the identical fold for any associative
-    [combine]. [Error] carries the structured region failure. *)
-val reduce_resilient :
+val reduce :
   ?retries:int ->
   ?deadline_ms:int ->
   ?faults:Fault.t option ->
@@ -176,3 +139,18 @@ val reduce_resilient :
   combine:('a -> 'a -> 'a) ->
   (thread:int -> start:int -> len:int -> 'a) ->
   ('a option, region_error) result
+
+(** {2 Raw-loop adapters} *)
+
+(** [parallel_for_chunks ~nthreads ~schedule ~n f] is {!reduce} with
+    unit partials and [~faults:None]: it hands out whole chunks,
+    [f ~thread ~start ~len], letting the §V schemes perform one costly
+    recovery per chunk then increment. A chunk that fails, and fails
+    again in the serial fallback, re-raises its first exception to the
+    caller with the original backtrace. *)
+val parallel_for_chunks :
+  nthreads:int -> schedule:Schedule.t -> n:int -> (thread:int -> start:int -> len:int -> unit) -> unit
+
+(** [parallel_for ~nthreads ~schedule ~n f] runs [f q] for every
+    [q] in [0..n-1] across [nthreads] domains. *)
+val parallel_for : nthreads:int -> schedule:Schedule.t -> n:int -> (int -> unit) -> unit

@@ -219,7 +219,7 @@ let serial ~costs ~overheads:ov =
 
 let gain ~baseline ~improved = (baseline -. improved) /. baseline
 
-(* ---------------- fault model (Par.run_resilient's retry) ---------------- *)
+(* ------------------- fault model (Par.reduce's retry) ------------------- *)
 
 let check_fault_args ~p ~retries name =
   if p < 0.0 || p > 1.0 then invalid_arg (name ^ ": p outside [0,1]");

@@ -51,7 +51,7 @@ val gain : baseline:float -> improved:float -> float
 
 (** {2 Fault model}
 
-    Cost model of {!Par.run_resilient}'s bounded chunk retry: each
+    Cost model of {!Par.reduce}'s bounded chunk retry: each
     chunk attempt fails independently with probability [p] and is
     re-run up to [retries] times (the transient-fault model of
     {!Fault}). *)

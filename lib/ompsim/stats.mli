@@ -47,20 +47,20 @@ val fault_stalls : Obsv.Metrics.t
 (** synthetic worker stalls played by {!Fault.inject} *)
 
 val chunk_retries : Obsv.Metrics.t
-(** chunk attempts re-run by {!Par.run_resilient} after a failure,
+(** chunk attempts re-run by {!Par.reduce} after a failure,
     per worker slot; always <= the failures observed *)
 
 val regions_cancelled : Obsv.Metrics.t
-(** resilient regions whose cancellation token fired — a chunk
+(** regions whose cancellation token fired — a chunk
     exhausted its retries or the deadline expired (counted on the
     slot that cancelled) *)
 
 val serial_fallbacks : Obsv.Metrics.t
-(** uncovered ranges re-executed serially by {!Par.run_resilient}
+(** uncovered ranges re-executed serially by {!Par.reduce}
     after the parallel phase (counted on slot 0) *)
 
 val reduce_partials : Obsv.Metrics.t
-(** per-chunk partial accumulators produced by a reduction region,
+(** per-chunk partials recorded by a {!Par.reduce} region,
     billed to the producing worker's slot; totals reconcile exactly
     with the chunks the schedule dealt out *)
 

@@ -85,15 +85,12 @@ let reference_key plan ~param opts =
 
 (* one parallel run: every payload, the checksum included, is a
    reduction over the chunk partition — per-worker partials and the
-   deterministic combine tree of [Par.reduce_chunks], supervised
-   through [Par.reduce_resilient] when the front end asks for it *)
-let parallel ?faults ?deadline_ms ~supervised rc opts =
+   deterministic combine tree of the supervised [Par.reduce] *)
+let parallel ?faults ?deadline_ms rc opts =
   let n = R.trip_count rc in
   let region combine body =
-    if supervised then
-      Par.reduce_resilient ~retries:opts.retries ?deadline_ms ?faults ~nthreads:opts.threads
-        ~schedule:opts.schedule ~n ~combine body
-    else Ok (Par.reduce_chunks ~nthreads:opts.threads ~schedule:opts.schedule ~n ~combine body)
+    Par.reduce ~retries:opts.retries ?deadline_ms ?faults ~nthreads:opts.threads
+      ~schedule:opts.schedule ~n ~combine body
   in
   let ints combine body = Result.map (Option.value ~default:0) (region combine body) in
   let int_walk ~thread:_ ~start ~len = R.walk_reduce_int rc ~pc:(start + 1) ~len in
@@ -112,7 +109,7 @@ let parallel ?faults ?deadline_ms ~supervised rc opts =
     region (N.op_apply op) (fun ~thread:_ ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
     |> Result.map (fun o -> Rat (Option.value ~default:Q.zero (rat_result op o)))
 
-let run ?faults ?deadline_ms ?started ~supervised ~reference rc opts =
+let run ?faults ?deadline_ms ?started ~reference rc opts =
   match reference with
   | None -> Error Empty_extremum
   | Some reference ->
@@ -140,7 +137,7 @@ let run ?faults ?deadline_ms ?started ~supervised ~reference rc opts =
                  error = { Par.reason = Par.Deadline_expired; failures = []; unrecovered } })
         | budget -> (
           let t0 = Unix.gettimeofday () in
-          match parallel ?faults ?deadline_ms:budget ~supervised rc opts with
+          match parallel ?faults ?deadline_ms:budget rc opts with
           | exception exn -> Error (Raised { run = r; exn })
           | Error error -> Error (Region { run = r; error })
           | Ok v ->

@@ -1,13 +1,13 @@
 (** One exec runner, shared by [trahrhe exec] and the service's [exec]
-    verb: the serial reference, the chunk-body choice, plain vs
-    supervised region routing, and the repeat loop with its exact
-    mismatch check. Front ends keep only their rendering, and the
-    choice of where the reference comes from: the CLI computes it per
-    invocation, the service memoizes it per plan x parameters x
-    payload ({!reference_key}, {!Cache.reference}).
+    verb: the serial reference, the chunk-body choice, the region, and
+    the repeat loop with its exact mismatch check. Front ends keep
+    only their rendering, and the choice of where the reference comes
+    from: the CLI computes it per invocation, the service memoizes it
+    per plan x parameters x payload ({!reference_key},
+    {!Cache.reference}).
 
     Every payload runs as a reduction over the collapsed range
-    ({!Ompsim.Par.reduce_chunks}): the checksum is a [( + )] reduction
+    ({!Ompsim.Par.reduce}): the checksum is a [( + )] reduction
     of per-chunk {!Trahrhe.Recovery.walk_hash} sums (or
     {!Trahrhe.Recovery.block_hash} sums of lane blocks under
     [lanes > 1]); [reduce=sum|min|max] one of
@@ -41,7 +41,9 @@ type failure =
       (** run [run] (1-based) failed or was cancelled; a deadline spent
           before a run starts is reported as that run's
           [Deadline_expired] with the whole range unrecovered *)
-  | Raised of { run : int; exn : exn }  (** run [run]'s region raised [exn] *)
+  | Raised of { run : int; exn : exn }
+      (** run [run]'s region could not start: [Pool.run] raised [exn]
+          (e.g. [threads] past the runtime's domain limit) *)
   | Mismatch of { run : int; parallel : value; serial : value }
 
 type outcome = {
@@ -77,21 +79,19 @@ val serial :
     and retries are not part of it: they never change the reference. *)
 val reference_key : Plan.t -> param:(string -> int) -> opts -> string
 
-(** [run ~supervised ~reference rc opts] executes the collapsed region
+(** [run ~reference rc opts] executes the collapsed region
     [opts.repeat] times on [rc], checking each run's value exactly
     against [reference] ({!serial}'s result, fresh or memoized; [None]
-    fails with [Empty_extremum] before any run). With [supervised] the
-    region runs under {!Ompsim.Par.reduce_resilient} with
-    [opts.retries], [faults] (passed through: absent defers to
-    [OMPSIM_FAULTS]) and the deadline; otherwise under
-    {!Ompsim.Par.reduce_chunks}. [deadline_ms] budgets all runs
-    together, measured from [started] (default: the start of the first
-    run). Stops at the first failing run. *)
+    fails with [Empty_extremum] before any run). Each run is one
+    {!Ompsim.Par.reduce} region with [opts.retries], [faults] (passed
+    through: absent defers to [OMPSIM_FAULTS]) and the remaining
+    deadline. [deadline_ms] budgets all runs together, measured from
+    [started] (default: the start of the first run). Stops at the
+    first failing run. *)
 val run :
   ?faults:Ompsim.Fault.t option ->
   ?deadline_ms:int ->
   ?started:float ->
-  supervised:bool ->
   reference:value option ->
   Trahrhe.Recovery.t ->
   opts ->

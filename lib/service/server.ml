@@ -439,15 +439,12 @@ let handle_full ?native ?deadline_ms cache req =
             | _ -> Printf.sprintf {|,"native":%b|} (R.native_enabled rc)
           else ""
         in
-        (* supervised only when the request asks for it: retries or a
-           deadline *)
-        let supervised = opts.retries > 0 || deadline_ms <> None in
         let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
         let reference =
           Cache.reference cache (Exec.reference_key plan ~param:cparam opts) (fun () ->
               Exec.serial rc ~nest ~param:cparam opts)
         in
-        match Exec.run ?deadline_ms ~started ~supervised ~reference rc opts with
+        match Exec.run ?deadline_ms ~started ~reference rc opts with
         | Ok { Exec.reference; _ } ->
           let result =
             match opts.reduce with

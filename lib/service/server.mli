@@ -96,10 +96,11 @@ val parse_request : string -> (request option, string) result
     [deadline_ms] budgets the request's execution (all [repeat] runs
     share it, measured from entry): when it expires the response is a
     deterministic [status:"error"] line naming the timeout, so the
-    byte-stability contract above still holds. Parallel runs are
-    supervised through [Par.reduce_resilient], which stops launching
-    chunks once the deadline passes; [compile] requests are never
-    deadlined (the symbolic pipeline is not cancellable mid-flight). *)
+    byte-stability contract above still holds. Each parallel run is
+    one supervised [Par.reduce] region: it injects the armed
+    [OMPSIM_FAULTS] configuration, recovers from it, and stops
+    launching chunks once the deadline passes; [compile] requests are
+    never deadlined (the symbolic pipeline is not cancellable mid-flight). *)
 val handle : ?native:Native.t -> ?deadline_ms:int -> Cache.t -> request -> string * bool
 
 (** [run_batch ic oc] reads requests from [ic] (stopping early at

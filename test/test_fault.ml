@@ -8,6 +8,8 @@ module Par = Ompsim.Par
 module Sched = Ompsim.Schedule
 module Sim = Ompsim.Sim
 
+let unit_region = Test_ompsim.unit_region
+
 (* -------- spec parsing -------- *)
 
 let spec_testable =
@@ -112,7 +114,7 @@ let all_schedules =
 let check_exactly_once ~label ~schedule ~nthreads ~n ~faults ~retries () =
   let hits = Array.make (max n 1) 0 in
   let result =
-    Par.run_resilient ~retries ~faults ~nthreads ~schedule ~n (fun ~thread:_ ~start ~len ->
+    unit_region ~retries ~faults ~nthreads ~schedule ~n (fun ~thread:_ ~start ~len ->
         for q = start to start + len - 1 do
           hits.(q) <- hits.(q) + 1
         done)
@@ -162,7 +164,7 @@ let test_poisoned_chunk schedule () =
   in
   Obsv.Control.with_enabled true (fun () ->
       Ompsim.Stats.reset ();
-      match Par.run_resilient ~retries:2 ~faults:None ~nthreads ~schedule ~n kernel with
+      match unit_region ~retries:2 ~faults:None ~nthreads ~schedule ~n kernel with
       | Ok () -> Alcotest.fail "poisoned region reported success"
       | Error { reason; failures; unrecovered } ->
         Alcotest.(check bool) "reason" true (reason = Par.Chunk_failed);
@@ -223,7 +225,7 @@ let test_hard_poison_serial_recovery () =
   Obsv.Control.with_enabled true (fun () ->
       Ompsim.Stats.reset ();
       (match
-         Par.run_resilient ~retries:0
+         unit_region ~retries:0
            ~faults:(Some { F.default with p = 1.0; seed = 3 })
            ~nthreads ~schedule:(Sched.Dynamic 16) ~n
            (fun ~thread:_ ~start ~len ->
@@ -253,7 +255,7 @@ let test_injection_budget () =
       Ompsim.Stats.reset ();
       let ran = ref 0 in
       (match
-         Par.run_resilient ~retries:5
+         unit_region ~retries:5
            ~faults:(Some { F.default with p = 1.0; max_injections = 3 })
            ~nthreads:1 ~schedule:Sched.Static ~n:10
            (fun ~thread:_ ~start:_ ~len -> ran := !ran + len)
@@ -274,7 +276,7 @@ let test_deadline_expiry () =
   Obsv.Control.with_enabled true (fun () ->
       Ompsim.Stats.reset ();
       match
-        Par.run_resilient ~deadline_ms:0 ~faults:None ~nthreads:2
+        unit_region ~deadline_ms:0 ~faults:None ~nthreads:2
           ~schedule:(Sched.Dynamic 32) ~n (fun ~thread:_ ~start:_ ~len:_ -> ())
       with
       | Ok () -> Alcotest.fail "expired deadline reported success"
@@ -289,11 +291,11 @@ let test_deadline_expiry () =
 let test_invalid_args () =
   let f ~thread:_ ~start:_ ~len:_ = () in
   Alcotest.check_raises "negative retries"
-    (Invalid_argument "Par.run_resilient: negative retries") (fun () ->
-      ignore (Par.run_resilient ~retries:(-1) ~nthreads:1 ~schedule:Sched.Static ~n:4 f));
+    (Invalid_argument "Par.reduce: negative retries") (fun () ->
+      ignore (unit_region ~retries:(-1) ~nthreads:1 ~schedule:Sched.Static ~n:4 f));
   Alcotest.check_raises "negative deadline"
-    (Invalid_argument "Par.run_resilient: negative deadline") (fun () ->
-      ignore (Par.run_resilient ~deadline_ms:(-1) ~nthreads:1 ~schedule:Sched.Static ~n:4 f))
+    (Invalid_argument "Par.reduce: negative deadline") (fun () ->
+      ignore (unit_region ~deadline_ms:(-1) ~nthreads:1 ~schedule:Sched.Static ~n:4 f))
 
 (* -------- backtrace preservation (satellite: Pool/Par re-raise) -------- *)
 

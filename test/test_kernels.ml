@@ -183,7 +183,7 @@ let test_reduction_kernels () =
   (* the reduction kernels carry a declared clause whose serial fold
      must agree with (a) the hand-written reference loops, (b) the
      recovery's per-chunk walk_reduce_int, and (c) the parallel
-     reduce_chunks combine tree under every schedule *)
+     Par.reduce combine tree under every schedule *)
   List.iter
     (fun name ->
       let k = Option.get (Kernels.Registry.find name) in
@@ -207,9 +207,10 @@ let test_reduction_kernels () =
       List.iter
         (fun schedule ->
           let r =
-            Ompsim.Par.reduce_chunks ~nthreads:4 ~schedule ~n:trip ~combine:( + )
+            Ompsim.Par.reduce ~faults:None ~nthreads:4 ~schedule ~n:trip ~combine:( + )
               (fun ~thread:_ ~start ~len ->
                 Trahrhe.Recovery.walk_reduce_int rc ~pc:(start + 1) ~len)
+            |> Result.get_ok
           in
           Alcotest.(check (option int))
             (Printf.sprintf "%s: %s parallel reduction = serial" name

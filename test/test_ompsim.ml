@@ -416,6 +416,40 @@ let in_nested_region f =
   if fallbacks () = before then Alcotest.fail "the inner region did not run on spawned domains";
   Option.get !result
 
+(* [unit_region] runs a raw chunk loop as one [Par.reduce] region with
+   unit partials and keeps its structured result, where
+   [Par.parallel_for_chunks] would re-raise the first failure *)
+let unit_region ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n f =
+  Result.map ignore
+    (Ompsim.Par.reduce ?retries ?deadline_ms ?faults ~nthreads ~schedule ~n
+       ~combine:(fun () () -> ())
+       f)
+
+let test_reduce_chunk_order () =
+  (* a non-commutative combine (list append) must see the partials in
+     chunk order: the workers' cells are merged by start on every
+     schedule, thieves and serial-fallback ranges included *)
+  let n = 1000 in
+  let faults = Some { Ompsim.Fault.default with p = 0.3; seed = 3 } in
+  List.iter
+    (fun schedule ->
+      List.iter
+        (fun (nthreads, faults) ->
+          match
+            Ompsim.Par.reduce ~faults ~nthreads ~schedule ~n ~combine:( @ )
+              (fun ~thread:_ ~start ~len -> List.init len (fun i -> start + i))
+          with
+          | Ok (Some got) ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s, %d threads%s" (Sched.to_string schedule) nthreads
+                 (if faults = None then "" else ", faults"))
+              (List.init n Fun.id) got
+          | Ok None -> Alcotest.fail "no partials"
+          | Error e -> Alcotest.fail (Ompsim.Par.describe_error e))
+        [ (1, None); (3, None); (4, None); (4, faults) ])
+    [ Sched.Static; Sched.Static_chunk 7; Sched.Dynamic 5; Sched.Guided 3;
+      Sched.Work_stealing 4; Sched.Dnc 6 ]
+
 let test_par_coverage_adversarial () =
   (* every schedule must execute each index exactly once, including
      empty loops, single iterations and more threads than work *)
@@ -589,6 +623,7 @@ let suites =
         Alcotest.test_case "chunk partition" `Quick test_par_chunks_partition;
         Alcotest.test_case "single thread" `Quick test_par_single_thread;
         Alcotest.test_case "adversarial coverage, pool" `Quick test_par_coverage_adversarial;
+        Alcotest.test_case "reduce sees partials in chunk order" `Quick test_reduce_chunk_order;
         Alcotest.test_case "chunk disjointness, pool" `Quick test_par_chunks_disjoint;
         Alcotest.test_case "schedules = direct results" `Quick test_schedules_match_direct;
         Alcotest.test_case "pool reuse and growth" `Quick test_pool_reuse_and_growth;

@@ -171,8 +171,8 @@ let run_lanes ~vlength rc reference trip =
   if !next <> trip + 1 then
     QCheck.Test.fail_reportf "vlength %d: blocks covered 1..%d of trip %d" vlength (!next - 1) trip
 
-(* Fault-injected variant (ISSUE 4): the same walk driven by
-   [Par.run_resilient] under a seeded 30% chunk-failure rate with two
+(* Fault-injected variant (ISSUE 4): the same walk driven by a
+   supervised unit region under a seeded 30% chunk-failure rate with two
    retries must still visit every rank exactly once with the right
    index — retry re-runs whole chunks (injection fires before the
    body, so no partial work repeats) and the serial fallback covers
@@ -212,7 +212,7 @@ let run_one_resilient ~schedule ?lanes rc reference trip =
       (Ompsim.Schedule.to_string schedule)
       (match lanes with None -> "" | Some v -> Printf.sprintf " / vlength %d" v)
   in
-  (match Ompsim.Par.run_resilient ~retries:2 ~faults ~nthreads:3 ~schedule ~n:trip body with
+  (match Test_ompsim.unit_region ~retries:2 ~faults ~nthreads:3 ~schedule ~n:trip body with
   | Ok () -> ()
   | Error e -> QCheck.Test.fail_reportf "%s: %s" where (Ompsim.Par.describe_error e));
   if Atomic.get dupes <> 0 then
@@ -341,16 +341,12 @@ let run_reduce ~where ?faults ?lanes ~schedule ~op ~depth rc trip expect =
       | Some v -> v
       | None -> QCheck.Test.fail_reportf "%s: chunk of %d delivered no lanes" where len)
   in
+  (* [faults] absent is [~faults:None]: the plain differential keeps
+     its partition even with OMPSIM_FAULTS armed *)
   let result =
-    match faults with
-    | None -> Ompsim.Par.reduce_chunks ~nthreads:3 ~schedule ~n:trip ~combine body
-    | Some f -> (
-      match
-        Ompsim.Par.reduce_resilient ~retries:2 ~faults:(Some f) ~nthreads:3 ~schedule ~n:trip
-          ~combine body
-      with
-      | Ok r -> r
-      | Error e -> QCheck.Test.fail_reportf "%s: %s" where (Ompsim.Par.describe_error e))
+    match Ompsim.Par.reduce ~retries:2 ~faults ~nthreads:3 ~schedule ~n:trip ~combine body with
+    | Ok r -> r
+    | Error e -> QCheck.Test.fail_reportf "%s: %s" where (Ompsim.Par.describe_error e)
   in
   match result with
   | None -> QCheck.Test.fail_reportf "%s: empty reduction over trip count %d" where trip
@@ -437,12 +433,13 @@ let test_dnc_counter_soak () =
       let seen = Array.make n (Atomic.make 0) in
       Array.iteri (fun q _ -> seen.(q) <- Atomic.make 0) seen;
       let r =
-        Ompsim.Par.reduce_chunks ~nthreads ~schedule:(Ompsim.Schedule.Dnc grain) ~n ~combine:( + )
-          (fun ~thread:_ ~start ~len ->
+        Ompsim.Par.reduce ~faults:None ~nthreads ~schedule:(Ompsim.Schedule.Dnc grain) ~n
+          ~combine:( + ) (fun ~thread:_ ~start ~len ->
             for q = start to start + len - 1 do
               Atomic.incr seen.(q)
             done;
             len)
+        |> Result.get_ok
       in
       Alcotest.(check (option int)) (where ^ ": lengths sum to n") (Some n) r;
       let bad = ref 0 in
@@ -856,7 +853,7 @@ let check_empty_rows ~where tier plan ~canonical ~param op =
                   lanes
               in
               match
-                Service.Exec.run ~supervised:false ~reference rc { base with schedule; lanes; native }
+                Service.Exec.run ~reference rc { base with schedule; lanes; native }
               with
               | Ok _ -> ()
               | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: mismatch" where
@@ -1023,7 +1020,7 @@ let test_guarded_minmax_rational () =
         Alcotest.(check string) (opname ^ ": exact serial extremum") (Q.to_string exact)
           (Q.to_string q)
       | _ -> Alcotest.failf "%s: serial reference is not a rational" opname);
-      match Service.Exec.run ~supervised:false ~reference rc opts with
+      match Service.Exec.run ~reference rc opts with
       | Ok _ -> ()
       | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: guarded parallel fold wrapped" opname
       | Error _ -> Alcotest.failf "%s: guarded exec failed" opname)

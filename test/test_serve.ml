@@ -491,8 +491,7 @@ let test_handle_deadline () =
   Alcotest.(check bool) "timeout 0 fails" false ok0;
   if not (contains ~needle:"request deadline expired (timeout 0ms)" line0) then
     Alcotest.failf "unexpected timeout line: %s" line0;
-  (* a generous deadline routes through the supervised runner yet
-     answers byte-identically to the plain path *)
+  (* a generous deadline answers byte-identically to no deadline *)
   let line1, ok1 = Server.handle ~deadline_ms:60_000 cache (req r) in
   let line2, ok2 = Server.handle cache (req r) in
   Alcotest.(check bool) "deadlined run ok" true ok1;

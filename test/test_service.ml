@@ -884,6 +884,24 @@ let test_handle_exec () =
   if not (contains ~needle:"trip count exceeds the native int range" huge) then
     Alcotest.failf "huge trip response: %s" huge
 
+(* an armed fault config reaches every exec region, not only those
+   with retries or a deadline: the injected chunk failures are
+   recovered by the serial fallback and the response is unchanged *)
+let test_exec_faults_armed () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let req = parse_ok "exec kernel=utma n=40 schedule=dynamic:8" in
+  let clean, ok = Ompsim.Fault.with_faults None (fun () -> Server.handle cache req) in
+  Alcotest.(check bool) "disarmed ok" true ok;
+  let since = Obsv.Metrics.snapshot () in
+  let faulted, ok =
+    Ompsim.Fault.with_faults
+      (Some { Ompsim.Fault.default with p = 0.5; seed = 9 })
+      (fun () -> Server.handle cache req)
+  in
+  Alcotest.(check bool) "armed ok" true ok;
+  Alcotest.(check string) "armed answers the disarmed line" clean faulted;
+  Alcotest.(check bool) "faults injected" true (counted since Ompsim.Stats.faults_injected > 0)
+
 (* the raw JSON value of a top-level scalar field of a response *)
 let json_field name resp =
   let needle = Printf.sprintf {|"%s":|} name in
@@ -990,10 +1008,10 @@ let test_exec_reference_checked_on_hit () =
       | Some (Service.Exec.Rat q) -> Some (Service.Exec.Rat (Q.add q Q.one))
       | _ -> Alcotest.fail "max reference is not a rational"
     in
-    (match Service.Exec.run ~supervised:false ~reference:right rc opts with
+    (match Service.Exec.run ~reference:right rc opts with
     | Ok _ -> ()
     | Error _ -> Alcotest.fail "the right reference must pass");
-    (match Service.Exec.run ~supervised:false ~reference:wrong rc opts with
+    (match Service.Exec.run ~reference:wrong rc opts with
     | Error (Service.Exec.Mismatch { run = 1; _ }) -> ()
     | _ -> Alcotest.fail "a wrong reference must be a mismatch on run 1");
     ignore (Cache.reference cache (Service.Exec.reference_key plan ~param:cparam opts) (fun () -> wrong));
@@ -1142,6 +1160,7 @@ let suites =
         Alcotest.test_case "malformed requests rejected with context" `Quick test_parse_rejects;
         Alcotest.test_case "handle compile response" `Quick test_handle_compile;
         Alcotest.test_case "handle exec: trip, checksum, determinism" `Quick test_handle_exec;
+        Alcotest.test_case "armed faults reach a plain exec" `Quick test_exec_faults_armed;
         Alcotest.test_case "exec reference memo: hits, misses, identical" `Quick
           test_exec_reference_memo;
         Alcotest.test_case "exec reference memo: bounded LRU" `Quick
