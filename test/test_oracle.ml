@@ -171,7 +171,7 @@ let run_lanes ~vlength rc reference trip =
   if !next <> trip + 1 then
     QCheck.Test.fail_reportf "vlength %d: blocks covered 1..%d of trip %d" vlength (!next - 1) trip
 
-(* Fault-injected variant (ISSUE 4): the same walk driven by a
+(* Fault-injected variant: the same walk driven by a
    supervised unit region under a seeded 30% chunk-failure rate with two
    retries must still visit every rank exactly once with the right
    index — retry re-runs whole chunks (injection fires before the
