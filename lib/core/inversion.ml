@@ -1,5 +1,8 @@
 module P = Polymath.Polynomial
 module A = Polymath.Affine
+module H = Polymath.Horner
+module Bp = Polymath.Bpoly
+module B = Zmath.Bigint
 module Q = Zmath.Rat
 module E = Symx.Expr
 
@@ -21,6 +24,8 @@ type error =
   | Degree_too_high of { var : string; degree : int }
   | No_valid_root of { var : string; candidates : int }
   | No_samples
+  | Sample_budget of { budget : int; sizes : int list }
+  | Rank_mismatch of { size : int; points : int; position : int; point : (string * int) list }
 
 let error_to_string = function
   | Degree_too_high { var; degree } ->
@@ -31,6 +36,20 @@ let error_to_string = function
   | No_valid_root { var; candidates } ->
     Printf.sprintf "none of the %d symbolic candidate roots for index %s validated" candidates var
   | No_samples -> "all sampled parameter valuations yield an empty iteration domain"
+  | Sample_budget { budget; sizes } ->
+    Printf.sprintf
+      "no sample within the %d-point budget: every non-empty sampled parameter valuation (sizes \
+       %s) enumerates more points"
+      budget
+      (String.concat ", " (List.map string_of_int sizes))
+  | Rank_mismatch { size; points; position; point } ->
+    Printf.sprintf
+      "the ranking polynomial misranks iteration %d (%s) of the %d enumerated at sample size %d: \
+       its summed counts hold only where every level range is non-empty or exactly empty (upper \
+       = lower - 1)"
+      position
+      (String.concat ", " (List.map (fun (x, v) -> Printf.sprintf "%s=%d" x v) point))
+      points size
 
 (* substituted rankings: r_sub.(k) = ranking[ i_q := tail minimum, q > k ] *)
 let substituted_rankings nest ranking =
@@ -42,67 +61,110 @@ let substituted_rankings nest ranking =
          sequential substitution is simultaneous here *)
       List.fold_left (fun p (x, m) -> P.subst x (A.to_poly m) p) ranking minima)
 
-(* sampled concrete instances used to select the convenient root *)
-type sample = { param : string -> int; points : int array list; ranks : int list }
+(* sampled concrete instances used to select the convenient root:
+   one parameter valuation's points in enumeration order, so the point
+   at list position n has rank n + 1 (checked by [build_samples]) *)
+type sample = { param : string -> int; points : int array list }
 
-let build_samples nest ~sample_sizes =
-  let rank_cache = Ranking.ranking nest in
+let sample_budget = 4000
+
+exception Over_budget
+
+let index_of names x = Array.find_index (String.equal x) names
+
+(* Enumerate each sample size within the point budget and check that
+   [ranking] gives its points the ranks 1..n in order; also returns
+   the sizes dropped for exceeding the budget. Ranks are
+   native-int Horner evaluations where [Bpoly.fits_native] proves them
+   exact over the sample's coordinate magnitudes, else exact bigint
+   evaluations. *)
+let build_samples nest ranking ~sample_sizes =
   let vars = Array.of_list (Nest.level_vars nest) in
-  List.filter_map
-    (fun size ->
-      let param =
-        let assoc = List.mapi (fun i p -> (p, size + (3 * i))) nest.Nest.params in
-        fun x ->
-          match List.assoc_opt x assoc with
-          | Some v -> v
-          | None -> invalid_arg ("unknown parameter " ^ x)
+  let params = Array.of_list nest.Nest.params in
+  let d = Array.length vars in
+  (* slots: level vars, then params *)
+  let names = Array.append vars params in
+  let slot x =
+    match index_of names x with Some s -> s | None -> invalid_arg ("unknown variable " ^ x)
+  in
+  let exact = Bp.compile ~slot ranking in
+  (* compiled once a sample passes the headroom rule, which also
+     bounds every scaled coefficient inside the int range *)
+  let horner = lazy (H.compile ~slot ranking) in
+  let rec go acc over = function
+    | [] -> Ok (List.rev acc, List.rev over)
+    | size :: rest -> (
+      let values = Array.mapi (fun i _ -> size + (3 * i)) params in
+      let param x =
+        match index_of params x with
+        | Some i -> values.(i)
+        | None -> invalid_arg ("unknown parameter " ^ x)
       in
-      let points = ref [] in
-      (try Nest.iterate nest ~param (fun idx -> points := idx :: !points)
-       with Invalid_argument _ -> ());
-      let points = List.rev !points in
-      if points = [] || List.length points > 4000 then None
-      else begin
-        let rank_of idx =
-          let env x =
-            let rec find j =
-              if j >= Array.length vars then Q.of_int (param x)
-              else if vars.(j) = x then Q.of_int idx.(j)
-              else find (j + 1)
-            in
-            find 0
+      let points = ref [] and count = ref 0 and largest = Array.make d 1 in
+      match
+        Nest.iterate nest ~param (fun idx ->
+            incr count;
+            if !count > sample_budget then raise Over_budget;
+            Array.iteri (fun k v -> largest.(k) <- max largest.(k) (abs v)) idx;
+            points := idx :: !points)
+      with
+      | exception Over_budget -> go acc (size :: over) rest
+      | exception Invalid_argument _ | () -> (
+        match List.rev !points with
+        | [] -> go acc over rest
+        | points -> (
+          let mag =
+            Array.init (Array.length names) (fun s ->
+                B.of_int (if s < d then largest.(s) else max 1 (abs values.(s - d))))
           in
-          Zmath.Bigint.to_int_exn (Q.to_bigint_exn (P.eval env rank_cache))
-        in
-        Some { param; points; ranks = List.map rank_of points }
-      end)
-    sample_sizes
+          let native = Bp.fits_native ~mag [ exact ] in
+          let rank idx =
+            let lookup s = if s < d then idx.(s) else values.(s - d) in
+            if native then H.eval (Lazy.force horner) lookup
+            else (* a rank beyond the int range is no position *)
+              try Bp.eval exact lookup with Failure _ -> 0
+          in
+          let rec first_misranked n = function
+            | [] -> None
+            | idx :: tl -> if rank idx <> n then Some (n, idx) else first_misranked (n + 1) tl
+          in
+          match first_misranked 1 points with
+          | None -> go ({ param; points } :: acc) over rest
+          | Some (position, idx) ->
+            let point = Array.to_list (Array.mapi (fun k v -> (vars.(k), v)) idx) in
+            Error (Rank_mismatch { size; points = List.length points; position; point }))))
+  in
+  go [] [] sample_sizes
 
 (* Does floor of candidate [expr] reproduce index k on every sampled
    iteration? Tolerates tiny float noise the same way the generated C
    does (plus a one-ulp nudge before floor). *)
 let candidate_valid nest ~pc_var ~k expr samples =
-  let vars = Array.of_list (Nest.level_vars nest) in
+  let vars = Array.of_list (Nest.level_vars nest) and params = Array.of_list nest.Nest.params in
+  (* slots: pc, the k outer level vars, then the params *)
+  let names = Array.concat [ [| pc_var |]; Array.sub vars 0 k; params ] in
+  let slot x =
+    match index_of names x with Some s -> s | None -> invalid_arg ("unknown parameter " ^ x)
+  in
+  let eval = E.compile_complex ~slot expr in
   List.for_all
-    (fun { param; points; ranks } ->
-      List.for_all2
-        (fun idx rank ->
-          let env x =
-            if x = pc_var then { Complex.re = float_of_int rank; im = 0.0 }
-            else begin
-              let rec find j =
-                if j >= k then { Complex.re = float_of_int (param x); im = 0.0 }
-                else if vars.(j) = x then { Complex.re = float_of_int idx.(j); im = 0.0 }
-                else find (j + 1)
-              in
-              find 0
-            end
-          in
-          let z = E.eval_complex env expr in
+    (fun { param; points } ->
+      let env = Array.make (Array.length names) 0.0 in
+      Array.iteri (fun i p -> env.(k + 1 + i) <- float_of_int (param p)) params;
+      let rec all_valid rank = function
+        | [] -> true
+        | idx :: rest ->
+          env.(0) <- float_of_int rank;
+          for j = 0 to k - 1 do
+            env.(j + 1) <- float_of_int idx.(j)
+          done;
+          let z = eval env in
           Float.is_finite z.Complex.re
           && Float.abs z.Complex.im <= 1e-6 *. Float.max 1.0 (Float.abs z.Complex.re)
-          && int_of_float (Float.floor (z.Complex.re +. 1e-9)) = idx.(k))
-        points ranks)
+          && int_of_float (Float.floor (z.Complex.re +. 1e-9)) = idx.(k)
+          && all_valid (rank + 1) rest
+      in
+      all_valid 1 points)
     samples
 
 (* expression size, for preferring the simplest valid root *)
@@ -120,15 +182,14 @@ let numeric_valid nest ~pc_var ~k u levels samples =
   let vars = Array.of_list (Nest.level_vars nest) in
   Obsv.Trace.with_span "invert.isolate" @@ fun () ->
   List.for_all
-    (fun { param; points; ranks } ->
-      let pairs = List.combine points ranks in
-      let stride = max 1 (List.length pairs / 32) in
+    (fun { param; points } ->
+      let stride = max 1 (List.length points / 32) in
       List.for_all
-        (fun (n, (idx, rank)) ->
+        (fun (n, idx) ->
           n mod stride <> 0
           ||
           let env x =
-            if x = pc_var then Q.of_int rank
+            if x = pc_var then Q.of_int (n + 1)
             else begin
               let rec find j =
                 if j >= k then Q.of_int (param x)
@@ -147,7 +208,7 @@ let numeric_valid nest ~pc_var ~k u levels samples =
             let ik = Q.of_int idx.(k) and ik1 = Q.of_int (idx.(k) + 1) in
             Q.compare enc.Rootsolve.Isolate.enc_lo ik1 <= 0
             && Q.compare enc.Rootsolve.Isolate.enc_hi ik >= 0)
-        (List.mapi (fun n pr -> (n, pr)) pairs))
+        (List.mapi (fun n idx -> (n, idx)) points))
     samples
 
 let force_numeric_default () =
@@ -162,8 +223,7 @@ let invert ?(pc_var = "pc") ?(sample_sizes = [ 3; 4; 6 ]) ?force_numeric nest =
     match force_numeric with Some b -> b | None -> force_numeric_default ()
   in
   Obsv.Trace.with_span "pipeline.inversion" @@ fun () ->
-  let ranking = Ranking.ranking nest in
-  let trip_count = Ranking.trip_count nest in
+  let ranking, trip_count = Ranking.ranking_and_trip nest in
   let r_sub = substituted_rankings nest ranking in
   let d = Nest.depth nest in
   let vars = Array.of_list (Nest.level_vars nest) in
@@ -172,8 +232,16 @@ let invert ?(pc_var = "pc") ?(sample_sizes = [ 3; 4; 6 ]) ?force_numeric nest =
      numeric certificate to check; deep nests whose domains are too
      large to enumerate must still invert (their levels are all exact
      or numeric, both certified at runtime) *)
-  let samples = lazy (build_samples nest ~sample_sizes) in
   let exception Fail of error in
+  let samples =
+    lazy
+      (match
+         Obsv.Trace.with_span "invert.samples" (fun () ->
+             build_samples nest ranking ~sample_sizes)
+       with
+      | Ok s -> s
+      | Error e -> raise (Fail e))
+  in
   try
     let recoveries =
       Array.init d (fun k ->
@@ -191,7 +259,7 @@ let invert ?(pc_var = "pc") ?(sample_sizes = [ 3; 4; 6 ]) ?force_numeric nest =
             let deg = Rootsolve.Solver.degree u in
             if deg < 1 then raise (Fail (No_valid_root { var; candidates = 0 }));
             let numeric () =
-              if not (numeric_valid nest ~pc_var ~k u levels (Lazy.force samples)) then
+              if not (numeric_valid nest ~pc_var ~k u levels (fst (Lazy.force samples))) then
                 raise (Fail (No_valid_root { var; candidates = 0 }));
               Numeric { var; r_sub_index = k }
             in
@@ -202,8 +270,9 @@ let invert ?(pc_var = "pc") ?(sample_sizes = [ 3; 4; 6 ]) ?force_numeric nest =
               | cands -> begin
                 let samples =
                   match Lazy.force samples with
-                  | [] -> raise (Fail No_samples)
-                  | s -> s
+                  | [], [] -> raise (Fail No_samples)
+                  | [], sizes -> raise (Fail (Sample_budget { budget = sample_budget; sizes }))
+                  | s, _ -> s
                 in
                 let valid =
                   List.filter (fun e -> candidate_valid nest ~pc_var ~k e samples) cands

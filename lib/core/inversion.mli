@@ -63,6 +63,20 @@ type error =
       (** every sampled parameter valuation gave an empty nest (only
           reachable when a closed-form level needs samples to select
           its root) *)
+  | Sample_budget of { budget : int; sizes : int list }
+      (** no sample is left because each non-empty one at these
+          [sizes] enumerates more than [budget] points *)
+  | Rank_mismatch of {
+      size : int;  (** the sample size *)
+      points : int;  (** points enumerated at that size *)
+      position : int;  (** 1-based enumeration position of [point] *)
+      point : (string * int) list;  (** level variable, value *)
+    }
+      (** the ranking polynomial does not rank a sample's points
+          1..n in enumeration order: its Ehrhart sums assume every
+          level range is non-empty or exactly empty, and some row of
+          the sample has an upper bound below its lower bound minus
+          one *)
 
 val error_to_string : error -> string
 

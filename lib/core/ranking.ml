@@ -5,10 +5,7 @@ module Q = Zmath.Rat
 (* r(i1..ic) = 1 + sum_k #{points with i1..i(k-1) fixed, lo_k <= t < i_k}
    where each term counts complete sub-trees strictly preceding the
    current iteration at level k. *)
-let ranking n =
-  Obsv.Trace.with_span "pipeline.ranking" @@ fun () ->
-  let levels = Nest.to_count_levels n in
-  let inner = Polyhedral.Count.count_inner levels in
+let ranking_of levels inner =
   let fresh = "%t%" in
   List.fold_left2
     (fun acc (l : Polyhedral.Count.level) below ->
@@ -20,7 +17,19 @@ let ranking n =
       P.add acc strictly_before)
     P.one levels inner
 
+let ranking n =
+  Obsv.Trace.with_span "pipeline.ranking" @@ fun () ->
+  let levels = Nest.to_count_levels n in
+  ranking_of levels (Polyhedral.Count.count_inner levels)
+
 let trip_count n = Polyhedral.Count.count (Nest.to_count_levels n)
+
+(* both from one chain of inner-count summations *)
+let ranking_and_trip n =
+  Obsv.Trace.with_span "pipeline.ranking" @@ fun () ->
+  let levels = Nest.to_count_levels n in
+  let inner = Polyhedral.Count.count_inner levels in
+  (ranking_of levels inner, Polyhedral.Count.count ~inner levels)
 
 let rank_at n ~param idx =
   let r = ranking n in

@@ -18,6 +18,10 @@ val ranking : Nest.t -> P.t
     the parameters — the collapsed loop's upper bound. *)
 val trip_count : Nest.t -> P.t
 
+(** [ranking_and_trip n] is [(ranking n, trip_count n)], computing the
+    inner-count summations both share once. *)
+val ranking_and_trip : Nest.t -> P.t * P.t
+
 (** [rank_at n ~param idx] evaluates the ranking polynomial exactly at
     a concrete iteration (for tests and exact recovery). *)
 val rank_at : Nest.t -> param:(string -> int) -> int array -> Zmath.Bigint.t

@@ -1,66 +1,12 @@
 module P = Polymath.Polynomial
 module A = Polymath.Affine
 module H = Polymath.Horner
+module Bp = Polymath.Bpoly
 module Q = Zmath.Rat
 module B = Zmath.Bigint
 module E = Symx.Expr
 
 (* slot assignment: level k -> k, pc -> depth *)
-
-(* Overflow-safe form of a polynomial: the scaled flat-term form with
-   bigint coefficients and bigint accumulation, immune to native-int
-   wraparound at any nest size. Results (ranks, bounds) still fit the
-   native int — it is the *intermediates* (coefficient * index powers)
-   that overflow first — so evaluation returns an [int]. *)
-type bpoly = { bden : B.t; bterms : (B.t * (int * int) array) array }
-
-let compile_bpoly ~slot p =
-  let bden = P.denominator_lcm p in
-  let scaled = P.scale (Q.of_bigint bden) p in
-  let bterms =
-    P.terms scaled
-    |> List.map (fun (c, m) ->
-           let coeff = Q.to_bigint_exn c in
-           let exps =
-             Polymath.Monomial.to_list m
-             |> List.map (fun (x, e) -> (slot x, e))
-             |> Array.of_list
-           in
-           (coeff, exps))
-    |> Array.of_list
-  in
-  { bden; bterms }
-
-let eval_bpoly bp lookup =
-  let acc = ref B.zero in
-  Array.iter
-    (fun (coeff, exps) ->
-      let v = ref coeff in
-      Array.iter (fun (slot, e) -> v := B.mul !v (B.pow (B.of_int (lookup slot)) e)) exps;
-      acc := B.add !acc !v)
-    bp.bterms;
-  let q, r = B.divmod !acc bp.bden in
-  assert (B.is_zero r);
-  B.to_int_exn q
-
-(* [Sigma_t |c_t| * Prod_j mag.(slot_j)^e_j] — an upper bound on
-   |scaled polynomial| over any point whose slot magnitudes are
-   bounded by [mag] (the division by [bden] is deliberately skipped:
-   compiled evaluation works on the scaled polynomial, and skipping it
-   only over-approximates). *)
-let term_magnitude bp mag =
-  Array.fold_left
-    (fun acc (coeff, exps) ->
-      let v =
-        Array.fold_left (fun v (slot, e) -> B.mul v (B.pow mag.(slot) e)) (B.abs coeff) exps
-      in
-      B.add acc v)
-    B.zero bp.bterms
-
-let total_degree bp =
-  Array.fold_left
-    (fun acc (_, exps) -> max acc (Array.fold_left (fun s (_, e) -> s + e) 0 exps))
-    0 bp.bterms
 
 (* observability: walks that had to take the overflow-safe bigint
    path (bumped once per [make] that detects the risk, then once per
@@ -90,7 +36,7 @@ type native = {
    steppers), the bigint form for overflow-safe mode. Under [safe] the
    Horner form is a zero placeholder: the scaled coefficients alone may
    exceed the native range. *)
-type poly = { horner : H.t; exact : bpoly }
+type poly = { horner : H.t; exact : Bp.t }
 
 (* a nest's reduction clause: its compiled value polynomial, plus the
    parameter-substituted polynomial itself for exact rational folds *)
@@ -172,7 +118,7 @@ let make (inv : Inversion.t) ~param =
      range for huge parameters) *)
   let stage p =
     let folded = fold_params p in
-    (folded, compile_bpoly ~slot folded)
+    (folded, Bp.compile ~slot folded)
   in
   let s_rank = stage inv.Inversion.ranking in
   let s_sub = Array.map stage inv.Inversion.r_sub in
@@ -183,38 +129,23 @@ let make (inv : Inversion.t) ~param =
      equal footing with the rankings and bounds *)
   let s_val = Option.map (fun (r : Nest.reduction) -> stage r.Nest.value) nest.Nest.reduce in
   (* Per-nest overflow threshold, precomputed from the polynomial
-     coefficients (derivation in DESIGN.md "Fault tolerance"):
-     1. bound each level's index magnitude inductively — |idx_k| is at
-        most the term-magnitude sum of its bounds over the outer
-        bounds, plus 1;
-     2. bound any scaled-polynomial evaluation over those magnitudes
-        by its term-magnitude sum W;
-     3. leave headroom for Horner partials (one multiply by an index
-        ahead of the sum bound) and the finite-difference tables
-        (|Delta^k f| <= 2^k max|f|): W * max_mag * 2^(deg+1);
-     native-int evaluation is allowed only below 2^61. *)
+     coefficients (derivation in DESIGN.md "Fault tolerance"): bound
+     each level's index magnitude inductively — |idx_k| is at most the
+     term-magnitude sum of its bounds over the outer bounds, plus 1 —
+     then apply the 2^61 headroom rule of [Bpoly.fits_native] to every
+     polynomial evaluated over those magnitudes. *)
   let mag = Array.make (d + 1) B.one in
   mag.(d) <- B.of_int (max 1 trip);
-  let bmax = ref mag.(d) in
   for k = 0 to d - 1 do
-    let m_lo = term_magnitude (snd s_lo.(k)) mag and m_up = term_magnitude (snd s_up.(k)) mag in
-    let m = B.add (if B.compare m_lo m_up >= 0 then m_lo else m_up) B.one in
-    mag.(k) <- m;
-    if B.compare m !bmax > 0 then bmax := m
+    let m_lo = Bp.magnitude (snd s_lo.(k)) mag and m_up = Bp.magnitude (snd s_up.(k)) mag in
+    mag.(k) <- B.add (if B.compare m_lo m_up >= 0 then m_lo else m_up) B.one
   done;
-  let worst = ref B.zero and deg = ref 0 in
-  let consider (_, bp) =
-    let w = term_magnitude bp mag in
-    if B.compare w !worst > 0 then worst := w;
-    deg := max !deg (total_degree bp)
+  let exact_forms =
+    List.map snd
+      ((s_rank :: Array.to_list s_sub) @ Array.to_list s_lo @ Array.to_list s_up
+     @ Option.to_list s_val)
   in
-  consider s_rank;
-  Array.iter consider s_sub;
-  Array.iter consider s_lo;
-  Array.iter consider s_up;
-  Option.iter consider s_val;
-  let headroom = B.mul (B.mul !worst !bmax) (B.pow (B.of_int 2) (!deg + 1)) in
-  let safe = B.compare headroom (B.pow (B.of_int 2) 61) >= 0 in
+  let safe = not (Bp.fits_native ~mag exact_forms) in
   if safe then Obsv.Metrics.incr_here c_bigint_fallback;
   let zero_poly = P.const Q.zero in
   let form (folded, exact) =
@@ -304,7 +235,7 @@ let native_recover t pc =
     Some idx
 
 (* the one evaluator every polynomial role goes through *)
-let eval t p lookup = if t.safe then eval_bpoly p.exact lookup else H.eval p.horner lookup
+let eval t p lookup = if t.safe then Bp.eval p.exact lookup else H.eval p.horner lookup
 
 let rank t idx = eval t t.rank_poly (fun s -> idx.(s))
 

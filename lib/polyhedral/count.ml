@@ -20,11 +20,11 @@ let count_inner levels =
   | [] -> [ P.one ]
   | _ :: rest -> go rest
 
-let count levels =
+let count ?inner levels =
   match levels with
   | [] -> P.one
   | l :: _ ->
-    let inner = List.hd (count_inner levels) in
+    let inner = List.hd (match inner with Some i -> i | None -> count_inner levels) in
     Polymath.Summation.sum ~var:l.var inner ~lo:(A.to_poly l.lo) ~hi:(A.to_poly l.hi)
 
 let to_polyhedron levels =

@@ -18,8 +18,9 @@ type level = {
 (** [count levels] is the polynomial in the free parameters equal to
     the number of integer points, assuming every level's range is
     nonempty or exactly empty at the boundary ([hi = lo - 1]); see
-    {!Polymath.Summation.sum} for the validity caveat. *)
-val count : level list -> Polymath.Polynomial.t
+    {!Polymath.Summation.sum} for the validity caveat. [inner], when
+    given, must be [count_inner levels], which is then not recomputed. *)
+val count : ?inner:Polymath.Polynomial.t list -> level list -> Polymath.Polynomial.t
 
 (** [count_inner levels] gives, for each level k (outermost first), the
     polynomial counting the points of levels k+1.. below one fixed

@@ -94,35 +94,41 @@ let free_vars e =
   in
   List.sort_uniq String.compare (go [] e)
 
-let cpow_q (z : Complex.t) (k : Q.t) =
+(* [cpow k] is [z -> z^k], with every test on [k] made once *)
+let cpow (k : Q.t) : Complex.t -> Complex.t =
   if Q.is_integer k then begin
     (* exact integer powers avoid log-branch noise for negative reals *)
     let n = Zmath.Bigint.to_int_exn (Q.num k) in
-    if n = 0 then Complex.one
+    if n = 0 then fun _ -> Complex.one
     else begin
       let rec go acc b n =
         if n = 0 then acc
         else go (if n land 1 = 1 then Complex.mul acc b else acc) (Complex.mul b b) (n lsr 1)
       in
-      let p = go Complex.one z (abs n) in
-      if n > 0 then p else Complex.div Complex.one p
+      fun z ->
+        let p = go Complex.one z (abs n) in
+        if n > 0 then p else Complex.div Complex.one p
     end
   end
-  else if z = Complex.zero then
-    if Q.sign k > 0 then Complex.zero
-    else { Complex.re = infinity; im = 0.0 }
-  else if Q.equal k Q.half then
+  else begin
     (* match C's sqrt/csqrt accuracy (correctly rounded on the reals):
        boundary iterations rely on sqrt of a perfect square being exact *)
-    if z.Complex.im = 0.0 && z.Complex.re >= 0.0 then
-      { Complex.re = Float.sqrt z.Complex.re; im = 0.0 }
-    else Complex.sqrt z
-  else if Q.equal k (Q.of_ints (-1) 2) then
-    Complex.div Complex.one
-      (if z.Complex.im = 0.0 && z.Complex.re >= 0.0 then
-         { Complex.re = Float.sqrt z.Complex.re; im = 0.0 }
-       else Complex.sqrt z)
-  else Complex.pow z { Complex.re = Q.to_float k; im = 0.0 }
+    let csqrt z =
+      if z.Complex.im = 0.0 && z.Complex.re >= 0.0 then
+        { Complex.re = Float.sqrt z.Complex.re; im = 0.0 }
+      else Complex.sqrt z
+    in
+    let at_zero = if Q.sign k > 0 then Complex.zero else { Complex.re = infinity; im = 0.0 } in
+    let pow =
+      if Q.equal k Q.half then csqrt
+      else if Q.equal k (Q.of_ints (-1) 2) then fun z -> Complex.div Complex.one (csqrt z)
+      else begin
+        let kf = { Complex.re = Q.to_float k; im = 0.0 } in
+        fun z -> Complex.pow z kf
+      end
+    in
+    fun z -> if z = Complex.zero then at_zero else pow z
+  end
 
 let rec eval_complex env = function
   | Const c -> { Complex.re = Q.to_float c; im = 0.0 }
@@ -130,7 +136,25 @@ let rec eval_complex env = function
   | Var x -> env x
   | Sum es -> List.fold_left (fun acc e -> Complex.add acc (eval_complex env e)) Complex.zero es
   | Prod es -> List.fold_left (fun acc e -> Complex.mul acc (eval_complex env e)) Complex.one es
-  | Pow (b, k) -> cpow_q (eval_complex env b) k
+  | Pow (b, k) -> cpow k (eval_complex env b)
+
+let rec compile_complex ~slot = function
+  | Const c ->
+    let z = { Complex.re = Q.to_float c; im = 0.0 } in
+    fun _ -> z
+  | I -> fun _ -> Complex.i
+  | Var x ->
+    let s = slot x in
+    fun a -> { Complex.re = a.(s); im = 0.0 }
+  | Sum es ->
+    let fs = List.map (compile_complex ~slot) es in
+    fun a -> List.fold_left (fun acc f -> Complex.add acc (f a)) Complex.zero fs
+  | Prod es ->
+    let fs = List.map (compile_complex ~slot) es in
+    fun a -> List.fold_left (fun acc f -> Complex.mul acc (f a)) Complex.one fs
+  | Pow (b, k) ->
+    let fb = compile_complex ~slot b and pow = cpow k in
+    fun a -> pow (fb a)
 
 let eval_real env e =
   (eval_complex (fun x -> { Complex.re = env x; im = 0.0 }) e).Complex.re

@@ -53,6 +53,14 @@ val free_vars : t -> string list
     conventions closely enough for root evaluation. *)
 val eval_complex : (string -> Complex.t) -> t -> Complex.t
 
+(** [compile_complex ~slot e] stages {!eval_complex} for repeated
+    evaluation over real variables: [slot] maps each variable of [e]
+    to an index of the argument array, which holds the variables'
+    values. Constants are converted once, and each result is bit-equal
+    to {!eval_complex} under the same values.
+    @raise Invalid_argument (from [slot]) on unmapped variables. *)
+val compile_complex : slot:(string -> int) -> t -> float array -> Complex.t
+
 (** [eval_real env e] is the real part of {!eval_complex} — the value
     the generated C takes with [creal(...)]. *)
 val eval_real : (string -> float) -> t -> float
