@@ -72,6 +72,28 @@ exception Over_budget
 
 let index_of names x = Array.find_index (String.equal x) names
 
+(* the expression is staged once; each parameter valuation then fills
+   a template of slots: pc, the k outer level indices, then the params
+   (only those the root reads, since [param] need not know the others) *)
+let stage_root nest ~pc_var ~k expr =
+  let vars = Array.of_list (Nest.level_vars nest) and params = Array.of_list nest.Nest.params in
+  let names = Array.concat [ [| pc_var |]; Array.sub vars 0 k; params ] in
+  let slot x =
+    match index_of names x with Some s -> s | None -> invalid_arg ("unknown variable " ^ x)
+  in
+  let eval = E.compile_complex ~slot expr and used = E.free_vars expr in
+  let re n = { Complex.re = float_of_int n; im = 0.0 } in
+  fun ~param ->
+    let template = Array.make (Array.length names) Complex.zero in
+    Array.iteri (fun i p -> if List.mem p used then template.(k + 1 + i) <- re (param p)) params;
+    fun idx pc ->
+      let env = Array.copy template in
+      env.(0) <- re pc;
+      for j = 0 to k - 1 do
+        env.(j + 1) <- re idx.(j)
+      done;
+      eval env
+
 (* Enumerate each sample size within the point budget and check that
    [ranking] gives its points the ranks 1..n in order; also returns
    the sizes dropped for exceeding the budget. Ranks are
@@ -140,25 +162,14 @@ let build_samples nest ranking ~sample_sizes =
    iteration? Tolerates tiny float noise the same way the generated C
    does (plus a one-ulp nudge before floor). *)
 let candidate_valid nest ~pc_var ~k expr samples =
-  let vars = Array.of_list (Nest.level_vars nest) and params = Array.of_list nest.Nest.params in
-  (* slots: pc, the k outer level vars, then the params *)
-  let names = Array.concat [ [| pc_var |]; Array.sub vars 0 k; params ] in
-  let slot x =
-    match index_of names x with Some s -> s | None -> invalid_arg ("unknown parameter " ^ x)
-  in
-  let eval = E.compile_complex ~slot expr in
+  let root = stage_root nest ~pc_var ~k expr in
   List.for_all
     (fun { param; points } ->
-      let env = Array.make (Array.length names) 0.0 in
-      Array.iteri (fun i p -> env.(k + 1 + i) <- float_of_int (param p)) params;
+      let root = root ~param in
       let rec all_valid rank = function
         | [] -> true
         | idx :: rest ->
-          env.(0) <- float_of_int rank;
-          for j = 0 to k - 1 do
-            env.(j + 1) <- float_of_int idx.(j)
-          done;
-          let z = eval env in
+          let z = root idx rank in
           Float.is_finite z.Complex.re
           && Float.abs z.Complex.im <= 1e-6 *. Float.max 1.0 (Float.abs z.Complex.re)
           && int_of_float (Float.floor (z.Complex.re +. 1e-9)) = idx.(k)

@@ -101,6 +101,24 @@ val invert :
   Nest.t ->
   (t, error) result
 
+(** [stage_root nest ~pc_var ~k expr ~param] stages the closed-form
+    root [expr] of level [k] ({!Symx.Expr.compile_complex}) under the
+    parameter values [param], which is asked only for the parameters
+    [expr] reads. The result maps an index prefix (its first [k]
+    entries are read) and [pc] to the root's value. Applying only
+    [expr] stages the expression once for several valuations.
+    @raise Invalid_argument if [expr] mentions a variable other than
+    [pc_var], the [k] outer level variables and the parameters. *)
+val stage_root :
+  Nest.t ->
+  pc_var:string ->
+  k:int ->
+  Symx.Expr.t ->
+  param:(string -> int) ->
+  int array ->
+  int ->
+  Complex.t
+
 (** [invert_exn] is {!invert}, raising [Failure] on error. *)
 val invert_exn :
   ?pc_var:string -> ?sample_sizes:int list -> ?force_numeric:bool -> Nest.t -> t

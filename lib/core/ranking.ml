@@ -17,19 +17,16 @@ let ranking_of levels inner =
       P.add acc strictly_before)
     P.one levels inner
 
-let ranking n =
-  Obsv.Trace.with_span "pipeline.ranking" @@ fun () ->
-  let levels = Nest.to_count_levels n in
-  ranking_of levels (Polyhedral.Count.count_inner levels)
-
-let trip_count n = Polyhedral.Count.count (Nest.to_count_levels n)
-
-(* both from one chain of inner-count summations *)
+(* the ranking and the trip count, from one chain of inner-count
+   summations *)
 let ranking_and_trip n =
   Obsv.Trace.with_span "pipeline.ranking" @@ fun () ->
   let levels = Nest.to_count_levels n in
-  let inner = Polyhedral.Count.count_inner levels in
-  (ranking_of levels inner, Polyhedral.Count.count ~inner levels)
+  let trip, inner = Polyhedral.Count.count_with_inner levels in
+  (ranking_of levels inner, trip)
+
+let ranking n = fst (ranking_and_trip n)
+let trip_count n = Polyhedral.Count.count (Nest.to_count_levels n)
 
 let rank_at n ~param idx =
   let r = ranking n in

@@ -70,8 +70,9 @@ type t = {
   r_sub : poly array;
   lo : poly array;  (** inclusive lower bounds, vars = outer levels *)
   up : poly array;  (** exclusive upper bounds *)
-  root_envs : (int array -> int -> string -> Complex.t) array;
-      (** env builder for level k: takes idx prefix and pc *)
+  roots : (int array -> int -> Complex.t) option array;
+      (** staged closed-form root of level k at an idx prefix and pc;
+          [Some _] exactly at the [Inversion.Root] levels *)
   numeric : numeric_level option array;
       (** [Some _] exactly at the [Inversion.Numeric] levels *)
   reduce : reduce_comp option;
@@ -80,7 +81,25 @@ type t = {
       (** specialized [.so] backend, attached per-plan by the JIT tier *)
 }
 
-let make (inv : Inversion.t) ~param =
+(* staging a large root costs as much as many evaluations of it, and a
+   service plan is specialized to new parameters at every request, so
+   the roots are staged once per inversion *)
+type staged = {
+  s_inv : Inversion.t;
+  s_roots : (param:(string -> int) -> int array -> int -> Complex.t) option array;
+}
+
+let stage (inv : Inversion.t) =
+  let nest = inv.Inversion.nest and pc_var = inv.Inversion.pc_var in
+  { s_inv = inv;
+    s_roots =
+      Array.mapi
+        (fun k -> function
+          | Inversion.Root { expr; _ } -> Some (Inversion.stage_root nest ~pc_var ~k expr)
+          | Inversion.Last _ | Inversion.Numeric _ -> None)
+        inv.Inversion.recoveries }
+
+let make_staged { s_inv = inv; s_roots } ~param =
   let nest = inv.Inversion.nest in
   let d = Nest.depth nest in
   let vars = Array.of_list (Nest.level_vars nest) in
@@ -156,18 +175,7 @@ let make (inv : Inversion.t) ~param =
     | Some r, Some ((r_poly, _) as sv) -> Some { r_op = r.Nest.op; r_poly; value = form sv }
     | _ -> None
   in
-  let root_envs =
-    Array.init d (fun k idx pc x ->
-        if x = pc_var then { Complex.re = float_of_int pc; im = 0.0 }
-        else begin
-          let rec find j =
-            if j >= k then { Complex.re = float_of_int (param x); im = 0.0 }
-            else if vars.(j) = x then { Complex.re = float_of_int idx.(j); im = 0.0 }
-            else find (j + 1)
-          in
-          find 0
-        end)
-  in
+  let roots = Array.map (Option.map (fun root -> root ~param)) s_roots in
   let numeric =
     Array.map
       (function
@@ -211,11 +219,12 @@ let make (inv : Inversion.t) ~param =
     r_sub = Array.map form s_sub;
     lo = Array.map form s_lo;
     up = Array.map form s_up;
-    root_envs;
+    roots;
     numeric;
     reduce;
     native = None }
 
+let make inv ~param = make_staged (stage inv) ~param
 let depth t = t.d
 let trip_count t = t.trip
 let overflow_guarded t = t.safe
@@ -300,8 +309,8 @@ let recover_level_raw t idx pc k =
        ik = lb + pc - rank_prefix(lb) *)
     let lb = lower_bound t ~level:k idx in
     lb + pc - rank_prefix t ~level:k lb idx
-  | Inversion.Root { expr; _ } ->
-    let z = E.eval_complex (t.root_envs.(k) idx pc) expr in
+  | Inversion.Root _ ->
+    let z = Option.get t.roots.(k) idx pc in
     int_of_float (Float.floor z.Complex.re)
   | Inversion.Numeric _ ->
     let lo = lower_bound t ~level:k idx in

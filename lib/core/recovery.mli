@@ -95,6 +95,17 @@ val native_recover : t -> int -> int array option
     trip count is negative or exceeds the native int range. *)
 val make : Inversion.t -> param:(string -> int) -> t
 
+(** An inversion with its closed-form roots staged for evaluation
+    ({!Inversion.stage_root}), which needs no parameter values. *)
+type staged
+
+val stage : Inversion.t -> staged
+
+(** [make_staged s ~param] is [make inv ~param] for [s = stage inv],
+    without staging the roots again: for an inversion specialized to
+    many valuations, such as a cached service plan. *)
+val make_staged : staged -> param:(string -> int) -> t
+
 val depth : t -> int
 
 (** [overflow_guarded t] is [true] when {!make}'s coefficient analysis

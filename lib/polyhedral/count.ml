@@ -20,12 +20,15 @@ let count_inner levels =
   | [] -> [ P.one ]
   | _ :: rest -> go rest
 
-let count ?inner levels =
+let count_with_inner levels =
+  let inner = count_inner levels in
   match levels with
-  | [] -> P.one
+  | [] -> (P.one, inner)
   | l :: _ ->
-    let inner = List.hd (match inner with Some i -> i | None -> count_inner levels) in
-    Polymath.Summation.sum ~var:l.var inner ~lo:(A.to_poly l.lo) ~hi:(A.to_poly l.hi)
+    let below = List.hd inner in
+    (Polymath.Summation.sum ~var:l.var below ~lo:(A.to_poly l.lo) ~hi:(A.to_poly l.hi), inner)
+
+let count levels = fst (count_with_inner levels)
 
 let to_polyhedron levels =
   Polyhedron.make

@@ -18,15 +18,18 @@ type level = {
 (** [count levels] is the polynomial in the free parameters equal to
     the number of integer points, assuming every level's range is
     nonempty or exactly empty at the boundary ([hi = lo - 1]); see
-    {!Polymath.Summation.sum} for the validity caveat. [inner], when
-    given, must be [count_inner levels], which is then not recomputed. *)
-val count : ?inner:Polymath.Polynomial.t list -> level list -> Polymath.Polynomial.t
+    {!Polymath.Summation.sum} for the validity caveat. *)
+val count : level list -> Polymath.Polynomial.t
 
 (** [count_inner levels] gives, for each level k (outermost first), the
     polynomial counting the points of levels k+1.. below one fixed
     iteration of level k — i.e. the trip count of the sub-nest rooted
     just inside level k. The last element is the constant 1. *)
 val count_inner : level list -> Polymath.Polynomial.t list
+
+(** [count_with_inner levels] is [(count levels, count_inner levels)],
+    summing the chain once. *)
+val count_with_inner : level list -> Polymath.Polynomial.t * Polymath.Polynomial.t list
 
 (** [to_polyhedron levels] is the constraint form of the domain. *)
 val to_polyhedron : level list -> Polyhedron.t

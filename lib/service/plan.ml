@@ -2,14 +2,21 @@ module P = Polymath.Polynomial
 module A = Polymath.Affine
 module N = Trahrhe.Nest
 
-type t = { fingerprint : string; inversion : Trahrhe.Inversion.t }
+type t = {
+  fingerprint : string;
+  inversion : Trahrhe.Inversion.t;
+  staged : Trahrhe.Recovery.staged;
+}
+
+let make ~fingerprint inversion =
+  { fingerprint; inversion; staged = Trahrhe.Recovery.stage inversion }
 
 let format_version = Fingerprint.format_version
 
 let compile canonical_nest =
   Obsv.Trace.with_span "service.compile" @@ fun () ->
   match Trahrhe.Inversion.invert canonical_nest with
-  | Ok inversion -> Ok { fingerprint = Fingerprint.digest canonical_nest; inversion }
+  | Ok inversion -> Ok (make ~fingerprint:(Fingerprint.digest canonical_nest) inversion)
   | Error e -> Error (Trahrhe.Inversion.error_to_string e)
 
 let encode p =
@@ -38,12 +45,12 @@ let decode s =
           let inversion = Codec.to_inversion payload in
           if Fingerprint.digest inversion.Trahrhe.Inversion.nest <> fingerprint then
             Error "plan fingerprint does not match its nest"
-          else Ok { fingerprint; inversion }
+          else Ok (make ~fingerprint inversion)
         end
       | _ -> Error "not an ompsim-plan"
     with Codec.Error e -> Error ("corrupt plan: " ^ e))
 
-let recovery p ~param = Trahrhe.Recovery.make p.inversion ~param
+let recovery p ~param = Trahrhe.Recovery.make_staged p.staged ~param
 
 let reduce_clause_equal a b =
   match (a, b) with

@@ -12,7 +12,13 @@
 type t = {
   fingerprint : string;  (** {!Fingerprint.hash} of the canonical nest *)
   inversion : Trahrhe.Inversion.t;  (** over the canonical nest *)
+  staged : Trahrhe.Recovery.staged;
+      (** [inversion] staged once for {!recovery}; not serialized *)
 }
+
+(** [make ~fingerprint inversion] is the plan of [inversion], whose
+    nest must have the digest [fingerprint]. *)
+val make : fingerprint:string -> Trahrhe.Inversion.t -> t
 
 (** Wire format version, equal to {!Fingerprint.format_version}; a
     decoded plan with any other version is rejected. *)
@@ -39,6 +45,6 @@ val decode : string -> (t, string) result
     lift a caller-side valuation with {!Fingerprint.canonical_param}. *)
 val recovery : t -> param:(string -> int) -> Trahrhe.Recovery.t
 
-(** [equal a b] is structural equality over every field — the
-    round-trip property the codec tests check. *)
+(** [equal a b] is structural equality over every serialized field —
+    the round-trip property the codec tests check. *)
 val equal : t -> t -> bool

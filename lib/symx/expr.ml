@@ -130,14 +130,8 @@ let cpow (k : Q.t) : Complex.t -> Complex.t =
     fun z -> if z = Complex.zero then at_zero else pow z
   end
 
-let rec eval_complex env = function
-  | Const c -> { Complex.re = Q.to_float c; im = 0.0 }
-  | I -> Complex.i
-  | Var x -> env x
-  | Sum es -> List.fold_left (fun acc e -> Complex.add acc (eval_complex env e)) Complex.zero es
-  | Prod es -> List.fold_left (fun acc e -> Complex.mul acc (eval_complex env e)) Complex.one es
-  | Pow (b, k) -> cpow k (eval_complex env b)
-
+(* staged once per expression: constants converted and exponents
+   tested at staging time, variables read by slot *)
 let rec compile_complex ~slot = function
   | Const c ->
     let z = { Complex.re = Q.to_float c; im = 0.0 } in
@@ -145,7 +139,7 @@ let rec compile_complex ~slot = function
   | I -> fun _ -> Complex.i
   | Var x ->
     let s = slot x in
-    fun a -> { Complex.re = a.(s); im = 0.0 }
+    fun a -> a.(s)
   | Sum es ->
     let fs = List.map (compile_complex ~slot) es in
     fun a -> List.fold_left (fun acc f -> Complex.add acc (f a)) Complex.zero fs
@@ -156,8 +150,10 @@ let rec compile_complex ~slot = function
     let fb = compile_complex ~slot b and pow = cpow k in
     fun a -> pow (fb a)
 
-let eval_real env e =
-  (eval_complex (fun x -> { Complex.re = env x; im = 0.0 }) e).Complex.re
+let eval_complex env e =
+  let vars = Array.of_list (free_vars e) in
+  let slot x = Option.get (Array.find_index (String.equal x) vars) in
+  compile_complex ~slot e (Array.map env vars)
 
 let rec contains_fractional_pow = function
   | Const _ | I | Var _ -> false

@@ -48,22 +48,18 @@ val subst : string -> t -> t -> t
 
 val free_vars : t -> string list
 
-(** [eval_complex env e] evaluates numerically over complex doubles.
-    [0^0 = 1] and [0^negative] is infinite, matching C's [cpow]
-    conventions closely enough for root evaluation. *)
-val eval_complex : (string -> Complex.t) -> t -> Complex.t
-
-(** [compile_complex ~slot e] stages {!eval_complex} for repeated
-    evaluation over real variables: [slot] maps each variable of [e]
+(** [compile_complex ~slot e] stages [e] for repeated numeric
+    evaluation over complex doubles: [slot] maps each variable of [e]
     to an index of the argument array, which holds the variables'
-    values. Constants are converted once, and each result is bit-equal
-    to {!eval_complex} under the same values.
+    values. Constants are converted once. [0^0 = 1] and [0^negative]
+    is infinite, matching C's [cpow] conventions closely enough for
+    root evaluation.
     @raise Invalid_argument (from [slot]) on unmapped variables. *)
-val compile_complex : slot:(string -> int) -> t -> float array -> Complex.t
+val compile_complex : slot:(string -> int) -> t -> Complex.t array -> Complex.t
 
-(** [eval_real env e] is the real part of {!eval_complex} — the value
-    the generated C takes with [creal(...)]. *)
-val eval_real : (string -> float) -> t -> float
+(** [eval_complex env e] evaluates [e] once: {!compile_complex} with
+    the values [env] gives its free variables. *)
+val eval_complex : (string -> Complex.t) -> t -> Complex.t
 
 (** [contains_fractional_pow e] is true when some exponent in [e] is
     not an integer — the signal that evaluation may transit through

@@ -77,44 +77,6 @@ let test_eval_zero_pow () =
   let z = E.eval_complex no_env (E.inv E.zero) in
   Alcotest.(check bool) "0^-1 infinite" true (Float.is_integer z.Complex.re = false || z.Complex.re = infinity)
 
-(* the staged evaluator is the interpreter, bit for bit: every
-   exponent branch of [cpow] (integer, +-1/2, other rational, zero
-   base) and the Cardano roots of a depressed cubic, over values that
-   cross zero and the negative reals *)
-let test_compile_complex_bit_equal () =
-  let x = E.var "x" and y = E.var "y" in
-  let cubic =
-    (* t^3 - 3 x t + y *)
-    P.add
-      (P.sub (P.pow (P.var "t") 3) (P.scale (Q.of_int 3) (P.mul (P.var "x") (P.var "t"))))
-      (P.var "y")
-  in
-  let exprs =
-    [ E.sum [ x; y; E.of_rat (Q.of_ints 1 3) ]; E.prod [ x; y; E.of_rat (Q.of_ints 1 3) ];
-      E.pow x (Q.of_int (-2)); E.sqrt x; E.pow x (Q.of_ints (-1) 2);
-      E.cbrt (E.sub x y); E.pow (E.add x E.I) (Q.of_ints 2 3); E.pow x Q.zero ]
-    @ Rootsolve.Solver.candidates (Rootsolve.Solver.of_poly ~unknown:"t" cubic)
-  in
-  let slot = function "x" -> 0 | "y" -> 1 | v -> invalid_arg v in
-  let values = [ -1e17; -2.5; -1.0; 0.0; 0.5; 3.0; 17.0; 1e6; 1e17 ] in
-  let bits (z : Complex.t) = (Int64.bits_of_float z.re, Int64.bits_of_float z.im) in
-  List.iter
-    (fun e ->
-      let f = E.compile_complex ~slot e in
-      List.iter
-        (fun vx ->
-          List.iter
-            (fun vy ->
-              let env = function
-                | "x" -> { Complex.re = vx; im = 0.0 }
-                | _ -> { Complex.re = vy; im = 0.0 }
-              in
-              if bits (E.eval_complex env e) <> bits (f [| vx; vy |]) then
-                Alcotest.failf "%s at x=%g y=%g" (E.to_string e) vx vy)
-            values)
-        values)
-    exprs
-
 let test_of_poly () =
   let p = P.add (P.scale Q.half (P.mul (P.var "i") (P.var "i"))) (P.of_int 3) in
   let e = E.of_poly p in
@@ -208,7 +170,6 @@ let suites =
         Alcotest.test_case "complex transit" `Quick test_eval_complex_transit;
         Alcotest.test_case "principal cube root" `Quick test_eval_cbrt_principal;
         Alcotest.test_case "zero powers" `Quick test_eval_zero_pow;
-        Alcotest.test_case "staged evaluation is bit-equal" `Quick test_compile_complex_bit_equal;
         Alcotest.test_case "of_poly" `Quick test_of_poly;
         Alcotest.test_case "substitution" `Quick test_subst;
         Alcotest.test_case "free variables" `Quick test_free_vars ] );
