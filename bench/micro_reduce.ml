@@ -116,9 +116,9 @@ let run () =
         | Error e -> failwith ("plan compile failed: " ^ e)
       in
       let cparam = Service.Fingerprint.canonical_param renaming (K.param_of ltmp ~n) in
-      let rc_native = Service.Native.recovery nt plan ~param:cparam in
-      if not (R.native_enabled rc_native) then failwith "native backend failed to attach";
       let rc_interp = Service.Plan.recovery plan ~param:cparam in
+      let rc_native = Service.Native.recovery nt plan ~param:cparam rc_interp in
+      if not (R.native_enabled rc_native) then failwith "native backend failed to attach";
       let chunk = 4096 in
       let sink = ref 0 in
       let reduce_ns rc =

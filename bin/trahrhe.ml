@@ -363,7 +363,7 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
       in
       let opts = { Service.Exec.threads; schedule; lanes; repeat; retries; native; reduce } in
       let rc, native_reason =
-        try Service.Exec.recovery plan ~param opts
+        try Service.Exec.recovery plan ~param (Service.Plan.recovery plan ~param) opts
         with Invalid_argument e ->
           prerr_endline e;
           exit 1

@@ -1,5 +1,5 @@
-(* a bounded LRU over string keys: plans by fingerprint, and serial
-   references by {!Exec.reference_key} *)
+(* a bounded LRU over string keys: plans by fingerprint, recoveries by
+   {!Exec.params_key}, serial references by {!Exec.reference_key} *)
 type 'a node = {
   key : string;
   value : 'a;
@@ -13,14 +13,23 @@ type 'a lru = {
   mutable tail : 'a node option;  (* least recently used *)
 }
 
+(* a value memo beside the plans: its LRU, its single-flights and the
+   hit/miss counters it books *)
+type 'a memo = {
+  entries : 'a lru;
+  flights : 'a Single_flight.t;
+  hits : Obsv.Metrics.t;
+  misses : Obsv.Metrics.t;
+}
+
 type t = {
   capacity : int;
   dir : string option;
   mutex : Mutex.t;
   plans : Plan.t lru;
-  refs : Exec.value option lru;
   inflight : Plan.t Single_flight.t;
-  ref_flights : Exec.value option Single_flight.t;
+  recoveries : Trahrhe.Recovery.t memo;
+  refs : Exec.value option memo;
 }
 
 (* ---- startup janitor ----
@@ -79,6 +88,9 @@ let sweep t =
 
 let new_lru () = { tbl = Hashtbl.create 64; head = None; tail = None }
 
+let new_memo ~hits ~misses =
+  { entries = new_lru (); flights = Single_flight.create (); hits; misses }
+
 let create ?(capacity = 256) ?dir () =
   let dir = match dir with Some d -> d | None -> Sys.getenv_opt "OMPSIM_PLAN_CACHE" in
   let t =
@@ -86,9 +98,9 @@ let create ?(capacity = 256) ?dir () =
       dir;
       mutex = Mutex.create ();
       plans = new_lru ();
-      refs = new_lru ();
       inflight = Single_flight.create ();
-      ref_flights = Single_flight.create () }
+      recoveries = new_memo ~hits:Stats.recovery_hits ~misses:Stats.recovery_misses;
+      refs = new_memo ~hits:Stats.reference_hits ~misses:Stats.reference_misses }
   in
   ignore (sweep t);
   t
@@ -289,48 +301,62 @@ let find_or_compile ?(compile = Plan.compile) t nest =
       Mutex.unlock t.mutex;
       with_renaming result)
 
-(* a miss walks once per key, with the lock released: concurrent misses
-   on one key park on the walker's flight, as plans do, and count as
-   hits ([exec.reference.miss] counts walks). A walk that raises
-   re-raises in its caller and poisons nothing; a parked waiter then
-   walks for itself. *)
-let reference t key compute =
-  let hit r =
-    Obsv.Metrics.incr_here Stats.reference_hits;
-    r
+(* a miss computes once per key, with the lock released: concurrent
+   misses on one key park on the first one's flight, as plans do, and
+   count as hits (so [misses] counts computations). A computation that
+   raises re-raises in its caller and poisons nothing; a parked waiter
+   then computes for itself. *)
+let memoize t m key compute =
+  let hit v =
+    Obsv.Metrics.incr_here m.hits;
+    v
   in
-  let walk () =
-    Obsv.Metrics.incr_here Stats.reference_misses;
+  let miss () =
+    Obsv.Metrics.incr_here m.misses;
     compute ()
   in
   Mutex.lock t.mutex;
-  match lookup t.refs key with
-  | Some r ->
+  match lookup m.entries key with
+  | Some v ->
     Mutex.unlock t.mutex;
-    hit r
+    hit v
   | None -> (
-    match Single_flight.join t.ref_flights key with
+    match Single_flight.join m.flights key with
     | Some fl -> (
       let r = Single_flight.await fl ~mutex:t.mutex in
       Mutex.unlock t.mutex;
-      match r with Ok r -> hit r | Error _ -> walk ())
+      match r with Ok v -> hit v | Error _ -> miss ())
     | None ->
-      let fl = Single_flight.enter t.ref_flights key in
+      let fl = Single_flight.enter m.flights key in
       Mutex.unlock t.mutex;
       let publish result =
         Mutex.lock t.mutex;
-        (match result with Ok r -> ignore (insert t t.refs key r) | Error _ -> ());
-        Single_flight.publish t.ref_flights key fl result;
+        (match result with Ok v -> ignore (insert t m.entries key v) | Error _ -> ());
+        Single_flight.publish m.flights key fl result;
         Mutex.unlock t.mutex
       in
-      match walk () with
-      | r ->
-        publish (Ok r);
-        r
+      match miss () with
+      | v ->
+        publish (Ok v);
+        v
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         publish (Error (Printexc.to_string e));
         Printexc.raise_with_backtrace e bt)
+
+(* the memoized value closes over the canonical values, not over
+   [param]: an entry keeps no reference into the request that built it *)
+let recovery t plan ~param =
+  let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
+  let values = List.map (fun p -> (p, param p)) nest.Trahrhe.Nest.params in
+  let param x =
+    match List.assoc_opt x values with
+    | Some v -> v
+    | None -> invalid_arg ("unbound parameter " ^ x)
+  in
+  memoize t t.recoveries (Exec.params_key plan ~param) (fun () -> Plan.recovery plan ~param)
+
+let reference t key compute = memoize t t.refs key compute
 
 let size t =
   Mutex.lock t.mutex;

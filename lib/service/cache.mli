@@ -27,9 +27,11 @@
     not} cached — the next request for that fingerprint compiles
     again.
 
-    Beside the plans, the cache memoizes each plan's serial exec
-    references ({!reference}) in a second LRU of the same capacity,
-    single-flighted per key like the plans.
+    Beside the plans, the cache memoizes two per-exec values, each in
+    its own LRU of the same capacity and single-flighted per key like
+    the plans: a plan's interpreted runtime recovery per canonical
+    parameter values ({!recovery}), and its serial exec reference per
+    parameter values and payload ({!reference}).
 
     All operations are thread-safe; the per-request critical sections
     take one mutex and never hold it across a compile or disk I/O.
@@ -80,6 +82,23 @@ val find_or_compile :
   t ->
   Trahrhe.Nest.t ->
   (Plan.t * Fingerprint.renaming, string) result
+
+(** [recovery t plan ~param] is {!Plan.recovery}[ plan ~param],
+    memoized under {!Exec.params_key}: the plan fingerprint and the
+    values of the plan's canonical parameters under [param]. Built on a
+    miss from a closure over those values, so an entry keeps no
+    reference to [param]. Run options never enter the key: every
+    schedule, lane width, payload and [native] setting of one plan and
+    parameter values shares one entry. The value is the interpreted
+    recovery; attaching a native backend ({!Native.recovery_explain})
+    stays per request, so a cached entry never holds a native handle.
+    Books [exec.recovery.hit]/[exec.recovery.miss] ({!Stats});
+    memoized, single-flighted and bounded like {!reference}. A
+    {!Plan.recovery} that raises (e.g. [Invalid_argument] on a trip
+    count past the native range) re-raises here and memoizes nothing.
+    @raise Invalid_argument when [param] is unbound on a plan
+    parameter, or as {!Plan.recovery}. *)
+val recovery : t -> Plan.t -> param:(string -> int) -> Trahrhe.Recovery.t
 
 (** [reference t key compute] is the serial reference memoized under
     [key] ({!Exec.reference_key}), or [compute ()] — computed without

@@ -29,10 +29,11 @@ type failure =
 
 type outcome = { reference : value; run_times : float array }
 
-let recovery ?native plan ~param opts =
+let recovery ?native plan ~param rc opts =
   if opts.native then
-    Native.recovery_explain (match native with Some nt -> nt | None -> Native.default ()) plan ~param
-  else (Plan.recovery plan ~param, None)
+    let nt = match native with Some nt -> nt | None -> Native.default () in
+    Native.recovery_explain nt plan ~param rc
+  else (rc, None)
 
 (* the extremum of an empty space has no value: min/max carry no
    neutral element *)
@@ -43,7 +44,7 @@ let rat_result op = function
 (* serial reference: the plain left fold over the canonical nest in
    iteration order — the value every parallel run must equal bit for
    bit. [None] only for min/max over an empty space. Independent of
-   the collapsed walk: [Nest.iterate] with rational bounds, and min/max
+   the collapsed walk: [Nest.iterate] with exact bounds, and min/max
    in exact rationals. *)
 let serial rc ~nest ~param opts =
   match opts.reduce with
@@ -73,15 +74,18 @@ let checksum_body rc opts =
     !acc
   else fun ~thread:_ ~start ~len -> R.walk_hash rc ~pc:(start + 1) ~len
 
+let params_key plan ~param =
+  let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
+  String.concat "/"
+    [ plan.Plan.fingerprint;
+      String.concat "," (List.map (fun p -> string_of_int (param p)) nest.N.params) ]
+
 (* the reference depends on the plan, the canonical parameter values
    and the payload only: schedule, threads, lanes, native, repeat and
    retries never change it (the plan fingerprint covers the clause) *)
 let reference_key plan ~param opts =
-  let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
-  String.concat "/"
-    [ plan.Plan.fingerprint;
-      String.concat "," (List.map (fun p -> string_of_int (param p)) nest.N.params);
-      (match opts.reduce with None -> "checksum" | Some op -> N.op_to_string op) ]
+  params_key plan ~param ^ "/"
+  ^ match opts.reduce with None -> "checksum" | Some op -> N.op_to_string op
 
 (* one parallel run: every payload, the checksum included, is a
    reduction over the chunk partition — per-worker partials and the

@@ -1,10 +1,11 @@
 (** One exec runner, shared by [trahrhe exec] and the service's [exec]
     verb: the serial reference, the chunk-body choice, the region, and
     the repeat loop with its exact mismatch check. Front ends keep
-    only their rendering, and the choice of where the reference comes
-    from: the CLI computes it per invocation, the service memoizes it
-    per plan x parameters x payload ({!reference_key},
-    {!Cache.reference}).
+    only their rendering, and the choice of where the recovery and the
+    reference come from: the CLI computes them per invocation, the
+    service memoizes the recovery per plan x parameters ({!params_key},
+    {!Cache.recovery}) and the reference per plan x parameters x
+    payload ({!reference_key}, {!Cache.reference}).
 
     Every payload runs as a reduction over the collapsed range
     ({!Ompsim.Par.reduce}): the checksum is a [( + )] reduction
@@ -51,16 +52,18 @@ type outcome = {
   run_times : float array;  (** wall seconds of each run's region *)
 }
 
-(** [recovery ?native plan ~param opts] is the plan's runtime recovery
-    under [param] (canonical names), with the native backend of
-    [native] (default {!Native.default}) attached when [opts.native];
-    the second component is the fallback reason when it did not engage.
-    @raise Invalid_argument when [param] leaves the trip count
-    undetermined. *)
+(** [recovery ?native plan ~param rc opts] is [rc], the plan's
+    interpreted runtime recovery under [param] (canonical names; fresh
+    from {!Plan.recovery} or memoized by {!Cache.recovery}), with the
+    native backend of [native] (default {!Native.default}) attached when
+    [opts.native] ({!Native.recovery_explain}); the second component is
+    the fallback reason when it did not engage. [rc] itself is never
+    modified. *)
 val recovery :
   ?native:Native.t ->
   Plan.t ->
   param:(string -> int) ->
+  Trahrhe.Recovery.t ->
   opts ->
   Trahrhe.Recovery.t * string option
 
@@ -72,11 +75,16 @@ val recovery :
 val serial :
   Trahrhe.Recovery.t -> nest:Trahrhe.Nest.t -> param:(string -> int) -> opts -> value option
 
-(** [reference_key plan ~param opts] names {!serial}'s result: the plan
-    fingerprint (which covers the reduction clause), the values of the
-    plan's canonical parameters under [param], and the payload
-    (checksum or reduce op). Schedule, threads, lanes, native, repeat
-    and retries are not part of it: they never change the reference. *)
+(** [params_key plan ~param] names {!Plan.recovery}'s result: the plan
+    fingerprint and the values of the plan's canonical parameters under
+    [param]. No run option is part of it. *)
+val params_key : Plan.t -> param:(string -> int) -> string
+
+(** [reference_key plan ~param opts] names {!serial}'s result:
+    {!params_key} (the fingerprint covers the reduction clause) plus
+    the payload (checksum or reduce op). Schedule, threads, lanes,
+    native, repeat and retries are not part of it: they never change
+    the reference. *)
 val reference_key : Plan.t -> param:(string -> int) -> opts -> string
 
 (** [run ~reference rc opts] executes the collapsed region

@@ -62,8 +62,7 @@ let handle_for t fp inv =
       Mutex.unlock t.mutex;
       result)
 
-let recovery_explain t (plan : Plan.t) ~param =
-  let rc = Plan.recovery plan ~param in
+let recovery_explain t (plan : Plan.t) ~param rc =
   if R.overflow_guarded rc then begin
     (* PR-4 overflow mode stays interpreted: int64 C would wrap *)
     Obsv.Metrics.incr_here Jit.Stats.fallbacks;
@@ -94,7 +93,7 @@ let recovery_explain t (plan : Plan.t) ~param =
       end
   end
 
-let recovery t plan ~param = fst (recovery_explain t plan ~param)
+let recovery t plan ~param rc = fst (recovery_explain t plan ~param rc)
 
 let last_error t =
   Mutex.lock t.mutex;

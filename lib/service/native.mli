@@ -36,23 +36,30 @@ val dir : t -> string option
     fresh specializations — the [health] verb reports its state. *)
 val breaker : t -> Jit.Breaker.t
 
-(** [recovery t plan ~param] is {!Plan.recovery} plus the native
-    backend when one can be attached: the plan's object is fetched or
-    built, cross-checked ([ompsim_trip] against the interpreted trip
-    count), and bound to the canonical parameter values. On any
-    failure — no compiler, compile error, overflow-guarded nest,
-    cross-check mismatch — the interpreted recovery is returned
-    unchanged and [jit.fallback] is counted ([native.served] when the
-    backend attaches); probe with {!Trahrhe.Recovery.native_enabled}. *)
-val recovery : t -> Plan.t -> param:(string -> int) -> Trahrhe.Recovery.t
+(** [recovery t plan ~param rc] is [rc] — the plan's interpreted
+    recovery under [param] ({!Plan.recovery}, or its memo
+    {!Cache.recovery}) — with the native backend attached when one can
+    be: the plan's object is fetched or built, cross-checked
+    ([ompsim_trip] against [rc]'s trip count), and bound to the
+    canonical parameter values. [rc] itself is never modified, so the
+    attach, its cross-check and its accounting happen on every call. On
+    any failure — no compiler, compile error, overflow-guarded nest,
+    cross-check mismatch — [rc] is returned unchanged and
+    [jit.fallback] is counted ([native.served] when the backend
+    attaches); probe with {!Trahrhe.Recovery.native_enabled}. *)
+val recovery : t -> Plan.t -> param:(string -> int) -> Trahrhe.Recovery.t -> Trahrhe.Recovery.t
 
-(** [recovery_explain t plan ~param] is {!recovery} plus the fallback
-    reason when the native backend could not be attached — including
-    the compiler's stderr excerpt on a compile failure — so the serve
-    loop can surface {e why} a request ran interpreted. [None] means
-    the native backend is engaged. *)
+(** [recovery_explain t plan ~param rc] is {!recovery} plus the
+    fallback reason when the native backend could not be attached —
+    including the compiler's stderr excerpt on a compile failure — so
+    the serve loop can surface {e why} a request ran interpreted.
+    [None] means the native backend is engaged. *)
 val recovery_explain :
-  t -> Plan.t -> param:(string -> int) -> Trahrhe.Recovery.t * string option
+  t ->
+  Plan.t ->
+  param:(string -> int) ->
+  Trahrhe.Recovery.t ->
+  Trahrhe.Recovery.t * string option
 
 (** [last_error t] is the most recent specialize failure (breaker
     rejections included), for the [health] report. *)

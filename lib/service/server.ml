@@ -422,9 +422,13 @@ let handle_full ?native ?deadline_ms cache req =
     | Error e -> err e
     | Ok (plan, renaming) -> (
       (* the plan was compiled from the canonical nest, so both the
-         recovery and the serial reference run under canonical names *)
+         recovery and the serial reference run under canonical names.
+         The interpreted recovery is memoized per plan x parameter
+         values; the native backend is attached to it per request. *)
       let cparam = Fingerprint.canonical_param renaming param in
-      match Exec.recovery ?native plan ~param:cparam opts with
+      match
+        Exec.recovery ?native plan ~param:cparam (Cache.recovery cache plan ~param:cparam) opts
+      with
       | exception Invalid_argument e -> err e
       | rc, native_why -> (
         (* "native" reports whether the backend actually engaged —
@@ -485,9 +489,10 @@ let handle ?native ?deadline_ms cache req =
 let cache_summary since =
   let d = Obsv.Metrics.since since in
   Printf.sprintf
-    "plan cache: %d hits (%d disk), %d misses, %d single-flight waits; exec reference: %d hits, %d misses"
+    "plan cache: %d hits (%d disk), %d misses, %d single-flight waits; exec recovery: %d hits, %d misses; exec reference: %d hits, %d misses"
     (d Stats.cache_hits) (d Stats.cache_disk_hits) (d Stats.cache_misses)
-    (d Stats.singleflight_waits) (d Stats.reference_hits) (d Stats.reference_misses)
+    (d Stats.singleflight_waits) (d Stats.recovery_hits) (d Stats.recovery_misses)
+    (d Stats.reference_hits) (d Stats.reference_misses)
 
 let native_summary ~front since =
   let served = Obsv.Metrics.since since Stats.native_served in

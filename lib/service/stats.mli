@@ -1,6 +1,6 @@
 (** Service-layer {!Obsv.Metrics} counters: the one ledger of the
-    plan cache, the serial-reference memo, the native tier and the
-    serve loop.
+    plan cache, the recovery and serial-reference memos, the native
+    tier and the serve loop.
 
     Like {!Ompsim.Stats}, these register globally at module link time,
     are written whether or not {!Obsv.Control.enabled} is set, and
@@ -79,6 +79,16 @@ val native_served : Obsv.Metrics.t
 (** [native.served]: recoveries handed out with the native backend
     attached; fallbacks to the interpreted walk are [jit.fallback]
     ({!Jit.Stats.fallbacks}) *)
+
+val recovery_hits : Obsv.Metrics.t
+(** [exec.recovery.hit]: [exec] requests whose interpreted runtime
+    recovery came from the memo ({!Cache.recovery}) instead of
+    {!Plan.recovery} *)
+
+val recovery_misses : Obsv.Metrics.t
+(** [exec.recovery.miss]: [exec] requests that specialized their plan
+    to their parameter values (and memoized it, unless it raised) —
+    per [exec] whose plan compiled, exactly one of hit/miss advances *)
 
 val reference_hits : Obsv.Metrics.t
 (** [exec.reference.hit]: [exec] requests whose serial reference came

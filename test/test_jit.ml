@@ -202,9 +202,10 @@ let test_ledger_reconciles () =
   let counted = Obsv.Metrics.since since in
   let tier = Service.Native.create ~dir:(Some tier_dir) () in
   let attaches = 5 in
+  let rc = Service.Plan.recovery plan ~param:cparam in
   for _ = 1 to attaches do
     Alcotest.(check bool) "attach engages" true
-      (R.native_enabled (Service.Native.recovery tier plan ~param:cparam))
+      (R.native_enabled (Service.Native.recovery tier plan ~param:cparam rc))
   done;
   Alcotest.(check int) "tier compiled once" 1 (counted Jit.Stats.compiles);
   Alcotest.(check int) "every attach served" attaches (counted Service.Stats.native_served);
@@ -221,7 +222,8 @@ let test_ledger_reconciles () =
   Alcotest.(check int) "cold specialize compiles" 2 (counted Jit.Stats.compiles);
   (* loads count only the warm dlopen: a compile's own load rides it *)
   Alcotest.(check int) "warm specialize only loads" 1 (counted Jit.Stats.loads);
-  let big = Service.Native.recovery tier plan ~param:(fun _ -> 3_000_000_000) in
+  let huge _ = 3_000_000_000 in
+  let big = Service.Native.recovery tier plan ~param:huge (Service.Plan.recovery plan ~param:huge) in
   Alcotest.(check bool) "past the headroom stays interpreted" false (R.native_enabled big);
   Alcotest.(check bool) "overflow guard engaged" true (R.overflow_guarded big);
   Alcotest.(check int) "the refusal is one fallback" 1 (counted Jit.Stats.fallbacks);

@@ -628,7 +628,7 @@ let check_case_native (nest, nval) =
     let module R = Trahrhe.Recovery in
     let cparam = Service.Fingerprint.canonical_param renaming param in
     let rc_i = Service.Plan.recovery plan ~param:cparam in
-    let rc_n = Service.Native.recovery tier plan ~param:cparam in
+    let rc_n = Service.Native.recovery tier plan ~param:cparam rc_i in
     let trip = R.trip_count rc_n in
     if trip <> Array.length reference then
       QCheck.Test.fail_reportf "native trip count %d, nest enumerates %d" trip
@@ -825,7 +825,7 @@ let check_empty_rows ~where tier plan ~canonical ~param op =
   let rc = Service.Plan.recovery plan ~param in
   let tiers =
     ("interpreted", rc)
-    :: (if Jit.Abi.functional () then [ ("native", Service.Native.recovery tier plan ~param) ]
+    :: (if Jit.Abi.functional () then [ ("native", Service.Native.recovery tier plan ~param rc) ]
         else [])
   in
   let base =
@@ -925,7 +925,9 @@ let test_native_store_recovery () =
   let served0 = metric "native.served" in
   (* populate the store *)
   let t1 = Service.Native.create ~dir:(Some dir) () in
-  let rc1 = Service.Native.recovery t1 plan ~param:cparam in
+  let rc1 =
+    Service.Native.recovery t1 plan ~param:cparam (Service.Plan.recovery plan ~param:cparam)
+  in
   Alcotest.(check bool) "first attach engages" true (R.native_enabled rc1);
   let t1_served = metric "native.served" in
   (* unmap before clobbering: overwriting a dlopen'd object in place
@@ -938,7 +940,9 @@ let test_native_store_recovery () =
   output_string oc "this is not a shared object\n";
   close_out oc;
   let t2 = Service.Native.create ~dir:(Some dir) () in
-  let rc2 = Service.Native.recovery t2 plan ~param:cparam in
+  let rc2 =
+    Service.Native.recovery t2 plan ~param:cparam (Service.Plan.recovery plan ~param:cparam)
+  in
   Alcotest.(check bool) "recompiled after corruption" true (R.native_enabled rc2);
   let rc_i = Service.Plan.recovery plan ~param:cparam in
   let trip = R.trip_count rc_i in
@@ -946,7 +950,8 @@ let test_native_store_recovery () =
     (R.walk_hash rc_i ~pc:1 ~len:trip)
     (R.walk_hash rc2 ~pc:1 ~len:trip);
   (* bigint headroom refuses the backend and counts the fallback *)
-  let rc_big = Service.Native.recovery t2 plan ~param:(fun _ -> 3_000_000_000) in
+  let big _ = 3_000_000_000 in
+  let rc_big = Service.Native.recovery t2 plan ~param:big (Service.Plan.recovery plan ~param:big) in
   Alcotest.(check bool) "overflow-guarded stays interpreted" false (R.native_enabled rc_big);
   Alcotest.(check bool) "overflow guard engaged" true (R.overflow_guarded rc_big);
   (* reconciliation: populate + recompile, exactly one fallback, one
@@ -1243,7 +1248,7 @@ let test_deep_plan_roundtrip_native () =
     check_against ~what:"deep disk-served walk" reference (walk_all rc trip);
     (* native tier: numeric plans keep the compiled fast path *)
     let tier = Service.Native.create ~dir:(Some dir) () in
-    let rc_n = Service.Native.recovery tier plan ~param:cparam in
+    let rc_n = Service.Native.recovery tier plan ~param:cparam rc in
     Alcotest.(check bool) "native engages iff compiler present" (Jit.Abi.functional ())
       (R.native_enabled rc_n);
     check_against ~what:"deep native walk" reference (walk_all rc_n trip);

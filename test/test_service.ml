@@ -652,11 +652,11 @@ let test_native_transient_failure_not_pinned () =
     let tier = Service.Native.create ~dir:(Some dir) () in
     let param _ = 8 in
     with_env [ ("OMPSIM_JIT_CC", Filename.concat dir "no-such-cc") ] (fun () ->
-      match Service.Native.recovery_explain tier plan ~param with
+      match Service.Native.recovery_explain tier plan ~param (Plan.recovery plan ~param) with
       | _, None -> Alcotest.fail "missing compiler still served native"
       | _, Some _ -> ());
     (* the toolchain "recovers" (env restored): same tier, same plan *)
-    (match Service.Native.recovery_explain tier plan ~param with
+    (match Service.Native.recovery_explain tier plan ~param (Plan.recovery plan ~param) with
     | _, Some e -> Alcotest.failf "recovered toolchain left pinned to fallback: %s" e
     | _, None -> ());
     Alcotest.(check int) "served natively after recovery" 1
@@ -999,7 +999,9 @@ let test_exec_reference_checked_on_hit () =
       | Error e -> Alcotest.failf "compile: %s" e
     in
     let cparam = Fp.canonical_param renaming param in
-    let rc, _ = Service.Exec.recovery plan ~param:cparam opts in
+    let rc, _ =
+      Service.Exec.recovery plan ~param:cparam (Plan.recovery plan ~param:cparam) opts
+    in
     let right =
       Service.Exec.serial rc ~nest:plan.Plan.inversion.Trahrhe.Inversion.nest ~param:cparam opts
     in
@@ -1060,6 +1062,108 @@ let test_exec_reference_single_flight () =
   | exception Failure _ -> ());
   Alcotest.(check bool) "the parked caller walked for itself" true (parked = answer);
   check_reference "raising walk" ~hits:0 ~misses:2 since
+
+let check_recovery what ~hits ~misses since =
+  let d = counted since in
+  Alcotest.(check int) (what ^ ": recovery hits") hits (d Service.Stats.recovery_hits);
+  Alcotest.(check int) (what ^ ": recovery misses") misses (d Service.Stats.recovery_misses)
+
+let exec_ok ?native cache line =
+  let resp, ok = Server.handle ?native cache (parse_ok line) in
+  if not ok then Alcotest.failf "%s failed: %s" line resp;
+  resp
+
+(* the interpreted recovery is memoized per plan x canonical parameter
+   values: every run option of one plan and size shares the entry, and
+   each response equals a fresh cache's. A [reduce=] op rewrites the
+   clause, which the fingerprint covers, so each op other than the
+   kernel's own [sum] is a plan and an entry of its own. *)
+let test_exec_recovery_memo () =
+  let cache = Cache.create ~capacity:8 ~dir:None () in
+  let base = "exec kernel=covariance_reduce n=12 threads=2" in
+  let ops = [ "sum"; "prod"; "min"; "max" ] in
+  let since = Obsv.Metrics.snapshot () in
+  ignore (exec_ok cache base);
+  List.iter (fun op -> ignore (exec_ok cache (base ^ " reduce=" ^ op))) ops;
+  check_recovery "checksum and every op" ~hits:1 ~misses:4 since;
+  let variants =
+    [ ""; " schedule=dnc:4 lanes=8"; " schedule=ws:16"; " native=1"; " repeat=3"; " retries=1" ]
+    @ List.concat_map
+        (fun op ->
+          let r = " reduce=" ^ op in
+          [ r; r ^ " native=1"; r ^ " schedule=dnc:4 lanes=8" ])
+        ops
+  in
+  let since = Obsv.Metrics.snapshot () in
+  let memoized = List.map (fun v -> exec_ok cache (base ^ v)) variants in
+  check_recovery "run options" ~hits:(List.length variants) ~misses:0 since;
+  List.iter2
+    (fun v resp ->
+      let fresh = exec_ok (Cache.create ~capacity:8 ~dir:None ()) (base ^ v) in
+      Alcotest.(check string) (v ^ ": memoized = fresh") fresh resp)
+    variants memoized;
+  let since = Obsv.Metrics.snapshot () in
+  ignore (exec_ok cache "exec kernel=covariance_reduce n=13 threads=2");
+  check_recovery "other n" ~hits:0 ~misses:1 since
+
+(* the key is canonical: an alpha-renamed nest (other iterator and
+   parameter names, same shape) shares the plan and the recovery *)
+let test_exec_recovery_alpha () =
+  let cache = Cache.create ~capacity:8 ~dir:None () in
+  let since = Obsv.Metrics.snapshot () in
+  let r1 = exec_ok cache "exec params=N=9 levels=i=0..N,j=i..N+1 threads=2 label=t" in
+  let r2 = exec_ok cache "exec params=M=9 levels=a=0..M,b=a..M+1 threads=2 label=t" in
+  check_recovery "renamed nest" ~hits:1 ~misses:1 since;
+  Alcotest.(check string) "renamed nest answers the same" r1 r2
+
+(* the memo is an LRU of the cache's capacity *)
+let test_exec_recovery_eviction () =
+  let cache = Cache.create ~capacity:2 ~dir:None () in
+  let exec n = exec_ok cache (Printf.sprintf "exec kernel=utma n=%d threads=2" n) in
+  let since = Obsv.Metrics.snapshot () in
+  let r10 = exec 10 in
+  ignore (exec 11);
+  ignore (exec 12);
+  check_recovery "three sizes" ~hits:0 ~misses:3 since;
+  let since = Obsv.Metrics.snapshot () in
+  Alcotest.(check string) "evicted recovery rebuilt identically" r10 (exec 10);
+  check_recovery "evicted n=10" ~hits:0 ~misses:1 since;
+  let since = Obsv.Metrics.snapshot () in
+  ignore (exec 12);
+  check_recovery "n=12 still memoized" ~hits:1 ~misses:0 since
+
+(* a specialization that raises (trip count past the native range)
+   memoizes nothing: the repeat raises again, to the same error *)
+let test_exec_recovery_raise () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let line = "exec kernel=utma n=10000000000" in
+  let since = Obsv.Metrics.snapshot () in
+  let r1, ok1 = Server.handle cache (parse_ok line) in
+  let r2, ok2 = Server.handle cache (parse_ok line) in
+  Alcotest.(check bool) "both fail" false (ok1 || ok2);
+  Alcotest.(check string) "same error twice" r1 r2;
+  if not (contains ~needle:"native int range" r2) then Alcotest.failf "response: %s" r2;
+  check_recovery "raising specialization" ~hits:0 ~misses:2 since;
+  check_reference "no walk" ~hits:0 ~misses:0 since
+
+(* the native backend is attached per request on top of the memoized
+   recovery: after the tier closes its handles, a repeat that hits the
+   recovery memo still engages a freshly loaded object *)
+let test_exec_recovery_native_not_cached () =
+  if not (Jit.Abi.functional ()) then Alcotest.skip ();
+  with_temp_dir @@ fun dir ->
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let tier = Service.Native.create ~dir:(Some dir) () in
+  let line = "exec kernel=utma n=40 threads=2 native=1" in
+  let first = exec_ok ~native:tier cache line in
+  Alcotest.(check string) "engaged" "true" (json_field "native" first);
+  Service.Native.clear tier;
+  let since = Obsv.Metrics.snapshot () in
+  let again = exec_ok ~native:tier cache line in
+  check_recovery "repeat after clear" ~hits:1 ~misses:0 since;
+  Alcotest.(check int) "native served again" 1 (counted since Service.Stats.native_served);
+  Alcotest.(check string) "same response" first again;
+  Service.Native.clear tier
 
 let test_run_batch () =
   let input =
@@ -1169,6 +1273,15 @@ let suites =
           test_exec_reference_checked_on_hit;
         Alcotest.test_case "exec reference memo: one walk per key" `Quick
           test_exec_reference_single_flight;
+        Alcotest.test_case "exec recovery memo: run options hit, other n misses" `Quick
+          test_exec_recovery_memo;
+        Alcotest.test_case "exec recovery memo: alpha-renamed nest hits" `Quick
+          test_exec_recovery_alpha;
+        Alcotest.test_case "exec recovery memo: bounded LRU" `Quick test_exec_recovery_eviction;
+        Alcotest.test_case "exec recovery memo: a raise memoizes nothing" `Quick
+          test_exec_recovery_raise;
+        Alcotest.test_case "exec recovery memo: native attach per request" `Quick
+          test_exec_recovery_native_not_cached;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch
       ] )
   ]

@@ -75,6 +75,96 @@ let test_nest_iterate () =
     [ [ 0; 1 ]; [ 0; 2 ]; [ 0; 3 ]; [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
     (List.rev !pts)
 
+(* the plain rational walk: every bound evaluated with [Affine.eval]
+   at every row, the definition [Nest.iterate]'s resolved rows must
+   reproduce point for point *)
+let rational_points nest ~param =
+  let levels = Array.of_list nest.Trahrhe.Nest.levels in
+  let d = Array.length levels and pts = ref [] in
+  let idx = Array.make d 0 in
+  let bound k a =
+    let env x =
+      let rec find j =
+        if j >= k then Q.of_int (param x)
+        else if levels.(j).Trahrhe.Nest.var = x then Q.of_int idx.(j)
+        else find (j + 1)
+      in
+      find 0
+    in
+    Zmath.Bigint.to_int_exn (Q.to_bigint_exn (A.eval env a))
+  in
+  let rec go k =
+    if k = d then pts := Array.to_list idx :: !pts
+    else
+      for i = bound k levels.(k).lower to bound k levels.(k).upper - 1 do
+        idx.(k) <- i;
+        go (k + 1)
+      done
+  in
+  go 0;
+  List.rev !pts
+
+let iterate_points nest ~param =
+  let pts = ref [] in
+  Trahrhe.Nest.iterate nest ~param (fun idx -> pts := Array.to_list idx :: !pts);
+  List.rev !pts
+
+(* exact on rational coefficients, on values past the native-int fast
+   path's headroom, and on the registry kernels; a non-integer bound
+   raises *)
+let test_nest_iterate_exact () =
+  let q n d = Q.of_ints n d in
+  (* j = i, so k's bound (i + j) / 2 is integral *)
+  let halves =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = aff [] 0; upper = A.make [ ("N", q 1 2) ] Q.one };
+        { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("i", 1) ] 1 };
+        { var = "k"; lower = A.make [ ("N", q 1 2) ] Q.zero;
+          upper = A.make [ ("N", q 1 2); ("i", q 1 2); ("j", q 1 2) ] Q.one } ]
+  in
+  let param _ = 10 in
+  Alcotest.(check (list (list int))) "rational coefficients"
+    (rational_points halves ~param) (iterate_points halves ~param);
+  (* at N = 2^61 every bound leaves the native-int headroom *)
+  let huge = 1 lsl 61 in
+  let shifted =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = aff [ ("N", 1) ] 0; upper = aff [ ("N", 1) ] 2 };
+        { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("i", 1) ] 2 } ]
+  in
+  Alcotest.(check (list (list int))) "past the headroom"
+    [ [ huge; huge ]; [ huge; huge + 1 ]; [ huge + 1; huge + 1 ]; [ huge + 1; huge + 2 ] ]
+    (iterate_points shifted ~param:(fun _ -> huge));
+  (* k's bound (3i - j) / 2 = i has a scaled numerator 3i - j that
+     wraps native ints at i = 2^61 *)
+  let diag = A.make [ ("i", q 3 2); ("j", q (-1) 2) ] Q.zero in
+  let wide =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = aff [ ("N", 1) ] 0; upper = aff [ ("N", 1) ] 2 };
+        { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("i", 1) ] 1 };
+        { var = "k"; lower = diag; upper = A.add_const Q.one diag } ]
+  in
+  Alcotest.(check (list (list int))) "scaled numerator past the headroom"
+    [ [ huge; huge; huge ]; [ huge + 1; huge + 1; huge + 1 ] ]
+    (iterate_points wide ~param:(fun _ -> huge));
+  List.iter
+    (fun (k : Kernels.Kernel.t) ->
+      List.iter
+        (fun n ->
+          let param = Kernels.Kernel.param_of k ~n in
+          Alcotest.(check (list (list int)))
+            (Printf.sprintf "%s n=%d" k.name n)
+            (rational_points k.nest ~param) (iterate_points k.nest ~param))
+        [ 0; 3; 8 ])
+    Kernels.Registry.kernels;
+  let thirds =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 };
+        { var = "j"; lower = aff [] 0; upper = A.make [ ("i", q 1 3) ] Q.zero } ]
+  in
+  Alcotest.check_raises "non-integer bound" (Invalid_argument "Nest.iterate: non-integer bound")
+    (fun () -> Trahrhe.Nest.iterate thirds ~param (fun _ -> ()))
+
 (* -------- Ranking -------- *)
 
 let eval_at p bindings =
@@ -790,7 +880,8 @@ let suites =
       [ Alcotest.test_case "validation errors" `Quick test_nest_validation;
         Alcotest.test_case "accessors" `Quick test_nest_accessors;
         Alcotest.test_case "dependence degree" `Quick test_dependence_degree;
-        Alcotest.test_case "iterate order" `Quick test_nest_iterate ] );
+        Alcotest.test_case "iterate order" `Quick test_nest_iterate;
+        Alcotest.test_case "iterate exact" `Quick test_nest_iterate_exact ] );
     ( "trahrhe.ranking",
       [ Alcotest.test_case "correlation paper formula" `Quick test_ranking_correlation_formula;
         Alcotest.test_case "correlation paper anchors" `Quick test_ranking_paper_anchors;
