@@ -131,27 +131,14 @@ let is_rectangular n =
     n.levels
 
 (* A bound of level [k], resolved to index slots once per [iterate]:
-   parameters folded into the constant, the rest scaled by the
-   denominators' lcm [den], so that the bound is
-   [(const + sum_j coefs.(j) * idx.(slots.(j))) / den]. While every
-   such index lies in [-lim, lim] the numerator stays below 2^61 in
-   magnitude and native ints are exact; otherwise (and always when the
-   scaled row does not fit, [lim = 0]) the row is evaluated in
-   rationals from [q_const] and [q_coefs]. *)
-type row = {
-  slots : int array;
-  coefs : int array;
-  const : int;
-  den : int;
-  lim : int;
-  q_const : Q.t;
-  q_coefs : Q.t array;
-}
+   parameters folded into [const], so that the bound is
+   [const + sum_j coefs.(j) * idx.(slots.(j))], evaluated exactly in
+   rationals. *)
+type row = { slots : int array; coefs : Q.t array; const : Q.t }
 
 let resolve_row ~vars ~k ~param a =
-  let module B = Zmath.Bigint in
   let rec slot x j = if j >= k then None else if vars.(j) = x then Some j else slot x (j + 1) in
-  let outer, q_const =
+  let outer, const =
     List.fold_left
       (fun (outer, c) (x, q) ->
         match slot x 0 with
@@ -159,44 +146,13 @@ let resolve_row ~vars ~k ~param a =
         | None -> (outer, Q.add c (Q.mul q (Q.of_int (param x)))))
       ([], A.const_part a) (A.terms a)
   in
-  let slots = Array.of_list (List.map fst outer) and q_coefs = Array.of_list (List.map snd outer) in
-  let lcm l q = fst (B.divmod (B.mul l (Q.den q)) (B.gcd l (Q.den q))) in
-  let den = Array.fold_left lcm (Q.den q_const) q_coefs in
-  let scaled q = B.to_int (Q.to_bigint_exn (Q.mul q (Q.of_bigint den))) in
-  let native =
-    match (B.to_int den, scaled q_const, Array.map scaled q_coefs) with
-    | Some den, Some const, coefs when Array.for_all Option.is_some coefs ->
-      let coefs = Array.map Option.get coefs in
-      let span = Array.fold_left (fun s c -> B.add s (B.abs (B.of_int c))) B.one coefs in
-      let room = B.sub (B.pow B.two 61) (B.abs (B.of_int const)) in
-      Some (coefs, const, den, max 0 (B.to_int_exn (fst (B.divmod room span))))
-    | _ -> None
-  in
-  let coefs, const, den, lim = Option.value native ~default:([||], 0, 1, 0) in
-  { slots; coefs; const; den; lim; q_const; q_coefs }
+  { slots = Array.of_list (List.map fst outer); coefs = Array.of_list (List.map snd outer); const }
 
 let eval_row r idx =
-  let n = Array.length r.slots in
-  let rec small j =
-    j >= n
-    ||
-    let v = idx.(r.slots.(j)) in
-    v <= r.lim && v >= -r.lim && small (j + 1)
-  in
-  if r.lim > 0 && small 0 then begin
-    let num = ref r.const in
-    for j = 0 to n - 1 do
-      num := !num + (r.coefs.(j) * idx.(r.slots.(j)))
-    done;
-    if !num mod r.den <> 0 then invalid_arg "Nest.iterate: non-integer bound";
-    !num / r.den
-  end
-  else begin
-    let v = ref r.q_const in
-    Array.iteri (fun j s -> v := Q.add !v (Q.mul r.q_coefs.(j) (Q.of_int idx.(s)))) r.slots;
-    if not (Q.is_integer !v) then invalid_arg "Nest.iterate: non-integer bound";
-    Zmath.Bigint.to_int_exn (Q.num !v)
-  end
+  let v = ref r.const in
+  Array.iteri (fun j s -> v := Q.add !v (Q.mul r.coefs.(j) (Q.of_int idx.(s)))) r.slots;
+  if not (Q.is_integer !v) then invalid_arg "Nest.iterate: non-integer bound";
+  Zmath.Bigint.to_int_exn (Q.num !v)
 
 let iterate n ~param f =
   let d = depth n in

@@ -93,8 +93,7 @@ val is_rectangular : t -> bool
 (** [iterate n ~param f] drives [f] over all iterations in
     lexicographic order, with concrete parameter values; for testing
     and reference execution. Each bound is resolved to index slots once
-    per call, with its parameters folded in, and evaluated exactly: in
-    native ints while its scaled terms provably fit, else in
+    per call, with its parameters folded in, and evaluated exactly in
     rationals.
     @raise Invalid_argument if a bound evaluates to a non-integer. *)
 val iterate : t -> param:(string -> int) -> (int array -> unit) -> unit

@@ -109,9 +109,8 @@ let iterate_points nest ~param =
   Trahrhe.Nest.iterate nest ~param (fun idx -> pts := Array.to_list idx :: !pts);
   List.rev !pts
 
-(* exact on rational coefficients, on values past the native-int fast
-   path's headroom, and on the registry kernels; a non-integer bound
-   raises *)
+(* exact on rational coefficients, on values near the int range, and
+   on the registry kernels; a non-integer bound raises *)
 let test_nest_iterate_exact () =
   let q n d = Q.of_ints n d in
   (* j = i, so k's bound (i + j) / 2 is integral *)
@@ -125,17 +124,17 @@ let test_nest_iterate_exact () =
   let param _ = 10 in
   Alcotest.(check (list (list int))) "rational coefficients"
     (rational_points halves ~param) (iterate_points halves ~param);
-  (* at N = 2^61 every bound leaves the native-int headroom *)
+  (* at N = 2^61 every bound is past 2^61 *)
   let huge = 1 lsl 61 in
   let shifted =
     Trahrhe.Nest.make ~params:[ "N" ]
       [ { var = "i"; lower = aff [ ("N", 1) ] 0; upper = aff [ ("N", 1) ] 2 };
         { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("i", 1) ] 2 } ]
   in
-  Alcotest.(check (list (list int))) "past the headroom"
+  Alcotest.(check (list (list int))) "past 2^61"
     [ [ huge; huge ]; [ huge; huge + 1 ]; [ huge + 1; huge + 1 ]; [ huge + 1; huge + 2 ] ]
     (iterate_points shifted ~param:(fun _ -> huge));
-  (* k's bound (3i - j) / 2 = i has a scaled numerator 3i - j that
+  (* k's bound (3i - j) / 2 = i has an integer numerator 3i - j that
      wraps native ints at i = 2^61 *)
   let diag = A.make [ ("i", q 3 2); ("j", q (-1) 2) ] Q.zero in
   let wide =
@@ -144,7 +143,7 @@ let test_nest_iterate_exact () =
         { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("i", 1) ] 1 };
         { var = "k"; lower = diag; upper = A.add_const Q.one diag } ]
   in
-  Alcotest.(check (list (list int))) "scaled numerator past the headroom"
+  Alcotest.(check (list (list int))) "numerator past the int range"
     [ [ huge; huge; huge ]; [ huge + 1; huge + 1; huge + 1 ] ]
     (iterate_points wide ~param:(fun _ -> huge));
   List.iter
