@@ -1,5 +1,5 @@
 (* micro-chaos: the deterministic chaos harness for the hardened
-   service runtime (BENCH_chaos.json). Four seeded scenarios, each
+   service runtime (BENCH_chaos.json). Five seeded scenarios, each
    with a recovery gate:
 
    1. kill9 mid-write — a real writer process is SIGKILLed while
@@ -22,6 +22,11 @@
       victim's loaded p99 must stay within 3x its unloaded p99 (with
       a small absolute floor for scheduler noise), nobody may lose a
       response, and the victim must never be throttled.
+   5. head of line — while one connection's exec runs for hundreds of
+      ms, a paced client alternates health and a warm compile on
+      another. Their p99 must stay within a tenth of the exec's own
+      latency: the serve loop answers them at the exec's safe points
+      instead of after it.
 
    Afterwards the counter ledger (jit.timeout, serve_stats) must
    reconcile exactly against the client-side ground truth. *)
@@ -400,13 +405,106 @@ let flood_chaos ~victim_reqs ~window =
     stats
   }
 
+(* ---------------- scenario 5: head of line ---------------- *)
+
+type hol_result = {
+  exec_ms : float;  (** the long exec's own round trip *)
+  exec_ok : bool;
+  probes : int;  (** cheap round trips sent while the exec was pending *)
+  health_p50_us : float;
+  health_p99_us : float;
+  compile_p50_us : float;
+  compile_p99_us : float;
+  p99_bound_us : float;  (** a tenth of the exec's latency *)
+  answers_ok : bool;  (** every probe got its own correct answer *)
+  pumped : int;  (** probes the loop answered mid-exec ([serve.pumped]) *)
+}
+
+let hol_chaos ~n =
+  let socket = socket_path "chaos-hol" in
+  let cache = Cache.create ~capacity:32 ~dir:None () in
+  let server = Domain.spawn (fun () -> Server.serve ~cache ~socket ()) in
+  wait_ready socket;
+  let compile = "compile kernel=utma label=hol\n" in
+  let probe_fd = connect socket in
+  let probe_read = make_reader probe_fd in
+  (* warm the one plan both the compile probes and the exec use, so
+     the exec's time is its reference walk and its region *)
+  send_all probe_fd compile;
+  let warm = probe_read () in
+  let sent = Atomic.make false and answered = Atomic.make false in
+  let exec_client =
+    Domain.spawn (fun () ->
+        let fd = connect socket in
+        let read = make_reader fd in
+        let t0 = Unix.gettimeofday () in
+        send_all fd (Printf.sprintf "exec kernel=utma n=%d threads=2 label=hol\n" n);
+        Atomic.set sent true;
+        let line = read () in
+        let t1 = Unix.gettimeofday () in
+        Atomic.set answered true;
+        Unix.close fd;
+        (t0, t1, line))
+  in
+  while not (Atomic.get sent) do
+    Domain.cpu_relax ()
+  done;
+  (* the paced client: a blocking round trip every 2 ms, health and
+     the warm compile in turn, until the exec answers *)
+  let probes = ref [] in
+  while not (Atomic.get answered) do
+    Unix.sleepf 0.002;
+    let health = List.length !probes mod 2 = 0 in
+    let t0 = Unix.gettimeofday () in
+    send_all probe_fd (if health then "health\n" else compile);
+    let line = probe_read () in
+    probes := (health, t0, Unix.gettimeofday (), line) :: !probes
+  done;
+  let t0, t1, exec_line = Domain.join exec_client in
+  send_all probe_fd "shutdown\n";
+  ignore (probe_read ());
+  Unix.close probe_fd;
+  let stats =
+    match Domain.join server with
+    | Ok s -> s
+    | Error e -> failwith ("micro-chaos: serve failed: " ^ e)
+  in
+  let during = List.filter (fun (_, s, _, _) -> s < t1) !probes in
+  let lat_us verb =
+    let a =
+      Array.of_list
+        (List.filter_map (fun (h, s, e, _) -> if h = verb then Some ((e -. s) *. 1e6) else None) during)
+    in
+    Array.sort compare a;
+    a
+  in
+  let health = lat_us true and compiles = lat_us false in
+  let exec_ms = (t1 -. t0) *. 1e3 in
+  { exec_ms;
+    exec_ok = contains ~needle:{|"status":"ok"|} exec_line;
+    probes = List.length during;
+    health_p50_us = percentile health 0.5;
+    health_p99_us = percentile health 0.99;
+    compile_p50_us = percentile compiles 0.5;
+    compile_p99_us = percentile compiles 0.99;
+    p99_bound_us = exec_ms *. 100.;
+    answers_ok =
+      List.for_all
+        (fun (h, _, _, line) ->
+          if h then contains ~needle:{|"op":"health","status":"ok"|} line else line = warm)
+        !probes;
+    pumped = stats.Server.pumped
+  }
+
 (* ---------------- driver ---------------- *)
 
 let run () =
   let seed = 42 in
   let victim_reqs = env_int "BENCH_CHAOS_VICTIM_REQS" 200 in
   let window = env_int "BENCH_CHAOS_FLOOD_WINDOW" 32 in
-  header (Printf.sprintf "micro-chaos: crash/corruption/wedge/flood recovery gates (seed %d)" seed);
+  let hol_n = env_int "BENCH_CHAOS_HOL_N" 6000 in
+  header
+    (Printf.sprintf "micro-chaos: crash/corruption/wedge/flood/head-of-line gates (seed %d)" seed);
   Emit.ensure_writable "BENCH_chaos.json";
   let since = Obsv.Metrics.snapshot () in
 
@@ -464,7 +562,22 @@ let run () =
   in
   Printf.printf "counters reconcile (ground truth = ledger): %s\n%!"
     (if reconciled then "ok" else "MISMATCH");
-  let chaos_ok = kill9_ok && corrupt_ok && wedged_ok && flood_ok && reconciled in
+
+  let h = hol_chaos ~n:hol_n in
+  (* an exec of at least 200 ms, at least ten probes in it, and their
+     p99 within a tenth of it: a probe queued behind the exec waits
+     for most of it *)
+  let hol_ok =
+    h.exec_ok && h.answers_ok && h.exec_ms >= 200. && h.probes >= 10
+    && Float.max h.health_p99_us h.compile_p99_us <= h.p99_bound_us
+  in
+  Printf.printf
+    "hol:     exec %.0f ms; %d probes during it: health p50/p99 %.0f/%.0f us, compile p50/p99 \
+     %.0f/%.0f us (bound %.0f us), %d answered mid-exec -> %s\n%!"
+    h.exec_ms h.probes h.health_p50_us h.health_p99_us h.compile_p50_us h.compile_p99_us
+    h.p99_bound_us h.pumped
+    (if hol_ok then "ok" else "FAIL");
+  let chaos_ok = kill9_ok && corrupt_ok && wedged_ok && flood_ok && reconciled && hol_ok in
   Printf.printf "chaos: %s\n%!" (if chaos_ok then "ALL GATES PASS" else "GATE FAILURES");
 
   Emit.write ~path:"BENCH_chaos.json" ~artifact:"micro-chaos"
@@ -513,13 +626,27 @@ let run () =
             ("health_responsive", Emit.Bool f.health_ok);
             ("dropped", Emit.Int f.stats.Server.dropped)
           ] );
+      ( "head_of_line",
+        Emit.Obj
+          [ ("exec_n", Emit.Int hol_n);
+            ("exec_ms", Emit.F (h.exec_ms, 1));
+            ("probes_during_exec", Emit.Int h.probes);
+            ("health_p50_us", Emit.F (h.health_p50_us, 0));
+            ("health_p99_us", Emit.F (h.health_p99_us, 0));
+            ("compile_p50_us", Emit.F (h.compile_p50_us, 0));
+            ("compile_p99_us", Emit.F (h.compile_p99_us, 0));
+            ("p99_bound_us", Emit.F (h.p99_bound_us, 0));
+            ("answers_correct", Emit.Bool h.answers_ok);
+            ("pumped", Emit.Int h.pumped)
+          ] );
       ( "gates",
         Emit.Obj
           [ ("kill9_selfheal_ok", Emit.Bool kill9_ok);
             ("corrupt_quarantine_ok", Emit.Bool corrupt_ok);
             ("wedged_cc_ok", Emit.Bool wedged_ok);
             ("flood_ok", Emit.Bool flood_ok);
-            ("counters_reconciled", Emit.Bool reconciled)
+            ("counters_reconciled", Emit.Bool reconciled);
+            ("head_of_line_ok", Emit.Bool hol_ok)
           ] );
       ("chaos_ok", Emit.Bool chaos_ok)
     ]

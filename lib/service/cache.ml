@@ -92,7 +92,7 @@ let new_memo ~hits ~misses =
   { entries = new_lru (); flights = Single_flight.create (); hits; misses }
 
 let create ?(capacity = 256) ?dir () =
-  let dir = match dir with Some d -> d | None -> Sys.getenv_opt "OMPSIM_PLAN_CACHE" in
+  let dir = match dir with Some d -> d | None -> Plan.store_dir () in
   let t =
     { capacity = max 1 capacity;
       dir;
@@ -300,6 +300,14 @@ let find_or_compile ?(compile = Plan.compile) t nest =
       Single_flight.publish t.inflight fp fl result;
       Mutex.unlock t.mutex;
       with_renaming result)
+
+let find_warm t nest =
+  let _, _, fp = Fingerprint.canonicalize_cached nest in
+  Mutex.lock t.mutex;
+  let plan = lookup t.plans fp in
+  if plan <> None then record_hit ~disk:false;
+  Mutex.unlock t.mutex;
+  plan
 
 (* a miss computes once per key, with the lock released: concurrent
    misses on one key park on the first one's flight, as plans do, and

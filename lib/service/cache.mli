@@ -47,7 +47,8 @@
 type t
 
 (** [create ()] makes a cache. [capacity] (default 256) bounds the
-    in-memory tier; [dir] (default: [OMPSIM_PLAN_CACHE] when set)
+    in-memory tier; [dir] (default: {!Plan.store_dir}, from
+    [OMPSIM_PLAN_CACHE])
     locates the disk tier, created on first store if missing. When
     the directory exists, creation runs one janitor {!sweep}. *)
 val create : ?capacity:int -> ?dir:string option -> unit -> t
@@ -82,6 +83,12 @@ val find_or_compile :
   t ->
   Trahrhe.Nest.t ->
   (Plan.t * Fingerprint.renaming, string) result
+
+(** [find_warm t nest] is [nest]'s plan when the in-memory tier holds
+    it, booked as the hit {!find_or_compile} would book (and made most
+    recent); [None] otherwise, with nothing booked, no disk probe and
+    no compile. *)
+val find_warm : t -> Trahrhe.Nest.t -> Plan.t option
 
 (** [recovery t plan ~param] is {!Plan.recovery}[ plan ~param],
     memoized under {!Exec.params_key}: the plan fingerprint and the

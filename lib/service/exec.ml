@@ -41,38 +41,73 @@ let rat_result op = function
   | Some q -> Some q
   | None -> N.op_neutral op
 
+(* [f] with [poll] called after every 4096th point: the serial
+   reference's safe points *)
+let polled poll f =
+  match poll with
+  | None -> f
+  | Some poll ->
+    let k = ref 0 in
+    fun idx ->
+      f idx;
+      incr k;
+      if !k land 4095 = 0 then poll ()
+
 (* serial reference: the plain left fold over the canonical nest in
    iteration order — the value every parallel run must equal bit for
    bit. [None] only for min/max over an empty space. Independent of
    the collapsed walk: [Nest.iterate] with exact bounds, and min/max
    in exact rationals. *)
-let serial rc ~nest ~param opts =
+let serial ?poll rc ~nest ~param opts =
+  let iterate f = N.iterate nest ~param (polled poll f) in
   match opts.reduce with
   | None ->
     let acc = ref 0 in
-    N.iterate nest ~param (fun idx -> acc := !acc + R.iter_hash idx);
+    iterate (fun idx -> acc := !acc + R.iter_hash idx);
     Some (Int !acc)
   | Some N.Sum ->
     let acc = ref 0 in
-    N.iterate nest ~param (fun idx -> acc := !acc + R.reduce_value_int rc idx);
+    iterate (fun idx -> acc := !acc + R.reduce_value_int rc idx);
     Some (Int !acc)
   | Some op ->
     let acc = ref None in
-    N.iterate nest ~param (fun idx ->
+    iterate (fun idx ->
         let v = R.reduce_value_rat rc idx in
         acc := Some (match !acc with None -> v | Some a -> N.op_apply op a v));
     Option.map (fun q -> Rat q) (rat_result op !acc)
 
-(* the checksum chunk body: one [walk_hash] call per chunk (a single
-   native call when the backend engaged), or the §VI-A lane walk
-   hashing each lane of its lockstep blocks *)
-let checksum_body rc opts =
-  if opts.lanes > 1 && not opts.native then fun ~thread:_ ~start ~len ->
+(* the checksum walk of [len] iterations from [start]: one
+   [walk_hash] call (a single native call when the backend engaged),
+   or the §VI-A lane walk hashing each lane of its lockstep blocks *)
+let checksum_walk rc opts =
+  if opts.lanes > 1 && not opts.native then fun ~start ~len ->
     let acc = ref 0 in
     R.walk_lanes rc ~pc:(start + 1) ~len ~vlength:opts.lanes (fun ~base:_ ~count buf ->
         acc := !acc + R.block_hash buf ~count);
     !acc
-  else fun ~thread:_ ~start ~len -> R.walk_hash rc ~pc:(start + 1) ~len
+  else fun ~start ~len -> R.walk_hash rc ~pc:(start + 1) ~len
+
+(* a chunk walked in slices of at most [slice] iterations, each paying
+   one more recovery (PAPER.md step 4: recover once, then increment),
+   their results folded left in order by the region's own associative
+   [combine]. Slot 0 runs on the calling domain and calls [poll] after
+   every slice: the region's safe points for its caller. *)
+let slice = 1 lsl 16
+
+let sliced ~poll ~combine walk ~thread ~start ~len =
+  let tick = if thread = 0 then poll else ignore in
+  let stop = start + len in
+  let first = min slice len in
+  let acc = ref (walk ~start ~len:first) in
+  tick ();
+  let pos = ref (start + first) in
+  while !pos < stop do
+    let k = min slice (stop - !pos) in
+    acc := combine !acc (walk ~start:!pos ~len:k);
+    pos := !pos + k;
+    tick ()
+  done;
+  !acc
 
 let params_key plan ~param =
   let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
@@ -90,19 +125,19 @@ let reference_key plan ~param opts =
 (* one parallel run: every payload, the checksum included, is a
    reduction over the chunk partition — per-worker partials and the
    deterministic combine tree of the supervised [Par.reduce] *)
-let parallel ?faults ?deadline_ms rc opts =
+let parallel ?faults ?deadline_ms ~poll rc opts =
   let n = R.trip_count rc in
-  let region combine body =
+  let region combine walk =
     Par.reduce ~retries:opts.retries ?deadline_ms ?faults ~nthreads:opts.threads
-      ~schedule:opts.schedule ~n ~combine body
+      ~schedule:opts.schedule ~n ~combine (sliced ~poll ~combine walk)
   in
-  let ints combine body = Result.map (Option.value ~default:0) (region combine body) in
-  let int_walk ~thread:_ ~start ~len = R.walk_reduce_int rc ~pc:(start + 1) ~len in
+  let ints combine walk = Result.map (Option.value ~default:0) (region combine walk) in
+  let int_walk ~start ~len = R.walk_reduce_int rc ~pc:(start + 1) ~len in
   (* an empty space reduces to [None]: 0 for the sums. Min/max over
      an empty space never get here (the reference rejects them first),
      so their defaults are unreachable. *)
   match opts.reduce with
-  | None -> ints ( + ) (checksum_body rc opts) |> Result.map (fun v -> Int v)
+  | None -> ints ( + ) (checksum_walk rc opts) |> Result.map (fun v -> Int v)
   | Some N.Sum -> ints ( + ) int_walk |> Result.map (fun v -> Int v)
   | Some ((N.Min | N.Max) as op) when not (R.overflow_guarded rc) ->
     (* exact in native ints below [make]'s headroom; rendered as the
@@ -110,10 +145,10 @@ let parallel ?faults ?deadline_ms rc opts =
     ints (if op = N.Min then Int.min else Int.max) int_walk
     |> Result.map (fun v -> Rat (Q.of_int v))
   | Some op ->
-    region (N.op_apply op) (fun ~thread:_ ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
+    region (N.op_apply op) (fun ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
     |> Result.map (fun o -> Rat (Option.value ~default:Q.zero (rat_result op o)))
 
-let run ?faults ?deadline_ms ?started ~reference rc opts =
+let run ?faults ?deadline_ms ?started ?(poll = ignore) ~reference rc opts =
   match reference with
   | None -> Error Empty_extremum
   | Some reference ->
@@ -141,7 +176,7 @@ let run ?faults ?deadline_ms ?started ~reference rc opts =
                  error = { Par.reason = Par.Deadline_expired; failures = []; unrecovered } })
         | budget -> (
           let t0 = Unix.gettimeofday () in
-          match parallel ?faults ?deadline_ms:budget rc opts with
+          match parallel ?faults ?deadline_ms:budget ~poll rc opts with
           | exception exn -> Error (Raised { run = r; exn })
           | Error error -> Error (Region { run = r; error })
           | Ok v ->

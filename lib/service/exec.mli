@@ -17,7 +17,17 @@
     {!Trahrhe.Recovery.walk_reduce_rat} partials in exact rationals.
     A native-int [min]/[max] is exact because the recovery's headroom
     analysis bounds every clause value below 2^61; it is rendered as
-    the same rational. *)
+    the same rational.
+
+    The region walks each chunk in slices of at most 2^16 iterations
+    (one more recovery each), folding the slice results in order with
+    the payload's own associative combine, so slicing never changes a
+    value. An optional [poll] is called on the region's slot 0 — the
+    calling domain — after every slice, and every 4096 iterations of
+    the serial reference: safe points at which a single-domain caller
+    can do other cheap work while a long request runs ({!Server.serve}
+    answers [health] and warm [compile] there). [poll] must not raise
+    and must not open a parallel region. *)
 
 type opts = {
   threads : int;  (** domains for the parallel region *)
@@ -71,9 +81,15 @@ val recovery :
     left fold of the payload over [nest] (the plan's canonical nest,
     under [param]) in iteration order, independent of the collapsed
     walk — {!Trahrhe.Nest.iterate}, with [prod]/[min]/[max] in exact
-    rationals. [None] only for [min]/[max] over an empty space. *)
+    rationals. [None] only for [min]/[max] over an empty space.
+    [poll] (default: none) is called after every 4096th iteration. *)
 val serial :
-  Trahrhe.Recovery.t -> nest:Trahrhe.Nest.t -> param:(string -> int) -> opts -> value option
+  ?poll:(unit -> unit) ->
+  Trahrhe.Recovery.t ->
+  nest:Trahrhe.Nest.t ->
+  param:(string -> int) ->
+  opts ->
+  value option
 
 (** [params_key plan ~param] names {!Plan.recovery}'s result: the plan
     fingerprint and the values of the plan's canonical parameters under
@@ -95,11 +111,13 @@ val reference_key : Plan.t -> param:(string -> int) -> opts -> string
     through: absent defers to [OMPSIM_FAULTS]) and the remaining
     deadline. [deadline_ms] budgets all runs together, measured from
     [started] (default: the start of the first run). Stops at the
-    first failing run. *)
+    first failing run. [poll] (default: nothing) is called on slot 0
+    after every slice of a chunk (see above). *)
 val run :
   ?faults:Ompsim.Fault.t option ->
   ?deadline_ms:int ->
   ?started:float ->
+  ?poll:(unit -> unit) ->
   reference:value option ->
   Trahrhe.Recovery.t ->
   opts ->

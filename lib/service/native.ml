@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ?dir ?breaker () =
-  let dir = match dir with Some d -> d | None -> Sys.getenv_opt "OMPSIM_PLAN_CACHE" in
+  let dir = match dir with Some d -> d | None -> Plan.store_dir () in
   let breaker = match breaker with Some b -> b | None -> Jit.Breaker.create () in
   { dir;
     mutex = Mutex.create ();

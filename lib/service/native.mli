@@ -20,7 +20,8 @@
 type t
 
 (** [create ()] makes a handle cache over [dir] (default:
-    [OMPSIM_PLAN_CACHE] when set, else a temp directory chosen by
+    {!Plan.store_dir}, the [OMPSIM_PLAN_CACHE] store when set and
+    non-empty, else a temp directory chosen by
     {!Jit.Compile.specialize}). [breaker] (default a fresh
     {!Jit.Breaker.create}, configured from the environment) guards
     this cache's fresh compiles. *)

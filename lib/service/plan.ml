@@ -8,6 +8,9 @@ type t = {
   staged : Trahrhe.Recovery.staged;
 }
 
+let store_dir () =
+  match Sys.getenv_opt "OMPSIM_PLAN_CACHE" with Some "" | None -> None | some -> some
+
 let make ~fingerprint inversion =
   { fingerprint; inversion; staged = Trahrhe.Recovery.stage inversion }
 

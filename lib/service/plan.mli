@@ -16,6 +16,12 @@ type t = {
       (** [inversion] staged once for {!recovery}; not serialized *)
 }
 
+(** [store_dir ()] is the on-disk plan store named by the
+    [OMPSIM_PLAN_CACHE] environment variable, shared by the plan cache
+    ({!Cache}) and the native tier ({!Native}); unset or empty is no
+    store. *)
+val store_dir : unit -> string option
+
 (** [make ~fingerprint inversion] is the plan of [inversion], whose
     nest must have the digest [fingerprint]. *)
 val make : fingerprint:string -> Trahrhe.Inversion.t -> t

@@ -402,8 +402,9 @@ let compile_json ~label plan =
     resp
 
 (* [handle_full] additionally reports whether the request died on its
-   deadline, so the serve loop can count [serve.timeout] exactly *)
-let handle_full ?native ?deadline_ms cache req =
+   deadline, so the serve loop can count [serve.timeout] exactly, and
+   takes the serve loop's [poll] for the exec's safe points *)
+let handle_full ?native ?deadline_ms ?poll cache req =
   match req with
   | Shutdown -> (shutdown_json (), true, false)
   | Health -> (health_json ?native (), true, false)
@@ -446,9 +447,9 @@ let handle_full ?native ?deadline_ms cache req =
         let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
         let reference =
           Cache.reference cache (Exec.reference_key plan ~param:cparam opts) (fun () ->
-              Exec.serial rc ~nest ~param:cparam opts)
+              Exec.serial ?poll rc ~nest ~param:cparam opts)
         in
-        match Exec.run ?deadline_ms ~started ~reference rc opts with
+        match Exec.run ?deadline_ms ~started ?poll ~reference rc opts with
         | Ok { Exec.reference; _ } ->
           let result =
             match opts.reduce with
@@ -627,6 +628,7 @@ type serve_stats = {
   rejected : int;
   throttled : int;
   health_probes : int;
+  pumped : int;
   dropped : int;
   max_concurrent : int;
   inflight_final : int;
@@ -678,11 +680,11 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
   let summary how =
     Printf.eprintf
       "serve (%s): %d connection(s), %d request(s), %d ok, %d errors (%d timeouts, %d rejected, \
-       %d throttled); %s\n\
+       %d throttled), %d answered mid-request; %s\n\
        %!"
       how (counted Stats.serve_accepts) !requests !ok_responses !error_responses
       (counted Stats.serve_timeouts) (counted Stats.serve_rejected)
-      (counted Stats.serve_throttled) (cache_summary since);
+      (counted Stats.serve_throttled) (counted Stats.serve_pumped) (cache_summary since);
     native_summary ~front:(Printf.sprintf "serve (%s)" how) since
   in
   match
@@ -771,7 +773,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
          at the burst. Control verbs (health, shutdown) are exempt —
          throttling the liveness probe or the stop switch would defeat
          both. *)
-      let rate_admit c =
+      let rate_ok c =
         match config.rate_limit with
         | None -> true
         | Some rps ->
@@ -781,12 +783,9 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
               (float_of_int config.rate_burst)
               (c.rl_tokens +. ((now -. c.rl_last) *. rps));
           c.rl_last <- now;
-          if c.rl_tokens >= 1. then begin
-            c.rl_tokens <- c.rl_tokens -. 1.;
-            true
-          end
-          else false
+          c.rl_tokens >= 1.
       in
+      let rate_take c = if config.rate_limit <> None then c.rl_tokens <- c.rl_tokens -. 1. in
       (* the trace stream samples the admission level once per batch of
          transitions (post-admit peak, post-service residual), not per
          transition: the [service.inflight] metric above stays exact
@@ -823,8 +822,14 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
          responses are answered in input order, legitimately parks
          everything framed behind it on the same connection), while
          the unread socket (plus at most one framer line burst) is
-         the backpressure buffer. *)
-      let admit c =
+         the backpressure buffer.
+
+         With [~pump] (an idle connection, mid-request) only lines
+         that cost a lookup are consumed, each answered by a queued
+         response: [health], a [compile] whose plan is in the memory
+         tier, and a [compile] the rate limiter refuses. The first
+         other line stops the loop and stays framed for the loop. *)
+      let admit ?(pump = false) c =
         let under_caps () =
           !inflight < config.max_inflight && c.inflight < config.max_inflight_per_client
         in
@@ -832,6 +837,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
         while !continue do
           match Framing.peek c.framer with
           | `Pending -> continue := false
+          | `Overflow when pump -> continue := false
           | `Overflow ->
             if not c.reject_sent then begin
               c.reject_sent <- true;
@@ -848,6 +854,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
           | `Line line -> (
             match parse_request line with
             | Ok None -> Framing.drop c.framer
+            | Error _ when pump -> continue := false
             | Error e ->
               Framing.drop c.framer;
               Queue.push (Queued_response (error_json ~op:"parse" ~label:"-" e, false)) c.work
@@ -863,6 +870,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
               Queue.push
                 (Queued_response (health_json ~native:nt ~inflight:!inflight (), true))
                 c.work
+            | Ok (Some Shutdown) when pump -> continue := false
             | Ok (Some Shutdown) ->
               (* the stop switch is exempt from rate limiting and the
                  admission caps alike: a saturated server must still
@@ -870,19 +878,27 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
               Framing.drop c.framer;
               note_admitted c;
               Queue.push (Queued_request Shutdown) c.work
-            | Ok (Some req) ->
-              if not (under_caps ()) then continue := false
-              else begin
+            | Ok (Some (Exec _)) when pump -> continue := false
+            | Ok (Some _) when not (under_caps ()) -> continue := false
+            | Ok (Some req) when not (rate_ok c) ->
+              Framing.drop c.framer;
+              Obsv.Metrics.incr_here Stats.serve_throttled;
+              Queue.push (Queued_response (overload_json req, false)) c.work
+            | Ok (Some (Compile { label; nest })) when pump -> (
+              (* the lookup books the hit [handle_full] would have *)
+              match Cache.find_warm cache nest with
+              | None -> continue := false
+              | Some plan ->
                 Framing.drop c.framer;
-                if rate_admit c then begin
-                  note_admitted c;
-                  Queue.push (Queued_request req) c.work
-                end
-                else begin
-                  Obsv.Metrics.incr_here Stats.serve_throttled;
-                  Queue.push (Queued_response (overload_json req, false)) c.work
-                end
-              end)
+                rate_take c;
+                note_admitted c;
+                note_settled c;
+                Queue.push (Queued_response (compile_json ~label plan, true)) c.work)
+            | Ok (Some req) ->
+              Framing.drop c.framer;
+              rate_take c;
+              note_admitted c;
+              Queue.push (Queued_request req) c.work)
         done
       in
       let read_conn c =
@@ -920,6 +936,59 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
             continue := false
         done
       in
+      (* the loop's safe-point hook, handed to every exec it serves.
+         Once the loop has been away from its [select] for
+         [pump_after_s] (one clock read per call until then), a
+         zero-timeout select reads the idle connections — nothing
+         queued, framed, in flight or unflushed, which also excludes
+         the one being served — and answers in place the lines
+         [admit ~pump:true] consumes: their responses are the
+         connection's next bytes, so its order is kept. Never
+         re-entered; everything else waits for the loop. *)
+      let pump_after_s = 0.5e-3 in
+      let last_select = ref (Unix.gettimeofday ()) in
+      let pumping = ref false in
+      let idle c =
+        (not c.closing) && (not c.reject_sent) && c.inflight = 0 && out_pending c = 0
+        && Queue.is_empty c.work
+        && (not (Framing.overflowed c.framer))
+        && not (Framing.has_line c.framer)
+      in
+      (* emit the responses at the head of [c]'s queue; how many *)
+      let rec emit_ready c =
+        match Queue.peek_opt c.work with
+        | Some (Queued_response (line, ok)) ->
+          ignore (Queue.pop c.work);
+          emit c line ok;
+          1 + emit_ready c
+        | Some (Queued_request _) | None -> 0
+      in
+      let pump () =
+        if (not !pumping) && (not !draining)
+           && Unix.gettimeofday () -. !last_select >= pump_after_s
+        then begin
+          pumping := true;
+          Fun.protect
+            ~finally:(fun () ->
+              last_select := Unix.gettimeofday ();
+              pumping := false)
+            (fun () ->
+              let idle = List.filter idle !conns in
+              if idle <> [] then
+                match Unix.select (List.map (fun c -> c.fd) idle) [] [] 0.0 with
+                | exception Unix.Unix_error _ -> ()
+                | ready, _, _ ->
+                  List.iter
+                    (fun c ->
+                      if List.mem c.fd ready then begin
+                        read_conn c;
+                        admit ~pump:true c;
+                        Obsv.Metrics.add_here Stats.serve_pumped (emit_ready c);
+                        flush_conn c
+                      end)
+                    idle)
+        end
+      in
       (* serve up to [service_quantum] admitted requests (and any
          number of ready responses) from this connection — the
          per-connection, per-turn quantum bounds how long a pipelining
@@ -942,7 +1011,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
             begin_drain `Shutdown
           | Some (Queued_request req) ->
             let line, ok, timed_out =
-              handle_full ~native:nt ?deadline_ms:config.request_timeout_ms cache req
+              handle_full ~native:nt ?deadline_ms:config.request_timeout_ms ~poll:pump cache req
             in
             note_settled c;
             if timed_out then Obsv.Metrics.incr_here Stats.serve_timeouts;
@@ -1039,6 +1108,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
           (match Unix.select read_fds write_fds [] timeout with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | ready_read, ready_write, _ ->
+            last_select := Unix.gettimeofday ();
             if List.mem fd ready_read then accept_burst ();
             List.iter
               (fun c -> if List.mem c.fd ready_read then read_conn c)
@@ -1069,6 +1139,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
           inflight_final = !inflight;
           throttled = counted Stats.serve_throttled;
           health_probes = !health_served;
+          pumped = counted Stats.serve_pumped;
           stopped_by = how }
     with Unix.Unix_error (e, fn, _) ->
       finish "error";

@@ -171,6 +171,10 @@ type serve_stats = {
   health_probes : int;
       (** [health] requests answered — not counted in [requests],
           which covers admitted work only *)
+  pumped : int;
+      (** lines answered from inside another request's exec
+          ([serve.pumped]): [health] and warm [compile] on idle
+          connections, also counted in [health_probes] or [requests] *)
   dropped : int;
       (** admitted requests or finished responses discarded because
           the peer vanished or the drain deadline passed — 0 in any
@@ -190,7 +194,15 @@ type serve_stats = {
     turn so a pipelining client cannot starve the rest. Requests execute inline in the loop's
     domain — their parallel regions ride the shared {!Ompsim.Pool} —
     so concurrency buys overlap of client round-trips, not parallel
-    request execution.
+    request execution. Cheap requests do not wait for a long [exec],
+    though: at the exec's safe points ({!Exec.run}'s [poll]), once the
+    loop has been away from its [select] for 0.5 ms, it reads its idle
+    connections (nothing queued, in flight or unflushed) and answers
+    [health] and any [compile] whose plan is in the memory tier in
+    place, through the same parse, cap and rate-limit code; any other
+    line stays framed for the loop, so each connection's response
+    order and bytes are unchanged. These answers are counted in
+    [pumped].
 
     Returns after a client sends [shutdown], or on SIGINT/SIGTERM;
     both paths drain gracefully: stop accepting and reading, serve

@@ -57,6 +57,12 @@ val serve_throttled : Obsv.Metrics.t
     protection (the token-bucket [--rate-limit]); each one received a
     deterministic structured [rejected:overload] response *)
 
+val serve_pumped : Obsv.Metrics.t
+(** [serve.pumped]: lines the serve loop answered from inside another
+    request's exec, at its safe points ({!Exec.run}'s [poll]) —
+    [health], warm [compile] and rate-refused [compile] on idle
+    connections; each is also counted where the loop would count it *)
+
 val cache_quarantined : Obsv.Metrics.t
 (** [cache.quarantined]: corrupt disk entries (envelope/CRC failures)
     moved aside to [<fingerprint>.bad] and recompiled — never silently

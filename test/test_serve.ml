@@ -728,11 +728,12 @@ let test_serve_health_exempt_at_saturation () =
      N, so each one misses the reference memo and walks it), so a
      pipelined flood holds the
      admission counter at the cap for ~2s of short loop turns. The
-     loop is single-threaded and requests execute inline, so even an
-     exempt probe waits out the request in flight when it arrives —
-     the discriminator is relative, not absolute: exempt health
-     answers within a couple of request-times, capped health waits
-     for nearly the whole backlog. *)
+     loop is single-threaded and requests execute inline, so an
+     exempt probe waits for the in-flight request's next safe point
+     (or all of it, before the exec runs) — the discriminator is
+     relative, not absolute: exempt health answers within a couple
+     of request-times, capped health waits for nearly the whole
+     backlog. *)
   let slow n = Printf.sprintf "exec params=N=%d levels=i=0..N,j=i..N threads=2 label=slow" n in
   let nslow = 10 in
   let config =
@@ -776,6 +777,51 @@ let test_serve_health_exempt_at_saturation () =
        health_at_ms drain_ms)
     true (health_at_ms < drain_ms /. 2.);
   Alcotest.(check int) "health probes counted" 1 stats.Server.health_probes;
+  Alcotest.(check int) "nothing dropped" 0 stats.Server.dropped
+
+(* a long exec no longer holds up cheap requests on another
+   connection: at the exec's safe points the loop answers health and a
+   warm compile in place. utma at n = 3000 misses the reference memo
+   and walks ~4.5M iterations serially, then again in its region —
+   tens of ms, where the safe points come every 4096 iterations and
+   every 2^16-iteration slice. *)
+let test_serve_cheap_requests_pass_long_exec () =
+  let exec_line = "exec kernel=utma n=3000" in
+  let compile_line = "compile kernel=utma label=warm" in
+  let (exec_resp, cheap, exec_answered_first), stats =
+    with_server @@ fun socket ->
+    let side = connect socket in
+    send_all side (compile_line ^ "\n");
+    ignore (recv_lines side 1);
+    let main = connect socket in
+    let walks = Obsv.Metrics.total Service.Stats.reference_misses in
+    send_all main (exec_line ^ "\n");
+    (* the server (a domain of this process) has begun the walk *)
+    let rec wait tries =
+      if Obsv.Metrics.total Service.Stats.reference_misses = walks then begin
+        if tries = 0 then Alcotest.fail "the exec never started its reference walk";
+        Unix.sleepf 0.0005;
+        wait (tries - 1)
+      end
+    in
+    wait 20_000;
+    send_all side ("health\n" ^ compile_line ^ "\n");
+    let cheap = recv_lines side 2 in
+    let exec_answered_first =
+      match Unix.select [ main ] [] [] 0.0 with [], _, _ -> false | _ -> true
+    in
+    let exec_resp = List.hd (recv_lines main 1) in
+    send_all side "shutdown\n";
+    ignore (recv_lines side 1);
+    Unix.close side;
+    Unix.close main;
+    (exec_resp, cheap, exec_answered_first)
+  in
+  Alcotest.(check bool) "health and compile answered before the exec" false exec_answered_first;
+  check_contains "health answered" {|"op":"health","status":"ok"|} (List.nth cheap 0);
+  Alcotest.(check string) "warm compile" (expected_line compile_line) (List.nth cheap 1);
+  Alcotest.(check string) "exec byte-identical" (expected_line exec_line) exec_resp;
+  Alcotest.(check int) "both counted in serve.pumped" 2 stats.Server.pumped;
   Alcotest.(check int) "nothing dropped" 0 stats.Server.dropped
 
 let test_serve_per_client_cap_backpressure () =
@@ -923,7 +969,9 @@ let suites =
           test_serve_health_exempt_at_saturation;
         Alcotest.test_case "per-client cap is backpressure, not errors" `Quick
           test_serve_per_client_cap_backpressure;
-        Alcotest.test_case "garbage bytes get structured errors" `Quick test_serve_garbage_bytes
+        Alcotest.test_case "garbage bytes get structured errors" `Quick test_serve_garbage_bytes;
+        Alcotest.test_case "health and warm compile pass a long exec" `Quick
+          test_serve_cheap_requests_pass_long_exec
       ]
       @ qsuite [ prop_parse_request_total; prop_framing_fuzz ] )
   ]

@@ -1165,6 +1165,95 @@ let test_exec_recovery_native_not_cached () =
   Alcotest.(check string) "same response" first again;
   Service.Native.clear tier
 
+(* a chunk longer than 2^16 iterations is walked in slices, folded by
+   the payload's own combine: every fold still equals the serial
+   reference. correlation_reduce at n = 520 has 134,940 iterations, so
+   one thread's static chunk spans three slices and its first guided
+   chunk two; slot 0 polls after each slice. Two threads combine
+   sliced chunks. *)
+let test_exec_slices_exact () =
+  let k = Option.get (Kernels.Registry.find "correlation_reduce") in
+  let base = k.Kernels.Kernel.nest in
+  let param = Kernels.Kernel.param_of k ~n:520 in
+  (* the clause 2^60 i + j trips the overflow guard: min/max then fold
+     in exact rationals *)
+  let guarded op =
+    let value = P.add (P.scale (Q.of_int (1 lsl 60)) (P.var "i")) (P.var "j") in
+    N.make ~params:base.N.params ~reduce:{ N.op; value } base.N.levels
+  in
+  let payloads =
+    [ ("checksum", base, None, 1);
+      ("lanes=8", base, None, 8);
+      ("sum", base, Some N.Sum, 1);
+      ("min", N.with_reduce_op base (Some N.Min), Some N.Min, 1);
+      ("max", N.with_reduce_op base (Some N.Max), Some N.Max, 1);
+      ("guarded max", guarded N.Max, Some N.Max, 1) ]
+  in
+  List.iter
+    (fun (what, nest, reduce, lanes) ->
+      let rc = Trahrhe.Recovery.make (Trahrhe.Inversion.invert_exn nest) ~param in
+      let trip = Trahrhe.Recovery.trip_count rc in
+      Alcotest.(check int) (what ^ ": trip") 134_940 trip;
+      Alcotest.(check bool) (what ^ ": exact-rational fold")
+        (what = "guarded max") (Trahrhe.Recovery.overflow_guarded rc);
+      let opts =
+        { Service.Exec.threads = 1; schedule = Ompsim.Schedule.Static; lanes; repeat = 1;
+          retries = 0; native = false; reduce }
+      in
+      let serial_polls = ref 0 in
+      let reference =
+        Service.Exec.serial ~poll:(fun () -> incr serial_polls) rc ~nest ~param opts
+      in
+      Alcotest.(check int) (what ^ ": serial polls every 4096") (trip / 4096) !serial_polls;
+      List.iter
+        (fun (threads, schedule) ->
+          let opts = { opts with threads; schedule } in
+          let what =
+            Printf.sprintf "%s %s threads=%d" what (Ompsim.Schedule.to_string schedule) threads
+          in
+          let polls = ref 0 in
+          (* no injected faults: a failed chunk's serial fallback would
+             re-partition the range and change the poll count *)
+          (match Service.Exec.run ~faults:None ~poll:(fun () -> incr polls) ~reference rc opts with
+          | Ok _ -> ()
+          | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: sliced run differs" what
+          | Error _ -> Alcotest.failf "%s: run failed" what);
+          (* one thread claims every chunk: a poll per slice of each *)
+          let rec slices remaining =
+            if remaining = 0 then 0
+            else
+              let len =
+                match schedule with
+                | Ompsim.Schedule.Guided c -> Ompsim.Schedule.next_guided ~chunk:c ~nthreads:1 ~remaining
+                | _ -> remaining
+              in
+              ((len + 0xffff) / 0x10000) + slices (remaining - len)
+          in
+          if threads = 1 then Alcotest.(check int) (what ^ ": a poll per slice") (slices trip) !polls)
+        [ (1, Ompsim.Schedule.Static); (1, Ompsim.Schedule.Guided 1024);
+          (2, Ompsim.Schedule.Static); (2, Ompsim.Schedule.Guided 1024) ])
+    payloads
+
+(* an empty OMPSIM_PLAN_CACHE is no store: plans stay in memory, shared
+   objects go to a temp directory, and the working directory is left
+   alone *)
+let test_empty_plan_cache_env () =
+  if not (Jit.Abi.functional ()) then Alcotest.skip ();
+  with_temp_dir @@ fun dir ->
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  with_env [ ("OMPSIM_PLAN_CACHE", "") ] @@ fun () ->
+  let cache = Cache.create ~capacity:4 () in
+  let tier = Service.Native.create () in
+  Alcotest.(check (option string)) "no plan store" None (Cache.dir cache);
+  Alcotest.(check (option string)) "no native store" None (Service.Native.dir tier);
+  let resp = exec_ok ~native:tier cache "exec kernel=utma n=40 threads=2 native=1" in
+  Alcotest.(check string) "served natively" "true" (json_field "native" resp);
+  Alcotest.(check (array string)) "nothing written to the working directory" [||]
+    (Sys.readdir dir);
+  Service.Native.clear tier
+
 let test_run_batch () =
   let input =
     String.concat "\n"
@@ -1282,6 +1371,8 @@ let suites =
           test_exec_recovery_raise;
         Alcotest.test_case "exec recovery memo: native attach per request" `Quick
           test_exec_recovery_native_not_cached;
+        Alcotest.test_case "exec slices keep every fold exact" `Quick test_exec_slices_exact;
+        Alcotest.test_case "empty OMPSIM_PLAN_CACHE is no store" `Quick test_empty_plan_cache_env;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch
       ] )
   ]
