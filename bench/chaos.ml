@@ -502,7 +502,7 @@ let run () =
   let seed = 42 in
   let victim_reqs = env_int "BENCH_CHAOS_VICTIM_REQS" 200 in
   let window = env_int "BENCH_CHAOS_FLOOD_WINDOW" 32 in
-  let hol_n = env_int "BENCH_CHAOS_HOL_N" 6000 in
+  let hol_n = 6000 in
   header
     (Printf.sprintf "micro-chaos: crash/corruption/wedge/flood/head-of-line gates (seed %d)" seed);
   Emit.ensure_writable "BENCH_chaos.json";

@@ -220,13 +220,19 @@ let disk_store t fp plan =
 
 (* ---- the request path ---- *)
 
+(* the memory-tier hit, under [t.mutex]: [lookup] promotes the entry
+   and the hit is booked here, once, for both request paths *)
+let warm_hit t fp =
+  let plan = lookup t.plans fp in
+  if plan <> None then record_hit ~disk:false;
+  plan
+
 let find_or_compile ?(compile = Plan.compile) t nest =
   let canonical, renaming, fp = Fingerprint.canonicalize_cached nest in
   let with_renaming = Result.map (fun p -> (p, renaming)) in
   Mutex.lock t.mutex;
-  match lookup t.plans fp with
+  match warm_hit t fp with
   | Some plan ->
-    record_hit ~disk:false;
     Mutex.unlock t.mutex;
     Ok (plan, renaming)
   | None -> (
@@ -304,8 +310,7 @@ let find_or_compile ?(compile = Plan.compile) t nest =
 let find_warm t nest =
   let _, _, fp = Fingerprint.canonicalize_cached nest in
   Mutex.lock t.mutex;
-  let plan = lookup t.plans fp in
-  if plan <> None then record_hit ~disk:false;
+  let plan = warm_hit t fp in
   Mutex.unlock t.mutex;
   plan
 

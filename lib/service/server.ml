@@ -828,7 +828,11 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
          that cost a lookup are consumed, each answered by a queued
          response: [health], a [compile] whose plan is in the memory
          tier, and a [compile] the rate limiter refuses. The first
-         other line stops the loop and stays framed for the loop. *)
+         other line stops the loop and stays framed for the loop, and
+         so does the line past [service_quantum] answers (the idle
+         queue starts empty and each consumed line queues one): the
+         pump's time is charged to the running exec's deadline, and
+         the cap keeps a pipelined flood from growing that charge. *)
       let admit ?(pump = false) c =
         let under_caps () =
           !inflight < config.max_inflight && c.inflight < config.max_inflight_per_client
@@ -837,6 +841,7 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
         while !continue do
           match Framing.peek c.framer with
           | `Pending -> continue := false
+          | _ when pump && Queue.length c.work >= config.service_quantum -> continue := false
           | `Overflow when pump -> continue := false
           | `Overflow ->
             if not c.reject_sent then begin

@@ -202,7 +202,10 @@ type serve_stats = {
     place, through the same parse, cap and rate-limit code; any other
     line stays framed for the loop, so each connection's response
     order and bytes are unchanged. These answers are counted in
-    [pumped].
+    [pumped]. Their time counts toward the running exec's
+    [request_timeout_ms] budget, so one pump answers at most
+    [service_quantum] lines per connection; the rest of a pipelined
+    burst waits for the loop.
 
     Returns after a client sends [shutdown], or on SIGINT/SIGTERM;
     both paths drain gracefully: stop accepting and reading, serve

@@ -824,6 +824,48 @@ let test_serve_cheap_requests_pass_long_exec () =
   Alcotest.(check int) "both counted in serve.pumped" 2 stats.Server.pumped;
   Alcotest.(check int) "nothing dropped" 0 stats.Server.dropped
 
+(* a pipelined health flood on another connection, sent while an exec
+   with a deadline runs: the pump's time is charged to that deadline,
+   so one pump answers at most [service_quantum] of the flood and the
+   rest waits for the loop. The exec still answers, byte-identical. *)
+let test_serve_health_flood_under_deadline () =
+  let exec_line = "exec kernel=utma n=3000" in
+  let flood = 200 in
+  let config = { Server.default_serve_config with request_timeout_ms = Some 60_000 } in
+  let (exec_resp, healths), stats =
+    with_server ~config @@ fun socket ->
+    let side = connect socket in
+    let main = connect socket in
+    let walks = Obsv.Metrics.total Service.Stats.reference_misses in
+    send_all main (exec_line ^ "\n");
+    let rec wait tries =
+      if Obsv.Metrics.total Service.Stats.reference_misses = walks then begin
+        if tries = 0 then Alcotest.fail "the exec never started its reference walk";
+        Unix.sleepf 0.0005;
+        wait (tries - 1)
+      end
+    in
+    wait 20_000;
+    send_all side (String.concat "" (List.init flood (fun _ -> "health\n")));
+    let exec_resp = List.hd (recv_lines main 1) in
+    let healths = recv_lines side flood in
+    send_all side "shutdown\n";
+    ignore (recv_lines side 1);
+    Unix.close side;
+    Unix.close main;
+    (exec_resp, healths)
+  in
+  Alcotest.(check string) "exec byte-identical" (expected_line exec_line) exec_resp;
+  List.iter (check_contains "health answered" {|"op":"health","status":"ok"|}) healths;
+  Alcotest.(check int) "every probe counted" flood stats.Server.health_probes;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one quantum pumped (%d)" stats.Server.pumped)
+    true
+    (stats.Server.pumped >= 1
+    && stats.Server.pumped <= Server.default_serve_config.service_quantum);
+  Alcotest.(check int) "no timeout" 0 stats.Server.timeouts;
+  Alcotest.(check int) "nothing dropped" 0 stats.Server.dropped
+
 let test_serve_per_client_cap_backpressure () =
   (* a cap of 1 forces the loop to stop reading the flooding client
      between requests: everything is still answered, in order, byte
@@ -971,7 +1013,9 @@ let suites =
           test_serve_per_client_cap_backpressure;
         Alcotest.test_case "garbage bytes get structured errors" `Quick test_serve_garbage_bytes;
         Alcotest.test_case "health and warm compile pass a long exec" `Quick
-          test_serve_cheap_requests_pass_long_exec
+          test_serve_cheap_requests_pass_long_exec;
+        Alcotest.test_case "a health flood costs a deadlined exec one quantum" `Quick
+          test_serve_health_flood_under_deadline
       ]
       @ qsuite [ prop_parse_request_total; prop_framing_fuzz ] )
   ]
