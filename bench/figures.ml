@@ -214,13 +214,14 @@ let ablation_threads () =
     [ "correlation"; "ltmp"; "fdtd_skewed" ]
 
 let ablation_recovery () =
-  header "Ablation A3: index recovery strategies";
-  Printf.printf "%-18s %14s %14s %14s   %s\n" "kernel" "closed(ns)" "guarded(ns)" "binsearch(ns)"
+  header "Ablation A3: index recovery, paper closed forms vs the exact search";
+  Printf.printf "%-18s %14s %14s   %s\n" "kernel" "closed(ns)" "recover(ns)"
     "naive-scheme makespan penalty";
   List.iter
     (fun (k : K.t) ->
       let n = max 64 (k.K.fig10_n / 2) in
       let rc = K.recovery k ~n in
+      let closed_form = Trahrhe.Closed_form.make (K.inversion k) ~param:(K.param_of k ~n) in
       let trip = Trahrhe.Recovery.trip_count rc in
       let reps = 20_000 in
       let time_ns f =
@@ -233,9 +234,8 @@ let ablation_recovery () =
         ignore !sink;
         (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
       in
-      let closed = time_ns (Trahrhe.Recovery.recover rc) in
-      let guarded = time_ns (Trahrhe.Recovery.recover_guarded rc) in
-      let binsearch = time_ns (Trahrhe.Recovery.recover_binsearch rc) in
+      let closed = time_ns (Trahrhe.Closed_form.recover closed_form) in
+      let recover = time_ns (Trahrhe.Recovery.recover rc) in
       let coll = k.K.collapsed_costs ~n:k.K.default_n in
       let t_naive =
         (Sim.run ~costs:coll ~schedule:Sched.Static ~nthreads:threads ~overheads:naive_overheads)
@@ -246,7 +246,7 @@ let ablation_recovery () =
            ~overheads:collapsed_overheads)
           .Sim.makespan
       in
-      Printf.printf "%-18s %14.0f %14.0f %14.0f   +%.1f%%\n" k.K.name closed guarded binsearch
+      Printf.printf "%-18s %14.0f %14.0f   +%.1f%%\n" k.K.name closed recover
         (100.0 *. ((t_naive /. t_pt) -. 1.0)))
     Kernels.Registry.kernels
 
@@ -308,9 +308,11 @@ let micro () =
   let open Toolkit in
   let corr = Option.get (Kernels.Registry.find "correlation") in
   let rc = K.recovery corr ~n:2000 in
+  let closed = Trahrhe.Closed_form.make (K.inversion corr) ~param:(K.param_of corr ~n:2000) in
   let trip = Trahrhe.Recovery.trip_count rc in
   let symm = Option.get (Kernels.Registry.find "symm") in
   let rc3 = K.recovery symm ~n:100 in
+  let closed3 = Trahrhe.Closed_form.make (K.inversion symm) ~param:(K.param_of symm ~n:100) in
   let trip3 = Trahrhe.Recovery.trip_count rc3 in
   let big_a = Zmath.Bigint.of_string "123456789012345678901234567890123456789" in
   let big_b = Zmath.Bigint.of_string "987654321098765432109876543210987654321" in
@@ -325,12 +327,12 @@ let micro () =
   let idx = Trahrhe.Recovery.first rc in
   let tests =
     [ Test.make ~name:"recover_closed_deg2"
+        (Staged.stage (fun () -> Trahrhe.Closed_form.recover closed (next_pc trip)));
+      Test.make ~name:"recover_deg2"
         (Staged.stage (fun () -> Trahrhe.Recovery.recover rc (next_pc trip)));
-      Test.make ~name:"recover_guarded_deg2"
-        (Staged.stage (fun () -> Trahrhe.Recovery.recover_guarded rc (next_pc trip)));
-      Test.make ~name:"recover_binsearch_deg2"
-        (Staged.stage (fun () -> Trahrhe.Recovery.recover_binsearch rc (next_pc trip)));
       Test.make ~name:"recover_closed_deg3"
+        (Staged.stage (fun () -> Trahrhe.Closed_form.recover closed3 (next_pc trip3)));
+      Test.make ~name:"recover_deg3"
         (Staged.stage (fun () -> Trahrhe.Recovery.recover rc3 (next_pc trip3)));
       Test.make ~name:"rank_eval_exact"
         (Staged.stage (fun () -> Trahrhe.Recovery.rank rc [| 100; 200 |]));

@@ -2,10 +2,11 @@ module K = Kernels.Kernel
 open Common
 
 (* certified numeric inversion: per-recovery cost of the seeded
-   bracket search against the closed forms it replaces, the
-   chunked-walk amortization that hides it, and the quintic kernel the
-   radical cap used to reject. Gate: numeric recovery within 5x
-   closed-form. That inversion.numeric / inversion.closed_form match
+   bracket search on a forced-numeric plan against the paper's closed
+   forms (the Closed_form reference Validate checks), the chunked-walk
+   amortization on the default and the forced-numeric plan, and the
+   quintic kernel the radical cap used to reject. Gate: numeric
+   recovery within 5x closed-form. That inversion.numeric / inversion.closed_form match
    trip x levels is test_oracle's inversion counter soak. *)
 let run () =
   let n = env_int "BENCH_INVERT_N" 400 in
@@ -16,6 +17,7 @@ let run () =
   let param = K.param_of corr ~n in
   let inv_c = K.inversion corr in
   let inv_n = Trahrhe.Inversion.invert_exn ~force_numeric:true corr.K.nest in
+  let closed = Trahrhe.Closed_form.make inv_c ~param in
   let rc_c = R.make inv_c ~param in
   let rc_n = R.make inv_n ~param in
   let trip = R.trip_count rc_c in
@@ -25,13 +27,13 @@ let run () =
   let recover_closed =
     ns_per (fun () ->
         for pc = 1 to trip do
-          sink := !sink + (R.recover_guarded rc_c pc).(0)
+          sink := !sink + (Trahrhe.Closed_form.recover closed pc).(0)
         done)
   in
   let recover_numeric =
     ns_per (fun () ->
         for pc = 1 to trip do
-          sink := !sink + (R.recover_guarded rc_n pc).(0)
+          sink := !sink + (R.recover rc_n pc).(0)
         done)
   in
   (* chunked walk: one recovery per chunk, incrementation after — the
@@ -55,10 +57,10 @@ let run () =
   Printf.printf "%-54s %10s\n" (Printf.sprintf "strategy (correlation, N=%d)" n) "ns/iter";
   List.iter
     (fun (name, ns) -> Printf.printf "%-54s %10.1f\n" name ns)
-    [ ("closed-form recovery at every iteration", recover_closed);
+    [ ("closed-form reference at every iteration", recover_closed);
       ("numeric recovery at every iteration", recover_numeric);
-      (Printf.sprintf "chunked walk (%d chunks), closed forms" chunks, walk_closed);
-      (Printf.sprintf "chunked walk (%d chunks), numeric" chunks, walk_numeric) ];
+      (Printf.sprintf "chunked walk (%d chunks), closed-form plan" chunks, walk_closed);
+      (Printf.sprintf "chunked walk (%d chunks), numeric plan" chunks, walk_numeric) ];
   Printf.printf "numeric vs closed: %.2fx per recovery, %.2fx chunk-amortized\n" ratio_each
     ratio_walk;
   (* the quintic kernel the radical cap rejected *)
@@ -66,7 +68,7 @@ let run () =
   let dn = deep.K.default_n in
   let rc_d = K.recovery deep ~n:dn in
   let dtrip = R.trip_count rc_d in
-  let levels = Array.length (R.recover_guarded rc_d 1) in
+  let levels = Array.length (R.recover rc_d 1) in
   let numeric_levels =
     Array.fold_left
       (fun acc r -> match r with Trahrhe.Inversion.Numeric _ -> acc + 1 | _ -> acc)
@@ -76,14 +78,14 @@ let run () =
   let deep_each =
     best_ns_per_iter ~reps:3 ~iters:dtrip (fun () ->
         for pc = 1 to dtrip do
-          sink := !sink + (R.recover_guarded rc_d pc).(0)
+          sink := !sink + (R.recover rc_d pc).(0)
         done)
   in
   (* isolation effort on the quintic at a few representative ranks *)
   let newton = ref 0 and bisect = ref 0 and probes = ref 0 in
   List.iter
     (fun pc ->
-      let idx = R.recover_guarded rc_d pc in
+      let idx = R.recover rc_d pc in
       match R.isolate_level rc_d idx ~pc ~level:0 with
       | Some (Ok e) ->
         newton := !newton + e.Rootsolve.Isolate.newton_steps;

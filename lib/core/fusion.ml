@@ -44,7 +44,7 @@ let locate t ~param pc =
 let recover t ~param pc =
   let seg, local = locate t ~param pc in
   let rc = Recovery.make seg.inversion ~param in
-  (seg.index, Recovery.recover_binsearch rc local)
+  (seg.index, Recovery.recover rc local)
 
 let iter t ~param f =
   List.iter

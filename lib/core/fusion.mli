@@ -36,7 +36,7 @@ val total_trip : t -> Polymath.Polynomial.t
 val locate : t -> param:(string -> int) -> int -> segment * int
 
 (** [recover t ~param pc] recovers the executing segment and its
-    original indices (exact binary-search recovery). *)
+    original indices ({!Recovery.recover}). *)
 val recover : t -> param:(string -> int) -> int -> int * int array
 
 (** [iter t ~param f] drives [f segment_index idx] over the fused

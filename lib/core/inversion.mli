@@ -15,7 +15,8 @@
     iteration interval, so the level is marked {!Numeric} and recovered
     at runtime by certified root isolation ({!Rootsolve.Isolate}) — a
     float-Newton seed validated by exact integer probes of the same
-    monotone polynomial the binary-search fallback uses. Setting
+    monotone polynomial. (The runtime recovers every non-last level
+    that way, [Root] levels included.) Setting
     [OMPSIM_FORCE_NUMERIC=1] (or [~force_numeric:true]) routes every
     non-last level through the numeric path, for differential testing
     against the closed forms. *)
@@ -47,8 +48,8 @@ type t = {
       (** [r_sub.(k)] is the ranking with levels > k at their tail
           minima: the rank of the first iteration with a given
           [i0..ik] prefix. Exactly the polynomials whose roots are the
-          closed forms; also the monotone functions used by guarded and
-          binary-search recovery. *)
+          closed forms; also the monotone functions the runtime
+          recovery ({!Recovery.recover}) searches. *)
   recoveries : level_recovery array;  (** one per level, outermost first *)
 }
 

@@ -4,7 +4,6 @@ module H = Polymath.Horner
 module Bp = Polymath.Bpoly
 module Q = Zmath.Rat
 module B = Zmath.Bigint
-module E = Symx.Expr
 
 (* slot assignment: level k -> k, pc -> depth *)
 
@@ -16,9 +15,11 @@ let c_bigint_fallback = Obsv.Metrics.create "recovery.bigint_fallback"
 (* chunks served by a native (.so) backend *)
 let c_jit_hits = Obsv.Metrics.create "jit.hit"
 
-(* per-level recovery ledger: how many level recoveries went through a
-   closed-form/exact plan entry vs the certified numeric path (degree
-   > 4 rankings, or OMPSIM_FORCE_NUMERIC differential runs) *)
+(* per-level recovery ledger, named by the plan's level kind: every
+   level runs the same exact search (or the last level's formula), but a
+   level the plan inverts in closed form ([Root], [Last]) counts as
+   closed_form and one it marks [Numeric] (degree > 4 rankings, or
+   OMPSIM_FORCE_NUMERIC differential runs) as numeric *)
 let c_inv_closed = Obsv.Metrics.create "inversion.closed_form"
 let c_inv_numeric = Obsv.Metrics.create "inversion.numeric"
 
@@ -46,9 +47,9 @@ type reduce_comp = {
   value : poly;
 }
 
-(* compiled support for one Numeric level: the parameter-folded
-   substituted ranking scaled integral and split into the dense
-   ascending coefficients of its univariate form in the level
+(* compiled support for one searched (non-last) level: the
+   parameter-folded substituted ranking scaled integral and split into
+   the dense ascending coefficients of its univariate form in the level
    variable. [nl_seed] evaluates them to floats for the Newton seed;
    [nl_univ] keeps the exact polynomials for certified isolation. *)
 type numeric_level = {
@@ -70,36 +71,16 @@ type t = {
   r_sub : poly array;
   lo : poly array;  (** inclusive lower bounds, vars = outer levels *)
   up : poly array;  (** exclusive upper bounds *)
-  roots : (int array -> int -> Complex.t) option array;
-      (** staged closed-form root of level k at an idx prefix and pc;
-          [Some _] exactly at the [Inversion.Root] levels *)
   numeric : numeric_level option array;
-      (** [Some _] exactly at the [Inversion.Numeric] levels *)
+      (** [Some _] at every level but the innermost, whose index has an
+          exact formula *)
   reduce : reduce_comp option;
       (** compiled reduction clause, when the nest declares one *)
   native : native option;
       (** specialized [.so] backend, attached per-plan by the JIT tier *)
 }
 
-(* staging a large root costs as much as many evaluations of it, and a
-   service plan is specialized to new parameters at every request, so
-   the roots are staged once per inversion *)
-type staged = {
-  s_inv : Inversion.t;
-  s_roots : (param:(string -> int) -> int array -> int -> Complex.t) option array;
-}
-
-let stage (inv : Inversion.t) =
-  let nest = inv.Inversion.nest and pc_var = inv.Inversion.pc_var in
-  { s_inv = inv;
-    s_roots =
-      Array.mapi
-        (fun k -> function
-          | Inversion.Root { expr; _ } -> Some (Inversion.stage_root nest ~pc_var ~k expr)
-          | Inversion.Last _ | Inversion.Numeric _ -> None)
-        inv.Inversion.recoveries }
-
-let make_staged { s_inv = inv; s_roots } ~param =
+let make (inv : Inversion.t) ~param =
   let nest = inv.Inversion.nest in
   let d = Nest.depth nest in
   let vars = Array.of_list (Nest.level_vars nest) in
@@ -175,12 +156,11 @@ let make_staged { s_inv = inv; s_roots } ~param =
     | Some r, Some ((r_poly, _) as sv) -> Some { r_op = r.Nest.op; r_poly; value = form sv }
     | _ -> None
   in
-  let roots = Array.map (Option.map (fun root -> root ~param)) s_roots in
   let numeric =
-    Array.map
-      (function
-        | Inversion.Numeric { var; r_sub_index } ->
-          let folded = fold_params inv.Inversion.r_sub.(r_sub_index) in
+    Array.mapi
+      (fun k -> function
+        | Inversion.Root { var; _ } | Inversion.Numeric { var; _ } ->
+          let folded = fold_params inv.Inversion.r_sub.(k) in
           (* scale by the denominator lcm: the univariate coefficients
              of the scaled polynomial have integer coefficients, hence
              integer values at the (integer) recovered prefixes, so the
@@ -207,7 +187,7 @@ let make_staged { s_inv = inv; s_roots } ~param =
               nl_scale_f = Zmath.Bigint.to_float lcm;
               nl_univ = univ;
               nl_seed = seed }
-        | Inversion.Root _ | Inversion.Last _ -> None)
+        | Inversion.Last _ -> None)
       inv.Inversion.recoveries
   in
   { inv;
@@ -219,12 +199,10 @@ let make_staged { s_inv = inv; s_roots } ~param =
     r_sub = Array.map form s_sub;
     lo = Array.map form s_lo;
     up = Array.map form s_up;
-    roots;
     numeric;
     reduce;
     native = None }
 
-let make inv ~param = make_staged (stage inv) ~param
 let depth t = t.d
 let trip_count t = t.trip
 let overflow_guarded t = t.safe
@@ -258,7 +236,7 @@ let upper_bound t ~level prefix = eval t t.up.(level) (fun s -> prefix.(s))
    from a seed: the float-Newton enclosure is almost always within one
    of the answer, so the exact certificate costs two monotone probes;
    a bad seed degrades to doubling steps and a binary search over the
-   surviving bracket — never worse than the unseeded search *)
+   surviving bracket — never worse than an unseeded search *)
 let seeded_level_search t idx pc k ~lo ~hi ~seed =
   let g v = rank_prefix t ~level:k v idx <= pc in
   let s = max lo (min hi seed) in
@@ -267,7 +245,9 @@ let seeded_level_search t idx pc k ~lo ~hi ~seed =
     a := s;
     let step = ref 1 in
     let galloping = ref true in
-    while !galloping && !b > !a + !step do
+    (* a difference, not [!a + !step], so huge bigint-mode bounds
+       cannot wrap the test *)
+    while !galloping && !b - !a > !step do
       if g (!a + !step) then begin
         a := !a + !step;
         step := !step * 2
@@ -302,129 +282,43 @@ let seeded_level_search t idx pc k ~lo ~hi ~seed =
   done;
   !a
 
-let recover_level_raw t idx pc k =
-  match t.inv.Inversion.recoveries.(k) with
-  | Inversion.Last { poly = _; _ } ->
-    (* exact integer formula; use the compiled substituted ranking:
-       ik = lb + pc - rank_prefix(lb) *)
-    let lb = lower_bound t ~level:k idx in
-    lb + pc - rank_prefix t ~level:k lb idx
-  | Inversion.Root _ ->
-    let z = Option.get t.roots.(k) idx pc in
-    int_of_float (Float.floor z.Complex.re)
-  | Inversion.Numeric _ ->
-    let lo = lower_bound t ~level:k idx in
+(* level k under the recovered prefix [idx.(0..k-1)]: the innermost
+   level's exact formula [lb + pc - rank_prefix(lb)], any other level
+   the seeded search *)
+let recover_level t idx pc k =
+  let lo = lower_bound t ~level:k idx in
+  match t.numeric.(k) with
+  | None -> lo + pc - rank_prefix t ~level:k lo idx
+  | Some nl ->
     let hi = upper_bound t ~level:k idx - 1 in
     if hi <= lo then lo
     else begin
-      let seed =
-        match t.numeric.(k) with
-        | None -> lo + ((hi - lo) / 2)
-        | Some nl ->
-          let c = nl.nl_seed idx in
-          c.(0) <- c.(0) -. (nl.nl_scale_f *. float_of_int pc);
-          let r =
-            Rootsolve.Isolate.float_root c ~lo:(float_of_int lo)
-              ~hi:(float_of_int hi +. 1.0)
-          in
-          int_of_float (Float.floor r)
-      in
-      seeded_level_search t idx pc k ~lo ~hi ~seed
+      let c = nl.nl_seed idx in
+      c.(0) <- c.(0) -. (nl.nl_scale_f *. float_of_int pc);
+      let r = Rootsolve.Isolate.float_root c ~lo:(float_of_int lo) ~hi:(float_of_int hi +. 1.0) in
+      seeded_level_search t idx pc k ~lo ~hi ~seed:(int_of_float (Float.floor r))
     end
-
-let recover t pc =
-  let idx = Array.make t.d 0 in
-  for k = 0 to t.d - 1 do
-    idx.(k) <- recover_level_raw t idx pc k
-  done;
-  idx
-
-let adjust_level t idx pc k =
-  (* exact fix-up: find ik with rank_prefix(ik) <= pc < rank_prefix(ik+1),
-     clamping into the level's bounds first *)
-  let lo = lower_bound t ~level:k idx in
-  let hi = upper_bound t ~level:k idx - 1 in
-  let v = ref (max lo (min hi idx.(k))) in
-  if not t.safe then begin
-    (* difference-table scan: each probe of the monotone substituted
-       ranking costs O(degree) additions instead of a full re-evaluation *)
-    let st =
-      H.Stepper.make t.r_sub.(k).horner ~slot:k ~start:!v ~lookup:(fun s -> idx.(s))
-    in
-    let continue = ref (!v < hi) in
-    while !continue do
-      H.Stepper.step st;
-      if H.Stepper.value st <= pc then begin
-        incr v;
-        continue := !v < hi
-      end
-      else begin
-        H.Stepper.step_back st;
-        continue := false
-      end
-    done;
-    while !v > lo && H.Stepper.value st > pc do
-      H.Stepper.step_back st;
-      decr v
-    done
-  end
-  else begin
-    while !v < hi && rank_prefix t ~level:k (!v + 1) idx <= pc do incr v done;
-    while !v > lo && rank_prefix t ~level:k !v idx > pc do decr v done
-  end;
-  idx.(k) <- !v
 
 let count_level_kind t k =
   match t.inv.Inversion.recoveries.(k) with
   | Inversion.Numeric _ -> Obsv.Metrics.incr_here c_inv_numeric
   | Inversion.Root _ | Inversion.Last _ -> Obsv.Metrics.incr_here c_inv_closed
 
-let recover_binsearch t pc =
+let recover t pc =
   let idx = Array.make t.d 0 in
   for k = 0 to t.d - 1 do
     count_level_kind t k;
-    let lo = lower_bound t ~level:k idx in
-    let hi = upper_bound t ~level:k idx - 1 in
-    (* largest v with rank_prefix v <= pc; rank_prefix is monotone in v *)
-    let a = ref lo and b = ref hi in
-    while !a < !b do
-      let mid = !a + ((!b - !a + 1) / 2) in
-      if rank_prefix t ~level:k mid idx <= pc then a := mid else b := mid - 1
-    done;
-    idx.(k) <- !a
+    idx.(k) <- recover_level t idx pc k
   done;
   idx
-
-let recover_guarded t pc =
-  (* overflow-safe mode: the closed forms' float evaluation loses
-     integer precision long before the intermediates wrap, and the
-     native adjustment scan is exactly what must not run — binary
-     search over the bigint rankings is the exact degradation path *)
-  if t.safe then recover_binsearch t pc
-  else begin
-    let idx = Array.make t.d 0 in
-    for k = 0 to t.d - 1 do
-      count_level_kind t k;
-      match t.inv.Inversion.recoveries.(k) with
-      | Inversion.Numeric _ ->
-        (* the seeded bracket search certifies the index with exact
-           monotone probes: it needs no adjustment pass *)
-        idx.(k) <- recover_level_raw t idx pc k
-      | Inversion.Root _ | Inversion.Last _ ->
-        idx.(k) <- recover_level_raw t idx pc k;
-        adjust_level t idx pc k
-    done;
-    idx
-  end
 
 (* certified rational isolation of a numeric level's root: the exact
    Isolate enclosure of r_sub_k(prefix, v) = pc over the level's
    bounds. Diagnostic and bench surface — the hot path proves the same
    fact with exact integer probes of the monotone ranking. *)
 let isolate_level ?max_width t idx ~pc ~level =
-  match t.numeric.(level) with
-  | None -> None
-  | Some nl ->
+  match (t.inv.Inversion.recoveries.(level), t.numeric.(level)) with
+  | Inversion.Numeric _, Some nl ->
     let vars = Array.of_list (Nest.level_vars t.inv.Inversion.nest) in
     let env x =
       let rec find j =
@@ -439,6 +333,7 @@ let isolate_level ?max_width t idx ~pc ~level =
     let lo = Q.of_int (lower_bound t ~level idx) in
     let hi = Q.of_int (upper_bound t ~level idx) in
     Some (Rootsolve.Isolate.isolate ?max_width p ~lo ~hi)
+  | _ -> None
 
 (* the §V step on re-evaluated bounds: [advance k] advances level k, or
    the nearest outer level that is not exhausted; [settle q] resets
@@ -568,10 +463,10 @@ let c_step_ns = Obsv.Metrics.create "recovery.step_ns"
    into the two phases. *)
 let engine ~timed t ~pc ~len run =
   if pc < 1 || pc > t.trip then 0
-  else if not timed then step t (recover_guarded t pc) ~len run
+  else if not timed then step t (recover t pc) ~len run
   else begin
     let t0 = Obsv.Clock.now_ns () in
-    let idx = recover_guarded t pc in
+    let idx = recover t pc in
     let t1 = Obsv.Clock.now_ns () in
     Obsv.Metrics.add_here c_recover_ns (t1 - t0);
     let visited = step t idx ~len run in

@@ -6,23 +6,23 @@
     clause-value polynomial once into two evaluators: a native-int
     Horner form ({!Polymath.Horner}, with finite-difference steppers)
     for the hot path, and an exact bigint form for overflow-safe mode
-    (below). One evaluator picks between them per recovery. Three
-    recovery strategies are provided:
+    (below). One evaluator picks between them per recovery.
 
-    - {!recover}: the paper's closed forms — complex floating
-      evaluation + [floor] per level (Figures 3/7);
-    - {!recover_guarded}: closed forms followed by an exact
-      monotonicity-based adjustment of each index, immune to floating
-      rounding at any size (an extension over the paper);
-    - {!recover_binsearch}: fully exact binary search on the monotone
-      substituted rankings, needing no closed form at all and hence no
-      degree <= 4 restriction (extension; also the fallback the library
-      uses when symbolic inversion fails).
+    {b One recovery.} {!recover} is the only index recovery, whatever
+    the plan's level kinds. The innermost level has an exact integer
+    formula, [lb + pc - rank_prefix(lb)]. Every other level is the
+    largest [v] with [rank_prefix v <= pc]: a float Newton seed from
+    the level's univariate ranking coefficients, certified by exact
+    galloping and binary probes of that monotone polynomial. So every
+    index is exact at any size, and no closed form is evaluated at
+    runtime. The paper's closed forms (Figures 3/7), evaluated with a
+    raw floating [floor] as its generated C does, are {!Closed_form}:
+    the reference {!Validate} compares this recovery against.
 
     {b One chunk engine.} Every chunk entry point — {!walk},
     {!walk_hash}, {!walk_lanes}, {!recover_block}, {!walk_reduce_int},
     {!walk_reduce_rat} — is a payload over one private engine: the
-    paper's §V scheme of one {!recover_guarded} at the chunk's first
+    paper's §V scheme of one {!recover} at the chunk's first
     rank, then a carry over cached per-level bounds (difference-table
     steppers, or re-evaluated bigint polynomials in overflow-safe mode)
     that hands the chunk out as innermost runs — a fixed outer prefix
@@ -42,8 +42,7 @@
     intermediate bound — derivation in DESIGN.md); when the bound
     reaches the native range the recovery flips to overflow-safe mode
     ({!overflow_guarded}): every evaluation routes through the bigint
-    forms, {!recover_guarded} degrades to {!recover_binsearch} (the
-    closed forms' floats are hopeless at such sizes), and the engine
+    forms, so {!recover}'s probes stay exact, and the engine
     re-evaluates bounds instead of stepping difference tables — slower, but exact instead of
     silently wrapped. The [recovery.bigint_fallback] counter records
     both the {!make} detection and each chunk routed through the safe
@@ -85,7 +84,7 @@ val native_enabled : t -> bool
 
 (** [native_recover t pc] recovers rank [pc]'s indices through the
     native backend ([None] when none is attached) — the probe the
-    differential tests compare against {!recover_guarded}. *)
+    differential tests compare against {!recover}. *)
 val native_recover : t -> int -> int array option
 
 (** [make inv ~param] specializes an inversion to parameter values,
@@ -94,17 +93,6 @@ val native_recover : t -> int -> int array option
     @raise Invalid_argument when a needed parameter is missing, or the
     trip count is negative or exceeds the native int range. *)
 val make : Inversion.t -> param:(string -> int) -> t
-
-(** An inversion with its closed-form roots staged for evaluation
-    ({!Inversion.stage_root}), which needs no parameter values. *)
-type staged
-
-val stage : Inversion.t -> staged
-
-(** [make_staged s ~param] is [make inv ~param] for [s = stage inv],
-    without staging the roots again: for an inversion specialized to
-    many valuations, such as a cached service plan. *)
-val make_staged : staged -> param:(string -> int) -> t
 
 val depth : t -> int
 
@@ -121,7 +109,7 @@ val rank : t -> int array -> int
 
 (** [rank_prefix t ~level v prefix] is the exact rank of the first
     iteration whose indices up to [level] are [prefix.(0..level-1), v]
-    — the monotone function inverted by every recovery strategy. *)
+    — the monotone function {!recover} searches. *)
 val rank_prefix : t -> level:int -> int -> int array -> int
 
 (** [lower_bound t ~level prefix] (resp. {!upper_bound}) evaluates the
@@ -130,26 +118,12 @@ val lower_bound : t -> level:int -> int array -> int
 
 val upper_bound : t -> level:int -> int array -> int
 
-(** [recover t pc] recovers all indices by the closed forms, writing
-    into a fresh array. Raw floating [floor] semantics for [Root]
-    levels, as in the paper's generated C; [Numeric] levels are always
-    recovered exactly (float-Newton seed certified by integer probes
-    of the monotone substituted ranking).
-    @raise Failure if the inversion had no closed form for some level
-    (use {!recover_binsearch}). *)
+(** [recover t pc] recovers the indices of rank [pc] exactly, into a
+    fresh array: each level's index is the [v] with
+    [rank_prefix v <= pc < rank_prefix (v+1)] (see the header). Bumps
+    one of the [inversion.numeric] / [inversion.closed_form] counters
+    per level, by the plan's level kind. *)
 val recover : t -> int -> int array
-
-(** [recover_guarded t pc] is {!recover} plus exact adjustment: each
-    floored index is nudged until
-    [rank_prefix ik <= pc < rank_prefix (ik+1)]. [Numeric] levels skip
-    the adjustment pass — their seeded bracket search already proves
-    that inequality. Bumps the [inversion.numeric] /
-    [inversion.closed_form] per-level counters. *)
-val recover_guarded : t -> int -> int array
-
-(** [recover_binsearch t pc] recovers indices exactly with binary
-    search only. *)
-val recover_binsearch : t -> int -> int array
 
 (** [isolate_level t idx ~pc ~level] is the certified rational
     enclosure of the level equation's root, [None] on levels that are
@@ -167,7 +141,10 @@ val isolate_level :
 
 (** Cumulative per-level recovery counters (all recoveries in this
     process, across every plan), as recorded by the
-    [inversion.numeric] / [inversion.closed_form] metrics. *)
+    [inversion.numeric] / [inversion.closed_form] metrics. They name
+    the plan's level kind ([Numeric], resp. [Root] or [Last]), not a
+    different algorithm: {!recover} searches every non-last level the
+    same way. *)
 val numeric_recoveries : unit -> int
 
 val closed_form_recoveries : unit -> int
@@ -313,7 +290,7 @@ val walk_lanes :
   t -> pc:int -> len:int -> vlength:int -> (base:int -> count:int -> int array array -> unit) -> unit
 
 (** [recover_block t ~pc lanes] is the one-block §VI-A primitive:
-    one closed-form recovery at rank [pc], then the caller-provided
+    one {!recover} at rank [pc], then the caller-provided
     structure-of-arrays buffer [lanes] (one row per nest level, all
     rows the same width) is filled in lockstep with the indices of
     ranks [pc, pc+1, ...]. Returns how many lanes were filled — the

@@ -19,7 +19,7 @@ let map_point t ~param target_idx =
   if Recovery.trip_count rs <> Recovery.trip_count rt then
     invalid_arg "Reshape.map_point: trip counts disagree under these parameters";
   let pc = Recovery.rank rt target_idx in
-  Recovery.recover_binsearch rs pc
+  Recovery.recover rs pc
 
 let iter t ~param f =
   let rs, rt = recoveries t ~param in

@@ -3,13 +3,13 @@ type report = {
   trip_count_ok : bool;
   ranking_bijective : bool;
   closed_form_ok : int;
-  guarded_ok : int;
-  binsearch_ok : int;
+  recover_ok : int;
   increment_ok : bool;
 }
 
 let check (inv : Inversion.t) ~param =
   let rec_ = Recovery.make inv ~param in
+  let closed = Closed_form.make inv ~param in
   let points = ref [] in
   Nest.iterate inv.Inversion.nest ~param (fun idx -> points := idx :: !points);
   let points = Array.of_list (List.rev !points) in
@@ -17,15 +17,13 @@ let check (inv : Inversion.t) ~param =
   let trip_count_ok = Recovery.trip_count rec_ = n in
   let ranking_bijective = ref true in
   let closed_form_ok = ref 0 in
-  let guarded_ok = ref 0 in
-  let binsearch_ok = ref 0 in
+  let recover_ok = ref 0 in
   Array.iteri
     (fun i idx ->
       let pc = i + 1 in
       if Recovery.rank rec_ idx <> pc then ranking_bijective := false;
-      if Recovery.recover rec_ pc = idx then incr closed_form_ok;
-      if Recovery.recover_guarded rec_ pc = idx then incr guarded_ok;
-      if Recovery.recover_binsearch rec_ pc = idx then incr binsearch_ok)
+      if Closed_form.recover closed pc = idx then incr closed_form_ok;
+      if Recovery.recover rec_ pc = idx then incr recover_ok)
     points;
   let increment_ok =
     if n = 0 then true
@@ -44,28 +42,18 @@ let check (inv : Inversion.t) ~param =
     trip_count_ok;
     ranking_bijective = !ranking_bijective;
     closed_form_ok = !closed_form_ok;
-    guarded_ok = !guarded_ok;
-    binsearch_ok = !binsearch_ok;
+    recover_ok = !recover_ok;
     increment_ok }
 
-let all_ok r =
-  r.trip_count_ok && r.ranking_bijective
-  && r.closed_form_ok = r.iterations
-  && r.guarded_ok = r.iterations
-  && r.binsearch_ok = r.iterations
-  && r.increment_ok
-
 let raw_floor_ok r =
-  r.trip_count_ok && r.ranking_bijective
-  && r.guarded_ok = r.iterations
-  && r.binsearch_ok = r.iterations
-  && r.increment_ok
+  r.trip_count_ok && r.ranking_bijective && r.recover_ok = r.iterations && r.increment_ok
+
+let all_ok r = raw_floor_ok r && r.closed_form_ok = r.iterations
 
 let pp fmt r =
   Format.fprintf fmt
-    "@[<v>iterations: %d@ trip count: %s@ ranking bijective: %b@ closed-form ok: %d/%d@ guarded \
-     ok: %d/%d@ binary-search ok: %d/%d@ incrementation ok: %b@]"
+    "@[<v>iterations: %d@ trip count: %s@ ranking bijective: %b@ closed-form ok: %d/%d@ recover \
+     ok: %d/%d@ incrementation ok: %b@]"
     r.iterations
     (if r.trip_count_ok then "ok" else "MISMATCH")
-    r.ranking_bijective r.closed_form_ok r.iterations r.guarded_ok r.iterations r.binsearch_ok
-    r.iterations r.increment_ok
+    r.ranking_bijective r.closed_form_ok r.iterations r.recover_ok r.iterations r.increment_ok

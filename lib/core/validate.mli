@@ -9,15 +9,16 @@ type report = {
   iterations : int;  (** points enumerated *)
   trip_count_ok : bool;  (** polynomial trip count = enumeration size *)
   ranking_bijective : bool;  (** ranks are exactly 1..trip_count in order *)
-  closed_form_ok : int;  (** iterations recovered exactly by raw closed forms *)
-  guarded_ok : int;  (** ... by guarded closed forms *)
-  binsearch_ok : int;  (** ... by binary search *)
+  closed_form_ok : int;
+      (** iterations recovered exactly by the paper's raw closed forms
+          ({!Closed_form}), the recovery [collapse] emits by default *)
+  recover_ok : int;  (** ... by the runtime's {!Recovery.recover} *)
   increment_ok : bool;  (** §V incrementation walks the domain in order *)
 }
 
 (** [check inv ~param] enumerates the domain under concrete parameter
-    values and exercises ranking + all three recovery strategies on
-    every iteration. *)
+    values and exercises ranking, the closed-form reference, the
+    runtime recovery and incrementation on every iteration. *)
 val check : Inversion.t -> param:(string -> int) -> report
 
 (** [all_ok r] means every invariant held on every iteration. *)
@@ -25,8 +26,7 @@ val all_ok : report -> bool
 
 (** [raw_floor_ok r] is {!all_ok} minus the raw closed-form criterion —
     useful at sizes where plain [floor] is expected to suffer float
-    rounding while the guarded and binary-search strategies must still
-    be exact. *)
+    rounding while {!Recovery.recover} must still be exact. *)
 val raw_floor_ok : report -> bool
 
 val pp : Format.formatter -> report -> unit

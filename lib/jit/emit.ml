@@ -77,9 +77,10 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
     fn buf ~ret:i64 ~name:"ompsim_trip" ~args:(Printf.sprintf "const %s *omp_P" i64)
       (bind_params @ [ return (S.trip_count_expr inv ~ty:i64) ]);
     (* exact recovery: Codegen's level search at every level, whatever
-       the plan's recovery kinds, so the result is the interpreted
-       [Recovery.recover_guarded] bit for bit and numeric plans keep
-       the native tier *)
+       the plan's recovery kinds; both it and the interpreted
+       [Recovery.recover] find the unique index the monotone ranking
+       brackets, so they agree bit for bit and numeric plans keep the
+       native tier *)
     fn buf ~ret:"void" ~name:"ompsim_recover"
       ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s *omp_x" i64 i64 i64)
       (bind_params

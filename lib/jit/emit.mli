@@ -9,7 +9,7 @@
     bound from the ABI's arrays. All arithmetic is [int64]
     ({!Symx.Cemit.emit_poly_int}'s exact scaled-integer forms, no
     floating point), so results are bit-for-bit those of
-    {!Trahrhe.Recovery.recover_guarded} and the interpreted walks
+    {!Trahrhe.Recovery.recover} and the interpreted walks
     (int64 wraparound truncated to OCaml's 63-bit ints agrees with
     native-int wraparound, and the emitter is only used on nests that
     passed the overflow-headroom check).

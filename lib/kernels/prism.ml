@@ -37,7 +37,7 @@ let covariance =
     let trip = n * (n + 1) / 2 * n in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) and k = ref idx.(2) in
         for _ = 1 to len do
           cov.((!i * n) + !j) <- cov.((!i * n) + !j) +. (d.((!k * n) + !i) *. d.((!k * n) + !j));
@@ -103,7 +103,7 @@ let symm =
     let trip = n * (n + 1) / 2 * n in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) and k = ref idx.(2) in
         for _ = 1 to len do
           cm.((!i * n) + !j) <- cm.((!i * n) + !j) +. (a.((!k * n) + !i) *. b.((!k * n) + !j));

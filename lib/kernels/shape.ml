@@ -20,7 +20,7 @@ let checksum a =
 let run_collapsed rc ~trip ~recoveries body =
   List.iter
     (fun (start, len) ->
-      let idx = Trahrhe.Recovery.recover_guarded rc start in
+      let idx = Trahrhe.Recovery.recover rc start in
       for q = 0 to len - 1 do
         body idx;
         if q < len - 1 then ignore (Trahrhe.Recovery.increment rc idx)

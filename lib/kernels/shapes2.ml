@@ -35,7 +35,7 @@ let dynprog =
     let rc = Kernel.recovery kd ~n in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) in
         for _ = 1 to len do
           c.((!i * 2 * n) + !j) <- w.((!i * 2 * n) + !j) +. float_of_int (!i + !j);
@@ -111,7 +111,7 @@ let fdtd_skewed =
     let trip = fdtd_waves * n in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         (* walk the chunk row-span by row-span with tight inner loops,
            as an optimizing compiler renders the §V scheme *)
         let t = ref idx.(0) and i0 = ref idx.(1) in

@@ -77,7 +77,7 @@ let make_tiled ~name ~description ~points =
     let trip = nt * (nt + 1) / 2 in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let it = ref idx.(0) and jt = ref idx.(1) in
         for _ = 1 to len do
           tile_body a b c n !it !jt;

@@ -49,7 +49,7 @@ let correlation =
     let trip = n * (n - 1) / 2 in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) in
         for _ = 1 to len do
           body n a b c !i !j;
@@ -122,7 +122,7 @@ let make_syrk ~name ~description ~weight =
     let trip = n * (n + 1) / 2 in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) in
         for _ = 1 to len do
           body n cm a b !i !j;
@@ -191,7 +191,7 @@ let utma =
     let trip = n * (n + 1) / 2 in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) in
         for _ = 1 to len do
           a.((!i * n) + !j) <- b.((!i * n) + !j) +. c.((!i * n) + !j);
@@ -276,7 +276,7 @@ let ltmp =
     let trip = n * (n + 1) / 2 in
     List.iter
       (fun (start, len) ->
-        let idx = Trahrhe.Recovery.recover_guarded rc start in
+        let idx = Trahrhe.Recovery.recover rc start in
         let i = ref idx.(0) and j = ref idx.(1) in
         for _ = 1 to len do
           body n a b c !i !j;

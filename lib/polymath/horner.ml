@@ -97,14 +97,4 @@ module Stepper = struct
       diffs.(k) <- diffs.(k) + diffs.(k + 1)
     done;
     st.pos <- st.pos + 1
-
-  let step_back st =
-    (* Delta^k f(v-1) = Delta^k f(v) - Delta^(k+1) f(v-1): descending k
-       order so each update reads the already-stepped-back higher
-       difference (Delta^d is constant) *)
-    let diffs = st.diffs in
-    for k = Array.length diffs - 2 downto 0 do
-      diffs.(k) <- diffs.(k) - diffs.(k + 1)
-    done;
-    st.pos <- st.pos - 1
 end

@@ -66,8 +66,4 @@ module Stepper : sig
   (** [step st] advances the stepped slot by +1: O(degree) integer
       additions, no multiplications. *)
   val step : t -> unit
-
-  (** [step_back st] retreats the stepped slot by -1 (the inverse of
-      {!step}, same cost). *)
-  val step_back : t -> unit
 end

@@ -2,17 +2,12 @@ module P = Polymath.Polynomial
 module A = Polymath.Affine
 module N = Trahrhe.Nest
 
-type t = {
-  fingerprint : string;
-  inversion : Trahrhe.Inversion.t;
-  staged : Trahrhe.Recovery.staged;
-}
+type t = { fingerprint : string; inversion : Trahrhe.Inversion.t }
 
 let store_dir () =
   match Sys.getenv_opt "OMPSIM_PLAN_CACHE" with Some "" | None -> None | some -> some
 
-let make ~fingerprint inversion =
-  { fingerprint; inversion; staged = Trahrhe.Recovery.stage inversion }
+let make ~fingerprint inversion = { fingerprint; inversion }
 
 let format_version = Fingerprint.format_version
 
@@ -53,7 +48,7 @@ let decode s =
       | _ -> Error "not an ompsim-plan"
     with Codec.Error e -> Error ("corrupt plan: " ^ e))
 
-let recovery p ~param = Trahrhe.Recovery.make_staged p.staged ~param
+let recovery p ~param = Trahrhe.Recovery.make p.inversion ~param
 
 let reduce_clause_equal a b =
   match (a, b) with

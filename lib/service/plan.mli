@@ -12,8 +12,6 @@
 type t = {
   fingerprint : string;  (** {!Fingerprint.hash} of the canonical nest *)
   inversion : Trahrhe.Inversion.t;  (** over the canonical nest *)
-  staged : Trahrhe.Recovery.staged;
-      (** [inversion] staged once for {!recovery}; not serialized *)
 }
 
 (** [store_dir ()] is the on-disk plan store named by the

@@ -394,6 +394,42 @@ let test_cli_smoke () =
   Alcotest.(check int) "trahrhe exec past the int range exits 1" 1
     (Sys.command (Printf.sprintf "%s exec --kernel utma -n 10000000000 -t 1 > /dev/null 2>&1" cli))
 
+let test_cli_validate_raw_floor () =
+  (* the canonical tetrahedron at N = 10: the raw closed form that
+     collapse emits by default misses 6/220 ranks, so validate fails *)
+  let cli = match find_cli () with Some c -> c | None -> Alcotest.skip () in
+  with_temp_dir (fun dir ->
+      let input = Filename.concat dir "tetra.c" in
+      let out = Filename.concat dir "validate.out" in
+      let oc = open_out input in
+      output_string oc
+        {|void f(int N, double *a) {
+  int i, j, k;
+#pragma omp parallel for collapse(3)
+  for (i = 0; i < N; i++)
+    for (j = i; j < N; j++)
+      for (k = j; k < N; k++)
+        a[k] += 1.0;
+}
+|};
+      close_out oc;
+      let rc =
+        Sys.command
+          (Printf.sprintf "OMPSIM_FORCE_NUMERIC=0 %s validate %s --size 10 > %s 2>&1" cli
+             (Filename.quote input) (Filename.quote out))
+      in
+      Alcotest.(check int) "validate exits 1" 1 rc;
+      let ic = open_in out in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let contains sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) "miss count printed" true (contains "closed form missed 6/220");
+      Alcotest.(check bool) "recover exact" true (contains "recover ok: 220/220"))
+
 let test_tiled_collapse_c () =
   require_gcc ();
   (* Pluto-lite: tile the triangle, collapse the tile loops, keep
@@ -451,4 +487,6 @@ let suites =
         Alcotest.test_case "imperfect nest vs reference" `Slow test_imperfect_c;
         Alcotest.test_case "tiled collapse vs reference" `Slow test_tiled_collapse_c;
         Alcotest.test_case "CLI subcommand smoke" `Slow test_cli_smoke;
-        Alcotest.test_case "CLI collapse round trip" `Slow test_cli_collapse ] ) ]
+        Alcotest.test_case "CLI collapse round trip" `Slow test_cli_collapse;
+        Alcotest.test_case "CLI validate fails on raw-floor misses" `Slow
+          test_cli_validate_raw_floor ] ) ]

@@ -74,7 +74,7 @@ let test_native_matches_interpreted () =
   let idx = Array.make 2 0 in
   for pc = 1 to trip do
     Jit.Native.recover h ps ~pc idx;
-    let expect = R.recover_guarded rc pc in
+    let expect = R.recover rc pc in
     if idx <> expect then
       Alcotest.failf "recover mismatch at pc=%d: native [%d;%d] vs [%d;%d]" pc idx.(0) idx.(1)
         expect.(0) expect.(1)
@@ -125,7 +125,7 @@ let test_attach_native () =
   (* native_recover probe *)
   (match R.native_recover rcn 7 with
   | None -> Alcotest.fail "native_recover returned None with a backend attached"
-  | Some idx -> Alcotest.(check bool) "native_recover" true (idx = R.recover_guarded rc 7));
+  | Some idx -> Alcotest.(check bool) "native_recover" true (idx = R.recover rc 7));
   Alcotest.(check bool) "no backend -> None" true (R.native_recover rc 1 = None);
   (* lane-walk equivalence through the attached backend *)
   let collect r =

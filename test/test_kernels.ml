@@ -162,7 +162,7 @@ let test_parallel_execution_matches_serial () =
       let a = Array.make (n * n) 0.0 in
       Ompsim.Par.parallel_for_chunks ~nthreads:4 ~schedule ~n:trip
         (fun ~thread:_ ~start ~len ->
-          let idx = Trahrhe.Recovery.recover_guarded rc (start + 1) in
+          let idx = Trahrhe.Recovery.recover rc (start + 1) in
           let i = ref idx.(0) and j = ref idx.(1) in
           for _ = 1 to len do
             a.((!i * n) + !j) <- b.((!i * n) + !j) +. cmat.((!i * n) + !j);

@@ -989,7 +989,7 @@ let test_guarded_minmax_rational () =
       let pc = (R.trip_count rc_big / 2) + 17 and len = 40 in
       let expect = ref None in
       for r = pc to pc + len - 1 do
-        let v = R.reduce_value_rat rc_big (R.recover_binsearch rc_big r) in
+        let v = R.reduce_value_rat rc_big (R.recover rc_big r) in
         expect := Some (match !expect with None -> v | Some a -> N.op_apply op a v)
       done;
       Alcotest.(check string) (opname ^ ": guarded chunk = exact fold")
@@ -1085,7 +1085,8 @@ let test_deep_numeric_walks () =
 
 (* OMPSIM_FORCE_NUMERIC parity: on nests the closed forms handle, a
    forced-numeric inversion must recover bit-for-bit the same indices
-   — every rank, every strategy, and the chunked walk hash. *)
+   as the default plan and as lexicographic enumeration — every rank,
+   and the chunked walk hash. *)
 let test_forced_numeric_matches_closed_form () =
   List.iter
     (fun (name, n) ->
@@ -1109,17 +1110,18 @@ let test_forced_numeric_matches_closed_form () =
       let rc_n = Trahrhe.Recovery.make inv_n ~param in
       let trip = Trahrhe.Recovery.trip_count rc_c in
       Alcotest.(check int) (name ^ ": trip") trip (Trahrhe.Recovery.trip_count rc_n);
-      for pc = 1 to trip do
-        let a = Trahrhe.Recovery.recover_guarded rc_c pc in
-        let b = Trahrhe.Recovery.recover_guarded rc_n pc in
-        if a <> b then
-          Alcotest.failf "%s: pc=%d closed %s, forced numeric %s" name pc (idx_to_string a)
-            (idx_to_string b);
-        let bb = Trahrhe.Recovery.recover_binsearch rc_n pc in
-        if a <> bb then
-          Alcotest.failf "%s: pc=%d closed %s, numeric binsearch %s" name pc (idx_to_string a)
-            (idx_to_string bb)
-      done;
+      let pc = ref 0 in
+      Trahrhe.Nest.iterate nest ~param (fun want ->
+          incr pc;
+          let a = Trahrhe.Recovery.recover rc_c !pc in
+          let b = Trahrhe.Recovery.recover rc_n !pc in
+          if a <> want then
+            Alcotest.failf "%s: pc=%d closed-form plan %s, enumeration %s" name !pc
+              (idx_to_string a) (idx_to_string want);
+          if b <> want then
+            Alcotest.failf "%s: pc=%d forced numeric %s, enumeration %s" name !pc
+              (idx_to_string b) (idx_to_string want));
+      Alcotest.(check int) (name ^ ": enumerated") trip !pc;
       Alcotest.(check int)
         (name ^ ": chunked walk hash")
         (Trahrhe.Recovery.walk_hash rc_c ~pc:1 ~len:trip)
@@ -1128,9 +1130,9 @@ let test_forced_numeric_matches_closed_form () =
 
 (* Counter reconciliation: every recovery of a depth-5 plan with one
    numeric level must bump inversion.numeric exactly once and
-   inversion.closed_form once per remaining level, on both recovery
-   strategies, and the per-level isolate_level diagnostic must return
-   a certificate enclosing the recovered index. *)
+   inversion.closed_form once per remaining level, and the per-level
+   isolate_level diagnostic must return a certificate enclosing the
+   recovered index. *)
 let test_numeric_counter_soak () =
   Obsv.Control.with_enabled true @@ fun () ->
   let module R = Trahrhe.Recovery in
@@ -1150,7 +1152,7 @@ let test_numeric_counter_soak () =
   Alcotest.(check bool) "level 0 is numeric" true (numeric_levels >= 1);
   let n0 = R.numeric_recoveries () and c0 = R.closed_form_recoveries () in
   for pc = 1 to trip do
-    ignore (R.recover_guarded rc pc)
+    ignore (R.recover rc pc)
   done;
   Alcotest.(check int) "numeric = recoveries x numeric levels" (numeric_levels * trip)
     (R.numeric_recoveries () - n0);
@@ -1158,19 +1160,10 @@ let test_numeric_counter_soak () =
     "closed_form = recoveries x other levels"
     ((levels - numeric_levels) * trip)
     (R.closed_form_recoveries () - c0);
-  let n1 = R.numeric_recoveries () and c1 = R.closed_form_recoveries () in
-  for pc = 1 to trip do
-    ignore (R.recover_binsearch rc pc)
-  done;
-  Alcotest.(check int) "binsearch numeric accounting" (numeric_levels * trip)
-    (R.numeric_recoveries () - n1);
-  Alcotest.(check int) "binsearch closed-form accounting"
-    ((levels - numeric_levels) * trip)
-    (R.closed_form_recoveries () - c1);
   (* the runtime certificate: enclosure brackets the recovered index *)
   List.iter
     (fun pc ->
-      let idx = R.recover_guarded rc pc in
+      let idx = R.recover rc pc in
       (match R.isolate_level rc idx ~pc ~level:0 with
       | Some (Ok e) ->
         let lo = Q.to_float e.Rootsolve.Isolate.enc_lo

@@ -279,12 +279,7 @@ let test_stepper_binomials () =
     Alcotest.(check int) (Printf.sprintf "C(%d,4)" x) (exact_at p x 0 0) (H.Stepper.value st);
     Alcotest.(check int) "arg" x (H.Stepper.arg st);
     H.Stepper.step st
-  done;
-  for _ = 1 to 21 do
-    H.Stepper.step_back st
-  done;
-  Alcotest.(check int) "back to start" (exact_at p (-5) 0 0) (H.Stepper.value st);
-  Alcotest.(check int) "back to start arg" (-5) (H.Stepper.arg st)
+  done
 
 let gen_int_poly =
   QCheck.Gen.(
@@ -332,11 +327,7 @@ let prop_stepper_matches_eval =
             if H.Stepper.value st <> H.eval h (at w) then ok := false;
             H.Stepper.step st
           done;
-          (* and walk back down past the start *)
-          for _ = 1 to 20 do
-            H.Stepper.step_back st
-          done;
-          !ok && H.Stepper.value st = H.eval h (at (start - 7)))
+          !ok)
         [ 0; 1; 2 ])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests

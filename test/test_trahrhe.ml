@@ -266,8 +266,8 @@ let test_invert_depth1 () =
   let inv = Trahrhe.Inversion.invert_exn nest in
   let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> 10) in
   Alcotest.(check int) "trip" 7 (Trahrhe.Recovery.trip_count rc);
-  Alcotest.(check (array int)) "pc=1 -> i=3" [| 3 |] (Trahrhe.Recovery.recover_binsearch rc 1);
-  Alcotest.(check (array int)) "pc=7 -> i=9" [| 9 |] (Trahrhe.Recovery.recover_binsearch rc 7)
+  Alcotest.(check (array int)) "pc=1 -> i=3" [| 3 |] (Trahrhe.Recovery.recover rc 1);
+  Alcotest.(check (array int)) "pc=7 -> i=9" [| 9 |] (Trahrhe.Recovery.recover rc 7)
 
 let test_invert_degree5_numeric () =
   (* 5 nested loops all depending on i: the level-0 prefix is a quintic,
@@ -420,26 +420,57 @@ let test_plan_identity_golden () =
 
 (* -------- Recovery -------- *)
 
+(* the nest's points in lexicographic order: point [pc - 1] has rank pc *)
+let enumerate nest ~param =
+  let points = ref [] in
+  Trahrhe.Nest.iterate nest ~param (fun idx -> points := Array.copy idx :: !points);
+  Array.of_list (List.rev !points)
+
+(* [recover] at [pc] is the lexicographic successor of [recover] at
+   [pc - 1] and ranks back to [pc]: enumeration order, checked locally
+   where the space is too large to enumerate *)
+let check_recover_successor rc pc =
+  let idx = Trahrhe.Recovery.recover rc pc in
+  if Trahrhe.Recovery.rank rc idx <> pc then Alcotest.failf "pc=%d: rank mismatch" pc;
+  if pc > 1 then begin
+    let prev = Trahrhe.Recovery.recover rc (pc - 1) in
+    if not (Trahrhe.Recovery.increment rc prev) || prev <> idx then
+      Alcotest.failf "pc=%d: recover is not the successor of pc=%d" pc (pc - 1)
+  end;
+  idx
+
 let test_recovery_paper_formulas () =
   (* at N=10: pc=1 -> (0,1); pc=9 -> first iteration of i=1 (paper:
-     r(1,2) = N means pc=N -> (1,2)) *)
+     r(1,2) = N means pc=N -> (1,2)), by the paper's closed forms and
+     by the runtime recovery *)
   let inv = Trahrhe.Inversion.invert_exn (correlation_nest ()) in
-  let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> 10) in
-  Alcotest.(check (array int)) "pc=1" [| 0; 1 |] (Trahrhe.Recovery.recover rc 1);
-  Alcotest.(check (array int)) "pc=N=10" [| 1; 2 |] (Trahrhe.Recovery.recover rc 10);
-  Alcotest.(check (array int)) "pc=last" [| 8; 9 |]
-    (Trahrhe.Recovery.recover rc (Trahrhe.Recovery.trip_count rc))
+  let param _ = 10 in
+  let rc = Trahrhe.Recovery.make inv ~param in
+  let closed = Trahrhe.Closed_form.make inv ~param in
+  List.iter
+    (fun (name, pc, want) ->
+      Alcotest.(check (array int))
+        (name ^ " closed form") want
+        (Trahrhe.Closed_form.recover closed pc);
+      Alcotest.(check (array int)) (name ^ " recover") want (Trahrhe.Recovery.recover rc pc))
+    [ ("pc=1", 1, [| 0; 1 |]); ("pc=N=10", 10, [| 1; 2 |]);
+      ("pc=last", Trahrhe.Recovery.trip_count rc, [| 8; 9 |]) ]
 
 let test_recovery_strategies_agree () =
-  let inv = Trahrhe.Inversion.invert_exn (fig6_nest ()) in
-  let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> 12) in
-  for pc = 1 to Trahrhe.Recovery.trip_count rc do
-    let g = Trahrhe.Recovery.recover_guarded rc pc in
-    let b = Trahrhe.Recovery.recover_binsearch rc pc in
-    if g <> b then
-      Alcotest.failf "pc=%d: guarded=(%d,%d,%d) binsearch=(%d,%d,%d)" pc g.(0) g.(1) g.(2) b.(0)
-        b.(1) b.(2)
-  done
+  (* recover, rank and lexicographic enumeration agree at every rank *)
+  let nest = fig6_nest () and param _ = 12 in
+  let rc = Trahrhe.Recovery.make (Trahrhe.Inversion.invert_exn nest) ~param in
+  let points = enumerate nest ~param in
+  Alcotest.(check int) "trip" (Array.length points) (Trahrhe.Recovery.trip_count rc);
+  Array.iteri
+    (fun i want ->
+      let pc = i + 1 in
+      let g = Trahrhe.Recovery.recover rc pc in
+      if g <> want then
+        Alcotest.failf "pc=%d: recover=(%d,%d,%d) enumeration=(%d,%d,%d)" pc g.(0) g.(1) g.(2)
+          want.(0) want.(1) want.(2);
+      if Trahrhe.Recovery.rank rc g <> pc then Alcotest.failf "pc=%d: rank mismatch" pc)
+    points
 
 let test_recovery_bounds_functions () =
   let inv = Trahrhe.Inversion.invert_exn (correlation_nest ()) in
@@ -488,13 +519,8 @@ let test_recovery_bigint_fallback () =
   let trip = Trahrhe.Recovery.trip_count rc in
   List.iter
     (fun pc ->
-      let idx = Trahrhe.Recovery.recover_binsearch rc pc in
-      Alcotest.(check int) (Printf.sprintf "rank(recover(%d))" pc) pc
-        (Trahrhe.Recovery.rank rc idx);
-      Alcotest.(check (array int))
-        (Printf.sprintf "guarded = binsearch at %d" pc)
-        idx
-        (Trahrhe.Recovery.recover_guarded rc pc);
+      (* rank round trip, and the successor of rank pc - 1 *)
+      let idx = check_recover_successor rc pc in
       (* the recovered point lies inside its level bounds *)
       for k = 0 to Trahrhe.Recovery.depth rc - 1 do
         let lo = Trahrhe.Recovery.lower_bound rc ~level:k idx
@@ -503,13 +529,13 @@ let test_recovery_bigint_fallback () =
           Alcotest.failf "pc=%d level %d: %d outside [%d,%d]" pc k idx.(k) lo up
       done)
     [ 1; 2; trip / 3; trip / 2; trip - 1; trip ];
-  (* the safe walk takes the increment path and matches binsearch *)
+  (* the safe walk takes the increment path and matches recover *)
   let base = trip / 2 in
   let j = ref 0 in
   Trahrhe.Recovery.walk rc ~pc:base ~len:4 (fun idx ->
       Alcotest.(check (array int))
         (Printf.sprintf "walk rank %d" (base + !j))
-        (Trahrhe.Recovery.recover_binsearch rc (base + !j))
+        (Trahrhe.Recovery.recover rc (base + !j))
         idx;
       incr j);
   Alcotest.(check int) "walk delivered 4 ranks" 4 !j
@@ -556,6 +582,7 @@ let test_recovery_horner_matches_exact () =
     (fun (name, nest, n) ->
       let inv = Trahrhe.Inversion.invert_exn nest in
       let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> n) in
+      let points = enumerate nest ~param:(fun _ -> n) in
       let levels = Array.of_list nest.Trahrhe.Nest.levels in
       let vars = Array.map (fun (l : Trahrhe.Nest.level) -> l.Trahrhe.Nest.var) levels in
       (* level vars 0..upto-1 read [idx], everything else is a parameter *)
@@ -570,9 +597,8 @@ let test_recovery_horner_matches_exact () =
         Zmath.Bigint.to_int_exn (Q.to_bigint_exn q)
       in
       for pc = 1 to Trahrhe.Recovery.trip_count rc do
-        let g = Trahrhe.Recovery.recover_guarded rc pc in
-        if g <> Trahrhe.Recovery.recover_binsearch rc pc then
-          Alcotest.failf "%s pc=%d: guarded <> binsearch" name pc;
+        let g = Trahrhe.Recovery.recover rc pc in
+        if g <> points.(pc - 1) then Alcotest.failf "%s pc=%d: recover <> enumeration" name pc;
         let exact_rank = Trahrhe.Ranking.rank_at nest ~param:(fun _ -> n) g in
         if Zmath.Bigint.of_int (Trahrhe.Recovery.rank rc g) <> exact_rank then
           Alcotest.failf "%s pc=%d: rank %d, exact %s" name pc (Trahrhe.Recovery.rank rc g)
@@ -786,12 +812,31 @@ let test_validate_all_kernels () =
         [ 3; 8 ])
     Kernels.Registry.kernels
 
+let test_validate_tetrahedron_raw_floor () =
+  (* for i in [0,N) for j in [i,N) for k in [j,N) at N = 10: the
+     paper's raw floor (what collapse emits by default) misses 6 of the
+     220 ranks, the runtime recovery none *)
+  let nest =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { Trahrhe.Nest.var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 };
+        { Trahrhe.Nest.var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 0 };
+        { Trahrhe.Nest.var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("N", 1) ] 0 } ]
+  in
+  let inv = Trahrhe.Inversion.invert_exn ~force_numeric:false nest in
+  let report = Trahrhe.Validate.check inv ~param:(fun _ -> 10) in
+  Alcotest.(check int) "iterations" 220 report.Trahrhe.Validate.iterations;
+  Alcotest.(check int) "closed form" 214 report.Trahrhe.Validate.closed_form_ok;
+  Alcotest.(check int) "recover" 220 report.Trahrhe.Validate.recover_ok;
+  Alcotest.(check bool) "exact apart from the raw floor" true (Trahrhe.Validate.raw_floor_ok report);
+  Alcotest.(check bool) "not all ok" false (Trahrhe.Validate.all_ok report)
+
 let test_paper_formula_equivalence () =
-  (* our selected correlation root must compute the same index as the
-     paper's literal Figure 3 formula for every pc *)
-  let inv = Trahrhe.Inversion.invert_exn (correlation_nest ()) in
+  (* our selected correlation root, as the closed-form reference
+     evaluates it, must compute the same index as the paper's literal
+     Figure 3 formula for every pc *)
+  let inv = Trahrhe.Inversion.invert_exn ~force_numeric:false (correlation_nest ()) in
   let n = 200 in
-  let rc = Trahrhe.Recovery.make inv ~param:(fun _ -> n) in
+  let closed = Trahrhe.Closed_form.make inv ~param:(fun _ -> n) in
   let nf = float_of_int n in
   let paper_i pc =
     (* i = floor(-(sqrt(4N^2 - 4N - 8pc + 9) - 2N + 1) / 2) *)
@@ -802,7 +847,7 @@ let test_paper_formula_equivalence () =
          /. 2.))
   in
   for pc = 1 to n * (n - 1) / 2 do
-    let got = (Trahrhe.Recovery.recover rc pc).(0) in
+    let got = (Trahrhe.Closed_form.recover closed pc).(0) in
     if got <> paper_i pc then
       Alcotest.failf "pc=%d: ours %d, paper %d" pc got (paper_i pc)
   done
@@ -822,8 +867,8 @@ let prop_compiled_rank_matches_exact =
       Zmath.Bigint.to_int exact = Some fast)
 
 let test_recovery_extralarge_sampled () =
-  (* paper-scale sizes (utma 5000, ltmp 4000): closed forms + guards
-     must stay exact at sparse sampled ranks *)
+  (* paper-scale sizes (utma 5000, ltmp 4000): recover must stay exact
+     at sparse sampled ranks *)
   List.iter
     (fun (nest, n) ->
       let inv = Trahrhe.Inversion.invert_exn nest in
@@ -832,10 +877,7 @@ let test_recovery_extralarge_sampled () =
       let step = max 1 (trip / 997) in
       let pc = ref 1 in
       while !pc <= trip do
-        let g = Trahrhe.Recovery.recover_guarded rc !pc in
-        let b = Trahrhe.Recovery.recover_binsearch rc !pc in
-        if g <> b then Alcotest.failf "pc=%d disagreement" !pc;
-        if Trahrhe.Recovery.rank rc g <> !pc then Alcotest.failf "pc=%d rank mismatch" !pc;
+        ignore (check_recover_successor rc !pc);
         pc := !pc + step
       done)
     [ (correlation_nest (), 5000); (fig6_nest (), 800) ]
@@ -924,4 +966,6 @@ let suites =
         Alcotest.test_case "all benchmark kernels" `Slow test_validate_all_kernels;
         Alcotest.test_case "paper Figure 3 formula equivalence" `Slow test_paper_formula_equivalence;
         Alcotest.test_case "paper-scale sampled recovery" `Slow test_recovery_extralarge_sampled ]
-      @ qsuite [ prop_random_nests_validate; prop_compiled_rank_matches_exact ] ) ]
+      @ qsuite [ prop_random_nests_validate; prop_compiled_rank_matches_exact ]
+      @ [ Alcotest.test_case "tetrahedron raw floor misses" `Quick
+            test_validate_tetrahedron_raw_floor ] ) ]
