@@ -143,17 +143,17 @@ let fig10 () =
 let codegen () =
   header "Figures 3/4/7: generated collapsed OpenMP C";
   let k = Option.get (Kernels.Registry.find "correlation") in
-  let inv = K.inversion k in
+  let forms = K.inversion k in
   let body =
     [ Codegen.C_ast.Raw "for (k = 0; k < N; k++) a[i][j] += b[k][i] * c[k][j];";
       Codegen.C_ast.Raw "a[j][i] = a[i][j];" ]
   in
   let config = { Codegen.Schemes.default_config with extra_private = [ "k" ] } in
   print_endline "--- Figure 3 (naive) ---";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config inv ~body));
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config forms ~body));
   print_endline "--- Figure 4 (per-thread recovery) ---";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config inv ~body));
-  let inv3 = Trahrhe.Inversion.invert_exn (fig6_nest ()) in
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config forms ~body));
+  let inv3 = Trahrhe.Closed_form.invert_exn (fig6_nest ()) in
   print_endline "--- Figure 7 (3-depth nest, complex recovery) ---";
   print_string
     (Codegen.C_print.to_string
@@ -316,7 +316,7 @@ let micro () =
   let trip3 = Trahrhe.Recovery.trip_count rc3 in
   let big_a = Zmath.Bigint.of_string "123456789012345678901234567890123456789" in
   let big_b = Zmath.Bigint.of_string "987654321098765432109876543210987654321" in
-  let ranking = (K.inversion corr).Trahrhe.Inversion.ranking in
+  let ranking = (K.inversion corr).Trahrhe.Closed_form.inversion.Trahrhe.Inversion.ranking in
   let counter = ref 0 in
   let next_pc t =
     counter := (!counter + 7919) mod t;

@@ -1,13 +1,13 @@
 module K = Kernels.Kernel
 open Common
 
-(* certified numeric inversion: per-recovery cost of the seeded
-   bracket search on a forced-numeric plan against the paper's closed
-   forms (the Closed_form reference Validate checks), the chunked-walk
-   amortization on the default and the forced-numeric plan, and the
-   quintic kernel the radical cap used to reject. Gate: numeric
-   recovery within 5x closed-form. That inversion.numeric / inversion.closed_form match
-   trip x levels is test_oracle's inversion counter soak. *)
+(* certified numeric inversion: per-recovery cost of the runtime's
+   seeded bracket search against the paper's closed forms (the
+   Closed_form reference Validate checks), the chunked walk that
+   amortizes it, and the quintic kernel the radical cap used to
+   reject. Gate: numeric recovery within 5x closed-form. That
+   inversion.numeric / inversion.closed_form match trip x levels is
+   test_oracle's inversion counter soak. *)
 let run () =
   let n = env_int "BENCH_INVERT_N" 400 in
   header "micro-invert: certified numeric recovery vs closed forms";
@@ -15,12 +15,9 @@ let run () =
   let module R = Trahrhe.Recovery in
   let corr = Option.get (Kernels.Registry.find "correlation") in
   let param = K.param_of corr ~n in
-  let inv_c = K.inversion corr in
-  let inv_n = Trahrhe.Inversion.invert_exn ~force_numeric:true corr.K.nest in
-  let closed = Trahrhe.Closed_form.make inv_c ~param in
-  let rc_c = R.make inv_c ~param in
-  let rc_n = R.make inv_n ~param in
-  let trip = R.trip_count rc_c in
+  let closed = Trahrhe.Closed_form.make (K.inversion corr) ~param in
+  let rc = K.recovery corr ~n in
+  let trip = R.trip_count rc in
   let sink = ref 0 in
   (* every-iteration recovery: the worst case for the numeric path *)
   let ns_per = best_ns_per_iter ~reps:3 ~iters:trip in
@@ -33,13 +30,13 @@ let run () =
   let recover_numeric =
     ns_per (fun () ->
         for pc = 1 to trip do
-          sink := !sink + (R.recover rc_n pc).(0)
+          sink := !sink + (R.recover rc pc).(0)
         done)
   in
   (* chunked walk: one recovery per chunk, incrementation after — the
      §V deployment shape, where the recovery cost amortizes away *)
   let chunks = 64 in
-  let walk_with rc =
+  let walk =
     ns_per (fun () ->
         let chunk = max 1 (trip / chunks) in
         let pc = ref 1 in
@@ -49,32 +46,21 @@ let run () =
           pc := !pc + len
         done)
   in
-  let walk_closed = walk_with rc_c in
-  let walk_numeric = walk_with rc_n in
   ignore !sink;
   let ratio_each = recover_numeric /. recover_closed in
-  let ratio_walk = walk_numeric /. walk_closed in
   Printf.printf "%-54s %10s\n" (Printf.sprintf "strategy (correlation, N=%d)" n) "ns/iter";
   List.iter
     (fun (name, ns) -> Printf.printf "%-54s %10.1f\n" name ns)
     [ ("closed-form reference at every iteration", recover_closed);
       ("numeric recovery at every iteration", recover_numeric);
-      (Printf.sprintf "chunked walk (%d chunks), closed-form plan" chunks, walk_closed);
-      (Printf.sprintf "chunked walk (%d chunks), numeric plan" chunks, walk_numeric) ];
-  Printf.printf "numeric vs closed: %.2fx per recovery, %.2fx chunk-amortized\n" ratio_each
-    ratio_walk;
+      (Printf.sprintf "chunked walk (%d chunks)" chunks, walk) ];
+  Printf.printf "numeric vs closed: %.2fx per recovery\n" ratio_each;
   (* the quintic kernel the radical cap rejected *)
   let deep = Option.get (Kernels.Registry.find "simplex5") in
   let dn = deep.K.default_n in
   let rc_d = K.recovery deep ~n:dn in
   let dtrip = R.trip_count rc_d in
   let levels = Array.length (R.recover rc_d 1) in
-  let numeric_levels =
-    Array.fold_left
-      (fun acc r -> match r with Trahrhe.Inversion.Numeric _ -> acc + 1 | _ -> acc)
-      0
-      (K.inversion deep).Trahrhe.Inversion.recoveries
-  in
   let deep_each =
     best_ns_per_iter ~reps:3 ~iters:dtrip (fun () ->
         for pc = 1 to dtrip do
@@ -108,20 +94,14 @@ let run () =
         Emit.Obj
           [ ("closed_form", Emit.F (recover_closed, 2));
             ("numeric", Emit.F (recover_numeric, 2));
-            ("walk_closed_form", Emit.F (walk_closed, 2));
-            ("walk_numeric", Emit.F (walk_numeric, 2))
+            ("walk", Emit.F (walk, 2))
           ] );
-      ( "ratio",
-        Emit.Obj
-          [ ("numeric_vs_closed_each", Emit.F (ratio_each, 3));
-            ("numeric_vs_closed_walk", Emit.F (ratio_walk, 3))
-          ] );
+      ("ratio", Emit.Obj [ ("numeric_vs_closed_each", Emit.F (ratio_each, 3)) ]);
       ( "simplex5",
         Emit.Obj
           [ ("n", Emit.Int dn);
             ("iterations", Emit.Int dtrip);
             ("ns_per_recovery", Emit.F (deep_each, 2));
-            ("numeric_levels", Emit.Int numeric_levels);
             ("levels", Emit.Int levels);
             ("newton_steps", Emit.Int !newton);
             ("bisect_steps", Emit.Int !bisect)

@@ -28,34 +28,26 @@ let nest_of_input ~file ~kernel =
 
 let mode_name = function Symx.Cemit.Real -> "real" | Symx.Cemit.Complex -> "complex"
 
-(* per-level recovery kinds for the stderr accounting: which levels run
-   radical closed forms and which run the certified numeric search,
-   with the isolator's enclosure refinement counts on a mid-range probe *)
+(* per-level recovery accounting for stderr: the isolator's enclosure
+   refinement counts at every searched level on a mid-range probe, and
+   the innermost level's exact formula *)
 let report_recovery_kinds (inv : Trahrhe.Inversion.t) rc =
   let trip = Trahrhe.Recovery.trip_count rc in
   if trip > 0 then begin
     let pc = 1 + (trip / 2) in
     let idx = Trahrhe.Recovery.recover rc pc in
     let parts =
-      Array.to_list
-        (Array.mapi
-           (fun k r ->
-             match r with
-             | Trahrhe.Inversion.Root { var; mode; _ } ->
-               Printf.sprintf "%s=closed(%s)" var (mode_name mode)
-             | Trahrhe.Inversion.Last { var; _ } -> Printf.sprintf "%s=exact" var
-             | Trahrhe.Inversion.Numeric { var; _ } ->
-               let detail =
-                 match Trahrhe.Recovery.isolate_level rc idx ~pc ~level:k with
-                 | Some (Ok enc) ->
-                   Printf.sprintf "%d newton + %d bisect steps%s"
-                     enc.Rootsolve.Isolate.newton_steps enc.Rootsolve.Isolate.bisect_steps
-                     (if enc.Rootsolve.Isolate.exact then ", exact root" else "")
-                 | Some (Error e) -> Rootsolve.Isolate.error_to_string e
-                 | None -> "overflow-guarded bigint search"
-               in
-               Printf.sprintf "%s=numeric(%s)" var detail)
-           inv.Trahrhe.Inversion.recoveries)
+      List.mapi
+        (fun k var ->
+          match Trahrhe.Recovery.isolate_level rc idx ~pc ~level:k with
+          | None -> Printf.sprintf "%s=exact" var
+          | Some (Ok enc) ->
+            Printf.sprintf "%s=numeric(%d newton + %d bisect steps%s)" var
+              enc.Rootsolve.Isolate.newton_steps enc.Rootsolve.Isolate.bisect_steps
+              (if enc.Rootsolve.Isolate.exact then ", exact root" else "")
+          | Some (Error e) ->
+            Printf.sprintf "%s=numeric(%s)" var (Rootsolve.Isolate.error_to_string e))
+        (Trahrhe.Nest.level_vars inv.Trahrhe.Inversion.nest)
     in
     Printf.eprintf "  recovery: %s\n%!" (String.concat "  " parts)
   end;
@@ -114,24 +106,24 @@ let info_run file kernel =
     Format.printf "ranking polynomial: %s@\n" (Polymath.Polynomial.to_string r);
     Format.printf "trip count: %s@\n"
       (Polymath.Polynomial.to_string (Trahrhe.Ranking.trip_count nest));
-    (match Trahrhe.Inversion.invert nest with
+    (match Trahrhe.Closed_form.invert nest with
     | Error e ->
-      Format.printf "inversion: FAILED — %s@\n" (Trahrhe.Inversion.error_to_string e);
+      Format.printf "inversion: FAILED — %s@\n" (Trahrhe.Closed_form.error_to_string e);
       1
-    | Ok inv ->
+    | Ok forms ->
       Array.iter
         (function
-          | Trahrhe.Inversion.Root { var; expr; mode } ->
+          | Trahrhe.Closed_form.Root { var; expr; mode } ->
             Format.printf "%s = floor(%s)   [%s]@\n" var (Symx.Expr.to_string expr)
               (mode_name mode)
-          | Trahrhe.Inversion.Last { var; poly } ->
+          | Trahrhe.Closed_form.Last { var; poly } ->
             Format.printf "%s = %s   [exact]@\n" var (Polymath.Polynomial.to_string poly)
-          | Trahrhe.Inversion.Numeric { var; r_sub_index } ->
+          | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
             Format.printf
               "%s = numeric(r_sub_%d)   [certified root isolation: no radical closed form at \
                this degree]@\n"
               var r_sub_index)
-        inv.Trahrhe.Inversion.recoveries;
+        forms.Trahrhe.Closed_form.levels;
       0)
 
 let file_arg =
@@ -228,17 +220,17 @@ let validate_run file kernel size trace stats =
     prerr_endline e;
     1
   | Ok nest -> (
-    match Trahrhe.Inversion.invert nest with
+    match Trahrhe.Closed_form.invert nest with
     | Error e ->
-      Printf.eprintf "inversion failed: %s\n" (Trahrhe.Inversion.error_to_string e);
+      Printf.eprintf "inversion failed: %s\n" (Trahrhe.Closed_form.error_to_string e);
       1
-    | Ok inv ->
+    | Ok forms ->
       let param =
         match (kernel, Option.bind kernel Kernels.Registry.find) with
         | _, Some k -> Kernels.Kernel.param_of k ~n:size
         | _ -> fun _ -> size
       in
-      let report = Trahrhe.Validate.check inv ~param in
+      let report = Trahrhe.Validate.check forms ~param in
       Format.printf "%a@\n" Trahrhe.Validate.pp report;
       if Trahrhe.Validate.all_ok report then 0
       else begin
@@ -586,20 +578,20 @@ let emit_run file kernel scheme guarded =
     prerr_endline e;
     1
   | Ok nest -> (
-    match Trahrhe.Inversion.invert nest with
+    match Trahrhe.Closed_form.invert nest with
     | Error e ->
-      Printf.eprintf "inversion failed: %s\n" (Trahrhe.Inversion.error_to_string e);
+      Printf.eprintf "inversion failed: %s\n" (Trahrhe.Closed_form.error_to_string e);
       1
-    | Ok inv ->
+    | Ok forms ->
       let config = { Codegen.Schemes.default_config with guarded } in
       let body = [ Codegen.C_ast.Raw "/* statements(indices) */;" ] in
       let stmts =
         match scheme with
-        | Cfront.Transform.Naive -> Codegen.Schemes.naive ~config inv ~body
-        | Cfront.Transform.Per_thread -> Codegen.Schemes.per_thread ~config inv ~body
-        | Cfront.Transform.Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk inv ~body
+        | Cfront.Transform.Naive -> Codegen.Schemes.naive ~config forms ~body
+        | Cfront.Transform.Per_thread -> Codegen.Schemes.per_thread ~config forms ~body
+        | Cfront.Transform.Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk forms ~body
         | Cfront.Transform.Simd vlength ->
-          Codegen.Schemes.simd ~config ~vlength inv ~body_of:(fun subst ->
+          Codegen.Schemes.simd ~config ~vlength forms ~body_of:(fun subst ->
               [ Codegen.C_ast.Raw
                   (Printf.sprintf "/* statements(%s) */;"
                      (String.concat ", "

@@ -42,13 +42,14 @@ let () =
   in
   let rhomboid = Looptrans.Skew.skew stencil ~level:1 ~wrt:0 ~factor:1 in
   Format.printf "skewed stencil (the paper's rhomboidal domain):@\n%a@\n" Trahrhe.Nest.pp rhomboid;
-  let inv = Trahrhe.Inversion.invert_exn rhomboid in
+  let forms = Trahrhe.Closed_form.invert_exn rhomboid in
+  let inv = forms.Trahrhe.Closed_form.inversion in
   Printf.printf "rhomboid trip count: %s\n"
     (Polymath.Polynomial.to_string inv.Trahrhe.Inversion.trip_count);
   print_endline "collapsed rhomboid (original index rebuilt in the body):";
   print_string
     (Codegen.C_print.to_string
-       (Codegen.Schemes.per_thread inv
+       (Codegen.Schemes.per_thread forms
           ~body:
             [ Codegen.C_ast.Raw
                 (Printf.sprintf "s[%s] = 0.33 * (e[%s - 1] + e[%s] + e[%s + 1]);"

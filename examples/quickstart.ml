@@ -24,19 +24,19 @@ let () =
     (Polymath.Polynomial.to_string (Trahrhe.Ranking.trip_count nest));
 
   (* 2. invert it: closed forms for each index *)
-  let inv = Trahrhe.Inversion.invert_exn nest in
+  let forms = Trahrhe.Closed_form.invert_exn nest in
   Array.iter
     (function
-      | Trahrhe.Inversion.Root { var; expr; _ } ->
+      | Trahrhe.Closed_form.Root { var; expr; _ } ->
         Printf.printf "%s = floor( %s )\n" var (Symx.Expr.to_string expr)
-      | Trahrhe.Inversion.Last { var; poly } ->
+      | Trahrhe.Closed_form.Last { var; poly } ->
         Printf.printf "%s = %s\n" var (Polymath.Polynomial.to_string poly)
-      | Trahrhe.Inversion.Numeric { var; r_sub_index } ->
+      | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
         Printf.printf "%s = numeric(r_sub_%d)\n" var r_sub_index)
-    inv.Trahrhe.Inversion.recoveries;
+    forms.Trahrhe.Closed_form.levels;
 
   (* 3. check the whole pipeline exhaustively at a small size *)
-  let report = Trahrhe.Validate.check inv ~param:(fun _ -> 40) in
+  let report = Trahrhe.Validate.check forms ~param:(fun _ -> 40) in
   Printf.printf "\nvalidation at N=40: %s\n\n"
     (if Trahrhe.Validate.all_ok report then "all recoveries exact on all 780 iterations"
      else "FAILED");
@@ -49,6 +49,6 @@ let () =
   in
   let config = { Codegen.Schemes.default_config with extra_private = [ "k" ] } in
   print_endline "---- Figure 3: naive collapsed loop ----";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config inv ~body));
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config forms ~body));
   print_endline "\n---- Figure 4: per-thread recovery ----";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config inv ~body))
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config forms ~body))

@@ -134,7 +134,7 @@ let find_regions src =
   List.rev !regions
 
 let generate ~options region =
-  let inv = Trahrhe.Inversion.invert_exn region.nest in
+  let forms = Trahrhe.Closed_form.invert_exn region.nest in
   let config =
     { Codegen.Schemes.default_config with
       guarded = options.guarded;
@@ -157,13 +157,13 @@ let generate ~options region =
   let body = recon_stmts @ [ Codegen.C_ast.Raw region.body ] in
   let stmts =
     match options.scheme with
-    | Naive -> Codegen.Schemes.naive ~config inv ~body
-    | Per_thread -> Codegen.Schemes.per_thread ~config inv ~body
-    | Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk inv ~body
+    | Naive -> Codegen.Schemes.naive ~config forms ~body
+    | Per_thread -> Codegen.Schemes.per_thread ~config forms ~body
+    | Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk forms ~body
     | Simd vlength ->
       (* the textual body cannot be re-indexed automatically; wrap it in
          a scalar assignment prelude instead *)
-      Codegen.Schemes.simd ~config ~vlength inv ~body_of:(fun subst ->
+      Codegen.Schemes.simd ~config ~vlength forms ~body_of:(fun subst ->
           List.map
             (fun v -> Codegen.C_ast.Raw (Printf.sprintf "%s %s = %s;" options.counter_ty v (subst v)))
             (Trahrhe.Nest.level_vars region.nest)

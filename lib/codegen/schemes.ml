@@ -80,27 +80,21 @@ let search_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) k =
                      (Cemit.emit_poly_int r_at_mid ~ty) pc a mid b mid) ] };
         Raw (Printf.sprintf "%s = %s;" var a) ] ]
 
-let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
-  let ty = config.counter_ty in
-  Array.to_list inv.Trahrhe.Inversion.recoveries
-  |> List.concat_map (fun r ->
+let recovery_stmts ?(config = default_config) (forms : Trahrhe.Closed_form.t) =
+  let ty = config.counter_ty and inv = forms.Trahrhe.Closed_form.inversion in
+  Array.to_list forms.Trahrhe.Closed_form.levels
+  |> List.mapi (fun k r ->
          match r with
-         | Trahrhe.Inversion.Root { var; expr; mode } ->
+         | Trahrhe.Closed_form.Root { var; expr; mode } ->
            Assign (var, Cemit.emit_floor ~mode expr)
-           :: (if config.guarded then
-                 let k =
-                   let levels = nest_levels inv in
-                   let rec find i = if levels.(i).Trahrhe.Nest.var = var then i else find (i + 1) in
-                   find 0
-                 in
-                 guard_stmts ~ty inv k
-               else [])
-         | Trahrhe.Inversion.Last { var; poly } ->
+           :: (if config.guarded then guard_stmts ~ty inv k else [])
+         | Trahrhe.Closed_form.Last { var; poly } ->
            [ Assign (var, Cemit.emit_poly_int poly ~ty) ]
-         | Trahrhe.Inversion.Numeric { r_sub_index; _ } ->
+         | Trahrhe.Closed_form.Numeric { r_sub_index; _ } ->
            (* no radical closed form at this degree; the search is exact
               by construction, so the guarded config adds nothing *)
            search_stmts ~config inv r_sub_index)
+  |> List.concat
 
 let exhausted ~ty (l : Trahrhe.Nest.level) = Printf.sprintf "%s >= %s" l.var (bound_expr ~ty l.upper)
 
@@ -157,16 +151,18 @@ let pc_loop ~config (inv : Trahrhe.Inversion.t) ?(step) body =
       step;
       body }
 
-let naive ?(config = default_config) inv ~body =
+let naive ?(config = default_config) forms ~body =
+  let inv = forms.Trahrhe.Closed_form.inversion in
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "naive") ]
   @@ fun () ->
   index_decls ~config inv
   @ [ Pragma
         (Printf.sprintf "omp parallel for private(%s) schedule(%s)" (private_clause ~config inv)
            config.schedule);
-      pc_loop ~config inv (recovery_stmts ~config inv @ body) ]
+      pc_loop ~config inv (recovery_stmts ~config forms @ body) ]
 
-let per_thread ?(config = default_config) inv ~body =
+let per_thread ?(config = default_config) forms ~body =
+  let inv = forms.Trahrhe.Closed_form.inversion in
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "per-thread") ]
   @@ fun () ->
   index_decls ~config inv
@@ -178,11 +174,12 @@ let per_thread ?(config = default_config) inv ~body =
       pc_loop ~config inv
         (If
            { cond = "first_iteration";
-             then_ = recovery_stmts ~config inv @ [ Assign ("first_iteration", "0") ];
+             then_ = recovery_stmts ~config forms @ [ Assign ("first_iteration", "0") ];
              else_ = [] }
         :: (body @ increment_stmts ~config inv)) ]
 
-let chunked ?(config = default_config) ~chunk inv ~body =
+let chunked ?(config = default_config) ~chunk forms ~body =
+  let inv = forms.Trahrhe.Closed_form.inversion in
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "chunked") ]
   @@ fun () ->
   let pc = inv.Trahrhe.Inversion.pc_var in
@@ -193,11 +190,12 @@ let chunked ?(config = default_config) ~chunk inv ~body =
       pc_loop ~config inv
         (If
            { cond = Printf.sprintf "(%s - 1) %% %d == 0" pc chunk;
-             then_ = recovery_stmts ~config inv;
+             then_ = recovery_stmts ~config forms;
              else_ = [] }
         :: (body @ increment_stmts ~config inv)) ]
 
-let simd ?(config = default_config) ~vlength inv ~body_of =
+let simd ?(config = default_config) ~vlength forms ~body_of =
+  let inv = forms.Trahrhe.Closed_form.inversion in
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "simd") ]
   @@ fun () ->
   let ty = config.counter_ty in
@@ -223,7 +221,7 @@ let simd ?(config = default_config) ~vlength inv ~body_of =
       pc_loop ~config inv ~step:(Printf.sprintf "%s += %d" pc vlength)
         ([ If
              { cond = "first_iteration";
-               then_ = recovery_stmts ~config inv @ [ Assign ("first_iteration", "0") ];
+               then_ = recovery_stmts ~config forms @ [ Assign ("first_iteration", "0") ];
                else_ = [] };
            For
              { init = Printf.sprintf "v = %s" pc;
@@ -241,7 +239,8 @@ let simd ?(config = default_config) ~vlength inv ~body_of =
                step = "v++";
                body = body_of (fun x -> Printf.sprintf "%s[v - %s]" (buf x) pc) } ]) ]
 
-let gpu_warp ?(config = default_config) ~warp inv ~body =
+let gpu_warp ?(config = default_config) ~warp forms ~body =
+  let inv = forms.Trahrhe.Closed_form.inversion in
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "gpu-warp") ]
   @@ fun () ->
   let ty = config.counter_ty in
@@ -263,7 +262,7 @@ let gpu_warp ?(config = default_config) ~warp inv ~body =
                   body =
                     If
                       { cond = Printf.sprintf "%s == thread + 1" pc;
-                        then_ = recovery_stmts ~config inv;
+                        then_ = recovery_stmts ~config forms;
                         else_ = [] }
                     :: body
                     @ [ For

@@ -16,7 +16,11 @@
 
     All generators take the loop body as statements referring to the
     original index names; index variables are declared by the generated
-    code and listed in the OpenMP [private] clause. *)
+    code and listed in the OpenMP [private] clause. They print the
+    recovery {!Trahrhe.Closed_form.select} chose per level; the
+    building blocks below it ({!search_stmts}, {!carry_stmts},
+    {!increment_stmts}) need only the inversion, which is how the
+    native tier emits its C without selecting a root. *)
 
 type config = {
   counter_ty : string;  (** C type of indices and [pc] (default "long") *)
@@ -35,15 +39,15 @@ val default_config : config
     exact integer C expression over the parameters. *)
 val trip_count_expr : Trahrhe.Inversion.t -> ty:string -> string
 
-(** [recovery_stmts ?config inv] is the §IV index-recovery statement
+(** [recovery_stmts ?config forms] is the §IV index-recovery statement
     sequence ([i1 = floor(...); ...; ic = exact formula]). *)
-val recovery_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
+val recovery_stmts : ?config:config -> Trahrhe.Closed_form.t -> C_ast.stmt list
 
 (** [search_stmts ?config inv k] recovers level [k] exactly: the
     largest value in the level's range whose substituted ranking
     [r_sub.(k)] does not exceed [pc], by bracketed binary search. The
     levels above [k] must already hold their values. It is the
-    recovery of a [Numeric] level. *)
+    recovery of a {!Trahrhe.Closed_form.Numeric} level. *)
 val search_stmts : ?config:config -> Trahrhe.Inversion.t -> int -> C_ast.stmt list
 
 (** [carry_stmts ?config inv q] advances level [q] (or the nearest outer
@@ -58,27 +62,27 @@ val carry_stmts : ?config:config -> Trahrhe.Inversion.t -> int -> C_ast.stmt lis
     its row. *)
 val increment_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
 
-val naive : ?config:config -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
+val naive : ?config:config -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
 
 val per_thread :
-  ?config:config -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
+  ?config:config -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
 
 val chunked :
-  ?config:config -> chunk:int -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
+  ?config:config -> chunk:int -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
 
-(** [simd ~vlength inv ~body_of] generates the §VI-A scheme;
+(** [simd ~vlength forms ~body_of] generates the §VI-A scheme;
     [body_of subst] must produce the body with every original index
     variable [v] replaced by [subst v] (a C expression indexing the
     per-thread tuple buffer). *)
 val simd :
   ?config:config ->
   vlength:int ->
-  Trahrhe.Inversion.t ->
+  Trahrhe.Closed_form.t ->
   body_of:((string -> string) -> C_ast.stmt list) ->
   C_ast.stmt list
 
 val gpu_warp :
-  ?config:config -> warp:int -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
+  ?config:config -> warp:int -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
 
 (** [original nest ~parallel ~schedule ~body] prints the untransformed
     nest; when [parallel], an [omp parallel for] pragma with the given

@@ -6,6 +6,12 @@ module Cemit = Symx.Cemit
 let disjoint_vars a b =
   List.for_all (fun v -> not (List.mem v b)) a
 
+(* the printed recovery of one inversion: its selected closed forms *)
+let forms inv =
+  match Trahrhe.Closed_form.select inv with
+  | Ok forms -> forms
+  | Error e -> failwith (Trahrhe.Closed_form.error_to_string e)
+
 let reshape ?(config = Schemes.default_config) (r : Trahrhe.Reshape.t) ~body =
   let ty = config.Schemes.counter_ty in
   let source = Trahrhe.Reshape.source r in
@@ -37,7 +43,7 @@ let reshape ?(config = Schemes.default_config) (r : Trahrhe.Reshape.t) ~body =
       { cond = "first_iteration";
         then_ =
           Assign (pc, Cemit.emit_poly_int target.Trahrhe.Inversion.ranking ~ty)
-          :: Schemes.recovery_stmts ~config source
+          :: Schemes.recovery_stmts ~config (forms source)
           @ [ Assign ("first_iteration", "0") ];
         else_ = [] }
   in
@@ -73,28 +79,29 @@ let fused ?(config = Schemes.default_config) (f : Trahrhe.Fusion.t) ~bodies =
   in
   let shifted_recovery (s : Trahrhe.Fusion.segment) =
     (* recover from the segment-local rank pc - offset *)
-    let inv = s.inversion in
+    let selected = forms s.inversion in
     let local = P.sub (P.var pc) s.offset in
     let shifted =
-      { inv with
-        Trahrhe.Inversion.recoveries =
+      { Trahrhe.Closed_form.levels =
           Array.map
             (function
-              | Trahrhe.Inversion.Root { var; expr; mode } ->
-                Trahrhe.Inversion.Root
+              | Trahrhe.Closed_form.Root { var; expr; mode } ->
+                Trahrhe.Closed_form.Root
                   { var; expr = E.subst pc (E.of_poly local) expr; mode }
-              | Trahrhe.Inversion.Last { var; poly } ->
-                Trahrhe.Inversion.Last { var; poly = P.subst pc local poly }
-              | Trahrhe.Inversion.Numeric _ as r ->
+              | Trahrhe.Closed_form.Last { var; poly } ->
+                Trahrhe.Closed_form.Last { var; poly = P.subst pc local poly }
+              | Trahrhe.Closed_form.Numeric _ as r ->
                 (* the emitted binary search compares the offset-shifted
                    r_sub below against the global pc directly:
                    r + offset <= pc  <=>  r <= pc - offset *)
                 r)
-            inv.Trahrhe.Inversion.recoveries;
-        Trahrhe.Inversion.r_sub =
-          (* guards compare local rank against r_sub: shift them too by
-             adding the offset to the substituted rankings *)
-          Array.map (fun r -> P.add r s.offset) inv.Trahrhe.Inversion.r_sub }
+            selected.Trahrhe.Closed_form.levels;
+        inversion =
+          { s.inversion with
+            (* guards compare local rank against r_sub: shift them too
+               by adding the offset to the substituted rankings *)
+            Trahrhe.Inversion.r_sub =
+              Array.map (fun r -> P.add r s.offset) s.inversion.Trahrhe.Inversion.r_sub } }
     in
     Schemes.recovery_stmts ~config shifted
   in

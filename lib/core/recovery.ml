@@ -15,11 +15,8 @@ let c_bigint_fallback = Obsv.Metrics.create "recovery.bigint_fallback"
 (* chunks served by a native (.so) backend *)
 let c_jit_hits = Obsv.Metrics.create "jit.hit"
 
-(* per-level recovery ledger, named by the plan's level kind: every
-   level runs the same exact search (or the last level's formula), but a
-   level the plan inverts in closed form ([Root], [Last]) counts as
-   closed_form and one it marks [Numeric] (degree > 4 rankings, or
-   OMPSIM_FORCE_NUMERIC differential runs) as numeric *)
+(* per-level recovery ledger: a searched (non-last) level counts as
+   numeric, the innermost level's exact formula as closed_form *)
 let c_inv_closed = Obsv.Metrics.create "inversion.closed_form"
 let c_inv_numeric = Obsv.Metrics.create "inversion.numeric"
 
@@ -157,10 +154,10 @@ let make (inv : Inversion.t) ~param =
     | _ -> None
   in
   let numeric =
-    Array.mapi
-      (fun k -> function
-        | Inversion.Root { var; _ } | Inversion.Numeric { var; _ } ->
-          let folded = fold_params inv.Inversion.r_sub.(k) in
+    Array.init d (fun k ->
+        if k = d - 1 then None
+        else begin
+          let var = vars.(k) and folded = fst s_sub.(k) in
           (* scale by the denominator lcm: the univariate coefficients
              of the scaled polynomial have integer coefficients, hence
              integer values at the (integer) recovered prefixes, so the
@@ -187,8 +184,7 @@ let make (inv : Inversion.t) ~param =
               nl_scale_f = Zmath.Bigint.to_float lcm;
               nl_univ = univ;
               nl_seed = seed }
-        | Inversion.Last _ -> None)
-      inv.Inversion.recoveries
+        end)
   in
   { inv;
     d;
@@ -299,26 +295,22 @@ let recover_level t idx pc k =
       seeded_level_search t idx pc k ~lo ~hi ~seed:(int_of_float (Float.floor r))
     end
 
-let count_level_kind t k =
-  match t.inv.Inversion.recoveries.(k) with
-  | Inversion.Numeric _ -> Obsv.Metrics.incr_here c_inv_numeric
-  | Inversion.Root _ | Inversion.Last _ -> Obsv.Metrics.incr_here c_inv_closed
-
 let recover t pc =
+  Obsv.Metrics.add_here c_inv_numeric (t.d - 1);
+  Obsv.Metrics.incr_here c_inv_closed;
   let idx = Array.make t.d 0 in
   for k = 0 to t.d - 1 do
-    count_level_kind t k;
     idx.(k) <- recover_level t idx pc k
   done;
   idx
 
-(* certified rational isolation of a numeric level's root: the exact
+(* certified rational isolation of a searched level's root: the exact
    Isolate enclosure of r_sub_k(prefix, v) = pc over the level's
    bounds. Diagnostic and bench surface — the hot path proves the same
    fact with exact integer probes of the monotone ranking. *)
 let isolate_level ?max_width t idx ~pc ~level =
-  match (t.inv.Inversion.recoveries.(level), t.numeric.(level)) with
-  | Inversion.Numeric _, Some nl ->
+  match t.numeric.(level) with
+  | Some nl ->
     let vars = Array.of_list (Nest.level_vars t.inv.Inversion.nest) in
     let env x =
       let rec find j =
@@ -333,7 +325,7 @@ let isolate_level ?max_width t idx ~pc ~level =
     let lo = Q.of_int (lower_bound t ~level idx) in
     let hi = Q.of_int (upper_bound t ~level idx) in
     Some (Rootsolve.Isolate.isolate ?max_width p ~lo ~hi)
-  | _ -> None
+  | None -> None
 
 (* the §V step on re-evaluated bounds: [advance k] advances level k, or
    the nearest outer level that is not exhausted; [settle q] resets

@@ -121,14 +121,14 @@ val upper_bound : t -> level:int -> int array -> int
 (** [recover t pc] recovers the indices of rank [pc] exactly, into a
     fresh array: each level's index is the [v] with
     [rank_prefix v <= pc < rank_prefix (v+1)] (see the header). Bumps
-    one of the [inversion.numeric] / [inversion.closed_form] counters
-    per level, by the plan's level kind. *)
+    [inversion.numeric] once per searched (non-last) level and
+    [inversion.closed_form] once for the innermost formula. *)
 val recover : t -> int -> int array
 
 (** [isolate_level t idx ~pc ~level] is the certified rational
-    enclosure of the level equation's root, [None] on levels that are
-    not [Numeric]. [idx] must hold the recovered prefix for levels
-    [< level]. Diagnostic and bench surface: the enclosure width and
+    enclosure of the level equation's root, [None] on the innermost
+    level, whose exact formula has no root to isolate. [idx] must hold
+    the recovered prefix for levels [< level]. Diagnostic and bench surface: the enclosure width and
     iteration counts are what [exec --report] and [micro-invert]
     print; the hot path proves the same index with integer probes. *)
 val isolate_level :
@@ -141,10 +141,9 @@ val isolate_level :
 
 (** Cumulative per-level recovery counters (all recoveries in this
     process, across every plan), as recorded by the
-    [inversion.numeric] / [inversion.closed_form] metrics. They name
-    the plan's level kind ([Numeric], resp. [Root] or [Last]), not a
-    different algorithm: {!recover} searches every non-last level the
-    same way. *)
+    [inversion.numeric] / [inversion.closed_form] metrics: the levels
+    {!recover} searched, and the innermost exact formulas it
+    evaluated. *)
 val numeric_recoveries : unit -> int
 
 val closed_form_recoveries : unit -> int

@@ -7,9 +7,10 @@ type report = {
   increment_ok : bool;
 }
 
-let check (inv : Inversion.t) ~param =
+let check (forms : Closed_form.t) ~param =
+  let inv = forms.Closed_form.inversion in
   let rec_ = Recovery.make inv ~param in
-  let closed = Closed_form.make inv ~param in
+  let closed = Closed_form.make forms ~param in
   let points = ref [] in
   Nest.iterate inv.Inversion.nest ~param (fun idx -> points := idx :: !points);
   let points = Array.of_list (List.rev !points) in

@@ -16,10 +16,11 @@ type report = {
   increment_ok : bool;  (** §V incrementation walks the domain in order *)
 }
 
-(** [check inv ~param] enumerates the domain under concrete parameter
-    values and exercises ranking, the closed-form reference, the
-    runtime recovery and incrementation on every iteration. *)
-val check : Inversion.t -> param:(string -> int) -> report
+(** [check forms ~param] enumerates the domain under concrete
+    parameter values and exercises ranking, the closed-form reference
+    [forms], the runtime recovery of their inversion and
+    incrementation on every iteration. *)
+val check : Closed_form.t -> param:(string -> int) -> report
 
 (** [all_ok r] means every invariant held on every iteration. *)
 val all_ok : report -> bool

@@ -1,8 +1,8 @@
 (* Depth-5 kernels exercising the numeric inversion path: the level-0
    ranking prefix of a 5-simplex is a quintic, past the quartic radical
-   cap, so recovery of the outermost index must go through certified
-   root isolation (Inversion.Numeric). Exact serial references follow
-   the prism/tiled pattern so the oracle can compare bit-for-bit. *)
+   cap, so the printed recovery of the outermost index is a search
+   (Closed_form.Numeric). Exact serial references follow the
+   prism/tiled pattern so the oracle can compare bit-for-bit. *)
 
 open Shape
 

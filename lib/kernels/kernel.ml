@@ -18,17 +18,18 @@ let param_of t ~n x =
   if List.mem x t.nest.Trahrhe.Nest.params then t.param_map n x
   else invalid_arg ("Kernel.param_of: unknown parameter " ^ x)
 
-let inversions : (string, Trahrhe.Inversion.t) Hashtbl.t = Hashtbl.create 16
+let inversions : (string, Trahrhe.Closed_form.t) Hashtbl.t = Hashtbl.create 16
 
 let inversion t =
   match Hashtbl.find_opt inversions t.name with
-  | Some inv -> inv
+  | Some forms -> forms
   | None ->
-    let inv = Trahrhe.Inversion.invert_exn t.nest in
-    Hashtbl.add inversions t.name inv;
-    inv
+    let forms = Trahrhe.Closed_form.invert_exn t.nest in
+    Hashtbl.add inversions t.name forms;
+    forms
 
-let recovery t ~n = Trahrhe.Recovery.make (inversion t) ~param:(param_of t ~n)
+let recovery t ~n =
+  Trahrhe.Recovery.make (inversion t).Trahrhe.Closed_form.inversion ~param:(param_of t ~n)
 
 let chunk_starts ~trip ~recoveries =
   let r = max 1 (min recoveries trip) in

@@ -48,8 +48,9 @@ type t = {
     size [n] (via [t.param_map]). *)
 val param_of : t -> n:int -> string -> int
 
-(** [inversion t] is the kernel's (lazily cached) inversion. *)
-val inversion : t -> Trahrhe.Inversion.t
+(** [inversion t] is the kernel's (lazily cached) inversion with its
+    closed forms selected — what the figures print. *)
+val inversion : t -> Trahrhe.Closed_form.t
 
 (** [recovery t ~n] is the runtime recovery compiled at size [n]. *)
 val recovery : t -> n:int -> Trahrhe.Recovery.t

@@ -98,7 +98,7 @@ let emit_intra t ~ty ~body =
 
 let collapse_tiles ?(config = Codegen.Schemes.default_config) t ~body =
   let ty = config.Codegen.Schemes.counter_ty in
-  let inv = Trahrhe.Inversion.invert_exn t.tile_nest in
+  let forms = Trahrhe.Closed_form.invert_exn t.tile_nest in
   (* derived parameters: Pt = P / size (P assumed divisible) *)
   let derived_decls =
     List.map
@@ -108,7 +108,7 @@ let collapse_tiles ?(config = Codegen.Schemes.default_config) t ~body =
       t.derived_params
   in
   derived_decls
-  @ Codegen.Schemes.per_thread ~config inv ~body:(emit_intra t ~ty ~body)
+  @ Codegen.Schemes.per_thread ~config forms ~body:(emit_intra t ~ty ~body)
 
 let iterate t ~param f =
   List.iter

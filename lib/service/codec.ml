@@ -1,9 +1,7 @@
-module B = Zmath.Bigint
 module Q = Zmath.Rat
 module M = Polymath.Monomial
 module P = Polymath.Polynomial
 module A = Polymath.Affine
-module E = Symx.Expr
 
 exception Error of string
 
@@ -11,12 +9,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let atom = function Sexp.Atom a -> a | Sexp.List _ -> fail "expected atom, got list"
 let list = function Sexp.List l -> l | Sexp.Atom a -> fail "expected list, got atom %s" a
-
-let of_bigint b = Sexp.Atom (B.to_string b)
-
-let to_bigint s =
-  let a = atom s in
-  try B.of_string a with Invalid_argument _ -> fail "bad bigint %s" a
 
 let of_rat q = Sexp.Atom (Q.to_string q)
 
@@ -84,37 +76,6 @@ let to_affine s =
     A.make terms (to_rat const)
   | _ -> fail "bad affine expression"
 
-let rec of_expr = function
-  | E.Const q -> Sexp.List [ Sexp.Atom "c"; of_rat q ]
-  | E.I -> Sexp.Atom "i"
-  | E.Var v -> Sexp.List [ Sexp.Atom "v"; of_var v ]
-  | E.Sum es -> Sexp.List (Sexp.Atom "+" :: List.map of_expr es)
-  | E.Prod es -> Sexp.List (Sexp.Atom "*" :: List.map of_expr es)
-  | E.Pow (b, q) -> Sexp.List [ Sexp.Atom "^"; of_expr b; of_rat q ]
-
-(* rebuild with the raw constructors, NOT the smart ones: the smart
-   constructors fold/flatten, and a decoded plan must be structurally
-   identical to what was encoded *)
-let rec to_expr = function
-  | Sexp.Atom "i" -> E.I
-  | Sexp.Atom a -> fail "bad expression atom %s" a
-  | Sexp.List [ Sexp.Atom "c"; q ] -> E.Const (to_rat q)
-  | Sexp.List [ Sexp.Atom "v"; v ] -> E.Var (atom v)
-  | Sexp.List (Sexp.Atom "+" :: es) -> E.Sum (List.map to_expr es)
-  | Sexp.List (Sexp.Atom "*" :: es) -> E.Prod (List.map to_expr es)
-  | Sexp.List [ Sexp.Atom "^"; b; q ] -> E.Pow (to_expr b, to_rat q)
-  | Sexp.List _ -> fail "bad expression node"
-
-let of_mode = function
-  | Symx.Cemit.Real -> Sexp.Atom "real"
-  | Symx.Cemit.Complex -> Sexp.Atom "complex"
-
-let to_mode s =
-  match atom s with
-  | "real" -> Symx.Cemit.Real
-  | "complex" -> Symx.Cemit.Complex
-  | a -> fail "bad emission mode %s" a
-
 (* the reduction clause travels as an OPTIONAL third element, so every
    plan encoded before reductions existed still decodes byte-for-byte *)
 let of_nest (n : Trahrhe.Nest.t) =
@@ -166,45 +127,24 @@ let to_nest s =
     | _ -> fail "bad reduction clause")
   | _ -> fail "bad nest"
 
-let of_recovery = function
-  | Trahrhe.Inversion.Root { var; expr; mode } ->
-    Sexp.List [ Sexp.Atom "root"; of_var var; of_expr expr; of_mode mode ]
-  | Trahrhe.Inversion.Last { var; poly } ->
-    Sexp.List [ Sexp.Atom "last"; of_var var; of_poly poly ]
-  | Trahrhe.Inversion.Numeric { var; r_sub_index } ->
-    Sexp.List [ Sexp.Atom "numeric"; of_var var; of_int_sexp r_sub_index ]
-
-let to_recovery s =
-  match list s with
-  | [ Sexp.Atom "root"; v; e; m ] ->
-    Trahrhe.Inversion.Root { var = atom v; expr = to_expr e; mode = to_mode m }
-  | [ Sexp.Atom "last"; v; p ] -> Trahrhe.Inversion.Last { var = atom v; poly = to_poly p }
-  | [ Sexp.Atom "numeric"; v; i ] ->
-    Trahrhe.Inversion.Numeric { var = atom v; r_sub_index = to_int_sexp i }
-  | _ -> fail "bad level recovery"
-
 let of_inversion (inv : Trahrhe.Inversion.t) =
   Sexp.List
     [ of_nest inv.Trahrhe.Inversion.nest;
       of_var inv.pc_var;
       of_poly inv.ranking;
       of_poly inv.trip_count;
-      Sexp.List (Array.to_list (Array.map of_poly inv.r_sub));
-      Sexp.List (Array.to_list (Array.map of_recovery inv.recoveries)) ]
+      Sexp.List (Array.to_list (Array.map of_poly inv.r_sub)) ]
 
 let to_inversion s =
   match list s with
-  | [ nest; pc_var; ranking; trip_count; r_sub; recoveries ] ->
+  | [ nest; pc_var; ranking; trip_count; r_sub ] ->
     let nest = to_nest nest in
     let r_sub = Array.of_list (List.map to_poly (list r_sub)) in
-    let recoveries = Array.of_list (List.map to_recovery (list recoveries)) in
     let d = Trahrhe.Nest.depth nest in
-    if Array.length r_sub <> d || Array.length recoveries <> d then
-      fail "inversion arity does not match nest depth %d" d;
+    if Array.length r_sub <> d then fail "inversion arity does not match nest depth %d" d;
     { Trahrhe.Inversion.nest;
       pc_var = atom pc_var;
       ranking = to_poly ranking;
       trip_count = to_poly trip_count;
-      r_sub;
-      recoveries }
+      r_sub }
   | _ -> fail "bad inversion"

@@ -1,16 +1,12 @@
 (** Exact {!Sexp} codecs for the values a compiled plan carries.
 
-    Every [of_*] / [to_*] pair round-trips exactly: bigints and
-    rationals travel as decimal text (no float transit anywhere),
-    polynomials as canonical term lists, symbolic root expressions as
-    their full tree. Decoders raise {!Error} on any malformed input;
+    Every [of_*] / [to_*] pair round-trips exactly: rationals travel as
+    decimal text (no float transit anywhere), polynomials as canonical
+    term lists. Decoders raise {!Error} on any malformed input;
     {!Plan.decode} is the single entry point that catches it and turns
     corrupt data into an [Error] result. *)
 
 exception Error of string
-
-val of_bigint : Zmath.Bigint.t -> Sexp.t
-val to_bigint : Sexp.t -> Zmath.Bigint.t
 
 val of_rat : Zmath.Rat.t -> Sexp.t
 val to_rat : Sexp.t -> Zmath.Rat.t
@@ -18,20 +14,8 @@ val to_rat : Sexp.t -> Zmath.Rat.t
 val of_int_sexp : int -> Sexp.t
 val to_int_sexp : Sexp.t -> int
 
-val of_monomial : Polymath.Monomial.t -> Sexp.t
-val to_monomial : Sexp.t -> Polymath.Monomial.t
-
 val of_poly : Polymath.Polynomial.t -> Sexp.t
 val to_poly : Sexp.t -> Polymath.Polynomial.t
-
-val of_affine : Polymath.Affine.t -> Sexp.t
-val to_affine : Sexp.t -> Polymath.Affine.t
-
-val of_expr : Symx.Expr.t -> Sexp.t
-val to_expr : Sexp.t -> Symx.Expr.t
-
-val of_mode : Symx.Cemit.mode -> Sexp.t
-val to_mode : Sexp.t -> Symx.Cemit.mode
 
 val of_nest : Trahrhe.Nest.t -> Sexp.t
 

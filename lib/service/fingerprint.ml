@@ -6,11 +6,11 @@ module N = Trahrhe.Nest
 
 type renaming = { iterators : (string * string) list; params : (string * string) list }
 
-(* version 2: the plan payload grew the (numeric var k) level-recovery
-   shape (certified numeric inversion). Bumping the version salts every
-   fingerprint, so pre-numeric disk plans and JIT objects age out as
-   ordinary stale misses instead of being misparsed. *)
-let format_version = 2
+(* version 3: the plan payload no longer carries per-level recoveries
+   (closed-form roots are selected only where C is printed). Bumping the
+   version salts every fingerprint, so older disk plans and JIT objects
+   age out as ordinary stale misses instead of being misparsed. *)
+let format_version = 3
 
 (* all bounds of the nest in a fixed order: level 0 lower, level 0
    upper, level 1 lower, ... — the axis along which parameter

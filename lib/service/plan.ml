@@ -66,19 +66,6 @@ let nest_equal (a : N.t) (b : N.t) =
        a.N.levels b.N.levels
   && reduce_clause_equal a.N.reduce b.N.reduce
 
-let recovery_equal a b =
-  match (a, b) with
-  | ( Trahrhe.Inversion.Root { var = va; expr = ea; mode = ma },
-      Trahrhe.Inversion.Root { var = vb; expr = eb; mode = mb } ) ->
-    va = vb && Symx.Expr.equal ea eb && ma = mb
-  | ( Trahrhe.Inversion.Last { var = va; poly = pa },
-      Trahrhe.Inversion.Last { var = vb; poly = pb } ) ->
-    va = vb && P.equal pa pb
-  | ( Trahrhe.Inversion.Numeric { var = va; r_sub_index = ia },
-      Trahrhe.Inversion.Numeric { var = vb; r_sub_index = ib } ) ->
-    va = vb && ia = ib
-  | _ -> false
-
 let array_for_all2 f a b =
   Array.length a = Array.length b
   && begin
@@ -95,4 +82,3 @@ let equal x y =
   && P.equal a.ranking b.ranking
   && P.equal a.trip_count b.trip_count
   && array_for_all2 P.equal a.r_sub b.r_sub
-  && array_for_all2 recovery_equal a.recoveries b.recoveries

@@ -1,12 +1,12 @@
 (** A compiled, serializable collapse plan.
 
-    A plan is the full output of the symbolic pipeline for one
-    {e canonical} nest (see {!Fingerprint.canonicalize}): ranking and
-    trip-count polynomials, the substituted rankings, and the per-level
-    recovery steps (closed-form roots + emission modes, exact innermost
-    polynomial) — everything the runtime ({!Trahrhe.Recovery.make}) and
-    the code generator need, so a cache hit skips the whole
-    ranking/inversion pipeline. The codec round-trips exactly
+    A plan is the {!Trahrhe.Inversion.t} of one {e canonical} nest
+    (see {!Fingerprint.canonicalize}): ranking and trip-count
+    polynomials and the substituted rankings, checked on samples —
+    everything the runtime ({!Trahrhe.Recovery.make}) and the native
+    tier need, so a cache hit skips the whole ranking/inversion
+    pipeline. It carries no closed-form root: only the C printers
+    select one ({!Trahrhe.Closed_form}). The codec round-trips exactly
     (bigint-backed rationals travel as decimal text). *)
 
 type t = {
@@ -29,7 +29,8 @@ val make : fingerprint:string -> Trahrhe.Inversion.t -> t
 val format_version : int
 
 (** [compile canonical_nest] runs the symbolic pipeline (ranking,
-    trip count, degree-<=4 inversion) under a [service.compile] span.
+    trip count, substituted rankings, sampled checks:
+    {!Trahrhe.Inversion.invert}) under a [service.compile] span.
     The nest must already be canonical — {!Cache.find_or_compile}
     guarantees that; compiling a non-canonical nest yields a plan
     whose fingerprint no alpha-equivalent request would ever look up. *)

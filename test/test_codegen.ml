@@ -11,7 +11,7 @@ let correlation_inv =
   (* the scheme tests assert closed-form recovery statements, so pin
      past the forced-numeric shard *)
   lazy
-    (Trahrhe.Inversion.invert_exn ~force_numeric:false
+    (Trahrhe.Closed_form.invert_exn ~force_numeric:false
        (Trahrhe.Nest.make ~params:[ "N" ]
           [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] (-1) };
             { var = "j"; lower = aff [ ("i", 1) ] 1; upper = aff [ ("N", 1) ] 0 } ]))
@@ -64,7 +64,7 @@ let body = [ C_ast.Raw "use(i, j);" ]
 
 let test_trip_count_expr () =
   Alcotest.(check string) "correlation trip" "((long)N*N - (long)N)/2"
-    (Schemes.trip_count_expr (Lazy.force correlation_inv) ~ty:"long")
+    (Schemes.trip_count_expr (Lazy.force correlation_inv).Trahrhe.Closed_form.inversion ~ty:"long")
 
 let test_naive_scheme () =
   let s = C_print.to_string (Schemes.naive (Lazy.force correlation_inv) ~body) in
@@ -115,7 +115,7 @@ let test_guarded_config () =
   check_contains "rank comparison" "<= pc" s
 
 let test_original_emission () =
-  let inv = Lazy.force correlation_inv in
+  let inv = (Lazy.force correlation_inv).Trahrhe.Closed_form.inversion in
   let s =
     C_print.to_string
       (Schemes.original inv.Trahrhe.Inversion.nest ~parallel:true ~schedule:"dynamic" ~body)

@@ -182,7 +182,7 @@ let test_fig6_complex_roots () =
       Alcotest.(check int) "one region" 1 count;
       (* under the forced-numeric shard the recovery has no radicals at
          all; the output-match below still holds either way *)
-      if not (Trahrhe.Inversion.force_numeric_default ()) then
+      if not (Trahrhe.Closed_form.force_numeric_default ()) then
         Alcotest.(check bool) "uses complex recovery" true
           (let rec contains i =
              i + 4 <= String.length out && (String.sub out i 4 = "cpow" || contains (i + 1))
@@ -344,7 +344,7 @@ let test_imperfect_c () =
       [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] (-1) };
         { var = "j"; lower = aff [ ("i", 1) ] 1; upper = aff [ ("N", 1) ] 0 } ]
   in
-  let inv = Trahrhe.Inversion.invert_exn nest in
+  let inv = Trahrhe.Closed_form.invert_exn nest in
   let loop_orig =
     {|  for (i = 0; i < N - 1; i++) {
     a[i][i] = 7.0;

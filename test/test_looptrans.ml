@@ -69,8 +69,8 @@ let test_tile_iterate_covers_domain () =
 let test_tile_nest_collapsible () =
   (* the tile-coordinate nest must invert like any Fig. 5 nest *)
   let tl = Looptrans.Tile.tile (triangle ()) ~size:16 in
-  match Trahrhe.Inversion.invert tl.Looptrans.Tile.tile_nest with
-  | Error e -> Alcotest.fail (Trahrhe.Inversion.error_to_string e)
+  match Trahrhe.Closed_form.invert tl.Looptrans.Tile.tile_nest with
+  | Error e -> Alcotest.fail (Trahrhe.Closed_form.error_to_string e)
   | Ok inv ->
     (* parameter of the tile nest is Nt = N / 16 *)
     let report = Trahrhe.Validate.check inv ~param:(fun _ -> 7) in
@@ -143,7 +143,7 @@ let test_skew_inner_substitution () =
 let test_skew_collapsible_rhomboid () =
   (* the skewed rectangle is the paper's rhomboid: it must collapse *)
   let skewed = Looptrans.Skew.skew (rectangle ()) ~level:1 ~wrt:0 ~factor:1 in
-  let inv = Trahrhe.Inversion.invert_exn skewed in
+  let inv = Trahrhe.Closed_form.invert_exn skewed in
   let report =
     Trahrhe.Validate.check inv ~param:(function "T" -> 7 | _ -> 11)
   in

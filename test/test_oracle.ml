@@ -79,17 +79,20 @@ let gen_shape : (N.t * int * bool) QCheck.Gen.t =
 (* Plain draws are returned as drawn: they are non-empty by
    construction and must invert, which the properties assert. Only a
    draw with a staircase or appended level is redrawn when its space
-   is empty or its nest does not invert (shapes outside the closed-form
-   range are ROADMAP item 2). Plain draws are frequent, so the
-   redrawing ends. *)
-let rec gen_case st =
+   is empty or [inverts] refuses its nest (shapes outside the model
+   are ROADMAP item 2). Plain draws are frequent, so the redrawing
+   ends. *)
+let rec gen_case_by ~inverts st =
   let nest, nval, novel = gen_shape st in
   let keep () =
     let nonempty = ref false in
     N.iterate nest ~param:(fun _ -> nval) (fun _ -> nonempty := true);
-    !nonempty && Result.is_ok (Trahrhe.Inversion.invert nest)
+    !nonempty && inverts nest
   in
-  if (not novel) || keep () then (nest, nval) else gen_case st
+  if (not novel) || keep () then (nest, nval) else gen_case_by ~inverts st
+
+(* the runtime's cases: every nest whose plan compiles *)
+let gen_case = gen_case_by ~inverts:(fun nest -> Result.is_ok (Trahrhe.Inversion.invert nest))
 
 let print_case (nest, nval) = Format.asprintf "N = %d,@ %a" nval N.pp nest
 let arb_case = QCheck.make ~print:print_case gen_case
@@ -881,10 +884,6 @@ let test_empty_row_reproducers () =
           let param = Service.Fingerprint.canonical_param renaming (fun _ -> 9) in
           match Service.Plan.compile canonical with
           | Ok plan -> check_empty_rows ~where tier plan ~canonical ~param op
-          | Error _ when Trahrhe.Inversion.force_numeric_default () ->
-            (* forced-numeric inversion rejects this tetrahedron shape:
-               an open compile gap, not a walk defect *)
-            ()
           | Error e -> Alcotest.failf "%s: plan compile failed: %s" where e)
         [ None; Some N.Sum; Some N.Prod; Some N.Min; Some N.Max ])
     (empty_row_nests ())
@@ -1035,10 +1034,10 @@ let test_guarded_minmax_rational () =
 
 (* Depth 5-7 simplicial nests and the deep registry kernels: the
    outermost level equation has degree >= 5, past the radical cap, so
-   level 0 recovers through certified root isolation
-   (Inversion.Numeric). The collapsed walk must still reproduce the
-   exact lexicographic enumeration in every placement, schedule and
-   lane width — the same bar the closed-form nests clear. *)
+   the printed recovery of level 0 is a search (Closed_form.Numeric).
+   The collapsed walk must still reproduce the exact lexicographic
+   enumeration in every placement, schedule and lane width — the same
+   bar the closed-form nests clear. *)
 
 let simplex_nest depth =
   let levels =
@@ -1073,50 +1072,50 @@ let deep_cases () =
 let test_deep_numeric_walks () =
   List.iter
     (fun (name, nest, nval) ->
-      (match Trahrhe.Inversion.invert nest with
+      (match Trahrhe.Closed_form.invert nest with
       | Error e ->
-        Alcotest.failf "%s: inversion failed: %s" name (Trahrhe.Inversion.error_to_string e)
-      | Ok inv -> (
-        match inv.Trahrhe.Inversion.recoveries.(0) with
-        | Trahrhe.Inversion.Numeric _ -> ()
+        Alcotest.failf "%s: inversion failed: %s" name (Trahrhe.Closed_form.error_to_string e)
+      | Ok forms -> (
+        match forms.Trahrhe.Closed_form.levels.(0) with
+        | Trahrhe.Closed_form.Numeric _ -> ()
         | _ -> Alcotest.failf "%s: expected numeric recovery at level 0" name));
       ignore (check_case (nest, nval)))
     (deep_cases ())
 
 (* OMPSIM_FORCE_NUMERIC parity: on nests the closed forms handle, a
-   forced-numeric inversion must recover bit-for-bit the same indices
-   as the default plan and as lexicographic enumeration — every rank,
-   and the chunked walk hash. *)
+   forced-numeric selection marks every non-last level Numeric, and its
+   printed recovery (the emitted C's binary search) recovers bit-for-bit
+   the indices of lexicographic enumeration and of the runtime
+   recovery — every rank, and the chunked walk hash. *)
 let test_forced_numeric_matches_closed_form () =
   List.iter
     (fun (name, n) ->
       let k = Option.get (Kernels.Registry.find name) in
       let nest = k.Kernels.Kernel.nest in
       let param = Kernels.Kernel.param_of k ~n in
-      let inv_c = Trahrhe.Inversion.invert_exn nest in
-      let inv_n = Trahrhe.Inversion.invert_exn ~force_numeric:true nest in
-      let depth = Array.length inv_n.Trahrhe.Inversion.recoveries in
+      let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:true nest in
+      let depth = Array.length forms.Trahrhe.Closed_form.levels in
       Array.iteri
         (fun lev r ->
           match r with
-          | Trahrhe.Inversion.Root _ ->
+          | Trahrhe.Closed_form.Root _ ->
             Alcotest.failf "%s: closed form survived force_numeric at level %d" name lev
-          | Trahrhe.Inversion.Numeric _ ->
+          | Trahrhe.Closed_form.Numeric _ ->
             if lev = depth - 1 then Alcotest.failf "%s: last level went numeric" name
-          | Trahrhe.Inversion.Last _ ->
+          | Trahrhe.Closed_form.Last _ ->
             if lev <> depth - 1 then Alcotest.failf "%s: Last at level %d" name lev)
-        inv_n.Trahrhe.Inversion.recoveries;
-      let rc_c = Trahrhe.Recovery.make inv_c ~param in
-      let rc_n = Trahrhe.Recovery.make inv_n ~param in
-      let trip = Trahrhe.Recovery.trip_count rc_c in
-      Alcotest.(check int) (name ^ ": trip") trip (Trahrhe.Recovery.trip_count rc_n);
-      let pc = ref 0 in
+        forms.Trahrhe.Closed_form.levels;
+      let rc = Trahrhe.Recovery.make forms.Trahrhe.Closed_form.inversion ~param in
+      let printed = Trahrhe.Closed_form.make forms ~param in
+      let trip = Trahrhe.Recovery.trip_count rc in
+      let pc = ref 0 and hash = ref 0 in
       Trahrhe.Nest.iterate nest ~param (fun want ->
           incr pc;
-          let a = Trahrhe.Recovery.recover rc_c !pc in
-          let b = Trahrhe.Recovery.recover rc_n !pc in
+          hash := !hash + Trahrhe.Recovery.iter_hash want;
+          let a = Trahrhe.Recovery.recover rc !pc in
+          let b = Trahrhe.Closed_form.recover printed !pc in
           if a <> want then
-            Alcotest.failf "%s: pc=%d closed-form plan %s, enumeration %s" name !pc
+            Alcotest.failf "%s: pc=%d recover %s, enumeration %s" name !pc
               (idx_to_string a) (idx_to_string want);
           if b <> want then
             Alcotest.failf "%s: pc=%d forced numeric %s, enumeration %s" name !pc
@@ -1124,15 +1123,15 @@ let test_forced_numeric_matches_closed_form () =
       Alcotest.(check int) (name ^ ": enumerated") trip !pc;
       Alcotest.(check int)
         (name ^ ": chunked walk hash")
-        (Trahrhe.Recovery.walk_hash rc_c ~pc:1 ~len:trip)
-        (Trahrhe.Recovery.walk_hash rc_n ~pc:1 ~len:trip))
+        !hash
+        (Trahrhe.Recovery.walk_hash rc ~pc:1 ~len:trip))
     [ ("correlation", 8); ("covariance", 6); ("symm", 6); ("dynprog", 6) ]
 
-(* Counter reconciliation: every recovery of a depth-5 plan with one
-   numeric level must bump inversion.numeric exactly once and
-   inversion.closed_form once per remaining level, and the per-level
-   isolate_level diagnostic must return a certificate enclosing the
-   recovered index. *)
+(* Counter reconciliation: every recovery of a depth-5 plan must bump
+   inversion.numeric once per searched (non-last) level and
+   inversion.closed_form once for the innermost formula, and the
+   per-level isolate_level diagnostic must return a certificate
+   enclosing the recovered index at every searched level. *)
 let test_numeric_counter_soak () =
   Obsv.Control.with_enabled true @@ fun () ->
   let module R = Trahrhe.Recovery in
@@ -1140,48 +1139,35 @@ let test_numeric_counter_soak () =
   let rc = Kernels.Kernel.recovery k ~n:5 in
   let trip = R.trip_count rc in
   Alcotest.(check int) "simplex5 trip at n=5" 126 trip;
-  (* expected per-kind deltas follow the plan's actual level kinds, so
-     the reconciliation also holds under OMPSIM_FORCE_NUMERIC=1 *)
-  let levels = Array.length (Kernels.Kernel.inversion k).Trahrhe.Inversion.recoveries in
-  let numeric_levels =
-    Array.fold_left
-      (fun acc r -> match r with Trahrhe.Inversion.Numeric _ -> acc + 1 | _ -> acc)
-      0
-      (Kernels.Kernel.inversion k).Trahrhe.Inversion.recoveries
-  in
-  Alcotest.(check bool) "level 0 is numeric" true (numeric_levels >= 1);
+  let levels = R.depth rc in
   let n0 = R.numeric_recoveries () and c0 = R.closed_form_recoveries () in
   for pc = 1 to trip do
     ignore (R.recover rc pc)
   done;
-  Alcotest.(check int) "numeric = recoveries x numeric levels" (numeric_levels * trip)
+  Alcotest.(check int) "numeric = recoveries x searched levels" ((levels - 1) * trip)
     (R.numeric_recoveries () - n0);
-  Alcotest.(check int)
-    "closed_form = recoveries x other levels"
-    ((levels - numeric_levels) * trip)
+  Alcotest.(check int) "closed_form = recoveries x innermost level" trip
     (R.closed_form_recoveries () - c0);
   (* the runtime certificate: enclosure brackets the recovered index *)
   List.iter
     (fun pc ->
       let idx = R.recover rc pc in
-      (match R.isolate_level rc idx ~pc ~level:0 with
-      | Some (Ok e) ->
-        let lo = Q.to_float e.Rootsolve.Isolate.enc_lo
-        and hi = Q.to_float e.Rootsolve.Isolate.enc_hi in
-        if lo > float_of_int (idx.(0) + 1) || hi < float_of_int idx.(0) then
-          Alcotest.failf "pc=%d: enclosure [%f, %f] misses index %d" pc lo hi idx.(0)
-      | Some (Error e) ->
-        Alcotest.failf "pc=%d: isolation failed: %s" pc (Rootsolve.Isolate.error_to_string e)
-      | None -> Alcotest.failf "pc=%d: level 0 is not numeric?" pc);
-      (* closed-form levels carry no isolation diagnostic (level 1 is
-         only numeric under the forced shard) *)
-      match (Kernels.Kernel.inversion k).Trahrhe.Inversion.recoveries.(1) with
-      | Trahrhe.Inversion.Numeric _ ->
-        Alcotest.(check bool) "forced level 1 has a diagnostic" true
-          (R.isolate_level rc idx ~pc ~level:1 <> None)
-      | _ ->
-        Alcotest.(check bool) "level 1 has no isolation diagnostic" true
-          (R.isolate_level rc idx ~pc ~level:1 = None))
+      for level = 0 to levels - 2 do
+        match R.isolate_level rc idx ~pc ~level with
+        | Some (Ok e) ->
+          let lo = Q.to_float e.Rootsolve.Isolate.enc_lo
+          and hi = Q.to_float e.Rootsolve.Isolate.enc_hi in
+          if lo > float_of_int (idx.(level) + 1) || hi < float_of_int idx.(level) then
+            Alcotest.failf "pc=%d: level %d enclosure [%f, %f] misses index %d" pc level lo hi
+              idx.(level)
+        | Some (Error e) ->
+          Alcotest.failf "pc=%d: level %d isolation failed: %s" pc level
+            (Rootsolve.Isolate.error_to_string e)
+        | None -> Alcotest.failf "pc=%d: searched level %d has no diagnostic" pc level
+      done;
+      (* the innermost level's exact formula has no root to isolate *)
+      Alcotest.(check bool) "innermost level has no isolation diagnostic" true
+        (R.isolate_level rc idx ~pc ~level:(levels - 1) = None))
     [ 1; 2; 63; 125; 126 ]
 
 (* A depth-5 nest the seed rejected: compiles to a plan, round-trips
@@ -1203,13 +1189,18 @@ let test_deep_plan_roundtrip_native () =
     | Ok p -> p
     | Error e -> Alcotest.failf "deep plan compile failed: %s" e
   in
-  (match fresh.Service.Plan.inversion.Trahrhe.Inversion.recoveries.(0) with
-  | Trahrhe.Inversion.Numeric _ -> ()
-  | _ -> Alcotest.fail "plan lost the numeric recovery");
+  let forms =
+    match Trahrhe.Closed_form.select fresh.Service.Plan.inversion with
+    | Ok forms -> forms
+    | Error e ->
+      Alcotest.failf "deep plan selection failed: %s" (Trahrhe.Closed_form.error_to_string e)
+  in
+  (match forms.Trahrhe.Closed_form.levels.(0) with
+  | Trahrhe.Closed_form.Numeric _ -> ()
+  | _ -> Alcotest.fail "the plan's level 0 has a closed form");
   (* the generated C recovers the numeric level by bracketed search *)
   let c =
-    Codegen.C_print.to_string
-      (Codegen.Schemes.naive fresh.Service.Plan.inversion ~body:[ Codegen.C_ast.Raw "S();" ])
+    Codegen.C_print.to_string (Codegen.Schemes.naive forms ~body:[ Codegen.C_ast.Raw "S();" ])
   in
   let contains s sub =
     let n = String.length s and m = String.length sub in

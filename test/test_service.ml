@@ -7,7 +7,6 @@ module A = Polymath.Affine
 module P = Polymath.Polynomial
 module Q = Zmath.Rat
 module N = Trahrhe.Nest
-module E = Symx.Expr
 module Fp = Service.Fingerprint
 module Plan = Service.Plan
 module Cache = Service.Cache
@@ -62,40 +61,9 @@ let prop_poly_roundtrip =
   QCheck.Test.make ~name:"codec: polynomial round-trips exactly" ~count:300 arb_poly (fun p ->
       P.equal p (Service.Codec.to_poly (reparse (Service.Codec.of_poly p))))
 
-let gen_expr =
-  let open QCheck.Gen in
-  let leaf =
-    frequency
-      [ (3, map (fun q -> E.Const q) gen_rat);
-        (3, oneofl [ E.Var "pc"; E.Var "p0"; E.Var "x1" ]);
-        (1, return E.I) ]
-  in
-  (* raw constructors on purpose: the codec must carry any tree the
-     inversion pipeline might build, normalized or not *)
-  fix
-    (fun self n ->
-      if n = 0 then leaf
-      else
-        frequency
-          [ (2, leaf);
-            (2, map (fun xs -> E.Sum xs) (list_size (int_range 2 3) (self (n / 2))));
-            (2, map (fun xs -> E.Prod xs) (list_size (int_range 2 3) (self (n / 2))));
-            ( 2,
-              map2
-                (fun e q -> E.Pow (e, q))
-                (self (n / 2))
-                (oneofl [ Q.of_ints 1 2; Q.of_ints 1 3; Q.of_int (-1); Q.of_int 2 ]) ) ])
-    4
-
-let arb_expr = QCheck.make ~print:E.to_string gen_expr
-
-let prop_expr_roundtrip =
-  QCheck.Test.make ~name:"codec: expression tree round-trips exactly" ~count:300 arb_expr
-    (fun e -> E.equal e (Service.Codec.to_expr (reparse (Service.Codec.of_expr e))))
-
 (* the oracle's nest family: valid, non-empty, degree within the
    closed-form range — reused here so the plan codec sees real
-   inversion output (radicals and all), not toy values *)
+   inversion output, not toy values *)
 let var_names = [| "i"; "j"; "k" |]
 
 let gen_nest : N.t QCheck.Gen.t =
@@ -884,6 +852,78 @@ let test_handle_exec () =
   if not (contains ~needle:"trip count exceeds the native int range" huge) then
     Alcotest.failf "huge trip response: %s" huge
 
+(* Trip count 166 for 165 points: the rows j = N+1.. of
+   i=0..N+3,j=i..N,k=j..N have negative extents and come last, so
+   they misrank nothing but add to the summed total. The sampled trip
+   check refuses the nest at compile instead of answering ok. *)
+let test_exec_trip_check () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  List.iter
+    (fun line ->
+      let response, ok = Server.handle cache (parse_ok line) in
+      Alcotest.(check bool) (line ^ " refused") false ok;
+      if not (contains ~needle:"the trip count polynomial gives 11 at sample size 3" response)
+      then Alcotest.failf "%s answered %s" line response)
+    [ "exec params=N=9 levels=i=0..N+3,j=i..N,k=j..N threads=2";
+      "compile params=N levels=i=0..N+3,j=i..N,k=j..N" ]
+
+(* The 128-nest tetrahedron grid at N = 9 — 64 upper
+   i=0..N+a,j=i..N+b,k=j..N+c and 64 lower i=0..N+a,j=b..i+b,k=c..j+c,
+   a, b, c in 0..3 — plus triangles and a tetrahedron whose outer
+   bounds are shifted by 10^9 to 10^18. A service plan selects no
+   closed form, so a line either answers ok, with trip = enumeration
+   and checksum = the serial sum, or is refused by a sampled check that
+   names the cause; and the printers' forced-numeric selection changes
+   no answer. *)
+let grid_lines () =
+  let shifts = [ 0; 1; 2; 3 ] in
+  let abc f =
+    List.concat_map (fun a -> List.concat_map (fun b -> List.map (f a b) shifts) shifts) shifts
+  in
+  let large = [ "1000000000"; "1000000000000"; "1000000000000000000" ] in
+  List.map (Printf.sprintf "exec params=N=9 levels=%s threads=2")
+    (abc (Printf.sprintf "i=0..N+%d,j=i..N+%d,k=j..N+%d")
+    @ abc (fun a b c -> Printf.sprintf "i=0..N+%d,j=%d..i+%d,k=%d..j+%d" a b b c c)
+    @ List.map (fun l -> Printf.sprintf "i=%s..N+%s,j=i..N+%s" l l l) large
+    @ [ "i=1000000000..N+1000000000,j=i..N+1000000000,k=j..N+1000000000" ])
+
+let test_exec_grid () =
+  let run () =
+    let cache = Cache.create ~capacity:4 ~dir:None () in
+    List.map (fun line -> (line, fst (Server.handle cache (parse_ok line)))) (grid_lines ())
+  in
+  let answers = run () in
+  let ok = ref 0 and misranks = ref 0 and trips = ref 0 in
+  List.iter
+    (fun (line, response) ->
+      if contains ~needle:{|"status":"ok"|} response then begin
+        incr ok;
+        let nest, param =
+          match parse_ok line with
+          | Server.Exec { nest; param; _ } -> (nest, param)
+          | _ -> Alcotest.failf "%s is not an exec" line
+        in
+        let points = ref 0 and hash = ref 0 in
+        N.iterate nest ~param (fun idx ->
+            incr points;
+            hash := !hash + Trahrhe.Recovery.iter_hash idx);
+        let want = Printf.sprintf {|"trip":%d,"checksum":%d,|} !points !hash in
+        if not (contains ~needle:want response) then
+          Alcotest.failf "%s: expected %s in %s" line want response
+      end
+      else if contains ~needle:"the ranking polynomial misranks" response then incr misranks
+      else if contains ~needle:"the trip count polynomial gives" response then incr trips
+      else Alcotest.failf "%s answered %s" line response)
+    answers;
+  Alcotest.(check (list int))
+    "ok, misranked, trip errors" [ 110; 12; 10 ] [ !ok; !misranks; !trips ];
+  let saved = Option.value ~default:"0" (Sys.getenv_opt "OMPSIM_FORCE_NUMERIC") in
+  Unix.putenv "OMPSIM_FORCE_NUMERIC" "1";
+  let forced = Fun.protect ~finally:(fun () -> Unix.putenv "OMPSIM_FORCE_NUMERIC" saved) run in
+  List.iter2
+    (fun (line, a) (_, b) -> Alcotest.(check string) (line ^ " under forced numeric") a b)
+    answers forced
+
 (* an armed fault config reaches every exec region, not only those
    with retries or a deadline: the injected chunk failures are
    recovered by the serial fallback and the response is unchanged *)
@@ -1306,7 +1346,7 @@ let test_run_batch () =
 let suites =
   [ ( "service.codec",
       qsuite
-        [ prop_rat_roundtrip; prop_poly_roundtrip; prop_expr_roundtrip; prop_plan_roundtrip ]
+        [ prop_rat_roundtrip; prop_poly_roundtrip; prop_plan_roundtrip ]
     );
     ( "service.envelope",
       [ Alcotest.test_case "every truncation is corrupt" `Quick test_envelope_truncation;
@@ -1373,6 +1413,8 @@ let suites =
           test_exec_recovery_native_not_cached;
         Alcotest.test_case "exec slices keep every fold exact" `Quick test_exec_slices_exact;
         Alcotest.test_case "empty OMPSIM_PLAN_CACHE is no store" `Quick test_empty_plan_cache_env;
-        Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch
+        Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch;
+        Alcotest.test_case "exec trip check refuses a wrong total" `Quick test_exec_trip_check;
+        Alcotest.test_case "exec grid at N=9: exact or refused, any mode" `Quick test_exec_grid
       ] )
   ]

@@ -240,20 +240,20 @@ let test_rank_at () =
 
 let test_invert_correlation_modes () =
   (* asserts closed-form structure: pin past the forced-numeric shard *)
-  let inv = Trahrhe.Inversion.invert_exn ~force_numeric:false (correlation_nest ()) in
-  (match inv.Trahrhe.Inversion.recoveries.(0) with
-  | Trahrhe.Inversion.Root { var; mode; _ } ->
+  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false (correlation_nest ()) in
+  (match forms.Trahrhe.Closed_form.levels.(0) with
+  | Trahrhe.Closed_form.Root { var; mode; _ } ->
     Alcotest.(check string) "outer var" "i" var;
     Alcotest.(check bool) "sqrt stays real" true (mode = Symx.Cemit.Real)
   | _ -> Alcotest.fail "expected closed-form root for i");
-  match inv.Trahrhe.Inversion.recoveries.(1) with
-  | Trahrhe.Inversion.Last { var; _ } -> Alcotest.(check string) "last var" "j" var
+  match forms.Trahrhe.Closed_form.levels.(1) with
+  | Trahrhe.Closed_form.Last { var; _ } -> Alcotest.(check string) "last var" "j" var
   | _ -> Alcotest.fail "expected exact last level"
 
 let test_invert_fig6_complex () =
-  let inv = Trahrhe.Inversion.invert_exn ~force_numeric:false (fig6_nest ()) in
-  match inv.Trahrhe.Inversion.recoveries.(0) with
-  | Trahrhe.Inversion.Root { mode; _ } ->
+  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false (fig6_nest ()) in
+  match forms.Trahrhe.Closed_form.levels.(0) with
+  | Trahrhe.Closed_form.Root { mode; _ } ->
     Alcotest.(check bool) "cubic needs complex evaluation (paper §IV-C)" true
       (mode = Symx.Cemit.Complex)
   | _ -> Alcotest.fail "expected closed-form root for i"
@@ -280,18 +280,18 @@ let test_invert_degree5_numeric () =
         dep "j"; dep "k"; dep "l"; dep "m" ]
   in
   Alcotest.(check int) "dependence degree 5" 5 (Trahrhe.Nest.max_dependence_degree nest);
-  let inv = Trahrhe.Inversion.invert_exn nest in
-  (match inv.Trahrhe.Inversion.recoveries.(0) with
-  | Trahrhe.Inversion.Numeric { var; r_sub_index } ->
+  let forms = Trahrhe.Closed_form.invert_exn nest in
+  (match forms.Trahrhe.Closed_form.levels.(0) with
+  | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
     Alcotest.(check string) "numeric var" "i" var;
     Alcotest.(check int) "r_sub index" 0 r_sub_index
   | _ -> Alcotest.fail "expected numeric recovery for i");
   (* inner levels still get closed forms / the exact last level *)
-  (match inv.Trahrhe.Inversion.recoveries.(4) with
-  | Trahrhe.Inversion.Last { var; _ } -> Alcotest.(check string) "last var" "m" var
+  (match forms.Trahrhe.Closed_form.levels.(4) with
+  | Trahrhe.Closed_form.Last { var; _ } -> Alcotest.(check string) "last var" "m" var
   | _ -> Alcotest.fail "expected exact last level for m");
   (* exhaustive differential against lexicographic enumeration *)
-  let report = Trahrhe.Validate.check inv ~param:(fun _ -> 5) in
+  let report = Trahrhe.Validate.check forms ~param:(fun _ -> 5) in
   Alcotest.(check int) "trip at N=5" 979 report.Trahrhe.Validate.iterations;
   if not (Trahrhe.Validate.all_ok report) then
     Alcotest.failf "degree-5 numeric recovery:@\n%a" Trahrhe.Validate.pp report
@@ -323,8 +323,10 @@ let test_invert_rank_mismatch () =
   in
   List.iter
     (fun force_numeric ->
-      match Trahrhe.Inversion.invert ~force_numeric nest with
-      | Error (Trahrhe.Inversion.Rank_mismatch { size; points; position; point } as e) ->
+      match Trahrhe.Closed_form.invert ~force_numeric nest with
+      | Error
+          (Trahrhe.Closed_form.Inversion
+             (Trahrhe.Inversion.Rank_mismatch { size; points; position; point } as e)) ->
         Alcotest.(check int) "sample size" 3 size;
         Alcotest.(check int) "enumerated" 10 points;
         Alcotest.(check int) "first misranked" 7 position;
@@ -333,7 +335,7 @@ let test_invert_rank_mismatch () =
         Alcotest.(check bool) msg true
           (String.starts_with ~prefix:"the ranking polynomial misranks iteration 7 (i=1, j=1, k=1)"
              msg)
-      | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Inversion.error_to_string e)
+      | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Closed_form.error_to_string e)
       | Ok _ -> Alcotest.fail "a misranking nest inverted")
     [ false; true ]
 
@@ -345,7 +347,7 @@ let test_invert_sample_budget () =
       [ { Trahrhe.Nest.var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 90 };
         { Trahrhe.Nest.var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 90 } ]
   in
-  match Trahrhe.Inversion.invert ~force_numeric:false nest with
+  match Trahrhe.Inversion.invert nest with
   | Error (Trahrhe.Inversion.Sample_budget { budget; sizes } as e) ->
     Alcotest.(check int) "budget" 4000 budget;
     Alcotest.(check (list int)) "sizes" [ 3; 4; 6 ] sizes;
@@ -353,7 +355,56 @@ let test_invert_sample_budget () =
     Alcotest.(check bool) msg true
       (String.starts_with ~prefix:"no sample within the 4000-point budget" msg)
   | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Inversion.error_to_string e)
-  | Ok _ -> Alcotest.fail "an over-budget nest selected a root"
+  | Ok _ -> Alcotest.fail "an over-budget nest inverted"
+
+(* i in [0,N+2), j in [i,N), k in [j,N+1): the rows j = N.. have
+   negative k-extent and come last, so every sampled point ranks right
+   but the trip count gives 15 at N = 3, where enumeration finds 16 *)
+let test_invert_trip_mismatch () =
+  let nest =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { Trahrhe.Nest.var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 2 };
+        { Trahrhe.Nest.var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 0 };
+        { Trahrhe.Nest.var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("N", 1) ] 1 } ]
+  in
+  match Trahrhe.Inversion.invert nest with
+  | Error (Trahrhe.Inversion.Trip_mismatch { size; points; trip } as e) ->
+    Alcotest.(check int) "sample size" 3 size;
+    Alcotest.(check int) "enumerated" 16 points;
+    Alcotest.(check string) "trip" "15" (Q.to_string trip);
+    let msg = Trahrhe.Inversion.error_to_string e in
+    Alcotest.(check bool) msg true
+      (String.starts_with ~prefix:"the trip count polynomial gives 15 at sample size 3" msg)
+  | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Inversion.error_to_string e)
+  | Ok _ -> Alcotest.fail "a nest with a wrong trip count inverted"
+
+(* triangles whose outer bounds are shifted by L = 10^9, 10^12 and
+   10^18, and the depth-3 form at 10^9: the doubles of a closed-form
+   root lose the index at such coordinates, but inversion selects no
+   root, and the runtime recovers every rank exactly *)
+let test_invert_large_outer_shift () =
+  let shifted depth l =
+    let level var lower = { Trahrhe.Nest.var; lower; upper = aff [ ("N", 1) ] l } in
+    Trahrhe.Nest.make ~params:[ "N" ]
+      (List.filteri
+         (fun k _ -> k < depth)
+         [ level "i" (aff [] l); level "j" (aff [ ("i", 1) ] 0); level "k" (aff [ ("j", 1) ] 0) ])
+  in
+  List.iter
+    (fun (depth, l) ->
+      let nest = shifted depth l in
+      let param _ = 9 in
+      let rc = Trahrhe.Recovery.make (Trahrhe.Inversion.invert_exn nest) ~param in
+      let pc = ref 0 in
+      Trahrhe.Nest.iterate nest ~param (fun want ->
+          incr pc;
+          if Trahrhe.Recovery.recover rc !pc <> want then
+            Alcotest.failf "L=%d depth %d: rank %d recovered wrong" l depth !pc);
+      Alcotest.(check int) "trip = enumeration" !pc (Trahrhe.Recovery.trip_count rc))
+    [ (2, 1_000_000_000);
+      (2, 1_000_000_000_000);
+      (2, 1_000_000_000_000_000_000);
+      (3, 1_000_000_000) ]
 
 (* k in [L, j+L+1) with L = 10^18: the scaled ranking's constant term
    alone (-6L) is outside the native int range, so every sample must be
@@ -367,12 +418,12 @@ let test_invert_large_literal_exact_ranks () =
         { Trahrhe.Nest.var = "j"; lower = aff [] 0; upper = aff [ ("i", 1) ] 1 };
         { Trahrhe.Nest.var = "k"; lower = aff [] l; upper = aff [ ("j", 1) ] (l + 1) } ]
   in
-  (match Trahrhe.Inversion.invert ~force_numeric:false nest with
-  | Ok inv -> (
-    match inv.Trahrhe.Inversion.recoveries with
-    | [| Trahrhe.Inversion.Root _; Trahrhe.Inversion.Root _; Trahrhe.Inversion.Last _ |] -> ()
+  (match Trahrhe.Closed_form.invert ~force_numeric:false nest with
+  | Ok forms -> (
+    match forms.Trahrhe.Closed_form.levels with
+    | [| Trahrhe.Closed_form.Root _; Trahrhe.Closed_form.Root _; Trahrhe.Closed_form.Last _ |] -> ()
     | _ -> Alcotest.fail "expected two closed-form roots and an exact last level")
-  | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Inversion.error_to_string e));
+  | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Closed_form.error_to_string e));
   let n = ref 0 in
   Trahrhe.Nest.iterate nest ~param:(fun _ -> 3) (fun idx ->
       incr n;
@@ -405,18 +456,46 @@ let plan_identity_nests () =
 let plan_identity_digest () =
   plan_identity_nests ()
   |> List.map (fun nest ->
-         let inversion = Trahrhe.Inversion.invert_exn ~force_numeric:false nest in
          Service.Plan.encode
-           (Service.Plan.make ~fingerprint:(Service.Fingerprint.digest nest) inversion))
+           (Service.Plan.make ~fingerprint:(Service.Fingerprint.digest nest)
+              (Trahrhe.Inversion.invert_exn nest)))
   |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
-(* The digest was taken before sampled ranks moved to native ints:
-   selection by native-int ranks must pick the same roots. It changes
-   with any intended change to the plan wire form or the fingerprint
-   salt (Fingerprint.format_version). *)
+(* the selected recoveries as full trees, so two selections print the
+   same text only if they are structurally equal *)
+let rec expr_tree = function
+  | Symx.Expr.Const q -> Q.to_string q
+  | Symx.Expr.I -> "i"
+  | Symx.Expr.Var v -> v
+  | Symx.Expr.Sum es -> "(+ " ^ String.concat " " (List.map expr_tree es) ^ ")"
+  | Symx.Expr.Prod es -> "(* " ^ String.concat " " (List.map expr_tree es) ^ ")"
+  | Symx.Expr.Pow (b, q) -> Printf.sprintf "(^ %s %s)" (expr_tree b) (Q.to_string q)
+
+let level_text = function
+  | Trahrhe.Closed_form.Root { var; expr; mode } ->
+    Printf.sprintf "root %s %s %s" var (expr_tree expr)
+      (match mode with Symx.Cemit.Real -> "real" | Symx.Cemit.Complex -> "complex")
+  | Trahrhe.Closed_form.Last { var; poly } -> Printf.sprintf "last %s %s" var (P.to_string poly)
+  | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
+    Printf.sprintf "numeric %s %d" var r_sub_index
+
+let closed_form_digest () =
+  plan_identity_nests ()
+  |> List.map (fun nest ->
+         let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false nest in
+         String.concat "; " (Array.to_list (Array.map level_text forms.Trahrhe.Closed_form.levels)))
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* The closed-form digest was taken from the plans that still carried
+   their roots, before selection moved out of the plan: it must not
+   change with where selection runs. The plan digest changes with any
+   intended change to the plan wire form or the fingerprint salt
+   (Fingerprint.format_version). *)
 let test_plan_identity_golden () =
   Alcotest.(check int) "nests" 79 (List.length (plan_identity_nests ()));
-  Alcotest.(check string) "plan digest" "db94479f25299e4ff1e3ed02aaa776d0" (plan_identity_digest ())
+  Alcotest.(check string)
+    "closed-form digest" "7c86e52c2f26b441a2e7c5899c053821" (closed_form_digest ());
+  Alcotest.(check string) "plan digest" "00cb05b38868688123d5f58fa2815dd1" (plan_identity_digest ())
 
 (* -------- Recovery -------- *)
 
@@ -443,10 +522,10 @@ let test_recovery_paper_formulas () =
   (* at N=10: pc=1 -> (0,1); pc=9 -> first iteration of i=1 (paper:
      r(1,2) = N means pc=N -> (1,2)), by the paper's closed forms and
      by the runtime recovery *)
-  let inv = Trahrhe.Inversion.invert_exn (correlation_nest ()) in
+  let forms = Trahrhe.Closed_form.invert_exn (correlation_nest ()) in
   let param _ = 10 in
-  let rc = Trahrhe.Recovery.make inv ~param in
-  let closed = Trahrhe.Closed_form.make inv ~param in
+  let rc = Trahrhe.Recovery.make forms.Trahrhe.Closed_form.inversion ~param in
+  let closed = Trahrhe.Closed_form.make forms ~param in
   List.iter
     (fun (name, pc, want) ->
       Alcotest.(check (array int))
@@ -749,12 +828,13 @@ let test_recover_block () =
 (* -------- Validation: paper nests, kernels, random nests -------- *)
 
 let check_nest ?(sizes = [ 2; 3; 5; 13 ]) name nest =
-  match Trahrhe.Inversion.invert nest with
-  | Error e -> Alcotest.failf "%s: inversion failed: %s" name (Trahrhe.Inversion.error_to_string e)
-  | Ok inv ->
+  match Trahrhe.Closed_form.invert nest with
+  | Error e ->
+    Alcotest.failf "%s: inversion failed: %s" name (Trahrhe.Closed_form.error_to_string e)
+  | Ok forms ->
     List.iter
       (fun n ->
-        let report = Trahrhe.Validate.check inv ~param:(fun _ -> n) in
+        let report = Trahrhe.Validate.check forms ~param:(fun _ -> n) in
         if not (Trahrhe.Validate.raw_floor_ok report) then
           Alcotest.failf "%s at n=%d:@\n%a" name n Trahrhe.Validate.pp report)
       sizes
@@ -822,8 +902,8 @@ let test_validate_tetrahedron_raw_floor () =
         { Trahrhe.Nest.var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 0 };
         { Trahrhe.Nest.var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("N", 1) ] 0 } ]
   in
-  let inv = Trahrhe.Inversion.invert_exn ~force_numeric:false nest in
-  let report = Trahrhe.Validate.check inv ~param:(fun _ -> 10) in
+  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false nest in
+  let report = Trahrhe.Validate.check forms ~param:(fun _ -> 10) in
   Alcotest.(check int) "iterations" 220 report.Trahrhe.Validate.iterations;
   Alcotest.(check int) "closed form" 214 report.Trahrhe.Validate.closed_form_ok;
   Alcotest.(check int) "recover" 220 report.Trahrhe.Validate.recover_ok;
@@ -834,9 +914,9 @@ let test_paper_formula_equivalence () =
   (* our selected correlation root, as the closed-form reference
      evaluates it, must compute the same index as the paper's literal
      Figure 3 formula for every pc *)
-  let inv = Trahrhe.Inversion.invert_exn ~force_numeric:false (correlation_nest ()) in
+  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false (correlation_nest ()) in
   let n = 200 in
-  let closed = Trahrhe.Closed_form.make inv ~param:(fun _ -> n) in
+  let closed = Trahrhe.Closed_form.make forms ~param:(fun _ -> n) in
   let nf = float_of_int n in
   let paper_i pc =
     (* i = floor(-(sqrt(4N^2 - 4N - 8pc + 9) - 2N + 1) / 2) *)
@@ -908,10 +988,10 @@ let random_nest =
 let prop_random_nests_validate =
   QCheck.Test.make ~name:"random nests: ranking bijective, recoveries exact" ~count:60
     random_nest (fun nest ->
-      match Trahrhe.Inversion.invert ~sample_sizes:[ 1 ] nest with
+      match Trahrhe.Closed_form.invert ~sample_sizes:[ 1 ] nest with
       | Error _ -> QCheck.assume_fail ()
-      | Ok inv ->
-        let report = Trahrhe.Validate.check inv ~param:(fun _ -> 0) in
+      | Ok forms ->
+        let report = Trahrhe.Validate.check forms ~param:(fun _ -> 0) in
         Trahrhe.Validate.raw_floor_ok report)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -940,6 +1020,9 @@ let suites =
         Alcotest.test_case "sample budget is not empty" `Quick test_invert_sample_budget;
         Alcotest.test_case "large literal ranks exactly" `Quick
           test_invert_large_literal_exact_ranks;
+        Alcotest.test_case "trip mismatch names its sample" `Quick test_invert_trip_mismatch;
+        Alcotest.test_case "large outer shifts invert exactly" `Quick
+          test_invert_large_outer_shift;
         Alcotest.test_case "plans match the golden digest" `Quick test_plan_identity_golden ] );
     ( "trahrhe.recovery",
       [ Alcotest.test_case "paper anchor recoveries" `Quick test_recovery_paper_formulas;
