@@ -143,21 +143,22 @@ let fig10 () =
 let codegen () =
   header "Figures 3/4/7: generated collapsed OpenMP C";
   let k = Option.get (Kernels.Registry.find "correlation") in
-  let forms = K.inversion k in
+  let inv = K.inversion k in
   let body =
     [ Codegen.C_ast.Raw "for (k = 0; k < N; k++) a[i][j] += b[k][i] * c[k][j];";
       Codegen.C_ast.Raw "a[j][i] = a[i][j];" ]
   in
-  let config = { Codegen.Schemes.default_config with extra_private = [ "k" ] } in
+  let config = { Codegen.Schemes.default_config with extra_private = [ "k" ]; paper = true } in
   print_endline "--- Figure 3 (naive) ---";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config forms ~body));
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config inv ~body));
   print_endline "--- Figure 4 (per-thread recovery) ---";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config forms ~body));
-  let inv3 = Trahrhe.Closed_form.invert_exn (fig6_nest ()) in
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config inv ~body));
+  let inv3 = Trahrhe.Inversion.invert_exn (fig6_nest ()) in
   print_endline "--- Figure 7 (3-depth nest, complex recovery) ---";
   print_string
     (Codegen.C_print.to_string
-       (Codegen.Schemes.naive inv3 ~body:[ Codegen.C_ast.Raw "S(i, j, k);" ]))
+       (Codegen.Schemes.naive ~config:{ config with extra_private = [] } inv3
+          ~body:[ Codegen.C_ast.Raw "S(i, j, k);" ]))
 
 (* ---------------- ablations ---------------- *)
 
@@ -213,6 +214,10 @@ let ablation_threads () =
         [ 2; 4; 8; 12; 24; 48; 96 ])
     [ "correlation"; "ltmp"; "fdtd_skewed" ]
 
+(* the paper's raw-floor recovery of kernel [k] at size [n] *)
+let paper_recovery k ~n =
+  Trahrhe.Closed_form.make (Trahrhe.Closed_form.select_exn (K.inversion k)) ~param:(K.param_of k ~n)
+
 let ablation_recovery () =
   header "Ablation A3: index recovery, paper closed forms vs the exact search";
   Printf.printf "%-18s %14s %14s   %s\n" "kernel" "closed(ns)" "recover(ns)"
@@ -221,7 +226,7 @@ let ablation_recovery () =
     (fun (k : K.t) ->
       let n = max 64 (k.K.fig10_n / 2) in
       let rc = K.recovery k ~n in
-      let closed_form = Trahrhe.Closed_form.make (K.inversion k) ~param:(K.param_of k ~n) in
+      let closed_form = paper_recovery k ~n in
       let trip = Trahrhe.Recovery.trip_count rc in
       let reps = 20_000 in
       let time_ns f =
@@ -308,15 +313,15 @@ let micro () =
   let open Toolkit in
   let corr = Option.get (Kernels.Registry.find "correlation") in
   let rc = K.recovery corr ~n:2000 in
-  let closed = Trahrhe.Closed_form.make (K.inversion corr) ~param:(K.param_of corr ~n:2000) in
+  let closed = paper_recovery corr ~n:2000 in
   let trip = Trahrhe.Recovery.trip_count rc in
   let symm = Option.get (Kernels.Registry.find "symm") in
   let rc3 = K.recovery symm ~n:100 in
-  let closed3 = Trahrhe.Closed_form.make (K.inversion symm) ~param:(K.param_of symm ~n:100) in
+  let closed3 = paper_recovery symm ~n:100 in
   let trip3 = Trahrhe.Recovery.trip_count rc3 in
   let big_a = Zmath.Bigint.of_string "123456789012345678901234567890123456789" in
   let big_b = Zmath.Bigint.of_string "987654321098765432109876543210987654321" in
-  let ranking = (K.inversion corr).Trahrhe.Closed_form.inversion.Trahrhe.Inversion.ranking in
+  let ranking = (K.inversion corr).Trahrhe.Inversion.ranking in
   let counter = ref 0 in
   let next_pc t =
     counter := (!counter + 7919) mod t;

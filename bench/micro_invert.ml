@@ -15,7 +15,7 @@ let run () =
   let module R = Trahrhe.Recovery in
   let corr = Option.get (Kernels.Registry.find "correlation") in
   let param = K.param_of corr ~n in
-  let closed = Trahrhe.Closed_form.make (K.inversion corr) ~param in
+  let closed = Trahrhe.Closed_form.make (Trahrhe.Closed_form.select_exn (K.inversion corr)) ~param in
   let rc = K.recovery corr ~n in
   let trip = R.trip_count rc in
   let sink = ref 0 in

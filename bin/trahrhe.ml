@@ -26,8 +26,6 @@ let nest_of_input ~file ~kernel =
            (String.concat ", " Kernels.Registry.names)))
   | _ -> Error "give exactly one of FILE or --kernel NAME"
 
-let mode_name = function Symx.Cemit.Real -> "real" | Symx.Cemit.Complex -> "complex"
-
 (* per-level recovery accounting for stderr: the isolator's enclosure
    refinement counts at every searched level on a mid-range probe, and
    the innermost level's exact formula *)
@@ -106,25 +104,25 @@ let info_run file kernel =
     Format.printf "ranking polynomial: %s@\n" (Polymath.Polynomial.to_string r);
     Format.printf "trip count: %s@\n"
       (Polymath.Polynomial.to_string (Trahrhe.Ranking.trip_count nest));
-    (match Trahrhe.Closed_form.invert nest with
+    match Trahrhe.Inversion.invert nest with
     | Error e ->
-      Format.printf "inversion: FAILED — %s@\n" (Trahrhe.Closed_form.error_to_string e);
+      Format.printf "inversion: FAILED — %s@\n" (Trahrhe.Inversion.error_to_string e);
       1
-    | Ok forms ->
-      Array.iter
-        (function
-          | Trahrhe.Closed_form.Root { var; expr; mode } ->
-            Format.printf "%s = floor(%s)   [%s]@\n" var (Symx.Expr.to_string expr)
-              (mode_name mode)
-          | Trahrhe.Closed_form.Last { var; poly } ->
-            Format.printf "%s = %s   [exact]@\n" var (Polymath.Polynomial.to_string poly)
-          | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
-            Format.printf
-              "%s = numeric(r_sub_%d)   [certified root isolation: no radical closed form at \
-               this degree]@\n"
-              var r_sub_index)
-        forms.Trahrhe.Closed_form.levels;
-      0)
+    | Ok inv ->
+      Format.printf "recovery (exact, as collapse and emit print it):@\n";
+      let d = Trahrhe.Nest.depth nest in
+      List.iteri
+        (fun k var ->
+          if k < d - 1 then Format.printf "%s = search on r_sub_%d@\n" var k
+          else
+            Format.printf "%s = %s   [exact]@\n" var
+              (Polymath.Polynomial.to_string (Trahrhe.Inversion.innermost inv)))
+        (Trahrhe.Nest.level_vars nest);
+      (match Trahrhe.Closed_form.select inv with
+      | Ok forms -> Format.printf "paper closed forms (--paper):@\n%a" Trahrhe.Closed_form.pp forms
+      | Error e ->
+        Format.printf "paper closed form: none — %s@\n" (Trahrhe.Closed_form.error_to_string e));
+      0
 
 let file_arg =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"C source file to analyze.")
@@ -137,7 +135,10 @@ let kernel_arg =
 
 let info_cmd =
   Cmd.v
-    (Cmd.info "info" ~doc:"Print the ranking polynomial, trip count and recovery closed forms.")
+    (Cmd.info "info"
+       ~doc:
+         "Print the ranking polynomial, trip count, the exact recovery of each index and the \
+          paper's closed forms.")
     Term.(const info_run $ file_arg $ kernel_arg)
 
 (* ---- collapse ---- *)
@@ -167,8 +168,17 @@ let scheme_conv =
   in
   Arg.conv (parse, print)
 
-let collapse_run input output scheme guarded =
-  let options = { Cfront.Transform.default_options with scheme; guarded } in
+let paper_arg =
+  Arg.(
+    value & flag
+    & info [ "paper" ]
+        ~doc:
+          "Print the paper's closed-form roots with a raw floor (Figures 3/7) instead of the \
+           exact recovery. Floating rounding can put a floored root off by one (validate counts \
+           the misses).")
+
+let collapse_run input output scheme paper =
+  let options = { Cfront.Transform.default_options with scheme; paper } in
   try
     let src = read_file input in
     let out, count = Cfront.Transform.transform_source ~options src in
@@ -200,16 +210,10 @@ let collapse_cmd =
       & opt scheme_conv Cfront.Transform.Per_thread
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:"naive | per-thread | chunked:N | simd:N.")
   in
-  let guarded =
-    Arg.(
-      value & flag
-      & info [ "guarded" ]
-          ~doc:"Add exact integer adjustment after each floored root (float-rounding immune).")
-  in
   Cmd.v
     (Cmd.info "collapse"
        ~doc:"Rewrite non-rectangular OpenMP collapse(...) constructs into collapsed loops.")
-    Term.(const collapse_run $ input $ output $ scheme $ guarded)
+    Term.(const collapse_run $ input $ output $ scheme $ paper_arg)
 
 (* ---- validate ---- *)
 
@@ -236,8 +240,8 @@ let validate_run file kernel size trace stats =
       else begin
         if Trahrhe.Validate.raw_floor_ok report then
           Format.printf
-            "closed form missed %d/%d iterations: the raw floor that collapse emits by default \
-             is not exact here (collapse --guarded is)@\n"
+            "closed form missed %d/%d iterations: the raw floor that collapse --paper emits \
+             is not exact here (the default output of collapse is)@\n"
             (report.Trahrhe.Validate.iterations - report.Trahrhe.Validate.closed_form_ok)
             report.Trahrhe.Validate.iterations;
         1
@@ -572,33 +576,35 @@ let exec_cmd =
 
 (* ---- emit ---- *)
 
-let emit_run file kernel scheme guarded =
+let emit_run file kernel scheme paper =
   match nest_of_input ~file ~kernel with
   | Error e ->
     prerr_endline e;
     1
   | Ok nest -> (
-    match Trahrhe.Closed_form.invert nest with
+    match Trahrhe.Inversion.invert nest with
     | Error e ->
-      Printf.eprintf "inversion failed: %s\n" (Trahrhe.Closed_form.error_to_string e);
+      Printf.eprintf "inversion failed: %s\n" (Trahrhe.Inversion.error_to_string e);
       1
-    | Ok forms ->
-      let config = { Codegen.Schemes.default_config with guarded } in
+    | Ok inv -> (
+      let config = { Codegen.Schemes.default_config with paper } in
       let body = [ Codegen.C_ast.Raw "/* statements(indices) */;" ] in
-      let stmts =
-        match scheme with
-        | Cfront.Transform.Naive -> Codegen.Schemes.naive ~config forms ~body
-        | Cfront.Transform.Per_thread -> Codegen.Schemes.per_thread ~config forms ~body
-        | Cfront.Transform.Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk forms ~body
-        | Cfront.Transform.Simd vlength ->
-          Codegen.Schemes.simd ~config ~vlength forms ~body_of:(fun subst ->
-              [ Codegen.C_ast.Raw
-                  (Printf.sprintf "/* statements(%s) */;"
-                     (String.concat ", "
-                        (List.map subst (Trahrhe.Nest.level_vars nest)))) ])
-      in
-      print_string (Codegen.C_print.to_string stmts);
-      0)
+      try
+        print_string
+          (Codegen.C_print.to_string
+             (match scheme with
+             | Cfront.Transform.Naive -> Codegen.Schemes.naive ~config inv ~body
+             | Cfront.Transform.Per_thread -> Codegen.Schemes.per_thread ~config inv ~body
+             | Cfront.Transform.Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk inv ~body
+             | Cfront.Transform.Simd vlength ->
+               Codegen.Schemes.simd ~config ~vlength inv ~body_of:(fun subst ->
+                   [ Codegen.C_ast.Raw
+                       (Printf.sprintf "/* statements(%s) */;"
+                          (String.concat ", " (List.map subst (Trahrhe.Nest.level_vars nest)))) ])));
+        0
+      with Failure e ->
+        prerr_endline e;
+        1))
 
 let emit_cmd =
   let scheme =
@@ -607,11 +613,11 @@ let emit_cmd =
       & opt scheme_conv Cfront.Transform.Per_thread
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:"naive | per-thread | chunked:N | simd:N.")
   in
-  let guarded = Arg.(value & flag & info [ "guarded" ] ~doc:"Exact post-floor adjustment.") in
+
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Print the collapsed OpenMP C skeleton for a kernel or the first construct of a file.")
-    Term.(const emit_run $ file_arg $ kernel_arg $ scheme $ guarded)
+    Term.(const emit_run $ file_arg $ kernel_arg $ scheme $ paper_arg)
 
 (* ---- batch ---- *)
 

@@ -4,11 +4,10 @@
 
      dune exec bin/trahrhe.exe -- collapse examples/c/correlation.c
 
-   (add --scheme naive | per-thread | chunked:N | simd:N, --guarded) */
+   (add --scheme naive | per-thread | chunked:N | simd:N, and --paper for
+   the paper's closed-form roots of Fig. 3 with a raw floor) */
 #include <stdio.h>
 #include <stdlib.h>
-#include <math.h>
-#include <complex.h>
 
 #define N 1500
 static double a[N][N], b[N][N], c[N][N];

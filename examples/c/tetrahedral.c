@@ -1,10 +1,12 @@
-/* The paper's 3-depth example (Fig. 6): collapsing all three loops
-   needs a cubic root evaluated through complex arithmetic (Fig. 7).
+/* The paper's 3-depth example (Fig. 6). Collapsed, the outer index is
+   recovered by an exact search of the ranking polynomial:
 
-     dune exec bin/trahrhe.exe -- collapse examples/c/tetrahedral.c --guarded */
+     dune exec bin/trahrhe.exe -- collapse examples/c/tetrahedral.c
+
+   With --paper it is the paper's cubic root, evaluated through complex
+   arithmetic (Fig. 7); the tool then includes <math.h> and
+   <complex.h> itself. */
 #include <stdio.h>
-#include <math.h>
-#include <complex.h>
 
 #define N 400
 static double s[N];

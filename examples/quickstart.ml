@@ -23,17 +23,10 @@ let () =
   Printf.printf "trip count          = %s\n\n"
     (Polymath.Polynomial.to_string (Trahrhe.Ranking.trip_count nest));
 
-  (* 2. invert it: closed forms for each index *)
-  let forms = Trahrhe.Closed_form.invert_exn nest in
-  Array.iter
-    (function
-      | Trahrhe.Closed_form.Root { var; expr; _ } ->
-        Printf.printf "%s = floor( %s )\n" var (Symx.Expr.to_string expr)
-      | Trahrhe.Closed_form.Last { var; poly } ->
-        Printf.printf "%s = %s\n" var (Polymath.Polynomial.to_string poly)
-      | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
-        Printf.printf "%s = numeric(r_sub_%d)\n" var r_sub_index)
-    forms.Trahrhe.Closed_form.levels;
+  (* 2. invert it: the paper's closed forms for each index *)
+  let inv = Trahrhe.Inversion.invert_exn nest in
+  let forms = Trahrhe.Closed_form.select_exn inv in
+  Format.printf "%a@." Trahrhe.Closed_form.pp forms;
 
   (* 3. check the whole pipeline exhaustively at a small size *)
   let report = Trahrhe.Validate.check forms ~param:(fun _ -> 40) in
@@ -47,8 +40,12 @@ let () =
     [ Codegen.C_ast.Raw "for (k = 0; k < N; k++) a[i][j] += b[k][i] * c[k][j];";
       Codegen.C_ast.Raw "a[j][i] = a[i][j];" ]
   in
-  let config = { Codegen.Schemes.default_config with extra_private = [ "k" ] } in
+  let config = { Codegen.Schemes.default_config with extra_private = [ "k" ]; paper = true } in
   print_endline "---- Figure 3: naive collapsed loop ----";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config forms ~body));
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config inv ~body));
   print_endline "\n---- Figure 4: per-thread recovery ----";
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config forms ~body))
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.per_thread ~config inv ~body));
+  print_endline "\n---- the default output: the exact search, as the runtime recovers ----";
+  print_string
+    (Codegen.C_print.to_string
+       (Codegen.Schemes.per_thread ~config:{ config with paper = false } inv ~body))

@@ -30,9 +30,9 @@ let () =
       print_string out)
     [ ( "per-thread recovery (default)",
         Cfront.Transform.default_options );
-      ( "chunked recovery, guarded",
+      ( "chunked recovery, the paper's closed forms (raw floor)",
         { Cfront.Transform.default_options with
           scheme = Cfront.Transform.Chunked 256;
-          guarded = true } );
+          paper = true } );
       ( "SIMD scheme (vlength 8)",
         { Cfront.Transform.default_options with scheme = Cfront.Transform.Simd 8 } ) ]

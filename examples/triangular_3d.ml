@@ -24,24 +24,15 @@ let () =
   Printf.printf "trip count       = %s   (the paper's (N^3 - N)/6)\n\n"
     (P.to_string (Trahrhe.Ranking.trip_count nest));
 
-  let forms = Trahrhe.Closed_form.invert_exn nest in
-  Array.iter
-    (function
-      | Trahrhe.Closed_form.Root { var; mode; expr } ->
-        Printf.printf "%s recovered by a degree-%s closed form [%s evaluation]\n" var
-          (if var = "i" then "3 (Cardano)" else "2")
-          (match mode with Symx.Cemit.Real -> "real" | Complex -> "complex");
-        Printf.printf "   %s = floor(%s)\n" var (Symx.Expr.to_string expr)
-      | Trahrhe.Closed_form.Last { var; poly } ->
-        Printf.printf "%s = %s   [exact]\n" var (P.to_string poly)
-      | Trahrhe.Closed_form.Numeric { var; r_sub_index } ->
-        Printf.printf "%s = numeric(r_sub_%d)   [certified root isolation]\n" var r_sub_index)
-    forms.Trahrhe.Closed_form.levels;
+  let inv = Trahrhe.Inversion.invert_exn nest in
+  let forms = Trahrhe.Closed_form.select_exn inv in
+  print_endline "i: degree-3 (Cardano) closed form; j: degree 2; k: exact";
+  Format.printf "%a@." Trahrhe.Closed_form.pp forms;
 
   (* Figure 8: the curves r(i,0,0) - pc — all parallel, so the number
      and order of symbolic roots is the same for every pc (§IV-D) *)
   print_endline "\nFigure 8 series: r(i,0,0) - pc  (N = 10)";
-  let r_i00 = forms.Trahrhe.Closed_form.inversion.Trahrhe.Inversion.r_sub.(0) in
+  let r_i00 = inv.Trahrhe.Inversion.r_sub.(0) in
   print_string "      i:";
   let steps = List.init 12 (fun s -> -2.5 +. (0.5 *. float_of_int s)) in
   List.iter (fun x -> Printf.printf "%7.1f" x) steps;
@@ -62,7 +53,8 @@ let () =
   (* Figure 7: the generated collapsed code uses cpow/csqrt/creal *)
   print_endline "\n---- Figure 7: collapsed 3-depth loop (complex recovery) ----";
   let body = [ Codegen.C_ast.Raw "S(i, j, k);" ] in
-  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive forms ~body));
+  let paper = { Codegen.Schemes.default_config with paper = true } in
+  print_string (Codegen.C_print.to_string (Codegen.Schemes.naive ~config:paper inv ~body));
 
   (* the raw floor against the runtime's exact search *)
   let report = Trahrhe.Validate.check forms ~param:(fun _ -> 30) in

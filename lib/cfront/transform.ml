@@ -4,9 +4,9 @@ type scheme =
   | Chunked of int
   | Simd of int
 
-type options = { scheme : scheme; guarded : bool; counter_ty : string }
+type options = { scheme : scheme; paper : bool; counter_ty : string }
 
-let default_options = { scheme = Per_thread; guarded = false; counter_ty = "long" }
+let default_options = { scheme = Per_thread; paper = false; counter_ty = "long" }
 
 type region = {
   pragma_start : int;
@@ -133,11 +133,12 @@ let find_regions src =
   scan 0;
   List.rev !regions
 
+(* the region's collapsed C, and the headers its recovery needs *)
 let generate ~options region =
-  let forms = Trahrhe.Closed_form.invert_exn region.nest in
+  let inv = Trahrhe.Inversion.invert_exn region.nest in
   let config =
     { Codegen.Schemes.default_config with
-      guarded = options.guarded;
+      paper = options.paper;
       counter_ty = options.counter_ty;
       (* strided originals are rebuilt inside the loop: thread-private *)
       extra_private = List.map fst region.reconstruct }
@@ -157,34 +158,50 @@ let generate ~options region =
   let body = recon_stmts @ [ Codegen.C_ast.Raw region.body ] in
   let stmts =
     match options.scheme with
-    | Naive -> Codegen.Schemes.naive ~config forms ~body
-    | Per_thread -> Codegen.Schemes.per_thread ~config forms ~body
-    | Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk forms ~body
+    | Naive -> Codegen.Schemes.naive ~config inv ~body
+    | Per_thread -> Codegen.Schemes.per_thread ~config inv ~body
+    | Chunked chunk -> Codegen.Schemes.chunked ~config ~chunk inv ~body
     | Simd vlength ->
       (* the textual body cannot be re-indexed automatically; wrap it in
          a scalar assignment prelude instead *)
-      Codegen.Schemes.simd ~config ~vlength forms ~body_of:(fun subst ->
+      Codegen.Schemes.simd ~config ~vlength inv ~body_of:(fun subst ->
           List.map
             (fun v -> Codegen.C_ast.Raw (Printf.sprintf "%s %s = %s;" options.counter_ty v (subst v)))
             (Trahrhe.Nest.level_vars region.nest)
           @ [ Codegen.C_ast.Raw region.body ])
   in
-  "/* collapsed by nonrect-collapse (trahrhe reproduction) */\n{\n"
-  ^ Codegen.C_print.to_string ~indent:1 (recon_decls @ stmts)
-  ^ "}\n"
+  ( "/* collapsed by nonrect-collapse (trahrhe reproduction) */\n{\n"
+    ^ Codegen.C_print.to_string ~indent:1 (recon_decls @ stmts)
+    ^ "}\n",
+    Codegen.Schemes.headers ~config inv )
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let transform_source ?(options = default_options) src =
   let regions = find_regions src in
   let buf = Buffer.create (String.length src) in
-  let pos = ref 0 in
+  let pos = ref 0 and headers = ref [] in
   List.iter
     (fun r ->
       Buffer.add_string buf (String.sub src !pos (r.pragma_start - !pos));
-      Buffer.add_string buf (generate ~options r);
+      let text, hs = generate ~options r in
+      Buffer.add_string buf text;
+      headers := hs @ !headers;
       pos := r.body_end)
     regions;
   Buffer.add_string buf (String.sub src !pos (String.length src - !pos));
-  (Buffer.contents buf, List.length regions)
+  (* each header the recoveries need, once, unless the input has it *)
+  let includes =
+    List.filter_map
+      (fun h ->
+        let line = Printf.sprintf "#include <%s>" h in
+        if List.mem h !headers && not (contains src line) then Some (line ^ "\n") else None)
+      [ "math.h"; "complex.h" ]
+  in
+  (String.concat "" includes ^ Buffer.contents buf, List.length regions)
 
 let transform_file ?options ~input ~output () =
   let ic = open_in_bin input in

@@ -15,7 +15,9 @@ type scheme =
 
 type options = {
   scheme : scheme;
-  guarded : bool;  (** exact post-floor adjustment (extension) *)
+  paper : bool;
+      (** print the paper's closed forms with a raw [floor] (§IV), which
+          rounding can put off by one, instead of the exact recovery *)
   counter_ty : string;
 }
 
@@ -41,7 +43,12 @@ val find_regions : string -> region list
 
 (** [transform_source ?options source] rewrites every non-rectangular
     collapsed region of [source]; returns the new text and the number
-    of transformed constructs. *)
+    of transformed constructs. In paper mode the headers the printed
+    closed forms need ([<math.h>], [<complex.h>]) are included once at
+    the top, unless [source] includes them already; the default
+    recovery needs none.
+    @raise Failure when a region's nest does not invert, or in paper
+    mode when its closed forms do not select. *)
 val transform_source : ?options:options -> string -> string * int
 
 (** [transform_file ?options ~input ~output ()] is {!transform_source}

@@ -38,8 +38,6 @@ let sink ?(config = Schemes.default_config) (nest : Trahrhe.Nest.t) ~levels ~inn
   in
   pres @ innermost @ posts
 
-let collapse ?(config = Schemes.default_config) (forms : Trahrhe.Closed_form.t) ~levels ~innermost =
-  let body =
-    sink ~config forms.Trahrhe.Closed_form.inversion.Trahrhe.Inversion.nest ~levels ~innermost
-  in
-  Schemes.per_thread ~config forms ~body
+let collapse ?(config = Schemes.default_config) (inv : Trahrhe.Inversion.t) ~levels ~innermost =
+  let body = sink ~config inv.Trahrhe.Inversion.nest ~levels ~innermost in
+  Schemes.per_thread ~config inv ~body

@@ -42,12 +42,12 @@ val sink :
   innermost:C_ast.stmt list ->
   C_ast.stmt list
 
-(** [collapse ?config forms ~levels ~innermost] is {!sink} composed
+(** [collapse ?config inv ~levels ~innermost] is {!sink} composed
     with the per-thread collapsing scheme (Fig. 4 shape) on the guarded
     body. *)
 val collapse :
   ?config:Schemes.config ->
-  Trahrhe.Closed_form.t ->
+  Trahrhe.Inversion.t ->
   levels:level_stmts list ->
   innermost:C_ast.stmt list ->
   C_ast.stmt list

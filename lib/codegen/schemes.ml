@@ -7,7 +7,7 @@ type config = {
   counter_ty : string;
   schedule : string;
   extra_private : string list;
-  guarded : bool;
+  paper : bool;
   declare_indices : bool;
 }
 
@@ -15,7 +15,7 @@ let default_config =
   { counter_ty = "long";
     schedule = "static";
     extra_private = [];
-    guarded = false;
+    paper = false;
     declare_indices = true }
 
 let trip_count_expr (inv : Trahrhe.Inversion.t) ~ty =
@@ -26,37 +26,10 @@ let bound_expr ~ty a = Cemit.emit_poly_int (A.to_poly a) ~ty
 let nest_levels (inv : Trahrhe.Inversion.t) =
   Array.of_list inv.Trahrhe.Inversion.nest.Trahrhe.Nest.levels
 
-(* exact adjustment of one floored index (library extension):
-   clamp into bounds, then nudge until
-   r_sub(prefix, v) <= pc < r_sub(prefix, v+1) *)
-let guard_stmts ~ty (inv : Trahrhe.Inversion.t) k =
-  let levels = nest_levels inv in
-  let l = levels.(k) in
-  let v = l.Trahrhe.Nest.var in
-  let pc = inv.Trahrhe.Inversion.pc_var in
-  let r_sub = inv.Trahrhe.Inversion.r_sub.(k) in
-  let r_at_next = P.subst v (P.add (P.var v) P.one) r_sub in
-  let lb = Printf.sprintf "lb_%s" v and ub = Printf.sprintf "ub_%s" v in
-  [ Comment (Printf.sprintf "exact adjustment of %s against the ranking" v);
-    Block
-      [ Decl { ty; name = lb; init = Some (bound_expr ~ty l.Trahrhe.Nest.lower) };
-        Decl
-          { ty;
-            name = ub;
-            init = Some (Printf.sprintf "(%s) - 1" (bound_expr ~ty l.Trahrhe.Nest.upper)) };
-        Raw (Printf.sprintf "if (%s < %s) %s = %s;" v lb v lb);
-        Raw (Printf.sprintf "if (%s > %s) %s = %s;" v ub v ub);
-        While
-          { cond = Printf.sprintf "%s < %s && %s <= %s" v ub (Cemit.emit_poly_int r_at_next ~ty) pc;
-            body = [ Raw (v ^ "++;") ] };
-        While
-          { cond = Printf.sprintf "%s > %s && %s > %s" v lb (Cemit.emit_poly_int r_sub ~ty) pc;
-            body = [ Raw (v ^ "--;") ] } ] ]
-
 (* exact recovery of level k: the largest v in [lower, upper) with
    r_sub_k(prefix, v) <= pc, by bracketed binary search over the
    monotone substituted ranking *)
-let search_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) k =
+let search_stmts ~config (inv : Trahrhe.Inversion.t) k =
   let ty = config.counter_ty in
   let l = (nest_levels inv).(k) in
   let var = l.Trahrhe.Nest.var in
@@ -80,21 +53,37 @@ let search_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) k =
                      (Cemit.emit_poly_int r_at_mid ~ty) pc a mid b mid) ] };
         Raw (Printf.sprintf "%s = %s;" var a) ] ]
 
-let recovery_stmts ?(config = default_config) (forms : Trahrhe.Closed_form.t) =
-  let ty = config.counter_ty and inv = forms.Trahrhe.Closed_form.inversion in
-  Array.to_list forms.Trahrhe.Closed_form.levels
-  |> List.mapi (fun k r ->
-         match r with
+(* the runtime's recovery (Recovery.recover): a search at every
+   non-last level, then the innermost level's exact formula; in paper
+   mode each level with a closed form floors it instead *)
+let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
+  let d = Array.length inv.Trahrhe.Inversion.r_sub in
+  let exact k =
+    if k < d - 1 then search_stmts ~config inv k
+    else
+      [ Assign
+          ( (nest_levels inv).(k).Trahrhe.Nest.var,
+            Cemit.emit_poly_int (Trahrhe.Inversion.innermost inv) ~ty:config.counter_ty ) ]
+  in
+  if not config.paper then List.concat (List.init d exact)
+  else
+    Array.to_list (Trahrhe.Closed_form.select_exn inv).Trahrhe.Closed_form.levels
+    |> List.mapi (fun k -> function
          | Trahrhe.Closed_form.Root { var; expr; mode } ->
-           Assign (var, Cemit.emit_floor ~mode expr)
-           :: (if config.guarded then guard_stmts ~ty inv k else [])
-         | Trahrhe.Closed_form.Last { var; poly } ->
-           [ Assign (var, Cemit.emit_poly_int poly ~ty) ]
-         | Trahrhe.Closed_form.Numeric { r_sub_index; _ } ->
-           (* no radical closed form at this degree; the search is exact
-              by construction, so the guarded config adds nothing *)
-           search_stmts ~config inv r_sub_index)
-  |> List.concat
+           [ Assign (var, Cemit.emit_floor ~mode expr) ]
+         | Trahrhe.Closed_form.Last _ | Trahrhe.Closed_form.Numeric _ -> exact k)
+    |> List.concat
+
+let headers ?(config = default_config) inv =
+  if not config.paper then []
+  else begin
+    let modes =
+      Array.to_list (Trahrhe.Closed_form.select_exn inv).Trahrhe.Closed_form.levels
+      |> List.filter_map (function Trahrhe.Closed_form.Root { mode; _ } -> Some mode | _ -> None)
+    in
+    (if modes = [] then [] else [ "math.h" ])
+    @ if List.mem Cemit.Complex modes then [ "complex.h" ] else []
+  end
 
 let exhausted ~ty (l : Trahrhe.Nest.level) = Printf.sprintf "%s >= %s" l.var (bound_expr ~ty l.upper)
 
@@ -151,18 +140,16 @@ let pc_loop ~config (inv : Trahrhe.Inversion.t) ?(step) body =
       step;
       body }
 
-let naive ?(config = default_config) forms ~body =
-  let inv = forms.Trahrhe.Closed_form.inversion in
+let naive ?(config = default_config) inv ~body =
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "naive") ]
   @@ fun () ->
   index_decls ~config inv
   @ [ Pragma
         (Printf.sprintf "omp parallel for private(%s) schedule(%s)" (private_clause ~config inv)
            config.schedule);
-      pc_loop ~config inv (recovery_stmts ~config forms @ body) ]
+      pc_loop ~config inv (recovery_stmts ~config inv @ body) ]
 
-let per_thread ?(config = default_config) forms ~body =
-  let inv = forms.Trahrhe.Closed_form.inversion in
+let per_thread ?(config = default_config) inv ~body =
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "per-thread") ]
   @@ fun () ->
   index_decls ~config inv
@@ -174,12 +161,11 @@ let per_thread ?(config = default_config) forms ~body =
       pc_loop ~config inv
         (If
            { cond = "first_iteration";
-             then_ = recovery_stmts ~config forms @ [ Assign ("first_iteration", "0") ];
+             then_ = recovery_stmts ~config inv @ [ Assign ("first_iteration", "0") ];
              else_ = [] }
         :: (body @ increment_stmts ~config inv)) ]
 
-let chunked ?(config = default_config) ~chunk forms ~body =
-  let inv = forms.Trahrhe.Closed_form.inversion in
+let chunked ?(config = default_config) ~chunk inv ~body =
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "chunked") ]
   @@ fun () ->
   let pc = inv.Trahrhe.Inversion.pc_var in
@@ -190,12 +176,11 @@ let chunked ?(config = default_config) ~chunk forms ~body =
       pc_loop ~config inv
         (If
            { cond = Printf.sprintf "(%s - 1) %% %d == 0" pc chunk;
-             then_ = recovery_stmts ~config forms;
+             then_ = recovery_stmts ~config inv;
              else_ = [] }
         :: (body @ increment_stmts ~config inv)) ]
 
-let simd ?(config = default_config) ~vlength forms ~body_of =
-  let inv = forms.Trahrhe.Closed_form.inversion in
+let simd ?(config = default_config) ~vlength inv ~body_of =
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "simd") ]
   @@ fun () ->
   let ty = config.counter_ty in
@@ -221,7 +206,7 @@ let simd ?(config = default_config) ~vlength forms ~body_of =
       pc_loop ~config inv ~step:(Printf.sprintf "%s += %d" pc vlength)
         ([ If
              { cond = "first_iteration";
-               then_ = recovery_stmts ~config forms @ [ Assign ("first_iteration", "0") ];
+               then_ = recovery_stmts ~config inv @ [ Assign ("first_iteration", "0") ];
                else_ = [] };
            For
              { init = Printf.sprintf "v = %s" pc;
@@ -239,8 +224,7 @@ let simd ?(config = default_config) ~vlength forms ~body_of =
                step = "v++";
                body = body_of (fun x -> Printf.sprintf "%s[v - %s]" (buf x) pc) } ]) ]
 
-let gpu_warp ?(config = default_config) ~warp forms ~body =
-  let inv = forms.Trahrhe.Closed_form.inversion in
+let gpu_warp ?(config = default_config) ~warp inv ~body =
   Obsv.Trace.with_span "pipeline.codegen" ~args:[ ("scheme", Obsv.Trace.Str "gpu-warp") ]
   @@ fun () ->
   let ty = config.counter_ty in
@@ -262,7 +246,7 @@ let gpu_warp ?(config = default_config) ~warp forms ~body =
                   body =
                     If
                       { cond = Printf.sprintf "%s == thread + 1" pc;
-                        then_ = recovery_stmts ~config forms;
+                        then_ = recovery_stmts ~config inv;
                         else_ = [] }
                     :: body
                     @ [ For

@@ -16,20 +16,22 @@
 
     All generators take the loop body as statements referring to the
     original index names; index variables are declared by the generated
-    code and listed in the OpenMP [private] clause. They print the
-    recovery {!Trahrhe.Closed_form.select} chose per level; the
-    building blocks below it ({!search_stmts}, {!carry_stmts},
-    {!increment_stmts}) need only the inversion, which is how the
-    native tier emits its C without selecting a root. *)
+    code and listed in the OpenMP [private] clause. They take an
+    {!Trahrhe.Inversion.t}, so they print every nest
+    {!Trahrhe.Inversion.invert} accepts, and recover indices by
+    {!recovery_stmts}: the algorithm of {!Trahrhe.Recovery.recover},
+    which the native tier's [ompsim_recover] prints too. *)
 
 type config = {
   counter_ty : string;  (** C type of indices and [pc] (default "long") *)
   schedule : string;  (** OpenMP schedule clause body (default "static") *)
   extra_private : string list;  (** additional private variables *)
-  guarded : bool;
-      (** when true, follow each floored closed form with an exact
-          integer adjustment based on the substituted ranking — immune
-          to floating rounding (library extension, default false) *)
+  paper : bool;
+      (** when true, print the paper's closed forms
+          ({!Trahrhe.Closed_form.select}) with a raw [floor], which
+          floating rounding can put off by one; printers then fail
+          with [Failure] when no closed form selects (default false:
+          the exact recovery) *)
   declare_indices : bool;  (** emit index declarations (default true) *)
 }
 
@@ -39,16 +41,22 @@ val default_config : config
     exact integer C expression over the parameters. *)
 val trip_count_expr : Trahrhe.Inversion.t -> ty:string -> string
 
-(** [recovery_stmts ?config forms] is the §IV index-recovery statement
-    sequence ([i1 = floor(...); ...; ic = exact formula]). *)
-val recovery_stmts : ?config:config -> Trahrhe.Closed_form.t -> C_ast.stmt list
+(** [recovery_stmts ?config inv] recovers every index from [pc]: at
+    each non-last level [k] the largest value in the level's range
+    whose substituted ranking [r_sub.(k)] does not exceed [pc], by
+    bracketed binary search, then the innermost level's exact formula
+    ({!Trahrhe.Inversion.innermost}). It calls nothing
+    from [<math.h>] or [<complex.h>]. In paper mode a level with a
+    radical closed form prints [i = floor(...)] instead (§IV).
+    @raise Failure in paper mode when no closed form selects. *)
+val recovery_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
 
-(** [search_stmts ?config inv k] recovers level [k] exactly: the
-    largest value in the level's range whose substituted ranking
-    [r_sub.(k)] does not exceed [pc], by bracketed binary search. The
-    levels above [k] must already hold their values. It is the
-    recovery of a {!Trahrhe.Closed_form.Numeric} level. *)
-val search_stmts : ?config:config -> Trahrhe.Inversion.t -> int -> C_ast.stmt list
+(** [headers ?config inv] lists the C headers ([math.h], [complex.h])
+    the printed recovery needs: none by default; in paper mode
+    [math.h] once a level floors a closed form and [complex.h] once
+    one is evaluated in complex arithmetic.
+    @raise Failure as {!recovery_stmts}. *)
+val headers : ?config:config -> Trahrhe.Inversion.t -> string list
 
 (** [carry_stmts ?config inv q] advances level [q] (or the nearest outer
     level that is not exhausted) and resets level [q+1] to its lower
@@ -62,27 +70,27 @@ val carry_stmts : ?config:config -> Trahrhe.Inversion.t -> int -> C_ast.stmt lis
     its row. *)
 val increment_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
 
-val naive : ?config:config -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
+val naive : ?config:config -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
 
 val per_thread :
-  ?config:config -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
+  ?config:config -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
 
 val chunked :
-  ?config:config -> chunk:int -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
+  ?config:config -> chunk:int -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
 
-(** [simd ~vlength forms ~body_of] generates the §VI-A scheme;
+(** [simd ~vlength inv ~body_of] generates the §VI-A scheme;
     [body_of subst] must produce the body with every original index
     variable [v] replaced by [subst v] (a C expression indexing the
     per-thread tuple buffer). *)
 val simd :
   ?config:config ->
   vlength:int ->
-  Trahrhe.Closed_form.t ->
+  Trahrhe.Inversion.t ->
   body_of:((string -> string) -> C_ast.stmt list) ->
   C_ast.stmt list
 
 val gpu_warp :
-  ?config:config -> warp:int -> Trahrhe.Closed_form.t -> body:C_ast.stmt list -> C_ast.stmt list
+  ?config:config -> warp:int -> Trahrhe.Inversion.t -> body:C_ast.stmt list -> C_ast.stmt list
 
 (** [original nest ~parallel ~schedule ~body] prints the untransformed
     nest; when [parallel], an [omp parallel for] pragma with the given

@@ -1,16 +1,9 @@
 open C_ast
 module P = Polymath.Polynomial
-module E = Symx.Expr
 module Cemit = Symx.Cemit
 
 let disjoint_vars a b =
   List.for_all (fun v -> not (List.mem v b)) a
-
-(* the printed recovery of one inversion: its selected closed forms *)
-let forms inv =
-  match Trahrhe.Closed_form.select inv with
-  | Ok forms -> forms
-  | Error e -> failwith (Trahrhe.Closed_form.error_to_string e)
 
 let reshape ?(config = Schemes.default_config) (r : Trahrhe.Reshape.t) ~body =
   let ty = config.Schemes.counter_ty in
@@ -43,7 +36,7 @@ let reshape ?(config = Schemes.default_config) (r : Trahrhe.Reshape.t) ~body =
       { cond = "first_iteration";
         then_ =
           Assign (pc, Cemit.emit_poly_int target.Trahrhe.Inversion.ranking ~ty)
-          :: Schemes.recovery_stmts ~config (forms source)
+          :: Schemes.recovery_stmts ~config source
           @ [ Assign ("first_iteration", "0") ];
         else_ = [] }
   in
@@ -79,31 +72,10 @@ let fused ?(config = Schemes.default_config) (f : Trahrhe.Fusion.t) ~bodies =
   in
   let shifted_recovery (s : Trahrhe.Fusion.segment) =
     (* recover from the segment-local rank pc - offset *)
-    let selected = forms s.inversion in
-    let local = P.sub (P.var pc) s.offset in
-    let shifted =
-      { Trahrhe.Closed_form.levels =
-          Array.map
-            (function
-              | Trahrhe.Closed_form.Root { var; expr; mode } ->
-                Trahrhe.Closed_form.Root
-                  { var; expr = E.subst pc (E.of_poly local) expr; mode }
-              | Trahrhe.Closed_form.Last { var; poly } ->
-                Trahrhe.Closed_form.Last { var; poly = P.subst pc local poly }
-              | Trahrhe.Closed_form.Numeric _ as r ->
-                (* the emitted binary search compares the offset-shifted
-                   r_sub below against the global pc directly:
-                   r + offset <= pc  <=>  r <= pc - offset *)
-                r)
-            selected.Trahrhe.Closed_form.levels;
-        inversion =
-          { s.inversion with
-            (* guards compare local rank against r_sub: shift them too
-               by adding the offset to the substituted rankings *)
-            Trahrhe.Inversion.r_sub =
-              Array.map (fun r -> P.add r s.offset) s.inversion.Trahrhe.Inversion.r_sub } }
-    in
-    Schemes.recovery_stmts ~config shifted
+    let local = "seg_" ^ pc in
+    [ Block
+        (Decl { ty; name = local; init = Some (Cemit.emit_poly_int (P.sub (P.var pc) s.offset) ~ty) }
+        :: Schemes.recovery_stmts ~config { s.inversion with Trahrhe.Inversion.pc_var = local }) ]
   in
   let first_point_assigns (s : Trahrhe.Fusion.segment) =
     let nest = s.inversion.Trahrhe.Inversion.nest in

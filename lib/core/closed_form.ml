@@ -1,6 +1,4 @@
 module P = Polymath.Polynomial
-module A = Polymath.Affine
-module Q = Zmath.Rat
 module E = Symx.Expr
 
 type level =
@@ -16,11 +14,6 @@ let error_to_string = function
   | Inversion e -> Inversion.error_to_string e
   | No_valid_root { var; candidates } ->
     Printf.sprintf "none of the %d symbolic candidate roots for index %s validated" candidates var
-
-let force_numeric_default () =
-  match Sys.getenv_opt "OMPSIM_FORCE_NUMERIC" with
-  | Some "1" | Some "true" -> true
-  | _ -> false
 
 (* the expression is staged once; each parameter valuation then fills
    a template of slots: pc, the k outer level indices, then the params
@@ -72,55 +65,13 @@ let rec expr_size = function
   | E.Sum es | E.Prod es -> List.fold_left (fun a e -> a + expr_size e) 1 es
   | E.Pow (b, _) -> 1 + expr_size b
 
-(* Certify a numeric level on the sampled iterations: for a spread of
-   sampled (prefix, rank) pairs, isolate the root of
-   [r_sub.(k) - rank] over exact rationals and check the certified
-   enclosure lands in [ik, ik+1) — the continuous root of the monotone
-   substituted ranking always lives there when the level is sound. *)
-let numeric_valid nest ~pc_var ~k u samples =
-  let vars = Array.of_list (Nest.level_vars nest) in
-  let level = List.nth nest.Nest.levels k in
-  Obsv.Trace.with_span "invert.isolate" @@ fun () ->
-  List.for_all
-    (fun { Inversion.param; points } ->
-      let stride = max 1 (List.length points / 32) in
-      List.for_all
-        (fun (n, idx) ->
-          n mod stride <> 0
-          ||
-          let env x =
-            if x = pc_var then Q.of_int (n + 1)
-            else begin
-              let rec find j =
-                if j >= k then Q.of_int (param x)
-                else if vars.(j) = x then Q.of_int idx.(j)
-                else find (j + 1)
-              in
-              find 0
-            end
-          in
-          let p = Rootsolve.Isolate.of_univariate u ~env in
-          let lo = P.eval env (A.to_poly level.Nest.lower) in
-          let hi = P.eval env (A.to_poly level.Nest.upper) in
-          match Rootsolve.Isolate.isolate p ~lo ~hi with
-          | Error _ -> false
-          | Ok enc ->
-            let ik = Q.of_int idx.(k) and ik1 = Q.of_int (idx.(k) + 1) in
-            Q.compare enc.Rootsolve.Isolate.enc_lo ik1 <= 0
-            && Q.compare enc.Rootsolve.Isolate.enc_hi ik >= 0)
-        (List.mapi (fun n idx -> (n, idx)) points))
-    samples
-
-let select ?sample_sizes ?force_numeric (inv : Inversion.t) =
-  let force_numeric =
-    match force_numeric with Some b -> b | None -> force_numeric_default ()
-  in
+let select ?sample_sizes (inv : Inversion.t) =
   let nest = inv.Inversion.nest and pc_var = inv.Inversion.pc_var in
   let d = Nest.depth nest in
   let vars = Array.of_list (Nest.level_vars nest) in
   let exception Fail of error in
   (* the samples {!Inversion.invert} checked, enumerated again: only
-     a level with a root to select or certify reads them *)
+     a level with a root to select reads them *)
   let samples =
     lazy
       (match Inversion.samples ?sample_sizes inv with
@@ -130,25 +81,18 @@ let select ?sample_sizes ?force_numeric (inv : Inversion.t) =
   let level k =
     let var = vars.(k) in
     let r_sub = inv.Inversion.r_sub.(k) in
-    if k = d - 1 then begin
-      (* ik = lb + pc - r(prefix, lb): exact integer polynomial *)
-      let lb = A.to_poly (List.nth nest.Nest.levels k).Nest.lower in
-      let rank_at_lb = P.subst var lb r_sub in
-      Last { var; poly = P.add lb (P.sub (P.var pc_var) rank_at_lb) }
-    end
+    if k = d - 1 then Last { var; poly = Inversion.innermost inv }
     else begin
       let u = Rootsolve.Solver.of_poly ~unknown:var (P.sub r_sub (P.var pc_var)) in
       let deg = Rootsolve.Solver.degree u in
       if deg < 1 then raise (Fail (No_valid_root { var; candidates = 0 }));
-      let numeric () =
-        if not (numeric_valid nest ~pc_var ~k u (Lazy.force samples)) then
-          raise (Fail (No_valid_root { var; candidates = 0 }));
-        Numeric { var; r_sub_index = k }
-      in
-      if deg > 4 || force_numeric then numeric ()
+      (* no radical closed form: the printed search is exact by
+         construction, so it needs no certificate *)
+      let numeric = Numeric { var; r_sub_index = k } in
+      if deg > 4 then numeric
       else begin
         match Rootsolve.Solver.candidates u with
-        | exception Rootsolve.Solver.Unsupported_degree _ -> numeric ()
+        | exception Rootsolve.Solver.Unsupported_degree _ -> numeric
         | cands -> (
           let samples = Lazy.force samples in
           let valid = List.filter (fun e -> candidate_valid nest ~pc_var ~k e samples) cands in
@@ -172,15 +116,30 @@ let select ?sample_sizes ?force_numeric (inv : Inversion.t) =
   in
   try Ok { inversion = inv; levels = Array.init d level } with Fail e -> Error e
 
-let invert ?pc_var ?sample_sizes ?force_numeric nest =
+let select_exn ?sample_sizes inv =
+  match select ?sample_sizes inv with Ok t -> t | Error e -> failwith (error_to_string e)
+
+let invert ?pc_var ?sample_sizes nest =
   match Inversion.invert ?pc_var ?sample_sizes nest with
   | Error e -> Error (Inversion e)
-  | Ok inv -> select ?sample_sizes ?force_numeric inv
+  | Ok inv -> select ?sample_sizes inv
 
-let invert_exn ?pc_var ?sample_sizes ?force_numeric nest =
-  match invert ?pc_var ?sample_sizes ?force_numeric nest with
+let invert_exn ?pc_var ?sample_sizes nest =
+  match invert ?pc_var ?sample_sizes nest with
   | Ok t -> t
   | Error e -> failwith (error_to_string e)
+
+let pp fmt t =
+  Array.iter
+    (function
+      | Root { var; expr; mode } ->
+        Format.fprintf fmt "%s = floor(%s)   [%s]@\n" var (E.to_string expr)
+          (match mode with Symx.Cemit.Real -> "real" | Symx.Cemit.Complex -> "complex")
+      | Last { var; poly } -> Format.fprintf fmt "%s = %s   [exact]@\n" var (P.to_string poly)
+      | Numeric { var; r_sub_index } ->
+        Format.fprintf fmt "%s = search on r_sub_%d   [no radical closed form at this degree]@\n"
+          var r_sub_index)
+    t.levels
 
 (* level k's index from the recovered prefix and pc *)
 type evaluator = (int array -> int -> int) array

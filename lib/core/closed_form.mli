@@ -1,5 +1,7 @@
 (** The paper's closed-form index recovery (§IV, Figures 3/7): what
-    the C printers emit, and nothing the runtime evaluates.
+    the C printers emit in paper mode ([collapse --paper],
+    {!Codegen.Schemes.config}[.paper]), and nothing the runtime or the
+    default printed C evaluates.
 
     For each non-last level [k] the index is a root of
     [r_sub.(k) (prefix, ik) - pc = 0] ({!Inversion.t}), univariate in
@@ -8,21 +10,18 @@
     the index on every sampled iteration — never by its real/complex
     type (paper §IV-C) — preferring a real-emittable, then a smaller
     expression. Above degree 4 there is no radical closed form: the
-    level is {!Numeric}, printed as a binary search of the monotone
-    [r_sub.(k)], and selected only once a rational root isolation
-    ({!Rootsolve.Isolate}) on the samples certifies it. The innermost
-    level is an exact integer polynomial. Setting
-    [OMPSIM_FORCE_NUMERIC=1] (or [~force_numeric:true]) marks every
-    non-last level {!Numeric}, for differential testing against the
-    closed forms.
+    level is {!Numeric}, printed as the same exact search the default
+    output uses at every non-last level. The innermost level is an
+    exact integer polynomial ({!Inversion.innermost}).
 
-    {!make} evaluates the selection as the C that [trahrhe collapse]
-    emits by default does: each [Root] level floors the real part of
-    its complex root with no correction. Raw [floor] can miss the index
-    by one where floating rounding lands on the wrong side of an
-    integer, so this is a reference: {!Validate} counts its exact
-    recoveries against enumeration, and the benches time it next to
-    {!Recovery.recover}, the exact recovery every runtime caller uses. *)
+    {!make} evaluates the selection as the paper-mode C does: each
+    [Root] level floors the real part of its complex root with no
+    correction. Raw [floor] can miss the index by one where floating
+    rounding lands on the wrong side of an integer, so this is a
+    reference: {!Validate} counts its exact recoveries against
+    enumeration, and the benches time it next to {!Recovery.recover},
+    the exact recovery every runtime caller and the default printed C
+    use. *)
 
 type level =
   | Root of {
@@ -35,8 +34,8 @@ type level =
       (** innermost level: an exact integer polynomial in the prefix
           indices and [pc] *)
   | Numeric of { var : string; r_sub_index : int }
-      (** no radical closed form (degree > 4, or forced): the index is
-          the largest [v] with [r_sub.(r_sub_index) (prefix, v) <= pc] *)
+      (** no radical closed form (degree > 4): the index is the largest
+          [v] with [r_sub.(r_sub_index) (prefix, v) <= pc] *)
 
 type t = {
   inversion : Inversion.t;
@@ -46,36 +45,29 @@ type t = {
 type error =
   | Inversion of Inversion.error  (** {!Inversion.invert} refused the nest *)
   | No_valid_root of { var : string; candidates : int }
-      (** no symbolic candidate reproduced the sampled iterations, or
-          a numeric level failed its isolation certificate *)
+      (** no symbolic candidate reproduced the sampled iterations *)
 
 val error_to_string : error -> string
 
-(** [force_numeric_default ()] is the environment default for
-    [?force_numeric]: true iff [OMPSIM_FORCE_NUMERIC] is ["1"] or
-    ["true"]. Tests that assert closed-form structure consult it to
-    stay meaningful under the forced-numeric CI shard. *)
-val force_numeric_default : unit -> bool
+(** [select ?sample_sizes inv] selects a recovery per level,
+    enumerating the nest's {!Inversion.samples} again for the levels
+    that have candidate roots. *)
+val select : ?sample_sizes:int list -> Inversion.t -> (t, error) result
 
-(** [select ?sample_sizes ?force_numeric inv] selects a recovery per
-    level, enumerating the nest's {!Inversion.samples} again for the
-    levels that need them. [force_numeric] (default:
-    {!force_numeric_default}) makes every non-last level {!Numeric}
-    regardless of degree. *)
-val select : ?sample_sizes:int list -> ?force_numeric:bool -> Inversion.t -> (t, error) result
+(** [select_exn] is {!select}, raising [Failure] on error. *)
+val select_exn : ?sample_sizes:int list -> Inversion.t -> t
 
-(** [invert ?pc_var ?sample_sizes ?force_numeric nest] is
-    {!Inversion.invert} followed by {!select}. *)
-val invert :
-  ?pc_var:string ->
-  ?sample_sizes:int list ->
-  ?force_numeric:bool ->
-  Nest.t ->
-  (t, error) result
+(** [invert ?pc_var ?sample_sizes nest] is {!Inversion.invert}
+    followed by {!select}. *)
+val invert : ?pc_var:string -> ?sample_sizes:int list -> Nest.t -> (t, error) result
 
 (** [invert_exn] is {!invert}, raising [Failure] on error. *)
-val invert_exn :
-  ?pc_var:string -> ?sample_sizes:int list -> ?force_numeric:bool -> Nest.t -> t
+val invert_exn : ?pc_var:string -> ?sample_sizes:int list -> Nest.t -> t
+
+(** [pp] prints one line per level: [i = floor(...)   [real]], the
+    innermost [\[exact\]] polynomial, or the search of a {!Numeric}
+    level. *)
+val pp : Format.formatter -> t -> unit
 
 (** The selected recoveries staged under concrete parameter values. *)
 type evaluator

@@ -46,6 +46,12 @@ let substituted_rankings nest ranking =
          sequential substitution is simultaneous here *)
       List.fold_left (fun p (x, m) -> P.subst x (A.to_poly m) p) ranking minima)
 
+let innermost inv =
+  let d = Nest.depth inv.nest in
+  let l = List.nth inv.nest.Nest.levels (d - 1) in
+  let lb = A.to_poly l.Nest.lower in
+  P.add lb (P.sub (P.var inv.pc_var) (P.subst l.Nest.var lb inv.r_sub.(d - 1)))
+
 type sample = { param : string -> int; points : int array list }
 
 let sample_budget = 4000

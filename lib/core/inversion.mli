@@ -8,9 +8,9 @@
     interval. The runtime ({!Recovery.recover}) recovers every non-last
     level as the largest [v] with [r_sub.(k) (prefix, v) <= pc], by a
     float-seeded exact search, and the innermost one by an exact
-    integer formula; so nothing here selects a closed-form root. The
-    paper's radical roots, which only the C printers need, are
-    {!Closed_form}.
+    integer formula ({!innermost}); the printed C runs the same
+    algorithm, so nothing here selects a closed-form root. The paper's
+    radical roots, which only paper-mode C prints, are {!Closed_form}.
 
     {!invert} checks the polynomials on sampled concrete instances: at
     each sample the ranking must give the enumerated points the ranks
@@ -33,6 +33,13 @@ type t = {
           searches, and the polynomials whose roots are the paper's
           closed forms. *)
 }
+
+(** [innermost inv] is the innermost index as an exact integer
+    polynomial in the outer indices and [pc]:
+    [lb + pc - r_sub.(d-1) (prefix, lb)], with [lb] the level's lower
+    bound. {!Recovery.recover} evaluates it, and the printed C assigns
+    it. *)
+val innermost : t -> P.t
 
 type error =
   | No_samples  (** every sampled parameter valuation gave an empty nest *)

@@ -16,7 +16,7 @@
     galloping and binary probes of that monotone polynomial. So every
     index is exact at any size, and no closed form is evaluated at
     runtime. The paper's closed forms (Figures 3/7), evaluated with a
-    raw floating [floor] as its generated C does, are {!Closed_form}:
+    raw floating [floor] as the paper-mode C does, are {!Closed_form}:
     the reference {!Validate} compares this recovery against.
 
     {b One chunk engine.} Every chunk entry point — {!walk},

@@ -11,8 +11,10 @@ type report = {
   ranking_bijective : bool;  (** ranks are exactly 1..trip_count in order *)
   closed_form_ok : int;
       (** iterations recovered exactly by the paper's raw closed forms
-          ({!Closed_form}), the recovery [collapse] emits by default *)
-  recover_ok : int;  (** ... by the runtime's {!Recovery.recover} *)
+          ({!Closed_form}), the recovery [collapse --paper] emits *)
+  recover_ok : int;
+      (** ... by the runtime's {!Recovery.recover}, the algorithm the
+          default printed C runs *)
   increment_ok : bool;  (** §V incrementation walks the domain in order *)
 }
 

@@ -76,17 +76,16 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
     in
     fn buf ~ret:i64 ~name:"ompsim_trip" ~args:(Printf.sprintf "const %s *omp_P" i64)
       (bind_params @ [ return (S.trip_count_expr inv ~ty:i64) ]);
-    (* exact recovery: Codegen's level search at every level, whatever
-       the plan's recovery kinds; both it and the interpreted
-       [Recovery.recover] find the unique index the monotone ranking
-       brackets, so they agree bit for bit and numeric plans keep the
-       native tier *)
+    (* exact recovery: the printers' [recovery_stmts], the algorithm
+       of the interpreted [Recovery.recover] (a search of the monotone
+       ranking at every non-last level, then the innermost formula),
+       so the two agree bit for bit *)
     fn buf ~ret:"void" ~name:"ompsim_recover"
       ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s *omp_x" i64 i64 i64)
       (bind_params
       @ C.Decl { ty = "const " ^ i64; name = pc; init = Some "omp_pc" }
         :: List.map (fun v -> C.Decl { ty = i64; name = v; init = None }) lvars
-      @ List.concat (List.init d (S.search_stmts ~config inv))
+      @ S.recovery_stmts ~config inv
       @ List.mapi (fun k v -> C.Assign (Printf.sprintf "omp_x[%d]" k, v)) lvars);
     (* one recovery, then innermost runs: [per_run] is hoisted out of
        the run, [per_iter] folds one iteration into omp_acc, and

@@ -1,9 +1,10 @@
 (** C source generation for plan-specialized shared objects.
 
     [source inv ~fingerprint] emits a self-contained C translation
-    unit from {!Codegen.Schemes}' own emitters: the exact level search
-    ({!Codegen.Schemes.search_stmts}) recovers every level, and the
-    chunk walkers step from row to row with the empty-row-safe carry
+    unit from {!Codegen.Schemes}' own emitters: the printers' exact
+    recovery ({!Codegen.Schemes.recovery_stmts}, a search at every
+    non-last level, then the innermost formula), and the chunk
+    walkers step from row to row with the empty-row-safe carry
     ({!Codegen.Schemes.carry_stmts}) — the same C the paper schemes
     run. The canonical names ([p0..], [x0..], [pc]) become C locals
     bound from the ABI's arrays. All arithmetic is [int64]

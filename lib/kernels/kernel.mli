@@ -48,9 +48,9 @@ type t = {
     size [n] (via [t.param_map]). *)
 val param_of : t -> n:int -> string -> int
 
-(** [inversion t] is the kernel's (lazily cached) inversion with its
-    closed forms selected — what the figures print. *)
-val inversion : t -> Trahrhe.Closed_form.t
+(** [inversion t] is the kernel's (lazily cached) inversion; the
+    figures select its closed forms with {!Trahrhe.Closed_form.select}. *)
+val inversion : t -> Trahrhe.Inversion.t
 
 (** [recovery t ~n] is the runtime recovery compiled at size [n]. *)
 val recovery : t -> n:int -> Trahrhe.Recovery.t

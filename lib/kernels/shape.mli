@@ -16,7 +16,7 @@ val checksum : float array -> float
 
 (** [run_collapsed rc ~trip ~recoveries body] drives the §V collapsed
     serial execution: split [1..trip] into [recoveries] chunks, do one
-    costly (guarded) recovery per chunk, then advance indices by
+    costly recovery per chunk, then advance indices by
     incrementation; [body] receives the index array valid for that
     iteration. *)
 val run_collapsed :

@@ -1,14 +1,7 @@
-module P = Polymath.Polynomial
 module Q = Zmath.Rat
 module B = Zmath.Bigint
 
 type poly = Q.t array
-
-let of_univariate u ~env =
-  let d = List.fold_left (fun acc (e, _) -> max acc e) 0 u in
-  let c = Array.make (d + 1) Q.zero in
-  List.iter (fun (e, coeff) -> c.(e) <- Q.add c.(e) (P.eval env coeff)) u;
-  c
 
 let degree p =
   let d = ref (-1) in

@@ -19,10 +19,6 @@ module Q = Zmath.Rat
 (** Dense univariate polynomial: [p.(k)] is the coefficient of [x^k]. *)
 type poly = Q.t array
 
-(** [of_univariate u ~env] evaluates the coefficient polynomials of a
-    {!Solver.univariate} under [env] into a dense rational univariate. *)
-val of_univariate : Solver.univariate -> env:(string -> Q.t) -> poly
-
 (** Degree with zero coefficients dropped; [-1] for the zero polynomial. *)
 val degree : poly -> int
 

@@ -5,8 +5,8 @@
     polynomials and the substituted rankings, checked on samples —
     everything the runtime ({!Trahrhe.Recovery.make}) and the native
     tier need, so a cache hit skips the whole ranking/inversion
-    pipeline. It carries no closed-form root: only the C printers
-    select one ({!Trahrhe.Closed_form}). The codec round-trips exactly
+    pipeline. It carries no closed-form root: only paper-mode C
+    selects one ({!Trahrhe.Closed_form}). The codec round-trips exactly
     (bigint-backed rationals travel as decimal text). *)
 
 type t = {

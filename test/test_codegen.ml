@@ -8,10 +8,8 @@ open Codegen
 let aff terms c = A.make (List.map (fun (x, k) -> (x, Q.of_int k)) terms) (Q.of_int c)
 
 let correlation_inv =
-  (* the scheme tests assert closed-form recovery statements, so pin
-     past the forced-numeric shard *)
   lazy
-    (Trahrhe.Closed_form.invert_exn ~force_numeric:false
+    (Trahrhe.Inversion.invert_exn
        (Trahrhe.Nest.make ~params:[ "N" ]
           [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] (-1) };
             { var = "j"; lower = aff [ ("i", 1) ] 1; upper = aff [ ("N", 1) ] 0 } ]))
@@ -64,16 +62,23 @@ let body = [ C_ast.Raw "use(i, j);" ]
 
 let test_trip_count_expr () =
   Alcotest.(check string) "correlation trip" "((long)N*N - (long)N)/2"
-    (Schemes.trip_count_expr (Lazy.force correlation_inv).Trahrhe.Closed_form.inversion ~ty:"long")
+    (Schemes.trip_count_expr (Lazy.force correlation_inv) ~ty:"long")
 
 let test_naive_scheme () =
   let s = C_print.to_string (Schemes.naive (Lazy.force correlation_inv) ~body) in
   check_contains "pragma" "#pragma omp parallel for private(i, j) schedule(static)" s;
   check_contains "loop header" "for (long pc = 1; pc <= ((long)N*N - (long)N)/2; pc++) {" s;
-  check_contains "floor recovery" "i = floor(" s;
+  check_contains "exact search of i" "nlo_i" s;
   check_contains "exact last level" "j = (" s;
+  check_absent "no floating recovery" "floor" s;
   check_contains "body" "use(i, j);" s;
-  check_absent "no incrementation in naive" "first_iteration" s
+  check_absent "no incrementation in naive" "first_iteration" s;
+  (* paper mode: the closed form of Fig. 3 instead of the search *)
+  let config = { Schemes.default_config with paper = true } in
+  let p = C_print.to_string (Schemes.naive ~config (Lazy.force correlation_inv) ~body) in
+  check_contains "floor recovery" "i = floor(" p;
+  check_absent "no search" "nlo_i" p;
+  check_contains "exact last level" "j = (" p
 
 let test_per_thread_scheme () =
   let s = C_print.to_string (Schemes.per_thread (Lazy.force correlation_inv) ~body) in
@@ -107,15 +112,8 @@ let test_gpu_scheme () =
   check_contains "first-of-thread recovery" "if (pc == thread + 1) {" s;
   check_contains "W incrementations" "for (inc = 0; inc < 32; inc++) {" s
 
-let test_guarded_config () =
-  let config = { Schemes.default_config with guarded = true } in
-  let s = C_print.to_string (Schemes.naive ~config (Lazy.force correlation_inv) ~body) in
-  check_contains "clamp lower" "if (i < lb_i) i = lb_i;" s;
-  check_contains "adjustment loops" "while (i < ub_i &&" s;
-  check_contains "rank comparison" "<= pc" s
-
 let test_original_emission () =
-  let inv = (Lazy.force correlation_inv).Trahrhe.Closed_form.inversion in
+  let inv = (Lazy.force correlation_inv) in
   let s =
     C_print.to_string
       (Schemes.original inv.Trahrhe.Inversion.nest ~parallel:true ~schedule:"dynamic" ~body)
@@ -137,9 +135,7 @@ let test_counter_type_config () =
 
 let test_increment_stmts_depth3 () =
   (* k = j..i-1 is empty at j = i: the carry must step past that row
-     instead of running the body at k = j = i (i from 1, so that
-     forced-numeric inversion, which cannot certify an empty first
-     slice, still inverts it) *)
+     instead of running the body at k = j = i *)
   let nest =
     Trahrhe.Nest.make ~params:[ "N" ]
       [ { var = "i"; lower = aff [] 1; upper = aff [ ("N", 1) ] 0 };
@@ -219,7 +215,6 @@ let suites =
         Alcotest.test_case "chunked (§V)" `Quick test_chunked_scheme;
         Alcotest.test_case "simd (§VI-A)" `Quick test_simd_scheme;
         Alcotest.test_case "gpu warp (§VI-B)" `Quick test_gpu_scheme;
-        Alcotest.test_case "guarded adjustment" `Quick test_guarded_config;
         Alcotest.test_case "original nest emission" `Quick test_original_emission;
         Alcotest.test_case "counter type override" `Quick test_counter_type_config;
         Alcotest.test_case "depth-3 incrementation" `Quick test_increment_stmts_depth3 ] );

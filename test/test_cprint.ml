@@ -10,22 +10,18 @@ module C = Codegen.C_ast
 module S = Codegen.Schemes
 
 let utma_inv =
-  lazy
-    (let k = Option.get (Kernels.Registry.find "utma") in
-     (* goldens record closed-form C: pin past the forced-numeric shard *)
-     match Trahrhe.Closed_form.invert ~force_numeric:false k.Kernels.Kernel.nest with
-     | Ok forms -> forms
-     | Error e ->
-       Alcotest.failf "utma inversion failed: %s" (Trahrhe.Closed_form.error_to_string e))
+  lazy (Kernels.Kernel.inversion (Option.get (Kernels.Registry.find "utma")))
 
 let body = [ C.Raw "/* statements(indices) */;" ]
 
 (* the same construction as [trahrhe emit], so a stale golden can be
    regenerated with the CLI:
-     trahrhe emit -k utma --scheme SCHEME [--guarded] > test/golden/NAME.c *)
-let emit_scheme ?(guarded = false) scheme =
+     trahrhe emit -k utma --scheme SCHEME [--paper] > test/golden/NAME.c
+   The paper-mode goldens pin the paper's closed forms (Figures 3/4),
+   the search golden the default exact recovery. *)
+let emit_scheme ?(paper = true) scheme =
   let inv = Lazy.force utma_inv in
-  let config = { S.default_config with guarded } in
+  let config = { S.default_config with paper } in
   let stmts =
     match scheme with
     | `Naive -> S.naive ~config inv ~body
@@ -36,9 +32,7 @@ let emit_scheme ?(guarded = false) scheme =
           [ C.Raw
               (Printf.sprintf "/* statements(%s) */;"
                  (String.concat ", "
-                    (List.map subst
-                       (Trahrhe.Nest.level_vars
-                          inv.Trahrhe.Closed_form.inversion.Trahrhe.Inversion.nest))))
+                    (List.map subst (Trahrhe.Nest.level_vars inv.Trahrhe.Inversion.nest))))
           ])
   in
   Codegen.C_print.to_string stmts
@@ -67,50 +61,48 @@ let check_golden name actual () =
 
 let gcc_available = lazy (Sys.command "gcc --version > /dev/null 2>&1" = 0)
 
-(* every scheme for one nest, wrapped as its own function: iterators
-   and pc are declared by the emitted code, only the parameter comes
-   from outside *)
-let functions_for buf idx inv =
-  List.iteri
-    (fun v (name, code) ->
-      Buffer.add_string buf (Printf.sprintf "void nest_%d_%d(long N) {\n" idx v);
-      Buffer.add_string buf code;
-      Buffer.add_string buf "}\n\n";
-      ignore name)
-    [ ("naive", Codegen.C_print.to_string (S.naive inv ~body));
-      ("per_thread", Codegen.C_print.to_string (S.per_thread inv ~body));
-      ( "per_thread_guarded",
-        Codegen.C_print.to_string
-          (S.per_thread ~config:{ S.default_config with guarded = true } inv ~body) );
-      ("chunked", Codegen.C_print.to_string (S.chunked ~chunk:4 inv ~body));
-      ( "simd",
-        Codegen.C_print.to_string
-          (S.simd ~vlength:4 inv ~body_of:(fun subst ->
-               [ C.Raw
-                   (Printf.sprintf "/* statements(%s) */;"
-                      (String.concat ", "
-                         (List.map subst
-                            (Trahrhe.Nest.level_vars
-                               inv.Trahrhe.Closed_form.inversion.Trahrhe.Inversion.nest))))
-               ])) )
+(* every scheme for one nest, each wrapped as its own function:
+   iterators and pc are declared by the emitted code, only the
+   parameter comes from outside. The default schemes need no header;
+   paper mode adds its per-thread scheme when the closed forms select,
+   and the headers it needs. *)
+let functions_for buf ~headers idx inv =
+  let paper = { S.default_config with paper = true } in
+  let body_of subst =
+    [ C.Raw
+        (Printf.sprintf "/* statements(%s) */;"
+           (String.concat ", " (List.map subst (Trahrhe.Nest.level_vars inv.Trahrhe.Inversion.nest))))
     ]
+  in
+  let paper_fn =
+    match Trahrhe.Closed_form.select inv with
+    | Error _ -> []
+    | Ok _ ->
+      headers := S.headers ~config:paper inv @ !headers;
+      [ S.per_thread ~config:paper inv ~body ]
+  in
+  List.iteri
+    (fun v stmts ->
+      Buffer.add_string buf (Printf.sprintf "void nest_%d_%d(long N) {\n" idx v);
+      Buffer.add_string buf (Codegen.C_print.to_string stmts);
+      Buffer.add_string buf "}\n\n")
+    ([ S.naive inv ~body; S.per_thread inv ~body; S.chunked ~chunk:4 inv ~body;
+       S.simd ~vlength:4 inv ~body_of ]
+    @ paper_fn)
 
 let test_syntax_random_nests () =
   if not (Lazy.force gcc_available) then Alcotest.skip ();
   let rand = Random.State.make [| 0xc9012de7 |] in
-  (* the printers' cases: nests whose closed forms select *)
-  let inverts nest = Result.is_ok (Trahrhe.Closed_form.invert nest) in
-  let cases = QCheck.Gen.generate ~n:15 ~rand (Test_oracle.gen_case_by ~inverts) in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "#include <math.h>\n#include <complex.h>\n\n";
+  let cases = QCheck.Gen.generate ~n:15 ~rand Test_oracle.gen_case in
+  let buf = Buffer.create 65536 and headers = ref [] in
   List.iteri
-    (fun idx (nest, _) ->
-      match Trahrhe.Closed_form.invert nest with
-      | Error e ->
-        Alcotest.failf "inversion failed on the oracle nest %a: %s" Trahrhe.Nest.pp nest
-          (Trahrhe.Closed_form.error_to_string e)
-      | Ok inv -> functions_for buf idx inv)
+    (fun idx (nest, _) -> functions_for buf ~headers idx (Trahrhe.Inversion.invert_exn nest))
     cases;
+  let includes =
+    List.sort_uniq compare !headers
+    |> List.map (Printf.sprintf "#include <%s>\n")
+    |> String.concat ""
+  in
   let dir = Filename.temp_file "cprint" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -119,7 +111,7 @@ let test_syntax_random_nests () =
     (fun () ->
       let cfile = Filename.concat dir "schemes.c" in
       let oc = open_out cfile in
-      output_string oc (Buffer.contents buf);
+      output_string oc (includes ^ "\n" ^ Buffer.contents buf);
       close_out oc;
       let log = Filename.concat dir "gcc.log" in
       let status =
@@ -140,8 +132,8 @@ let suites =
           (fun () -> check_golden "utma_naive" (emit_scheme `Naive) ());
         Alcotest.test_case "golden: per-thread scheme" `Quick
           (fun () -> check_golden "utma_per_thread" (emit_scheme `Per_thread) ());
-        Alcotest.test_case "golden: per-thread guarded" `Quick
-          (fun () -> check_golden "utma_per_thread_guarded" (emit_scheme ~guarded:true `Per_thread) ());
+        Alcotest.test_case "golden: per-thread search" `Quick
+          (fun () -> check_golden "utma_per_thread_search" (emit_scheme ~paper:false `Per_thread) ());
         Alcotest.test_case "golden: chunked:4 scheme" `Quick
           (fun () -> check_golden "utma_chunked4" (emit_scheme (`Chunked 4)) ());
         Alcotest.test_case "golden: simd:4 scheme" `Quick

@@ -21,7 +21,14 @@ let with_temp_dir f =
   Sys.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir))) (fun () -> f dir)
 
-let compile_and_run dir name src =
+let contains text sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+  go 0
+
+(* [flags] follow the sources on gcc's command line; [env] prefixes
+   the run *)
+let compile_and_run ?(flags = "-lm") ?(env = "") dir name src =
   let cfile = Filename.concat dir (name ^ ".c") in
   let exe = Filename.concat dir name in
   let oc = open_out cfile in
@@ -30,8 +37,8 @@ let compile_and_run dir name src =
   let log = Filename.concat dir (name ^ ".log") in
   if
     Sys.command
-      (Printf.sprintf "gcc -O2 -fopenmp %s -o %s -lm > %s 2>&1" (Filename.quote cfile)
-         (Filename.quote exe) (Filename.quote log))
+      (Printf.sprintf "gcc -O2 -fopenmp %s -o %s %s > %s 2>&1" (Filename.quote cfile)
+         (Filename.quote exe) flags (Filename.quote log))
     <> 0
   then begin
     let ic = open_in log in
@@ -39,7 +46,7 @@ let compile_and_run dir name src =
     close_in ic;
     Alcotest.failf "gcc failed on %s:\n%s" name err
   end;
-  let ic = Unix.open_process_in (Filename.quote exe) in
+  let ic = Unix.open_process_in (env ^ Filename.quote exe) in
   let out = input_line ic in
   (match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> ()
@@ -90,9 +97,7 @@ let transform options =
    below it makes that an empty middle row. An incrementation that
    steps onto an empty row runs the body outside the nest. Each
    iteration writes its own cell, so any thread split gives one sum.
-   i starts at 1: a wholly empty i = 0 slice is not what these test,
-   and forced-numeric inversion cannot certify a level whose first
-   slice is empty. *)
+   i starts at 1: a wholly empty i = 0 slice is not what these test. *)
 let empty_row_template ~loop =
   Printf.sprintf
     {|#include <stdio.h>
@@ -137,9 +142,9 @@ let test_scheme options name () =
       in
       let collapsed = compile_and_run dir name (transform options) in
       Alcotest.(check string) (name ^ " output matches") reference collapsed;
-      (* guarded: the unguarded closed forms of these nests are not
-         float-exact at every rank *)
-      let options = { options with Cfront.Transform.guarded = true } in
+      (* the empty-row nests in the default, exact recovery: their
+         paper closed forms are not float-exact at every rank *)
+      let options = { options with Cfront.Transform.paper = false } in
       List.iter
         (fun (tag, depth, loop) ->
           let reference = compile_and_run dir (tag ^ "_ref") (empty_row_template ~loop) in
@@ -175,19 +180,12 @@ let test_fig6_complex_roots () =
   in
   with_temp_dir (fun dir ->
       let reference = compile_and_run dir "fig6_ref" (template ~n:41 ~loop:loop_orig) in
-      let options = { Cfront.Transform.default_options with guarded = true } in
+      let options = { Cfront.Transform.default_options with paper = true } in
       let out, count =
         Cfront.Transform.transform_source ~options (template ~n:41 ~loop:loop_collapse)
       in
       Alcotest.(check int) "one region" 1 count;
-      (* under the forced-numeric shard the recovery has no radicals at
-         all; the output-match below still holds either way *)
-      if not (Trahrhe.Closed_form.force_numeric_default ()) then
-        Alcotest.(check bool) "uses complex recovery" true
-          (let rec contains i =
-             i + 4 <= String.length out && (String.sub out i 4 = "cpow" || contains (i + 1))
-           in
-           contains 0);
+      Alcotest.(check bool) "uses complex recovery" true (contains out "cpow");
       let collapsed = compile_and_run dir "fig6_coll" out in
       Alcotest.(check string) "fig6 output matches" reference collapsed)
 
@@ -305,9 +303,9 @@ let test_fused_c () =
      must be independent (Fusion's precondition): the rhomboid writes
      its own array [r], folded into the printed checksum after the
      region in both programs *)
-  let loop_fused =
+  let loop_fused paper =
     Codegen.C_print.to_string ~indent:1
-      (Codegen.Xforms.fused fu
+      (Codegen.Xforms.fused ~config:{ Codegen.Schemes.default_config with paper } fu
          ~bodies:
            [ [ Codegen.C_ast.Raw "a[i][j] += 1.0;" ];
              [ Codegen.C_ast.Raw "r[u % N][v % N] += 2.0;" ] ])
@@ -327,10 +325,14 @@ let test_fused_c () =
   in
   with_temp_dir (fun dir ->
       let reference = compile_and_run dir "fused_ref" (template ~n:57 ~loop:(with_r loop_orig)) in
-      let got =
-        compile_and_run dir "fused_got" (template ~n:57 ~loop:(with_r ("  {\n" ^ loop_fused ^ "  }\n")))
-      in
-      Alcotest.(check string) "fused output matches" reference got)
+      (* each segment recovers from its local rank, in both modes *)
+      List.iter
+        (fun paper ->
+          let loop = "  {\n" ^ loop_fused paper ^ "  }\n" in
+          let got = compile_and_run dir "fused_got" (template ~n:57 ~loop:(with_r loop)) in
+          Alcotest.(check string) (Printf.sprintf "fused output matches (paper %b)" paper) reference
+            got)
+        [ false; true ])
 
 let test_imperfect_c () =
   require_gcc ();
@@ -344,7 +346,7 @@ let test_imperfect_c () =
       [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] (-1) };
         { var = "j"; lower = aff [ ("i", 1) ] 1; upper = aff [ ("N", 1) ] 0 } ]
   in
-  let inv = Trahrhe.Closed_form.invert_exn nest in
+  let inv = Trahrhe.Inversion.invert_exn nest in
   let loop_orig =
     {|  for (i = 0; i < N - 1; i++) {
     a[i][i] = 7.0;
@@ -382,7 +384,7 @@ let test_cli_smoke () =
       "validate --kernel ltmp --size 12";
       "simulate --kernel utma -n 200 --threads 8";
       "emit --kernel correlation --scheme naive";
-      "emit --kernel dynprog --scheme simd:8 --guarded" ];
+      "emit --kernel dynprog --scheme simd:8 --paper" ];
   (* failures must exit nonzero *)
   List.iter
     (fun args ->
@@ -396,7 +398,7 @@ let test_cli_smoke () =
 
 let test_cli_validate_raw_floor () =
   (* the canonical tetrahedron at N = 10: the raw closed form that
-     collapse emits by default misses 6/220 ranks, so validate fails *)
+     collapse --paper emits misses 6/220 ranks, so validate fails *)
   let cli = match find_cli () with Some c -> c | None -> Alcotest.skip () in
   with_temp_dir (fun dir ->
       let input = Filename.concat dir "tetra.c" in
@@ -415,20 +417,15 @@ let test_cli_validate_raw_floor () =
       close_out oc;
       let rc =
         Sys.command
-          (Printf.sprintf "OMPSIM_FORCE_NUMERIC=0 %s validate %s --size 10 > %s 2>&1" cli
+          (Printf.sprintf "%s validate %s --size 10 > %s 2>&1" cli
              (Filename.quote input) (Filename.quote out))
       in
       Alcotest.(check int) "validate exits 1" 1 rc;
       let ic = open_in out in
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      let contains sub =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "miss count printed" true (contains "closed form missed 6/220");
-      Alcotest.(check bool) "recover exact" true (contains "recover ok: 220/220"))
+      Alcotest.(check bool) "miss count printed" true (contains text "closed form missed 6/220");
+      Alcotest.(check bool) "recover exact" true (contains text "recover ok: 220/220"))
 
 let test_tiled_collapse_c () =
   require_gcc ();
@@ -462,6 +459,167 @@ let test_tiled_collapse_c () =
       in
       Alcotest.(check string) "tiled output matches" reference got)
 
+(* ---- gcc differential oracle for the printed recovery ---- *)
+
+let oracle_schemes =
+  Cfront.Transform.
+    [ ("naive", Naive); ("per-thread", Per_thread); ("chunked:7", Chunked 7); ("simd:4", Simd 4) ]
+
+(* One program per nest at N = [n]: each scheme's default collapse
+   counts its visits per cell, then a serial walk of the original nest
+   counts the cells not visited exactly once, and any visit outside
+   the nest. Indices lie in [0, BOX); one out of it lands in a spill
+   cell. The program includes no header and links no -lm. *)
+let cell_count_program (nest, n) =
+  let vars = Trahrhe.Nest.level_vars nest in
+  let box = ref 1 in
+  Trahrhe.Nest.iterate nest ~param:(fun _ -> n) (fun idx ->
+      Array.iter (fun v -> box := max !box (v + 1)) idx);
+  let args = String.concat ", " vars in
+  let decls = Printf.sprintf "  long %s;\n" args in
+  let loops = Format.asprintf "%a" Trahrhe.Nest.pp nest in
+  let collapsed k (_, scheme) =
+    let src =
+      Printf.sprintf
+        "static void run_%d(void) {\n%s#pragma omp parallel for collapse(%d)\n%s  cnt[cell(%s)]++;\n}\n"
+        k decls (List.length vars) loops args
+    in
+    let out, count =
+      Cfront.Transform.transform_source
+        ~options:{ Cfront.Transform.default_options with scheme }
+        src
+    in
+    Alcotest.(check int) "one region" 1 count;
+    out
+  in
+  String.concat ""
+    ([ Printf.sprintf "#define N %d\n#define BOX %d\n#define CELLS (%s)\n" n !box
+         (String.concat " * " (List.map (fun _ -> "BOX") vars));
+       "static int cnt[CELLS + 1];\n";
+       Printf.sprintf "static long cell(%s) {\n  if (%s) return CELLS;\n  return %s;\n}\n"
+         (String.concat ", " (List.map (( ^ ) "long ") vars))
+         (String.concat " || " (List.map (fun v -> Printf.sprintf "%s < 0 || %s >= BOX" v v) vars))
+         (List.fold_left (Printf.sprintf "(%s) * BOX + %s") (List.hd vars) (List.tl vars));
+       Printf.sprintf
+         "static long check(void) {\n  long bad = 0, c;\n%s%s\
+         \  { c = cell(%s); bad += cnt[c] != 1; cnt[c] = 0; }\n\
+         \  for (c = 0; c <= CELLS; c++) { bad += cnt[c] != 0; cnt[c] = 0; }\n  return bad;\n}\n"
+         decls loops args ]
+    @ List.mapi collapsed oracle_schemes
+    @ [ "int printf(const char *, ...);\nint main(void) {\n";
+        String.concat ""
+          (List.mapi
+             (fun k (name, _) ->
+               Printf.sprintf "  run_%d();\n  printf(\"%s%s=%%ld\", check());\n" k
+                 (if k = 0 then "" else " ")
+                 name)
+             oracle_schemes);
+        "  printf(\"\\n\");\n  return 0;\n}\n" ])
+
+let check_printed_recovery cases =
+  require_gcc ();
+  let expected =
+    String.concat " " (List.map (fun (name, _) -> name ^ "=0") oracle_schemes)
+  in
+  with_temp_dir (fun dir ->
+      List.iteri
+        (fun idx (what, case) ->
+          let got =
+            compile_and_run dir (Printf.sprintf "cells_%d" idx)
+              ~flags:"-Werror=implicit-function-declaration" ~env:"OMP_NUM_THREADS=2 "
+              (cell_count_program case)
+          in
+          Alcotest.(check string) (what ^ ": cells not visited once") expected got)
+        cases)
+
+let tetrahedron () =
+  let module A = Polymath.Affine in
+  Trahrhe.Nest.make ~params:[ "N" ]
+    [ { var = "i"; lower = A.const Zmath.Rat.zero; upper = A.var "N" };
+      { var = "j"; lower = A.var "i"; upper = A.var "N" };
+      { var = "k"; lower = A.var "j"; upper = A.var "N" } ]
+
+(* 20 of the runtime oracle's nests (any nest that inverts; rectangular
+   ones are left to OpenMP's own collapse, so they print no recovery),
+   the canonical tetrahedron past the size where the paper's raw floor
+   misses ranks, and an empty-row shape *)
+let test_gcc_oracle () =
+  let module A = Polymath.Affine in
+  let module Q = Zmath.Rat in
+  let empty_rows =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = A.const Q.one; upper = A.var "N" };
+        { var = "j"; lower = A.const Q.zero; upper = A.add_const Q.one (A.var "i") };
+        { var = "k"; lower = A.var "j"; upper = A.var "i" };
+        { var = "l"; lower = A.const Q.zero; upper = A.const (Q.of_int 3) } ]
+  in
+  let rand = Random.State.make [| 0x6cc0a7e |] in
+  let drawn =
+    QCheck.Gen.generate ~n:60 ~rand Test_oracle.gen_case
+    |> List.filter (fun (nest, _) -> not (Trahrhe.Nest.is_rectangular nest))
+    |> List.filteri (fun i _ -> i < 20)
+    |> List.map (fun case -> (Test_oracle.print_case case, case))
+  in
+  Alcotest.(check int) "non-rectangular draws" 20 (List.length drawn);
+  check_printed_recovery
+    ((("tetrahedron N=150", (tetrahedron (), 150)) :: ("empty rows N=9", (empty_rows, 9)) :: drawn))
+
+(* i in [0,N+2), j in [i+1,2i+2), k in [j,2i+1), l in [0,2): the
+   forced-numeric selection refused it; the default prints it *)
+let test_gcc_staircase_nest () =
+  let module A = Polymath.Affine in
+  let module Q = Zmath.Rat in
+  let twice_i c = A.make [ ("i", Q.of_int 2) ] (Q.of_int c) in
+  let nest =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = A.const Q.zero; upper = A.add_const (Q.of_int 2) (A.var "N") };
+        { var = "j"; lower = A.add_const Q.one (A.var "i"); upper = twice_i 2 };
+        { var = "k"; lower = A.var "j"; upper = twice_i 1 };
+        { var = "l"; lower = A.const Q.zero; upper = A.const (Q.of_int 2) } ]
+  in
+  check_printed_recovery [ ("staircase N=9", (nest, 9)) ]
+
+(* the default recovery needs no header; paper mode includes what its
+   closed forms call, once, at the top of the file *)
+let test_collapse_headers () =
+  require_gcc ();
+  let src =
+    {|void f(int N, double *a) {
+  int i, j, k;
+#pragma omp parallel for collapse(3)
+  for (i = 0; i < N; i++)
+    for (j = i; j < N; j++)
+      for (k = j; k < N; k++)
+        a[k] += 1.0;
+}
+|}
+  in
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun (mode, paper) ->
+          let out, count =
+            Cfront.Transform.transform_source
+              ~options:{ Cfront.Transform.default_options with paper }
+              src
+          in
+          Alcotest.(check int) "one region" 1 count;
+          List.iter
+            (fun name ->
+              Alcotest.(check bool) (mode ^ " calls " ^ name) paper (contains out (name ^ "(")))
+            [ "floor"; "cpow"; "creal" ];
+          Alcotest.(check bool) (mode ^ " includes complex.h") paper
+            (String.starts_with ~prefix:"#include <math.h>\n#include <complex.h>\n" out);
+          let cfile = Filename.concat dir (mode ^ ".c") in
+          let oc = open_out cfile in
+          output_string oc out;
+          close_out oc;
+          Alcotest.(check int) (mode ^ " compiles") 0
+            (Sys.command
+               (Printf.sprintf
+                  "gcc -fopenmp -c -Werror=implicit-function-declaration %s -o %s.o > /dev/null 2>&1"
+                  (Filename.quote cfile) (Filename.quote cfile))))
+        [ ("default", false); ("paper", true) ])
+
 let suites =
   [ ( "integration.gcc",
       [ Alcotest.test_case "naive scheme vs reference" `Slow
@@ -478,8 +636,8 @@ let suites =
           (test_scheme
              { Cfront.Transform.default_options with scheme = Cfront.Transform.Simd 4 }
              "simd");
-        Alcotest.test_case "guarded scheme vs reference" `Slow
-          (test_scheme { Cfront.Transform.default_options with guarded = true } "guarded");
+        Alcotest.test_case "paper scheme vs reference" `Slow
+          (test_scheme { Cfront.Transform.default_options with paper = true } "paper");
         Alcotest.test_case "3-depth complex roots vs reference" `Slow test_fig6_complex_roots;
         Alcotest.test_case "strided nest vs reference" `Slow test_strided_nest;
         Alcotest.test_case "reshaped nest vs reference" `Slow test_reshape_c;
@@ -489,4 +647,9 @@ let suites =
         Alcotest.test_case "CLI subcommand smoke" `Slow test_cli_smoke;
         Alcotest.test_case "CLI collapse round trip" `Slow test_cli_collapse;
         Alcotest.test_case "CLI validate fails on raw-floor misses" `Slow
-          test_cli_validate_raw_floor ] ) ]
+          test_cli_validate_raw_floor;
+        Alcotest.test_case "collapse headers: none by default, paper's own" `Slow
+          test_collapse_headers;
+        Alcotest.test_case "gcc oracle: printed search = serial (22 nests)" `Slow test_gcc_oracle;
+        Alcotest.test_case "gcc oracle: staircase nest j=i+1..2i+2" `Slow
+          test_gcc_staircase_nest ] ) ]

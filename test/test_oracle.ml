@@ -79,20 +79,18 @@ let gen_shape : (N.t * int * bool) QCheck.Gen.t =
 (* Plain draws are returned as drawn: they are non-empty by
    construction and must invert, which the properties assert. Only a
    draw with a staircase or appended level is redrawn when its space
-   is empty or [inverts] refuses its nest (shapes outside the model
-   are ROADMAP item 2). Plain draws are frequent, so the redrawing
-   ends. *)
-let rec gen_case_by ~inverts st =
+   is empty or {!Trahrhe.Inversion.invert} refuses its nest (shapes
+   outside the model are ROADMAP item 2). Plain draws are frequent, so
+   the redrawing ends. The runtime and the printers accept the same
+   nests, so they share these cases. *)
+let rec gen_case st =
   let nest, nval, novel = gen_shape st in
   let keep () =
     let nonempty = ref false in
     N.iterate nest ~param:(fun _ -> nval) (fun _ -> nonempty := true);
-    !nonempty && inverts nest
+    !nonempty && Result.is_ok (Trahrhe.Inversion.invert nest)
   in
-  if (not novel) || keep () then (nest, nval) else gen_case_by ~inverts st
-
-(* the runtime's cases: every nest whose plan compiles *)
-let gen_case = gen_case_by ~inverts:(fun nest -> Result.is_ok (Trahrhe.Inversion.invert nest))
+  if (not novel) || keep () then (nest, nval) else gen_case st
 
 let print_case (nest, nval) = Format.asprintf "N = %d,@ %a" nval N.pp nest
 let arb_case = QCheck.make ~print:print_case gen_case
@@ -1082,51 +1080,6 @@ let test_deep_numeric_walks () =
       ignore (check_case (nest, nval)))
     (deep_cases ())
 
-(* OMPSIM_FORCE_NUMERIC parity: on nests the closed forms handle, a
-   forced-numeric selection marks every non-last level Numeric, and its
-   printed recovery (the emitted C's binary search) recovers bit-for-bit
-   the indices of lexicographic enumeration and of the runtime
-   recovery — every rank, and the chunked walk hash. *)
-let test_forced_numeric_matches_closed_form () =
-  List.iter
-    (fun (name, n) ->
-      let k = Option.get (Kernels.Registry.find name) in
-      let nest = k.Kernels.Kernel.nest in
-      let param = Kernels.Kernel.param_of k ~n in
-      let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:true nest in
-      let depth = Array.length forms.Trahrhe.Closed_form.levels in
-      Array.iteri
-        (fun lev r ->
-          match r with
-          | Trahrhe.Closed_form.Root _ ->
-            Alcotest.failf "%s: closed form survived force_numeric at level %d" name lev
-          | Trahrhe.Closed_form.Numeric _ ->
-            if lev = depth - 1 then Alcotest.failf "%s: last level went numeric" name
-          | Trahrhe.Closed_form.Last _ ->
-            if lev <> depth - 1 then Alcotest.failf "%s: Last at level %d" name lev)
-        forms.Trahrhe.Closed_form.levels;
-      let rc = Trahrhe.Recovery.make forms.Trahrhe.Closed_form.inversion ~param in
-      let printed = Trahrhe.Closed_form.make forms ~param in
-      let trip = Trahrhe.Recovery.trip_count rc in
-      let pc = ref 0 and hash = ref 0 in
-      Trahrhe.Nest.iterate nest ~param (fun want ->
-          incr pc;
-          hash := !hash + Trahrhe.Recovery.iter_hash want;
-          let a = Trahrhe.Recovery.recover rc !pc in
-          let b = Trahrhe.Closed_form.recover printed !pc in
-          if a <> want then
-            Alcotest.failf "%s: pc=%d recover %s, enumeration %s" name !pc
-              (idx_to_string a) (idx_to_string want);
-          if b <> want then
-            Alcotest.failf "%s: pc=%d forced numeric %s, enumeration %s" name !pc
-              (idx_to_string b) (idx_to_string want));
-      Alcotest.(check int) (name ^ ": enumerated") trip !pc;
-      Alcotest.(check int)
-        (name ^ ": chunked walk hash")
-        !hash
-        (Trahrhe.Recovery.walk_hash rc ~pc:1 ~len:trip))
-    [ ("correlation", 8); ("covariance", 6); ("symm", 6); ("dynprog", 6) ]
-
 (* Counter reconciliation: every recovery of a depth-5 plan must bump
    inversion.numeric once per searched (non-last) level and
    inversion.closed_form once for the innermost formula, and the
@@ -1189,18 +1142,10 @@ let test_deep_plan_roundtrip_native () =
     | Ok p -> p
     | Error e -> Alcotest.failf "deep plan compile failed: %s" e
   in
-  let forms =
-    match Trahrhe.Closed_form.select fresh.Service.Plan.inversion with
-    | Ok forms -> forms
-    | Error e ->
-      Alcotest.failf "deep plan selection failed: %s" (Trahrhe.Closed_form.error_to_string e)
-  in
-  (match forms.Trahrhe.Closed_form.levels.(0) with
-  | Trahrhe.Closed_form.Numeric _ -> ()
-  | _ -> Alcotest.fail "the plan's level 0 has a closed form");
-  (* the generated C recovers the numeric level by bracketed search *)
+  (* the generated C recovers the outer levels by bracketed search *)
   let c =
-    Codegen.C_print.to_string (Codegen.Schemes.naive forms ~body:[ Codegen.C_ast.Raw "S();" ])
+    Codegen.C_print.to_string
+      (Codegen.Schemes.naive fresh.Service.Plan.inversion ~body:[ Codegen.C_ast.Raw "S();" ])
   in
   let contains s sub =
     let n = String.length s and m = String.length sub in
@@ -1284,8 +1229,6 @@ let suites =
           test_guarded_minmax_rational;
         Alcotest.test_case "depth 5-7 numeric walks = enumeration (placements x schedules x lanes)"
           `Quick test_deep_numeric_walks;
-        Alcotest.test_case "forced numeric = closed form bit-for-bit" `Quick
-          test_forced_numeric_matches_closed_form;
         Alcotest.test_case "inversion counters reconcile + runtime certificates" `Quick
           test_numeric_counter_soak;
         Alcotest.test_case "deep plan: disk round-trip, exact walk, native JIT" `Quick

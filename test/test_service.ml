@@ -873,8 +873,7 @@ let test_exec_trip_check () =
    bounds are shifted by 10^9 to 10^18. A service plan selects no
    closed form, so a line either answers ok, with trip = enumeration
    and checksum = the serial sum, or is refused by a sampled check that
-   names the cause; and the printers' forced-numeric selection changes
-   no answer. *)
+   names the cause. *)
 let grid_lines () =
   let shifts = [ 0; 1; 2; 3 ] in
   let abc f =
@@ -888,11 +887,10 @@ let grid_lines () =
     @ [ "i=1000000000..N+1000000000,j=i..N+1000000000,k=j..N+1000000000" ])
 
 let test_exec_grid () =
-  let run () =
-    let cache = Cache.create ~capacity:4 ~dir:None () in
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let answers =
     List.map (fun line -> (line, fst (Server.handle cache (parse_ok line)))) (grid_lines ())
   in
-  let answers = run () in
   let ok = ref 0 and misranks = ref 0 and trips = ref 0 in
   List.iter
     (fun (line, response) ->
@@ -916,13 +914,36 @@ let test_exec_grid () =
       else Alcotest.failf "%s answered %s" line response)
     answers;
   Alcotest.(check (list int))
-    "ok, misranked, trip errors" [ 110; 12; 10 ] [ !ok; !misranks; !trips ];
-  let saved = Option.value ~default:"0" (Sys.getenv_opt "OMPSIM_FORCE_NUMERIC") in
-  Unix.putenv "OMPSIM_FORCE_NUMERIC" "1";
-  let forced = Fun.protect ~finally:(fun () -> Unix.putenv "OMPSIM_FORCE_NUMERIC" saved) run in
-  List.iter2
-    (fun (line, a) (_, b) -> Alcotest.(check string) (line ^ " under forced numeric") a b)
-    answers forced
+    "ok, misranked, trip errors" [ 110; 12; 10 ] [ !ok; !misranks; !trips ]
+
+(* The printers accept what the service runs: [collapse]
+   ({!Cfront.Transform}, default recovery) rewrites each nest of the
+   grid above as C exactly when {!Trahrhe.Inversion.invert} accepts
+   it, the large outer shifts included. *)
+let test_printer_grid () =
+  let printed = ref 0 in
+  List.iter
+    (fun line ->
+      let nest =
+        match parse_ok line with
+        | Server.Exec { nest; _ } -> nest
+        | _ -> Alcotest.failf "%s is not an exec" line
+      in
+      let src =
+        Format.asprintf
+          "void f(long N, long *a) {\n  long %s;\n#pragma omp parallel for collapse(%d)\n%a  a[0]++;\n}\n"
+          (String.concat ", " (N.level_vars nest))
+          (N.depth nest) N.pp nest
+      in
+      let inverts = Result.is_ok (Trahrhe.Inversion.invert nest) in
+      match Cfront.Transform.transform_source src with
+      | exception Failure e -> if inverts then Alcotest.failf "%s inverts, collapse says: %s" line e
+      | _, count ->
+        Alcotest.(check int) (line ^ ": regions") 1 count;
+        if not inverts then Alcotest.failf "%s: collapse printed a nest that does not invert" line;
+        incr printed)
+    (grid_lines ());
+  Alcotest.(check int) "printed = the service's ok answers" 110 !printed
 
 (* an armed fault config reaches every exec region, not only those
    with retries or a deadline: the injected chunk failures are
@@ -1415,6 +1436,7 @@ let suites =
         Alcotest.test_case "empty OMPSIM_PLAN_CACHE is no store" `Quick test_empty_plan_cache_env;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch;
         Alcotest.test_case "exec trip check refuses a wrong total" `Quick test_exec_trip_check;
-        Alcotest.test_case "exec grid at N=9: exact or refused, any mode" `Quick test_exec_grid
+        Alcotest.test_case "exec grid at N=9: exact or refused" `Quick test_exec_grid;
+        Alcotest.test_case "collapse prints the grid where exec runs it" `Quick test_printer_grid
       ] )
   ]

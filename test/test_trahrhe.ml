@@ -239,8 +239,7 @@ let test_rank_at () =
 (* -------- Inversion -------- *)
 
 let test_invert_correlation_modes () =
-  (* asserts closed-form structure: pin past the forced-numeric shard *)
-  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false (correlation_nest ()) in
+  let forms = Trahrhe.Closed_form.invert_exn (correlation_nest ()) in
   (match forms.Trahrhe.Closed_form.levels.(0) with
   | Trahrhe.Closed_form.Root { var; mode; _ } ->
     Alcotest.(check string) "outer var" "i" var;
@@ -251,7 +250,7 @@ let test_invert_correlation_modes () =
   | _ -> Alcotest.fail "expected exact last level"
 
 let test_invert_fig6_complex () =
-  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false (fig6_nest ()) in
+  let forms = Trahrhe.Closed_form.invert_exn (fig6_nest ()) in
   match forms.Trahrhe.Closed_form.levels.(0) with
   | Trahrhe.Closed_form.Root { mode; _ } ->
     Alcotest.(check bool) "cubic needs complex evaluation (paper §IV-C)" true
@@ -313,7 +312,7 @@ let test_invert_pc_collision () =
 (* i in [0,N), j in [i,N+2), k in [j,N): the rows j = N, N+1 have
    k-extent -1 and -2, so the summed counts are not the enumeration
    (at N = 3 they count 7 points where enumeration finds 10); sampling
-   names the first misranked point, in either inversion mode *)
+   names the first misranked point *)
 let test_invert_rank_mismatch () =
   let nest =
     Trahrhe.Nest.make ~params:[ "N" ]
@@ -321,23 +320,17 @@ let test_invert_rank_mismatch () =
         { Trahrhe.Nest.var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 2 };
         { Trahrhe.Nest.var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("N", 1) ] 0 } ]
   in
-  List.iter
-    (fun force_numeric ->
-      match Trahrhe.Closed_form.invert ~force_numeric nest with
-      | Error
-          (Trahrhe.Closed_form.Inversion
-             (Trahrhe.Inversion.Rank_mismatch { size; points; position; point } as e)) ->
-        Alcotest.(check int) "sample size" 3 size;
-        Alcotest.(check int) "enumerated" 10 points;
-        Alcotest.(check int) "first misranked" 7 position;
-        Alcotest.(check (list (pair string int))) "point" [ ("i", 1); ("j", 1); ("k", 1) ] point;
-        let msg = Trahrhe.Inversion.error_to_string e in
-        Alcotest.(check bool) msg true
-          (String.starts_with ~prefix:"the ranking polynomial misranks iteration 7 (i=1, j=1, k=1)"
-             msg)
-      | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Closed_form.error_to_string e)
-      | Ok _ -> Alcotest.fail "a misranking nest inverted")
-    [ false; true ]
+  match Trahrhe.Inversion.invert nest with
+  | Error (Trahrhe.Inversion.Rank_mismatch { size; points; position; point } as e) ->
+    Alcotest.(check int) "sample size" 3 size;
+    Alcotest.(check int) "enumerated" 10 points;
+    Alcotest.(check int) "first misranked" 7 position;
+    Alcotest.(check (list (pair string int))) "point" [ ("i", 1); ("j", 1); ("k", 1) ] point;
+    let msg = Trahrhe.Inversion.error_to_string e in
+    Alcotest.(check bool) msg true
+      (String.starts_with ~prefix:"the ranking polynomial misranks iteration 7 (i=1, j=1, k=1)" msg)
+  | Error e -> Alcotest.failf "unexpected error: %s" (Trahrhe.Inversion.error_to_string e)
+  | Ok _ -> Alcotest.fail "a misranking nest inverted"
 
 (* i in [0,N+90), j in [i,N+90): every sample (N = 3, 4, 6) has more
    than 4000 points, which is not an empty domain *)
@@ -418,7 +411,7 @@ let test_invert_large_literal_exact_ranks () =
         { Trahrhe.Nest.var = "j"; lower = aff [] 0; upper = aff [ ("i", 1) ] 1 };
         { Trahrhe.Nest.var = "k"; lower = aff [] l; upper = aff [ ("j", 1) ] (l + 1) } ]
   in
-  (match Trahrhe.Closed_form.invert ~force_numeric:false nest with
+  (match Trahrhe.Closed_form.invert nest with
   | Ok forms -> (
     match forms.Trahrhe.Closed_form.levels with
     | [| Trahrhe.Closed_form.Root _; Trahrhe.Closed_form.Root _; Trahrhe.Closed_form.Last _ |] -> ()
@@ -482,7 +475,7 @@ let level_text = function
 let closed_form_digest () =
   plan_identity_nests ()
   |> List.map (fun nest ->
-         let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false nest in
+         let forms = Trahrhe.Closed_form.invert_exn nest in
          String.concat "; " (Array.to_list (Array.map level_text forms.Trahrhe.Closed_form.levels)))
   |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
@@ -883,10 +876,10 @@ let test_validate_quartic_nest () =
 let test_validate_all_kernels () =
   List.iter
     (fun (k : Kernels.Kernel.t) ->
-      let inv = Kernels.Kernel.inversion k in
+      let forms = Trahrhe.Closed_form.select_exn (Kernels.Kernel.inversion k) in
       List.iter
         (fun n ->
-          let report = Trahrhe.Validate.check inv ~param:(Kernels.Kernel.param_of k ~n) in
+          let report = Trahrhe.Validate.check forms ~param:(Kernels.Kernel.param_of k ~n) in
           if not (Trahrhe.Validate.raw_floor_ok report) then
             Alcotest.failf "%s at n=%d:@\n%a" k.Kernels.Kernel.name n Trahrhe.Validate.pp report)
         [ 3; 8 ])
@@ -894,7 +887,7 @@ let test_validate_all_kernels () =
 
 let test_validate_tetrahedron_raw_floor () =
   (* for i in [0,N) for j in [i,N) for k in [j,N) at N = 10: the
-     paper's raw floor (what collapse emits by default) misses 6 of the
+     paper's raw floor (what collapse --paper emits) misses 6 of the
      220 ranks, the runtime recovery none *)
   let nest =
     Trahrhe.Nest.make ~params:[ "N" ]
@@ -902,7 +895,7 @@ let test_validate_tetrahedron_raw_floor () =
         { Trahrhe.Nest.var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 0 };
         { Trahrhe.Nest.var = "k"; lower = aff [ ("j", 1) ] 0; upper = aff [ ("N", 1) ] 0 } ]
   in
-  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false nest in
+  let forms = Trahrhe.Closed_form.invert_exn nest in
   let report = Trahrhe.Validate.check forms ~param:(fun _ -> 10) in
   Alcotest.(check int) "iterations" 220 report.Trahrhe.Validate.iterations;
   Alcotest.(check int) "closed form" 214 report.Trahrhe.Validate.closed_form_ok;
@@ -914,7 +907,7 @@ let test_paper_formula_equivalence () =
   (* our selected correlation root, as the closed-form reference
      evaluates it, must compute the same index as the paper's literal
      Figure 3 formula for every pc *)
-  let forms = Trahrhe.Closed_form.invert_exn ~force_numeric:false (correlation_nest ()) in
+  let forms = Trahrhe.Closed_form.invert_exn (correlation_nest ()) in
   let n = 200 in
   let closed = Trahrhe.Closed_form.make forms ~param:(fun _ -> n) in
   let nf = float_of_int n in
