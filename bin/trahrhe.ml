@@ -118,6 +118,9 @@ let info_run file kernel =
             Format.printf "%s = %s   [exact]@\n" var
               (Polymath.Polynomial.to_string (Trahrhe.Inversion.innermost inv)))
         (Trahrhe.Nest.level_vars nest);
+      Result.iter_error
+        (Format.printf "printed C (collapse, emit): none — %s@\n")
+        (Codegen.Schemes.fits_counter inv);
       (match Trahrhe.Closed_form.select inv with
       | Ok forms -> Format.printf "paper closed forms (--paper):@\n%a" Trahrhe.Closed_form.pp forms
       | Error e ->

@@ -170,15 +170,14 @@ let generate ~options region =
             (Trahrhe.Nest.level_vars region.nest)
           @ [ Codegen.C_ast.Raw region.body ])
   in
-  ( "/* collapsed by nonrect-collapse (trahrhe reproduction) */\n{\n"
+  let text =
+    "/* collapsed by nonrect-collapse (trahrhe reproduction) */\n{\n"
     ^ Codegen.C_print.to_string ~indent:1 (recon_decls @ stmts)
-    ^ "}\n",
-    Codegen.Schemes.headers ~config inv )
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+    ^ "}\n"
+  in
+  (* only paper mode floors roots, complex ones through [creal] *)
+  let calls (_, f) = options.paper && contains_word text f in
+  (text, List.map fst (List.filter calls [ ("math.h", "floor"); ("complex.h", "creal") ]))
 
 let transform_source ?(options = default_options) src =
   let regions = find_regions src in
@@ -193,12 +192,10 @@ let transform_source ?(options = default_options) src =
       pos := r.body_end)
     regions;
   Buffer.add_string buf (String.sub src !pos (String.length src - !pos));
-  (* each header the recoveries need, once, unless the input has it *)
+  (* each header the recoveries need, once; they are include-guarded *)
   let includes =
     List.filter_map
-      (fun h ->
-        let line = Printf.sprintf "#include <%s>" h in
-        if List.mem h !headers && not (contains src line) then Some (line ^ "\n") else None)
+      (fun h -> if List.mem h !headers then Some (Printf.sprintf "#include <%s>\n" h) else None)
       [ "math.h"; "complex.h" ]
   in
   (String.concat "" includes ^ Buffer.contents buf, List.length regions)

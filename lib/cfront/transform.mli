@@ -45,10 +45,10 @@ val find_regions : string -> region list
     collapsed region of [source]; returns the new text and the number
     of transformed constructs. In paper mode the headers the printed
     closed forms need ([<math.h>], [<complex.h>]) are included once at
-    the top, unless [source] includes them already; the default
-    recovery needs none.
-    @raise Failure when a region's nest does not invert, or in paper
-    mode when its closed forms do not select. *)
+    the top; the default recovery needs none.
+    @raise Failure when a region's nest does not invert, when its
+    constants overflow the counter ({!Codegen.Schemes.fits_counter}),
+    or in paper mode when its closed forms do not select. *)
 val transform_source : ?options:options -> string -> string * int
 
 (** [transform_file ?options ~input ~output ()] is {!transform_source}

@@ -53,10 +53,57 @@ let search_stmts ~config (inv : Trahrhe.Inversion.t) k =
                      (Cemit.emit_poly_int r_at_mid ~ty) pc a mid b mid) ] };
         Raw (Printf.sprintf "%s = %s;" var a) ] ]
 
+(* [emit_poly_int] prints a sum of [(ty)c*x*y...] terms evaluated left
+   to right, so no intermediate exceeds [Bpoly.magnitude] of the same
+   scaled numerator; indices are bounded level by level as in
+   [Recovery.make]. 2^62 leaves the search's midpoint a spare bit; the
+   C runs no Horner steppers, so [Bpoly.fits_native]'s wider headroom
+   (which refuses the 10^9-shifted triangle) is not needed. *)
+let fits_counter (inv : Trahrhe.Inversion.t) =
+  let module B = Zmath.Bigint in
+  let module Bp = Polymath.Bpoly in
+  let nest = inv.Trahrhe.Inversion.nest in
+  let levels = nest_levels inv in
+  let d = Array.length levels in
+  let names = Array.of_list (nest.Trahrhe.Nest.params @ Trahrhe.Nest.level_vars nest) in
+  let np = Array.length names - d in
+  let slot x =
+    if x = inv.Trahrhe.Inversion.pc_var then Array.length names
+    else Option.get (Array.find_index (String.equal x) names)
+  in
+  let mag = Array.make (Array.length names + 1) B.one in
+  let magnitude p = Bp.magnitude (Bp.compile ~slot p) mag in
+  let bmax a b = if B.compare a b >= 0 then a else b in
+  Array.iteri
+    (fun k (l : Trahrhe.Nest.level) ->
+      let m = bmax (magnitude (A.to_poly l.lower)) (magnitude (A.to_poly l.upper)) in
+      mag.(np + k) <- B.add m B.one)
+    levels;
+  mag.(Array.length names) <- bmax B.one (magnitude inv.Trahrhe.Inversion.trip_count);
+  let printed =
+    ("the trip count", inv.Trahrhe.Inversion.trip_count)
+    :: (levels.(d - 1).var ^ "'s exact formula", Trahrhe.Inversion.innermost inv)
+    :: List.init (d - 1) (fun k -> (Printf.sprintf "r_sub_%d" k, inv.Trahrhe.Inversion.r_sub.(k)))
+    @ List.concat_map
+        (fun (l : Trahrhe.Nest.level) ->
+          List.map (fun b -> (l.var ^ "'s bounds", A.to_poly b)) [ l.lower; l.upper ])
+        (Array.to_list levels)
+  in
+  let limit = B.pow (B.of_int 2) 62 in
+  match List.find_opt (fun (_, p) -> B.compare (magnitude p) limit >= 0) printed with
+  | None -> Ok ()
+  | Some (what, p) ->
+    Error
+      (Printf.sprintf
+         "the printed recovery cannot be exact in a 64-bit counter: with parameters at 1, %s \
+          sums terms of magnitude %s >= 2^62"
+         what (B.to_string (magnitude p)))
+
 (* the runtime's recovery (Recovery.recover): a search at every
    non-last level, then the innermost level's exact formula; in paper
    mode each level with a closed form floors it instead *)
 let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
+  Result.iter_error failwith (fits_counter inv);
   let d = Array.length inv.Trahrhe.Inversion.r_sub in
   let exact k =
     if k < d - 1 then search_stmts ~config inv k
@@ -73,17 +120,6 @@ let recovery_stmts ?(config = default_config) (inv : Trahrhe.Inversion.t) =
            [ Assign (var, Cemit.emit_floor ~mode expr) ]
          | Trahrhe.Closed_form.Last _ | Trahrhe.Closed_form.Numeric _ -> exact k)
     |> List.concat
-
-let headers ?(config = default_config) inv =
-  if not config.paper then []
-  else begin
-    let modes =
-      Array.to_list (Trahrhe.Closed_form.select_exn inv).Trahrhe.Closed_form.levels
-      |> List.filter_map (function Trahrhe.Closed_form.Root { mode; _ } -> Some mode | _ -> None)
-    in
-    (if modes = [] then [] else [ "math.h" ])
-    @ if List.mem Cemit.Complex modes then [ "complex.h" ] else []
-  end
 
 let exhausted ~ty (l : Trahrhe.Nest.level) = Printf.sprintf "%s >= %s" l.var (bound_expr ~ty l.upper)
 

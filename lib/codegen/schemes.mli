@@ -18,7 +18,8 @@
     original index names; index variables are declared by the generated
     code and listed in the OpenMP [private] clause. They take an
     {!Trahrhe.Inversion.t}, so they print every nest
-    {!Trahrhe.Inversion.invert} accepts, and recover indices by
+    {!Trahrhe.Inversion.invert} accepts whose constants fit the counter
+    type ({!fits_counter}), and recover indices by
     {!recovery_stmts}: the algorithm of {!Trahrhe.Recovery.recover},
     which the native tier's [ompsim_recover] prints too. *)
 
@@ -41,6 +42,16 @@ val default_config : config
     exact integer C expression over the parameters. *)
 val trip_count_expr : Trahrhe.Inversion.t -> ty:string -> string
 
+(** [fits_counter inv] is [Ok ()] when every integer polynomial the
+    printers evaluate stays below [2^62] with the parameters at
+    magnitude 1 and each index within its loop bounds. Otherwise the
+    constants alone overflow a 64-bit counter (an outer shift of
+    [10^12] is squared by the ranking), the C would be wrong at every
+    size, and the error names the polynomial. The runtime runs such
+    nests in bigints. Larger parameters are the caller's to keep in
+    range, as for the original loop's bounds. *)
+val fits_counter : Trahrhe.Inversion.t -> (unit, string) result
+
 (** [recovery_stmts ?config inv] recovers every index from [pc]: at
     each non-last level [k] the largest value in the level's range
     whose substituted ranking [r_sub.(k)] does not exceed [pc], by
@@ -48,15 +59,9 @@ val trip_count_expr : Trahrhe.Inversion.t -> ty:string -> string
     ({!Trahrhe.Inversion.innermost}). It calls nothing
     from [<math.h>] or [<complex.h>]. In paper mode a level with a
     radical closed form prints [i = floor(...)] instead (§IV).
-    @raise Failure in paper mode when no closed form selects. *)
+    @raise Failure when {!fits_counter} refuses [inv], or in paper mode
+    when no closed form selects. *)
 val recovery_stmts : ?config:config -> Trahrhe.Inversion.t -> C_ast.stmt list
-
-(** [headers ?config inv] lists the C headers ([math.h], [complex.h])
-    the printed recovery needs: none by default; in paper mode
-    [math.h] once a level floors a closed form and [complex.h] once
-    one is evaluated in complex arithmetic.
-    @raise Failure as {!recovery_stmts}. *)
-val headers : ?config:config -> Trahrhe.Inversion.t -> string list
 
 (** [carry_stmts ?config inv q] advances level [q] (or the nearest outer
     level that is not exhausted) and resets level [q+1] to its lower

@@ -151,4 +151,4 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
     walker ~name:"ompsim_reduce_sum" ~per_run:[]
       ~per_iter:(C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 value));
     Ok (Buffer.contents buf)
-  with Error msg -> Result.Error ("jit emit: " ^ msg)
+  with Error msg | Failure msg -> Result.Error ("jit emit: " ^ msg)

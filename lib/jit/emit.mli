@@ -30,6 +30,7 @@
 
     The inversion must be a canonical plan ([x0..], [p0..]): any
     variable that is not an emittable C identifier is rejected with
-    [Error]. *)
+    [Error], as is a nest whose constants overflow [int64]
+    ({!Codegen.Schemes.fits_counter}), which runs interpreted. *)
 
 val source : Trahrhe.Inversion.t -> fingerprint:string -> (string, string) result

@@ -63,10 +63,9 @@ let gcc_available = lazy (Sys.command "gcc --version > /dev/null 2>&1" = 0)
 
 (* every scheme for one nest, each wrapped as its own function:
    iterators and pc are declared by the emitted code, only the
-   parameter comes from outside. The default schemes need no header;
-   paper mode adds its per-thread scheme when the closed forms select,
-   and the headers it needs. *)
-let functions_for buf ~headers idx inv =
+   parameter comes from outside. Paper mode adds its per-thread scheme
+   when the closed forms select. *)
+let functions_for buf idx inv =
   let paper = { S.default_config with paper = true } in
   let body_of subst =
     [ C.Raw
@@ -77,9 +76,7 @@ let functions_for buf ~headers idx inv =
   let paper_fn =
     match Trahrhe.Closed_form.select inv with
     | Error _ -> []
-    | Ok _ ->
-      headers := S.headers ~config:paper inv @ !headers;
-      [ S.per_thread ~config:paper inv ~body ]
+    | Ok _ -> [ S.per_thread ~config:paper inv ~body ]
   in
   List.iteri
     (fun v stmts ->
@@ -94,15 +91,8 @@ let test_syntax_random_nests () =
   if not (Lazy.force gcc_available) then Alcotest.skip ();
   let rand = Random.State.make [| 0xc9012de7 |] in
   let cases = QCheck.Gen.generate ~n:15 ~rand Test_oracle.gen_case in
-  let buf = Buffer.create 65536 and headers = ref [] in
-  List.iteri
-    (fun idx (nest, _) -> functions_for buf ~headers idx (Trahrhe.Inversion.invert_exn nest))
-    cases;
-  let includes =
-    List.sort_uniq compare !headers
-    |> List.map (Printf.sprintf "#include <%s>\n")
-    |> String.concat ""
-  in
+  let buf = Buffer.create 65536 in
+  List.iteri (fun idx (nest, _) -> functions_for buf idx (Trahrhe.Inversion.invert_exn nest)) cases;
   let dir = Filename.temp_file "cprint" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -111,7 +101,7 @@ let test_syntax_random_nests () =
     (fun () ->
       let cfile = Filename.concat dir "schemes.c" in
       let oc = open_out cfile in
-      output_string oc (includes ^ "\n" ^ Buffer.contents buf);
+      output_string oc ("#include <math.h>\n#include <complex.h>\n\n" ^ Buffer.contents buf);
       close_out oc;
       let log = Filename.concat dir "gcc.log" in
       let status =

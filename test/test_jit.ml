@@ -40,20 +40,31 @@ let specialize_exn ?(fingerprint = "testfp") nest =
   | Error e -> Alcotest.failf "specialize failed: %s" e
 
 let test_emit_source () =
+  let contains_in src needle =
+    let nl = String.length needle and hl = String.length src in
+    let rec go i = i + nl <= hl && (String.sub src i nl = needle || go (i + 1)) in
+    go 0
+  in
   let inv = Trahrhe.Inversion.invert_exn (Lazy.force triangular_nest) in
   match Jit.Emit.source inv ~fingerprint:"deadbeef" with
   | Error e -> Alcotest.failf "emit failed: %s" e
   | Ok src ->
-    let contains needle =
-      let nl = String.length needle and hl = String.length src in
-      let rec go i = i + nl <= hl && (String.sub src i nl = needle || go (i + 1)) in
-      go 0
-    in
     List.iter
       (fun needle ->
-        if not (contains needle) then Alcotest.failf "emitted C lacks %S:\n%s" needle src)
+        if not (contains_in src needle) then Alcotest.failf "emitted C lacks %S:\n%s" needle src)
       [ "ompsim_abi"; "ompsim_fingerprint"; "ompsim_depth"; "ompsim_params"; "ompsim_trip";
-        "ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum"; "deadbeef" ]
+        "ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum"; "deadbeef" ];
+    (* a 10^12 outer shift overflows int64 in the ranking: an emit
+       error, not an exception *)
+    let s = 1_000_000_000_000 in
+    let shifted =
+      Trahrhe.Nest.make ~params:[ "N" ]
+        [ { var = "i"; lower = aff [] s; upper = aff [ ("N", 1) ] s };
+          { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] s } ]
+    in
+    match Jit.Emit.source (Trahrhe.Inversion.invert_exn shifted) ~fingerprint:"shifted" with
+    | Ok _ -> Alcotest.fail "emitted C for a nest whose ranking overflows int64"
+    | Error e -> Alcotest.(check bool) ("counter error: " ^ e) true (contains_in e "64-bit counter")
 
 let test_specialize_and_identity () =
   require_gcc ();

@@ -916,12 +916,15 @@ let test_exec_grid () =
   Alcotest.(check (list int))
     "ok, misranked, trip errors" [ 110; 12; 10 ] [ !ok; !misranks; !trips ]
 
-(* The printers accept what the service runs: [collapse]
-   ({!Cfront.Transform}, default recovery) rewrites each nest of the
-   grid above as C exactly when {!Trahrhe.Inversion.invert} accepts
-   it, the large outer shifts included. *)
+(* The printers accept what the service runs while a 64-bit counter
+   holds the printed polynomials: [collapse] ({!Cfront.Transform},
+   default recovery) rewrites each nest of the grid above as C exactly
+   when {!Trahrhe.Inversion.invert} accepts it, except the outer shifts
+   whose rankings overflow the counter (the 10^12 and 10^18 triangles,
+   the 10^9 tetrahedron, whose cubic terms reach 10^27), which it
+   refuses with the counter's error. *)
 let test_printer_grid () =
-  let printed = ref 0 in
+  let printed = ref 0 and overflows = ref [] in
   List.iter
     (fun line ->
       let nest =
@@ -937,13 +940,24 @@ let test_printer_grid () =
       in
       let inverts = Result.is_ok (Trahrhe.Inversion.invert nest) in
       match Cfront.Transform.transform_source src with
+      | exception Failure e when contains ~needle:"cannot be exact in a 64-bit counter" e ->
+        if not inverts then Alcotest.failf "%s does not invert, collapse says: %s" line e;
+        overflows := line :: !overflows
       | exception Failure e -> if inverts then Alcotest.failf "%s inverts, collapse says: %s" line e
       | _, count ->
         Alcotest.(check int) (line ^ ": regions") 1 count;
         if not inverts then Alcotest.failf "%s: collapse printed a nest that does not invert" line;
         incr printed)
     (grid_lines ());
-  Alcotest.(check int) "printed = the service's ok answers" 110 !printed
+  Alcotest.(check int) "printed = the service's ok answers but the overflows" 107 !printed;
+  let shift l = Printf.sprintf "exec params=N=9 levels=i=%s..N+%s,j=i..N+%s threads=2" l l l in
+  Alcotest.(check (list string))
+    "refused: counter overflow"
+    [ shift "1000000000000";
+      shift "1000000000000000000";
+      "exec params=N=9 levels=i=1000000000..N+1000000000,j=i..N+1000000000,k=j..N+1000000000 \
+       threads=2" ]
+    (List.rev !overflows)
 
 (* an armed fault config reaches every exec region, not only those
    with retries or a deadline: the injected chunk failures are
