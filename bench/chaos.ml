@@ -205,14 +205,14 @@ let wedged_chaos () =
       [ ("OMPSIM_JIT_CC", cc); ("OMPSIM_JIT_TIMEOUT_MS", string_of_int timeout_ms) ]
       (fun () ->
         let r1, t1 =
-          timed (fun () -> Jit.Compile.specialize ~dir ~breaker ~fingerprint:"chaoswedge1" inv)
+          timed (fun () -> Jit.Compile.specialize ~dir ~breaker inv)
         in
         let r2, _ =
-          timed (fun () -> Jit.Compile.specialize ~dir ~breaker ~fingerprint:"chaoswedge2" inv)
+          timed (fun () -> Jit.Compile.specialize ~dir ~breaker inv)
         in
         (* breaker is open now: this must be rejected without forking *)
         let r3, t3 =
-          timed (fun () -> Jit.Compile.specialize ~dir ~breaker ~fingerprint:"chaoswedge3" inv)
+          timed (fun () -> Jit.Compile.specialize ~dir ~breaker inv)
         in
         (r1, t1, r2, r3, t3))
   in
@@ -230,7 +230,7 @@ let wedged_chaos () =
       (fun () ->
         let avail = Jit.Abi.available () in
         let r4 =
-          if avail then Jit.Compile.specialize ~dir ~breaker ~fingerprint:"chaosrecover" inv
+          if avail then Jit.Compile.specialize ~dir ~breaker inv
           else Error "gcc unavailable"
         in
         (avail, r4))

@@ -9,7 +9,9 @@
 #include <stdio.h>
 #include <stdlib.h>
 
+#ifndef N
 #define N 1500
+#endif
 static double a[N][N], b[N][N], c[N][N];
 
 int main(void) {

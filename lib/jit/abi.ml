@@ -2,7 +2,7 @@
    [version] whenever the exported symbols or their semantics change,
    and let a compiler upgrade invalidate cached objects through the
    salt instead of serving binaries built by a different gcc. *)
-let version = 5
+let version = 6
 
 let cc () =
   match Sys.getenv_opt "OMPSIM_JIT_CC" with

@@ -1,4 +1,4 @@
-let so_name fingerprint = Printf.sprintf "%s.%s.so" fingerprint (Abi.salt ())
+let so_name digest = Printf.sprintf "%s.%s.so" digest (Abi.salt ())
 
 let rec mkdir_p d =
   if d = "" || d = "." || d = "/" || Sys.file_exists d then ()
@@ -30,14 +30,16 @@ let is_plan_error e = has_prefix plan_prefix e
 (* gcc -O2 -shared -fPIC into a private temp object, then rename into
    place: concurrent readers see the old object or the new one, never
    a torn write — the same atomic-publish discipline as the plan
-   store. The compile runs supervised: OMPSIM_JIT_TIMEOUT_MS bounds
-   the wall clock (SIGKILL of the whole compiler process group on
-   expiry), a doubled rusage cap bounds CPU spinning, and the first
-   ~2KB of stderr ride along in the failure instead of a discarded
-   log file. Loops are 32-byte aligned: a walker's innermost run loop
-   is four instructions, and where default placement let it straddle a
-   32-byte fetch boundary it ran ~1.7x slower (utma's walk_hash at
-   n=1500: 0.9 vs 1.6 ms on a Xeon). *)
+   store. The object is content-addressed (its name and its
+   ompsim_fingerprint are the digest of its source), so plans that
+   emit the same C share it. The compile runs supervised:
+   OMPSIM_JIT_TIMEOUT_MS bounds the wall clock (SIGKILL of the whole
+   compiler process group on expiry), a doubled rusage cap bounds CPU
+   spinning, and the first ~2KB of stderr ride along in the failure
+   instead of a discarded log file. Loops are 32-byte aligned: a
+   walker's innermost run loop is four instructions, and where default
+   placement let it straddle a 32-byte fetch boundary it ran ~1.7x
+   slower (utma's walk_hash at n=1500: 0.9 vs 1.6 ms on a Xeon). *)
 let compile_so ~src_path ~out_path =
   let cc = Abi.cc () in
   let timeout_ms = Subproc.default_timeout_ms () in
@@ -58,14 +60,15 @@ let compile_so ~src_path ~out_path =
       (Printf.sprintf "%s %s%s" cc (Subproc.describe r)
          (if diagnostics = "" then "" else ": " ^ diagnostics))
 
-let fresh_compile ~dir ~fingerprint ~src =
+let fresh_compile ~dir (src : Emit.source) =
   Obsv.Trace.with_span "jit.compile" @@ fun () ->
   try
     mkdir_p dir;
     let pid = Unix.getpid () in
-    let src_path = Filename.concat dir (Printf.sprintf ".%s.%d.c" fingerprint pid) in
-    let tmp_so = Filename.concat dir (Printf.sprintf ".%s.%d.so" fingerprint pid) in
-    write_file src_path src;
+    let digest = src.Emit.digest in
+    let src_path = Filename.concat dir (Printf.sprintf ".%s.%d.c" digest pid) in
+    let tmp_so = Filename.concat dir (Printf.sprintf ".%s.%d.so" digest pid) in
+    write_file src_path src.Emit.text;
     let result = compile_so ~src_path ~out_path:tmp_so in
     (try Sys.remove src_path with Sys_error _ -> ());
     match result with
@@ -73,7 +76,7 @@ let fresh_compile ~dir ~fingerprint ~src =
       (try Sys.remove tmp_so with Sys_error _ -> ());
       e
     | Ok () ->
-      let path = Filename.concat dir (so_name fingerprint) in
+      let path = Filename.concat dir (so_name digest) in
       Unix.rename tmp_so path;
       Obsv.Metrics.incr_here Stats.compiles;
       Ok path
@@ -81,12 +84,12 @@ let fresh_compile ~dir ~fingerprint ~src =
 
 (* toolchain outcomes feed the breaker; emit errors do not — they are
    plan-shaped, and tripping the breaker on one odd nest would reject
-   compiles of healthy plans. [specialize] runs emission BEFORE the
-   breaker is consulted, so by the time this runs the source is in
-   hand and every outcome below is a toolchain verdict: a plan error
-   can neither trip the breaker nor consume (and leak) the half-open
-   probe slot the acquire handed out. *)
-let run_gated ?breaker ~dir ~fingerprint ~src () =
+   compiles of healthy plans. Emission runs BEFORE the breaker is
+   consulted ({!emit}), so by the time this runs the source is in hand
+   and every outcome below is a toolchain verdict: a plan error can
+   neither trip the breaker nor consume (and leak) the half-open probe
+   slot the acquire handed out. *)
+let run_gated ?breaker ~dir (src : Emit.source) =
   let note ok =
     match breaker with
     | None -> ()
@@ -97,12 +100,12 @@ let run_gated ?breaker ~dir ~fingerprint ~src () =
     Error (Printf.sprintf "C compiler %S unavailable" (Abi.cc ()))
   end
   else begin
-    match fresh_compile ~dir ~fingerprint ~src with
+    match fresh_compile ~dir src with
     | Error _ as e ->
       note false;
       e
     | Ok path -> (
-      match Native.load ~path ~fingerprint with
+      match Native.load ~path ~digest:src.Emit.digest with
       | Ok _ as ok ->
         note true;
         ok
@@ -113,18 +116,21 @@ let run_gated ?breaker ~dir ~fingerprint ~src () =
         e)
   end
 
-let specialize ?dir ?breaker ~fingerprint inv =
+let emit inv =
+  Result.map_error (fun e -> Printf.sprintf "%s %s" plan_prefix e) (Emit.source inv)
+
+let build ?dir ?breaker (src : Emit.source) =
   let dir =
     match dir with
     | Some d -> d
     | None -> Filename.concat (Filename.get_temp_dir_name ()) "ompsim-jit"
   in
-  let path = Filename.concat dir (so_name fingerprint) in
+  let path = Filename.concat dir (so_name src.Emit.digest) in
   let warm =
     if Sys.file_exists path then begin
       (* corrupt, stale or foreign objects are silent misses: fall
          through to a fresh compile that overwrites the bad entry *)
-      match Native.load ~path ~fingerprint with
+      match Native.load ~path ~digest:src.Emit.digest with
       | Ok h ->
         Obsv.Metrics.incr_here Stats.loads;
         Some h
@@ -135,18 +141,12 @@ let specialize ?dir ?breaker ~fingerprint inv =
   match warm with
   | Some h -> Ok h
   | None -> (
-    (* emission is pure plan work: it runs before the breaker so a
-       plan-shaped failure never consumes an acquire — in particular
-       it can never take the single half-open probe slot and return
-       without settling it, which would wedge the breaker half-open
-       (and the native tier off) for the rest of the process *)
-    match Emit.source inv ~fingerprint with
-    | Error e -> Error (Printf.sprintf "%s %s" plan_prefix e)
-    | Ok src -> (
-      match breaker with
-      | Some b when not (Breaker.acquire b) ->
-        Error
-          (Printf.sprintf "%s compile circuit %s after %d consecutive failures" breaker_prefix
-             (Breaker.state_name (Breaker.state b))
-             (Breaker.failures b))
-      | _ -> run_gated ?breaker ~dir ~fingerprint ~src ()))
+    match breaker with
+    | Some b when not (Breaker.acquire b) ->
+      Error
+        (Printf.sprintf "%s compile circuit %s after %d consecutive failures" breaker_prefix
+           (Breaker.state_name (Breaker.state b))
+           (Breaker.failures b))
+    | _ -> run_gated ?breaker ~dir src)
+
+let specialize ?dir ?breaker inv = Result.bind (emit inv) (build ?dir ?breaker)

@@ -1,10 +1,12 @@
 (** The gcc driver: emitted C source -> cached shared object.
 
-    Objects live next to the plans, one
-    [<fingerprint>.<salt>.so] per plan ({!so_name}; the salt is
-    {!Abi.salt}, so a compiler or ABI change never loads a stale
-    binary — it just misses and recompiles). Publication is atomic
-    (private temp file + rename), mirroring the plan store.
+    Objects live next to the plans, one [<digest>.<salt>.so] per
+    distinct emitted source ({!so_name}; the digest is
+    {!Emit.field-digest}, so plans that emit the same C — the [reduce=]
+    ops of one nest — share one object; the salt is {!Abi.salt}, so a
+    compiler or ABI change never loads a stale binary — it just misses
+    and recompiles). Publication is atomic (private temp file +
+    rename), mirroring the plan store.
 
     Compiles run under {!Subproc}: [OMPSIM_JIT_TIMEOUT_MS] (default
     30000) bounds the wall clock — on expiry the compiler's process
@@ -12,8 +14,8 @@
     first ~2KB of the compiler's stderr are carried in the [Error]
     string instead of being discarded. *)
 
-(** [so_name fp] is the cache file name for fingerprint [fp] under the
-    current ABI/compiler salt. *)
+(** [so_name digest] is the cache file name for a source of digest
+    [digest] under the current ABI/compiler salt. *)
 val so_name : string -> string
 
 (** [is_breaker_rejection e] is [true] when [e] is a circuit-breaker
@@ -31,31 +33,36 @@ val is_breaker_rejection : string -> bool
     timeout, crash) may clear up and must stay retryable. *)
 val is_plan_error : string -> bool
 
-(** [specialize ?dir ?breaker ~fingerprint inv] returns a validated
-    handle to the specialized object for [inv] (a canonical plan
-    inversion): loading the warm [.so] from [dir] when present and
-    valid ([jit.load]), else emitting + compiling a fresh one
-    ([jit.compile], under a [jit.compile] trace span) and publishing
-    it in [dir]. [dir] defaults to a process-shared directory under
-    the system temp dir. Corrupt or stale cache entries are silent
-    misses: they are recompiled and overwritten, never surfaced.
+(** [emit inv] is {!Emit.source} with its failure marked as a plan
+    error ({!is_plan_error}). *)
+val emit : Trahrhe.Inversion.t -> (Emit.source, string) result
+
+(** [build ?dir ?breaker src] returns a validated handle to the object
+    built from [src]: loading the warm [.so] from [dir] when present
+    and valid ([jit.load]), else compiling a fresh one ([jit.compile],
+    under a [jit.compile] trace span) and publishing it in [dir]. [dir]
+    defaults to a process-shared directory under the system temp dir.
+    Corrupt or stale cache entries are silent misses: they are
+    recompiled and overwritten, never surfaced.
 
     When [breaker] is given, fresh compiles consult it first: a
     rejected attempt returns an [Error] recognized by
     {!is_breaker_rejection} without forking the compiler, and
     toolchain outcomes (compile success/failure/timeout, unloadable
     object, unavailable compiler) feed {!Breaker.success} /
-    {!Breaker.failure}. Warm loads and emit errors bypass the breaker
-    entirely — emission runs {e before} the acquire, so a plan the
-    emitter rejects (an [Error] recognized by {!is_plan_error}) never
-    consumes a half-open probe slot, and can never leak one.
+    {!Breaker.failure}. Warm loads bypass the breaker.
 
     [Error] means the native tier is unavailable for this plan (no
-    compiler, emit or compile failure, breaker open) — the caller
-    falls back to the interpreted walk and counts [jit.fallback]. *)
+    compiler, compile failure, breaker open) — the caller falls back
+    to the interpreted walk and counts [jit.fallback]. *)
+val build : ?dir:string -> ?breaker:Breaker.t -> Emit.source -> (Native.handle, string) result
+
+(** [specialize ?dir ?breaker inv] is {!emit} then {!build}: the handle
+    for [inv] (a canonical plan inversion). Emission runs {e before}
+    the breaker is consulted, so a plan the emitter rejects never
+    consumes a half-open probe slot, and can never leak one. *)
 val specialize :
   ?dir:string ->
   ?breaker:Breaker.t ->
-  fingerprint:string ->
   Trahrhe.Inversion.t ->
   (Native.handle, string) result

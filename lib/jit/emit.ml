@@ -35,7 +35,9 @@ let fn buf ~ret ~name ~args body =
 
 let return e = C.Raw (Printf.sprintf "return %s;" e)
 
-let source (inv : Trahrhe.Inversion.t) ~fingerprint =
+type source = { text : string; digest : string }
+
+let source (inv : Trahrhe.Inversion.t) =
   try
     let nest = inv.Trahrhe.Inversion.nest in
     let d = N.depth nest in
@@ -52,18 +54,10 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
     let inner = List.nth lvars (d - 1) in
     let expr p = Symx.Cemit.emit_poly_int p ~ty:i64 in
     let buf = Buffer.create 4096 in
+    (* the compiler's own type macros: no header to preprocess *)
     Buffer.add_string buf
-      (Printf.sprintf
-         "/* ompsim native plan specialization (generated)\n\
-         \   fingerprint: %s\n\
-         \   abi: %d */\n\
-          #include <stdint.h>\n\n\
-          typedef int64_t %s;\n\
-          typedef uint64_t %s;\n\n\
-          static const char omp_fp[] = \"%s\";\n\n"
-         fingerprint Abi.version i64 u64 fingerprint);
+      (Printf.sprintf "typedef __INT64_TYPE__ %s;\ntypedef __UINT64_TYPE__ %s;\n\n" i64 u64);
     fn buf ~ret:i64 ~name:"ompsim_abi" ~args:"void" [ return (string_of_int Abi.version) ];
-    fn buf ~ret:"const char *" ~name:"ompsim_fingerprint" ~args:"void" [ return "omp_fp" ];
     fn buf ~ret:i64 ~name:"ompsim_depth" ~args:"void" [ return (string_of_int d) ];
     fn buf ~ret:i64 ~name:"ompsim_params" ~args:"void"
       [ return (string_of_int (List.length params)) ];
@@ -80,7 +74,9 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
        of the interpreted [Recovery.recover] (a search of the monotone
        ranking at every non-last level, then the innermost formula),
        so the two agree bit for bit *)
-    fn buf ~ret:"void" ~name:"ompsim_recover"
+    (* once per chunk: inlined into both walkers it would only double
+       the compiler's work *)
+    fn buf ~ret:"__attribute__((noinline)) void" ~name:"ompsim_recover"
       ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s *omp_x" i64 i64 i64)
       (bind_params
       @ C.Decl { ty = "const " ^ i64; name = pc; init = Some "omp_pc" }
@@ -142,13 +138,21 @@ let source (inv : Trahrhe.Inversion.t) ~fingerprint =
         @ [ C.Decl { ty = u64; name = "omp_base"; init = Some "omp_ph * 1000003u" } ])
       ~per_iter:(C.Raw (Printf.sprintf "omp_acc += omp_base + (%s)%s;" u64 inner));
     (* the clause value summed with the checksum's u64 wraparound, so
-       the truncated result matches the interpreted native-int sum; the
-       symbol is always exported (value 0 without a clause) because
-       the loader resolves every symbol *)
-    let value =
-      match nest.N.reduce with Some r -> expr r.N.value | None -> "0"
-    in
-    walker ~name:"ompsim_reduce_sum" ~per_run:[]
-      ~per_iter:(C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 value));
-    Ok (Buffer.contents buf)
+       the truncated result matches the interpreted native-int sum.
+       Without a clause the symbol is a stub answering 0: the loader
+       resolves every symbol *)
+    (match nest.N.reduce with
+    | Some r ->
+      walker ~name:"ompsim_reduce_sum" ~per_run:[]
+        ~per_iter:(C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 (expr r.N.value)))
+    | None ->
+      fn buf ~ret:u64 ~name:"ompsim_reduce_sum"
+        ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s omp_len" i64 i64 i64)
+        [ return "0" ]);
+    (* the object's identity is the digest of everything above it, so
+       plans that emit the same code share one object *)
+    let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+    fn buf ~ret:"const char *" ~name:"ompsim_fingerprint" ~args:"void"
+      [ return (Printf.sprintf "\"%s\"" digest) ];
+    Ok { text = Buffer.contents buf; digest }
   with Error msg | Failure msg -> Result.Error ("jit emit: " ^ msg)

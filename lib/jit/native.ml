@@ -19,9 +19,9 @@ let walk_hash h ps ~pc ~len = raw_walk_hash h ps pc len
 let reduce_sum h ps ~pc ~len = raw_reduce_sum h ps pc len
 let recover h ps ~pc idx = raw_recover h ps pc idx
 
-(* load-time validation: an object built by another ABI or for another
-   plan is an error here — callers treat it as a silent cache miss *)
-let load ~path ~fingerprint =
+(* load-time validation: an object built by another ABI or from another
+   source is an error here — callers treat it as a silent cache miss *)
+let load ~path ~digest =
   match raw_open path with
   | exception Failure msg -> Error msg
   | h ->
@@ -34,7 +34,7 @@ let load ~path ~fingerprint =
       fail (Printf.sprintf "stale object: abi %d, expected %d" abi Abi.version)
     else begin
       let fp = raw_fingerprint h in
-      if fp <> fingerprint then fail (Printf.sprintf "stale object: fingerprint %s" fp)
+      if fp <> digest then fail (Printf.sprintf "stale object: digest %s" fp)
       else begin
         let d = raw_depth h and np = raw_params h in
         if d < 1 || d > 16 || np < 0 || np > 16 then fail "stale object: implausible shape"

@@ -11,13 +11,14 @@
 
 type handle
 
-(** [load ~path ~fingerprint] opens and validates a shared object:
-    resolvable symbols, ABI version {!Abi.version}, matching
-    fingerprint, plausible depth/parameter counts. Any failure —
-    unreadable file, missing symbol, stale ABI, foreign fingerprint —
-    returns [Error]; callers treat it as a silent cache miss and
-    recompile. *)
-val load : path:string -> fingerprint:string -> (handle, string) result
+(** [load ~path ~digest] opens and validates a shared object:
+    resolvable symbols, ABI version {!Abi.version}, an
+    [ompsim_fingerprint] equal to [digest] (the digest of the source
+    it was built from, {!Emit.field-digest}), plausible
+    depth/parameter counts. Any failure — unreadable file, missing
+    symbol, stale ABI, foreign digest — returns [Error]; callers treat
+    it as a silent cache miss and recompile. *)
+val load : path:string -> digest:string -> (handle, string) result
 
 (** [close h] dlcloses the object; subsequent calls through [h] raise
     [Failure]. *)

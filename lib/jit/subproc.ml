@@ -16,6 +16,9 @@ external spawn :
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
+(* the longest the supervisor waits between two looks at the child *)
+let max_wait_s = 0.05
+
 let default_timeout_ms () =
   match Sys.getenv_opt "OMPSIM_JIT_TIMEOUT_MS" with
   | Some s -> (
@@ -96,7 +99,14 @@ let run ?timeout_ms ?cpu_s ?(stdout_cap = 2048) ?(stderr_cap = 2048) prog args =
       | _, st -> status := Some st
       | exception Unix.Unix_error _ -> ()
     in
-    let rec pump () =
+    (* reap the child or meet the deadline. While a pipe is live,
+       select on the pipes: output and EOF wake it at once. Once both
+       have closed, the child is exiting (or hangs with its pipes
+       closed): poll waitpid with an exponential back-off from 0.1 ms
+       up to 50 ms, so a prompt exit is reaped within a fraction of a
+       millisecond instead of one full 50 ms select tick, and a child
+       that hangs still meets the deadline and its group kill *)
+    let rec pump backoff_s =
       (match Unix.waitpid [ Unix.WNOHANG ] pid with
       | 0, _ -> ()
       | _, st -> status := Some st
@@ -109,16 +119,22 @@ let run ?timeout_ms ?cpu_s ?(stdout_cap = 2048) ?(stderr_cap = 2048) prog args =
           reap_kill ()
         end
         else begin
-          let fds = live () in
-          let wait_s = Float.min (remaining /. 1000.) 0.05 in
-          (match Unix.select (List.map (fun s -> s.fd) fds) [] [] wait_s with
-          | ready, _, _ -> pump_ready fds ready
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          pump ()
+          let remaining_s = remaining /. 1000. in
+          match live () with
+          | [] ->
+            Unix.sleepf (Float.min remaining_s backoff_s);
+            pump (Float.min (2. *. backoff_s) max_wait_s)
+          | fds ->
+            (match
+               Unix.select (List.map (fun s -> s.fd) fds) [] [] (Float.min remaining_s max_wait_s)
+             with
+            | ready, _, _ -> pump_ready fds ready
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+            pump backoff_s
         end
       end
     in
-    pump ();
+    pump 0.0001;
     (* the child is gone; pick up whatever the pipes still buffer.
        Zero-timeout selects so grandchildren holding the write ends
        (possible after a group kill) cannot wedge us here *)

@@ -24,43 +24,54 @@ let default () = Lazy.force default_t
 let dir t = t.dir
 let breaker t = t.breaker
 
-(* one validated handle per fingerprint, single-flighted exactly like
-   plan compiles. Only plan-shaped failures (the emitter rejected the
-   inversion) are cached: those are deterministic, so retrying the
-   same fingerprint would fail identically forever. Toolchain
-   failures — missing compiler, wedged cc, compile timeout — are NOT
-   cached: they are transient, and pinning them would keep a
-   fingerprint on the interpreted walk even after the toolchain
-   recovers. Their retry cost is bounded by the circuit breaker (a
-   broken toolchain trips it within [threshold] attempts, after which
-   rejections are in-memory and free), and a breaker rejection itself
-   is likewise never cached — that is the breaker talking, not the
-   toolchain. *)
-let handle_for t fp inv =
+(* one validated handle per plan fingerprint, so a warm request is one
+   lookup. On a miss the plan's source is emitted and its object
+   single-flighted on the source digest, exactly like plan compiles:
+   plans that emit the same C (the reduce= ops of one nest) build one
+   object, and a later plan of that digest loads it from [dir]. Only
+   plan-shaped failures (the emitter rejected the inversion) are
+   cached: those are deterministic, so retrying the same fingerprint
+   would fail identically forever. Toolchain failures — missing
+   compiler, wedged cc, compile timeout — are NOT cached: they are
+   transient, and pinning them would keep a fingerprint on the
+   interpreted walk even after the toolchain recovers. Their retry
+   cost is bounded by the circuit breaker (a broken toolchain trips it
+   within [threshold] attempts, after which rejections are in-memory
+   and free), and a breaker rejection itself is likewise never cached
+   — that is the breaker talking, not the toolchain. *)
+let build t (src : Jit.Emit.source) =
+  let key = src.Jit.Emit.digest in
   Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.tbl fp with
-  | Some r ->
+  match Single_flight.join t.flights key with
+  | Some fl ->
+    let r = Single_flight.await fl ~mutex:t.mutex in
     Mutex.unlock t.mutex;
     r
-  | None -> (
-    match Single_flight.join t.flights fp with
-    | Some fl ->
-      let r = Single_flight.await fl ~mutex:t.mutex in
-      Mutex.unlock t.mutex;
-      r
-    | None ->
-      let fl = Single_flight.enter t.flights fp in
-      Mutex.unlock t.mutex;
-      let result = Jit.Compile.specialize ?dir:t.dir ~breaker:t.breaker ~fingerprint:fp inv in
-      Mutex.lock t.mutex;
-      (match result with
-      | Ok _ -> Hashtbl.replace t.tbl fp result
-      | Error e when Jit.Compile.is_plan_error e -> Hashtbl.replace t.tbl fp result
-      | Error _ -> ());
-      (match result with Error e -> t.last_error <- Some e | Ok _ -> ());
-      Single_flight.publish t.flights fp fl result;
-      Mutex.unlock t.mutex;
-      result)
+  | None ->
+    let fl = Single_flight.enter t.flights key in
+    Mutex.unlock t.mutex;
+    let result = Jit.Compile.build ?dir:t.dir ~breaker:t.breaker src in
+    Mutex.lock t.mutex;
+    Single_flight.publish t.flights key fl result;
+    Mutex.unlock t.mutex;
+    result
+
+let handle_for t fp inv =
+  Mutex.lock t.mutex;
+  let cached = Hashtbl.find_opt t.tbl fp in
+  Mutex.unlock t.mutex;
+  match cached with
+  | Some r -> r
+  | None ->
+    let result = Result.bind (Jit.Compile.emit inv) (build t) in
+    Mutex.lock t.mutex;
+    (match result with
+    | Ok _ -> Hashtbl.replace t.tbl fp result
+    | Error e ->
+      if Jit.Compile.is_plan_error e then Hashtbl.replace t.tbl fp result;
+      t.last_error <- Some e);
+    Mutex.unlock t.mutex;
+    result
 
 let recovery_explain t (plan : Plan.t) ~param rc =
   if R.overflow_guarded rc then begin

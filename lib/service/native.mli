@@ -2,20 +2,22 @@
 
     One validated {!Jit.Native} handle per plan fingerprint, compiled
     (or warm-loaded) on first request and kept for the cache's
-    lifetime; concurrent first requests are single-flighted with the
-    same machinery as plan compiles ({!Single_flight}). The [.so]
-    files live in the same directory as the plans — [~dir], defaulting
-    to [OMPSIM_PLAN_CACHE] — named [<fingerprint>.<salt>.so]
-    ({!Jit.Compile.so_name}).
+    lifetime, so a warm request is one table lookup. A miss emits the
+    plan's C and single-flights the object on the source's digest
+    ({!Jit.Emit.field-digest}) with the same machinery as plan compiles
+    ({!Single_flight}): concurrent first requests build once, and plans
+    that emit the same C — the [reduce=] ops of one nest — share one
+    object. The [.so] files live in the same directory as the plans —
+    [~dir], defaulting to [OMPSIM_PLAN_CACHE] — named
+    [<digest>.<salt>.so] ({!Jit.Compile.so_name}).
 
-    Unlike plan-compile failures, specialize failures are cached per
-    fingerprint: a missing C compiler must not fork [gcc] once per
-    request when the interpreted walk is always available. Two
-    exceptions to that caching, both introduced by the compile
-    circuit breaker the cache threads into every specialize:
-    breaker {e rejections} are never cached (the breaker re-closing
-    must let the fingerprint try again), and breaker state itself is
-    queryable for the serve loop's [health] verb ({!breaker}). *)
+    Only plan-shaped specialize failures (the emitter rejected the
+    inversion) are cached per fingerprint. Toolchain failures stay
+    retryable; the compile circuit breaker the cache threads into
+    every build bounds their cost, its rejections are never cached
+    (the breaker re-closing must let the fingerprint try again), and
+    its state is queryable for the serve loop's [health] verb
+    ({!breaker}). *)
 
 type t
 

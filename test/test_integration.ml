@@ -27,8 +27,8 @@ let contains text sub =
   go 0
 
 (* [flags] follow the sources on gcc's command line; [env] prefixes
-   the run *)
-let compile_and_run ?(flags = "-lm") ?(env = "") dir name src =
+   the run; [openmp = false] builds the serial program *)
+let compile_and_run ?(flags = "-lm") ?(env = "") ?(openmp = true) dir name src =
   let cfile = Filename.concat dir (name ^ ".c") in
   let exe = Filename.concat dir name in
   let oc = open_out cfile in
@@ -37,7 +37,9 @@ let compile_and_run ?(flags = "-lm") ?(env = "") dir name src =
   let log = Filename.concat dir (name ^ ".log") in
   if
     Sys.command
-      (Printf.sprintf "gcc -O2 -fopenmp %s -o %s %s > %s 2>&1" (Filename.quote cfile)
+      (Printf.sprintf "gcc -O2 %s %s -o %s %s > %s 2>&1"
+         (if openmp then "-fopenmp" else "")
+         (Filename.quote cfile)
          (Filename.quote exe) flags (Filename.quote log))
     <> 0
   then begin
@@ -236,6 +238,42 @@ let test_strided_nest () =
       Alcotest.(check int) "one region" 1 count;
       let got = compile_and_run dir "strided_coll" out in
       Alcotest.(check string) "strided output matches" reference got)
+
+(* the shipped examples/c programs whose iterations write disjoint
+   cells: the default collapse at 2 threads prints the serial program's
+   output (gcc rejects their original non-rectangular collapse clause,
+   so the reference is built without -fopenmp). tetrahedral.c is left
+   out: its s[i] += sums over (j, k), which collapse(3) splits between
+   threads. *)
+let test_shipped_examples () =
+  require_gcc ();
+  let root =
+    let rec search dir depth =
+      if depth > 6 then None
+      else if Sys.file_exists (Filename.concat dir "examples/c/strided.c") then Some dir
+      else search (Filename.concat dir "..") (depth + 1)
+    in
+    search (Sys.getcwd ()) 0
+  in
+  match root with
+  | None -> Alcotest.skip ()
+  | Some root ->
+    with_temp_dir (fun dir ->
+        List.iter
+          (fun (file, n) ->
+            let ic = open_in_bin (Filename.concat root ("examples/c/" ^ file)) in
+            let src = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let name = Filename.remove_extension file in
+            let flags = Printf.sprintf "-DN=%d" n in
+            let serial = compile_and_run ~flags ~openmp:false dir (name ^ "_serial") src in
+            let out, count = Cfront.Transform.transform_source src in
+            Alcotest.(check int) (file ^ ": one region") 1 count;
+            let got =
+              compile_and_run ~flags ~env:"OMP_NUM_THREADS=2 " dir (name ^ "_collapsed") out
+            in
+            Alcotest.(check string) (file ^ ": collapsed = serial at 2 threads") serial got)
+          [ ("strided.c", 128); ("correlation.c", 150) ])
 
 let test_reshape_c () =
   require_gcc ();
@@ -662,6 +700,8 @@ let suites =
           (test_scheme { Cfront.Transform.default_options with paper = true } "paper");
         Alcotest.test_case "3-depth complex roots vs reference" `Slow test_fig6_complex_roots;
         Alcotest.test_case "strided nest vs reference" `Slow test_strided_nest;
+        Alcotest.test_case "shipped examples: collapsed = serial at 2 threads" `Slow
+          test_shipped_examples;
         Alcotest.test_case "reshaped nest vs reference" `Slow test_reshape_c;
         Alcotest.test_case "fused nests vs reference" `Slow test_fused_c;
         Alcotest.test_case "imperfect nest vs reference" `Slow test_imperfect_c;

@@ -33,38 +33,70 @@ let require_gcc () =
   if not (Lazy.force gcc_available) then
     Alcotest.skip ()
 
-let specialize_exn ?(fingerprint = "testfp") nest =
+let specialize_exn nest =
   let inv = Trahrhe.Inversion.invert_exn nest in
-  match Jit.Compile.specialize ~dir:(Lazy.force tmp_dir) ~fingerprint inv with
+  match Jit.Compile.specialize ~dir:(Lazy.force tmp_dir) inv with
   | Ok h -> (inv, h)
   | Error e -> Alcotest.failf "specialize failed: %s" e
 
-let test_emit_source () =
-  let contains_in src needle =
-    let nl = String.length needle and hl = String.length src in
-    let rec go i = i + nl <= hl && (String.sub src i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let inv = Trahrhe.Inversion.invert_exn (Lazy.force triangular_nest) in
-  match Jit.Emit.source inv ~fingerprint:"deadbeef" with
+let contains_in src needle =
+  let nl = String.length needle and hl = String.length src in
+  let rec go i = i + nl <= hl && (String.sub src i nl = needle || go (i + 1)) in
+  go 0
+
+let emit_exn nest =
+  match Jit.Emit.source (Trahrhe.Inversion.invert_exn nest) with
+  | Ok src -> src
   | Error e -> Alcotest.failf "emit failed: %s" e
-  | Ok src ->
-    List.iter
-      (fun needle ->
-        if not (contains_in src needle) then Alcotest.failf "emitted C lacks %S:\n%s" needle src)
-      [ "ompsim_abi"; "ompsim_fingerprint"; "ompsim_depth"; "ompsim_params"; "ompsim_trip";
-        "ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum"; "deadbeef" ];
-    (* a 10^12 outer shift overflows int64 in the ranking: an emit
-       error, not an exception *)
-    let s = 1_000_000_000_000 in
-    let shifted =
-      Trahrhe.Nest.make ~params:[ "N" ]
-        [ { var = "i"; lower = aff [] s; upper = aff [ ("N", 1) ] s };
-          { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] s } ]
+
+let test_emit_source () =
+  let src = emit_exn (Lazy.force triangular_nest) in
+  let text = src.Jit.Emit.text in
+  List.iter
+    (fun needle ->
+      if not (contains_in text needle) then Alcotest.failf "emitted C lacks %S:\n%s" needle text)
+    [ "ompsim_abi"; "ompsim_fingerprint"; "ompsim_depth"; "ompsim_params"; "ompsim_trip";
+      "__attribute__((noinline)) void ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum";
+      "return \"" ^ src.Jit.Emit.digest ^ "\";" ];
+  (* the unit preprocesses nothing *)
+  Alcotest.(check bool) "no #include" false (contains_in text "#include");
+  (* a 10^12 outer shift overflows int64 in the ranking: an emit
+     error, not an exception *)
+  let s = 1_000_000_000_000 in
+  let shifted =
+    Trahrhe.Nest.make ~params:[ "N" ]
+      [ { var = "i"; lower = aff [] s; upper = aff [ ("N", 1) ] s };
+        { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] s } ]
+  in
+  match Jit.Emit.source (Trahrhe.Inversion.invert_exn shifted) with
+  | Ok _ -> Alcotest.fail "emitted C for a nest whose ranking overflows int64"
+  | Error e -> Alcotest.(check bool) ("counter error: " ^ e) true (contains_in e "64-bit counter")
+
+(* a nest without a clause exports a stub reduce, not a dead walker;
+   the ops of one clause differ in nothing the object computes, so
+   they emit one source, one digest and one object *)
+let test_emit_shares_sources () =
+  let nest = Lazy.force triangular_nest in
+  let count_in text needle =
+    let nl = String.length needle in
+    let rec go i acc =
+      if i + nl > String.length text then acc
+      else go (i + 1) (if String.sub text i nl = needle then acc + 1 else acc)
     in
-    match Jit.Emit.source (Trahrhe.Inversion.invert_exn shifted) ~fingerprint:"shifted" with
-    | Ok _ -> Alcotest.fail "emitted C for a nest whose ranking overflows int64"
-    | Error e -> Alcotest.(check bool) ("counter error: " ^ e) true (contains_in e "64-bit counter")
+    go 0 0
+  in
+  let plain = emit_exn nest in
+  Alcotest.(check int) "one run loop: the hash walker's" 1
+    (count_in plain.Jit.Emit.text "omp_rem -= ");
+  Alcotest.(check bool) "reduce stub" true
+    (contains_in plain.Jit.Emit.text "ompsim_reduce_sum(const omp_i64 *omp_P, omp_i64 omp_pc, omp_i64 omp_len) {\n  return 0;\n}");
+  let op o = emit_exn (Trahrhe.Nest.with_reduce_op nest (Some o)) in
+  let sum = op Trahrhe.Nest.Sum and max = op Trahrhe.Nest.Max in
+  Alcotest.(check int) "a clause walks in both walkers" 2 (count_in sum.Jit.Emit.text "omp_rem -= ");
+  Alcotest.(check string) "sum and max emit one source" sum.Jit.Emit.text max.Jit.Emit.text;
+  Alcotest.(check string) "one digest" sum.Jit.Emit.digest max.Jit.Emit.digest;
+  Alcotest.(check bool) "the clause is another source" true
+    (plain.Jit.Emit.digest <> sum.Jit.Emit.digest)
 
 let test_specialize_and_identity () =
   require_gcc ();
@@ -151,44 +183,64 @@ let test_attach_native () =
 
 let test_stale_so_recompiles () =
   require_gcc ();
-  let dir = Lazy.force tmp_dir in
-  let fingerprint = "stalecheck" in
+  (* a directory of its own: dlopen hands back an object still open
+     under the same path, so every handle on these paths is closed *)
+  let dir = Filename.concat (Lazy.force tmp_dir) "stale" in
   let inv = Trahrhe.Inversion.invert_exn (Lazy.force triangular_nest) in
-  (match Jit.Compile.specialize ~dir ~fingerprint inv with
+  let digest =
+    match Jit.Compile.emit inv with Ok src -> src.Jit.Emit.digest | Error e -> Alcotest.fail e
+  in
+  (match Jit.Compile.specialize ~dir inv with
   | Error e -> Alcotest.failf "first specialize: %s" e
   | Ok h -> Jit.Native.close h);
-  let path = Filename.concat dir (Jit.Compile.so_name fingerprint) in
-  Alcotest.(check bool) "so published" true (Sys.file_exists path);
+  let path = Filename.concat dir (Jit.Compile.so_name digest) in
+  Alcotest.(check bool) "so published under its digest" true (Sys.file_exists path);
+  let replace content =
+    let tmp = path ^ ".tmp" in
+    let oc = open_out_bin tmp in
+    output_string oc content;
+    close_out oc;
+    Sys.rename tmp path
+  in
   (* corrupt it: the next specialize must silently miss and recompile *)
-  let oc = open_out_bin path in
-  output_string oc "not an ELF object";
-  close_out oc;
-  (match Jit.Compile.specialize ~dir ~fingerprint inv with
+  replace "not an ELF object";
+  (match Jit.Compile.specialize ~dir inv with
   | Error e -> Alcotest.failf "recompile after corruption: %s" e
   | Ok h ->
     Alcotest.(check int) "recompiled object works" 2 (Jit.Native.depth h);
     Jit.Native.close h);
-  (* a foreign fingerprint under our name is a stale miss, not a hit *)
-  (match Jit.Compile.specialize ~dir ~fingerprint:"otherplan" inv with
+  (* another source's object under our name is a stale miss, not a
+     hit: the loader checks the digest the object reports *)
+  let other =
+    Trahrhe.Inversion.invert_exn
+      (Trahrhe.Nest.make ~params:[ "N" ]
+         [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 };
+           { var = "j"; lower = aff [] 0; upper = aff [ ("i", 1) ] 1 } ])
+  in
+  let other_digest =
+    match Jit.Compile.emit other with Ok src -> src.Jit.Emit.digest | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "another nest, another digest" true (other_digest <> digest);
+  (match Jit.Compile.specialize ~dir other with
   | Error e -> Alcotest.failf "other specialize: %s" e
   | Ok h -> Jit.Native.close h);
-  let other = Filename.concat dir (Jit.Compile.so_name "otherplan") in
   let content =
-    let ic = open_in_bin other in
+    let ic = open_in_bin (Filename.concat dir (Jit.Compile.so_name other_digest)) in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let oc = open_out_bin path in
-  output_string oc content;
-  close_out oc;
-  match Jit.Compile.specialize ~dir ~fingerprint inv with
+  replace content;
+  (match Jit.Native.load ~path ~digest with
+  | Ok _ -> Alcotest.fail "a foreign object loaded under our digest"
+  | Error _ -> ());
+  let since = Obsv.Metrics.snapshot () in
+  match Jit.Compile.specialize ~dir inv with
   | Error e -> Alcotest.failf "recompile after stale overwrite: %s" e
   | Ok h ->
-    Alcotest.(check string) "load validated the fingerprint" fingerprint
-      (let idx = Array.make 2 0 in
-       Jit.Native.recover h [| 5 |] ~pc:1 idx;
-       fingerprint);
+    Alcotest.(check int) "the foreign object was recompiled" 1
+      (Obsv.Metrics.since since Jit.Stats.compiles);
+    Alcotest.(check int) "ours again: trip at N=5" 15 (Jit.Native.trip h [| 5 |]);
     Jit.Native.close h
 
 (* The jit.* / native.served ledger against a known sequence: a
@@ -221,10 +273,7 @@ let test_ledger_reconciles () =
   Alcotest.(check int) "tier compiled once" 1 (counted Jit.Stats.compiles);
   Alcotest.(check int) "every attach served" attaches (counted Service.Stats.native_served);
   let specialize what =
-    match
-      Jit.Compile.specialize ~dir:cold_dir ~fingerprint:plan.Service.Plan.fingerprint
-        plan.Service.Plan.inversion
-    with
+    match Jit.Compile.specialize ~dir:cold_dir plan.Service.Plan.inversion with
     | Ok h -> Jit.Native.close h
     | Error e -> Alcotest.failf "%s specialize failed: %s" what e
   in
@@ -242,7 +291,7 @@ let test_ledger_reconciles () =
   Service.Native.clear tier
 
 let test_load_missing () =
-  match Jit.Native.load ~path:"/nonexistent/ompsim.so" ~fingerprint:"x" with
+  match Jit.Native.load ~path:"/nonexistent/ompsim.so" ~digest:"x" with
   | Ok _ -> Alcotest.fail "loading a missing path succeeded"
   | Error _ -> ()
 
@@ -275,6 +324,58 @@ let test_subproc_timeout () =
     "describe names the deadline" true
     (String.length (Jit.Subproc.describe c) > 0
     && String.sub (Jit.Subproc.describe c) 0 9 = "timed out")
+
+(* a child that exits at once is reaped within milliseconds: the
+   supervisor does not sleep out a poll tick after the pipes close *)
+let test_subproc_prompt_reap () =
+  let runs =
+    List.init 9 (fun _ ->
+        let c = Jit.Subproc.run "/bin/true" [] in
+        (match c.Jit.Subproc.outcome with
+        | Jit.Subproc.Exited 0 -> ()
+        | _ -> Alcotest.failf "/bin/true: %s" (Jit.Subproc.describe c));
+        c.Jit.Subproc.elapsed_ms)
+  in
+  let median = List.nth (List.sort compare runs) 4 in
+  Alcotest.(check bool) (Printf.sprintf "median /bin/true %.1fms < 20ms" median) true (median < 20.)
+
+(* a child that closes both pipes and then hangs still meets the
+   deadline, and its whole process group is killed *)
+let test_subproc_closed_pipes_timeout () =
+  (* a sleep length no other process carries in its argv *)
+  let tag = Printf.sprintf "600.%d%d" (Unix.getpid ()) (int_of_float (Unix.gettimeofday () *. 1e3) mod 100000) in
+  let t0 = Unix.gettimeofday () in
+  let c =
+    Jit.Subproc.run ~timeout_ms:200 "/bin/sh"
+      [ "-c"; Printf.sprintf "exec >/dev/null 2>&1; sleep %s" tag ]
+  in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  (match c.Jit.Subproc.outcome with
+  | Jit.Subproc.Timed_out -> ()
+  | _ -> Alcotest.failf "expected a timeout, got %s" (Jit.Subproc.describe c));
+  Alcotest.(check bool) (Printf.sprintf "timed out within 1s (%.0fms)" wall_ms) true (wall_ms < 1000.);
+  let survivors () =
+    Array.to_list (Sys.readdir "/proc")
+    |> List.filter (fun d ->
+           int_of_string_opt d <> None
+           &&
+           match open_in_bin (Printf.sprintf "/proc/%s/cmdline" d) with
+           | exception Sys_error _ -> false
+           | ic ->
+             let argv = try input_line ic with End_of_file -> "" in
+             close_in_noerr ic;
+             contains_in argv tag)
+  in
+  (* SIGKILL lands asynchronously: allow the group a moment to go *)
+  let rec settle tries =
+    match survivors () with
+    | [] -> []
+    | left when tries = 0 -> left
+    | _ ->
+      Unix.sleepf 0.05;
+      settle (tries - 1)
+  in
+  Alcotest.(check (list string)) "no process left behind" [] (settle 20)
 
 let test_subproc_spawn_failure () =
   let c = Jit.Subproc.run "/nonexistent-ompsim-prog" [] in
@@ -403,7 +504,7 @@ let test_breaker_emit_error_keeps_probe_slot () =
       [ { var = "i"; lower = aff [] 0; upper = aff [ ("int", 1) ] 0 } ]
   in
   let inv = Trahrhe.Inversion.invert_exn nest in
-  (match Jit.Compile.specialize ~dir:(Lazy.force tmp_dir) ~breaker:b ~fingerprint:"emitfail" inv with
+  (match Jit.Compile.specialize ~dir:(Lazy.force tmp_dir) ~breaker:b inv with
   | Ok _ -> Alcotest.fail "unemittable plan specialized"
   | Error e ->
     Alcotest.(check bool)
@@ -440,7 +541,7 @@ let test_compile_wedged_cc () =
       with_env [ ("OMPSIM_JIT_CC", cc); ("OMPSIM_JIT_TIMEOUT_MS", "300") ] @@ fun () ->
       let inv = Trahrhe.Inversion.invert_exn (Lazy.force triangular_nest) in
       let t0 = Unix.gettimeofday () in
-      let r = Jit.Compile.specialize ~dir ~fingerprint:"wedgefp" inv in
+      let r = Jit.Compile.specialize ~dir inv in
       let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       (match r with
       | Ok _ -> Alcotest.fail "wedged cc reported success"
@@ -448,10 +549,7 @@ let test_compile_wedged_cc () =
         Alcotest.(check bool)
           (Printf.sprintf "error names the deadline knob: %s" e)
           true
-          (let needle = "OMPSIM_JIT_TIMEOUT_MS" in
-           let nl = String.length needle and hl = String.length e in
-           let rec go i = i + nl <= hl && (String.sub e i nl = needle || go (i + 1)) in
-           go 0));
+          (contains_in e "OMPSIM_JIT_TIMEOUT_MS"));
       (* deadline 300ms + --version probe + spawn overhead, with slack
          for loaded CI — nowhere near the 600s the script would hang *)
       Alcotest.(check bool)
@@ -461,6 +559,7 @@ let test_compile_wedged_cc () =
 let suites =
   [ ( "jit",
       [ Alcotest.test_case "emit source" `Quick test_emit_source;
+        Alcotest.test_case "emit: stub reduce, one source per op" `Quick test_emit_shares_sources;
         Alcotest.test_case "specialize + identity" `Quick test_specialize_and_identity;
         Alcotest.test_case "native = interpreted" `Quick test_native_matches_interpreted;
         Alcotest.test_case "attach_native routing" `Quick test_attach_native;
@@ -470,6 +569,9 @@ let suites =
     ( "jit.subproc",
       [ Alcotest.test_case "exit code + stream capture" `Quick test_subproc_exit_and_capture;
         Alcotest.test_case "deadline kills a wedged child" `Quick test_subproc_timeout;
+        Alcotest.test_case "prompt exit reaped promptly" `Quick test_subproc_prompt_reap;
+        Alcotest.test_case "closed pipes still meet the deadline" `Quick
+          test_subproc_closed_pipes_timeout;
         Alcotest.test_case "spawn failure = exit 127" `Quick test_subproc_spawn_failure;
         Alcotest.test_case "capture caps never block the child" `Quick
           test_subproc_caps_never_block;

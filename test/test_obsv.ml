@@ -231,7 +231,7 @@ let test_walk_ledger () =
     let native =
       if not (Jit.Abi.functional ()) then []
       else
-        match Jit.Compile.specialize ~dir ~fingerprint:("ledger" ^ label) inv with
+        match Jit.Compile.specialize ~dir inv with
         | Error e -> Alcotest.failf "specialize %s: %s" label e
         | Ok h ->
           let ps = [| n |] in

@@ -931,7 +931,11 @@ let test_native_store_recovery () =
      scribbles on live text pages *)
   Service.Native.clear t1;
   (* clobber the object; a cold tier must recompile, not fail *)
-  let so = Filename.concat dir (Jit.Compile.so_name plan.Service.Plan.fingerprint) in
+  let so =
+    match Jit.Compile.emit plan.Service.Plan.inversion with
+    | Ok src -> Filename.concat dir (Jit.Compile.so_name src.Jit.Emit.digest)
+    | Error e -> Alcotest.fail e
+  in
   Alcotest.(check bool) "object published" true (Sys.file_exists so);
   let oc = open_out_bin so in
   output_string oc "this is not a shared object\n";

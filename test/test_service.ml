@@ -1240,6 +1240,36 @@ let test_exec_recovery_native_not_cached () =
   Alcotest.(check string) "same response" first again;
   Service.Native.clear tier
 
+(* the reduce= ops of one kernel are plans of their own but emit one
+   C source, so they share one shared object: sum compiles it, max
+   finds it by its digest. Both answer like the interpreted walk. *)
+let test_native_ops_share_object () =
+  if not (Jit.Abi.functional ()) then Alcotest.skip ();
+  with_temp_dir @@ fun dir ->
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let tier = Service.Native.create ~dir:(Some dir) () in
+  let base = "exec kernel=covariance_reduce n=12 threads=2" in
+  let since = Obsv.Metrics.snapshot () in
+  let native =
+    List.map (fun op -> exec_ok ~native:tier cache (Printf.sprintf "%s native=1 reduce=%s" base op))
+      [ "sum"; "max" ]
+  in
+  Alcotest.(check int) "one compile for both ops" 1 (counted since Jit.Stats.compiles);
+  Alcotest.(check int) "both served natively" 2 (counted since Service.Stats.native_served);
+  Alcotest.(check int) "one object on disk" 1
+    (List.length (List.filter (fun f -> Filename.check_suffix f ".so") (Array.to_list (Sys.readdir dir))));
+  List.iter2
+    (fun op resp ->
+      let interp =
+        exec_ok (Cache.create ~capacity:4 ~dir:None ()) (Printf.sprintf "%s reduce=%s" base op)
+      in
+      Alcotest.(check string) (op ^ ": engaged") "true" (json_field "native" resp);
+      Alcotest.(check string) (op ^ ": status") {|"ok"|} (json_field "status" resp);
+      Alcotest.(check string) (op ^ ": native = interpreted") (json_field "result" interp)
+        (json_field "result" resp))
+    [ "sum"; "max" ] native;
+  Service.Native.clear tier
+
 (* a chunk longer than 2^16 iterations is walked in slices, folded by
    the payload's own combine: every fold still equals the serial
    reference. correlation_reduce at n = 520 has 134,940 iterations, so
@@ -1446,6 +1476,8 @@ let suites =
           test_exec_recovery_raise;
         Alcotest.test_case "exec recovery memo: native attach per request" `Quick
           test_exec_recovery_native_not_cached;
+        Alcotest.test_case "reduce ops share one native object" `Quick
+          test_native_ops_share_object;
         Alcotest.test_case "exec slices keep every fold exact" `Quick test_exec_slices_exact;
         Alcotest.test_case "empty OMPSIM_PLAN_CACHE is no store" `Quick test_empty_plan_cache_env;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch;
