@@ -57,18 +57,19 @@ let run () =
     let trip = R.trip_count rc_interp in
     let sink = ref 0 in
     (* (1) the exec workload: the chunked walk, exactly as exec runs it —
-       one walk_hash call per chunk *)
-    let walk_ns rc =
-      best_ns_per_iter ~reps:3 ~iters:trip (fun () ->
-          let pc = ref 1 in
-          while !pc <= trip do
-            let len = min chunk (trip - !pc + 1) in
-            sink := !sink + R.walk_hash rc ~pc:!pc ~len;
-            pc := !pc + len
-          done)
+       one walk_hash call per chunk. The two tiers are interleaved
+       round by round, so a slow spell of the host biases neither. *)
+    let walk rc () =
+      let pc = ref 1 in
+      while !pc <= trip do
+        let len = min chunk (trip - !pc + 1) in
+        sink := !sink + R.walk_hash rc ~pc:!pc ~len;
+        pc := !pc + len
+      done
     in
-    let interp_walk = walk_ns rc_interp in
-    let native_walk = walk_ns rc_native in
+    let best = best_of_rounds ~rounds:31 [| walk rc_interp; walk rc_native |] in
+    let ns_per_iter ms = ms *. 1e6 /. float_of_int trip in
+    let interp_walk = ns_per_iter best.(0) and native_walk = ns_per_iter best.(1) in
     ignore !sink;
     (* (2) latencies: cold emit+compile in a fresh dir, warm dlopen of
        the published object, and the tier-resident steady state *)

@@ -507,27 +507,46 @@ let per_iteration f idx v0 count =
    in a structure-of-arrays buffer ([lanes.(k).(l)] is level k of lane
    l; the block width is the buffer's row length). A run's prefix is
    the same for all its lanes and its inner values count up, so no
-   lane costs a closure call. A block goes to [f] once full or once it
-   holds the chunk's last iteration: the engine visits exactly
-   [min len (trip - pc + 1)] of them. *)
+   lane costs a closure call. The outer rows persist across the blocks
+   of a run: lanes [stale, vlength) already hold the run's prefix once
+   a block of it has gone to [f], so a block inside the run rewrites
+   only the innermost row (which is why [f] must not mutate the
+   buffer). A block goes to [f] once full or once it holds the chunk's
+   last iteration: the engine visits exactly [min len (trip - pc + 1)]
+   of them, so every lane index stays below [vlength] by construction.
+   The innermost row is written four lanes per loop turn, as
+   [block_hash] reads it: a native OCaml loop pays its compare and
+   safe-point poll per turn, which is most of an 8-lane block's cost. *)
 let lane_blocks t lanes ~pc ~len f =
   let vlength = Array.length lanes.(0) and inner = t.d - 1 in
   let ilanes = lanes.(inner) in
   let left = ref (imin len (t.trip - pc + 1)) and base = ref pc and fill = ref 0 in
   fun idx v0 count ->
-    let v = ref v0 and n = ref count in
+    let v = ref v0 and n = ref count and stale = ref vlength in
     while !n > 0 do
       let c = !fill in
       let take = imin !n (vlength - c) in
-      for k = 0 to inner - 1 do
-        let row = lanes.(k) and x = idx.(k) in
-        for l = c to c + take - 1 do
-          row.(l) <- x
-        done
+      let upto = imin (c + take) !stale in
+      if upto > c then
+        for k = 0 to inner - 1 do
+          let row = Array.unsafe_get lanes k and x = Array.unsafe_get idx k in
+          for l = c to upto - 1 do
+            Array.unsafe_set row l x
+          done
+        done;
+      stale := imin !stale c;
+      let off = !v - c and l = ref c and stop = c + take in
+      while !l + 4 <= stop do
+        let i = !l in
+        Array.unsafe_set ilanes i (off + i);
+        Array.unsafe_set ilanes (i + 1) (off + i + 1);
+        Array.unsafe_set ilanes (i + 2) (off + i + 2);
+        Array.unsafe_set ilanes (i + 3) (off + i + 3);
+        l := i + 4
       done;
-      let off = !v - c in
-      for l = c to c + take - 1 do
-        ilanes.(l) <- off + l
+      while !l < stop do
+        Array.unsafe_set ilanes !l (off + !l);
+        incr l
       done;
       fill := c + take;
       v := !v + take;
@@ -559,17 +578,29 @@ let iter_hash idx =
   done;
   !h
 
-(* the sum of [iter_hash] over a block's first [count] lanes *)
+(* the sum of [iter_hash] over a block's first [count] lanes.
+   [iter_hash] is linear in the index over wrapping ints, so the sum
+   is [hash_mix] folded over the d row sums: one add per lane value,
+   four per loop turn. *)
 let block_hash lanes ~count =
-  let d = Array.length lanes and acc = ref 0 in
-  for l = 0 to count - 1 do
-    let h = ref 0 in
-    for k = 0 to d - 1 do
-      h := hash_mix !h lanes.(k).(l)
+  let h = ref 0 in
+  for k = 0 to Array.length lanes - 1 do
+    let row = lanes.(k) in
+    if count > Array.length row then invalid_arg "Recovery.block_hash: count exceeds the row";
+    let s = ref 0 and l = ref 0 in
+    while !l + 4 <= count do
+      let i = !l in
+      s := !s + Array.unsafe_get row i + Array.unsafe_get row (i + 1)
+           + Array.unsafe_get row (i + 2) + Array.unsafe_get row (i + 3);
+      l := i + 4
     done;
-    acc := !acc + !h
+    while !l < count do
+      s := !s + Array.unsafe_get row !l;
+      incr l
+    done;
+    h := hash_mix !h !s
   done;
-  !acc
+  !h
 
 (* per run, the outer-prefix hash is folded once; each iteration then
    adds [hash_mix prefix v] *)

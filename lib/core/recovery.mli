@@ -199,7 +199,13 @@ val iter_hash : int array -> int
 
 (** [block_hash lanes ~count] is the sum of {!iter_hash} over lanes
     [0, count) of a structure-of-arrays block (as delivered by
-    {!walk_lanes}), each lane hashed on its own. *)
+    {!walk_lanes}). It is computed as d row sums: {!iter_hash} of a
+    depth-d tuple is [sum_k idx.(k) * 1000003^(d-1-k)], linear in the
+    index, and native ints form a ring modulo 2^63, so the sum over
+    lanes equals the same fold applied to the row sums [S_k = sum_l
+    lanes.(k).(l)] — bit for bit, wraparound included. Every lane
+    value is still read, once, by one add.
+    @raise Invalid_argument when [count] exceeds a row's length. *)
 val block_hash : int array array -> count:int -> int
 
 (** [walk_hash t ~pc ~len] is the collapsed checksum walk — the
@@ -282,8 +288,13 @@ val walk_reduce_rat : t -> pc:int -> len:int -> Zmath.Rat.t
     the per-iteration {!walk}; [bench/main.exe -- micro-lanes]
     compares the two.
 
-    [f] receives the walker's internal buffer; it must not retain or
-    mutate it. Instrumented like {!walk}.
+    The outer rows persist across the blocks of a run: once a block
+    of a run has been delivered, every lane of the buffer holds the
+    run's prefix, and the blocks after it inside the same run rewrite
+    only the innermost row. So [f] receives the walker's internal
+    buffer and must not retain or mutate it: a lane written by [f]
+    would stay wrong in every later block of the run. Instrumented
+    like {!walk}.
     @raise Invalid_argument when [vlength <= 0]. *)
 val walk_lanes :
   t -> pc:int -> len:int -> vlength:int -> (base:int -> count:int -> int array array -> unit) -> unit

@@ -9,9 +9,13 @@
 
     Every payload runs as a reduction over the collapsed range
     ({!Ompsim.Par.reduce}): the checksum is a [( + )] reduction
-    of per-chunk {!Trahrhe.Recovery.walk_hash} sums (or
-    {!Trahrhe.Recovery.block_hash} sums of lane blocks under
-    [lanes > 1]); [reduce=sum|min|max] one of
+    of per-chunk {!Trahrhe.Recovery.walk_hash} sums (or, under
+    [lanes > 1] without the native backend,
+    {!Trahrhe.Recovery.block_hash} sums of the §VI-A lane blocks: the
+    same value, at a few times the scalar walk's cost, because each
+    block is materialised before it is hashed — every run's prefix is
+    written once per run and a block is hashed as d row sums, see
+    [bench/main.exe -- micro-lanes]); [reduce=sum|min|max] one of
     {!Trahrhe.Recovery.walk_reduce_int} partials in native ints; and
     [prod], or [min]/[max] on an overflow-guarded recovery, one of
     {!Trahrhe.Recovery.walk_reduce_rat} partials in exact rationals.

@@ -941,15 +941,43 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
             continue := false
         done
       in
+      let accept_burst () =
+        let continue = ref true in
+        while (not !draining) && !continue && List.length !conns < config.max_clients do
+          match Unix.accept fd with
+          | client, _ ->
+            Unix.set_nonblock client;
+            Obsv.Metrics.incr_here Stats.serve_accepts;
+            conns :=
+              { fd = client;
+                framer = Framing.create ~max_line:config.max_line ();
+                work = Queue.create ();
+                out = Buffer.create 512;
+                sent = 0;
+                closing = false;
+                reject_sent = false;
+                inflight = 0;
+                rl_tokens = float_of_int config.rate_burst;
+                rl_last = Unix.gettimeofday () }
+              :: !conns;
+            max_concurrent := max !max_concurrent (List.length !conns)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> ()
+        done
+      in
       (* the loop's safe-point hook, handed to every exec it serves.
          Once the loop has been away from its [select] for
          [pump_after_s] (one clock read per call until then), a
-         zero-timeout select reads the idle connections — nothing
-         queued, framed, in flight or unflushed, which also excludes
-         the one being served — and answers in place the lines
-         [admit ~pump:true] consumes: their responses are the
-         connection's next bytes, so its order is kept. Never
-         re-entered; everything else waits for the loop. *)
+         zero-timeout select polls the listening socket and the idle
+         connections — nothing queued, framed, in flight or
+         unflushed, which also excludes the one being served. A
+         pending connect is accepted there, and the new connection
+         read at once, so a client that connected during a long exec
+         is answered too. The lines [admit ~pump:true] consumes are
+         answered in place: their responses are the connection's next
+         bytes, so its order is kept. Never re-entered; everything
+         else waits for the loop. *)
       let pump_after_s = 0.5e-3 in
       let last_select = ref (Unix.gettimeofday ()) in
       let pumping = ref false in
@@ -979,19 +1007,22 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
               pumping := false)
             (fun () ->
               let idle = List.filter idle !conns in
-              if idle <> [] then
-                match Unix.select (List.map (fun c -> c.fd) idle) [] [] 0.0 with
-                | exception Unix.Unix_error _ -> ()
-                | ready, _, _ ->
-                  List.iter
-                    (fun c ->
-                      if List.mem c.fd ready then begin
-                        read_conn c;
-                        admit ~pump:true c;
-                        Obsv.Metrics.add_here Stats.serve_pumped (emit_ready c);
-                        flush_conn c
-                      end)
-                    idle)
+              let listening = if List.length !conns < config.max_clients then [ fd ] else [] in
+              match Unix.select (listening @ List.map (fun c -> c.fd) idle) [] [] 0.0 with
+              | exception Unix.Unix_error _ -> ()
+              | ready, _, _ ->
+                let known = !conns in
+                if List.mem fd ready then accept_burst ();
+                let fresh = List.filter (fun c -> not (List.memq c known)) !conns in
+                List.iter
+                  (fun c ->
+                    if List.memq c fresh || List.mem c.fd ready then begin
+                      read_conn c;
+                      admit ~pump:true c;
+                      Obsv.Metrics.add_here Stats.serve_pumped (emit_ready c);
+                      flush_conn c
+                    end)
+                  (fresh @ idle))
         end
       in
       (* serve up to [service_quantum] admitted requests (and any
@@ -1022,31 +1053,6 @@ let serve ?cache ?native ?(config = default_serve_config) ~socket () =
             if timed_out then Obsv.Metrics.incr_here Stats.serve_timeouts;
             emit c line ok;
             service_step (budget - 1) c
-      in
-      let accept_burst () =
-        let continue = ref true in
-        while (not !draining) && !continue && List.length !conns < config.max_clients do
-          match Unix.accept fd with
-          | client, _ ->
-            Unix.set_nonblock client;
-            Obsv.Metrics.incr_here Stats.serve_accepts;
-            conns :=
-              { fd = client;
-                framer = Framing.create ~max_line:config.max_line ();
-                work = Queue.create ();
-                out = Buffer.create 512;
-                sent = 0;
-                closing = false;
-                reject_sent = false;
-                inflight = 0;
-                rl_tokens = float_of_int config.rate_burst;
-                rl_last = Unix.gettimeofday () }
-              :: !conns;
-            max_concurrent := max !max_concurrent (List.length !conns)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> ()
-        done
       in
       (* while draining, a connection with nothing left to say is done
          even if the peer never closed its end *)

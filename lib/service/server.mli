@@ -196,8 +196,9 @@ type serve_stats = {
     so concurrency buys overlap of client round-trips, not parallel
     request execution. Cheap requests do not wait for a long [exec],
     though: at the exec's safe points ({!Exec.run}'s [poll]), once the
-    loop has been away from its [select] for 0.5 ms, it reads its idle
-    connections (nothing queued, in flight or unflushed) and answers
+    loop has been away from its [select] for 0.5 ms, it accepts any
+    pending connection (up to [max_clients]), reads the new and the
+    idle connections (nothing queued, in flight or unflushed) and answers
     [health] and any [compile] whose plan is in the memory tier in
     place, through the same parse, cap and rate-limit code; any other
     line stays framed for the loop, so each connection's response

@@ -824,6 +824,46 @@ let test_serve_cheap_requests_pass_long_exec () =
   Alcotest.(check int) "both counted in serve.pumped" 2 stats.Server.pumped;
   Alcotest.(check int) "nothing dropped" 0 stats.Server.dropped
 
+(* a connection opened while a long exec runs is accepted at the
+   exec's next safe point, not after it: the pump polls the listening
+   socket with the idle connections, so the late client's health is
+   answered first. The lanes-8 covariance exec walks 1.7M iterations
+   twenty times, hundreds of ms against a sub-ms connect. *)
+let test_serve_accepts_during_long_exec () =
+  let exec_line = "exec kernel=covariance n=150 lanes=8 repeat=20" in
+  let (exec_resp, health, exec_answered_first), stats =
+    with_server @@ fun socket ->
+    let main = connect socket in
+    let walks = Obsv.Metrics.total Service.Stats.reference_misses in
+    send_all main (exec_line ^ "\n");
+    let rec wait tries =
+      if Obsv.Metrics.total Service.Stats.reference_misses = walks then begin
+        if tries = 0 then Alcotest.fail "the exec never started its reference walk";
+        Unix.sleepf 0.0005;
+        wait (tries - 1)
+      end
+    in
+    wait 20_000;
+    let late = connect socket in
+    send_all late "health\n";
+    let health = List.hd (recv_lines late 1) in
+    let exec_answered_first =
+      match Unix.select [ main ] [] [] 0.0 with [], _, _ -> false | _ -> true
+    in
+    let exec_resp = List.hd (recv_lines main 1) in
+    send_all late "shutdown\n";
+    ignore (recv_lines late 1);
+    Unix.close late;
+    Unix.close main;
+    (exec_resp, health, exec_answered_first)
+  in
+  Alcotest.(check bool) "late health answered before the exec" false exec_answered_first;
+  check_contains "health answered" {|"op":"health","status":"ok"|} health;
+  Alcotest.(check string) "exec byte-identical" (expected_line exec_line) exec_resp;
+  Alcotest.(check int) "health counted in serve.pumped" 1 stats.Server.pumped;
+  Alcotest.(check int) "both connections accepted" 2 stats.Server.connections;
+  Alcotest.(check int) "nothing dropped" 0 stats.Server.dropped
+
 (* a pipelined health flood on another connection, sent while an exec
    with a deadline runs: the pump's time is charged to that deadline,
    so one pump answers at most [service_quantum] of the flood and the
@@ -1014,6 +1054,8 @@ let suites =
         Alcotest.test_case "garbage bytes get structured errors" `Quick test_serve_garbage_bytes;
         Alcotest.test_case "health and warm compile pass a long exec" `Quick
           test_serve_cheap_requests_pass_long_exec;
+        Alcotest.test_case "a connection opened mid-exec is answered" `Quick
+          test_serve_accepts_during_long_exec;
         Alcotest.test_case "a health flood costs a deadlined exec one quantum" `Quick
           test_serve_health_flood_under_deadline
       ]

@@ -818,6 +818,95 @@ let test_recover_block () =
     (fun () ->
       ignore (Trahrhe.Recovery.recover_block rc ~pc:1 [| Array.make 4 0; Array.make 3 0 |]))
 
+(* the row-sum [block_hash] relies on wrapping arithmetic: it must
+   equal the per-lane sum of [iter_hash] for values anywhere in the
+   int range, and ignore the lanes at and past [count] *)
+let prop_block_hash_is_lane_sum =
+  let gen =
+    QCheck.Gen.(
+      let value = frequency [ (4, int); (1, oneofl [ min_int; max_int; 0; -1; 1 ]) ] in
+      int_range 1 5 >>= fun d ->
+      int_range 1 40 >>= fun width ->
+      int_range 0 (width - 1) >>= fun count ->
+      array_repeat d (array_repeat width value) >|= fun lanes -> (count, lanes))
+  in
+  let print (count, lanes) =
+    Printf.sprintf "count %d, rows [%s]" count
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun row -> String.concat "," (Array.to_list (Array.map string_of_int row)))
+               lanes)))
+  in
+  QCheck.Test.make ~name:"block_hash = per-lane sum of iter_hash" ~count:500
+    (QCheck.make ~print gen) (fun (count, lanes) ->
+      let d = Array.length lanes in
+      let acc = ref 0 in
+      for l = 0 to count - 1 do
+        acc := !acc + Trahrhe.Recovery.iter_hash (Array.init d (fun k -> lanes.(k).(l)))
+      done;
+      Trahrhe.Recovery.block_hash lanes ~count = !acc)
+
+(* the lane walk writes a run's outer prefix once per run and keeps
+   it across the run's later blocks: every lane of every block, on
+   nests whose rows are shorter than the block (so blocks straddle
+   runs), with empty rows, on a depth-1 nest with no outer rows, and
+   from chunk starts in the middle of a row, must hold the recovery
+   of its rank *)
+let test_walk_lanes_straddles_runs () =
+  let var v lower upper = { Trahrhe.Nest.var = v; lower; upper } in
+  let nests =
+    [ (* k in [j, i): a short row per (i, j), empty where j = i *)
+      ( "short and empty rows",
+        Trahrhe.Nest.make ~params:[ "N" ]
+          [ var "i" (aff [] 0) (aff [ ("N", 1) ] 0);
+            var "j" (aff [] 0) (aff [ ("i", 1) ] 1);
+            var "k" (aff [ ("j", 1) ] 0) (aff [ ("i", 1) ] 0) ],
+        9 );
+      (* j in [0, i): the i = 1 row is empty, the rest grow by one *)
+      ( "triangle with an empty first row",
+        Trahrhe.Nest.make ~params:[ "N" ]
+          [ var "i" (aff [] 1) (aff [ ("N", 1) ] 0); var "j" (aff [] 0) (aff [ ("i", 1) ] 0) ],
+        12 );
+      ("fig6", fig6_nest (), 8);
+      ( "depth 1",
+        Trahrhe.Nest.make ~params:[ "N" ] [ var "i" (aff [] 3) (aff [ ("N", 1) ] 0) ],
+        80 ) ]
+  in
+  List.iter
+    (fun (name, nest, n) ->
+      let rc = Trahrhe.Recovery.make (Trahrhe.Inversion.invert_exn nest) ~param:(fun _ -> n) in
+      let trip = Trahrhe.Recovery.trip_count rc in
+      let want = Array.init (trip + 1) (fun r -> if r = 0 then [||] else Trahrhe.Recovery.recover rc r) in
+      List.iter
+        (fun vlength ->
+          (* whole walks, and chunks of odd lengths that start and end
+             mid-row *)
+          List.iter
+            (fun chunk ->
+              let pc = ref 1 in
+              while !pc <= trip do
+                let where = Printf.sprintf "%s vlength=%d chunk=%d pc=%d" name vlength chunk !pc in
+                Trahrhe.Recovery.walk_lanes rc ~pc:!pc ~len:chunk ~vlength
+                  (fun ~base ~count lanes ->
+                    for l = 0 to count - 1 do
+                      Array.iteri
+                        (fun k row ->
+                          if row.(l) <> want.(base + l).(k) then
+                            Alcotest.failf "%s: rank %d level %d is %d, recover has %d" where
+                              (base + l) k row.(l)
+                              want.(base + l).(k))
+                        lanes
+                    done);
+                pc := !pc + chunk
+              done)
+            [ trip; 5; 13; 2 * vlength + 1 ])
+        [ 3; 8; 32 ])
+    nests;
+  Alcotest.check_raises "block_hash count past the row"
+    (Invalid_argument "Recovery.block_hash: count exceeds the row") (fun () ->
+      ignore (Trahrhe.Recovery.block_hash [| [| 1; 2 |] |] ~count:3))
+
 (* -------- Validation: paper nests, kernels, random nests -------- *)
 
 let check_nest ?(sizes = [ 2; 3; 5; 13 ]) name nest =
@@ -1031,7 +1120,9 @@ let suites =
         Alcotest.test_case "fdiff walk matches increment" `Quick test_recovery_walk_matches_increment;
         Alcotest.test_case "lane-walk matches walk (\xc2\xa7VI-A)" `Quick
           test_recovery_walk_lanes_matches_walk;
-        Alcotest.test_case "recover_block edges" `Quick test_recover_block ] );
+        Alcotest.test_case "recover_block edges" `Quick test_recover_block;
+        Alcotest.test_case "lane blocks straddle runs" `Quick test_walk_lanes_straddles_runs ]
+      @ qsuite [ prop_block_hash_is_lane_sum ] );
     ( "trahrhe.validate",
       [ Alcotest.test_case "paper nests exhaustively" `Quick test_validate_paper_nests;
         Alcotest.test_case "shifted lower bounds" `Quick test_validate_shifted_lower_bounds;
