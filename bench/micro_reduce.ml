@@ -25,10 +25,7 @@ let run () =
   let module N = Trahrhe.Nest in
   let ltmp = Option.get (Kernels.Registry.find "ltmp") in
   let reduced param_n =
-    let nest =
-      N.with_reduce ltmp.K.nest
-        (Some { N.op = N.Sum; value = N.default_reduce_value ltmp.K.nest })
-    in
+    let nest = N.with_default_reduce ltmp.K.nest in
     let inv =
       match Trahrhe.Inversion.invert nest with
       | Ok i -> i
@@ -126,7 +123,7 @@ let run () =
             let pc = ref 1 in
             while !pc <= trip do
               let len = min chunk (trip - !pc + 1) in
-              sink := !sink + R.walk_reduce_int rc ~pc:!pc ~len;
+              sink := !sink + R.walk_reduce_int rc N.Sum ~pc:!pc ~len;
               pc := !pc + len
             done)
       in
@@ -134,8 +131,8 @@ let run () =
       let native = reduce_ns rc_native in
       ignore !sink;
       (* the native accumulator must agree bit for bit *)
-      let vi = R.walk_reduce_int rc_interp ~pc:1 ~len:trip in
-      let vn = R.walk_reduce_int rc_native ~pc:1 ~len:trip in
+      let vi = R.walk_reduce_int rc_interp N.Sum ~pc:1 ~len:trip in
+      let vn = R.walk_reduce_int rc_native N.Sum ~pc:1 ~len:trip in
       if vi <> vn then failwith (Printf.sprintf "native reduce %d <> interpreted %d" vn vi);
       Printf.printf "%-44s %10.2f\n" "interpreted clause fold (ns/iter)" interp;
       Printf.printf "%-44s %10.2f\n" "native reduce_sum (ns/iter)" native;

@@ -348,12 +348,13 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
             exit 1)
         faults
     in
-    (* a reduction request rewrites the nest's clause BEFORE the cache
-       lookup so the clause participates in content addressing *)
-    let nest = Trahrhe.Nest.with_reduce_op k.Kernels.Kernel.nest reduce in
+    let nest = k.Kernels.Kernel.nest in
+    let nest = if reduce = None then nest else Trahrhe.Nest.with_default_reduce nest in
     (* compile once through the plan cache (warm OMPSIM_PLAN_CACHE dirs
        skip the symbolic pipeline entirely); the recovery and the
-       serial reference are then reused across every --repeat run *)
+       serial reference are then reused across every --repeat run.
+       --deadline-ms is charged from here *)
+    let started = Unix.gettimeofday () in
     match Service.Cache.find_or_compile (Service.Cache.default ()) nest with
     | Error e ->
       Printf.eprintf "inversion failed: %s\n" e;
@@ -375,10 +376,11 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
         | Service.Exec.Rat q -> Zmath.Rat.to_string q
       in
       (* one invocation, one reference: the CLI walks it every time *)
-      let reference =
-        Service.Exec.serial rc ~nest:plan.Service.Plan.inversion.Trahrhe.Inversion.nest ~param opts
+      let reference poll =
+        Service.Exec.serial ~poll rc ~nest:plan.Service.Plan.inversion.Trahrhe.Inversion.nest
+          ~param opts
       in
-      match Service.Exec.run ?faults ?deadline_ms ~reference rc opts with
+      match Service.Exec.run ?faults ?deadline_ms ~started ~reference rc opts with
       | Error Service.Exec.Empty_extremum ->
         prerr_endline "min/max reduction over an empty iteration space";
         1
@@ -536,8 +538,9 @@ let exec_cmd =
              the collapsed range instead of the checksum walk: per-worker partial accumulators, \
              deterministic combine tree keyed by chunk position, checked exactly against the \
              serial fold. The reduced value polynomial is the kernel's declared clause when it \
-             has one, the canonical default otherwise; sum reduces in wrapped int64 (and runs \
-             natively under $(b,--native)), prod/min/max reduce in exact rationals.")
+             has one, the canonical default otherwise. The operator is not part of the plan: \
+             every $(docv) of a kernel runs one compiled plan. sum reduces in wrapped int64 (and \
+             runs natively under $(b,--native)), prod/min/max reduce in exact rationals.")
   in
   let faults =
     Arg.(
@@ -565,8 +568,8 @@ let exec_cmd =
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
             "Cancel execution cooperatively once $(docv) milliseconds have elapsed (remaining \
-             chunks are reported, not executed); the budget covers all $(b,--repeat) runs \
-             together.")
+             chunks are reported, not executed); the budget covers the compile, the serial \
+             reference walk and all $(b,--repeat) runs together.")
   in
   Cmd.v
     (Cmd.info "exec"
@@ -728,8 +731,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "request-timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Per-request execution deadline: an exec whose runs exceed $(docv) milliseconds \
-             answers with a deterministic error response instead of running to completion.")
+            "Per-request execution deadline: an exec whose compile, serial reference and runs \
+             exceed $(docv) milliseconds answers with a deterministic error response instead of \
+             running to completion.")
   in
   let max_inflight_per_client =
     Arg.(

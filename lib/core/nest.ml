@@ -6,9 +6,7 @@ type level = { var : string; lower : A.t; upper : A.t }
 
 type red_op = Sum | Prod | Min | Max
 
-type reduction = { op : red_op; value : P.t }
-
-type t = { params : string list; levels : level list; reduce : reduction option }
+type t = { params : string list; levels : level list; reduce : P.t option }
 
 let op_to_string = function Sum -> "sum" | Prod -> "prod" | Min -> "min" | Max -> "max"
 
@@ -48,19 +46,19 @@ let make ~params ?reduce levels =
   if levels = [] then invalid_arg "Nest.make: empty nest";
   (match reduce with
   | None -> ()
-  | Some r ->
+  | Some value ->
     List.iter
       (fun x ->
         if not (Hashtbl.mem seen x) then
           invalid_arg
             (Printf.sprintf
                "Nest.make: reduction value mentions %s which is not an iterator or parameter" x))
-      (P.vars r.value);
+      (P.vars value);
     List.iter
       (fun (c, _) ->
         if not (Q.is_integer c) then
           invalid_arg "Nest.make: reduction value must have integer coefficients")
-      (P.terms r.value));
+      (P.terms value));
   { params; levels; reduce }
 
 let depth n = List.length n.levels
@@ -76,11 +74,8 @@ let default_reduce_value n =
   List.fold_left P.add (P.const Q.one)
     (List.mapi (fun k v -> P.scale (Q.of_int (k + 1)) (P.var v)) (level_vars n))
 
-let with_reduce_op n = function
-  | None -> n
-  | Some op ->
-    let value = match n.reduce with Some r -> r.value | None -> default_reduce_value n in
-    with_reduce n (Some { op; value })
+let with_default_reduce n =
+  match n.reduce with Some _ -> n | None -> with_reduce n (Some (default_reduce_value n))
 
 let prefix n c =
   if c < 1 || c > depth n then invalid_arg "Nest.prefix";

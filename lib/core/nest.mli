@@ -16,19 +16,20 @@ type level = {
   upper : A.t;  (** exclusive upper bound, C-style [ik < upper] *)
 }
 
-(** A reduction clause carried by the nest: combine [value], evaluated
-    at every iteration point, with the associative operator [op]. The
-    value polynomial ranges over the nest's iterators and parameters
-    and must have integer coefficients, so per-point evaluation is
-    integer-exact: reductions over [Zmath.Rat] are bit-for-bit
-    schedule-independent, and the [Sum] case additionally admits a
-    wrapping native-int fast path (mod 2^63, matching the JIT's u64
-    accumulator truncated by [Val_long]). *)
+(** A reduction operator: the payload a run folds over the clause
+    values. It is a run option ([Exec.opts.reduce] in the service), not
+    part of the nest: one nest, plan and recovery serve every operator. *)
 type red_op = Sum | Prod | Min | Max
 
-type reduction = { op : red_op; value : Polymath.Polynomial.t }
-
-type t = private { params : string list; levels : level list; reduce : reduction option }
+(** A nest may declare a reduction clause: the value polynomial
+    evaluated at every iteration point, which a [reduce=] run folds
+    with the operator it asks for. The value ranges over the nest's
+    iterators and parameters and must have integer coefficients, so
+    per-point evaluation is integer-exact: reductions over [Zmath.Rat]
+    are bit-for-bit schedule-independent, and the [Sum] fold
+    additionally admits a wrapping native-int fast path (mod 2^63,
+    matching the JIT's u64 accumulator truncated by [Val_long]). *)
+type t = private { params : string list; levels : level list; reduce : Polymath.Polynomial.t option }
 
 val op_to_string : red_op -> string
 
@@ -45,24 +46,24 @@ val op_neutral : red_op -> Zmath.Rat.t option
 (** [make ~params ?reduce levels] validates and builds a nest: level
     variables must be distinct, disjoint from [params], and each bound
     may only mention parameters and strictly-outer level variables. A
-    reduction clause may only mention iterators and parameters and
-    must have integer coefficients.
+    reduction clause's value may only mention iterators and parameters
+    and must have integer coefficients.
     @raise Invalid_argument when the model is violated. *)
-val make : params:string list -> ?reduce:reduction -> level list -> t
+val make : params:string list -> ?reduce:Polymath.Polynomial.t -> level list -> t
 
-(** [with_reduce n r] is [n] with its reduction clause replaced
+(** [with_reduce n v] is [n] with its reduction clause's value replaced
     (revalidated). *)
-val with_reduce : t -> reduction option -> t
+val with_reduce : t -> Polymath.Polynomial.t option -> t
 
 (** [default_reduce_value n] is the canonical payload used when a
     reduction is requested on a nest with no declared clause:
     [1 + sum_k (k+1)*x_k]. *)
 val default_reduce_value : t -> Polymath.Polynomial.t
 
-(** [with_reduce_op n op] is the nest a [reduce=op] request runs: [n]
-    itself for [None], else [n] reducing [op] over its declared clause
-    value, or over {!default_reduce_value} when it declares none. *)
-val with_reduce_op : t -> red_op option -> t
+(** [with_default_reduce n] is the nest a [reduce=] request runs: [n]
+    itself when it declares a clause, else [n] reducing
+    {!default_reduce_value}. Every operator folds the same nest. *)
+val with_default_reduce : t -> t
 
 val depth : t -> int
 

@@ -37,9 +37,9 @@ type native = {
 type poly = { horner : H.t; exact : Bp.t }
 
 (* a nest's reduction clause: its compiled value polynomial, plus the
-   parameter-substituted polynomial itself for exact rational folds *)
+   parameter-substituted polynomial itself for exact rational folds.
+   The operator is the caller's: every fold takes it as an argument. *)
 type reduce_comp = {
-  r_op : Nest.red_op;
   r_poly : P.t;  (** parameter-substituted value, vars = level vars *)
   value : poly;
 }
@@ -124,7 +124,7 @@ let make (inv : Inversion.t) ~param =
   (* the reduction value is evaluated at every iteration point by the
      same evaluators, so it participates in the overflow analysis on
      equal footing with the rankings and bounds *)
-  let s_val = Option.map (fun (r : Nest.reduction) -> stage r.Nest.value) nest.Nest.reduce in
+  let s_val = Option.map stage nest.Nest.reduce in
   (* Per-nest overflow threshold, precomputed from the polynomial
      coefficients (derivation in DESIGN.md "Fault tolerance"): bound
      each level's index magnitude inductively — |idx_k| is at most the
@@ -148,11 +148,7 @@ let make (inv : Inversion.t) ~param =
   let form (folded, exact) =
     { horner = H.compile ~slot (if safe then zero_poly else folded); exact }
   in
-  let reduce =
-    match (nest.Nest.reduce, s_val) with
-    | Some r, Some ((r_poly, _) as sv) -> Some { r_op = r.Nest.op; r_poly; value = form sv }
-    | _ -> None
-  in
+  let reduce = Option.map (fun ((r_poly, _) as sv) -> { r_poly; value = form sv }) s_val in
   let numeric =
     Array.init d (fun k ->
         if k = d - 1 then None
@@ -644,8 +640,6 @@ let recover_block t ~pc lanes =
 
 (* ---------------- reduction payloads ---------------- *)
 
-let reduction t = t.inv.Inversion.nest.Nest.reduce
-
 let reduce_comp t =
   match t.reduce with
   | Some rc -> rc
@@ -706,10 +700,10 @@ let fold_run_int t rc op acc =
    only below [make]'s 2^61 headroom and so refuse a guarded recovery.
    Every clause value is then below 2^61 in magnitude, so [max_int]
    (resp. [min_int]) is a seed the chunk's first value always replaces. *)
-let walk_reduce_int t ~pc ~len =
+let walk_reduce_int t op ~pc ~len =
   let rc = reduce_comp t in
   let acc = ref 0 in
-  (match rc.r_op with
+  (match op with
   | Nest.Sum ->
     chunk t ~pc ~len
       ?native:(Option.map (fun nat () -> acc := nat.n_reduce_sum ~pc ~len) t.native)
@@ -718,20 +712,20 @@ let walk_reduce_int t ~pc ~len =
     if t.safe then invalid_arg "Recovery.walk_reduce_int: min/max on an overflow-guarded recovery";
     if len <= 0 || pc < 1 || pc > t.trip then
       invalid_arg "Recovery.walk_reduce_int: empty chunk or pc outside the iteration space";
-    let pick = if rc.r_op = Nest.Min then Int.min else Int.max in
-    acc := (if rc.r_op = Nest.Min then max_int else min_int);
+    let pick = if op = Nest.Min then Int.min else Int.max in
+    acc := (if op = Nest.Min then max_int else min_int);
     chunk t ~pc ~len (fold_run_int t rc pick acc)
-  | Nest.Prod -> invalid_arg "Recovery.walk_reduce_int: clause is a product");
+  | Nest.Prod -> invalid_arg "Recovery.walk_reduce_int: a product folds in rationals");
   !acc
 
-let walk_reduce_rat t ~pc ~len =
+let walk_reduce_rat t op ~pc ~len =
   let rc = reduce_comp t in
   if len <= 0 then invalid_arg "Recovery.walk_reduce_rat: empty chunk";
   let eval = reduce_rat_eval t rc and acc = ref None in
   chunk t ~pc ~len
     (per_iteration (fun idx ->
          let v = eval idx in
-         acc := Some (match !acc with None -> v | Some a -> Nest.op_apply rc.r_op a v)));
+         acc := Some (match !acc with None -> v | Some a -> Nest.op_apply op a v)));
   match !acc with
   | Some q -> q
   | None -> invalid_arg "Recovery.walk_reduce_rat: pc outside the iteration space"

@@ -221,12 +221,10 @@ val walk_hash : t -> pc:int -> len:int -> int
 
 (** {2 Reduction walks}
 
-    Available when the nest declares a reduction clause
-    ({!Nest.reduction}); every entry point raises [Invalid_argument]
-    otherwise. *)
-
-(** [reduction t] is the nest's clause, if any. *)
-val reduction : t -> Nest.reduction option
+    Available when the nest declares a reduction clause ({!Nest.t}'s
+    [reduce] value); every entry point raises [Invalid_argument]
+    otherwise. The operator is not part of the clause: each fold takes
+    it as an argument, so one recovery serves every operator. *)
 
 (** [reduce_value_int t idx] evaluates the clause value at one index
     point in native-int arithmetic. The clause grammar forces integer
@@ -242,9 +240,9 @@ val reduce_value_int : t -> int array -> int
     {+, x, min, max} engine and of serial reference folds. *)
 val reduce_value_rat : t -> int array -> Zmath.Rat.t
 
-(** [walk_reduce_int t ~pc ~len] folds the clause's operator over the
-    native-int values ({!reduce_value_int}) of the chunk: one recovery
-    at rank [pc], then the next [len] iterations.
+(** [walk_reduce_int t op ~pc ~len] folds [op] over the native-int
+    values ({!reduce_value_int}) of the chunk: one recovery at rank
+    [pc], then the next [len] iterations.
     - [Sum]: the wrapping native-int sum (0 when [len <= 0]). With a
       native backend attached the whole chunk runs in the specialized
       [.so] ([jit.hit]).
@@ -253,20 +251,20 @@ val reduce_value_rat : t -> int array -> Zmath.Rat.t
       {!overflow_guarded}, {!make}'s headroom analysis bounds every
       clause value below 2^61, so no evaluation wraps. Equals
       {!walk_reduce_rat} over the same range.
-    @raise Invalid_argument when the clause is a [Prod], or for
-    [Min]/[Max] when the recovery is {!overflow_guarded}, [len <= 0]
-    or [pc] lies outside the iteration space. *)
-val walk_reduce_int : t -> pc:int -> len:int -> int
+    @raise Invalid_argument when [op] is [Prod], or for [Min]/[Max]
+    when the recovery is {!overflow_guarded}, [len <= 0] or [pc] lies
+    outside the iteration space. *)
+val walk_reduce_int : t -> Nest.red_op -> pc:int -> len:int -> int
 
-(** [walk_reduce_rat t ~pc ~len] folds the clause's operator over the
-    exact rational values of the next [len] iterations, seeded with
+(** [walk_reduce_rat t op ~pc ~len] folds [op] over the exact
+    rational values of the next [len] iterations, seeded with
     the first value (so it serves min/max, which have no neutral
     element). Equals the serial left fold over the same range exactly.
     The fold of [Prod], and of [Min]/[Max] on an {!overflow_guarded}
     recovery, where {!walk_reduce_int} would wrap.
     @raise Invalid_argument when [len <= 0] or [pc] lies outside the
     iteration space. *)
-val walk_reduce_rat : t -> pc:int -> len:int -> Zmath.Rat.t
+val walk_reduce_rat : t -> Nest.red_op -> pc:int -> len:int -> Zmath.Rat.t
 
 (** [walk_lanes t ~pc ~len ~vlength f] is the §VI-A batched lane-walk:
     ONE costly recovery at the collapsed index [pc], then the next

@@ -2,10 +2,9 @@
 
     Objects live next to the plans, one [<digest>.<salt>.so] per
     distinct emitted source ({!so_name}; the digest is
-    {!Emit.field-digest}, so plans that emit the same C — the [reduce=]
-    ops of one nest — share one object; the salt is {!Abi.salt}, so a
-    compiler or ABI change never loads a stale binary — it just misses
-    and recompiles). Publication is atomic (private temp file +
+    {!Emit.field-digest}, so plans that emit the same C share one
+    object; the salt is {!Abi.salt}, so a compiler or ABI change never
+    loads a stale binary — it just misses and recompiles). Publication is atomic (private temp file +
     rename), mirroring the plan store.
 
     Compiles run under {!Subproc}: [OMPSIM_JIT_TIMEOUT_MS] (default

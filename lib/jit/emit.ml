@@ -142,9 +142,9 @@ let source (inv : Trahrhe.Inversion.t) =
        Without a clause the symbol is a stub answering 0: the loader
        resolves every symbol *)
     (match nest.N.reduce with
-    | Some r ->
+    | Some value ->
       walker ~name:"ompsim_reduce_sum" ~per_run:[]
-        ~per_iter:(C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 (expr r.N.value)))
+        ~per_iter:(C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 (expr value)))
     | None ->
       fn buf ~ret:u64 ~name:"ompsim_reduce_sum"
         ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s omp_len" i64 i64 i64)

@@ -18,8 +18,9 @@
     The unit includes no header (the [int64] types come from the
     compiler's [__INT64_TYPE__] / [__UINT64_TYPE__]) and carries no
     plan fingerprint: its identity is the digest of its own code, so
-    plans that emit the same C (the [reduce=] ops of one nest, which
-    differ only in the clause's operator) share one object.
+    plans that emit the same C share one object. The reduction
+    operator never reaches it: one plan, and so one object, serves
+    every [reduce=] op of a nest.
 
     Exported symbols (the ABI, version {!Abi.version}):
     - [ompsim_abi], [ompsim_fingerprint], [ompsim_depth],

@@ -1,10 +1,10 @@
 (* Reduction kernels: the same iteration spaces as correlation
-   (upper triangle) and covariance (upper prism), but the nest carries
-   a declared reduction clause instead of updating an output matrix.
-   The per-point payload is an integer-coefficient polynomial, so the
-   serial reference is an exact wrapped-int fold (mod 2^63) that the
-   parallel combine tree and the JIT's u64 accumulator must reproduce
-   bit-for-bit. *)
+   (upper triangle) and covariance (upper prism), but the nest declares
+   a reduction clause (a value polynomial, which a run folds with the
+   operator it asks for) instead of updating an output matrix. The
+   value has integer coefficients, so the serial reference is an exact
+   wrapped-int fold (mod 2^63) that the parallel combine tree and the
+   JIT's u64 accumulator must reproduce bit-for-bit. *)
 
 open Shape
 module P = Polymath.Polynomial
@@ -20,7 +20,7 @@ let correlation_reduce =
   let value = P.mul (P.add (pvar "i") (pconst 1)) (P.add (pvar "j") (pconst 1)) in
   let nest =
     Trahrhe.Nest.make ~params:[ "N" ]
-      ~reduce:{ Trahrhe.Nest.op = Trahrhe.Nest.Sum; value }
+      ~reduce:value
       [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] (-1) };
         { var = "j"; lower = aff [ ("i", 1) ] 1; upper = aff [ ("N", 1) ] 0 } ]
   in
@@ -67,7 +67,7 @@ let covariance_reduce =
   let value = P.add (P.mul (pvar "i") (pvar "j")) (P.add (pvar "k") (pconst 1)) in
   let nest =
     Trahrhe.Nest.make ~params:[ "N" ]
-      ~reduce:{ Trahrhe.Nest.op = Trahrhe.Nest.Sum; value }
+      ~reduce:value
       [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 };
         { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 0 };
         { var = "k"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 } ]

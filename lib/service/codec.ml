@@ -76,8 +76,9 @@ let to_affine s =
     A.make terms (to_rat const)
   | _ -> fail "bad affine expression"
 
-(* the reduction clause travels as an OPTIONAL third element, so every
-   plan encoded before reductions existed still decodes byte-for-byte *)
+(* the reduction clause's value travels as an OPTIONAL third element,
+   so every checksum-only plan still decodes byte-for-byte. The
+   operator is a run option and never enters a plan *)
 let of_nest (n : Trahrhe.Nest.t) =
   let base =
     [ Sexp.List (List.map of_var n.Trahrhe.Nest.params);
@@ -87,15 +88,7 @@ let of_nest (n : Trahrhe.Nest.t) =
              Sexp.List [ of_var l.var; of_affine l.lower; of_affine l.upper ])
            n.Trahrhe.Nest.levels) ]
   in
-  let reduce =
-    match n.Trahrhe.Nest.reduce with
-    | None -> []
-    | Some r ->
-      [ Sexp.List
-          [ Sexp.Atom (Trahrhe.Nest.op_to_string r.Trahrhe.Nest.op);
-            of_poly r.Trahrhe.Nest.value ] ]
-  in
-  Sexp.List (base @ reduce)
+  Sexp.List (base @ Option.to_list (Option.map of_poly n.Trahrhe.Nest.reduce))
 
 let to_nest s =
   let build params levels reduce =
@@ -114,17 +107,7 @@ let to_nest s =
   in
   match list s with
   | [ params; levels ] -> build params levels None
-  | [ params; levels; red ] -> (
-    match list red with
-    | [ op; value ] ->
-      let op_name = atom op in
-      let op =
-        match Trahrhe.Nest.op_of_string op_name with
-        | Some o -> o
-        | None -> fail "bad reduction op %s" op_name
-      in
-      build params levels (Some { Trahrhe.Nest.op; value = to_poly value })
-    | _ -> fail "bad reduction clause")
+  | [ params; levels; value ] -> build params levels (Some (to_poly value))
   | _ -> fail "bad nest"
 
 let of_inversion (inv : Trahrhe.Inversion.t) =

@@ -42,7 +42,7 @@ let rat_result op = function
   | None -> N.op_neutral op
 
 (* [f] with [poll] called after every 4096th point: the serial
-   reference's safe points *)
+   reference's safe points, where [run] also checks its deadline *)
 let polled poll f =
   match poll with
   | None -> f
@@ -117,7 +117,8 @@ let params_key plan ~param =
 
 (* the reference depends on the plan, the canonical parameter values
    and the payload only: schedule, threads, lanes, native, repeat and
-   retries never change it (the plan fingerprint covers the clause) *)
+   retries never change it. The fingerprint covers the clause's value,
+   the payload names the operator *)
 let reference_key plan ~param opts =
   params_key plan ~param ^ "/"
   ^ match opts.reduce with None -> "checksum" | Some op -> N.op_to_string op
@@ -132,56 +133,66 @@ let parallel ?faults ?deadline_ms ~poll rc opts =
       ~schedule:opts.schedule ~n ~combine (sliced ~poll ~combine walk)
   in
   let ints combine walk = Result.map (Option.value ~default:0) (region combine walk) in
-  let int_walk ~start ~len = R.walk_reduce_int rc ~pc:(start + 1) ~len in
+  let int_walk op ~start ~len = R.walk_reduce_int rc op ~pc:(start + 1) ~len in
   (* an empty space reduces to [None]: 0 for the sums. Min/max over
      an empty space never get here (the reference rejects them first),
      so their defaults are unreachable. *)
   match opts.reduce with
   | None -> ints ( + ) (checksum_walk rc opts) |> Result.map (fun v -> Int v)
-  | Some N.Sum -> ints ( + ) int_walk |> Result.map (fun v -> Int v)
+  | Some N.Sum -> ints ( + ) (int_walk N.Sum) |> Result.map (fun v -> Int v)
   | Some ((N.Min | N.Max) as op) when not (R.overflow_guarded rc) ->
     (* exact in native ints below [make]'s headroom; rendered as the
        same rational the serial fold yields *)
-    ints (if op = N.Min then Int.min else Int.max) int_walk
+    ints (if op = N.Min then Int.min else Int.max) (int_walk op)
     |> Result.map (fun v -> Rat (Q.of_int v))
   | Some op ->
-    region (N.op_apply op) (fun ~start ~len -> R.walk_reduce_rat rc ~pc:(start + 1) ~len)
+    region (N.op_apply op) (fun ~start ~len -> R.walk_reduce_rat rc op ~pc:(start + 1) ~len)
     |> Result.map (fun o -> Rat (Option.value ~default:Q.zero (rat_result op o)))
 
+(* raised at a safe point of the serial reference once the deadline
+   is spent; never escapes [run] *)
+exception Expired
+
 let run ?faults ?deadline_ms ?started ?(poll = ignore) ~reference rc opts =
-  match reference with
+  let started = match started with Some t -> t | None -> Unix.gettimeofday () in
+  let trip = R.trip_count rc in
+  let run_times = Array.make opts.repeat 0.0 in
+  (* the deadline budget covers the reference and all [repeat] runs:
+     each gets whatever of it remains *)
+  let remaining () =
+    Option.map
+      (fun ms -> max 0 (ms - int_of_float ((Unix.gettimeofday () -. started) *. 1e3)))
+      deadline_ms
+  in
+  (* spent before run [r] starts: what a region cancelled before its
+     first chunk reports *)
+  let expired r =
+    let unrecovered = if trip > 0 then [ (0, trip) ] else [] in
+    Error
+      (Region { run = r; error = { Par.reason = Par.Deadline_expired; failures = []; unrecovered } })
+  in
+  let check () = if remaining () = Some 0 then raise Expired in
+  let rec go reference r =
+    if r > opts.repeat then Ok { reference; run_times }
+    else
+      match remaining () with
+      | Some 0 -> expired r
+      | budget -> (
+        let t0 = Unix.gettimeofday () in
+        match parallel ?faults ?deadline_ms:budget ~poll rc opts with
+        | exception exn -> Error (Raised { run = r; exn })
+        | Error error -> Error (Region { run = r; error })
+        | Ok v ->
+          run_times.(r - 1) <- Unix.gettimeofday () -. t0;
+          if value_equal v reference then go reference (r + 1)
+          else Error (Mismatch { run = r; parallel = v; serial = reference }))
+  in
+  match
+    check ();
+    reference (fun () ->
+        poll ();
+        check ())
+  with
+  | exception Expired -> expired 1
   | None -> Error Empty_extremum
-  | Some reference ->
-    let started = match started with Some t -> t | None -> Unix.gettimeofday () in
-    let trip = R.trip_count rc in
-    let run_times = Array.make opts.repeat 0.0 in
-    (* the deadline budget covers all [repeat] runs: each run gets
-       whatever of it remains *)
-    let remaining () =
-      Option.map
-        (fun ms -> max 0 (ms - int_of_float ((Unix.gettimeofday () -. started) *. 1e3)))
-        deadline_ms
-    in
-    let rec go r =
-      if r > opts.repeat then Ok { reference; run_times }
-      else
-        match remaining () with
-        | Some 0 ->
-          (* spent before the run starts: what a region cancelled
-             before its first chunk reports *)
-          let unrecovered = if trip > 0 then [ (0, trip) ] else [] in
-          Error
-            (Region
-               { run = r;
-                 error = { Par.reason = Par.Deadline_expired; failures = []; unrecovered } })
-        | budget -> (
-          let t0 = Unix.gettimeofday () in
-          match parallel ?faults ?deadline_ms:budget ~poll rc opts with
-          | exception exn -> Error (Raised { run = r; exn })
-          | Error error -> Error (Region { run = r; error })
-          | Ok v ->
-            run_times.(r - 1) <- Unix.gettimeofday () -. t0;
-            if value_equal v reference then go (r + 1)
-            else Error (Mismatch { run = r; parallel = v; serial = reference }))
-    in
-    go 1
+  | Some reference -> go reference 1

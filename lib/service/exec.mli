@@ -30,8 +30,9 @@
     calling domain — after every slice, and every 4096 iterations of
     the serial reference: safe points at which a single-domain caller
     can do other cheap work while a long request runs ({!Server.serve}
-    answers [health] and warm [compile] there). [poll] must not raise
-    and must not open a parallel region. *)
+    answers [health] and warm [compile] there), and at which {!run}
+    checks its deadline. [poll] must not raise and must not open a
+    parallel region. *)
 
 type opts = {
   threads : int;  (** domains for the parallel region *)
@@ -42,8 +43,9 @@ type opts = {
   native : bool;  (** route chunks through the native backend ({!Native}) *)
   reduce : Trahrhe.Nest.red_op option;
       (** run the region as a parallel reduction of the nest's clause
-          instead of the checksum walk; the nest must carry a clause
-          with this operator *)
+          with this operator instead of the checksum walk; the nest
+          must carry a clause. The only place the operator lives: it
+          is no part of the nest, the plan or the recovery *)
 }
 
 (** A run's result: the checksum and [sum] reductions are wrapped
@@ -101,28 +103,34 @@ val serial :
 val params_key : Plan.t -> param:(string -> int) -> string
 
 (** [reference_key plan ~param opts] names {!serial}'s result:
-    {!params_key} (the fingerprint covers the reduction clause) plus
-    the payload (checksum or reduce op). Schedule, threads, lanes,
-    native, repeat and retries are not part of it: they never change
-    the reference. *)
+    {!params_key} (the fingerprint covers the clause's value) plus the
+    payload (checksum or reduce op). Schedule, threads, lanes, native,
+    repeat and retries are not part of it: they never change the
+    reference. *)
 val reference_key : Plan.t -> param:(string -> int) -> opts -> string
 
-(** [run ~reference rc opts] executes the collapsed region
-    [opts.repeat] times on [rc], checking each run's value exactly
-    against [reference] ({!serial}'s result, fresh or memoized; [None]
-    fails with [Empty_extremum] before any run). Each run is one
+(** [run ~reference rc opts] obtains the serial reference
+    [reference poll] ({!serial}'s result under that [~poll], fresh or
+    memoized; [None] fails with [Empty_extremum] before any run), then
+    executes the collapsed region [opts.repeat] times on [rc], checking
+    each run's value exactly against it. Each run is one
     {!Ompsim.Par.reduce} region with [opts.retries], [faults] (passed
     through: absent defers to [OMPSIM_FAULTS]) and the remaining
-    deadline. [deadline_ms] budgets all runs together, measured from
-    [started] (default: the start of the first run). Stops at the
-    first failing run. [poll] (default: nothing) is called on slot 0
-    after every slice of a chunk (see above). *)
+    deadline. [deadline_ms] budgets the reference and all runs
+    together, measured from [started] (default: the call): it is
+    checked before the reference, at the reference's safe points, and
+    before each run; once spent, the pending run fails with
+    [Deadline_expired] and the whole range unrecovered. A reference
+    cut short raises through [reference], so {!Cache.reference}
+    memoizes nothing. Stops at the first failing run. [poll] (default:
+    nothing) is called on slot 0 after every slice of a chunk and at
+    the reference's safe points (see above). *)
 val run :
   ?faults:Ompsim.Fault.t option ->
   ?deadline_ms:int ->
   ?started:float ->
   ?poll:(unit -> unit) ->
-  reference:value option ->
+  reference:((unit -> unit) -> value option) ->
   Trahrhe.Recovery.t ->
   opts ->
   (outcome, failure) result

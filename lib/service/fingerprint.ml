@@ -67,11 +67,7 @@ let canonicalize (n : N.t) =
         { N.var = rename_var l.var; lower = rename_affine l.lower; upper = rename_affine l.upper })
       n.N.levels
   in
-  let reduce =
-    Option.map
-      (fun (r : N.reduction) -> { N.op = r.N.op; value = rename_poly r.N.value })
-      n.N.reduce
-  in
+  let reduce = Option.map rename_poly n.N.reduce in
   let canonical = N.make ~params:(List.map snd params) ?reduce levels in
   (canonical, { iterators; params })
 
@@ -88,15 +84,14 @@ let render (n : N.t) =
       Buffer.add_string buf (A.to_string l.upper))
     n.N.levels;
   (* the reduce suffix is appended ONLY when a clause is present, so
-     every pre-reduction fingerprint (and the cached plans keyed by
-     it) is preserved verbatim *)
+     every checksum-only fingerprint (and the cached plans keyed by it)
+     is preserved verbatim. It renders the value alone: the operator
+     is a run option, so every op of one nest shares its plan *)
   (match n.N.reduce with
   | None -> ()
-  | Some r ->
+  | Some value ->
     Buffer.add_string buf ";reduce=";
-    Buffer.add_string buf (N.op_to_string r.N.op);
-    Buffer.add_char buf ':';
-    Buffer.add_string buf (P.to_string r.N.value));
+    Buffer.add_string buf (P.to_string value));
   Buffer.contents buf
 
 let digest canonical =

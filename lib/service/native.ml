@@ -27,10 +27,9 @@ let breaker t = t.breaker
 (* one validated handle per plan fingerprint, so a warm request is one
    lookup. On a miss the plan's source is emitted and its object
    single-flighted on the source digest, exactly like plan compiles:
-   plans that emit the same C (the reduce= ops of one nest) build one
-   object, and a later plan of that digest loads it from [dir]. Only
-   plan-shaped failures (the emitter rejected the inversion) are
-   cached: those are deterministic, so retrying the same fingerprint
+   plans that emit the same C build one object, and a later plan of
+   that digest loads it from [dir]. Only plan-shaped failures (the
+   emitter rejected the inversion) are cached: those are deterministic, so retrying the same fingerprint
    would fail identically forever. Toolchain failures — missing
    compiler, wedged cc, compile timeout — are NOT cached: they are
    transient, and pinning them would keep a fingerprint on the

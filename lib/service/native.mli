@@ -6,8 +6,10 @@
     plan's C and single-flights the object on the source's digest
     ({!Jit.Emit.field-digest}) with the same machinery as plan compiles
     ({!Single_flight}): concurrent first requests build once, and plans
-    that emit the same C — the [reduce=] ops of one nest — share one
-    object. The [.so] files live in the same directory as the plans —
+    that emit the same C share one object. The operator of a [reduce=]
+    request is a run option, so every op of a nest runs its one plan's
+    object (a native [sum]; the other ops stay interpreted). The [.so]
+    files live in the same directory as the plans —
     [~dir], defaulting to [OMPSIM_PLAN_CACHE] — named
     [<digest>.<salt>.so] ({!Jit.Compile.so_name}).
 

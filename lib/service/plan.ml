@@ -53,8 +53,7 @@ let recovery p ~param = Trahrhe.Recovery.make p.inversion ~param
 let reduce_clause_equal a b =
   match (a, b) with
   | None, None -> true
-  | Some (ra : N.reduction), Some (rb : N.reduction) ->
-    ra.N.op = rb.N.op && P.equal ra.N.value rb.N.value
+  | Some va, Some vb -> P.equal va vb
   | _ -> false
 
 let nest_equal (a : N.t) (b : N.t) =

@@ -257,9 +257,7 @@ let parse_request_uncached line =
         | Some op -> Ok (Some op)
         | None -> Error (Printf.sprintf "reduce needs sum|prod|min|max, got %S" s))
     in
-    (* a reduce request rewrites the nest's clause BEFORE the cache
-       lookup, so the clause participates in content addressing *)
-    let nest = N.with_reduce_op nest reduce in
+    let nest = if reduce = None then nest else N.with_default_reduce nest in
     let label = Option.value ~default:name (List.assoc_opt "label" fields) in
     Ok
       (Some
@@ -414,10 +412,10 @@ let handle_full ?native ?deadline_ms ?poll cache req =
     | Ok (plan, _) -> (compile_json ~label plan, true, false))
   | Exec { label; nest; param; opts } -> (
     let err e = (error_json ~op:"exec" ~label e, false, false) in
-    (* the deadline budget covers the whole request from here, all
-       [repeat] runs included. The message is deterministic (no
-       elapsed time), keeping responses byte-stable across runs that
-       time out. *)
+    (* the deadline budget covers the whole request from here: the
+       lookups, the reference walk and all [repeat] runs. The message
+       is deterministic (no elapsed time), keeping responses
+       byte-stable across runs that time out. *)
     let started = Unix.gettimeofday () in
     match Cache.find_or_compile cache nest with
     | Error e -> err e
@@ -445,9 +443,9 @@ let handle_full ?native ?deadline_ms ?poll cache req =
           else ""
         in
         let nest = plan.Plan.inversion.Trahrhe.Inversion.nest in
-        let reference =
+        let reference poll =
           Cache.reference cache (Exec.reference_key plan ~param:cparam opts) (fun () ->
-              Exec.serial ?poll rc ~nest ~param:cparam opts)
+              Exec.serial ~poll rc ~nest ~param:cparam opts)
         in
         match Exec.run ?deadline_ms ~started ?poll ~reference rc opts with
         | Ok { Exec.reference; _ } ->

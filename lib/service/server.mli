@@ -35,8 +35,10 @@
       per-worker partial accumulators folded by a deterministic combine
       tree, checked exactly against the serial fold. The reduced value
       polynomial is the nest's declared clause when it has one, the
-      canonical default otherwise; the clause participates in the
-      plan's fingerprint. [sum] reduces in wrapped int64 (and can run
+      canonical default otherwise; the value is part of the plan's
+      fingerprint, the operator is not, so every op of a nest (and a
+      clause-declaring kernel's checksum) runs one plan, one recovery
+      and one native object. [sum] reduces in wrapped int64 (and can run
       natively under [native=1]); [prod]/[min]/[max] reduce in exact
       rationals and report the result as a JSON string. Example:
       [exec kernel=utma n=50 threads=4 schedule=dnc:2 reduce=sum].
@@ -93,10 +95,13 @@ val parse_request : string -> (request option, string) result
     checksum is one [walk_hash] call — a single native invocation when
     the backend engaged, the equivalent interpreted fold otherwise.
 
-    [deadline_ms] budgets the request's execution (all [repeat] runs
-    share it, measured from entry): when it expires the response is a
-    deterministic [status:"error"] line naming the timeout, so the
-    byte-stability contract above still holds. Each parallel run is
+    [deadline_ms] budgets the whole request, measured from entry: the
+    plan and recovery lookup (a cold compile included), the serial
+    reference walk (checked every 4096 points) and all [repeat] runs
+    share it. When it expires the response is a deterministic
+    [status:"error"] line naming the timeout, so the byte-stability
+    contract above still holds, and a reference cut short is not
+    memoized. Each parallel run is
     one supervised [Par.reduce] region: it injects the armed
     [OMPSIM_FAULTS] configuration, recovers from it, and stops
     launching chunks once the deadline passes; [compile] requests are

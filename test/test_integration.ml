@@ -239,12 +239,10 @@ let test_strided_nest () =
       let got = compile_and_run dir "strided_coll" out in
       Alcotest.(check string) "strided output matches" reference got)
 
-(* the shipped examples/c programs whose iterations write disjoint
+(* the shipped examples/c programs, whose iterations write disjoint
    cells: the default collapse at 2 threads prints the serial program's
    output (gcc rejects their original non-rectangular collapse clause,
-   so the reference is built without -fopenmp). tetrahedral.c is left
-   out: its s[i] += sums over (j, k), which collapse(3) splits between
-   threads. *)
+   so the reference is built without -fopenmp) *)
 let test_shipped_examples () =
   require_gcc ();
   let root =
@@ -273,7 +271,7 @@ let test_shipped_examples () =
               compile_and_run ~flags ~env:"OMP_NUM_THREADS=2 " dir (name ^ "_collapsed") out
             in
             Alcotest.(check string) (file ^ ": collapsed = serial at 2 threads") serial got)
-          [ ("strided.c", 128); ("correlation.c", 150) ])
+          [ ("strided.c", 128); ("correlation.c", 150); ("tetrahedral.c", 40) ])
 
 let test_reshape_c () =
   require_gcc ();

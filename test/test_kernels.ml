@@ -203,13 +203,13 @@ let test_reduction_kernels () =
       Alcotest.(check int)
         (name ^ ": one-shot walk_reduce_int = serial")
         !serial
-        (Trahrhe.Recovery.walk_reduce_int rc ~pc:1 ~len:trip);
+        (Trahrhe.Recovery.walk_reduce_int rc Trahrhe.Nest.Sum ~pc:1 ~len:trip);
       List.iter
         (fun schedule ->
           let r =
             Ompsim.Par.reduce ~faults:None ~nthreads:4 ~schedule ~n:trip ~combine:( + )
               (fun ~thread:_ ~start ~len ->
-                Trahrhe.Recovery.walk_reduce_int rc ~pc:(start + 1) ~len)
+                Trahrhe.Recovery.walk_reduce_int rc Trahrhe.Nest.Sum ~pc:(start + 1) ~len)
             |> Result.get_ok
           in
           Alcotest.(check (option int))

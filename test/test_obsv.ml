@@ -216,10 +216,6 @@ module R = Trahrhe.Recovery
    the chunk ran in the specialized object *)
 let test_walk_ledger () =
   let nest = correlation_nest () in
-  let with_clause op =
-    Trahrhe.Nest.with_reduce nest
-      (Some { Trahrhe.Nest.op; value = Trahrhe.Nest.default_reduce_value nest })
-  in
   let n = 30 in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -243,8 +239,7 @@ let test_walk_ledger () =
     rc :: native
   in
   let plain = recoveries "plain" nest in
-  let summed = recoveries "sum" (with_clause Trahrhe.Nest.Sum) in
-  let minned = recoveries "min" (with_clause Trahrhe.Nest.Min) in
+  let clause = recoveries "clause" (Trahrhe.Nest.with_default_reduce nest) in
   let total name = match M.find name with Some c -> M.total c | None -> 0 in
   (* [routed]: the entry point a native backend serves *)
   let entries =
@@ -259,9 +254,18 @@ let test_walk_ledger () =
         false,
         fun rc ~pc ~len -> ignore (R.recover_block rc ~pc (Array.init 2 (fun _ -> Array.make len 0)))
       );
-      ("walk_reduce_int", summed, true, fun rc ~pc ~len -> ignore (R.walk_reduce_int rc ~pc ~len));
-      ("walk_reduce_int min", minned, false, fun rc ~pc ~len -> ignore (R.walk_reduce_int rc ~pc ~len));
-      ("walk_reduce_rat", minned, false, fun rc ~pc ~len -> ignore (R.walk_reduce_rat rc ~pc ~len))
+      ( "walk_reduce_int",
+        clause,
+        true,
+        fun rc ~pc ~len -> ignore (R.walk_reduce_int rc Trahrhe.Nest.Sum ~pc ~len) );
+      ( "walk_reduce_int min",
+        clause,
+        false,
+        fun rc ~pc ~len -> ignore (R.walk_reduce_int rc Trahrhe.Nest.Min ~pc ~len) );
+      ( "walk_reduce_rat",
+        clause,
+        false,
+        fun rc ~pc ~len -> ignore (R.walk_reduce_rat rc Trahrhe.Nest.Min ~pc ~len) )
     ]
   in
   with_obsv (fun () ->

@@ -321,8 +321,8 @@ let run_reduce ~where ?faults ?lanes ~schedule ~op ~depth rc trip expect =
   in
   let body ~thread:_ ~start ~len =
     match lanes with
-    | None when int_fold -> Rint (R.walk_reduce_int rc ~pc:(start + 1) ~len)
-    | None -> Rrat (R.walk_reduce_rat rc ~pc:(start + 1) ~len)
+    | None when int_fold -> Rint (R.walk_reduce_int rc op ~pc:(start + 1) ~len)
+    | None -> Rrat (R.walk_reduce_rat rc op ~pc:(start + 1) ~len)
     | Some vlength ->
       (* the §VI-A batched walk feeding the fold: evaluate the clause
          lane by lane and fold locally, one partial per chunk *)
@@ -360,19 +360,20 @@ let run_reduce ~where ?faults ?lanes ~schedule ~op ~depth rc trip expect =
 
 let check_case_reduce (nest, nval) =
   let param _ = nval in
-  List.iter
-    (fun op ->
-      let nest_r = N.with_reduce nest (Some { N.op; value = N.default_reduce_value nest }) in
-      match Trahrhe.Inversion.invert nest_r with
-      | Error e ->
-        QCheck.Test.fail_reportf "inversion failed on a valid nest: %s"
-          (Trahrhe.Inversion.error_to_string e)
-      | Ok inv ->
-        let rc = Trahrhe.Recovery.make inv ~param in
-        let trip = Trahrhe.Recovery.trip_count rc in
-        let depth = N.depth nest_r in
+  (* one clause nest and one recovery serve every operator *)
+  let nest_r = N.with_default_reduce nest in
+  match Trahrhe.Inversion.invert nest_r with
+  | Error e ->
+    QCheck.Test.fail_reportf "inversion failed on a valid nest: %s"
+      (Trahrhe.Inversion.error_to_string e)
+  | Ok inv ->
+    let rc = Trahrhe.Recovery.make inv ~param in
+    let trip = Trahrhe.Recovery.trip_count rc in
+    let depth = N.depth nest_r in
+    let faults = { Ompsim.Fault.default with p = 0.3; seed = 0x5eed } in
+    List.iter
+      (fun op ->
         let expect = serial_reduce nest_r rc ~param ~op in
-        let faults = { Ompsim.Fault.default with p = 0.3; seed = 0x5eed } in
         let opname = N.op_to_string op in
         List.iter
           (fun schedule ->
@@ -399,8 +400,8 @@ let check_case_reduce (nest, nval) =
               ~schedule:(Ompsim.Schedule.Dynamic 2)
               ~op ~depth rc trip expect)
           vlengths)
-    red_ops;
-  true
+      red_ops;
+    true
 
 let prop_reduce_matches_serial =
   QCheck.Test.make
@@ -714,17 +715,13 @@ let check_case_partitions ((nest, nval), seed) =
   let iterations () =
     match Obsv.Metrics.find "recovery.iterations" with Some m -> Obsv.Metrics.total m | None -> 0
   in
-  let recovery op =
-    let nest = N.with_reduce nest (Some { N.op; value = N.default_reduce_value nest }) in
-    R.make (Trahrhe.Inversion.invert_exn nest) ~param
-  in
-  let rc_sum = recovery N.Sum and rc_min = recovery N.Min and rc_max = recovery N.Max in
+  let rc = R.make (Trahrhe.Inversion.invert_exn (N.with_default_reduce nest)) ~param in
   let buf = ref [] in
   N.iterate nest ~param (fun idx -> buf := Array.copy idx :: !buf);
   let reference = Array.of_list (List.rev !buf) in
   let trip = Array.length reference in
-  if R.trip_count rc_sum <> trip then
-    QCheck.Test.fail_reportf "trip count %d, nest enumerates %d" (R.trip_count rc_sum) trip;
+  if R.trip_count rc <> trip then
+    QCheck.Test.fail_reportf "trip count %d, nest enumerates %d" (R.trip_count rc) trip;
   let depth = N.depth nest in
   let same_prefix a b =
     let rec go k = k >= depth - 1 || (a.(k) = b.(k) && go (k + 1)) in
@@ -736,41 +733,41 @@ let check_case_partitions ((nest, nval), seed) =
       (List.init trip (fun r -> r + 1))
   in
   (* the standalone §V step walks the same space *)
-  let idx = R.first rc_sum in
+  let idx = R.first rc in
   Array.iteri
     (fun r want ->
       if idx <> want then
         QCheck.Test.fail_reportf "first/increment: rank %d at %s, nest enumerates %s" (r + 1)
           (idx_to_string idx) (idx_to_string want);
-      if R.increment rc_sum idx <> (r + 1 < trip) then
+      if R.increment rc idx <> (r + 1 < trip) then
         QCheck.Test.fail_reportf "increment past rank %d of %d" (r + 1) trip)
     reference;
   let fold f init = Array.fold_left f init reference in
-  let value idx = R.reduce_value_int rc_sum idx in
+  let value idx = R.reduce_value_int rc idx in
   let hashes = fold (fun a idx -> a + R.iter_hash idx) 0 in
   let payloads =
-    [ ("walk_hash", ( + ), hashes, fun ~pc ~len -> R.walk_hash rc_sum ~pc ~len);
+    [ ("walk_hash", ( + ), hashes, fun ~pc ~len -> R.walk_hash rc ~pc ~len);
       ( "walk",
         ( + ),
         hashes,
         fun ~pc ~len ->
           let acc = ref 0 in
-          R.walk rc_sum ~pc ~len (fun idx -> acc := !acc + R.iter_hash idx);
+          R.walk rc ~pc ~len (fun idx -> acc := !acc + R.iter_hash idx);
           !acc );
       ( "walk_lanes 3",
         ( + ),
         hashes,
         fun ~pc ~len ->
           let acc = ref 0 in
-          R.walk_lanes rc_sum ~pc ~len ~vlength:3 (fun ~base:_ ~count lanes ->
+          R.walk_lanes rc ~pc ~len ~vlength:3 (fun ~base:_ ~count lanes ->
               acc := !acc + R.block_hash lanes ~count);
           !acc );
       ("sum", ( + ), fold (fun a idx -> a + value idx) 0, fun ~pc ~len ->
-        R.walk_reduce_int rc_sum ~pc ~len);
+        R.walk_reduce_int rc N.Sum ~pc ~len);
       ("min", Int.min, fold (fun a idx -> Int.min a (value idx)) max_int, fun ~pc ~len ->
-        R.walk_reduce_int rc_min ~pc ~len);
+        R.walk_reduce_int rc N.Min ~pc ~len);
       ("max", Int.max, fold (fun a idx -> Int.max a (value idx)) min_int, fun ~pc ~len ->
-        R.walk_reduce_int rc_max ~pc ~len) ]
+        R.walk_reduce_int rc N.Max ~pc ~len) ]
   in
   let st = Random.State.make [| seed |] in
   List.iter
@@ -853,9 +850,8 @@ let check_empty_rows ~where tier plan ~canonical ~param op =
                   (Ompsim.Schedule.to_string schedule)
                   lanes
               in
-              match
-                Service.Exec.run ~reference rc { base with schedule; lanes; native }
-              with
+              let opts = { base with schedule; lanes; native } in
+              match Service.Exec.run ~reference:(fun _ -> reference) rc opts with
               | Ok _ -> ()
               | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: mismatch" where
               | Error _ -> Alcotest.failf "%s: run failed" where)
@@ -873,11 +869,7 @@ let test_empty_row_reproducers () =
             Printf.sprintf "%s / %s" name
               (match op with None -> "checksum" | Some op -> N.op_to_string op)
           in
-          let nest =
-            match op with
-            | None -> nest
-            | Some op -> N.with_reduce nest (Some { N.op; value = N.default_reduce_value nest })
-          in
+          let nest = if op = None then nest else N.with_default_reduce nest in
           let canonical, renaming = Service.Fingerprint.canonicalize nest in
           let param = Service.Fingerprint.canonical_param renaming (fun _ -> 9) in
           match Service.Plan.compile canonical with
@@ -976,15 +968,27 @@ let test_guarded_minmax_rational () =
       [ { N.var = "i"; lower = A.const Q.zero; upper = A.var "N" };
         { N.var = "j"; lower = A.var "i"; upper = A.make [ ("N", Q.one) ] Q.one } ]
   in
-  let with_op op value nest = N.with_reduce nest (Some { N.op; value }) in
+  (* the triangle at N = 3e9: [rc_big] of the store test *)
+  let rc_big =
+    R.make
+      (Trahrhe.Inversion.invert_exn (N.with_default_reduce tri))
+      ~param:(fun _ -> 3_000_000_000)
+  in
+  Alcotest.(check bool) "guard engaged" true (R.overflow_guarded rc_big);
+  (* value = 2^60 * i + j: the clause alone reaches the guard *)
+  let value =
+    Polymath.Polynomial.add
+      (Polymath.Polynomial.scale (Q.of_int (1 lsl 60)) (Polymath.Polynomial.var "i"))
+      (Polymath.Polynomial.var "j")
+  in
+  let nest = N.with_reduce tri (Some value) in
+  let param _ = 9 in
+  let rc = R.make (Trahrhe.Inversion.invert_exn nest) ~param in
+  Alcotest.(check bool) "clause trips the guard" true (R.overflow_guarded rc);
   List.iter
     (fun op ->
       let opname = N.op_to_string op in
-      (* the triangle at N = 3e9: [rc_big] of the store test *)
-      let nest = with_op op (N.default_reduce_value tri) tri in
-      let rc_big = R.make (Trahrhe.Inversion.invert_exn nest) ~param:(fun _ -> 3_000_000_000) in
-      Alcotest.(check bool) (opname ^ ": guard engaged") true (R.overflow_guarded rc_big);
-      (match R.walk_reduce_int rc_big ~pc:1 ~len:4 with
+      (match R.walk_reduce_int rc_big op ~pc:1 ~len:4 with
       | _ -> Alcotest.failf "%s: walk_reduce_int folded a guarded recovery" opname
       | exception Invalid_argument _ -> ());
       let pc = (R.trip_count rc_big / 2) + 17 and len = 40 in
@@ -995,17 +999,7 @@ let test_guarded_minmax_rational () =
       done;
       Alcotest.(check string) (opname ^ ": guarded chunk = exact fold")
         (Q.to_string (Option.get !expect))
-        (Q.to_string (R.walk_reduce_rat rc_big ~pc ~len));
-      (* value = 2^60 * i + j: the clause alone reaches the guard *)
-      let value =
-        Polymath.Polynomial.add
-          (Polymath.Polynomial.scale (Q.of_int (1 lsl 60)) (Polymath.Polynomial.var "i"))
-          (Polymath.Polynomial.var "j")
-      in
-      let nest = with_op op value tri in
-      let param _ = 9 in
-      let rc = R.make (Trahrhe.Inversion.invert_exn nest) ~param in
-      Alcotest.(check bool) (opname ^ ": clause trips the guard") true (R.overflow_guarded rc);
+        (Q.to_string (R.walk_reduce_rat rc_big op ~pc ~len));
       let opts =
         { Service.Exec.threads = 3;
           schedule = Ompsim.Schedule.Dynamic 2;
@@ -1026,7 +1020,7 @@ let test_guarded_minmax_rational () =
         Alcotest.(check string) (opname ^ ": exact serial extremum") (Q.to_string exact)
           (Q.to_string q)
       | _ -> Alcotest.failf "%s: serial reference is not a rational" opname);
-      match Service.Exec.run ~reference rc opts with
+      match Service.Exec.run ~reference:(fun _ -> reference) rc opts with
       | Ok _ -> ()
       | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: guarded parallel fold wrapped" opname
       | Error _ -> Alcotest.failf "%s: guarded exec failed" opname)

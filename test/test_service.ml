@@ -113,6 +113,16 @@ let prop_plan_roundtrip =
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
       | Ok p' -> Plan.equal p p')
 
+(* a clause nest travels as its value alone: the plan decodes to an
+   equal nest (its clause value included), under the same fingerprint *)
+let prop_clause_plan_roundtrip =
+  QCheck.Test.make ~name:"codec: clause plan round-trips exactly" ~count:50 arb_nest
+    (fun nest ->
+      let p = compile_exn (N.with_default_reduce nest) in
+      match Plan.decode (Plan.encode p) with
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
+      | Ok p' -> p'.Plan.inversion.Trahrhe.Inversion.nest.N.reduce <> None && Plan.equal p p')
+
 (* ---------------------------------------------------------------- *)
 (* Fingerprint                                                       *)
 (* ---------------------------------------------------------------- *)
@@ -1085,10 +1095,10 @@ let test_exec_reference_checked_on_hit () =
       | Some (Service.Exec.Rat q) -> Some (Service.Exec.Rat (Q.add q Q.one))
       | _ -> Alcotest.fail "max reference is not a rational"
     in
-    (match Service.Exec.run ~reference:right rc opts with
+    (match Service.Exec.run ~reference:(fun _ -> right) rc opts with
     | Ok _ -> ()
     | Error _ -> Alcotest.fail "the right reference must pass");
-    (match Service.Exec.run ~reference:wrong rc opts with
+    (match Service.Exec.run ~reference:(fun _ -> wrong) rc opts with
     | Error (Service.Exec.Mismatch { run = 1; _ }) -> ()
     | _ -> Alcotest.fail "a wrong reference must be a mismatch on run 1");
     ignore (Cache.reference cache (Service.Exec.reference_key plan ~param:cparam opts) (fun () -> wrong));
@@ -1150,9 +1160,9 @@ let exec_ok ?native cache line =
 
 (* the interpreted recovery is memoized per plan x canonical parameter
    values: every run option of one plan and size shares the entry, and
-   each response equals a fresh cache's. A [reduce=] op rewrites the
-   clause, which the fingerprint covers, so each op other than the
-   kernel's own [sum] is a plan and an entry of its own. *)
+   each response equals a fresh cache's. A [reduce=] op is a run
+   option too: the checksum and every op of a clause-declaring kernel
+   compile one plan and share one recovery. *)
 let test_exec_recovery_memo () =
   let cache = Cache.create ~capacity:8 ~dir:None () in
   let base = "exec kernel=covariance_reduce n=12 threads=2" in
@@ -1160,7 +1170,9 @@ let test_exec_recovery_memo () =
   let since = Obsv.Metrics.snapshot () in
   ignore (exec_ok cache base);
   List.iter (fun op -> ignore (exec_ok cache (base ^ " reduce=" ^ op))) ops;
-  check_recovery "checksum and every op" ~hits:1 ~misses:4 since;
+  check_recovery "checksum and every op" ~hits:4 ~misses:1 since;
+  Alcotest.(check int) "checksum and every op: one plan compile" 1
+    (counted since Service.Stats.cache_misses);
   let variants =
     [ ""; " schedule=dnc:4 lanes=8"; " schedule=ws:16"; " native=1"; " repeat=3"; " retries=1" ]
     @ List.concat_map
@@ -1180,6 +1192,49 @@ let test_exec_recovery_memo () =
   let since = Obsv.Metrics.snapshot () in
   ignore (exec_ok cache "exec kernel=covariance_reduce n=13 threads=2");
   check_recovery "other n" ~hits:0 ~misses:1 since
+
+(* the operator is no part of the plan: every op of a clause-declaring
+   kernel answers its checksum request's fingerprint *)
+let test_reduce_ops_share_fingerprint () =
+  let cache = Cache.create ~capacity:8 ~dir:None () in
+  let base = "exec kernel=correlation_reduce n=12 threads=2" in
+  let fingerprint line = json_field "fingerprint" (exec_ok cache line) in
+  let checksum = fingerprint base in
+  List.iter
+    (fun op ->
+      Alcotest.(check string) (op ^ ": the checksum's fingerprint") checksum
+        (fingerprint (base ^ " reduce=" ^ op)))
+    [ "sum"; "prod"; "min"; "max" ]
+
+(* the deadline covers the serial reference: with the plan and the
+   recovery warm, a 1 ms budget expires in the walk's 4096-point polls
+   (utma n=3000 has 4.5M points), which answers the deadline error and
+   memoizes nothing under the reference's key *)
+let test_exec_deadline_charges_reference () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let req = parse_ok "exec kernel=utma n=3000 threads=2" in
+  match req with
+  | Server.Exec { nest; param; opts; _ } ->
+    let plan, renaming =
+      match Cache.find_or_compile cache nest with
+      | Ok x -> x
+      | Error e -> Alcotest.failf "compile: %s" e
+    in
+    let cparam = Fp.canonical_param renaming param in
+    ignore (Cache.recovery cache plan ~param:cparam);
+    let since = Obsv.Metrics.snapshot () in
+    let resp, ok = Server.handle ~deadline_ms:1 cache req in
+    Alcotest.(check bool) "the request fails" false ok;
+    if not (contains ~needle:"request deadline expired (timeout 1ms)" resp) then
+      Alcotest.failf "deadline response: %s" resp;
+    check_reference "cut-short reference" ~hits:0 ~misses:1 since;
+    let walked = ref false in
+    ignore
+      (Cache.reference cache (Service.Exec.reference_key plan ~param:cparam opts) (fun () ->
+           walked := true;
+           None));
+    Alcotest.(check bool) "no reference stored" true !walked
+  | _ -> Alcotest.fail "expected Exec"
 
 (* the key is canonical: an alpha-renamed nest (other iterator and
    parameter names, same shape) shares the plan and the recovery *)
@@ -1240,9 +1295,9 @@ let test_exec_recovery_native_not_cached () =
   Alcotest.(check string) "same response" first again;
   Service.Native.clear tier
 
-(* the reduce= ops of one kernel are plans of their own but emit one
-   C source, so they share one shared object: sum compiles it, max
-   finds it by its digest. Both answer like the interpreted walk. *)
+(* the reduce= ops of one kernel run one plan, so they share one
+   shared object: sum compiles it, max finds its handle. Both answer
+   like the interpreted walk. *)
 let test_native_ops_share_object () =
   if not (Jit.Abi.functional ()) then Alcotest.skip ();
   with_temp_dir @@ fun dir ->
@@ -1282,17 +1337,16 @@ let test_exec_slices_exact () =
   let param = Kernels.Kernel.param_of k ~n:520 in
   (* the clause 2^60 i + j trips the overflow guard: min/max then fold
      in exact rationals *)
-  let guarded op =
-    let value = P.add (P.scale (Q.of_int (1 lsl 60)) (P.var "i")) (P.var "j") in
-    N.make ~params:base.N.params ~reduce:{ N.op; value } base.N.levels
+  let guarded =
+    N.with_reduce base (Some (P.add (P.scale (Q.of_int (1 lsl 60)) (P.var "i")) (P.var "j")))
   in
   let payloads =
     [ ("checksum", base, None, 1);
       ("lanes=8", base, None, 8);
       ("sum", base, Some N.Sum, 1);
-      ("min", N.with_reduce_op base (Some N.Min), Some N.Min, 1);
-      ("max", N.with_reduce_op base (Some N.Max), Some N.Max, 1);
-      ("guarded max", guarded N.Max, Some N.Max, 1) ]
+      ("min", base, Some N.Min, 1);
+      ("max", base, Some N.Max, 1);
+      ("guarded max", guarded, Some N.Max, 1) ]
   in
   List.iter
     (fun (what, nest, reduce, lanes) ->
@@ -1319,7 +1373,10 @@ let test_exec_slices_exact () =
           let polls = ref 0 in
           (* no injected faults: a failed chunk's serial fallback would
              re-partition the range and change the poll count *)
-          (match Service.Exec.run ~faults:None ~poll:(fun () -> incr polls) ~reference rc opts with
+          (match
+             Service.Exec.run ~faults:None ~poll:(fun () -> incr polls) ~reference:(fun _ -> reference) rc
+               opts
+           with
           | Ok _ -> ()
           | Error (Service.Exec.Mismatch _) -> Alcotest.failf "%s: sliced run differs" what
           | Error _ -> Alcotest.failf "%s: run failed" what);
@@ -1411,7 +1468,7 @@ let test_run_batch () =
 let suites =
   [ ( "service.codec",
       qsuite
-        [ prop_rat_roundtrip; prop_poly_roundtrip; prop_plan_roundtrip ]
+        [ prop_rat_roundtrip; prop_poly_roundtrip; prop_plan_roundtrip; prop_clause_plan_roundtrip ]
     );
     ( "service.envelope",
       [ Alcotest.test_case "every truncation is corrupt" `Quick test_envelope_truncation;
@@ -1469,6 +1526,10 @@ let suites =
           test_exec_reference_single_flight;
         Alcotest.test_case "exec recovery memo: run options hit, other n misses" `Quick
           test_exec_recovery_memo;
+        Alcotest.test_case "reduce ops answer the checksum's fingerprint" `Quick
+          test_reduce_ops_share_fingerprint;
+        Alcotest.test_case "deadline charges the reference walk" `Quick
+          test_exec_deadline_charges_reference;
         Alcotest.test_case "exec recovery memo: alpha-renamed nest hits" `Quick
           test_exec_recovery_alpha;
         Alcotest.test_case "exec recovery memo: bounded LRU" `Quick test_exec_recovery_eviction;

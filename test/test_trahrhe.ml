@@ -488,7 +488,7 @@ let test_plan_identity_golden () =
   Alcotest.(check int) "nests" 79 (List.length (plan_identity_nests ()));
   Alcotest.(check string)
     "closed-form digest" "7c86e52c2f26b441a2e7c5899c053821" (closed_form_digest ());
-  Alcotest.(check string) "plan digest" "00cb05b38868688123d5f58fa2815dd1" (plan_identity_digest ())
+  Alcotest.(check string) "plan digest" "a2b75ad9cc8801332d7db8a9ce3e1867" (plan_identity_digest ())
 
 (* -------- Recovery -------- *)
 
