@@ -10,7 +10,7 @@ open Common
    divide-and-conquer splitter has something to win. Phases:
    (1) serial fold baseline and parallel reductions at 1..8 domains
    under static chunking, work stealing and D&C; (2) native
-   one-call-per-chunk reduce_sum vs the interpreted clause fold. The
+   one-call-per-chunk sum, max and min vs the interpreted clause fold. The
    speedup gates (8-domain parallel >= 3x serial, D&C >= static on
    the skew) are hardware-dependent and emitted next to the machine's
    domain count. Bit-identity across schedules, lanes and faults is
@@ -95,12 +95,13 @@ let run () =
   Printf.printf "%-44s %10s\n" "d&c >= static chunking on the skew (gate)"
     (if dnc_at_least_static then "ok" else "BELOW TARGET");
   (* native one-call-per-chunk clause reduction vs the interpreted
-     fold (no spin here: this measures delivery of the clause itself) *)
+     fold, per operator (no spin here: this measures delivery of the
+     clause itself) *)
   let compiler_available = Jit.Abi.available () in
-  let interp_ns, native_ns, native_speedup =
+  let native_rows =
     if not compiler_available then begin
       Printf.printf "C compiler unavailable; native reduce phase skipped\n";
-      (0.0, 0.0, 0.0)
+      []
     end
     else begin
       let nest, _ = reduced n in
@@ -118,30 +119,39 @@ let run () =
       if not (R.native_enabled rc_native) then failwith "native backend failed to attach";
       let chunk = 4096 in
       let sink = ref 0 in
-      let reduce_ns rc =
-        best_ns_per_iter ~reps:3 ~iters:trip (fun () ->
-            let pc = ref 1 in
-            while !pc <= trip do
-              let len = min chunk (trip - !pc + 1) in
-              sink := !sink + R.walk_reduce_int rc N.Sum ~pc:!pc ~len;
-              pc := !pc + len
-            done)
+      let rows =
+        List.map
+          (fun op ->
+            let name = N.op_to_string op in
+            let reduce_ns rc =
+              best_ns_per_iter ~reps:3 ~iters:trip (fun () ->
+                  let pc = ref 1 in
+                  while !pc <= trip do
+                    let len = min chunk (trip - !pc + 1) in
+                    sink := !sink + R.walk_reduce_int rc op ~pc:!pc ~len;
+                    pc := !pc + len
+                  done)
+            in
+            let interp = reduce_ns rc_interp in
+            let native = reduce_ns rc_native in
+            (* the native fold must agree bit for bit *)
+            let vi = R.walk_reduce_int rc_interp op ~pc:1 ~len:trip in
+            let vn = R.walk_reduce_int rc_native op ~pc:1 ~len:trip in
+            if vi <> vn then
+              failwith (Printf.sprintf "native reduce %s %d <> interpreted %d" name vn vi);
+            let row fmt what v = Printf.printf fmt (Printf.sprintf what name) v in
+            row "%-44s %10.2f\n" "interpreted %s fold (ns/iter)" interp;
+            row "%-44s %10.2f\n" "native %s fold (ns/iter)" native;
+            row "%-44s %9.1fx\n" "native %s speedup" (interp /. native);
+            (name, interp, native))
+          [ N.Sum; N.Max; N.Min ]
       in
-      let interp = reduce_ns rc_interp in
-      let native = reduce_ns rc_native in
-      ignore !sink;
-      (* the native accumulator must agree bit for bit *)
-      let vi = R.walk_reduce_int rc_interp N.Sum ~pc:1 ~len:trip in
-      let vn = R.walk_reduce_int rc_native N.Sum ~pc:1 ~len:trip in
-      if vi <> vn then failwith (Printf.sprintf "native reduce %d <> interpreted %d" vn vi);
-      Printf.printf "%-44s %10.2f\n" "interpreted clause fold (ns/iter)" interp;
-      Printf.printf "%-44s %10.2f\n" "native reduce_sum (ns/iter)" native;
-      Printf.printf "%-44s %9.1fx\n" "native reduce speedup" (interp /. native);
-      (interp, native, interp /. native)
+      ignore (Sys.opaque_identity !sink);
+      rows
     end
   in
   Emit.write ~path:"BENCH_reduce.json" ~artifact:"micro-reduce"
-    [ ("kernel", Emit.Str "ltmp triangle + sum clause");
+    [ ("kernel", Emit.Str "ltmp triangle + default clause value");
       ("n", Emit.Int n);
       ("iterations", Emit.Int trip);
       ("spin_scale", Emit.Int spin_scale);
@@ -163,9 +173,17 @@ let run () =
       ( "native",
         Emit.Obj
           [ ("compiler_available", Emit.Bool compiler_available);
-            ("interpreted_ns_iter", Emit.F (interp_ns, 2));
-            ("native_ns_iter", Emit.F (native_ns, 2));
-            ("speedup", Emit.F (native_speedup, 2))
+            ( "ops",
+              Emit.Arr
+                (List.map
+                   (fun (op, interp, native) ->
+                     Emit.Obj
+                       [ ("op", Emit.Str op);
+                         ("interpreted_ns_iter", Emit.F (interp, 2));
+                         ("native_ns_iter", Emit.F (native, 2));
+                         ("speedup", Emit.F (interp /. native, 2))
+                       ])
+                   native_rows) )
           ] );
       ( "gates",
         Emit.Obj

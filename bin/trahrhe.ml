@@ -384,6 +384,9 @@ let exec_run kernel size threads schedule lanes repeat native reduce faults retr
       | Error Service.Exec.Empty_extremum ->
         prerr_endline "min/max reduction over an empty iteration space";
         1
+      | Error (Service.Exec.Product_too_large { bits; cap }) ->
+        Printf.eprintf "exact product may need %d bits, past the %d-bit cap\n" bits cap;
+        1
       | Error (Service.Exec.Raised { exn; _ }) -> raise exn
       | Error (Service.Exec.Region { error; _ }) ->
         print_endline (Ompsim.Par.describe_error error);

@@ -26,7 +26,7 @@ let closed_form_recoveries () = Obsv.Metrics.total c_inv_closed
 type native = {
   n_walk_hash : pc:int -> len:int -> int;
   n_recover : pc:int -> int array -> unit;
-  n_reduce_sum : pc:int -> len:int -> int;
+  n_reduce : Nest.red_op -> pc:int -> len:int -> int;
 }
 
 (* one polynomial role compiled once into both of its evaluators: the
@@ -42,6 +42,7 @@ type poly = { horner : H.t; exact : Bp.t }
 type reduce_comp = {
   r_poly : P.t;  (** parameter-substituted value, vars = level vars *)
   value : poly;
+  bound : B.t;  (** |value| at any iteration point is at most this *)
 }
 
 (* compiled support for one searched (non-last) level: the
@@ -148,7 +149,11 @@ let make (inv : Inversion.t) ~param =
   let form (folded, exact) =
     { horner = H.compile ~slot (if safe then zero_poly else folded); exact }
   in
-  let reduce = Option.map (fun ((r_poly, _) as sv) -> { r_poly; value = form sv }) s_val in
+  let reduce =
+    Option.map
+      (fun ((r_poly, exact) as sv) -> { r_poly; value = form sv; bound = Bp.magnitude exact mag })
+      s_val
+  in
   let numeric =
     Array.init d (fun k ->
         if k = d - 1 then None
@@ -669,6 +674,7 @@ let reduce_rat_eval t rc =
       rc.r_poly
 
 let reduce_value_rat t idx = reduce_rat_eval t (reduce_comp t) idx
+let reduce_value_bound t = (reduce_comp t).bound
 
 (* the native-int fold of one run's clause values into [acc]. Off the
    overflow guard, a difference table along the inner index steps the
@@ -695,28 +701,29 @@ let fold_run_int t rc op acc =
       done;
     acc := !a
 
-(* the native-int fold of the clause: a wrapping sum (one native call
-   per chunk when the backend is attached), or min/max, which are exact
-   only below [make]'s 2^61 headroom and so refuse a guarded recovery.
-   Every clause value is then below 2^61 in magnitude, so [max_int]
-   (resp. [min_int]) is a seed the chunk's first value always replaces. *)
+(* the native-int fold of the clause: a wrapping sum, or min/max,
+   which are exact only below [make]'s 2^61 headroom and so refuse a
+   guarded recovery. Every clause value is then below 2^61 in
+   magnitude, so [max_int] (resp. [min_int]) is a seed the chunk's
+   first value always replaces. With a backend attached the whole
+   chunk is one native call, whatever the operator. *)
 let walk_reduce_int t op ~pc ~len =
   let rc = reduce_comp t in
-  let acc = ref 0 in
-  (match op with
-  | Nest.Sum ->
+  let fold pick seed =
+    let acc = ref seed in
     chunk t ~pc ~len
-      ?native:(Option.map (fun nat () -> acc := nat.n_reduce_sum ~pc ~len) t.native)
-      (fold_run_int t rc ( + ) acc)
+      ?native:(Option.map (fun nat () -> acc := nat.n_reduce op ~pc ~len) t.native)
+      (fold_run_int t rc pick acc);
+    !acc
+  in
+  match op with
+  | Nest.Sum -> fold ( + ) 0
   | Nest.Min | Nest.Max ->
     if t.safe then invalid_arg "Recovery.walk_reduce_int: min/max on an overflow-guarded recovery";
     if len <= 0 || pc < 1 || pc > t.trip then
       invalid_arg "Recovery.walk_reduce_int: empty chunk or pc outside the iteration space";
-    let pick = if op = Nest.Min then Int.min else Int.max in
-    acc := (if op = Nest.Min then max_int else min_int);
-    chunk t ~pc ~len (fold_run_int t rc pick acc)
-  | Nest.Prod -> invalid_arg "Recovery.walk_reduce_int: a product folds in rationals");
-  !acc
+    if op = Nest.Min then fold Int.min max_int else fold Int.max min_int
+  | Nest.Prod -> invalid_arg "Recovery.walk_reduce_int: a product folds in rationals"
 
 let walk_reduce_rat t op ~pc ~len =
   let rc = reduce_comp t in

@@ -31,8 +31,8 @@
     per-iteration adapter serves {!walk} and {!walk_reduce_rat}, and a
     lane adapter packs runs into §VI-A lockstep blocks. One
     instrumentation wrapper records every entry's counters and span. A native backend
-    ({!attach_native}) replaces a whole chunk of {!walk_hash} or a
-    [Sum] {!walk_reduce_int} with one call into the specialized object.
+    ({!attach_native}) replaces a whole chunk of {!walk_hash} or of
+    {!walk_reduce_int} with one call into the specialized object.
     {!increment} is the same §V step as a standalone primitive.
 
     {b Overflow-safe mode.} The Horner forms are exact only while
@@ -58,25 +58,28 @@ type t
     shared object provides, already bound to this recovery's parameter
     values. [n_walk_hash ~pc ~len] is the whole checksum reduction of
     {!walk_hash} in one call; [n_recover ~pc idx] writes the recovered
-    indices of rank [pc] into [idx]; [n_reduce_sum ~pc ~len] is the
-    whole int64 sum reduction of a [Sum] {!walk_reduce_int} in one call (the
-    shared object always exports the symbol — it returns 0 when the
-    plan's nest carries no clause, and is only routed to when it
-    does). All three must agree bit-for-bit with the interpreted
-    implementations — the QCheck oracle checks this on random nests. *)
+    indices of rank [pc] into [idx]; [n_reduce op ~pc ~len] is the
+    whole {!walk_reduce_int} of [op] ([Sum], [Min] or [Max]; never
+    called with [Prod]) in one call (the shared object always exports
+    the symbol — it returns 0 when the plan's nest carries no clause,
+    and is only routed to when it does). All three must agree
+    bit-for-bit with the interpreted implementations — the QCheck
+    oracle checks this on random nests. *)
 type native = {
   n_walk_hash : pc:int -> len:int -> int;
   n_recover : pc:int -> int array -> unit;
-  n_reduce_sum : pc:int -> len:int -> int;
+  n_reduce : Nest.red_op -> pc:int -> len:int -> int;
 }
 
 (** [attach_native t nat] returns a recovery that routes {!walk_hash}
-    and a [Sum] {!walk_reduce_int} through the native backend (every other
-    entry point stays interpreted). Refused (returns [t] unchanged) on
-    an {!overflow_guarded} recovery: the specialized int64 C would
-    wrap exactly where the bigint path is required, so overflow mode
-    stays interpreted. Callers detect the refusal with
-    {!native_enabled} and count it as a jit fallback. *)
+    and every {!walk_reduce_int} ([Sum], [Min], [Max]) through the
+    native backend (every other entry point stays interpreted, and
+    {!walk_reduce_int}'s argument checks run before the routing).
+    Refused (returns [t] unchanged) on an {!overflow_guarded}
+    recovery: the specialized int64 C would wrap exactly where the
+    bigint path is required, so overflow mode stays interpreted.
+    Callers detect the refusal with {!native_enabled} and count it as
+    a jit fallback. *)
 val attach_native : t -> native -> t
 
 (** [native_enabled t] is [true] when a native backend is attached. *)
@@ -240,12 +243,20 @@ val reduce_value_int : t -> int array -> int
     {+, x, min, max} engine and of serial reference folds. *)
 val reduce_value_rat : t -> int array -> Zmath.Rat.t
 
+(** [reduce_value_bound t] bounds the clause value's magnitude at
+    every iteration point: {!make}'s per-level index magnitudes
+    substituted into the value polynomial's term magnitudes. A product
+    over the whole space is then at most [bound ^ trip_count] in
+    magnitude, which is how the exec runner refuses a product too
+    large to fold exactly before walking it. *)
+val reduce_value_bound : t -> Zmath.Bigint.t
+
 (** [walk_reduce_int t op ~pc ~len] folds [op] over the native-int
     values ({!reduce_value_int}) of the chunk: one recovery at rank
-    [pc], then the next [len] iterations.
-    - [Sum]: the wrapping native-int sum (0 when [len <= 0]). With a
-      native backend attached the whole chunk runs in the specialized
-      [.so] ([jit.hit]).
+    [pc], then the next [len] iterations. With a native backend
+    attached the whole chunk of any of these operators runs in the
+    specialized [.so] ([jit.hit]).
+    - [Sum]: the wrapping native-int sum (0 when [len <= 0]).
     - [Min]/[Max]: the exact extremum, seeded with the chunk's first
       value. Exact because on a recovery that is not
       {!overflow_guarded}, {!make}'s headroom analysis bounds every
@@ -253,7 +264,7 @@ val reduce_value_rat : t -> int array -> Zmath.Rat.t
       {!walk_reduce_rat} over the same range.
     @raise Invalid_argument when [op] is [Prod], or for [Min]/[Max]
     when the recovery is {!overflow_guarded}, [len <= 0] or [pc] lies
-    outside the iteration space. *)
+    outside the iteration space (checked before any native call). *)
 val walk_reduce_int : t -> Nest.red_op -> pc:int -> len:int -> int
 
 (** [walk_reduce_rat t op ~pc ~len] folds [op] over the exact

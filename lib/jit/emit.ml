@@ -83,13 +83,19 @@ let source (inv : Trahrhe.Inversion.t) =
         :: List.map (fun v -> C.Decl { ty = i64; name = v; init = None }) lvars
       @ S.recovery_stmts ~config inv
       @ List.mapi (fun k v -> C.Assign (Printf.sprintf "omp_x[%d]" k, v)) lvars);
-    (* one recovery, then innermost runs: [per_run] is hoisted out of
-       the run, [per_iter] folds one iteration into omp_acc, and
+    (* one recovery, then innermost runs: [locals] hold the fold's
+       state, [per_run] is hoisted out of the run, [runs loop] is the
+       run body ([loop body] steps the inner index over the run), and
        Codegen's carry moves to the next non-empty row *)
-    let walker ~name ~per_run ~per_iter =
+    let walk_args extra =
+      Printf.sprintf "const %s *omp_P, %s omp_pc, %s omp_len%s" i64 i64 i64 extra
+    in
+    let walker ~name ?(extra_args = "") ~locals ~per_run ~runs ~result () =
       let up = expr (Polymath.Affine.to_poly (List.nth nest.N.levels (d - 1)).N.upper) in
-      fn buf ~ret:u64 ~name
-        ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s omp_len" i64 i64 i64)
+      let loop body =
+        C.For { init = ""; cond = Printf.sprintf "%s < omp_end" inner; step = inner ^ "++"; body }
+      in
+      fn buf ~ret:u64 ~name ~args:(walk_args extra_args)
         ([ C.Decl { ty = i64; name = "omp_trip"; init = Some "ompsim_trip(omp_P)" };
            C.If
              { cond = "omp_len <= 0 || omp_pc < 1 || omp_pc > omp_trip";
@@ -105,8 +111,8 @@ let source (inv : Trahrhe.Inversion.t) =
         @ List.mapi
             (fun k v -> C.Decl { ty = i64; name = v; init = Some (Printf.sprintf "omp_x[%d]" k) })
             lvars
-        @ [ C.Decl { ty = u64; name = "omp_acc"; init = Some "0" };
-            C.Decl { ty = i64; name = "omp_rem"; init = Some "omp_len" };
+        @ locals
+        @ [ C.Decl { ty = i64; name = "omp_rem"; init = Some "omp_len" };
             C.For
               { init = "";
                 cond = "";
@@ -119,36 +125,56 @@ let source (inv : Trahrhe.Inversion.t) =
                          else_ = [] }
                   :: C.Raw (Printf.sprintf "omp_rem -= omp_end - %s;" inner)
                   :: per_run
-                  @ [ C.For
-                        { init = "";
-                          cond = Printf.sprintf "%s < omp_end" inner;
-                          step = inner ^ "++";
-                          body = [ per_iter ] };
-                      C.If { cond = "omp_rem <= 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
+                  @ runs loop
+                  @ [ C.If { cond = "omp_rem <= 0"; then_ = [ C.Raw "break;" ]; else_ = [] } ]
                   @ if d > 1 then S.carry_stmts ~config inv (d - 2) else [] };
-            return "omp_acc" ])
+            return result ])
     in
+    let acc = C.Decl { ty = u64; name = "omp_acc"; init = Some "0" } in
     (* the collapsed checksum: the outer-prefix hash once per run *)
-    walker ~name:"ompsim_walk_hash"
+    walker ~name:"ompsim_walk_hash" ~locals:[ acc ]
       ~per_run:
         (C.Decl { ty = u64; name = "omp_ph"; init = Some "0" }
          :: (List.filteri (fun k _ -> k < d - 1) lvars
             |> List.map (fun v ->
                    C.Raw (Printf.sprintf "omp_ph = omp_ph * 1000003u + (%s)%s;" u64 v)))
         @ [ C.Decl { ty = u64; name = "omp_base"; init = Some "omp_ph * 1000003u" } ])
-      ~per_iter:(C.Raw (Printf.sprintf "omp_acc += omp_base + (%s)%s;" u64 inner));
-    (* the clause value summed with the checksum's u64 wraparound, so
-       the truncated result matches the interpreted native-int sum.
-       Without a clause the symbol is a stub answering 0: the loader
-       resolves every symbol *)
+      ~runs:(fun loop ->
+        [ loop [ C.Raw (Printf.sprintf "omp_acc += omp_base + (%s)%s;" u64 inner) ] ])
+      ~result:"omp_acc" ();
+    (* the clause value folded by [omp_op] (0 sum, 1 min, 2 max), the
+       branch taken once per run. The sum wraps like the checksum's
+       u64, so the truncated result matches the interpreted native-int
+       sum. The extremum is max(sign * v), with sign = -1 for min
+       (min v = -max(-v)): exact, since the runtime attaches no object
+       to an overflow-guarded recovery, so |v| < 2^61 and neither the
+       negation nor the INT64_MIN seed can wrap. Without a clause the
+       symbol is a stub answering 0: the loader resolves every symbol *)
+    let op_arg = Printf.sprintf ", %s omp_op" i64 in
     (match nest.N.reduce with
     | Some value ->
-      walker ~name:"ompsim_reduce_sum" ~per_run:[]
-        ~per_iter:(C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 (expr value)))
-    | None ->
-      fn buf ~ret:u64 ~name:"ompsim_reduce_sum"
-        ~args:(Printf.sprintf "const %s *omp_P, %s omp_pc, %s omp_len" i64 i64 i64)
-        [ return "0" ]);
+      let v = expr value in
+      walker ~name:"ompsim_reduce" ~extra_args:op_arg
+        ~locals:
+          [ acc;
+            C.Decl { ty = "const " ^ i64; name = "omp_sign"; init = Some "omp_op == 1 ? -1 : 1" };
+            C.Decl { ty = i64; name = "omp_m"; init = Some "-__INT64_MAX__ - 1" } ]
+        ~per_run:[]
+        ~runs:(fun loop ->
+          [ C.If
+              { cond = "omp_op == 0";
+                then_ = [ loop [ C.Raw (Printf.sprintf "omp_acc += (%s)(%s);" u64 v) ] ];
+                else_ =
+                  [ loop
+                      [ C.Decl
+                          { ty = i64; name = "omp_v"; init = Some (Printf.sprintf "omp_sign * (%s)" v) };
+                        C.If
+                          { cond = "omp_v > omp_m";
+                            then_ = [ C.Assign ("omp_m", "omp_v") ];
+                            else_ = [] } ]
+                  ] } ])
+        ~result:(Printf.sprintf "omp_op == 0 ? omp_acc : (%s)(omp_sign * omp_m)" u64) ()
+    | None -> fn buf ~ret:u64 ~name:"ompsim_reduce" ~args:(walk_args op_arg) [ return "0" ]);
     (* the object's identity is the digest of everything above it, so
        plans that emit the same code share one object *)
     let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in

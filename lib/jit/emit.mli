@@ -19,8 +19,8 @@
     compiler's [__INT64_TYPE__] / [__UINT64_TYPE__]) and carries no
     plan fingerprint: its identity is the digest of its own code, so
     plans that emit the same C share one object. The reduction
-    operator never reaches it: one plan, and so one object, serves
-    every [reduce=] op of a nest.
+    operator is a call argument, not part of the code: one plan, and
+    so one object, serves every [reduce=] op of a nest.
 
     Exported symbols (the ABI, version {!Abi.version}):
     - [ompsim_abi], [ompsim_fingerprint], [ompsim_depth],
@@ -33,9 +33,13 @@
     - [ompsim_walk_hash(P, pc, len)] — one recovery, then innermost
       runs accumulating the collapsed checksum over [len] ranks (the
       outer-prefix hash hoisted once per run);
-    - [ompsim_reduce_sum(P, pc, len)] — the same walk accumulating the
-      nest's reduction value (a stub answering 0 when the nest
-      carries no clause).
+    - [ompsim_reduce(P, pc, len, op)] — the same walk folding the
+      nest's reduction value by [op] (0 sum, 1 min, 2 max): one
+      walker whose run body branches on [op] once per run, into the
+      u64 sum loop or one extremum loop ([max(sign * v)], [sign = -1]
+      for min, seeded at [INT64_MIN], exact below the 2^61 headroom
+      the runtime requires before it attaches an object). A stub
+      answering 0 when the nest carries no clause.
 
     The inversion must be a canonical plan ([x0..], [p0..]): any
     variable that is not an emittable C identifier is rejected with

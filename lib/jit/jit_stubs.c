@@ -8,7 +8,7 @@
  * ompsim_jit_walk_hash releases the OCaml runtime for the duration of
  * the native walk: the C code touches only its own stack and the
  * parameter copy, and a long chunk must not delay other domains'
- * stop-the-world collections (ompsim_jit_reduce_sum likewise). The
+ * stop-the-world collections (ompsim_jit_reduce likewise). The
  * recover stub writes into an OCaml array, so it keeps the runtime
  * and stays short instead.
  */
@@ -35,7 +35,7 @@ typedef struct {
   int64_t (*trip)(const int64_t *);
   void (*recover)(const int64_t *, int64_t, int64_t *);
   uint64_t (*walk_hash)(const int64_t *, int64_t, int64_t);
-  uint64_t (*reduce_sum)(const int64_t *, int64_t, int64_t);
+  uint64_t (*reduce)(const int64_t *, int64_t, int64_t, int64_t);
 } jit_handle;
 
 #define Handle_val(v) (*(jit_handle **)Data_abstract_val(v))
@@ -71,11 +71,11 @@ CAMLprim value ompsim_jit_open(value vpath)
   h->recover = (void (*)(const int64_t *, int64_t, int64_t *))dlsym(dl, "ompsim_recover");
   h->walk_hash =
     (uint64_t (*)(const int64_t *, int64_t, int64_t))dlsym(dl, "ompsim_walk_hash");
-  h->reduce_sum =
-    (uint64_t (*)(const int64_t *, int64_t, int64_t))dlsym(dl, "ompsim_reduce_sum");
+  h->reduce = (uint64_t (*)(const int64_t *, int64_t, int64_t, int64_t))dlsym(
+    dl, "ompsim_reduce");
   if (h->abi == NULL || h->fingerprint == NULL || h->depth == NULL || h->nparams == NULL
       || h->trip == NULL || h->recover == NULL || h->walk_hash == NULL
-      || h->reduce_sum == NULL) {
+      || h->reduce == NULL) {
     dlclose(dl);
     free(h);
     caml_failwith("ompsim jit: missing symbol in shared object");
@@ -148,19 +148,22 @@ CAMLprim value ompsim_jit_walk_hash(value vh, value vp, value vpc, value vlen)
   return Val_long((intnat)acc);
 }
 
-CAMLprim value ompsim_jit_reduce_sum(value vh, value vp, value vpc, value vlen)
+/* op: 0 sum, 1 min, 2 max (the object's own encoding) */
+CAMLprim value ompsim_jit_reduce(value vh, value vp, value vpc, value vlen, value vop)
 {
   jit_handle *h = get_handle(vh);
   int64_t P[OMPSIM_JIT_MAX_PARAMS];
   int64_t pc = (int64_t)Long_val(vpc);
   int64_t len = (int64_t)Long_val(vlen);
+  int64_t op = (int64_t)Long_val(vop);
   uint64_t acc;
   copy_params(vp, P);
   caml_enter_blocking_section();
-  acc = h->reduce_sum(P, pc, len);
+  acc = h->reduce(P, pc, len, op);
   caml_leave_blocking_section();
-  /* same 63-bit truncation as the walk: the interpreted reduction
-     accumulates in native ints, so the wrapped values agree exactly */
+  /* same 63-bit truncation as the walk: the interpreted sum
+     accumulates in native ints, so the wrapped values agree exactly;
+     an extremum is below 2^61 in magnitude and survives it unchanged */
   return Val_long((intnat)acc);
 }
 

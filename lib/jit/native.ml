@@ -9,14 +9,22 @@ external raw_params : handle -> int = "ompsim_jit_params"
 external raw_trip : handle -> int array -> int = "ompsim_jit_trip"
 external raw_recover : handle -> int array -> int -> int array -> unit = "ompsim_jit_recover"
 external raw_walk_hash : handle -> int array -> int -> int -> int = "ompsim_jit_walk_hash"
-external raw_reduce_sum : handle -> int array -> int -> int -> int = "ompsim_jit_reduce_sum"
+external raw_reduce : handle -> int array -> int -> int -> int -> int = "ompsim_jit_reduce"
 
 let depth = raw_depth
 let params = raw_params
 let close = raw_close
 let trip h ps = raw_trip h ps
 let walk_hash h ps ~pc ~len = raw_walk_hash h ps pc len
-let reduce_sum h ps ~pc ~len = raw_reduce_sum h ps pc len
+let reduce h ps op ~pc ~len =
+  let code =
+    match op with
+    | Trahrhe.Nest.Sum -> 0
+    | Trahrhe.Nest.Min -> 1
+    | Trahrhe.Nest.Max -> 2
+    | Trahrhe.Nest.Prod -> invalid_arg "Jit.Native.reduce: a product has no native fold"
+  in
+  raw_reduce h ps pc len code
 let recover h ps ~pc idx = raw_recover h ps pc idx
 
 (* load-time validation: an object built by another ABI or from another

@@ -36,13 +36,19 @@ val trip : handle -> int array -> int
     outside it). Runs with the OCaml runtime lock released. *)
 val walk_hash : handle -> int array -> pc:int -> len:int -> int
 
-(** [reduce_sum h ps ~pc ~len] is the native int64 sum reduction over
-    the chunk \[[pc], [pc+len-1]\]: one in-object recovery, then the
-    clause's value polynomial accumulated with u64 wraparound (0 when
-    [pc] is outside the space, or when the plan carries no reduction
-    clause — the symbol is always exported). Runs with the OCaml
-    runtime lock released. *)
-val reduce_sum : handle -> int array -> pc:int -> len:int -> int
+(** [reduce h ps op ~pc ~len] folds [op] over the nest's clause
+    values in the chunk \[[pc], [pc+len-1]\]: one in-object recovery,
+    then the clause's value polynomial accumulated per innermost run.
+    [Sum] wraps in u64 (the interpreted native-int sum after the 63-bit
+    truncation); [Min]/[Max] are the exact extremum, valid on a
+    recovery that is not overflow-guarded, where every value is below
+    2^61 in magnitude. Answers 0 when [pc] is outside the space or
+    [len <= 0], and when the plan carries no reduction clause (the
+    symbol is always exported). Runs with the OCaml runtime lock
+    released.
+    @raise Invalid_argument on [Prod]: the exact product has no native
+    fold. *)
+val reduce : handle -> int array -> Trahrhe.Nest.red_op -> pc:int -> len:int -> int
 
 (** [recover h ps ~pc idx] writes the recovered indices of rank [pc]
     into [idx] (length >= depth).

@@ -1,6 +1,7 @@
 module N = Trahrhe.Nest
 module R = Trahrhe.Recovery
 module Q = Zmath.Rat
+module B = Zmath.Bigint
 module Par = Ompsim.Par
 
 type opts = {
@@ -23,17 +24,40 @@ let value_equal a b =
 
 type failure =
   | Empty_extremum
+  | Product_too_large of { bits : int; cap : int }
   | Region of { run : int; error : Par.region_error }
   | Raised of { run : int; exn : exn }
   | Mismatch of { run : int; parallel : value; serial : value }
 
 type outcome = { reference : value; run_times : float array }
 
+(* the exact rational product has no native fold: a [prod] run is
+   answered as the interpreted fallback it is *)
 let recovery ?native plan ~param rc opts =
-  if opts.native then
+  if not opts.native then (rc, None)
+  else if opts.reduce = Some N.Prod then begin
+    Obsv.Metrics.incr_here Jit.Stats.fallbacks;
+    (rc, Some "exact rational product stays interpreted")
+  end
+  else
     let nt = match native with Some nt -> nt | None -> Native.default () in
     Native.recovery_explain nt plan ~param rc
-  else (rc, None)
+
+(* |product| <= bound ^ trip, so trip * ceil(log2 bound) bits hold
+   any exact product over the space. Past the cap the rational fold
+   is refused before either walk: covariance at n = 50 (573,750 bits
+   by this bound) ran out of a 2 GB address space, while
+   covariance_reduce at n = 12 needs 7,488 *)
+let product_cap_bits = 1 lsl 16
+
+let product_bits rc =
+  let bound = R.reduce_value_bound rc in
+  if B.compare bound B.one <= 0 then 0
+  else begin
+    let rec bitlen x n = if B.is_zero x then n else bitlen (fst (B.ediv_rem x B.two)) (n + 1) in
+    let per_point = bitlen (B.sub bound B.one) 0 and trip = R.trip_count rc in
+    if trip > max_int / per_point then max_int else trip * per_point
+  end
 
 (* the extremum of an empty space has no value: min/max carry no
    neutral element *)
@@ -187,12 +211,15 @@ let run ?faults ?deadline_ms ?started ?(poll = ignore) ~reference rc opts =
           if value_equal v reference then go reference (r + 1)
           else Error (Mismatch { run = r; parallel = v; serial = reference }))
   in
-  match
-    check ();
-    reference (fun () ->
-        poll ();
-        check ())
-  with
-  | exception Expired -> expired 1
-  | None -> Error Empty_extremum
-  | Some reference -> go reference 1
+  let bits = if opts.reduce = Some N.Prod then product_bits rc else 0 in
+  if bits > product_cap_bits then Error (Product_too_large { bits; cap = product_cap_bits })
+  else
+    match
+      check ();
+      reference (fun () ->
+          poll ();
+          check ())
+    with
+    | exception Expired -> expired 1
+    | None -> Error Empty_extremum
+    | Some reference -> go reference 1

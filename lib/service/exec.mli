@@ -54,6 +54,11 @@ type value = Int of int | Rat of Zmath.Rat.t
 
 type failure =
   | Empty_extremum  (** min/max reduction over an empty iteration space *)
+  | Product_too_large of { bits : int; cap : int }
+      (** a [prod] whose exact value may need [bits] bits
+          ([trip_count] times the bit length of the clause's magnitude
+          bound, {!Trahrhe.Recovery.reduce_value_bound}), past the
+          fixed [cap]: refused before any walk, never truncated *)
   | Region of { run : int; error : Ompsim.Par.region_error }
       (** run [run] (1-based) failed or was cancelled; a deadline spent
           before a run starts is reported as that run's
@@ -73,8 +78,10 @@ type outcome = {
     from {!Plan.recovery} or memoized by {!Cache.recovery}), with the
     native backend of [native] (default {!Native.default}) attached when
     [opts.native] ({!Native.recovery_explain}); the second component is
-    the fallback reason when it did not engage. [rc] itself is never
-    modified. *)
+    the fallback reason when it did not engage. A [prod] payload never
+    engages it (the exact rational product has no native fold): it
+    answers that reason and counts one [jit.fallback]. [rc] itself is
+    never modified. *)
 val recovery :
   ?native:Native.t ->
   Plan.t ->
@@ -109,7 +116,9 @@ val params_key : Plan.t -> param:(string -> int) -> string
     reference. *)
 val reference_key : Plan.t -> param:(string -> int) -> opts -> string
 
-(** [run ~reference rc opts] obtains the serial reference
+(** [run ~reference rc opts] first refuses a [prod] payload whose
+    exact value may outgrow a fixed 2^16-bit cap
+    ([Product_too_large]), then obtains the serial reference
     [reference poll] ({!serial}'s result under that [~poll], fresh or
     memoized; [None] fails with [Empty_extremum] before any run), then
     executes the collapsed region [opts.repeat] times on [rc], checking

@@ -98,7 +98,7 @@ let recovery_explain t (plan : Plan.t) ~param rc =
         ( R.attach_native rc
             { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
               n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
-              n_reduce_sum = (fun ~pc ~len -> Jit.Native.reduce_sum h ps ~pc ~len) },
+              n_reduce = (fun op ~pc ~len -> Jit.Native.reduce h ps op ~pc ~len) },
           None )
       end
   end

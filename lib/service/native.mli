@@ -8,7 +8,8 @@
     ({!Single_flight}): concurrent first requests build once, and plans
     that emit the same C share one object. The operator of a [reduce=]
     request is a run option, so every op of a nest runs its one plan's
-    object (a native [sum]; the other ops stay interpreted). The [.so]
+    object ([sum], [min] and [max] fold in it; [prod], which has no
+    native fold, never asks for it: {!Exec.recovery}). The [.so]
     files live in the same directory as the plans —
     [~dir], defaulting to [OMPSIM_PLAN_CACHE] — named
     [<digest>.<salt>.so] ({!Jit.Compile.so_name}).

@@ -463,6 +463,8 @@ let handle_full ?native ?deadline_ms ?poll cache req =
             true,
             false )
         | Error Exec.Empty_extremum -> err "min/max reduction over an empty iteration space"
+        | Error (Exec.Product_too_large { bits; cap }) ->
+          err (Printf.sprintf "exact product may need %d bits, past the %d-bit cap" bits cap)
         | Error (Exec.Region { error = { Ompsim.Par.reason = Ompsim.Par.Deadline_expired; _ }; _ }) ->
           ( error_json ~op:"exec" ~label
               (Printf.sprintf "request deadline expired (timeout %dms)" (Option.get deadline_ms)),

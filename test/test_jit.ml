@@ -16,6 +16,21 @@ let triangular_nest =
        [ { var = "i"; lower = aff [] 0; upper = aff [ ("N", 1) ] 0 };
          { var = "j"; lower = aff [ ("i", 1) ] 0; upper = aff [ ("N", 1) ] 0 } ])
 
+(* the triangle with a clause whose values change sign across the
+   space (3j - i^2 + 2 is -106 at i = j = 12), so min and max differ
+   from their absolute-value counterparts *)
+let signed_clause_nest =
+  lazy
+    (let module P = Polymath.Polynomial in
+     let value =
+       P.add
+         (P.sub (P.scale (Q.of_int 3) (P.var "j")) (P.mul (P.var "i") (P.var "i")))
+         (P.of_int 2)
+     in
+     Trahrhe.Nest.with_reduce (Lazy.force triangular_nest) (Some value))
+
+let red_ops = Trahrhe.Nest.[ Sum; Min; Max ]
+
 let tmp_dir =
   lazy
     (let d =
@@ -56,7 +71,7 @@ let test_emit_source () =
     (fun needle ->
       if not (contains_in text needle) then Alcotest.failf "emitted C lacks %S:\n%s" needle text)
     [ "ompsim_abi"; "ompsim_fingerprint"; "ompsim_depth"; "ompsim_params"; "ompsim_trip";
-      "__attribute__((noinline)) void ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce_sum";
+      "__attribute__((noinline)) void ompsim_recover"; "ompsim_walk_hash"; "ompsim_reduce";
       "return \"" ^ src.Jit.Emit.digest ^ "\";" ];
   (* the unit preprocesses nothing *)
   Alcotest.(check bool) "no #include" false (contains_in text "#include");
@@ -89,10 +104,16 @@ let test_emit_shares_sources () =
   Alcotest.(check int) "one run loop: the hash walker's" 1
     (count_in plain.Jit.Emit.text "omp_rem -= ");
   Alcotest.(check bool) "reduce stub" true
-    (contains_in plain.Jit.Emit.text "ompsim_reduce_sum(const omp_i64 *omp_P, omp_i64 omp_pc, omp_i64 omp_len) {\n  return 0;\n}");
+    (contains_in plain.Jit.Emit.text
+       "ompsim_reduce(const omp_i64 *omp_P, omp_i64 omp_pc, omp_i64 omp_len, omp_i64 omp_op) {\n  return 0;\n}");
   let clause = emit_exn (Trahrhe.Nest.with_default_reduce nest) in
   Alcotest.(check int) "a clause walks in both walkers" 2
     (count_in clause.Jit.Emit.text "omp_rem -= ");
+  (* one reduce walker for every op: its run body branches on the op
+     once per run, into the sum loop or the one extremum loop *)
+  Alcotest.(check int) "one reduce walker" 1 (count_in clause.Jit.Emit.text "ompsim_reduce(");
+  Alcotest.(check int) "one op branch" 1 (count_in clause.Jit.Emit.text "if (omp_op == 0) {");
+  Alcotest.(check int) "one extremum loop" 1 (count_in clause.Jit.Emit.text "if (omp_v > omp_m)");
   Alcotest.(check bool) "the clause is another source" true
     (plain.Jit.Emit.digest <> clause.Jit.Emit.digest)
 
@@ -104,7 +125,7 @@ let test_specialize_and_identity () =
 
 let test_native_matches_interpreted () =
   require_gcc ();
-  let nest = Lazy.force triangular_nest in
+  let nest = Lazy.force signed_clause_nest in
   let inv, h = specialize_exn nest in
   let n = 13 in
   let param x = if x = "N" then n else Alcotest.failf "unknown param %s" x in
@@ -140,19 +161,47 @@ let test_native_matches_interpreted () =
     [ 1; 3; 7; 64; trip ];
   (* out-of-range pcs contribute nothing *)
   Alcotest.(check int) "pc=0" 0 (Jit.Native.walk_hash h ps ~pc:0 ~len:5);
-  Alcotest.(check int) "pc>trip" 0 (Jit.Native.walk_hash h ps ~pc:(trip + 1) ~len:5)
+  Alcotest.(check int) "pc>trip" 0 (Jit.Native.walk_hash h ps ~pc:(trip + 1) ~len:5);
+  (* the clause folded by every native op over the same chunkings *)
+  List.iter
+    (fun op ->
+      let name = Trahrhe.Nest.op_to_string op in
+      List.iter
+        (fun chunk ->
+          let pc = ref 1 in
+          while !pc <= trip do
+            let len = min chunk (trip - !pc + 1) in
+            Alcotest.(check int)
+              (Printf.sprintf "reduce %s pc=%d len=%d" name !pc len)
+              (R.walk_reduce_int rc op ~pc:!pc ~len)
+              (Jit.Native.reduce h ps op ~pc:!pc ~len);
+            pc := !pc + len
+          done)
+        [ 1; 3; 7; 64; trip ];
+      Alcotest.(check int) (name ^ " overrun clamps")
+        (R.walk_reduce_int rc op ~pc:1 ~len:trip)
+        (Jit.Native.reduce h ps op ~pc:1 ~len:(trip + 100)))
+    red_ops;
+  Alcotest.(check int) "min is negative" (-106)
+    (Jit.Native.reduce h ps Trahrhe.Nest.Min ~pc:1 ~len:trip);
+  Alcotest.(check int) "reduce pc>trip" 0
+    (Jit.Native.reduce h ps Trahrhe.Nest.Max ~pc:(trip + 1) ~len:5)
 
 let test_attach_native () =
   require_gcc ();
-  let nest = Lazy.force triangular_nest in
+  let nest = Lazy.force signed_clause_nest in
   let inv, h = specialize_exn nest in
   let n = 11 in
   let rc = R.make inv ~param:(fun _ -> n) in
   let ps = [| n |] in
+  let routed = ref [] in
   let nat =
     { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
       n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
-      n_reduce_sum = (fun ~pc ~len -> Jit.Native.reduce_sum h ps ~pc ~len) }
+      n_reduce =
+        (fun op ~pc ~len ->
+          routed := op :: !routed;
+          Jit.Native.reduce h ps op ~pc ~len) }
   in
   let rcn = R.attach_native rc nat in
   Alcotest.(check bool) "enabled" true (R.native_enabled rcn);
@@ -168,6 +217,31 @@ let test_attach_native () =
   | None -> Alcotest.fail "native_recover returned None with a backend attached"
   | Some idx -> Alcotest.(check bool) "native_recover" true (idx = R.recover rc 7));
   Alcotest.(check bool) "no backend -> None" true (R.native_recover rc 1 = None);
+  (* every int fold runs in the object, one call per chunk *)
+  List.iter
+    (fun op ->
+      let name = Trahrhe.Nest.op_to_string op in
+      routed := [];
+      for pc = 1 to trip do
+        Alcotest.(check int)
+          (Printf.sprintf "walk_reduce_int %s via t pc=%d" name pc)
+          (R.walk_reduce_int rc op ~pc ~len:5) (R.walk_reduce_int rcn op ~pc ~len:5)
+      done;
+      Alcotest.(check bool) (name ^ ": one native call per chunk") true
+        (List.length !routed = trip && List.for_all (( = ) op) !routed))
+    red_ops;
+  (* the argument checks run before the routing, and prod never routes *)
+  routed := [];
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: folded" what
+      | exception Invalid_argument _ -> ())
+    [ ("empty max chunk", fun () -> R.walk_reduce_int rcn Trahrhe.Nest.Max ~pc:1 ~len:0);
+      ( "min past the space",
+        fun () -> R.walk_reduce_int rcn Trahrhe.Nest.Min ~pc:(trip + 1) ~len:1 );
+      ("prod", fun () -> R.walk_reduce_int rcn Trahrhe.Nest.Prod ~pc:1 ~len:5) ];
+  Alcotest.(check int) "refused folds never reach the object" 0 (List.length !routed);
   (* lane-walk equivalence through the attached backend *)
   let collect r =
     let acc = ref [] in

@@ -234,7 +234,7 @@ let test_walk_ledger () =
           [ R.attach_native rc
               { R.n_walk_hash = (fun ~pc ~len -> Jit.Native.walk_hash h ps ~pc ~len);
                 n_recover = (fun ~pc idx -> Jit.Native.recover h ps ~pc idx);
-                n_reduce_sum = (fun ~pc ~len -> Jit.Native.reduce_sum h ps ~pc ~len) } ]
+                n_reduce = (fun op ~pc ~len -> Jit.Native.reduce h ps op ~pc ~len) } ]
     in
     rc :: native
   in
@@ -260,8 +260,12 @@ let test_walk_ledger () =
         fun rc ~pc ~len -> ignore (R.walk_reduce_int rc Trahrhe.Nest.Sum ~pc ~len) );
       ( "walk_reduce_int min",
         clause,
-        false,
+        true,
         fun rc ~pc ~len -> ignore (R.walk_reduce_int rc Trahrhe.Nest.Min ~pc ~len) );
+      ( "walk_reduce_int max",
+        clause,
+        true,
+        fun rc ~pc ~len -> ignore (R.walk_reduce_int rc Trahrhe.Nest.Max ~pc ~len) );
       ( "walk_reduce_rat",
         clause,
         false,

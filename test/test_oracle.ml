@@ -616,6 +616,31 @@ let native_tier =
      ( Service.Cache.create ~capacity:512 ~dir:(Some dir) (),
        Service.Native.create ~dir:(Some dir) () ))
 
+(* a clause whose values change sign over most generated spaces:
+   sum_k (-1)^k (k+1) x_k + x_0 x_(d-1) - 3 *)
+let signed_clause nest =
+  let module P = Polymath.Polynomial in
+  let vars = N.level_vars nest in
+  let linear =
+    List.mapi
+      (fun k v -> P.scale (Q.of_int (if k mod 2 = 0 then k + 1 else -(k + 1))) (P.var v))
+      vars
+  in
+  let cross = P.mul (P.var (List.hd vars)) (P.var (List.nth vars (List.length vars - 1))) in
+  N.with_reduce nest (Some (List.fold_left P.add (P.sub cross (P.of_int 3)) linear))
+
+(* chunkings of [1..trip] that start and end mid-row, cross empty
+   rows and hold single points: fixed lengths from rank 1, and the
+   same lengths after a one-point first chunk *)
+let chunkings trip =
+  List.concat_map
+    (fun c ->
+      let rec from pc acc =
+        if pc > trip then List.rev acc else from (pc + c) ((pc, min c (trip - pc + 1)) :: acc)
+      in
+      [ from 1 []; (1, 1) :: from 2 [] ])
+    [ 1; 2; 3; 7; max 1 (trip / 2); trip ]
+
 let check_case_native (nest, nval) =
   let param _ = nval in
   let cache, tier = Lazy.force native_tier in
@@ -624,7 +649,9 @@ let check_case_native (nest, nval) =
     N.iterate nest ~param (fun idx -> buf := Array.copy idx :: !buf);
     Array.of_list (List.rev !buf)
   in
-  match Service.Cache.find_or_compile cache nest with
+  (* the clause rides along: it leaves the walk alone and gives the
+     object a reduce walker to check *)
+  match Service.Cache.find_or_compile cache (signed_clause nest) with
   | Error e -> QCheck.Test.fail_reportf "plan compile failed on a valid nest: %s" e
   | Ok (plan, renaming) ->
     let module R = Trahrhe.Recovery in
@@ -669,6 +696,21 @@ let check_case_native (nest, nval) =
           pc := !pc + len
         done)
       [ 1; 3; 7; max 1 (trip / 2); trip ];
+    (* the clause folded natively (sum, and min/max below the
+       overflow guard) = the interpreted fold, chunk for chunk *)
+    let ops = if R.overflow_guarded rc_n then [ N.Sum ] else [ N.Sum; N.Min; N.Max ] in
+    List.iter
+      (fun op ->
+        List.iter
+          (List.iter (fun (pc, len) ->
+               let vn = R.walk_reduce_int rc_n op ~pc ~len in
+               let vi = R.walk_reduce_int rc_i op ~pc ~len in
+               if vn <> vi then
+                 QCheck.Test.fail_reportf
+                   "walk_reduce_int %s (pc=%d, len=%d): native %d, interpreted %d"
+                   (N.op_to_string op) pc len vn vi))
+          (chunkings trip))
+      ops;
     (* lane blocks through the object's block filler *)
     List.iter (fun vlength -> run_lanes ~vlength rc_n reference trip) vlengths;
     true

@@ -1325,6 +1325,68 @@ let test_native_ops_share_object () =
     [ "sum"; "max" ] native;
   Service.Native.clear tier
 
+(* a native min/max walks in the object: one jit.hit per chunk the
+   region records (faults fire before a chunk's body, so a retried
+   attempt walks nothing), and the same result as the interpreted
+   fold *)
+let test_native_max_walks_in_object () =
+  if not (Jit.Abi.functional ()) then Alcotest.skip ();
+  with_temp_dir @@ fun dir ->
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let tier = Service.Native.create ~dir:(Some dir) () in
+  let base = "exec kernel=covariance_reduce n=48 threads=2" in
+  let hits () =
+    match Obsv.Metrics.find "jit.hit" with Some m -> Obsv.Metrics.total m | None -> 0
+  in
+  List.iter
+    (fun op ->
+      let line = Printf.sprintf "%s reduce=%s" base op in
+      ignore (exec_ok ~native:tier cache (line ^ " native=1"));
+      let h0 = hits () and since = Obsv.Metrics.snapshot () in
+      let native = exec_ok ~native:tier cache (line ^ " native=1") in
+      let chunks = counted since Ompsim.Stats.par_chunks in
+      Alcotest.(check string) (op ^ ": engaged") "true" (json_field "native" native);
+      Alcotest.(check bool) (op ^ ": the region ran chunks") true (chunks > 0);
+      Alcotest.(check int) (op ^ ": one jit.hit per chunk") chunks (hits () - h0);
+      Alcotest.(check string) (op ^ ": native = interpreted")
+        (json_field "result" (exec_ok cache line))
+        (json_field "result" native))
+    [ "max"; "min" ];
+  Service.Native.clear tier
+
+(* the exact rational product has no native fold: native=1 answers
+   the interpreted fallback it is, with its reason, and counts it *)
+let test_native_prod_is_interpreted () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  let line = "exec kernel=covariance_reduce n=12 threads=2 reduce=prod" in
+  let since = Obsv.Metrics.snapshot () in
+  let resp = exec_ok cache (line ^ " native=1") in
+  Alcotest.(check string) "not native" "false" (json_field "native" resp);
+  Alcotest.(check string) "the reason" {|"exact rational product stays interpreted"|}
+    (json_field "native_error" resp);
+  Alcotest.(check int) "one fallback" 1 (counted since Jit.Stats.fallbacks);
+  Alcotest.(check int) "none served" 0 (counted since Service.Stats.native_served);
+  Alcotest.(check string) "result = native=0" (json_field "result" (exec_ok cache line))
+    (json_field "result" resp)
+
+(* a product whose exact value may outgrow the 2^16-bit cap is refused
+   before either walk: covariance at n = 50 (63,750 points, a
+   per-point bound of 309) answers the error at once instead of
+   growing a rational until memory runs out *)
+let test_exec_prod_cap () =
+  let cache = Cache.create ~capacity:4 ~dir:None () in
+  (* the plan compile is not what is timed *)
+  ignore (exec_ok cache "exec kernel=covariance n=4 threads=2 reduce=prod");
+  let since = Obsv.Metrics.snapshot () in
+  let t0 = Unix.gettimeofday () in
+  let req = parse_ok "exec kernel=covariance n=50 threads=2 reduce=prod" in
+  let resp, ok = Server.handle cache req in
+  let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Alcotest.(check bool) "refused" false ok;
+  if not (contains ~needle:"past the 65536-bit cap" resp) then Alcotest.failf "response: %s" resp;
+  if ms >= 10.0 then Alcotest.failf "refusal took %.1f ms" ms;
+  check_reference "no reference walk" ~hits:0 ~misses:0 since
+
 (* a chunk longer than 2^16 iterations is walked in slices, folded by
    the payload's own combine: every fold still equals the serial
    reference. correlation_reduce at n = 520 has 134,940 iterations, so
@@ -1539,6 +1601,11 @@ let suites =
           test_exec_recovery_native_not_cached;
         Alcotest.test_case "reduce ops share one native object" `Quick
           test_native_ops_share_object;
+        Alcotest.test_case "reduce=max native=1 walks in the object" `Quick
+          test_native_max_walks_in_object;
+        Alcotest.test_case "reduce=prod native=1 answers interpreted" `Quick
+          test_native_prod_is_interpreted;
+        Alcotest.test_case "an oversized exact product is refused" `Quick test_exec_prod_cap;
         Alcotest.test_case "exec slices keep every fold exact" `Quick test_exec_slices_exact;
         Alcotest.test_case "empty OMPSIM_PLAN_CACHE is no store" `Quick test_empty_plan_cache_env;
         Alcotest.test_case "run_batch: order, errors, shutdown" `Quick test_run_batch;
